@@ -25,14 +25,15 @@ Closed forms are provided for the canonical cases:
 
 A local-decoding baseline (a relay decodes the message treating the
 interferer as noise and forwards information bits) complements the lattice
-scheme at small link capacities.
+scheme at small link capacities.  `best_report` evaluates an explicitly
+given case; `best_achievable` infers a config's case once and calls it.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .model import ChannelConfig, ScenarioCase, case_constraints_hold, gaussian_mi
 
@@ -139,6 +140,13 @@ def distortion_relay2_case_b(p_x: float, p_j: float, c2: float, alpha: float) ->
     return interference * _pow2neg(c2), "interference"
 
 
+def side_information_power(
+    p_x: float, p_j: float, alpha: float, p_d1: float, p_n1: float, p_n2: float, gain_sum: float
+) -> float:
+    """Power s of the sum signal relay 2's binned description is resolved against."""
+    return alpha**2 * (gain_sum**2 * p_x + 4.0 * p_j + p_n1 + p_n2) + p_d1
+
+
 def distortion_relay2_case_c(
     p_x: float,
     p_j: float,
@@ -157,7 +165,7 @@ def distortion_relay2_case_c(
     the sum signal it must be resolved against.  The allocation takes the
     constraint with equality.
     """
-    s = alpha**2 * (gain_sum**2 * p_x + 4.0 * p_j + p_n1 + p_n2) + p_d1
+    s = side_information_power(p_x, p_j, alpha, p_d1, p_n1, p_n2, gain_sum)
     if p_x <= s:
         numer, branch = p_x, "signal_ceiling"
     else:
@@ -216,26 +224,13 @@ def achievable_case_a(p_x: float, p_j: float, c2: float) -> AchievableReport:
 
     rate = max(0.5*log2((1+p_x) / (1 + min(1+p_x, p_j*p_x/(p_x+1)) * 2**(-2*c2))), 0)
 
-    evaluated in the equivalent-noise normalization
-    0.5*log2(p_x / (p_x/(p_x+1) + p_d2)), which is the same quantity and
-    stays accurate for capacities of hundreds of bits.
+    evaluated as Case B with an unlimited relay-1 link (p_d1 = 0), i.e. in
+    the equivalent-noise normalization 0.5*log2(p_x / (p_x/(p_x+1) + p_d2)),
+    which is the same quantity and stays accurate for capacities of
+    hundreds of bits.
     """
-    if p_x == 0.0:
-        return AchievableReport(
-            rate=0.0, scheme=Scheme.CASE_A_EQ, alpha=0.0, p_d1=0.0, p_d2=0.0, p_neq=0.0
-        )
-    alpha = mmse_alpha(p_x, 1.0, 0.0, 1.0)
-    p_d2, branch = distortion_relay2_case_b(p_x, p_j, c2, alpha)
-    p_neq = p_x / (p_x + 1.0) + p_d2
-    return AchievableReport(
-        rate=_clamped_rate(p_x, p_neq),
-        scheme=Scheme.CASE_A_EQ,
-        alpha=alpha,
-        p_d1=0.0,
-        p_d2=p_d2,
-        p_neq=p_neq,
-        min_branch=branch,
-    )
+    report = achievable_case_b(p_x, p_j, math.inf, c2)
+    return replace(report, scheme=Scheme.CASE_A_EQ)
 
 
 def achievable_case_b(p_x: float, p_j: float, c1: float, c2: float) -> AchievableReport:
@@ -275,8 +270,6 @@ def _case_c_prop_rate(p_x: float, p_j: float, link_primary: float, link_binned: 
     rate = max(0.5*log2(p_x / (p_x/(p_x+1) + p_x/(2**(2*c1)-1)
                                + min(p_x, p_j*p_x^2/(p_x+1)^2) * 2**(-2*c2))), 0)
     """
-    if p_x == 0.0:
-        return 0.0
     p_d1 = distortion_relay1(p_x, link_primary)
     m = min(p_x, p_j * (p_x / (p_x + 1.0)) ** 2)
     den = p_x / (p_x + 1.0) + p_d1 + m * _pow2neg(link_binned)
@@ -289,8 +282,6 @@ def _case_c_derived_rate(p_x: float, p_j: float, link_primary: float, link_binne
     rate = max(0.5*log2(p_x / (1/2 + p_x/(2**(2*c1)-1)
                                + min(p_x, 4*p_j+2+p_x/(2**(2*c1)-1)) / (2**(2*c2)-1))), 0)
     """
-    if p_x == 0.0:
-        return 0.0
     p_d1 = distortion_relay1(p_x, link_primary)
     if math.isinf(p_d1):
         return 0.0
@@ -364,25 +355,37 @@ def local_decode_baseline(
     return AchievableReport(rate=rate, scheme=Scheme.LOCAL_DECODE)
 
 
-def best_achievable(cfg: ChannelConfig) -> AchievableReport:
-    """Best rate over the schemes applicable to cfg's case.
+def best_report(
+    case: ScenarioCase, p_x: float, p_j: float, c1: float, c2: float
+) -> AchievableReport:
+    """Best rate over the schemes of `case` at one operating point.
 
     Case A has the single closed form; Cases B and C take the max of the
     lattice scheme (both relay orientations for C) and the local-decoding
-    baseline.  The returned report records the winning scheme.
+    baseline.  The returned report records the winning scheme.  The case is
+    taken as given; callers check their inputs against it once.
     """
-    if case_constraints_hold(cfg, ScenarioCase.CASE_A):
-        return achievable_case_a(cfg.p_x, cfg.p_j, cfg.c2)
-    if case_constraints_hold(cfg, ScenarioCase.CASE_B):
-        candidates = [
-            achievable_case_b(cfg.p_x, cfg.p_j, cfg.c1, cfg.c2),
-            local_decode_baseline(ScenarioCase.CASE_B, cfg.p_x, cfg.p_j, cfg.c1),
-        ]
-    elif case_constraints_hold(cfg, ScenarioCase.CASE_C):
-        candidates = [
-            achievable_case_c(cfg.p_x, cfg.p_j, cfg.c1, cfg.c2),
-            local_decode_baseline(ScenarioCase.CASE_C, cfg.p_x, cfg.p_j, cfg.c1, cfg.c2),
-        ]
+    if case is ScenarioCase.CASE_A:
+        return achievable_case_a(p_x, p_j, c2)
+    if case is ScenarioCase.CASE_B:
+        lattice = achievable_case_b(p_x, p_j, c1, c2)
+    elif case is ScenarioCase.CASE_C:
+        lattice = achievable_case_c(p_x, p_j, c1, c2)
     else:
+        raise ValueError(f"no achievable-rate schemes for {case!r}")
+    return max(lattice, local_decode_baseline(case, p_x, p_j, c1, c2), key=lambda r: r.rate)
+
+
+def best_achievable(cfg: ChannelConfig) -> AchievableReport:
+    """Best rate over the schemes of cfg's case, inferred once (see `best_report`).
+
+    The relay-2 gain singles out Case C (as which full cooperation reads) and
+    an unlimited c1 Case A; one constraint check confirms the pick.
+    """
+    if cfg.b != 0.0:
+        case = ScenarioCase.CASE_C
+    else:
+        case = ScenarioCase.CASE_A if math.isinf(cfg.c1) else ScenarioCase.CASE_B
+    if not case_constraints_hold(cfg, case):
         raise ValueError("config does not match any canonical case preset")
-    return max(candidates, key=lambda r: r.rate)
+    return best_report(case, cfg.p_x, cfg.p_j, cfg.c1, cfg.c2)

@@ -8,6 +8,8 @@ which is evaluated exactly here (~1.5235 bits), never as a rounded figure.
 
 All bound terms are formed in the log domain, so an unlimited link
 (`INFINITE_CAPACITY`) simply makes its cut term infinite and never binding.
+The config-taking functions check a config against its case once, then call
+`cutset_terms` and `modulo_bound`, which take the case explicitly.
 """
 
 from __future__ import annotations
@@ -15,13 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import (
-    ChannelConfig,
-    ScenarioCase,
-    case_constraints_hold,
-    gaussian_mi,
-    validate_case,
-)
+from .model import ChannelConfig, ScenarioCase, case_constraints_hold, gaussian_mi
 
 #: Additive constant of the Case C modulo bound: 0.25 * log2(8*pi*e).
 MODULO_BOUND_CONSTANT = 0.25 * math.log2(8.0 * math.pi * math.e)
@@ -58,6 +54,51 @@ def _report(terms: list[tuple[str, float]], modulo: float | None = None) -> Boun
     )
 
 
+def cutset_terms(
+    case: ScenarioCase, p_x: float, p_j: float, c1: float, c2: float
+) -> list[tuple[str, float]]:
+    """Labelled cut-set terms of `case` at one operating point; the case is
+    taken as given (callers check their config against it once)."""
+    if case is ScenarioCase.FULL_COOPERATION:
+        return [("i(x;y1,y2)", full_cooperation_capacity(p_x))]
+    interfered = gaussian_mi(p_x, p_j + 1.0)
+    if case is ScenarioCase.CASE_A:
+        return [("c2 + i(x;y1)", c2 + interfered), ("i(x;y1|j)", gaussian_mi(p_x, 1.0))]
+    if case is ScenarioCase.CASE_B:
+        return [
+            ("c1", c1),
+            ("c2 + i(x;y1)", c2 + interfered),
+            ("i(x;y1|y2)", gaussian_mi(p_x, 1.0)),
+        ]
+    if case is ScenarioCase.CASE_C:
+        return [
+            ("c1 + c2", c1 + c2),
+            ("c1 + i(x;y2)", c1 + interfered),
+            ("c2 + i(x;y1)", c2 + interfered),
+            ("i(x;y1,y2)", gaussian_mi(2.0 * p_x, 1.0)),
+        ]
+    raise ValueError(f"unknown case {case!r}")
+
+
+def modulo_bound(p_x: float, p_j: float, c1: float, c2: float) -> float | None:
+    """The Case C modulo bound at one operating point; None unless p_j > 0."""
+    if not p_j > 0.0:
+        return None
+    return 0.5 * (c1 + c2 + gaussian_mi(p_x, p_j)) + MODULO_BOUND_CONSTANT
+
+
+def _validate(cfg: ChannelConfig, case: ScenarioCase) -> None:
+    """Check cfg against `case` once; Case B also accepts c1 = INFINITE_CAPACITY."""
+    checked = ScenarioCase.CASE_A if case is ScenarioCase.CASE_B and math.isinf(cfg.c1) else case
+    if not case_constraints_hold(cfg, checked):
+        raise ValueError(f"config {cfg} does not satisfy the {case.name} constraints")
+
+
+def _cutset(cfg: ChannelConfig, case: ScenarioCase) -> BoundReport:
+    _validate(cfg, case)
+    return _report(cutset_terms(case, cfg.p_x, cfg.p_j, cfg.c1, cfg.c2))
+
+
 def cutset_case_a(cfg: ChannelConfig) -> BoundReport:
     """Case A cut-set bound.
 
@@ -66,12 +107,7 @@ def cutset_case_a(cfg: ChannelConfig) -> BoundReport:
     The first term cuts the relay-2 link together with the interfered
     direct observation; the second is the interference-free ceiling.
     """
-    validate_case(cfg, ScenarioCase.CASE_A)
-    terms = [
-        ("c2 + i(x;y1)", cfg.c2 + gaussian_mi(cfg.p_x, cfg.p_j + 1.0)),
-        ("i(x;y1|j)", gaussian_mi(cfg.p_x, 1.0)),
-    ]
-    return _report(terms)
+    return _cutset(cfg, ScenarioCase.CASE_A)
 
 
 def cutset_case_b(cfg: ChannelConfig) -> BoundReport:
@@ -80,17 +116,7 @@ def cutset_case_b(cfg: ChannelConfig) -> BoundReport:
     Accepts the c1 = INFINITE_CAPACITY sentinel, for which the c1 cut never
     binds and the bound collapses to the Case A bound.
     """
-    if not (
-        case_constraints_hold(cfg, ScenarioCase.CASE_B)
-        or case_constraints_hold(cfg, ScenarioCase.CASE_A)
-    ):
-        raise ValueError(f"config {cfg} does not satisfy the CASE_B channel constraints")
-    terms = [
-        ("c1", cfg.c1),
-        ("c2 + i(x;y1)", cfg.c2 + gaussian_mi(cfg.p_x, cfg.p_j + 1.0)),
-        ("i(x;y1|y2)", gaussian_mi(cfg.p_x, 1.0)),
-    ]
-    return _report(terms)
+    return _cutset(cfg, ScenarioCase.CASE_B)
 
 
 def cutset_case_c(cfg: ChannelConfig) -> BoundReport:
@@ -99,15 +125,7 @@ def cutset_case_c(cfg: ChannelConfig) -> BoundReport:
     R <= min{ c1+c2,  c1 + 0.5*log2(1+px/(pj+1)),  c2 + 0.5*log2(1+px/(pj+1)),
               0.5*log2(1+2*px) }
     """
-    validate_case(cfg, ScenarioCase.CASE_C)
-    interfered = gaussian_mi(cfg.p_x, cfg.p_j + 1.0)
-    terms = [
-        ("c1 + c2", cfg.c1 + cfg.c2),
-        ("c1 + i(x;y2)", cfg.c1 + interfered),
-        ("c2 + i(x;y1)", cfg.c2 + interfered),
-        ("i(x;y1,y2)", gaussian_mi(2.0 * cfg.p_x, 1.0)),
-    ]
-    return _report(terms)
+    return _cutset(cfg, ScenarioCase.CASE_C)
 
 
 def modulo_bound_case_c(cfg: ChannelConfig) -> float:
@@ -118,10 +136,10 @@ def modulo_bound_case_c(cfg: ChannelConfig) -> float:
     Requires pj > 0 (the signal-to-interferer ratio px/pj is undefined
     otherwise).
     """
-    validate_case(cfg, ScenarioCase.CASE_C)
+    _validate(cfg, ScenarioCase.CASE_C)
     if not cfg.p_j > 0.0:
         raise ValueError("modulo bound requires interferer power p_j > 0")
-    return 0.5 * (cfg.c1 + cfg.c2 + gaussian_mi(cfg.p_x, cfg.p_j)) + MODULO_BOUND_CONSTANT
+    return modulo_bound(cfg.p_x, cfg.p_j, cfg.c1, cfg.c2)
 
 
 def full_cooperation_capacity(p_x: float) -> float:
@@ -138,19 +156,12 @@ def full_cooperation_capacity(p_x: float) -> float:
 def outer_bounds(cfg: ChannelConfig, case: ScenarioCase) -> BoundReport:
     """Assemble every outer bound applicable to `case`.
 
+    cfg is checked against `case` once (full cooperation takes any config).
     For Case C the modulo bound is included (when pj > 0) and `binding`
     is the minimum of the cut-set and modulo bounds; the two are not
     ordered, and either may be the smaller one.
     """
-    if case is ScenarioCase.CASE_A:
-        return cutset_case_a(cfg)
-    if case is ScenarioCase.CASE_B:
-        return cutset_case_b(cfg)
-    if case is ScenarioCase.CASE_C:
-        cut = cutset_case_c(cfg)
-        modulo = modulo_bound_case_c(cfg) if cfg.p_j > 0.0 else None
-        return _report(list(cut.terms), modulo)
-    if case is ScenarioCase.FULL_COOPERATION:
-        cap = full_cooperation_capacity(cfg.p_x)
-        return _report([("i(x;y1,y2)", cap)])
-    raise ValueError(f"unknown case {case!r}")
+    if case is not ScenarioCase.FULL_COOPERATION:
+        _validate(cfg, case)
+    modulo = modulo_bound(cfg.p_x, cfg.p_j, cfg.c1, cfg.c2) if case is ScenarioCase.CASE_C else None
+    return _report(cutset_terms(case, cfg.p_x, cfg.p_j, cfg.c1, cfg.c2), modulo)

@@ -10,6 +10,9 @@ Subcommands map one-to-one onto the library:
 * ``simulate``  Monte Carlo run of the lattice scheme (JSON)
 * ``cover``     random-codebook coverage experiment (JSON)
 
+Each subcommand checks its input against the chosen case once, through the
+library entry points; input outside the model exits 2.
+
 Exit codes: 0 success, 2 invalid usage/parameters, 3 certificate violation.
 Deterministic commands are byte-reproducible; stochastic ones are
 byte-reproducible given --seed (one is generated and recorded otherwise).
@@ -51,8 +54,6 @@ from .scaling import (
     required_region_case_c,
     sweep_sum_capacity,
 )
-
-_CASES = {"a": ScenarioCase.CASE_A, "b": ScenarioCase.CASE_B, "c": ScenarioCase.CASE_C}
 
 
 def _capacity(text: str) -> float:
@@ -127,23 +128,20 @@ def _report_row(kind: str, label: str, report, schema: str) -> list:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    case = _CASES[args.case]
+    case = ScenarioCase(args.case)
+    cfg = make_preset(case, args.px, args.pj, c1=args.c1, c2=args.c2)
+    point = (args.px, args.pj, args.c1, args.c2)
     if case is ScenarioCase.CASE_A:
-        cfg = make_preset(case, args.px, args.pj, c1=args.c1, c2=args.c2)
         reports = [("case_a_eq", achievable_case_a(args.px, args.pj, args.c2))]
     elif case is ScenarioCase.CASE_B:
-        cfg = make_preset(case, args.px, args.pj, c1=args.c1, c2=args.c2)
-        reports = [
-            ("case_b_eq", achievable_case_b(args.px, args.pj, args.c1, args.c2)),
-            ("local_decode", local_decode_baseline(case, args.px, args.pj, args.c1)),
-        ]
+        reports = [("case_b_eq", achievable_case_b(*point))]
     else:
-        cfg = make_preset(case, args.px, args.pj, c1=args.c1, c2=args.c2)
         reports = [
-            ("case_c_prop", achievable_case_c(args.px, args.pj, args.c1, args.c2, "prop")),
-            ("case_c_derived", achievable_case_c(args.px, args.pj, args.c1, args.c2, "derived")),
-            ("local_decode", local_decode_baseline(case, args.px, args.pj, args.c1, args.c2)),
+            ("case_c_prop", achievable_case_c(*point, "prop")),
+            ("case_c_derived", achievable_case_c(*point, "derived")),
         ]
+    if case is not ScenarioCase.CASE_A:
+        reports.append(("local_decode", local_decode_baseline(case, *point)))
     bound = outer_bounds(cfg, case)
     best = best_achievable(cfg)
     manifest = _manifest("bounds", args, [])
@@ -190,9 +188,7 @@ def _parse_range(spec: str) -> list[float]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    case = _CASES[args.case]
-    if case is ScenarioCase.CASE_A:
-        raise ValueError("the sweep applies to cases b and c")
+    case = ScenarioCase(args.case)
     sums = _parse_range(args.sum_range)
     points = sweep_sum_capacity(case, args.px, args.pj, sums, split_samples=args.split_samples)
     schema = "sweep.v1"
@@ -269,7 +265,7 @@ def _parse_grid(spec: str) -> tuple[list[float], list[float]] | tuple[None, None
 
 
 def cmd_gaps(args: argparse.Namespace) -> int:
-    case = _CASES[args.case]
+    case = ScenarioCase(args.case)
     px_grid, pj_grid = _parse_grid(args.grid)
     certificates = certify_gaps(case, px_grid, pj_grid)
     document = {
@@ -291,7 +287,7 @@ def cmd_gaps(args: argparse.Namespace) -> int:
 
 
 def cmd_scaling(args: argparse.Namespace) -> int:
-    case = _CASES[args.case]
+    case = ScenarioCase(args.case)
     lo_s, hi_s = args.exponents.split(":")
     exponents = list(range(int(lo_s), int(hi_s) + 1))
     rate_fn = coupled_capacity_rate_fn(case, coupling=args.coupling, capacity_scale=args.capacity_scale)

@@ -43,7 +43,9 @@ from .achievable import (
     distortion_relay2_case_c,
     equivalent_noise_power,
     mmse_alpha,
+    side_information_power,
 )
+from .model import _CASE_FIXED, ScenarioCase
 
 #: Fixed batch size; part of the determinism contract (changing it changes
 #: the streams, so it is a module constant rather than a config knob).
@@ -52,8 +54,6 @@ BATCH_SIZE = 1 << 16
 #: Number of histogram bins for the dither-uniformity test.
 UNIFORMITY_BINS = 64
 
-_CASE_GAINS = {"b": (1.0, 0.0), "c": (1.0, -1.0)}
-_CASE_NOISES = {"b": (1.0, 0.0), "c": (1.0, 1.0)}
 _INTERFERERS = ("gaussian", "uniform", "bpsk")
 
 # stream indices per random variable
@@ -95,16 +95,15 @@ class SimConfig:
             if self.p_n1 is None or self.p_n2 is None:
                 raise ValueError("general case needs explicit noise powers")
         else:
-            ga, gb = _CASE_GAINS[self.case]
+            fixed = _CASE_FIXED[ScenarioCase(self.case)]
+            ga, gb = fixed["a"], fixed["b"]
             if self.a is not None and self.a != ga or self.b is not None and self.b != gb:
                 raise ValueError(f"case {self.case!r} fixes gains ({ga}, {gb})")
             object.__setattr__(self, "a", ga)
             object.__setattr__(self, "b", gb)
-            n1, n2 = _CASE_NOISES[self.case]
-            if self.p_n1 is None:
-                object.__setattr__(self, "p_n1", n1)
-            if self.p_n2 is None:
-                object.__setattr__(self, "p_n2", n2)
+            for name in ("p_n1", "p_n2"):
+                if getattr(self, name) is None:
+                    object.__setattr__(self, name, fixed[name])
         if not self.p_x > 0.0 or not math.isfinite(self.p_x):
             raise ValueError("simulation needs a finite p_x > 0 (the cell scales with it)")
         for name in ("p_j", "p_n1", "p_n2"):
@@ -202,6 +201,25 @@ def _scaled_normal(rng: np.random.Generator, power: float, m: int) -> np.ndarray
     return rng.standard_normal(m) * math.sqrt(power)
 
 
+def _accumulate_dither(x, v, edges, hist, sums) -> None:
+    """Add one batch's histogram counts of x and its x/v moment sums."""
+    hist += np.histogram(x, bins=edges)[0]
+    for key, arr in (("x", x), ("v", v), ("xv", x * v), ("x2", x * x), ("v2", v * v)):
+        sums[key].append(float(arr.sum()))
+
+
+def _dither_summary(hist: np.ndarray, sums: dict, n: int) -> tuple[float, float]:
+    """Chi-square uniformity p-value of the histogram and the x-v correlation."""
+    total = {k: math.fsum(sums[k]) for k in ("x", "v", "xv", "x2", "v2")}
+    cov_xv = total["xv"] - total["x"] * total["v"] / n
+    var_x = total["x2"] - total["x"] ** 2 / n
+    var_v = total["v2"] - total["v"] ** 2 / n
+    corr = cov_xv / math.sqrt(var_x * var_v) if var_x > 0.0 and var_v > 0.0 else math.nan
+    expected = n / UNIFORMITY_BINS
+    chi2_stat = float(((hist - expected) ** 2 / expected).sum())
+    return float(stats.chi2.sf(chi2_stat, UNIFORMITY_BINS - 1)), corr
+
+
 def run_lattice_sim(cfg: SimConfig) -> SimStats:
     """Run the dithered modulo-lattice scheme and verify its bookkeeping.
 
@@ -243,25 +261,14 @@ def run_lattice_sim(cfg: SimConfig) -> SimStats:
         residual = np.minimum(gap, L - gap)  # distance on the cell circle
         max_residual = max(max_residual, float(residual.max()))
 
-        hist += np.histogram(x, bins=edges)[0]
-        for key, arr in (
-            ("neq", neq), ("neq2", neq * neq),
-            ("x", x), ("v", v), ("xv", x * v), ("x2", x * x), ("v2", v * v),
-        ):
+        _accumulate_dither(x, v, edges, hist, sums)
+        for key, arr in (("neq", neq), ("neq2", neq * neq)):
             sums[key].append(float(arr.sum()))
 
     n = cfg.samples
-    total = {k: math.fsum(parts) for k, parts in sums.items()}
-    var_neq = (total["neq2"] - total["neq"] ** 2 / n) / max(n - 1, 1)
-    cov_xv = total["xv"] - total["x"] * total["v"] / n
-    var_x = total["x2"] - total["x"] ** 2 / n
-    var_v = total["v2"] - total["v"] ** 2 / n
-    corr = cov_xv / math.sqrt(var_x * var_v) if var_x > 0.0 and var_v > 0.0 else math.nan
-
-    expected = n / UNIFORMITY_BINS
-    chi2_stat = float(((hist - expected) ** 2 / expected).sum())
-    pvalue = float(stats.chi2.sf(chi2_stat, UNIFORMITY_BINS - 1))
-
+    neq_sum, neq2_sum = math.fsum(sums["neq"]), math.fsum(sums["neq2"])
+    var_neq = (neq2_sum - neq_sum**2 / n) / max(n - 1, 1)
+    pvalue, corr = _dither_summary(hist, sums, n)
     rate = 0.5 * math.log2(cfg.p_x / var_neq) if var_neq > 0.0 else math.inf
     return SimStats(
         empirical_var_neq=var_neq,
@@ -324,20 +331,10 @@ def crypto_lemma_check(
         else:
             u = _stream(seed, batch, _VAR_U).uniform(-L / 2.0, L / 2.0, m)
         x = centered_mod(v - u, L)
-        hist += np.histogram(x, bins=edges)[0]
-        for key, arr in (("x", x), ("v", v), ("xv", x * v), ("x2", x * x), ("v2", v * v)):
-            sums[key].append(float(arr.sum()))
-    total = {k: math.fsum(parts) for k, parts in sums.items()}
-    n = samples
-    cov_xv = total["xv"] - total["x"] * total["v"] / n
-    var_x = total["x2"] - total["x"] ** 2 / n
-    var_v = total["v2"] - total["v"] ** 2 / n
-    corr = cov_xv / math.sqrt(var_x * var_v) if var_x > 0.0 and var_v > 0.0 else math.nan
-    expected = n / UNIFORMITY_BINS
-    chi2_stat = float(((hist - expected) ** 2 / expected).sum())
-    pvalue = float(stats.chi2.sf(chi2_stat, UNIFORMITY_BINS - 1))
+        _accumulate_dither(x, v, edges, hist, sums)
+    pvalue, corr = _dither_summary(hist, sums, samples)
     return CryptoLemmaStats(
-        uniformity_pvalue=pvalue, x_v_correlation=corr, samples=n, seed=seed
+        uniformity_pvalue=pvalue, x_v_correlation=corr, samples=samples, seed=seed
     )
 
 
@@ -358,8 +355,9 @@ class SlepianWolfCheck:
 def sw_rate_check(cfg: SimConfig, p_d2_override: float | None = None) -> SlepianWolfCheck:
     """Verify the binned description of relay 2 fits into its link.
 
-    Checks 0.5*log2(1 + min(p_x, alpha^2*(4*p_j + p_n1 + p_n2) + p_d1) / p_d2)
-    <= c2 for the allocated (or overridden) p_d2.  The allocation itself
+    Checks 0.5*log2(1 + min(p_x, s) / p_d2) <= c2 for the allocated (or
+    overridden) p_d2, with s the `side_information_power` that the
+    allocation in `distortion_relay2_case_c` uses.  The allocation itself
     meets the constraint with equality; halving p_d2 must violate it.
     Binning codes are not simulated, only their rate budget is checked.
     """
@@ -370,7 +368,9 @@ def sw_rate_check(cfg: SimConfig, p_d2_override: float | None = None) -> Slepian
         p_d2 = p_d2_override
     if not p_d2 > 0.0:
         raise ValueError("p_d2 must be > 0")
-    side_power = alpha**2 * (4.0 * cfg.p_j + cfg.p_n1 + cfg.p_n2) + p_d1
+    side_power = side_information_power(
+        cfg.p_x, cfg.p_j, alpha, p_d1, cfg.p_n1, cfg.p_n2, cfg.a + cfg.b
+    )
     required = 0.5 * math.log1p(min(cfg.p_x, side_power) / p_d2) / math.log(2.0)
     return SlepianWolfCheck(
         required_rate=required,

@@ -18,7 +18,10 @@ Three canonical scenarios are used throughout the package:
 
 Powers are linear, rates are in bits per channel use, and an unlimited
 link is represented by the sentinel ``INFINITE_CAPACITY`` (``math.inf``),
-never by a large finite number.
+never by a large finite number.  ``p_j = inf`` is an accepted limit (every
+rate and bound stays finite); an unlimited ``p_x`` is rejected.  Each public
+entry point checks a config against its case once; the closed forms
+``achievable.best_report`` and ``bounds.cutset_terms`` take the case explicitly.
 """
 
 from __future__ import annotations
@@ -41,18 +44,11 @@ class ScenarioCase(enum.Enum):
     FULL_COOPERATION = "full"
 
 
-def _check_power(name: str, value: float) -> float:
+def _nonnegative(name: str, value: float) -> float:
     value = float(value)
     # NaN fails the comparison and is rejected alongside negatives
     if not value >= 0.0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
-    return value
-
-
-def _check_capacity(name: str, value: float) -> float:
-    value = float(value)
-    if not value >= 0.0:
-        raise ValueError(f"{name} must be >= 0 (or INFINITE_CAPACITY), got {value!r}")
     return value
 
 
@@ -62,8 +58,8 @@ class ChannelConfig:
 
     Attributes:
         a, b: real channel gains toward relay 1 and relay 2.
-        p_x: transmitter power (linear).
-        p_j: interferer power (linear).
+        p_x: transmitter power (linear, finite).
+        p_j: interferer power (linear; ``math.inf`` is accepted as a limit).
         p_n1, p_n2: noise powers at the two relays (linear).
         c1, c2: relay-to-destination link capacities in bits per channel
             use; ``INFINITE_CAPACITY`` marks an unlimited link.
@@ -81,10 +77,10 @@ class ChannelConfig:
     def __post_init__(self):
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", float(self.b))
-        for name in ("p_x", "p_j", "p_n1", "p_n2"):
-            object.__setattr__(self, name, _check_power(name, getattr(self, name)))
-        for name in ("c1", "c2"):
-            object.__setattr__(self, name, _check_capacity(name, getattr(self, name)))
+        for name in ("p_x", "p_j", "p_n1", "p_n2", "c1", "c2"):
+            object.__setattr__(self, name, _nonnegative(name, getattr(self, name)))
+        if math.isinf(self.p_x):
+            raise ValueError("p_x must be finite, got inf")
 
 
 _CASE_FIXED = {
@@ -106,7 +102,8 @@ def make_preset(
 
     Case A fixes c1 = INFINITE_CAPACITY; passing any finite c1 is rejected
     rather than silently overridden.  Case B requires a finite c1.  Full
-    cooperation fixes both links to INFINITE_CAPACITY.
+    cooperation fixes both links to INFINITE_CAPACITY.  The result meets
+    `case_constraints_hold(cfg, tag)` by construction.
 
     Raises:
         ValueError: on negative powers/capacities or a capacity override
@@ -132,9 +129,7 @@ def make_preset(
             if value is not None and not math.isinf(value):
                 raise ValueError(f"full cooperation has unlimited links; finite {name} rejected")
         c1 = c2 = INFINITE_CAPACITY
-    cfg = ChannelConfig(p_x=p_x, p_j=p_j, c1=c1, c2=c2, **fixed)
-    validate_case(cfg, tag)
-    return cfg
+    return ChannelConfig(p_x=p_x, p_j=p_j, c1=c1, c2=c2, **fixed)
 
 
 def case_constraints_hold(cfg: ChannelConfig, tag: ScenarioCase) -> bool:

@@ -9,7 +9,9 @@ This module also builds the (c1, c2) region needed to sustain a target rate
 in Case C, certifies the constant-bit gaps between achievable rates and
 outer bounds over power grids, demonstrates that the cut-set bound is
 strictly loose in Case C, and produces the rate-versus-sum-capacity sweep
-data (best link split per sum) behind the composite rate curves.
+data (best link split per sum) behind the composite rate curves.  The sweep
+checks its powers once and evaluates every split through the case-explicit
+`best_report` and `cutset_terms`; the other grids build one config per point.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .achievable import AchievableReport, Scheme, achievable_case_c, best_achievable
-from .bounds import cutset_case_c, modulo_bound_case_c, outer_bounds
-from .model import ChannelConfig, ScenarioCase, gaussian_mi, make_preset
+from .achievable import AchievableReport, Scheme, achievable_case_c, best_achievable, best_report
+from .bounds import cutset_case_c, cutset_terms, modulo_bound, modulo_bound_case_c, outer_bounds
+from .model import ScenarioCase, gaussian_mi, make_preset
 
 PRELOG_METHODS = ("finite_difference", "ratio")
 
@@ -120,22 +122,19 @@ def coupled_capacity_rate_fn(
 
     def rate(p_x: float) -> float:
         p_j = pj_of(p_x)
-        if case is ScenarioCase.CASE_A:
+        c1 = None  # Case A: relay 1 stays unlimited
+        if case in (ScenarioCase.CASE_A, ScenarioCase.CASE_B):
+            if case is ScenarioCase.CASE_B:
+                c1 = capacity_scale * max(0.5 * math.log2(p_x), 0.0)
             c2 = capacity_scale * max(interference_info_lower_bound(p_x, p_j), 0.0)
-            cfg = make_preset(ScenarioCase.CASE_A, p_x, p_j, c2=c2)
-        elif case is ScenarioCase.CASE_B:
-            c1 = capacity_scale * max(0.5 * math.log2(p_x), 0.0)
-            c2 = capacity_scale * max(interference_info_lower_bound(p_x, p_j), 0.0)
-            cfg = make_preset(ScenarioCase.CASE_B, p_x, p_j, c1=c1, c2=c2)
         elif case is ScenarioCase.CASE_C:
             target = max(0.5 * math.log2(p_x), 0.0)
             g = gaussian_mi(p_x, p_j)
             c1 = capacity_scale * max(target, g)
             c2 = capacity_scale * max(target - g, 0.0)
-            cfg = make_preset(ScenarioCase.CASE_C, p_x, p_j, c1=c1, c2=c2)
         else:
             raise ValueError(f"no capacity coupling defined for {case!r}")
-        return best_achievable(cfg).rate
+        return best_achievable(make_preset(case, p_x, p_j, c1=c1, c2=c2)).rate
 
     return rate
 
@@ -194,6 +193,8 @@ def required_region_case_c(target_rate: float, p_x: float, p_j: float) -> Region
     whole nonnegative quadrant, and a target below 0.5*log2(1 + p_x/p_j)
     leaves only the sum constraint c1 + c2 >= target active.
     """
+    if math.isinf(p_x):
+        raise ValueError("the region needs a finite p_x")
     if not p_j > 0.0:
         raise ValueError("the region needs p_j > 0")
     if target_rate < 0.0:
@@ -422,12 +423,6 @@ class SweepPoint:
     modulo: float | None
 
 
-def _config_for_split(case: ScenarioCase, p_x, p_j, c1, c2) -> ChannelConfig:
-    if case is ScenarioCase.CASE_B:
-        return make_preset(ScenarioCase.CASE_B, p_x, p_j, c1=c1, c2=c2)
-    return make_preset(ScenarioCase.CASE_C, p_x, p_j, c1=c1, c2=c2)
-
-
 def sweep_sum_capacity(
     case: ScenarioCase,
     p_x: float,
@@ -442,36 +437,35 @@ def sweep_sum_capacity(
     on the grids of interest); the reported cut-set value is likewise the
     best (largest) cut-set bound over splits, i.e. the outer envelope a
     genie split could reach.  Applies to Cases B and C; Case C points also
-    carry the (split-independent) modulo bound.
+    carry the (split-independent) modulo bound.  The powers are checked once.
     """
     if case not in (ScenarioCase.CASE_B, ScenarioCase.CASE_C):
         raise ValueError("the sum-capacity sweep applies to Cases B and C")
     if split_samples < 2:
         raise ValueError("need at least two split samples")
+    cfg = make_preset(case, p_x, p_j, c1=0.0, c2=0.0)  # the links vary per split below
+    p_x, p_j = cfg.p_x, cfg.p_j
     points = []
-    for total in sum_capacities:
-        if total < 0.0:
-            raise ValueError(f"sum capacity must be >= 0, got {total}")
-        best_report: AchievableReport | None = None
+    for total in map(float, sum_capacities):
+        if not 0.0 <= total < math.inf:
+            raise ValueError(f"sum capacity must be finite and >= 0, got {total}")
+        best: AchievableReport | None = None
         best_split = (0.0, 0.0)
         best_cut = -math.inf
-        for c1 in np.linspace(0.0, total, split_samples):
-            cfg = _config_for_split(case, p_x, p_j, float(c1), float(total - c1))
-            report = best_achievable(cfg)
-            if best_report is None or report.rate > best_report.rate:
-                best_report, best_split = report, (cfg.c1, cfg.c2)
-            cut = outer_bounds(cfg, case).cutset_min
-            if cut > best_cut:
-                best_cut = cut
+        for c1 in np.linspace(0.0, total, split_samples).tolist():
+            c2 = total - c1
+            report = best_report(case, p_x, p_j, c1, c2)
+            if best is None or report.rate > best.rate:
+                best, best_split = report, (c1, c2)
+            best_cut = max(best_cut, min(v for _, v in cutset_terms(case, p_x, p_j, c1, c2)))
         modulo = None
-        if case is ScenarioCase.CASE_C and p_j > 0.0:
-            cfg = _config_for_split(case, p_x, p_j, total / 2.0, total / 2.0)
-            modulo = modulo_bound_case_c(cfg)
+        if case is ScenarioCase.CASE_C:
+            modulo = modulo_bound(p_x, p_j, total / 2.0, total / 2.0)
         points.append(
             SweepPoint(
-                sum_capacity=float(total),
-                best_rate=best_report.rate,
-                winning_scheme=best_report.scheme,
+                sum_capacity=total,
+                best_rate=best.rate,
+                winning_scheme=best.scheme,
                 c1=best_split[0],
                 c2=best_split[1],
                 cutset=best_cut,

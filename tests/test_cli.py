@@ -58,6 +58,18 @@ class TestBounds:
         )
         assert code == 2
 
+    def test_unlimited_interferer_is_an_accepted_limit(self, capsys):
+        # p_j = inf drowns every interfered observation but leaves each rate
+        # and bound finite, so it is accepted rather than rejected
+        code, out = run_cli(
+            ["bounds", "--case", "c", "--px", "100", "--pj", "inf", "--c1", "1", "--c2", "2"],
+            capsys,
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert all(math.isfinite(float(r["rate_bits"])) for r in rows)
+        assert float(next(r for r in rows if r["label"] == "binding")["rate_bits"]) == 1.0
+
     def test_json_embeds_manifest(self, capsys):
         code, out = run_cli(
             ["bounds", "--case", "b", "--px", "1e2", "--pj", "1", "--c1", "2",
@@ -229,3 +241,24 @@ class TestReproducibility:
         assert cli.main(["region", "--rate", "1", "--px", "4", "--pj", "2",
                          "--out", "r.csv"]) == 0
         assert b"\r\n" in (tmp_path / "r.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--case", "b", "--px", "-1", "--pj", "1", "--sum-range", "0:1:1"],
+        ["sweep", "--case", "c", "--px", "10", "--pj", "nan", "--sum-range", "0:1:1"],
+        ["sweep", "--case", "c", "--px", "10", "--pj", "1", "--split-samples", "1"],
+        ["sweep", "--case", "b", "--px", "10", "--pj", "1", "--sum-range", "0:1:0"],
+        ["scaling", "--case", "b", "--capacity-scale", "-1"],
+        ["bounds", "--case", "a", "--px", "15", "--pj", "15", "--c1", "3", "--c2", "1"],
+        ["bounds", "--case", "c", "--px", "inf", "--pj", "10", "--c1", "1", "--c2", "1"],
+        ["sweep", "--case", "c", "--px", "inf", "--pj", "10", "--sum-range", "0:2:1"],
+        ["region", "--rate", "2", "--px", "inf", "--pj", "10"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_input_outside_the_model_exits_2(argv, capsys):
+    code, out = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""

@@ -139,6 +139,17 @@ class TestCryptoLemma:
         assert stats.uniformity_pvalue > 0.001  # message itself is uniform
         assert stats.x_v_correlation == pytest.approx(1.0, abs=1e-12)
 
+    def test_statistics_frozen_at_a_seed(self):
+        # exact values: the shared moment and p-value reduction must stay bit-identical
+        base = crypto_lemma_check(3.0, 200_000, 5)
+        assert (base.uniformity_pvalue, base.x_v_correlation) == (
+            0.5368814530311801, -0.000936892357877265)
+        const = crypto_lemma_check(3.0, 200_000, 5, hold_message_constant=True)
+        assert const.uniformity_pvalue == 0.505172221336224
+        assert math.isnan(const.x_v_correlation)
+        bare = crypto_lemma_check(3.0, 200_000, 5, disable_dither=True)
+        assert (bare.uniformity_pvalue, bare.x_v_correlation) == (0.22668498348408833, 1.0)
+
     def test_requires_enough_samples(self):
         with pytest.raises(ValueError):
             crypto_lemma_check(1.0, 10**4, seed=0)
@@ -157,6 +168,12 @@ class TestSlepianWolfCheck:
     def test_no_interference_is_weakest(self):
         cfg = SimConfig(case="c", p_x=15, p_j=0, c1=2, c2=1, samples=10, seed=1)
         assert sw_rate_check(cfg).satisfied
+
+    def test_required_rate_frozen(self):
+        cfg = SimConfig(case="c", p_x=37.0, p_j=3.5, c1=1.3, c2=2.2, samples=10, seed=1)
+        check = sw_rate_check(cfg)
+        assert (check.required_rate, check.p_d2) == (2.2, 0.5569852420068092)
+        assert sw_rate_check(CASE_C, p_d2_override=0.7).required_rate == 2.2436329134170117
 
     def test_case_b_rejected(self):
         with pytest.raises(ValueError):

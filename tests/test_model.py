@@ -112,3 +112,9 @@ class TestPresets:
     def test_nan_power_rejected(self):
         with pytest.raises(ValueError):
             ChannelConfig(a=1, b=0, p_x=math.nan, p_j=1, p_n1=1, p_n2=0, c1=1, c2=1)
+
+    def test_infinite_transmit_power_rejected_interferer_accepted(self):
+        with pytest.raises(ValueError):
+            make_preset(ScenarioCase.CASE_C, p_x=math.inf, p_j=1, c1=1, c2=1)
+        cfg = make_preset(ScenarioCase.CASE_C, p_x=1, p_j=math.inf, c1=1, c2=1)
+        assert math.isinf(cfg.p_j)

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from tworelay.achievable import Scheme
-from tworelay.model import ScenarioCase
+from tworelay.achievable import Scheme, best_achievable, best_report
+from tworelay.bounds import cutset_terms, modulo_bound, modulo_bound_case_c, outer_bounds
+from tworelay.model import INFINITE_CAPACITY, ScenarioCase, make_preset
 from tworelay.scaling import (
+    SweepPoint,
     certify_gaps,
     cutset_looseness_demo,
     default_power_grid,
@@ -249,3 +251,64 @@ class TestSweep:
             sweep_sum_capacity(ScenarioCase.CASE_A, 1.0, 1.0, [1.0])
         with pytest.raises(ValueError):
             sweep_sum_capacity(ScenarioCase.CASE_B, 1.0, 1.0, [-1.0])
+
+
+def reference_sweep(case, p_x, p_j, sum_capacities, split_samples):
+    """The per-split loop: one validated config per split, evaluated through
+    the config-taking entry points."""
+    points = []
+    for total in sum_capacities:
+        best_report_, best_split, best_cut = None, (0.0, 0.0), -math.inf
+        for c1 in np.linspace(0.0, total, split_samples):
+            cfg = make_preset(case, p_x, p_j, c1=float(c1), c2=float(total - c1))
+            report = best_achievable(cfg)
+            if best_report_ is None or report.rate > best_report_.rate:
+                best_report_, best_split = report, (cfg.c1, cfg.c2)
+            best_cut = max(best_cut, outer_bounds(cfg, case).cutset_min)
+        modulo = None
+        if case is ScenarioCase.CASE_C and p_j > 0.0:
+            half = total / 2.0
+            modulo = modulo_bound_case_c(make_preset(case, p_x, p_j, c1=half, c2=half))
+        points.append(SweepPoint(float(total), best_report_.rate, best_report_.scheme,
+                                 *best_split, best_cut, modulo))
+    return points
+
+
+class TestSweepMatchesReference:
+    @pytest.mark.parametrize("case", [ScenarioCase.CASE_B, ScenarioCase.CASE_C])
+    @pytest.mark.parametrize("p_x, p_j", [(1e8, 1e4), (1e3, 0.0), (37.5, 2.5e5), (2.0, math.inf)])
+    def test_equal_points(self, case, p_x, p_j):
+        sums = np.arange(0.0, 24.0, 1.75)
+        assert sweep_sum_capacity(case, p_x, p_j, sums, split_samples=61) == reference_sweep(
+            case, p_x, p_j, sums, 61
+        )
+
+    @pytest.mark.parametrize("total", [math.inf, math.nan])
+    def test_rejects_non_finite_sums(self, total):
+        with pytest.raises(ValueError):
+            sweep_sum_capacity(ScenarioCase.CASE_C, 10.0, 10.0, [1.0, total])
+
+    @pytest.mark.parametrize("p_x, p_j", [(-1.0, 1.0), (math.inf, 1.0), (1.0, math.nan)])
+    def test_rejects_bad_powers_without_sums(self, p_x, p_j):
+        with pytest.raises(ValueError):
+            sweep_sum_capacity(ScenarioCase.CASE_B, p_x, p_j, [])
+
+
+class TestCaseExplicitCore:
+    def test_equals_config_entry_points(self):
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            p_x, p_j = 10.0 ** rng.uniform(-3, 9, 2)
+            p_j = rng.choice([p_j, 0.0, math.inf], p=[0.8, 0.1, 0.1])
+            c1, c2 = 10.0 ** rng.uniform(-2, 2.5, 2)
+            if rng.uniform() < 0.1:
+                c2 = INFINITE_CAPACITY
+            for case in (ScenarioCase.CASE_A, ScenarioCase.CASE_B, ScenarioCase.CASE_C):
+                cfg = make_preset(case, p_x, p_j, c1=None if case is ScenarioCase.CASE_A else c1,
+                                  c2=c2)
+                point = (cfg.p_x, cfg.p_j, cfg.c1, cfg.c2)
+                assert best_report(case, *point) == best_achievable(cfg)
+                bound = outer_bounds(cfg, case)
+                assert tuple(cutset_terms(case, *point)) == bound.terms
+                if case is ScenarioCase.CASE_C:
+                    assert modulo_bound(*point) == bound.modulo_bound
