@@ -35,7 +35,6 @@ from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
-from scipy import stats
 
 from .achievable import (
     distortion_relay1,
@@ -208,6 +207,36 @@ def _accumulate_dither(x, v, edges, hist, sums) -> None:
         sums[key].append(float(arr.sum()))
 
 
+def _chi2_sf_odd(x: float, k: int) -> float:
+    """Chi-square survival function P(chi2_k > x) at an odd number k of dof.
+
+    With y = x/2, Q(k/2, y) = erfc(sqrt(y)) + e^-y * sum_{i=1}^{(k-1)/2}
+    y^(i-1/2) / Gamma(i+1/2).  The terms follow t <- t*y/(i+1/2) from
+    t = 2*sqrt(y/pi) and are added exactly.  Past y = 700, where e^-y
+    leaves the normal floats, each term carries its e^-y inside one exp.
+    erfc(sqrt(y)) has relative condition number about 2y, so the rounding
+    of sqrt(y) is undone to first order with the exact residual y - root^2.
+    """
+    if x <= 0.0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    y = 0.5 * x
+    root = math.sqrt(y)
+    (yn, yd), (rn, rd) = y.as_integer_ratio(), root.as_integer_ratio()
+    head = math.erfc(root) * (1.0 - (yn * rd * rd - rn * rn * yd) / (yd * rd * rd))
+    if y > 700.0:
+        return head + math.fsum(
+            math.exp((i - 0.5) * math.log(y) - y - math.lgamma(i + 0.5))
+            for i in range(1, (k + 1) // 2)
+        )
+    terms, t = [], 2.0 * math.sqrt(y / math.pi)
+    for i in range(1, (k + 1) // 2):
+        terms.append(t)
+        t *= y / (i + 0.5)
+    return head + math.exp(-y) * math.fsum(terms)
+
+
 def _dither_summary(hist: np.ndarray, sums: dict, n: int) -> tuple[float, float]:
     """Chi-square uniformity p-value of the histogram and the x-v correlation."""
     total = {k: math.fsum(sums[k]) for k in ("x", "v", "xv", "x2", "v2")}
@@ -217,7 +246,7 @@ def _dither_summary(hist: np.ndarray, sums: dict, n: int) -> tuple[float, float]
     corr = cov_xv / math.sqrt(var_x * var_v) if var_x > 0.0 and var_v > 0.0 else math.nan
     expected = n / UNIFORMITY_BINS
     chi2_stat = float(((hist - expected) ** 2 / expected).sum())
-    return float(stats.chi2.sf(chi2_stat, UNIFORMITY_BINS - 1)), corr
+    return _chi2_sf_odd(chi2_stat, UNIFORMITY_BINS - 1), corr
 
 
 def run_lattice_sim(cfg: SimConfig) -> SimStats:
@@ -407,6 +436,8 @@ class CoverageConfig:
     def __post_init__(self):
         if self.block_length < 1 or self.trials < 1:
             raise ValueError("block_length and trials must be >= 1")
+        if not math.isfinite(self.codebook_rate):
+            raise ValueError(f"codebook_rate must be finite, got {self.codebook_rate!r}")
         if self.codebook_rate < 0.0:
             raise ValueError("codebook_rate must be >= 0")
         if self.block_length * self.codebook_rate > 24.0 + 1e-9:
@@ -436,6 +467,7 @@ class CoverageResult:
 
 
 _CODEBOOK_CHUNK = 1 << 16
+_FIRST_CODEBOOK_CHUNK = 16
 
 
 def coverage_experiment(cfg: CoverageConfig) -> CoverageResult:
@@ -444,8 +476,12 @@ def coverage_experiment(cfg: CoverageConfig) -> CoverageResult:
     A pair (y, u) is epsilon-typical when the per-symbol empirical
     log-densities of y, of u, and of the pair under the test channel's
     joint law each sit within epsilon bits of the corresponding
-    differential entropy.  A fresh codebook is drawn per trial; generation
-    is chunked so large codebooks never fully materialize.
+    differential entropy.  A fresh codebook is drawn per trial in chunks of
+    16, 32, 64, ... rows (capped at _CODEBOOK_CHUNK and at the codewords
+    left), and drawing stops at the first chunk holding a typical
+    codeword.  Philox yields the rows in sequence whatever the chunking, so
+    the hits equal those of a full draw while a covered trial draws only
+    a few rows and large codebooks never fully materialize.
     """
     n = cfg.block_length
     s2 = cfg.source_variance
@@ -465,10 +501,12 @@ def coverage_experiment(cfg: CoverageConfig) -> CoverageResult:
             continue
         code_rng = _stream(cfg.seed, trial, 1)
         remaining = M
+        chunk = _FIRST_CODEBOOK_CHUNK
         found = False
         while remaining > 0 and not found:
-            m = min(remaining, _CODEBOOK_CHUNK)
+            m = min(remaining, chunk)
             remaining -= m
+            chunk = min(2 * chunk, _CODEBOOK_CHUNK)
             U = code_rng.standard_normal((m, n)) * math.sqrt(u_var)
             su2 = np.einsum("ij,ij->i", U, U)
             dev_u = (su2 / n - u_var) / (2.0 * u_var * ln2)

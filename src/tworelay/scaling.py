@@ -197,8 +197,8 @@ def required_region_case_c(target_rate: float, p_x: float, p_j: float) -> Region
         raise ValueError("the region needs a finite p_x")
     if not p_j > 0.0:
         raise ValueError("the region needs p_j > 0")
-    if target_rate < 0.0:
-        raise ValueError("target rate must be >= 0")
+    if not (target_rate >= 0.0 and math.isfinite(target_rate)):
+        raise ValueError(f"target rate must be finite and >= 0, got {target_rate!r}")
     g = gaussian_mi(p_x, p_j)
     sum_rhs = max(2.0 * target_rate - g, target_rate, 0.0)
     link_rhs = max(target_rate - g, 0.0)

@@ -1,7 +1,11 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -255,6 +259,9 @@ class TestReproducibility:
         ["bounds", "--case", "c", "--px", "inf", "--pj", "10", "--c1", "1", "--c2", "1"],
         ["sweep", "--case", "c", "--px", "inf", "--pj", "10", "--sum-range", "0:2:1"],
         ["region", "--rate", "2", "--px", "inf", "--pj", "10"],
+        ["region", "--rate", "nan", "--px", "10", "--pj", "5"],
+        ["region", "--rate", "inf", "--px", "10", "--pj", "5"],
+        ["cover", "--rate", "nan", "--trials", "1", "--seed", "1"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -262,3 +269,15 @@ def test_input_outside_the_model_exits_2(argv, capsys):
     code, out = run_cli(argv, capsys)
     assert code == 2
     assert out == ""
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; a scipy import would add about a
+    # second to every CLI start-up
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, tworelay.cli; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy'}))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -1,9 +1,12 @@
 import math
 from dataclasses import replace
 
+import mpmath
+import numpy as np
 import pytest
 
 from tworelay.achievable import lattice_cf_report
+import tworelay.lattice_sim as lattice_sim
 from tworelay.lattice_sim import (
     BATCH_SIZE,
     CoverageConfig,
@@ -143,16 +146,52 @@ class TestCryptoLemma:
         # exact values: the shared moment and p-value reduction must stay bit-identical
         base = crypto_lemma_check(3.0, 200_000, 5)
         assert (base.uniformity_pvalue, base.x_v_correlation) == (
-            0.5368814530311801, -0.000936892357877265)
+            0.5368814530311797, -0.000936892357877265)
         const = crypto_lemma_check(3.0, 200_000, 5, hold_message_constant=True)
-        assert const.uniformity_pvalue == 0.505172221336224
+        assert const.uniformity_pvalue == 0.5051722213362239
         assert math.isnan(const.x_v_correlation)
         bare = crypto_lemma_check(3.0, 200_000, 5, disable_dither=True)
-        assert (bare.uniformity_pvalue, bare.x_v_correlation) == (0.22668498348408833, 1.0)
+        assert (bare.uniformity_pvalue, bare.x_v_correlation) == (0.22668498348408825, 1.0)
+        # the same p-values from scipy.stats.chi2.sf, which computed them before
+        # the stdlib tail replaced it
+        for stats, scipy_value in ((base, 0.5368814530311801), (const, 0.505172221336224),
+                                   (bare, 0.22668498348408833)):
+            assert stats.uniformity_pvalue == pytest.approx(scipy_value, rel=1e-14, abs=0.0)
 
     def test_requires_enough_samples(self):
         with pytest.raises(ValueError):
             crypto_lemma_check(1.0, 10**4, seed=0)
+
+
+def mp_chi2_sf(x, k):
+    """P(chi2_k > x) as the regularized upper incomplete gamma at 50 digits."""
+    with mpmath.workdps(50):
+        return mpmath.gammainc(mpmath.mpf(k) / 2, mpmath.mpf(x) / 2, mpmath.inf,
+                               regularized=True)
+
+
+class TestChiSquareTail:
+    @pytest.mark.parametrize("k", [1, 3, 7, 63])
+    def test_matches_mpmath(self, k):
+        xs = np.concatenate([np.geomspace(0.1, 1000.0, 150),
+                             np.random.default_rng(k).uniform(0.1, 1000.0, 150)])
+        for x in xs.tolist():
+            ref = mp_chi2_sf(x, k)
+            assert abs(lattice_sim._chi2_sf_odd(x, k) - ref) <= 1e-13 * ref, x
+
+    def test_log_domain_tail_matches_mpmath(self):
+        # beyond x = 1400 each term takes its e^(-x/2) inside one exp; the
+        # range stops where the tail leaves the normal floats
+        for x in np.geomspace(1400.0, 1550.0, 40).tolist():
+            ref = mp_chi2_sf(x, 63)
+            assert ref > 1e-300
+            assert abs(lattice_sim._chi2_sf_odd(x, 63) - ref) <= 1e-12 * ref, x
+
+    @pytest.mark.parametrize("k", [1, 63])
+    def test_limits(self, k):
+        assert lattice_sim._chi2_sf_odd(0.0, k) == 1.0
+        for x in (1e4, 1e6, 1e300, math.inf):
+            assert lattice_sim._chi2_sf_odd(x, k) == 0.0
 
 
 class TestSlepianWolfCheck:
@@ -185,6 +224,11 @@ class TestCoverage:
         with pytest.raises(ValueError):
             CoverageConfig(codebook_rate=2.0, block_length=16)
 
+    def test_non_finite_rate_rejected(self):
+        for rate in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                CoverageConfig(codebook_rate=rate)
+
     def test_rate_offsets_separate(self):
         mutual = CoverageConfig(codebook_rate=0.0).mutual_information_bits
         assert mutual == pytest.approx(0.25, rel=1e-12)
@@ -209,3 +253,59 @@ class TestCoverage:
     def test_deterministic(self):
         cfg = CoverageConfig(codebook_rate=0.5, trials=60, seed=11)
         assert coverage_experiment(cfg) == coverage_experiment(cfg)
+
+
+def reference_coverage_outcomes(cfg):
+    """The fixed-chunk loop: each trial draws its codebook in chunks of 65536
+    rows until one holds a typical codeword.  Per trial: True for a hit,
+    False when the whole codebook was drawn without one, None when the
+    source draw itself is atypical."""
+    n, s2, d2 = cfg.block_length, cfg.source_variance, cfg.test_channel_distortion
+    u_var, det, eps, ln2 = s2 + d2, s2 * d2, cfg.typicality_epsilon, math.log(2.0)
+    outcomes = []
+    for trial in range(cfg.trials):
+        y = lattice_sim._stream(cfg.seed, trial, 0).standard_normal(n) * math.sqrt(s2)
+        sy2 = float(y @ y)
+        if abs((sy2 / n - s2) / (2.0 * s2 * ln2)) >= eps:
+            outcomes.append(None)
+            continue
+        code_rng = lattice_sim._stream(cfg.seed, trial, 1)
+        remaining, found = cfg.codewords, False
+        while remaining > 0 and not found:
+            m = min(remaining, 1 << 16)
+            remaining -= m
+            U = code_rng.standard_normal((m, n)) * math.sqrt(u_var)
+            su2 = np.einsum("ij,ij->i", U, U)
+            dev_u = (su2 / n - u_var) / (2.0 * u_var * ln2)
+            quad = ((s2 + d2) * sy2 - 2.0 * s2 * (U @ y) + s2 * su2) / det
+            dev_joint = (quad / n - 2.0) / (2.0 * ln2)
+            found = bool(np.any((np.abs(dev_u) < eps) & (np.abs(dev_joint) < eps)))
+        outcomes.append(found)
+    return outcomes
+
+
+def per_trial_hits(cfg):
+    """Per-trial hits of coverage_experiment, from the hit counts of its
+    prefixes (trial t always draws from the streams keyed by t)."""
+    counts = [coverage_experiment(replace(cfg, trials=t)).hits
+              for t in range(1, cfg.trials + 1)]
+    return [b - a for a, b in zip([0] + counts, counts)]
+
+
+class TestCoverageMatchesReference:
+    @pytest.mark.parametrize(
+        "rate, eps, seed",
+        [(0.5, 0.46, 1), (1.0, 0.46, 3), (0.0, 0.3, 2), (0.25, 0.2, 4), (0.5, 0.1, 4)],
+    )
+    def test_equal_hits_per_trial(self, rate, eps, seed):
+        cfg = CoverageConfig(codebook_rate=rate, typicality_epsilon=eps, trials=30, seed=seed)
+        outcomes = reference_coverage_outcomes(cfg)
+        assert per_trial_hits(cfg) == [int(o is True) for o in outcomes]
+        if eps < 0.46:  # miss-heavy: some trials draw the whole codebook in vain
+            assert False in outcomes
+
+    def test_chunk_cap(self, monkeypatch):
+        # with a 64-row cap, a 256-word codebook is drawn 16, 32, 64, 64, 64, 16
+        cfg = CoverageConfig(codebook_rate=0.5, typicality_epsilon=0.1, trials=30, seed=4)
+        monkeypatch.setattr(lattice_sim, "_CODEBOOK_CHUNK", 64)
+        assert per_trial_hits(cfg) == [int(o is True) for o in reference_coverage_outcomes(cfg)]
