@@ -25,17 +25,29 @@ Closed forms are provided for the canonical cases:
 
 A local-decoding baseline (a relay decodes the message treating the
 interferer as noise and forwards information bits) complements the lattice
-scheme at small link capacities.  `best_report` evaluates an explicitly
-given case; `best_achievable` infers a config's case once and calls it.
+scheme at small link capacities.
+
+The closed forms are one array core: `lattice_arrays`, `local_decode_rates`
+and `best_arrays` broadcast over (p_x, p_j, c1, c2) for an explicitly given
+case, so a sweep evaluates all splits of a sum in one call.  Arithmetic runs
+in numpy in the order of the formulas; every transcendental goes through
+`model.math_map` (libm), which keeps each element equal, bit for bit, to a
+per-point evaluation.  The per-point functions (`achievable_case_*`,
+`local_decode_baseline`, `best_report`) evaluate the core at one point;
+`best_achievable` infers a config's case once and calls `best_report`.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
-from .model import ChannelConfig, ScenarioCase, case_constraints_hold, gaussian_mi
+import numpy as np
+
+from .model import ChannelConfig, ScenarioCase, case_constraints_hold
+from .model import as_arrays, math_map, mutual_info, square
 
 _LN2 = math.log(2.0)
 
@@ -72,135 +84,129 @@ class AchievableReport:
     min_branch: str | None = None
 
 
-def _pow2m1(c: float) -> float:
-    """2**(2c) - 1, stable for small c and saturating cleanly at c = inf."""
-    if c == 0.0:
-        return 0.0
-    if math.isinf(c):
+class RateArrays(NamedTuple):
+    """The `AchievableReport` of a lattice scheme, its fields as arrays over a grid."""
+
+    rate: np.ndarray
+    scheme: Scheme
+    alpha: np.ndarray
+    p_d1: np.ndarray
+    p_d2: np.ndarray
+    p_neq: np.ndarray
+    min_branch: np.ndarray
+
+
+def _report(arrays: RateArrays) -> AchievableReport:
+    return AchievableReport(*(v if isinstance(v, Scheme) else v.item() for v in arrays))
+
+
+def _pow2m1(c) -> np.ndarray:
+    """2**(2c) - 1, stable for small c: 0.0 at c = 0 and inf from c ~ 512 bits on."""
+    return math_map(_expm1, 2.0 * c * _LN2)
+
+
+def _expm1(x: float) -> float:
+    try:
+        return math.expm1(x)
+    except OverflowError:  # past the largest float
         return math.inf
-    return math.expm1(2.0 * c * _LN2)
 
 
-def _pow2neg(c: float) -> float:
+def _pow2neg(c) -> np.ndarray:
     """2**(-2c); 0.0 at c = inf."""
-    if math.isinf(c):
-        return 0.0
-    return math.exp(-2.0 * c * _LN2)
+    return math_map(math.exp, -2.0 * c * _LN2)
 
 
-def _clamped_rate(p_x: float, p_neq: float) -> float:
-    if p_x <= 0.0 or math.isinf(p_neq):
-        return 0.0
+def _clamped_rate(p_x, p_neq) -> np.ndarray:
+    """max(0.5*log2(p_x/p_neq), 0); 0 where p_x <= 0, p_neq = inf or the ratio underflows."""
+    p_x, p_neq = np.broadcast_arrays(*as_arrays(p_x, p_neq))
     ratio = p_x / p_neq
-    if 0.5 < ratio < 2.0:
-        # near the clamp boundary log1p of the excess keeps full precision
-        return max(0.5 * math.log1p((p_x - p_neq) / p_neq) / _LN2, 0.0)
-    return max(0.5 * math.log2(ratio), 0.0)
+    rate = np.zeros(ratio.shape)
+    live = ~(p_x <= 0.0) & ~np.isinf(p_neq) & (ratio != 0.0)
+    # near the clamp boundary log1p of the excess keeps full precision
+    near = live & (0.5 < ratio) & (ratio < 2.0)
+    far = live & ~near
+    excess = (p_x[near] - p_neq[near]) / p_neq[near]
+    rate[near] = 0.5 * math_map(math.log1p, excess) / _LN2
+    rate[far] = 0.5 * math_map(math.log2, ratio[far])
+    return np.where(rate < 0.0, 0.0, rate)
 
 
-def mmse_alpha(p_x: float, p_n1: float, p_n2: float, gain_difference: float) -> float:
+def _unless_unlimited(p_j, power) -> np.ndarray:
+    """power, but inf where p_j is: alpha**2 * inf is inf for any alpha > 0, also
+    where alpha**2 underflows to 0 (which would make it NaN)."""
+    return np.where(np.isinf(p_j), math.inf, power)
+
+
+def mmse_alpha(p_x, p_n1, p_n2, gain_difference: float) -> np.ndarray:
     """Combiner coefficient minimizing the equivalent-noise power.
 
     For the destination combiner with signal coefficient
     1 - alpha*gain_difference the optimum is
     alpha = gd*p_x / (gd^2*p_x + p_n1 + p_n2): p_x/(p_x+1) in Case B
     (gd=1, unit noise at relay 1 only) and 2*p_x/(4*p_x+2) in Case C
-    (gd=2, unit noise at both relays).
+    (gd=2, unit noise at both relays).  Like the other helpers below, it
+    broadcasts over array arguments.
     """
     denom = gain_difference**2 * p_x + p_n1 + p_n2
-    if denom == 0.0:
-        return 0.0
-    return gain_difference * p_x / denom
+    return np.where(denom == 0.0, 0.0, np.divide(gain_difference * p_x, denom))
 
 
-def distortion_relay1(p_x: float, c1: float) -> float:
+def distortion_relay1(p_x, c1) -> np.ndarray:
     """Distortion of describing a power-p_x signal at rate c1 bits.
 
     From 0.5*log2((p_x + d)/d) = c1, i.e. d = p_x / (2**(2*c1) - 1).
     Zero rate gives infinite distortion (nothing useful is forwarded);
-    unlimited rate gives zero distortion.
+    unlimited rate gives zero distortion (no distortion either at p_x = 0).
     """
     den = _pow2m1(c1)
-    if den == 0.0:
-        return math.inf if p_x > 0.0 else 0.0
-    return p_x / den
+    return np.where(den == 0.0, np.where(p_x > 0.0, math.inf, 0.0), np.divide(p_x, den))
 
 
-def distortion_relay2_case_b(p_x: float, p_j: float, c2: float, alpha: float) -> tuple[float, str]:
-    """Relay-2 distortion for Case B and the active min branch.
+def distortion_relay2_case_b(p_x, p_j, c2, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """Relay-2 distortion for Case B, and where the signal ceiling is active.
 
     The scaled, cell-reduced relay-2 signal has power at most
     min(p_x, alpha^2*p_j); describing it at rate c2 leaves distortion
-    min(p_x, alpha^2*p_j) * 2**(-2*c2).
+    min(p_x, alpha^2*p_j) * 2**(-2*c2).  The second array is True where the
+    min takes p_x (the "signal_ceiling" branch, else "interference").
     """
-    ceiling = p_x
-    interference = alpha**2 * p_j
-    if ceiling <= interference:
-        return ceiling * _pow2neg(c2), "signal_ceiling"
-    return interference * _pow2neg(c2), "interference"
+    interference = _unless_unlimited(p_j, square(alpha) * p_j)
+    at_ceiling = p_x <= interference
+    return np.where(at_ceiling, p_x, interference) * _pow2neg(c2), at_ceiling
 
 
-def side_information_power(
-    p_x: float, p_j: float, alpha: float, p_d1: float, p_n1: float, p_n2: float, gain_sum: float
-) -> float:
+def side_information_power(p_x, p_j, alpha, p_d1, p_n1, p_n2, gain_sum: float) -> np.ndarray:
     """Power s of the sum signal relay 2's binned description is resolved against."""
-    return alpha**2 * (gain_sum**2 * p_x + 4.0 * p_j + p_n1 + p_n2) + p_d1
+    s = square(alpha) * (gain_sum**2 * p_x + 4.0 * p_j + p_n1 + p_n2) + p_d1
+    return _unless_unlimited(p_j, s)
 
 
 def distortion_relay2_case_c(
-    p_x: float,
-    p_j: float,
-    c2: float,
-    alpha: float,
-    p_d1: float,
-    p_n1: float = 1.0,
-    p_n2: float = 1.0,
-    gain_sum: float = 0.0,
-) -> tuple[float, str]:
+    p_x, p_j, c2, alpha, p_d1, p_n1=1.0, p_n2=1.0, gain_sum: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
     """Relay-2 distortion for Case C via binned (side-information) coding.
 
     Relay 2's description is recovered from relay 1's, so its rate
     constraint reads 0.5*log2(1 + min(p_x, s)/d2) <= c2 with
     s = alpha^2*(gain_sum^2*p_x + 4*p_j + p_n1 + p_n2) + p_d1 the power of
     the sum signal it must be resolved against.  The allocation takes the
-    constraint with equality.
+    constraint with equality.  The second array marks where min(p_x, s)
+    takes p_x, as in `distortion_relay2_case_b`.
     """
     s = side_information_power(p_x, p_j, alpha, p_d1, p_n1, p_n2, gain_sum)
-    if p_x <= s:
-        numer, branch = p_x, "signal_ceiling"
-    else:
-        numer, branch = s, "interference"
-    den = _pow2m1(c2)
-    if den == 0.0:
-        return (math.inf if numer > 0.0 else 0.0), branch
-    return numer / den, branch
+    at_ceiling = p_x <= s
+    return distortion_relay1(np.where(at_ceiling, p_x, s), c2), at_ceiling
 
 
-def equivalent_noise_power(
-    p_x: float,
-    p_n1: float,
-    p_n2: float,
-    alpha: float,
-    p_d1: float,
-    p_d2: float,
-    gain_difference: float,
-) -> float:
+def equivalent_noise_power(p_x, p_n1, p_n2, alpha, p_d1, p_d2, gain_difference: float):
     """Power of n_eq = alpha*(n1-n2) + d1 - d2 - (1 - alpha*(a-b))*x."""
-    return (
-        alpha**2 * (p_n1 + p_n2)
-        + (1.0 - alpha * gain_difference) ** 2 * p_x
-        + p_d1
-        + p_d2
-    )
+    leak = square(1.0 - alpha * gain_difference)
+    return square(alpha) * (p_n1 + p_n2) + leak * p_x + p_d1 + p_d2
 
 
 def lattice_cf_report(
-    p_x: float,
-    p_n1: float,
-    p_n2: float,
-    alpha: float,
-    p_d1: float,
-    p_d2: float,
+    p_x: float, p_n1: float, p_n2: float, alpha: float, p_d1: float, p_d2: float,
     gain_difference: float,
 ) -> AchievableReport:
     """Rate of the lattice scheme for explicit combiner/distortion values.
@@ -209,14 +215,133 @@ def lattice_cf_report(
     simulator is compared against.
     """
     p_neq = equivalent_noise_power(p_x, p_n1, p_n2, alpha, p_d1, p_d2, gain_difference)
-    return AchievableReport(
-        rate=_clamped_rate(p_x, p_neq),
-        scheme=Scheme.LATTICE_CF,
-        alpha=alpha,
-        p_d1=p_d1,
-        p_d2=p_d2,
-        p_neq=p_neq,
+    rate = _clamped_rate(p_x, p_neq).item()
+    return AchievableReport(rate, Scheme.LATTICE_CF, alpha, p_d1, p_d2, float(p_neq))
+
+
+def _lattice(scheme, p_x, rate, alpha, p_d1, p_d2, p_neq, at_ceiling) -> RateArrays:
+    """The fields as RateArrays, all zero (and no min branch) where p_x = 0."""
+    off = p_x == 0.0
+    fields = [np.where(off, 0.0, v) for v in (rate, alpha, p_d1, p_d2, p_neq)]
+    fields.append(np.where(off, None, np.where(at_ceiling, "signal_ceiling", "interference")))
+    rate, alpha, p_d1, p_d2, p_neq, branch = np.broadcast_arrays(*fields)
+    return RateArrays(rate, scheme, alpha, p_d1, p_d2, p_neq, branch)
+
+
+def _case_b(p_x, p_j, c1, c2) -> RateArrays:
+    """Case B rate of the lattice scheme.
+
+    rate = max(0.5*log2((1+p_x)*(2**(2*c1)-1) /
+                        (p_x + 2**(2*c1)
+                         + min(1+p_x, p_j*p_x/(p_x+1)) * 2**(-2*c2) * (2**(2*c1)-1))), 0)
+
+    evaluated as 0.5*log2(p_x / (p_x/(p_x+1) + p_d1 + p_d2)) with
+    p_d1 = p_x/(2**(2*c1)-1) and p_d2 = min(p_x, alpha^2*p_j)*2**(-2*c2),
+    an algebraically identical normalization that never materializes
+    2**(2*c1) products.  Reduces to Case A as c1 -> inf.
+    """
+    alpha = mmse_alpha(p_x, 1.0, 0.0, 1.0)
+    p_d1 = distortion_relay1(p_x, c1)
+    p_d2, at_ceiling = distortion_relay2_case_b(p_x, p_j, c2, alpha)
+    p_neq = p_x / (p_x + 1.0) + p_d1 + p_d2
+    rate = _clamped_rate(p_x, p_neq)
+    return _lattice(Scheme.CASE_B_EQ, p_x, rate, alpha, p_d1, p_d2, p_neq, at_ceiling)
+
+
+def _case_c_prop_rate(p_x, p_j, link_primary, link_binned) -> np.ndarray:
+    """One orientation of the Case C 'prop' closed form.
+
+    rate = max(0.5*log2(p_x / (p_x/(p_x+1) + p_x/(2**(2*c1)-1)
+                               + min(p_x, p_j*p_x^2/(p_x+1)^2) * 2**(-2*c2))), 0)
+    """
+    p_d1 = distortion_relay1(p_x, link_primary)
+    m = p_j * square(p_x / (p_x + 1.0))
+    den = p_x / (p_x + 1.0) + p_d1 + np.where(m < p_x, m, p_x) * _pow2neg(link_binned)
+    return _clamped_rate(p_x, den)
+
+
+def _case_c_derived_rate(p_x, p_j, link_primary, link_binned) -> np.ndarray:
+    """One orientation of the Case C 'derived' closed form.
+
+    rate = max(0.5*log2(p_x / (1/2 + p_x/(2**(2*c1)-1)
+                               + min(p_x, 4*p_j+2+p_x/(2**(2*c1)-1)) / (2**(2*c2)-1))), 0)
+
+    A zero-rate link (an infinite p_x/(2**(2*c1)-1) or a zero 2**(2*c2)-1)
+    makes the denominator infinite, hence the rate 0.
+    """
+    p_d1 = distortion_relay1(p_x, link_primary)
+    m = 4.0 * p_j + 2.0 + p_d1
+    den = 0.5 + p_d1 + np.where(m < p_x, m, p_x) / _pow2m1(link_binned)
+    return _clamped_rate(p_x, den)
+
+
+def _case_c(p_x, p_j, c1, c2, variant: str) -> RateArrays:
+    """Case C rate of the lattice scheme, better relay orientation taken.
+
+    `variant` selects between the two closed forms ("prop" is the default;
+    "derived" accounts relay 2's rate through the conditional-binning
+    constraint and bounds the combiner leakage by 1/2).  The reported
+    alpha/p_d1/p_d2/p_neq are the scheme parameters of the winning
+    orientation with alpha = 2*p_x/(4*p_x+2); for the "prop" variant the
+    rate is the closed form of `_case_c_prop_rate`, which is not the same
+    expression as 0.5*log2(p_x/p_neq).
+    """
+    if variant not in ("prop", "derived"):
+        raise ValueError(f"variant must be 'prop' or 'derived', got {variant!r}")
+    rate_fn = _case_c_prop_rate if variant == "prop" else _case_c_derived_rate
+    scheme = Scheme.CASE_C_PROP if variant == "prop" else Scheme.CASE_C_DERIVED
+    forward = rate_fn(p_x, p_j, c1, c2)
+    swapped = rate_fn(p_x, p_j, c2, c1)
+    swap = ~(forward >= swapped)
+    alpha = mmse_alpha(p_x, 1.0, 1.0, 2.0)
+    pd_primary = distortion_relay1(p_x, np.where(swap, c2, c1))
+    pd_binned, at_ceiling = distortion_relay2_case_c(
+        p_x, p_j, np.where(swap, c1, c2), alpha, pd_primary
     )
+    p_d1, p_d2 = np.where(swap, pd_binned, pd_primary), np.where(swap, pd_primary, pd_binned)
+    p_neq = equivalent_noise_power(p_x, 1.0, 1.0, alpha, p_d1, p_d2, 2.0)
+    rate = np.where(swapped > forward, swapped, forward)
+    return _lattice(scheme, p_x, rate, alpha, p_d1, p_d2, p_neq, at_ceiling)
+
+
+@np.errstate(all="ignore")
+def lattice_arrays(case: ScenarioCase, p_x, p_j, c1, c2, variant: str = "prop") -> RateArrays:
+    """The lattice scheme of `case` over the broadcast of (p_x, p_j, c1, c2).
+
+    Case A is Case B with an unlimited relay-1 link (its c1 is ignored);
+    Case C takes the closed form `variant`.  The case is taken as given.
+    """
+    if case is ScenarioCase.CASE_A:
+        return _case_b(*as_arrays(p_x, p_j, math.inf, c2))._replace(scheme=Scheme.CASE_A_EQ)
+    if case is ScenarioCase.CASE_B:
+        return _case_b(*as_arrays(p_x, p_j, c1, c2))
+    if case is ScenarioCase.CASE_C:
+        return _case_c(*as_arrays(p_x, p_j, c1, c2), variant)
+    raise ValueError(f"no achievable-rate schemes for {case!r}")
+
+
+def local_decode_rates(case: ScenarioCase, p_x, p_j, c1, c2) -> np.ndarray:
+    """Rates of plain local decoding over the broadcast grid (see `local_decode_baseline`)."""
+    if case not in (ScenarioCase.CASE_B, ScenarioCase.CASE_C):
+        raise ValueError("local decoding baseline applies to Cases B and C only")
+    links = c1 if case is ScenarioCase.CASE_B else np.add(c1, c2)
+    sinr_rate = mutual_info(p_x, np.add(p_j, 1.0))
+    return np.where(sinr_rate < links, sinr_rate, links)
+
+
+def best_arrays(case: ScenarioCase, p_x, p_j, c1, c2) -> tuple[RateArrays, np.ndarray]:
+    """The best scheme of `case` over the broadcast grid, and where local decoding wins.
+
+    The lattice arrays (Case C's "prop" form) carry the best rate; the mask
+    marks the points where local decoding is strictly better, so a tie goes
+    to the lattice scheme.  Case A has the lattice scheme alone.
+    """
+    lattice = lattice_arrays(case, p_x, p_j, c1, c2)
+    if case is ScenarioCase.CASE_A:
+        return lattice, np.zeros(lattice.rate.shape, dtype=bool)
+    local = local_decode_rates(case, p_x, p_j, c1, c2)
+    wins = local > lattice.rate
+    return lattice._replace(rate=np.where(wins, local, lattice.rate)), wins
 
 
 def achievable_case_a(p_x: float, p_j: float, c2: float) -> AchievableReport:
@@ -229,108 +354,19 @@ def achievable_case_a(p_x: float, p_j: float, c2: float) -> AchievableReport:
     which is the same quantity and stays accurate for capacities of
     hundreds of bits.
     """
-    report = achievable_case_b(p_x, p_j, math.inf, c2)
-    return replace(report, scheme=Scheme.CASE_A_EQ)
+    return _report(lattice_arrays(ScenarioCase.CASE_A, p_x, p_j, math.inf, c2))
 
 
 def achievable_case_b(p_x: float, p_j: float, c1: float, c2: float) -> AchievableReport:
-    """Case B rate of the lattice scheme.
-
-    rate = max(0.5*log2((1+p_x)*(2**(2*c1)-1) /
-                        (p_x + 2**(2*c1)
-                         + min(1+p_x, p_j*p_x/(p_x+1)) * 2**(-2*c2) * (2**(2*c1)-1))), 0)
-
-    evaluated as 0.5*log2(p_x / (p_x/(p_x+1) + p_d1 + p_d2)) with
-    p_d1 = p_x/(2**(2*c1)-1) and p_d2 = min(p_x, alpha^2*p_j)*2**(-2*c2),
-    an algebraically identical normalization that never materializes
-    2**(2*c1) products.  Reduces to Case A as c1 -> inf.
-    """
-    if p_x == 0.0:
-        return AchievableReport(
-            rate=0.0, scheme=Scheme.CASE_B_EQ, alpha=0.0, p_d1=0.0, p_d2=0.0, p_neq=0.0
-        )
-    alpha = mmse_alpha(p_x, 1.0, 0.0, 1.0)
-    p_d1 = distortion_relay1(p_x, c1)
-    p_d2, branch = distortion_relay2_case_b(p_x, p_j, c2, alpha)
-    p_neq = p_x / (p_x + 1.0) + p_d1 + p_d2
-    return AchievableReport(
-        rate=_clamped_rate(p_x, p_neq),
-        scheme=Scheme.CASE_B_EQ,
-        alpha=alpha,
-        p_d1=p_d1,
-        p_d2=p_d2,
-        p_neq=p_neq,
-        min_branch=branch,
-    )
-
-
-def _case_c_prop_rate(p_x: float, p_j: float, link_primary: float, link_binned: float) -> float:
-    """One orientation of the Case C 'prop' closed form.
-
-    rate = max(0.5*log2(p_x / (p_x/(p_x+1) + p_x/(2**(2*c1)-1)
-                               + min(p_x, p_j*p_x^2/(p_x+1)^2) * 2**(-2*c2))), 0)
-    """
-    p_d1 = distortion_relay1(p_x, link_primary)
-    m = min(p_x, p_j * (p_x / (p_x + 1.0)) ** 2)
-    den = p_x / (p_x + 1.0) + p_d1 + m * _pow2neg(link_binned)
-    return _clamped_rate(p_x, den)
-
-
-def _case_c_derived_rate(p_x: float, p_j: float, link_primary: float, link_binned: float) -> float:
-    """One orientation of the Case C 'derived' closed form.
-
-    rate = max(0.5*log2(p_x / (1/2 + p_x/(2**(2*c1)-1)
-                               + min(p_x, 4*p_j+2+p_x/(2**(2*c1)-1)) / (2**(2*c2)-1))), 0)
-    """
-    p_d1 = distortion_relay1(p_x, link_primary)
-    if math.isinf(p_d1):
-        return 0.0
-    m = min(p_x, 4.0 * p_j + 2.0 + p_d1)
-    den2 = _pow2m1(link_binned)
-    if den2 == 0.0:
-        return 0.0
-    den = 0.5 + p_d1 + m / den2
-    return _clamped_rate(p_x, den)
+    """Case B rate of the lattice scheme at one point (closed form in `_case_b`)."""
+    return _report(lattice_arrays(ScenarioCase.CASE_B, p_x, p_j, c1, c2))
 
 
 def achievable_case_c(
     p_x: float, p_j: float, c1: float, c2: float, variant: str = "prop"
 ) -> AchievableReport:
-    """Case C rate of the lattice scheme, better relay orientation taken.
-
-    `variant` selects between the two closed forms ("prop" is the default;
-    "derived" accounts relay 2's rate through the conditional-binning
-    constraint and bounds the combiner leakage by 1/2).  The reported
-    alpha/p_d1/p_d2/p_neq are the scheme parameters of the winning
-    orientation with alpha = 2*p_x/(4*p_x+2); for the "prop" variant the
-    rate is the closed form above, which is not the same expression as
-    0.5*log2(p_x/p_neq).
-    """
-    if variant not in ("prop", "derived"):
-        raise ValueError(f"variant must be 'prop' or 'derived', got {variant!r}")
-    rate_fn = _case_c_prop_rate if variant == "prop" else _case_c_derived_rate
-    scheme = Scheme.CASE_C_PROP if variant == "prop" else Scheme.CASE_C_DERIVED
-    if p_x == 0.0:
-        return AchievableReport(
-            rate=0.0, scheme=scheme, alpha=0.0, p_d1=0.0, p_d2=0.0, p_neq=0.0
-        )
-    forward = rate_fn(p_x, p_j, c1, c2)
-    swapped = rate_fn(p_x, p_j, c2, c1)
-    link_primary, link_binned, swap = (c1, c2, False) if forward >= swapped else (c2, c1, True)
-    alpha = mmse_alpha(p_x, 1.0, 1.0, 2.0)
-    pd_primary = distortion_relay1(p_x, link_primary)
-    pd_binned, branch = distortion_relay2_case_c(p_x, p_j, link_binned, alpha, pd_primary)
-    p_d1, p_d2 = (pd_binned, pd_primary) if swap else (pd_primary, pd_binned)
-    p_neq = equivalent_noise_power(p_x, 1.0, 1.0, alpha, p_d1, p_d2, 2.0)
-    return AchievableReport(
-        rate=max(forward, swapped),
-        scheme=scheme,
-        alpha=alpha,
-        p_d1=p_d1,
-        p_d2=p_d2,
-        p_neq=p_neq,
-        min_branch=branch,
-    )
+    """Case C rate of the lattice scheme at one point (see `_case_c`)."""
+    return _report(lattice_arrays(ScenarioCase.CASE_C, p_x, p_j, c1, c2, variant))
 
 
 def local_decode_baseline(
@@ -343,15 +379,9 @@ def local_decode_baseline(
     Case B achieves min(c1, that SINR rate) and Case C (where either relay
     may decode, sharing the work) min(c1+c2, that SINR rate).
     """
-    sinr_rate = gaussian_mi(p_x, p_j + 1.0)
-    if case is ScenarioCase.CASE_B:
-        rate = min(c1, sinr_rate)
-    elif case is ScenarioCase.CASE_C:
-        if c2 is None:
-            raise ValueError("Case C local decoding needs c2")
-        rate = min(c1 + c2, sinr_rate)
-    else:
-        raise ValueError("local decoding baseline applies to Cases B and C only")
+    if case is ScenarioCase.CASE_C and c2 is None:
+        raise ValueError("Case C local decoding needs c2")
+    rate = local_decode_rates(case, p_x, p_j, c1, c2).item()
     return AchievableReport(rate=rate, scheme=Scheme.LOCAL_DECODE)
 
 
@@ -365,15 +395,10 @@ def best_report(
     baseline.  The returned report records the winning scheme.  The case is
     taken as given; callers check their inputs against it once.
     """
-    if case is ScenarioCase.CASE_A:
-        return achievable_case_a(p_x, p_j, c2)
-    if case is ScenarioCase.CASE_B:
-        lattice = achievable_case_b(p_x, p_j, c1, c2)
-    elif case is ScenarioCase.CASE_C:
-        lattice = achievable_case_c(p_x, p_j, c1, c2)
-    else:
-        raise ValueError(f"no achievable-rate schemes for {case!r}")
-    return max(lattice, local_decode_baseline(case, p_x, p_j, c1, c2), key=lambda r: r.rate)
+    arrays, local = best_arrays(case, p_x, p_j, c1, c2)
+    if local.item():
+        return AchievableReport(rate=arrays.rate.item(), scheme=Scheme.LOCAL_DECODE)
+    return _report(arrays)
 
 
 def best_achievable(cfg: ChannelConfig) -> AchievableReport:

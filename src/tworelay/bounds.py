@@ -9,15 +9,23 @@ which is evaluated exactly here (~1.5235 bits), never as a rounded figure.
 All bound terms are formed in the log domain, so an unlimited link
 (`INFINITE_CAPACITY`) simply makes its cut term infinite and never binding.
 The config-taking functions check a config against its case once, then call
-`cutset_terms` and `modulo_bound`, which take the case explicitly.
+`cutset_terms` and `modulo_bound`, which evaluate the array forms
+(`cutset_term_arrays`, `cutset_min_array`, `modulo_bound_array`) at one
+point.  The array forms broadcast over (p_x, p_j, c1, c2) and take every
+logarithm through `model.math_map` (libm), so each element equals the
+per-point value bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import ChannelConfig, ScenarioCase, case_constraints_hold, gaussian_mi
+from .model import as_arrays, mutual_info
 
 #: Additive constant of the Case C modulo bound: 0.25 * log2(8*pi*e).
 MODULO_BOUND_CONSTANT = 0.25 * math.log2(8.0 * math.pi * math.e)
@@ -54,37 +62,56 @@ def _report(terms: list[tuple[str, float]], modulo: float | None = None) -> Boun
     )
 
 
-def cutset_terms(
-    case: ScenarioCase, p_x: float, p_j: float, c1: float, c2: float
-) -> list[tuple[str, float]]:
-    """Labelled cut-set terms of `case` at one operating point; the case is
-    taken as given (callers check their config against it once)."""
+@np.errstate(all="ignore")
+def cutset_term_arrays(case: ScenarioCase, p_x, p_j, c1, c2) -> list[tuple[str, np.ndarray]]:
+    """Labelled cut-set terms of `case` as arrays that broadcast over (p_x, p_j, c1, c2);
+    the case is taken as given (callers check their inputs against it once)."""
+    p_x, p_j, c1, c2 = as_arrays(p_x, p_j, c1, c2)
     if case is ScenarioCase.FULL_COOPERATION:
-        return [("i(x;y1,y2)", full_cooperation_capacity(p_x))]
-    interfered = gaussian_mi(p_x, p_j + 1.0)
+        return [("i(x;y1,y2)", mutual_info(2.0 * p_x, 1.0))]
+    interfered = mutual_info(p_x, p_j + 1.0)
     if case is ScenarioCase.CASE_A:
-        return [("c2 + i(x;y1)", c2 + interfered), ("i(x;y1|j)", gaussian_mi(p_x, 1.0))]
+        return [("c2 + i(x;y1)", c2 + interfered), ("i(x;y1|j)", mutual_info(p_x, 1.0))]
     if case is ScenarioCase.CASE_B:
         return [
             ("c1", c1),
             ("c2 + i(x;y1)", c2 + interfered),
-            ("i(x;y1|y2)", gaussian_mi(p_x, 1.0)),
+            ("i(x;y1|y2)", mutual_info(p_x, 1.0)),
         ]
     if case is ScenarioCase.CASE_C:
         return [
             ("c1 + c2", c1 + c2),
             ("c1 + i(x;y2)", c1 + interfered),
             ("c2 + i(x;y1)", c2 + interfered),
-            ("i(x;y1,y2)", gaussian_mi(2.0 * p_x, 1.0)),
+            ("i(x;y1,y2)", mutual_info(2.0 * p_x, 1.0)),
         ]
     raise ValueError(f"unknown case {case!r}")
+
+
+def cutset_min_array(case: ScenarioCase, p_x, p_j, c1, c2) -> np.ndarray:
+    """The cut-set bound over the broadcast grid: the first smallest term, as min() takes it."""
+    terms = (value for _, value in cutset_term_arrays(case, p_x, p_j, c1, c2))
+    return functools.reduce(lambda low, v: np.where(v < low, v, low), terms)
+
+
+@np.errstate(all="ignore")
+def modulo_bound_array(p_x, p_j, c1, c2) -> np.ndarray:
+    """The Case C modulo bound over the broadcast grid; it needs p_j > 0."""
+    return 0.5 * (c1 + c2 + mutual_info(p_x, p_j)) + MODULO_BOUND_CONSTANT
+
+
+def cutset_terms(
+    case: ScenarioCase, p_x: float, p_j: float, c1: float, c2: float
+) -> list[tuple[str, float]]:
+    """Labelled cut-set terms of `case` at one operating point (see `cutset_term_arrays`)."""
+    return [(label, value.item()) for label, value in cutset_term_arrays(case, p_x, p_j, c1, c2)]
 
 
 def modulo_bound(p_x: float, p_j: float, c1: float, c2: float) -> float | None:
     """The Case C modulo bound at one operating point; None unless p_j > 0."""
     if not p_j > 0.0:
         return None
-    return 0.5 * (c1 + c2 + gaussian_mi(p_x, p_j)) + MODULO_BOUND_CONSTANT
+    return modulo_bound_array(p_x, p_j, c1, c2).item()
 
 
 def _validate(cfg: ChannelConfig, case: ScenarioCase) -> None:

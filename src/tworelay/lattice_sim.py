@@ -140,13 +140,13 @@ class SimConfig:
                 self.p_x, self.p_j, self.c2, alpha, p_d1,
                 self.p_n1, self.p_n2, gain_sum=self.a + self.b,
             )
-        return alpha, p_d1, p_d2
+        return float(alpha), float(p_d1), float(p_d2)
 
     def analytic_var_neq(self) -> float:
         alpha, p_d1, p_d2 = self.scheme_parameters()
-        return equivalent_noise_power(
+        return float(equivalent_noise_power(
             self.p_x, self.p_n1, self.p_n2, alpha, p_d1, p_d2, self.a - self.b
-        )
+        ))
 
 
 @dataclass(frozen=True)
@@ -397,9 +397,9 @@ def sw_rate_check(cfg: SimConfig, p_d2_override: float | None = None) -> Slepian
         p_d2 = p_d2_override
     if not p_d2 > 0.0:
         raise ValueError("p_d2 must be > 0")
-    side_power = side_information_power(
+    side_power = float(side_information_power(
         cfg.p_x, cfg.p_j, alpha, p_d1, cfg.p_n1, cfg.p_n2, cfg.a + cfg.b
-    )
+    ))
     required = 0.5 * math.log1p(min(cfg.p_x, side_power) / p_d2) / math.log(2.0)
     return SlepianWolfCheck(
         required_rate=required,

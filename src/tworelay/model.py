@@ -29,6 +29,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
 
 INFINITE_CAPACITY = math.inf
 
@@ -168,8 +171,35 @@ def gaussian_mi(signal_power: float, noise_plus_interference_power: float) -> fl
         raise ValueError(f"signal power must be >= 0, got {s!r}")
     if not n > 0.0:
         raise ValueError(f"noise-plus-interference power must be > 0, got {n!r}")
-    if s == 0.0:
-        return 0.0
     if math.isinf(s):
         return INFINITE_CAPACITY
-    return 0.5 * math.log1p(s / n) / _LN2
+    return float(mutual_info(s, n))
+
+
+@np.errstate(all="ignore")
+def mutual_info(signal_power, noise_power) -> np.ndarray:
+    """`gaussian_mi` as a broadcast over arrays, without its input checks."""
+    mi = 0.5 * math_map(math.log1p, np.divide(signal_power, noise_power)) / _LN2
+    return np.where(signal_power == 0.0, 0.0, mi)  # +0.0, also for a signal power of -0.0
+
+
+def math_map(fn: Callable[[float], float], x) -> np.ndarray:
+    """The `math` function `fn` applied to each element of x.
+
+    The closed forms take every transcendental through here: numpy's own
+    log1p, log2, expm1, exp and x**2 differ from libm's in the last bit on a
+    share of inputs, and the CLI prints floats with repr.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def square(x) -> np.ndarray:
+    """x**2 elementwise as Python's float ** computes it: libm pow, not x*x."""
+    return math_map(lambda v: v**2, x)
+
+
+def as_arrays(*values) -> list[np.ndarray]:
+    """The values as float arrays of at least one dimension, each keeping its own
+    shape: a quantity of p_x alone is computed once per p_x, not once per point."""
+    return [np.atleast_1d(np.asarray(v, dtype=float)) for v in values]

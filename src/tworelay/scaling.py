@@ -10,21 +10,29 @@ in Case C, certifies the constant-bit gaps between achievable rates and
 outer bounds over power grids, demonstrates that the cut-set bound is
 strictly loose in Case C, and produces the rate-versus-sum-capacity sweep
 data (best link split per sum) behind the composite rate curves.  The sweep
-checks its powers once and evaluates every split through the case-explicit
-`best_report` and `cutset_terms`; the other grids build one config per point.
+checks its powers once and evaluates all splits of a sum in one call of the
+array core (`achievable.best_arrays`, `bounds.cutset_min_array`); the gap
+certificates evaluate their grid one p_x row at a time, as arrays over p_j.
+The pre-log ladders and the looseness demo build one config per point.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .achievable import AchievableReport, Scheme, achievable_case_c, best_achievable, best_report
-from .bounds import cutset_case_c, cutset_terms, modulo_bound, modulo_bound_case_c, outer_bounds
-from .model import ScenarioCase, gaussian_mi, make_preset
+from .achievable import Scheme, best_achievable, best_arrays, lattice_arrays
+from .bounds import cutset_case_c, cutset_min_array, modulo_bound, modulo_bound_array
+from .bounds import modulo_bound_case_c
+from .model import ScenarioCase, gaussian_mi, make_preset, math_map
+
+# imported for perfbench/tracing.py, which times the calls made through them here
+from .achievable import achievable_case_c  # noqa: F401
+from .bounds import outer_bounds  # noqa: F401
 
 PRELOG_METHODS = ("finite_difference", "ratio")
 
@@ -249,87 +257,70 @@ class GapCertificate:
         return self.max_gap <= self.claimed_bound
 
 
-def _certificate(case, regime, points, gaps, bound_used, claimed) -> GapCertificate:
-    return GapCertificate(
-        case=case,
-        regime=regime,
-        grid=tuple(points),
-        max_gap=max(gaps),
-        bound_used=bound_used,
-        claimed_bound=claimed,
-    )
+#: The gap regimes of each case: (regime, outer bound used, claimed gap).  With
+#: h = 0.5*log2(1+p_x), each covers some powers and pins the link capacities:
+#:     A  high_interference  p_j >= p_x            c2 = h
+#:     A  low_interference   1 <= p_j < p_x        c2 = 0.5*log2(p_j)
+#:     B  standard           p_x > 1, p_j >= 1     c1 = h, c2 = 0.5*log2(p_j)
+#:     C  modulo             1 < p_j < p_x         c1 = h, c2 = 0.5*log2(p_j)
+#:     C  cutset             p_j > (1+p_x)^2/p_x   c1 = c2 = h
+#: Cases A and B measure the best scheme, Case C the lattice scheme alone; the
+#: narrow band between the Case C regimes belongs to neither.
+_GAP_REGIMES = {
+    ScenarioCase.CASE_A: (("high_interference", "cut-set", 0.7925),
+                          ("low_interference", "cut-set", 1.0)),
+    ScenarioCase.CASE_B: (("standard", "cut-set", 1.29),),
+    ScenarioCase.CASE_C: (("modulo", "modulo", 2.816), ("cutset", "cut-set", 1.5)),
+}
+
+
+def _gap_row(case: ScenarioCase, p_x: float, p_j: np.ndarray):
+    """(regime index, mask, gaps) per nonempty regime at one p_x over the p_j array."""
+    half_log_1px = 0.5 * math.log2(1.0 + p_x)
+    if case is ScenarioCase.CASE_A:
+        high = p_j >= p_x
+        regimes = ((high, math.inf, half_log_1px), (~high & (p_j >= 1.0), math.inf, None))
+    elif case is ScenarioCase.CASE_B:
+        regimes = (((p_j >= 1.0) & (p_x > 1.0), half_log_1px, None),)
+    else:
+        modulo = (1.0 < p_j) & (p_j < p_x)
+        threshold = (1.0 + p_x) ** 2 / p_x if p_x > 0.0 else math.inf
+        cut = ~modulo & (p_j > threshold)
+        regimes = ((modulo, half_log_1px, None), (cut, half_log_1px, half_log_1px))
+    for k, (mask, c1, c2) in enumerate(regimes):
+        if not mask.any():
+            continue
+        pj = p_j[mask]
+        c2 = 0.5 * math_map(math.log2, pj) if c2 is None else c2
+        if case is ScenarioCase.CASE_C:
+            rate = lattice_arrays(case, p_x, pj, c1, c2).rate
+        else:
+            rate = best_arrays(case, p_x, pj, c1, c2)[0].rate
+        if _GAP_REGIMES[case][k][1] == "modulo":
+            bound = modulo_bound_array(p_x, pj, c1, c2)
+        else:
+            bound = cutset_min_array(case, p_x, pj, c1, c2)
+        yield k, mask, bound - rate
 
 
 def gap_case_a(p_x: float, p_j: float) -> GapCertificate:
-    """Case A gap at the regime's prescribed relay-2 capacity.
-
-    Regime "high_interference" (p_j >= p_x) pins c2 = 0.5*log2(1 + p_x)
-    and certifies a gap of at most 0.7925 bits; regime "low_interference"
-    (1 <= p_j < p_x) pins c2 = 0.5*log2(p_j) and certifies at most 1 bit.
-    """
-    if p_j >= p_x:
-        regime, claimed = "high_interference", 0.7925
-        c2 = 0.5 * math.log2(1.0 + p_x)
-    elif p_j >= 1.0:
-        regime, claimed = "low_interference", 1.0
-        c2 = 0.5 * math.log2(p_j)
-    else:
-        raise ValueError(f"(p_x={p_x}, p_j={p_j}) lies outside both Case A gap regimes")
-    cfg = make_preset(ScenarioCase.CASE_A, p_x, p_j, c2=c2)
-    gap = outer_bounds(cfg, ScenarioCase.CASE_A).binding - best_achievable(cfg).rate
-    return _certificate(ScenarioCase.CASE_A, regime, [(p_x, p_j)], [gap], "cut-set", claimed)
+    """Case A gap at the one point (p_x, p_j), in its regime (see `_GAP_REGIMES`)."""
+    return certify_gaps(ScenarioCase.CASE_A, [p_x], [p_j])[0]
 
 
 def gap_case_b(p_x: float, p_j: float) -> GapCertificate:
-    """Case B gap at c1 = 0.5*log2(1+p_x), c2 = 0.5*log2(p_j); at most 1.29 bits.
-
-    Requires p_x > 1 and p_j >= 1 (the prescribed capacities are
-    nonnegative there).
-    """
-    if not p_x > 1.0:
-        raise ValueError(f"Case B gap regime requires p_x > 1, got {p_x}")
-    if not p_j >= 1.0:
-        raise ValueError(f"Case B gap regime requires p_j >= 1, got {p_j}")
-    c1 = 0.5 * math.log2(1.0 + p_x)
-    c2 = 0.5 * math.log2(p_j)
-    cfg = make_preset(ScenarioCase.CASE_B, p_x, p_j, c1=c1, c2=c2)
-    gap = outer_bounds(cfg, ScenarioCase.CASE_B).binding - best_achievable(cfg).rate
-    return _certificate(ScenarioCase.CASE_B, "standard", [(p_x, p_j)], [gap], "cut-set", 1.29)
+    """Case B gap at the one point (p_x, p_j) (see `_GAP_REGIMES`)."""
+    return certify_gaps(ScenarioCase.CASE_B, [p_x], [p_j])[0]
 
 
 def gap_case_c(p_x: float, p_j: float) -> GapCertificate:
-    """Case C gap against the regime's designated outer bound.
-
-    Regime "modulo" (1 < p_j < p_x) pins c1 = 0.5*log2(1+p_x),
-    c2 = 0.5*log2(p_j) and certifies modulo bound minus achievable
-    <= 2.816 bits.  Regime "cutset" (p_j > (1+p_x)^2/p_x) pins
-    c1 = c2 = 0.5*log2(1+p_x) and certifies cut-set minus achievable
-    <= 1.5 bits.  The narrow band between them belongs to neither regime.
-    """
-    half_log_1px = 0.5 * math.log2(1.0 + p_x)
-    if 1.0 < p_j < p_x:
-        cfg = make_preset(
-            ScenarioCase.CASE_C, p_x, p_j, c1=half_log_1px, c2=0.5 * math.log2(p_j)
-        )
-        gap = modulo_bound_case_c(cfg) - achievable_case_c(p_x, p_j, cfg.c1, cfg.c2).rate
-        return _certificate(ScenarioCase.CASE_C, "modulo", [(p_x, p_j)], [gap], "modulo", 2.816)
-    if p_x > 0.0 and p_j > (1.0 + p_x) ** 2 / p_x:
-        cfg = make_preset(ScenarioCase.CASE_C, p_x, p_j, c1=half_log_1px, c2=half_log_1px)
-        gap = cutset_case_c(cfg).cutset_min - achievable_case_c(p_x, p_j, cfg.c1, cfg.c2).rate
-        return _certificate(ScenarioCase.CASE_C, "cutset", [(p_x, p_j)], [gap], "cut-set", 1.5)
-    raise ValueError(f"(p_x={p_x}, p_j={p_j}) lies outside both Case C gap regimes")
+    """Case C gap at the one point (p_x, p_j), in its regime (see `_GAP_REGIMES`)."""
+    return certify_gaps(ScenarioCase.CASE_C, [p_x], [p_j])[0]
 
 
 def default_power_grid() -> tuple[float, ...]:
     """Decade-spaced grid, 5 points per decade, over [10, 1e9]."""
     return tuple(10.0**e for e in np.arange(1.0, 9.0 + 1e-9, 0.2))
-
-
-_GAP_FUNCTIONS = {
-    ScenarioCase.CASE_A: gap_case_a,
-    ScenarioCase.CASE_B: gap_case_b,
-    ScenarioCase.CASE_C: gap_case_c,
-}
 
 
 def certify_gaps(
@@ -339,30 +330,38 @@ def certify_gaps(
 ) -> tuple[GapCertificate, ...]:
     """Sweep the gap over a power grid, one aggregated certificate per regime.
 
-    Grid points outside every regime of the case (possible for Case C)
-    are skipped.
+    Each regime of the case pins the link capacities to its prescribed
+    values (see `_gap_row`).  The grid is evaluated one p_x row at a time,
+    as arrays over p_j.  Points outside every regime of the case are
+    skipped.
+
+    Raises:
+        ValueError: on a non-finite p_x, a NaN or negative power in either
+            grid (p_j = inf is accepted), or if no point lies in a regime.
     """
-    gap_fn = _GAP_FUNCTIONS[case]
+    regimes = _GAP_REGIMES[case]
     px_grid = default_power_grid() if px_grid is None else tuple(px_grid)
     pj_grid = default_power_grid() if pj_grid is None else tuple(pj_grid)
-    buckets: dict[str, tuple[list, list, str, float]] = {}
+    p_j = np.array(pj_grid, dtype=float)
+    if not all(0.0 <= p_x < math.inf for p_x in px_grid):
+        raise ValueError("every p_x of the grid must be finite and >= 0")
+    if not np.all(p_j >= 0.0):
+        raise ValueError("every p_j of the grid must be >= 0 (inf is accepted)")
+    points: list[list] = [[] for _ in regimes]
+    gaps: list[list] = [[] for _ in regimes]
     for p_x in px_grid:
-        for p_j in pj_grid:
-            try:
-                point = gap_fn(p_x, p_j)
-            except ValueError:
-                continue
-            points, gaps, _, _ = buckets.setdefault(
-                point.regime, ([], [], point.bound_used, point.claimed_bound)
-            )
-            points.append((p_x, p_j))
-            gaps.append(point.max_gap)
-    if not buckets:
-        raise ValueError("no grid point fell inside any regime")
-    return tuple(
-        _certificate(case, regime, points, gaps, bound_used, claimed)
-        for regime, (points, gaps, bound_used, claimed) in sorted(buckets.items())
+        for k, mask, gap in _gap_row(case, p_x, p_j):
+            points[k].extend((p_x, q) for q in itertools.compress(pj_grid, mask.tolist()))
+            gaps[k].append(gap)
+    certificates = sorted(
+        (GapCertificate(case, regime, tuple(points[k]), np.concatenate(gaps[k]).max().item(),
+                        bound_used, claimed)
+         for k, (regime, bound_used, claimed) in enumerate(regimes) if points[k]),
+        key=lambda cert: cert.regime,
     )
+    if not certificates:
+        raise ValueError(f"no grid point lies inside a {case.name} gap regime")
+    return tuple(certificates)
 
 
 # ---------------------------------------------------------------------------
@@ -449,27 +448,14 @@ def sweep_sum_capacity(
     for total in map(float, sum_capacities):
         if not 0.0 <= total < math.inf:
             raise ValueError(f"sum capacity must be finite and >= 0, got {total}")
-        best: AchievableReport | None = None
-        best_split = (0.0, 0.0)
-        best_cut = -math.inf
-        for c1 in np.linspace(0.0, total, split_samples).tolist():
-            c2 = total - c1
-            report = best_report(case, p_x, p_j, c1, c2)
-            if best is None or report.rate > best.rate:
-                best, best_split = report, (c1, c2)
-            best_cut = max(best_cut, min(v for _, v in cutset_terms(case, p_x, p_j, c1, c2)))
-        modulo = None
-        if case is ScenarioCase.CASE_C:
-            modulo = modulo_bound(p_x, p_j, total / 2.0, total / 2.0)
-        points.append(
-            SweepPoint(
-                sum_capacity=total,
-                best_rate=best.rate,
-                winning_scheme=best.scheme,
-                c1=best_split[0],
-                c2=best_split[1],
-                cutset=best_cut,
-                modulo=modulo,
-            )
-        )
+        c1 = np.linspace(0.0, total, split_samples)
+        c2 = total - c1
+        best, local = best_arrays(case, p_x, p_j, c1, c2)
+        i = int(np.argmax(best.rate))  # the first maximum: the lowest c1 wins a tie
+        half = total / 2.0
+        modulo = modulo_bound(p_x, p_j, half, half) if case is ScenarioCase.CASE_C else None
+        scheme = Scheme.LOCAL_DECODE if local[i] else best.scheme
+        cutset = cutset_min_array(case, p_x, p_j, c1, c2).max().item()
+        points.append(SweepPoint(total, best.rate[i].item(), scheme, c1[i].item(),
+                                 c2[i].item(), cutset, modulo))
     return points

@@ -262,6 +262,13 @@ class TestReproducibility:
         ["region", "--rate", "nan", "--px", "10", "--pj", "5"],
         ["region", "--rate", "inf", "--px", "10", "--pj", "5"],
         ["cover", "--rate", "nan", "--trials", "1", "--seed", "1"],
+        ["gaps", "--case", "a", "--grid", "306:310:1"],
+        ["gaps", "--case", "b", "--grid", "1:2"],
+        ["gaps", "--case", "b", "--grid", "1:2:0"],
+        ["scaling", "--case", "a", "--exponents", "a:b"],
+        ["scaling", "--case", "a", "--exponents", "10"],
+        ["sweep", "--case", "b", "--px", "10", "--pj", "1", "--sum-range", "0:1:-1"],
+        ["sweep", "--case", "b", "--px", "10", "--pj", "1", "--sum-range", "0:1"],
     ],
     ids=lambda argv: " ".join(argv),
 )

@@ -188,6 +188,23 @@ class TestGapCertificates:
         regimes = {c.regime for c in certify_gaps(ScenarioCase.CASE_A)}
         assert regimes == {"high_interference", "low_interference"}
 
+    @pytest.mark.parametrize("px_grid, pj_grid", [
+        ([-5.0, 10.0, 100.0], [10.0, 100.0]),
+        ([10.0, math.inf], [10.0]),
+        ([10.0, math.nan], [10.0]),
+        ([10.0, 100.0], [10.0, math.nan]),
+        ([10.0, 100.0], [-1.0, 10.0]),
+    ])
+    def test_grid_outside_the_model_is_rejected_not_dropped(self, px_grid, pj_grid):
+        # a power outside the model is refused, never dropped from the certificate
+        for case in (ScenarioCase.CASE_A, ScenarioCase.CASE_B, ScenarioCase.CASE_C):
+            with pytest.raises(ValueError):
+                certify_gaps(case, px_grid, pj_grid)
+
+    def test_unlimited_interferer_stays_on_the_grid(self):
+        (cert,) = certify_gaps(ScenarioCase.CASE_B, [10.0, 100.0], [10.0, math.inf])
+        assert len(cert.grid) == 4 and cert.satisfied
+
 
 class TestCutsetLooseness:
     def test_separation_at_1e9(self):
