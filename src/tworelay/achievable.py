@@ -32,9 +32,11 @@ and `best_arrays` broadcast over (p_x, p_j, c1, c2) for an explicitly given
 case, so a sweep evaluates all splits of a sum in one call.  Arithmetic runs
 in numpy in the order of the formulas; every transcendental goes through
 `model.math_map` (libm), which keeps each element equal, bit for bit, to a
-per-point evaluation.  The per-point functions (`achievable_case_*`,
-`local_decode_baseline`, `best_report`) evaluate the core at one point;
-`best_achievable` infers a config's case once and calls `best_report`.
+per-point evaluation.  The core takes its input as given.  The per-point
+functions (`achievable_case_*`, `local_decode_baseline`, `best_report`)
+evaluate it at one point, `local_decode_baseline` after checking its powers
+as `model.gaussian_mi` does; `best_achievable` infers a config's case once
+and calls `best_report`.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ChannelConfig, ScenarioCase, case_constraints_hold
+from .model import ChannelConfig, ScenarioCase, case_constraints_hold, check_mi_powers
 from .model import as_arrays, math_map, mutual_info, square
 
 _LN2 = math.log(2.0)
@@ -118,11 +120,11 @@ def _pow2neg(c) -> np.ndarray:
 
 
 def _clamped_rate(p_x, p_neq) -> np.ndarray:
-    """max(0.5*log2(p_x/p_neq), 0); 0 where p_x <= 0, p_neq = inf or the ratio underflows."""
+    """max(0.5*log2(p_x/p_neq), 0); 0 where p_x <= 0 or p_neq = inf."""
     p_x, p_neq = np.broadcast_arrays(*as_arrays(p_x, p_neq))
     ratio = p_x / p_neq
     rate = np.zeros(ratio.shape)
-    live = ~(p_x <= 0.0) & ~np.isinf(p_neq) & (ratio != 0.0)
+    live = ~(p_x <= 0.0) & ~np.isinf(p_neq)
     # near the clamp boundary log1p of the excess keeps full precision
     near = live & (0.5 < ratio) & (ratio < 2.0)
     far = live & ~near
@@ -130,12 +132,6 @@ def _clamped_rate(p_x, p_neq) -> np.ndarray:
     rate[near] = 0.5 * math_map(math.log1p, excess) / _LN2
     rate[far] = 0.5 * math_map(math.log2, ratio[far])
     return np.where(rate < 0.0, 0.0, rate)
-
-
-def _unless_unlimited(p_j, power) -> np.ndarray:
-    """power, but inf where p_j is: alpha**2 * inf is inf for any alpha > 0, also
-    where alpha**2 underflows to 0 (which would make it NaN)."""
-    return np.where(np.isinf(p_j), math.inf, power)
 
 
 def mmse_alpha(p_x, p_n1, p_n2, gain_difference: float) -> np.ndarray:
@@ -171,15 +167,14 @@ def distortion_relay2_case_b(p_x, p_j, c2, alpha) -> tuple[np.ndarray, np.ndarra
     min(p_x, alpha^2*p_j) * 2**(-2*c2).  The second array is True where the
     min takes p_x (the "signal_ceiling" branch, else "interference").
     """
-    interference = _unless_unlimited(p_j, square(alpha) * p_j)
+    interference = square(alpha) * p_j
     at_ceiling = p_x <= interference
     return np.where(at_ceiling, p_x, interference) * _pow2neg(c2), at_ceiling
 
 
 def side_information_power(p_x, p_j, alpha, p_d1, p_n1, p_n2, gain_sum: float) -> np.ndarray:
     """Power s of the sum signal relay 2's binned description is resolved against."""
-    s = square(alpha) * (gain_sum**2 * p_x + 4.0 * p_j + p_n1 + p_n2) + p_d1
-    return _unless_unlimited(p_j, s)
+    return square(alpha) * (gain_sum**2 * p_x + 4.0 * p_j + p_n1 + p_n2) + p_d1
 
 
 def distortion_relay2_case_c(
@@ -381,6 +376,7 @@ def local_decode_baseline(
     """
     if case is ScenarioCase.CASE_C and c2 is None:
         raise ValueError("Case C local decoding needs c2")
+    check_mi_powers(p_x, p_j + 1.0)
     rate = local_decode_rates(case, p_x, p_j, c1, c2).item()
     return AchievableReport(rate=rate, scheme=Scheme.LOCAL_DECODE)
 

@@ -9,9 +9,10 @@ which is evaluated exactly here (~1.5235 bits), never as a rounded figure.
 All bound terms are formed in the log domain, so an unlimited link
 (`INFINITE_CAPACITY`) simply makes its cut term infinite and never binding.
 The config-taking functions check a config against its case once, then call
-`cutset_terms` and `modulo_bound`, which evaluate the array forms
-(`cutset_term_arrays`, `cutset_min_array`, `modulo_bound_array`) at one
-point.  The array forms broadcast over (p_x, p_j, c1, c2) and take every
+`cutset_terms` and `modulo_bound`, which check the powers as
+`model.gaussian_mi` does and evaluate the array forms (`cutset_term_arrays`,
+`cutset_min_array`, `modulo_bound_array`) at one point.  The array forms
+take their input as given, broadcast over (p_x, p_j, c1, c2) and take every
 logarithm through `model.math_map` (libm), so each element equals the
 per-point value bit for bit.
 """
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ChannelConfig, ScenarioCase, case_constraints_hold, gaussian_mi
-from .model import as_arrays, mutual_info
+from .model import as_arrays, check_mi_powers, mutual_info
 
 #: Additive constant of the Case C modulo bound: 0.25 * log2(8*pi*e).
 MODULO_BOUND_CONSTANT = 0.25 * math.log2(8.0 * math.pi * math.e)
@@ -104,6 +105,7 @@ def cutset_terms(
     case: ScenarioCase, p_x: float, p_j: float, c1: float, c2: float
 ) -> list[tuple[str, float]]:
     """Labelled cut-set terms of `case` at one operating point (see `cutset_term_arrays`)."""
+    check_mi_powers(p_x, 1.0 if case is ScenarioCase.FULL_COOPERATION else p_j + 1.0)
     return [(label, value.item()) for label, value in cutset_term_arrays(case, p_x, p_j, c1, c2)]
 
 
@@ -111,6 +113,7 @@ def modulo_bound(p_x: float, p_j: float, c1: float, c2: float) -> float | None:
     """The Case C modulo bound at one operating point; None unless p_j > 0."""
     if not p_j > 0.0:
         return None
+    check_mi_powers(p_x, p_j)
     return modulo_bound_array(p_x, p_j, c1, c2).item()
 
 

@@ -165,15 +165,21 @@ def gaussian_mi(signal_power: float, noise_plus_interference_power: float) -> fl
     Raises:
         ValueError: on negative signal power or nonpositive noise power.
     """
-    s = float(signal_power)
-    n = float(noise_plus_interference_power)
+    s, n = check_mi_powers(signal_power, noise_plus_interference_power)
+    if math.isinf(s):
+        return INFINITE_CAPACITY
+    return float(mutual_info(s, n))
+
+
+def check_mi_powers(signal_power: float, noise_power: float) -> tuple[float, float]:
+    """The powers as floats, checked as `gaussian_mi` takes them (the array forms
+    do not check; their per-point entries do, through here)."""
+    s, n = float(signal_power), float(noise_power)
     if s < 0.0 or math.isnan(s):
         raise ValueError(f"signal power must be >= 0, got {s!r}")
     if not n > 0.0:
         raise ValueError(f"noise-plus-interference power must be > 0, got {n!r}")
-    if math.isinf(s):
-        return INFINITE_CAPACITY
-    return float(mutual_info(s, n))
+    return s, n
 
 
 @np.errstate(all="ignore")

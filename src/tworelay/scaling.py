@@ -12,27 +12,25 @@ strictly loose in Case C, and produces the rate-versus-sum-capacity sweep
 data (best link split per sum) behind the composite rate curves.  The sweep
 checks its powers once and evaluates all splits of a sum in one call of the
 array core (`achievable.best_arrays`, `bounds.cutset_min_array`); the gap
-certificates evaluate their grid one p_x row at a time, as arrays over p_j.
-The pre-log ladders and the looseness demo build one config per point.
+certificates evaluate their grid one p_x row at a time, as arrays over p_j,
+and report each regime's largest gap as the config-checked per-point path
+(`gap_case_a/b/c`) gives it at that point.  The pre-log ladders and the
+looseness demo build one config per point.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .achievable import Scheme, best_achievable, best_arrays, lattice_arrays
+from .achievable import Scheme, achievable_case_c, best_achievable, best_arrays, lattice_arrays
 from .bounds import cutset_case_c, cutset_min_array, modulo_bound, modulo_bound_array
-from .bounds import modulo_bound_case_c
+from .bounds import modulo_bound_case_c, outer_bounds
 from .model import ScenarioCase, gaussian_mi, make_preset, math_map
-
-# imported for perfbench/tracing.py, which times the calls made through them here
-from .achievable import achievable_case_c  # noqa: F401
-from .bounds import outer_bounds  # noqa: F401
 
 PRELOG_METHODS = ("finite_difference", "ratio")
 
@@ -257,65 +255,94 @@ class GapCertificate:
         return self.max_gap <= self.claimed_bound
 
 
-#: The gap regimes of each case: (regime, outer bound used, claimed gap).  With
-#: h = 0.5*log2(1+p_x), each covers some powers and pins the link capacities:
-#:     A  high_interference  p_j >= p_x            c2 = h
-#:     A  low_interference   1 <= p_j < p_x        c2 = 0.5*log2(p_j)
-#:     B  standard           p_x > 1, p_j >= 1     c1 = h, c2 = 0.5*log2(p_j)
-#:     C  modulo             1 < p_j < p_x         c1 = h, c2 = 0.5*log2(p_j)
-#:     C  cutset             p_j > (1+p_x)^2/p_x   c1 = c2 = h
-#: Cases A and B measure the best scheme, Case C the lattice scheme alone; the
-#: narrow band between the Case C regimes belongs to neither.
-_GAP_REGIMES = {
-    ScenarioCase.CASE_A: (("high_interference", "cut-set", 0.7925),
-                          ("low_interference", "cut-set", 1.0)),
-    ScenarioCase.CASE_B: (("standard", "cut-set", 1.29),),
-    ScenarioCase.CASE_C: (("modulo", "modulo", 2.816), ("cutset", "cut-set", 1.5)),
-}
+class _Regime(NamedTuple):
+    """A gap regime at one p_x: the outer bound it is measured against, the
+    claimed gap, the p_j inside it, and its link pins (c2 None: 0.5*log2(p_j))."""
+
+    name: str
+    bound: str
+    claim: float
+    mask: np.ndarray
+    c1: float
+    c2: float | None
+
+
+def _gap_regimes(case: ScenarioCase, p_x: float, p_j: np.ndarray) -> tuple[_Regime, ...]:
+    """The gap regimes of `case` at one p_x over the p_j array.
+
+    With h = 0.5*log2(1+p_x), each covers some powers and pins the links:
+        A  high_interference  p_j >= p_x            c2 = h
+        A  low_interference   1 <= p_j < p_x        c2 = 0.5*log2(p_j)
+        B  standard           p_x > 1, p_j >= 1     c1 = h, c2 = 0.5*log2(p_j)
+        C  modulo             1 < p_j < p_x         c1 = h, c2 = 0.5*log2(p_j)
+        C  cutset             p_j > (1+p_x)^2/p_x   c1 = c2 = h
+    Cases A and B measure the best scheme, Case C the lattice scheme alone; the
+    narrow band between the Case C regimes belongs to neither.
+    """
+    h = 0.5 * math.log2(1.0 + p_x)
+    if case is ScenarioCase.CASE_A:
+        high = p_j >= p_x
+        return (_Regime("high_interference", "cut-set", 0.7925, high, math.inf, h),
+                _Regime("low_interference", "cut-set", 1.0, ~high & (p_j >= 1.0), math.inf, None))
+    if case is ScenarioCase.CASE_B:
+        return (_Regime("standard", "cut-set", 1.29, (p_j >= 1.0) & (p_x > 1.0), h, None),)
+    modulo = (1.0 < p_j) & (p_j < p_x)
+    threshold = (1.0 + p_x) ** 2 / p_x if p_x > 0.0 else math.inf
+    return (_Regime("modulo", "modulo", 2.816, modulo, h, None),
+            _Regime("cutset", "cut-set", 1.5, ~modulo & (p_j > threshold), h, h))
 
 
 def _gap_row(case: ScenarioCase, p_x: float, p_j: np.ndarray):
-    """(regime index, mask, gaps) per nonempty regime at one p_x over the p_j array."""
-    half_log_1px = 0.5 * math.log2(1.0 + p_x)
-    if case is ScenarioCase.CASE_A:
-        high = p_j >= p_x
-        regimes = ((high, math.inf, half_log_1px), (~high & (p_j >= 1.0), math.inf, None))
-    elif case is ScenarioCase.CASE_B:
-        regimes = (((p_j >= 1.0) & (p_x > 1.0), half_log_1px, None),)
-    else:
-        modulo = (1.0 < p_j) & (p_j < p_x)
-        threshold = (1.0 + p_x) ** 2 / p_x if p_x > 0.0 else math.inf
-        cut = ~modulo & (p_j > threshold)
-        regimes = ((modulo, half_log_1px, None), (cut, half_log_1px, half_log_1px))
-    for k, (mask, c1, c2) in enumerate(regimes):
-        if not mask.any():
+    """(regime, gaps over p_j[regime.mask]) per nonempty regime at one p_x."""
+    for regime in _gap_regimes(case, p_x, p_j):
+        if not regime.mask.any():
             continue
-        pj = p_j[mask]
-        c2 = 0.5 * math_map(math.log2, pj) if c2 is None else c2
+        pj = p_j[regime.mask]
+        c1 = regime.c1
+        c2 = 0.5 * math_map(math.log2, pj) if regime.c2 is None else regime.c2
         if case is ScenarioCase.CASE_C:
             rate = lattice_arrays(case, p_x, pj, c1, c2).rate
         else:
             rate = best_arrays(case, p_x, pj, c1, c2)[0].rate
-        if _GAP_REGIMES[case][k][1] == "modulo":
+        if regime.bound == "modulo":
             bound = modulo_bound_array(p_x, pj, c1, c2)
         else:
             bound = cutset_min_array(case, p_x, pj, c1, c2)
-        yield k, mask, bound - rate
+        yield regime, bound - rate
+
+
+def _point_certificate(case: ScenarioCase, p_x: float, p_j: float) -> GapCertificate:
+    """The gap at the one point (p_x, p_j), in its regime, through the
+    config-checked per-point functions (the path of a single `ChannelConfig`)."""
+    p_x, p_j = float(p_x), float(p_j)
+    inside = [r for r in _gap_regimes(case, p_x, np.array([p_j])) if r.mask[0]]
+    if not inside:
+        raise ValueError(f"(p_x={p_x}, p_j={p_j}) lies outside every {case.name} gap regime")
+    (regime,) = inside
+    c2 = 0.5 * math.log2(p_j) if regime.c2 is None else regime.c2
+    cfg = make_preset(case, p_x, p_j, c1=regime.c1, c2=c2)
+    if case is not ScenarioCase.CASE_C:
+        gap = outer_bounds(cfg, case).binding - best_achievable(cfg).rate
+    elif regime.bound == "modulo":
+        gap = modulo_bound_case_c(cfg) - achievable_case_c(p_x, p_j, cfg.c1, cfg.c2).rate
+    else:
+        gap = cutset_case_c(cfg).cutset_min - achievable_case_c(p_x, p_j, cfg.c1, cfg.c2).rate
+    return GapCertificate(case, regime.name, ((p_x, p_j),), gap, regime.bound, regime.claim)
 
 
 def gap_case_a(p_x: float, p_j: float) -> GapCertificate:
-    """Case A gap at the one point (p_x, p_j), in its regime (see `_GAP_REGIMES`)."""
-    return certify_gaps(ScenarioCase.CASE_A, [p_x], [p_j])[0]
+    """Case A gap at the one point (p_x, p_j), in its regime (see `_gap_regimes`)."""
+    return _point_certificate(ScenarioCase.CASE_A, p_x, p_j)
 
 
 def gap_case_b(p_x: float, p_j: float) -> GapCertificate:
-    """Case B gap at the one point (p_x, p_j) (see `_GAP_REGIMES`)."""
-    return certify_gaps(ScenarioCase.CASE_B, [p_x], [p_j])[0]
+    """Case B gap at the one point (p_x, p_j) (see `_gap_regimes`)."""
+    return _point_certificate(ScenarioCase.CASE_B, p_x, p_j)
 
 
 def gap_case_c(p_x: float, p_j: float) -> GapCertificate:
-    """Case C gap at the one point (p_x, p_j), in its regime (see `_GAP_REGIMES`)."""
-    return certify_gaps(ScenarioCase.CASE_C, [p_x], [p_j])[0]
+    """Case C gap at the one point (p_x, p_j), in its regime (see `_gap_regimes`)."""
+    return _point_certificate(ScenarioCase.CASE_C, p_x, p_j)
 
 
 def default_power_grid() -> tuple[float, ...]:
@@ -331,15 +358,15 @@ def certify_gaps(
     """Sweep the gap over a power grid, one aggregated certificate per regime.
 
     Each regime of the case pins the link capacities to its prescribed
-    values (see `_gap_row`).  The grid is evaluated one p_x row at a time,
-    as arrays over p_j.  Points outside every regime of the case are
-    skipped.
+    values (see `_gap_regimes`).  The grid is evaluated one p_x row at a
+    time, as arrays over p_j; each regime's largest gap is then evaluated
+    again at its point through the per-point path of `gap_case_a/b/c`.
+    Points outside every regime of the case are skipped.
 
     Raises:
         ValueError: on a non-finite p_x, a NaN or negative power in either
             grid (p_j = inf is accepted), or if no point lies in a regime.
     """
-    regimes = _GAP_REGIMES[case]
     px_grid = default_power_grid() if px_grid is None else tuple(px_grid)
     pj_grid = default_power_grid() if pj_grid is None else tuple(pj_grid)
     p_j = np.array(pj_grid, dtype=float)
@@ -347,20 +374,18 @@ def certify_gaps(
         raise ValueError("every p_x of the grid must be finite and >= 0")
     if not np.all(p_j >= 0.0):
         raise ValueError("every p_j of the grid must be >= 0 (inf is accepted)")
-    points: list[list] = [[] for _ in regimes]
-    gaps: list[list] = [[] for _ in regimes]
+    found: dict[str, tuple[list, list]] = {}
     for p_x in px_grid:
-        for k, mask, gap in _gap_row(case, p_x, p_j):
-            points[k].extend((p_x, q) for q in itertools.compress(pj_grid, mask.tolist()))
-            gaps[k].append(gap)
-    certificates = sorted(
-        (GapCertificate(case, regime, tuple(points[k]), np.concatenate(gaps[k]).max().item(),
-                        bound_used, claimed)
-         for k, (regime, bound_used, claimed) in enumerate(regimes) if points[k]),
-        key=lambda cert: cert.regime,
-    )
-    if not certificates:
+        for regime, gap in _gap_row(case, p_x, p_j):
+            points, gaps = found.setdefault(regime.name, ([], []))
+            points.extend((p_x, q) for q in itertools.compress(pj_grid, regime.mask.tolist()))
+            gaps.append(gap)
+    if not found:
         raise ValueError(f"no grid point lies inside a {case.name} gap regime")
+    certificates = []
+    for _, (points, gaps) in sorted(found.items()):
+        worst = points[int(np.argmax(np.concatenate(gaps)))]  # the first largest gap, or a NaN
+        certificates.append(replace(_point_certificate(case, *worst), grid=tuple(points)))
     return tuple(certificates)
 
 

@@ -33,7 +33,7 @@ from tworelay.bounds import (
     modulo_bound_array,
 )
 from tworelay.model import ScenarioCase
-from tworelay.scaling import _GAP_REGIMES, _gap_row
+from tworelay.scaling import _gap_row
 
 A, B, C = ScenarioCase.CASE_A, ScenarioCase.CASE_B, ScenarioCase.CASE_C
 N = 10_000
@@ -136,14 +136,13 @@ def test_gaps_equal_reference(case, seed):
     p_x[:3] = (0.0, 1.0, 4.0)
     p_j = 10.0 ** rng.uniform(-1, 9, 100)
     p_j[:4] = (0.0, 1.0, 4.0, math.inf)  # regime edges
-    regimes = [name for name, _, _ in _GAP_REGIMES[case]]
     for px in p_x.tolist():
         expected = [ref.GAP_FUNCTIONS[case](px, pj) for pj in p_j.tolist()]
         covered = np.zeros(p_j.size, dtype=bool)
-        for k, mask, gaps in _gap_row(case, px, p_j):
-            covered |= mask
-            inside = [e for e, m in zip(expected, mask) if m]
-            assert all(e[0] == regimes[k] for e in inside)
+        for regime, gaps in _gap_row(case, px, p_j):
+            covered |= regime.mask
+            inside = [e for e, m in zip(expected, regime.mask) if m]
+            assert all(e[0] == regime.name for e in inside)
             assert_bits_equal(gaps, [e[1] for e in inside])
         assert covered.tolist() == [e is not None for e in expected]
 
@@ -163,26 +162,23 @@ def test_point_wrappers_equal_reference():
         assert modulo_bound(*point) == ref.modulo_bound(*point)
 
 
-def test_core_departs_from_reference_only_where_it_failed():
-    # With p_j = inf and a p_x so small that alpha**2 underflows to 0, the
-    # reference forms 0 * inf and reports NaN; the core takes the limit of an
-    # unlimited interferer, where the signal ceiling binds.
-    for p_x, c1, c2 in ((1e-200, 1.0, 1.0), (3e-170, 2.5, math.inf)):
-        assert math.isnan(ref.achievable_case_a(p_x, math.inf, c2).rate)
-        assert math.isnan(ref.achievable_case_c(p_x, math.inf, c1, c2).p_d2)
-        for report in (achievable_case_a(p_x, math.inf, c2),
-                       achievable_case_b(p_x, math.inf, c1, c2),
-                       achievable_case_c(p_x, math.inf, c1, c2)):
-            assert report.min_branch == "signal_ceiling"
-            assert all(math.isfinite(v) for v in (report.rate, report.p_d2, report.p_neq))
-        assert achievable_case_a(p_x, math.inf, c2).p_d2 == p_x * ref._pow2neg(c2)
+def test_core_departs_from_reference_only_where_it_raised():
     # Past about 512 bits 2**(2c) - 1 overflows: the reference's expm1 raises,
     # the core saturates at inf, as for an unlimited link.
     with pytest.raises(OverflowError):
         ref.achievable_case_b(15.0, 15.0, 600.0, 1.0)
     assert achievable_case_b(15.0, 15.0, 600.0, 1.0) == achievable_case_b(15.0, 15.0, math.inf, 1.0)
-    # A link of a few subnormal bits leaves p_x/p_neq below the smallest float:
-    # the reference's log2 raises, the core clamps the rate to 0.
-    with pytest.raises(ValueError):
-        ref.achievable_case_c(1e-20, math.inf, 5e-324, 5e-324, "derived")
-    assert achievable_case_c(1e-20, math.inf, 5e-324, 5e-324, "derived").rate == 0.0
+
+
+@pytest.mark.parametrize("p_x, p_j", [(-1.0, 1.0), (math.nan, 1.0), (1.0, -2.0), (1.0, math.nan)])
+def test_point_entries_reject_powers_outside_the_model(p_x, p_j):
+    # the array forms take their input as given; the per-point entries check it
+    for call in (lambda: local_decode_baseline(B, p_x, p_j, 1.0, 1.0),
+                 lambda: local_decode_baseline(C, p_x, p_j, 1.0, 1.0),
+                 lambda: cutset_terms(A, p_x, p_j, math.inf, 1.0),
+                 lambda: cutset_terms(C, p_x, p_j, 1.0, 1.0)):
+        with pytest.raises(ValueError):
+            call()
+    if p_j > 0.0:  # modulo_bound gives None unless p_j > 0
+        with pytest.raises(ValueError):
+            modulo_bound(p_x, p_j, 1.0, 1.0)
