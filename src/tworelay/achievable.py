@@ -120,11 +120,12 @@ def _pow2neg(c) -> np.ndarray:
 
 
 def _clamped_rate(p_x, p_neq) -> np.ndarray:
-    """max(0.5*log2(p_x/p_neq), 0); 0 where p_x <= 0 or p_neq = inf."""
+    """max(0.5*log2(p_x/p_neq), 0); 0 where p_x <= 0, p_neq = inf or p_x/p_neq
+    underflows to 0."""
     p_x, p_neq = np.broadcast_arrays(*as_arrays(p_x, p_neq))
     ratio = p_x / p_neq
     rate = np.zeros(ratio.shape)
-    live = ~(p_x <= 0.0) & ~np.isinf(p_neq)
+    live = ~(p_x <= 0.0) & ~np.isinf(p_neq) & ~(ratio == 0.0)
     # near the clamp boundary log1p of the excess keeps full precision
     near = live & (0.5 < ratio) & (ratio < 2.0)
     far = live & ~near
@@ -144,8 +145,13 @@ def mmse_alpha(p_x, p_n1, p_n2, gain_difference: float) -> np.ndarray:
     (gd=2, unit noise at both relays).  Like the other helpers below, it
     broadcasts over array arguments.
     """
+    num = gain_difference * p_x
     denom = gain_difference**2 * p_x + p_n1 + p_n2
-    return np.where(denom == 0.0, 0.0, np.divide(gain_difference * p_x, denom))
+    alpha = np.where(denom == 0.0, 0.0, np.divide(num, denom))
+    overflowed = np.isinf(num) & np.isinf(denom)
+    if overflowed.any():  # past the largest float alpha tends to 1/gain_difference
+        alpha = np.where(overflowed, 1.0 / gain_difference, alpha)
+    return alpha
 
 
 def distortion_relay1(p_x, c1) -> np.ndarray:
@@ -165,16 +171,25 @@ def distortion_relay2_case_b(p_x, p_j, c2, alpha) -> tuple[np.ndarray, np.ndarra
     The scaled, cell-reduced relay-2 signal has power at most
     min(p_x, alpha^2*p_j); describing it at rate c2 leaves distortion
     min(p_x, alpha^2*p_j) * 2**(-2*c2).  The second array is True where the
-    min takes p_x (the "signal_ceiling" branch, else "interference").
+    min takes p_x (the "signal_ceiling" branch, else "interference").  An
+    unlimited p_j takes its limit, so alpha^2 underflowing to 0 gives no NaN.
     """
-    interference = square(alpha) * p_j
+    interference = _unless_unlimited(p_j, square(alpha) * p_j)
     at_ceiling = p_x <= interference
     return np.where(at_ceiling, p_x, interference) * _pow2neg(c2), at_ceiling
 
 
+def _unless_unlimited(p_j, power) -> np.ndarray:
+    """`power`, or its p_j -> inf limit inf where p_j is unlimited (so an
+    alpha^2 that underflowed to 0 does not meet p_j as 0 * inf = NaN)."""
+    return np.where(np.isinf(p_j), math.inf, power)
+
+
 def side_information_power(p_x, p_j, alpha, p_d1, p_n1, p_n2, gain_sum: float) -> np.ndarray:
-    """Power s of the sum signal relay 2's binned description is resolved against."""
-    return square(alpha) * (gain_sum**2 * p_x + 4.0 * p_j + p_n1 + p_n2) + p_d1
+    """Power s of the sum signal relay 2's binned description is resolved against
+    (unlimited where p_j is)."""
+    return _unless_unlimited(
+        p_j, square(alpha) * (gain_sum**2 * p_x + 4.0 * p_j + p_n1 + p_n2) + p_d1)
 
 
 def distortion_relay2_case_c(

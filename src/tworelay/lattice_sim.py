@@ -25,14 +25,23 @@ draws from its own counter-based Philox stream keyed by
 (seed, batch_index, variable), and moments are reduced with exact
 summation, so results are bit-identical regardless of evaluation order and
 the interferer's distribution can be swapped without disturbing any other
-draw.
+draw.  Batches therefore run concurrently: `run_lattice_sim` and
+`crypto_lemma_check` hand them to a pool of min(usable CPUs, batches)
+threads (numpy's draws and large ufuncs release the interpreter lock) and
+reduce the small per-batch results in batch order.  The output is
+identical for every worker count; the pool size follows the CPUs the
+process may run on and is not a setting.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from dataclasses import dataclass, replace
-from typing import Iterator
+from functools import partial
+from itertools import islice
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -165,8 +174,17 @@ class SimStats:
 
 
 def centered_mod(x: np.ndarray | float, cell: float) -> np.ndarray | float:
-    """Reduce into [-cell/2, cell/2); a tie at +cell/2 maps to -cell/2."""
-    return x - cell * np.floor(x / cell + 0.5)
+    """Reduce into [-cell/2, cell/2); a tie at +cell/2 maps to -cell/2.
+
+    x - cell*floor(x/cell + 0.5); an array result is built in one new buffer.
+    """
+    if np.ndim(x) == 0:
+        return x - cell * np.floor(x / cell + 0.5)
+    q = np.divide(x, cell)
+    q += 0.5
+    np.floor(q, out=q)
+    q *= cell
+    return np.subtract(x, q, out=q)
 
 
 def _stream(seed: int, batch: int, var: int) -> np.random.Generator:
@@ -184,10 +202,10 @@ def _batches(samples: int) -> Iterator[tuple[int, int]]:
 
 
 def _draw_interferer(rng: np.random.Generator, kind: str, p_j: float, m: int) -> np.ndarray:
+    if kind == "gaussian":
+        return _scaled_normal(rng, p_j, m)
     if p_j == 0.0:
         return np.zeros(m)
-    if kind == "gaussian":
-        return rng.standard_normal(m) * math.sqrt(p_j)
     if kind == "uniform":
         half_width = math.sqrt(3.0 * p_j)
         return rng.uniform(-half_width, half_width, m)
@@ -197,14 +215,80 @@ def _draw_interferer(rng: np.random.Generator, kind: str, p_j: float, m: int) ->
 def _scaled_normal(rng: np.random.Generator, power: float, m: int) -> np.ndarray:
     if power == 0.0:
         return np.zeros(m)
-    return rng.standard_normal(m) * math.sqrt(power)
+    z = rng.standard_normal(m)
+    z *= math.sqrt(power)
+    return z
 
 
-def _accumulate_dither(x, v, edges, hist, sums) -> None:
-    """Add one batch's histogram counts of x and its x/v moment sums."""
-    hist += np.histogram(x, bins=edges)[0]
-    for key, arr in (("x", x), ("v", v), ("xv", x * v), ("x2", x * x), ("v2", v * v)):
-        sums[key].append(float(arr.sum()))
+class _Batch(NamedTuple):
+    """What one batch hands back to the reduction: whether every sample was
+    finite, its largest identity residual, its histogram counts of x and its
+    moment sums (keyed as in `_dither_summary`, plus "neq" and "neq2")."""
+
+    finite: bool
+    max_residual: float
+    hist: np.ndarray
+    sums: dict[str, float]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_batches(
+    samples: int, batch_fn: Callable[[int, int], _Batch]
+) -> tuple[float, np.ndarray, dict[str, list[float]]]:
+    """Run `batch_fn(batch, m)` over every batch and reduce in batch order.
+
+    The batches run on min(usable CPUs, batches) threads, at most two per
+    worker submitted ahead, so memory does not grow with `samples`.  The
+    reduction takes the results in batch order, as a serial loop would, and
+    returns the largest residual, the summed histogram and, per moment, the
+    list of batch sums.
+
+    Raises:
+        ValueError: naming the lowest batch with a non-finite sample; the
+            batches not yet started are cancelled and every worker has
+            stopped when it propagates.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    todo = _batches(samples)
+    workers = min(_usable_cpus(), -(-samples // BATCH_SIZE))
+    max_residual = 0.0
+    hist = np.zeros(UNIFORMITY_BINS, dtype=np.int64)
+    sums: dict[str, list[float]] = {}
+    pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="tworelay-batch")
+    try:
+        in_flight = deque((b, pool.submit(batch_fn, b, m)) for b, m in islice(todo, 2 * workers))
+        while in_flight:
+            batch, future = in_flight.popleft()
+            result = future.result()
+            if not result.finite:
+                raise ValueError(f"non-finite samples in batch {batch}; aborting")
+            in_flight.extend((b, pool.submit(batch_fn, b, m)) for b, m in islice(todo, 1))
+            hist += result.hist
+            max_residual = max(max_residual, result.max_residual)
+            for key, value in result.sums.items():
+                sums.setdefault(key, []).append(value)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return max_residual, hist, sums
+
+
+def _dither_moments(
+    x: np.ndarray, v: np.ndarray, edges: np.ndarray
+) -> tuple[np.ndarray, dict[str, float]]:
+    """One batch's histogram counts of x and its x/v moment sums."""
+    sums = {"x": float(x.sum()), "v": float(v.sum())}
+    product = np.empty_like(x)
+    for key, left, right in (("xv", x, v), ("x2", x, x), ("v2", v, v)):
+        sums[key] = float(np.multiply(left, right, out=product).sum())
+    return np.histogram(x, bins=edges)[0], sums
 
 
 def _chi2_sf_odd(x: float, k: int) -> float:
@@ -249,6 +333,71 @@ def _dither_summary(hist: np.ndarray, sums: dict, n: int) -> tuple[float, float]
     return _chi2_sf_odd(chi2_stat, UNIFORMITY_BINS - 1), corr
 
 
+def _sim_batch(cfg: SimConfig, scheme: tuple[float, float, float], edges: np.ndarray,
+               batch: int, m: int) -> _Batch:
+    """One batch of the scheme, computed in place in the order of the formulas
+    (see the module docstring), holding at most eight batch-sized arrays."""
+    alpha, p_d1, p_d2 = scheme
+    L = cfg.cell_length
+    v = _stream(cfg.seed, batch, _VAR_V).uniform(-L / 2.0, L / 2.0, m)
+    u = _stream(cfg.seed, batch, _VAR_U).uniform(-L / 2.0, L / 2.0, m)
+    x = centered_mod(v - u, L)
+    hist, sums = _dither_moments(x, v, edges)
+
+    # y_i = a_i*x + j + n_i, the two relay observations
+    j = _draw_interferer(_stream(cfg.seed, batch, _VAR_J), cfg.interferer, cfg.p_j, m)
+    y1 = np.multiply(x, cfg.a)
+    y1 += j
+    y2 = np.multiply(x, cfg.b)
+    y2 += j
+    del j
+    leak = x
+    leak *= 1.0 - alpha * (cfg.a - cfg.b)
+    neq = _scaled_normal(_stream(cfg.seed, batch, _VAR_N1), cfg.p_n1, m)
+    y1 += neq
+    n2 = _scaled_normal(_stream(cfg.seed, batch, _VAR_N2), cfg.p_n2, m)
+    y2 += n2
+    neq -= n2
+    del n2
+
+    # w_i = (alpha*y_i mod cell) + d_i, and n_eq = alpha*(n1 - n2) + d1 - d2 - leak
+    neq *= alpha
+    y1 *= alpha
+    w1 = centered_mod(y1, L)
+    del y1
+    y2 *= alpha
+    w2 = centered_mod(y2, L)
+    del y2
+    d = _scaled_normal(_stream(cfg.seed, batch, _VAR_D1), p_d1, m)
+    w1 += d
+    neq += d
+    d = _scaled_normal(_stream(cfg.seed, batch, _VAR_D2), p_d2, m)
+    w2 += d
+    neq -= d
+    del d
+    neq -= leak
+    del leak
+
+    w1 -= w2
+    w1 += u
+    del w2, u
+    combined = centered_mod(w1, L)
+    del w1
+    v += neq
+    predicted = centered_mod(v, L)
+    del v
+    if not (np.all(np.isfinite(combined)) and np.all(np.isfinite(neq))):
+        return _Batch(False, math.nan, hist, sums)
+    gap = combined
+    gap -= predicted
+    np.abs(gap, out=gap)
+    other = np.subtract(L, gap, out=predicted)
+    residual = np.minimum(gap, other, out=gap)  # distance on the cell circle
+    sums["neq"] = float(neq.sum())
+    sums["neq2"] = float(np.multiply(neq, neq, out=other).sum())
+    return _Batch(True, float(residual.max()), hist, sums)
+
+
 def run_lattice_sim(cfg: SimConfig) -> SimStats:
     """Run the dithered modulo-lattice scheme and verify its bookkeeping.
 
@@ -256,43 +405,11 @@ def run_lattice_sim(cfg: SimConfig) -> SimStats:
         ValueError: if any simulated sample is non-finite (the run aborts
             rather than report corrupted statistics).
     """
-    alpha, p_d1, p_d2 = cfg.scheme_parameters()
+    scheme = cfg.scheme_parameters()
     analytic = cfg.analytic_var_neq()
     L = cfg.cell_length
-    delta = cfg.a - cfg.b
     edges = np.linspace(-L / 2.0, L / 2.0, UNIFORMITY_BINS + 1)
-
-    max_residual = 0.0
-    hist = np.zeros(UNIFORMITY_BINS, dtype=np.int64)
-    sums: dict[str, list[float]] = {k: [] for k in ("neq", "neq2", "x", "v", "xv", "x2", "v2")}
-
-    for batch, m in _batches(cfg.samples):
-        v = _stream(cfg.seed, batch, _VAR_V).uniform(-L / 2.0, L / 2.0, m)
-        u = _stream(cfg.seed, batch, _VAR_U).uniform(-L / 2.0, L / 2.0, m)
-        x = centered_mod(v - u, L)
-        j = _draw_interferer(_stream(cfg.seed, batch, _VAR_J), cfg.interferer, cfg.p_j, m)
-        n1 = _scaled_normal(_stream(cfg.seed, batch, _VAR_N1), cfg.p_n1, m)
-        n2 = _scaled_normal(_stream(cfg.seed, batch, _VAR_N2), cfg.p_n2, m)
-        d1 = _scaled_normal(_stream(cfg.seed, batch, _VAR_D1), p_d1, m)
-        d2 = _scaled_normal(_stream(cfg.seed, batch, _VAR_D2), p_d2, m)
-
-        y1 = cfg.a * x + j + n1
-        y2 = cfg.b * x + j + n2
-        w1 = centered_mod(alpha * y1, L) + d1
-        w2 = centered_mod(alpha * y2, L) + d2
-        combined = centered_mod(w1 - w2 + u, L)
-
-        neq = alpha * (n1 - n2) + d1 - d2 - (1.0 - alpha * delta) * x
-        predicted = centered_mod(v + neq, L)
-        if not (np.all(np.isfinite(combined)) and np.all(np.isfinite(neq))):
-            raise ValueError(f"non-finite samples in batch {batch}; aborting")
-        gap = np.abs(combined - predicted)
-        residual = np.minimum(gap, L - gap)  # distance on the cell circle
-        max_residual = max(max_residual, float(residual.max()))
-
-        _accumulate_dither(x, v, edges, hist, sums)
-        for key, arr in (("neq", neq), ("neq2", neq * neq)):
-            sums[key].append(float(arr.sum()))
+    max_residual, hist, sums = _run_batches(cfg.samples, partial(_sim_batch, cfg, scheme, edges))
 
     n = cfg.samples
     neq_sum, neq2_sum = math.fsum(sums["neq"]), math.fsum(sums["neq2"])
@@ -348,9 +465,8 @@ def crypto_lemma_check(
         raise ValueError("p_x must be > 0")
     L = math.sqrt(12.0 * p_x)
     edges = np.linspace(-L / 2.0, L / 2.0, UNIFORMITY_BINS + 1)
-    hist = np.zeros(UNIFORMITY_BINS, dtype=np.int64)
-    sums = {k: [] for k in ("x", "v", "xv", "x2", "v2")}
-    for batch, m in _batches(samples):
+
+    def dither_batch(batch: int, m: int) -> _Batch:
         if hold_message_constant:
             v = np.full(m, L / 4.0)
         else:
@@ -359,8 +475,9 @@ def crypto_lemma_check(
             u = np.zeros(m)
         else:
             u = _stream(seed, batch, _VAR_U).uniform(-L / 2.0, L / 2.0, m)
-        x = centered_mod(v - u, L)
-        _accumulate_dither(x, v, edges, hist, sums)
+        return _Batch(True, 0.0, *_dither_moments(centered_mod(v - u, L), v, edges))
+
+    _, hist, sums = _run_batches(samples, dither_batch)
     pvalue, corr = _dither_summary(hist, sums, samples)
     return CryptoLemmaStats(
         uniformity_pvalue=pvalue, x_v_correlation=corr, samples=samples, seed=seed

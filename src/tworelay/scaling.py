@@ -287,9 +287,19 @@ def _gap_regimes(case: ScenarioCase, p_x: float, p_j: np.ndarray) -> tuple[_Regi
     if case is ScenarioCase.CASE_B:
         return (_Regime("standard", "cut-set", 1.29, (p_j >= 1.0) & (p_x > 1.0), h, None),)
     modulo = (1.0 < p_j) & (p_j < p_x)
-    threshold = (1.0 + p_x) ** 2 / p_x if p_x > 0.0 else math.inf
+    threshold = _cutset_threshold(p_x)
     return (_Regime("modulo", "modulo", 2.816, modulo, h, None),
             _Regime("cutset", "cut-set", 1.5, ~modulo & (p_j > threshold), h, h))
+
+
+def _cutset_threshold(p_x: float) -> float:
+    """(1+p_x)^2/p_x, the p_j above which Case C's cut-set regime starts."""
+    if not p_x > 0.0:
+        return math.inf
+    try:
+        return (1.0 + p_x) ** 2 / p_x
+    except OverflowError:  # (1+p_x)^2 passes the largest float from p_x ~ 1.3e154 on
+        return (1.0 + p_x) * ((1.0 + p_x) / p_x)
 
 
 def _gap_row(case: ScenarioCase, p_x: float, p_j: np.ndarray):

@@ -13,6 +13,7 @@ from tworelay.achievable import (
     equivalent_noise_power,
     lattice_cf_report,
     local_decode_baseline,
+    mmse_alpha,
 )
 from tworelay.bounds import cutset_case_c, modulo_bound_case_c, outer_bounds
 from tworelay.model import INFINITE_CAPACITY, ScenarioCase, make_preset
@@ -180,6 +181,14 @@ class TestSchemeInternals:
         for p_x in 10.0 ** rng.uniform(-6, 9, 100):
             assert 0.0 < achievable_case_a(p_x, 1.0, 1.0).alpha <= 1.0
             assert 0.0 < achievable_case_c(p_x, 1.0, 1.0, 1.0).alpha <= 0.5
+
+    def test_mmse_alpha_limits(self):
+        # equal gains leave the combiner nothing to weigh; past the largest
+        # float, 2*p_x/(4*p_x+2) takes its limit 1/2 instead of inf/inf
+        assert mmse_alpha(5.0, 1.0, 1.0, 0.0) == 0.0
+        with np.errstate(invalid="ignore"):  # inf/inf, replaced by the limit
+            assert mmse_alpha(1e308, 1.0, 1.0, 2.0) == 0.5
+            assert mmse_alpha(1e308, 1.0, 1.0, -2.0) == -0.5
 
 
 class TestOrderingProperties:

@@ -74,6 +74,46 @@ class TestBounds:
         assert all(math.isfinite(float(r["rate_bits"])) for r in rows)
         assert float(next(r for r in rows if r["label"] == "binding")["rate_bits"]) == 1.0
 
+    def test_tiny_signal_against_an_unlimited_interferer(self, capsys):
+        # alpha**2 underflows to 0 below p_x ~ 1e-162; the relay-2 distortion
+        # takes the p_j -> inf limit instead of 0 * inf = NaN
+        code, out = run_cli(
+            ["bounds", "--case", "a", "--px", "1e-200", "--pj", "inf", "--c2", "1"], capsys)
+        assert code == 0
+        assert out.splitlines()[-2:] == [
+            "achievable,case_a_eq,0.0,1e-200,0.0,2.5e-201,1.25e-200,bounds.v1",
+            "best,case_a_eq,0.0,1e-200,0.0,2.5e-201,1.25e-200,bounds.v1",
+        ]
+
+    def test_subnormal_links_give_a_zero_rate(self, capsys):
+        # p_x/p_neq underflows to 0, where log2 has no value: the clamped rate is 0
+        code, out = run_cli(
+            ["bounds", "--case", "c", "--px", "1e-20", "--pj", "inf",
+             "--c1", "5e-324", "--c2", "5e-324"], capsys)
+        assert code == 0
+        assert out.splitlines()[-4:] == [
+            "achievable,case_c_prop,0.0,1e-20,2.024022533073106e+303,"
+            "2.024022533073106e+303,4.048045066146212e+303,bounds.v1",
+            "achievable,case_c_derived,0.0,1e-20,2.024022533073106e+303,"
+            "2.024022533073106e+303,4.048045066146212e+303,bounds.v1",
+            "achievable,local_decode,0.0,,,,,bounds.v1",
+            "best,case_c_prop,0.0,1e-20,2.024022533073106e+303,"
+            "2.024022533073106e+303,4.048045066146212e+303,bounds.v1",
+        ]
+
+    def test_huge_signal_alpha_takes_its_limit(self, capsys):
+        # 2*p_x and 4*p_x + 2 both overflow; alpha = 2*p_x/(4*p_x+2) tends to 1/2
+        code, out = run_cli(
+            ["bounds", "--case", "c", "--px", "1e308", "--pj", "15", "--c1", "1", "--c2", "1"],
+            capsys)
+        assert code == 0
+        assert out.splitlines()[-4:-2] == [
+            "achievable,case_c_prop,0.792481250360578,0.5,3.333333333333333e+307,"
+            "1.1111111111111111e+307,4.4444444444444443e+307,bounds.v1",
+            "achievable,case_c_derived,0.5849625007211562,0.5,3.333333333333333e+307,"
+            "1.1111111111111111e+307,4.4444444444444443e+307,bounds.v1",
+        ]
+
     def test_json_embeds_manifest(self, capsys):
         code, out = run_cli(
             ["bounds", "--case", "b", "--px", "1e2", "--pj", "1", "--c1", "2",
@@ -159,6 +199,15 @@ class TestGaps:
         assert code == 0
         doc = json.loads(out)
         assert all(cert["satisfied"] for cert in doc["certificates"])
+
+    def test_huge_powers_certify(self, capsys):
+        # the Case C cut-set threshold (1+p_x)^2/p_x no longer overflows at p_x = 1e155
+        code, out = run_cli(["gaps", "--case", "c", "--grid", "154:155:1"], capsys)
+        assert code == 0
+        certificates = {c["regime"]: c for c in json.loads(out)["certificates"]}
+        assert certificates["cutset"]["max_gap"] == 0.8612330122355729
+        assert certificates["modulo"]["max_gap"] == 2.350404923888391
+        assert all(c["satisfied"] and c["grid_points"] == 1 for c in certificates.values())
 
     def test_violation_exits_3(self, capsys, monkeypatch):
         bogus = GapCertificate(
@@ -288,3 +337,29 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_import_starts_no_thread():
+    # the simulator's thread pool is created per run, and concurrent.futures
+    # is imported only then, so a CLI start-up pays for neither
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, threading, tworelay.cli; "
+            "print(threading.active_count(), 'concurrent.futures' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["1", "False"]
+
+
+def test_simulate_is_clean_under_dev_mode():
+    # -X dev turns on resource and thread-shutdown warnings, -W error makes
+    # each of them fatal; three batches keep the worker pool busy
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = ["simulate", "--case", "c", "--px", "15", "--pj", "15", "--c1", "2", "--c2", "1",
+            "--samples", str(3 * (1 << 16)), "--seed", "3"]
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "tworelay.cli",
+                           *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["stats"]["samples"] == 3 * (1 << 16)

@@ -1,5 +1,9 @@
 import math
-from dataclasses import replace
+import struct
+import sys
+import threading
+import time
+from dataclasses import astuple, replace
 
 import mpmath
 import numpy as np
@@ -124,6 +128,146 @@ class TestRunLatticeSim:
         cfg = replace(CASE_B, samples=10**4, alpha_override=math.nan)
         with pytest.raises(ValueError, match="non-finite"):
             run_lattice_sim(cfg)
+
+
+def reference_run_lattice_sim(cfg):
+    """The serial batch loop the thread pool replaced, with its helpers as
+    they were: every batch in turn, whole-array expressions, moments
+    appended per batch and reduced by the shared summary."""
+    def reference_mod(x, cell):
+        return x - cell * np.floor(x / cell + 0.5)
+
+    def normal(rng, power, m):
+        return np.zeros(m) if power == 0.0 else rng.standard_normal(m) * math.sqrt(power)
+
+    def interferer(rng, kind, p_j, m):
+        if p_j == 0.0:
+            return np.zeros(m)
+        if kind == "gaussian":
+            return rng.standard_normal(m) * math.sqrt(p_j)
+        if kind == "uniform":
+            half_width = math.sqrt(3.0 * p_j)
+            return rng.uniform(-half_width, half_width, m)
+        return (2.0 * rng.integers(0, 2, m) - 1.0) * math.sqrt(p_j)
+
+    alpha, p_d1, p_d2 = cfg.scheme_parameters()
+    L = cfg.cell_length
+    delta = cfg.a - cfg.b
+    edges = np.linspace(-L / 2.0, L / 2.0, lattice_sim.UNIFORMITY_BINS + 1)
+    max_residual = 0.0
+    hist = np.zeros(lattice_sim.UNIFORMITY_BINS, dtype=np.int64)
+    sums = {k: [] for k in ("neq", "neq2", "x", "v", "xv", "x2", "v2")}
+    stream = lattice_sim._stream
+    for batch, m in lattice_sim._batches(cfg.samples):
+        v = stream(cfg.seed, batch, 0).uniform(-L / 2.0, L / 2.0, m)
+        u = stream(cfg.seed, batch, 1).uniform(-L / 2.0, L / 2.0, m)
+        x = reference_mod(v - u, L)
+        j = interferer(stream(cfg.seed, batch, 2), cfg.interferer, cfg.p_j, m)
+        n1 = normal(stream(cfg.seed, batch, 3), cfg.p_n1, m)
+        n2 = normal(stream(cfg.seed, batch, 4), cfg.p_n2, m)
+        d1 = normal(stream(cfg.seed, batch, 5), p_d1, m)
+        d2 = normal(stream(cfg.seed, batch, 6), p_d2, m)
+        y1 = cfg.a * x + j + n1
+        y2 = cfg.b * x + j + n2
+        w1 = reference_mod(alpha * y1, L) + d1
+        w2 = reference_mod(alpha * y2, L) + d2
+        combined = reference_mod(w1 - w2 + u, L)
+        neq = alpha * (n1 - n2) + d1 - d2 - (1.0 - alpha * delta) * x
+        predicted = reference_mod(v + neq, L)
+        if not (np.all(np.isfinite(combined)) and np.all(np.isfinite(neq))):
+            raise ValueError(f"non-finite samples in batch {batch}; aborting")
+        gap = np.abs(combined - predicted)
+        max_residual = max(max_residual, float(np.minimum(gap, L - gap).max()))
+        hist += np.histogram(x, bins=edges)[0]
+        for key, arr in (("x", x), ("v", v), ("xv", x * v), ("x2", x * x), ("v2", v * v),
+                         ("neq", neq), ("neq2", neq * neq)):
+            sums[key].append(float(arr.sum()))
+    n = cfg.samples
+    neq_sum, neq2_sum = math.fsum(sums["neq"]), math.fsum(sums["neq2"])
+    var_neq = (neq2_sum - neq_sum**2 / n) / max(n - 1, 1)
+    pvalue, corr = lattice_sim._dither_summary(hist, sums, n)
+    rate = 0.5 * math.log2(cfg.p_x / var_neq) if var_neq > 0.0 else math.inf
+    return lattice_sim.SimStats(var_neq, cfg.analytic_var_neq(), max_residual, pvalue, corr,
+                                rate, n, cfg.seed, L)
+
+
+def bit_patterns(stats):
+    """Every field, floats as their 8 bytes (so NaN == NaN and -0.0 != 0.0)."""
+    return [struct.pack("<d", v) if isinstance(v, float) else v for v in astuple(stats)]
+
+
+SMALL_C = replace(CASE_C, samples=3 * BATCH_SIZE + 17)
+BIT_IDENTITY_CONFIGS = [
+    *(replace(CASE_B, samples=n) for n in (1, BATCH_SIZE, BATCH_SIZE + 1, 3 * BATCH_SIZE + 17)),
+    with_interferer(SMALL_C, "uniform"),
+    with_interferer(SMALL_C, "bpsk"),
+    replace(SMALL_C, p_j=0.0, seed=4),
+    replace(SMALL_C, c1=math.inf, seed=5),
+    SimConfig(case="general", p_x=8, p_j=3, c1=2, c2=1.5, samples=2 * BATCH_SIZE + 5,
+              seed=9, a=0.7, b=-1.3, p_n1=0.4, p_n2=1.1),
+]
+
+
+class TestBatchDriver:
+    @pytest.mark.parametrize("cfg", BIT_IDENTITY_CONFIGS,
+                             ids=lambda c: f"{c.case}-{c.interferer}-pj{c.p_j}-c1{c.c1}-n{c.samples}")
+    def test_equals_the_serial_loop_at_any_worker_count(self, cfg, monkeypatch):
+        expected = bit_patterns(reference_run_lattice_sim(cfg))
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the workers as finely as possible
+        try:
+            for workers in (1, 2, 5):
+                monkeypatch.setattr(lattice_sim, "_usable_cpus", lambda: workers)
+                assert bit_patterns(run_lattice_sim(cfg)) == expected, workers
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_crypto_lemma_check_at_any_worker_count(self, monkeypatch):
+        runs = []
+        for workers in (1, 2, 5):
+            monkeypatch.setattr(lattice_sim, "_usable_cpus", lambda: workers)
+            runs.append([bit_patterns(crypto_lemma_check(3.0, 200_000, 5, **flags))
+                         for flags in ({}, {"hold_message_constant": True},
+                                       {"disable_dither": True})])
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_pool_size_follows_usable_cpus(self, monkeypatch):
+        threads = set()
+        real_batch = lattice_sim._sim_batch
+
+        def recording_batch(*args):
+            threads.add(threading.current_thread().name)
+            return real_batch(*args)
+
+        monkeypatch.setattr(lattice_sim, "_sim_batch", recording_batch)
+        for workers, samples, most in ((1, 4 * BATCH_SIZE, 1), (5, 3 * BATCH_SIZE, 3)):
+            threads.clear()
+            monkeypatch.setattr(lattice_sim, "_usable_cpus", lambda: workers)
+            run_lattice_sim(replace(CASE_B, samples=samples))
+            assert 1 <= len(threads) <= most
+            assert all(name.startswith("tworelay-batch") for name in threads)
+
+    def test_lowest_non_finite_batch_raises_and_stops_the_workers(self, monkeypatch):
+        bad = {2, 4}
+        started, threads = [], []
+        hist = np.zeros(lattice_sim.UNIFORMITY_BINS, dtype=np.int64)
+
+        def fake_batch(cfg, scheme, edges, batch, m):
+            started.append(batch)
+            threads.append(threading.current_thread())
+            if batch == 2:
+                time.sleep(0.05)  # batch 4 fails first, batch 2 is still reported
+            return lattice_sim._Batch(batch not in bad, 0.0, hist, {})
+
+        monkeypatch.setattr(lattice_sim, "_sim_batch", fake_batch)
+        monkeypatch.setattr(lattice_sim, "_usable_cpus", lambda: 3)
+        with pytest.raises(ValueError, match=r"non-finite samples in batch 2;"):
+            run_lattice_sim(replace(CASE_B, samples=40 * BATCH_SIZE))
+        assert len(started) < 40  # the batches not yet started were cancelled
+        for thread in threads:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+        assert not [t for t in threading.enumerate() if t.name.startswith("tworelay-batch")]
 
 
 class TestCryptoLemma:

@@ -3,18 +3,21 @@
 Each example is a random grid of up to 6 values per axis of
 (p_x, p_j, c1, c2), with p_x = 0, p_j in {0, inf} and unlimited links among
 the values drawn.  The tolerances are those of the fixed-point tests in
-test_achievable.py.  The draws are derandomized, so the suite sees the same
-examples on every run.
+test_achievable.py.  The last property runs the Monte Carlo simulator on
+random configs instead.  The draws are derandomized, so the suite sees the
+same examples on every run.
 """
 
 import math
+from dataclasses import astuple
+from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from tworelay.achievable import best_arrays, lattice_arrays
+import tworelay.lattice_sim as lattice_sim
+from tworelay.achievable import best_arrays, lattice_arrays, local_decode_rates
 from tworelay.bounds import cutset_min_array, modulo_bound_array
 from tworelay.model import ScenarioCase
 
@@ -24,12 +27,6 @@ TOL = 1e-12
 #: costs no search for a smaller one.
 GRIDS = settings(max_examples=60, deadline=None, derandomize=True, database=None,
                  phases=(Phase.explicit, Phase.generate))
-#: A known defect these properties find: with p_j = inf and a p_x so small that
-#: alpha**2 underflows to 0, alpha**2 * p_j is 0 * inf and the rate is NaN (the
-#: per-point closed forms give the same NaN).  Strict, so mending it shows.
-UNLIMITED_INTERFERER_NAN = pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="NaN rate where p_j = inf and alpha**2 underflows to 0")
 
 powers = st.floats(min_value=0.0, max_value=1e9)
 interferers = st.one_of(powers, st.just(math.inf))
@@ -53,7 +50,6 @@ def rates_on(grid):
     }
 
 
-@UNLIMITED_INTERFERER_NAN
 @GRIDS
 @given(axis(powers), axis(interferers), axis(links), axis(links))
 def test_best_rate_is_at_most_the_binding_bound(p_x, p_j, c1, c2):
@@ -67,7 +63,6 @@ def test_best_rate_is_at_most_the_binding_bound(p_x, p_j, c1, c2):
         assert np.all(best_arrays(case, *grid)[0].rate <= bound + TOL), case
 
 
-@UNLIMITED_INTERFERER_NAN
 @GRIDS
 @given(axis(powers), axis(interferers), axis(links, 2), axis(links, 2))
 def test_rate_does_not_decrease_in_either_link(p_x, p_j, c1, c2):
@@ -84,7 +79,6 @@ def test_case_c_is_symmetric_under_swapping_the_links(p_x, p_j, c):
         assert np.array_equal(rates[name], rates[name].swapaxes(2, 3)), name
 
 
-@UNLIMITED_INTERFERER_NAN
 @GRIDS
 @given(axis(powers), axis(interferers), axis(links), st.floats(0.0, 60.0))
 def test_case_b_tends_to_case_a_as_c1_grows(p_x, p_j, c2, excess):
@@ -99,3 +93,59 @@ def test_case_b_tends_to_case_a_as_c1_grows(p_x, p_j, c2, excess):
     far = lattice_arrays(B, p_x, p_j, c1 + 40.0, c2).rate
     assert np.all(case_a - far <= 1e-9)
     assert np.all(far >= case_b - TOL)
+
+
+@GRIDS
+@given(axis(powers), axis(interferers), axis(links), axis(links))
+def test_local_decoding_is_at_most_its_sinr_rate(p_x, p_j, c1, c2):
+    p_x, p_j, c1, c2 = np.ix_(p_x, p_j, c1, c2)
+    # 0.5*log2(1 + p_x/(p_j+1)), here through numpy's log1p, not the core's libm path
+    sinr_rate = 0.5 * np.log1p(p_x / (p_j + 1.0)) / math.log(2.0)
+    for case, links in ((B, c1), (C, c1 + c2)):
+        local = local_decode_rates(case, p_x, p_j, c1, c2)
+        assert np.all(local <= sinr_rate + TOL), case
+        assert np.all(local <= links), case
+
+
+@st.composite
+def sim_configs(draw):
+    """A Case B, Case C or general-gains run of 4 to 16 batches."""
+    case = draw(st.sampled_from(("b", "c", "general")))
+    link = st.one_of(st.floats(0.5, 6.0), st.just(math.inf))
+    fields = dict(case=case, p_x=draw(st.floats(0.5, 1e3)), p_j=draw(st.floats(0.0, 1e3)),
+                  c1=draw(link), c2=draw(link),
+                  samples=draw(st.integers(4, 16)) * lattice_sim.BATCH_SIZE
+                  - draw(st.integers(0, 1000)),
+                  seed=draw(st.integers(0, 2**31)),
+                  interferer=draw(st.sampled_from(("gaussian", "uniform", "bpsk"))))
+    if case == "general":
+        fields.update(a=draw(st.floats(-2.0, 2.0)), b=draw(st.floats(-2.0, 2.0)),
+                      p_n1=draw(st.floats(0.1, 2.0)), p_n2=draw(st.floats(0.1, 2.0)))
+    return lattice_sim.SimConfig(**fields)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None,
+          phases=(Phase.explicit, Phase.generate))
+@given(sim_configs())
+def test_simulated_noise_power_is_within_its_batch_means_error(cfg):
+    # each batch's own unbiased variance of n_eq; their spread over the
+    # batches is the batch-means standard error of the run's estimate
+    batch_vars = {}
+    real_batch = lattice_sim._sim_batch
+
+    def recording_batch(cfg, scheme, edges, batch, m):
+        result = real_batch(cfg, scheme, edges, batch, m)
+        s1, s2 = result.sums["neq"], result.sums["neq2"]
+        batch_vars[batch] = (s2 - s1 * s1 / m) / (m - 1)
+        return result
+
+    runs = []
+    with mock.patch.object(lattice_sim, "_sim_batch", recording_batch):
+        for workers in (1, 3):
+            with mock.patch.object(lattice_sim, "_usable_cpus", lambda: workers):
+                runs.append(lattice_sim.run_lattice_sim(cfg))
+    assert astuple(runs[0]) == astuple(runs[1])
+    stats = runs[0]
+    per_batch = np.array([batch_vars[k] for k in sorted(batch_vars)])
+    std_error = per_batch.std(ddof=1) / math.sqrt(per_batch.size)
+    assert abs(stats.empirical_var_neq - stats.analytic_var_neq) <= 6.0 * std_error
