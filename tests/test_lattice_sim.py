@@ -208,7 +208,7 @@ BIT_IDENTITY_CONFIGS = [
 ]
 
 
-class TestBatchDriver:
+class TestThreadedBatches:
     @pytest.mark.parametrize("cfg", BIT_IDENTITY_CONFIGS,
                              ids=lambda c: f"{c.case}-{c.interferer}-pj{c.p_j}-c1{c.c1}-n{c.samples}")
     def test_equals_the_serial_loop_at_any_worker_count(self, cfg, monkeypatch):
