@@ -9,11 +9,13 @@ maxima next to the certified constants.
 Equivalent CLI:  tworelay gaps --case c   (exit code 3 would flag a violation)
 """
 
-from tworelay import ScenarioCase, certify_gaps, gap_case_a, gap_case_b, gap_case_c
+from tworelay import ScenarioCase, certify_gaps
+
+A, B, C = ScenarioCase.CASE_A, ScenarioCase.CASE_B, ScenarioCase.CASE_C
 
 print("grid certification over p_x, p_j in [10, 1e9], 5 points/decade:\n")
 print("  case  regime               points   max gap   certified")
-for case in (ScenarioCase.CASE_A, ScenarioCase.CASE_B, ScenarioCase.CASE_C):
+for case in (A, B, C):
     for cert in certify_gaps(case):
         flag = "ok" if cert.satisfied else "VIOLATED"
         print(
@@ -23,10 +25,10 @@ for case in (ScenarioCase.CASE_A, ScenarioCase.CASE_B, ScenarioCase.CASE_C):
 
 print("\nspot checks at single operating points:")
 for label, cert in (
-    ("A, strong interferer  ", gap_case_a(100.0, 1000.0)),
-    ("A, weak interferer    ", gap_case_a(1000.0, 100.0)),
-    ("B                     ", gap_case_b(1e4, 1e3)),
-    ("C vs modulo bound     ", gap_case_c(1e6, 1e3)),
-    ("C vs cut-set bound    ", gap_case_c(1e3, 1e7)),
+    ("A, strong interferer  ", certify_gaps(A, [100.0], [1000.0])[0]),
+    ("A, weak interferer    ", certify_gaps(A, [1000.0], [100.0])[0]),
+    ("B                     ", certify_gaps(B, [1e4], [1e3])[0]),
+    ("C vs modulo bound     ", certify_gaps(C, [1e6], [1e3])[0]),
+    ("C vs cut-set bound    ", certify_gaps(C, [1e3], [1e7])[0]),
 ):
     print(f"  {label} gap {cert.max_gap:.4f} <= {cert.claimed_bound} ({cert.bound_used})")

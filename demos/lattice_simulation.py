@@ -15,9 +15,9 @@ Equivalent CLI:  tworelay simulate --case b --px 15 --pj 15 --c1 2 --c2 1 \
 """
 
 import math
+from dataclasses import replace
 
 from tworelay import SimConfig, crypto_lemma_check, run_lattice_sim, sw_rate_check
-from tworelay.lattice_sim import with_interferer
 
 for case in ("b", "c"):
     cfg = SimConfig(case=case, p_x=15, p_j=15, c1=2, c2=1, samples=10**6, seed=1)
@@ -38,8 +38,8 @@ base = run_lattice_sim(SimConfig(case="b", p_x=15, p_j=15, c1=2, c2=1,
                                  samples=10**6, seed=1))
 for kind in ("gaussian", "uniform", "bpsk"):
     stats = run_lattice_sim(
-        with_interferer(SimConfig(case="b", p_x=15, p_j=15, c1=2, c2=1,
-                                  samples=10**6, seed=1), kind)
+        replace(SimConfig(case="b", p_x=15, p_j=15, c1=2, c2=1, samples=10**6, seed=1),
+                interferer=kind)
     )
     print(f"  {kind:9s} var(n_eq) = {stats.empirical_var_neq:.6f}")
 

@@ -55,9 +55,6 @@ from .scaling import (
     certify_gaps,
     cutset_looseness_demo,
     estimate_prelog,
-    gap_case_a,
-    gap_case_b,
-    gap_case_c,
     interference_info_lower_bound,
     coupled_capacity_rate_fn,
     required_region_case_c,
@@ -94,9 +91,6 @@ __all__ = [
     "coupled_capacity_rate_fn",
     "interference_info_lower_bound",
     "required_region_case_c",
-    "gap_case_a",
-    "gap_case_b",
-    "gap_case_c",
     "certify_gaps",
     "cutset_looseness_demo",
     "sweep_sum_capacity",

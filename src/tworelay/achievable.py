@@ -29,7 +29,7 @@ scheme at small link capacities.
 
 The closed forms are one array core: `lattice_arrays`, `local_decode_rates`
 and `best_arrays` broadcast over (p_x, p_j, c1, c2) for an explicitly given
-case, so a sweep evaluates all splits of a sum in one call.  Arithmetic runs
+case, so a sweep evaluates all splits of several sums in one call.  Arithmetic runs
 in numpy in the order of the formulas; every transcendental goes through
 `model.math_map` (libm), which keeps each element equal, bit for bit, to a
 per-point evaluation.  The core takes its input as given.  The per-point
@@ -104,7 +104,8 @@ def _report(arrays: RateArrays) -> AchievableReport:
 
 def _pow2m1(c) -> np.ndarray:
     """2**(2c) - 1, stable for small c: 0.0 at c = 0 and inf from c ~ 512 bits on."""
-    return math_map(_expm1, 2.0 * c * _LN2)
+    x = 2.0 * c * _LN2
+    return math_map(_expm1 if np.any(x > 709.0) else math.expm1, x)  # guard near overflow only
 
 
 def _expm1(x: float) -> float:
@@ -161,7 +162,11 @@ def distortion_relay1(p_x, c1) -> np.ndarray:
     Zero rate gives infinite distortion (nothing useful is forwarded);
     unlimited rate gives zero distortion (no distortion either at p_x = 0).
     """
-    den = _pow2m1(c1)
+    return _distortion(p_x, _pow2m1(c1))
+
+
+def _distortion(p_x, den) -> np.ndarray:
+    """p_x / den with den = 2**(2c) - 1 (see `distortion_relay1`)."""
     return np.where(den == 0.0, np.where(p_x > 0.0, math.inf, 0.0), np.divide(p_x, den))
 
 
@@ -258,20 +263,19 @@ def _case_b(p_x, p_j, c1, c2) -> RateArrays:
     return _lattice(Scheme.CASE_B_EQ, p_x, rate, alpha, p_d1, p_d2, p_neq, at_ceiling)
 
 
-def _case_c_prop_rate(p_x, p_j, link_primary, link_binned) -> np.ndarray:
-    """One orientation of the Case C 'prop' closed form.
+def _case_c_prop_rate(p_x, p_j, p_d1, binned_pow2neg) -> np.ndarray:
+    """One orientation of the Case C 'prop' closed form, given p_d1 and 2**(-2*c2).
 
     rate = max(0.5*log2(p_x / (p_x/(p_x+1) + p_x/(2**(2*c1)-1)
                                + min(p_x, p_j*p_x^2/(p_x+1)^2) * 2**(-2*c2))), 0)
     """
-    p_d1 = distortion_relay1(p_x, link_primary)
     m = p_j * square(p_x / (p_x + 1.0))
-    den = p_x / (p_x + 1.0) + p_d1 + np.where(m < p_x, m, p_x) * _pow2neg(link_binned)
+    den = p_x / (p_x + 1.0) + p_d1 + np.where(m < p_x, m, p_x) * binned_pow2neg
     return _clamped_rate(p_x, den)
 
 
-def _case_c_derived_rate(p_x, p_j, link_primary, link_binned) -> np.ndarray:
-    """One orientation of the Case C 'derived' closed form.
+def _case_c_derived_rate(p_x, p_j, p_d1, binned_pow2m1) -> np.ndarray:
+    """One orientation of the Case C 'derived' closed form, given p_d1 and 2**(2*c2)-1.
 
     rate = max(0.5*log2(p_x / (1/2 + p_x/(2**(2*c1)-1)
                                + min(p_x, 4*p_j+2+p_x/(2**(2*c1)-1)) / (2**(2*c2)-1))), 0)
@@ -279,9 +283,8 @@ def _case_c_derived_rate(p_x, p_j, link_primary, link_binned) -> np.ndarray:
     A zero-rate link (an infinite p_x/(2**(2*c1)-1) or a zero 2**(2*c2)-1)
     makes the denominator infinite, hence the rate 0.
     """
-    p_d1 = distortion_relay1(p_x, link_primary)
     m = 4.0 * p_j + 2.0 + p_d1
-    den = 0.5 + p_d1 + np.where(m < p_x, m, p_x) / _pow2m1(link_binned)
+    den = 0.5 + p_d1 + np.where(m < p_x, m, p_x) / binned_pow2m1
     return _clamped_rate(p_x, den)
 
 
@@ -300,14 +303,17 @@ def _case_c(p_x, p_j, c1, c2, variant: str) -> RateArrays:
         raise ValueError(f"variant must be 'prop' or 'derived', got {variant!r}")
     rate_fn = _case_c_prop_rate if variant == "prop" else _case_c_derived_rate
     scheme = Scheme.CASE_C_PROP if variant == "prop" else Scheme.CASE_C_DERIVED
-    forward = rate_fn(p_x, p_j, c1, c2)
-    swapped = rate_fn(p_x, p_j, c2, c1)
+    m1, m2 = _pow2m1(c1), _pow2m1(c2)  # each link's libm values serve both orientations
+    pd1, pd2 = _distortion(p_x, m1), _distortion(p_x, m2)
+    binned1, binned2 = (_pow2neg(c1), _pow2neg(c2)) if variant == "prop" else (m1, m2)
+    forward = rate_fn(p_x, p_j, pd1, binned2)
+    swapped = rate_fn(p_x, p_j, pd2, binned1)
     swap = ~(forward >= swapped)
     alpha = mmse_alpha(p_x, 1.0, 1.0, 2.0)
-    pd_primary = distortion_relay1(p_x, np.where(swap, c2, c1))
-    pd_binned, at_ceiling = distortion_relay2_case_c(
-        p_x, p_j, np.where(swap, c1, c2), alpha, pd_primary
-    )
+    pd_primary = np.where(swap, pd2, pd1)
+    s = side_information_power(p_x, p_j, alpha, pd_primary, 1.0, 1.0, 0.0)
+    at_ceiling = p_x <= s  # as in `distortion_relay2_case_c`
+    pd_binned = _distortion(np.where(at_ceiling, p_x, s), np.where(swap, m1, m2))
     p_d1, p_d2 = np.where(swap, pd_binned, pd_primary), np.where(swap, pd_primary, pd_binned)
     p_neq = equivalent_noise_power(p_x, 1.0, 1.0, alpha, p_d1, p_d2, 2.0)
     rate = np.where(swapped > forward, swapped, forward)

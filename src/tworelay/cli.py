@@ -29,7 +29,6 @@ import io
 import json
 import math
 import os
-import secrets
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -260,7 +259,10 @@ def _parse_grid(spec: str) -> tuple[list[float], list[float]] | tuple[None, None
     if per_decade < 1 or hi < lo:
         raise ValueError("grid spec must be 'default' or 'exp_lo:exp_hi:points_per_decade'")
     exps = np.arange(lo, hi + 1e-9, 1.0 / per_decade)
-    values = [float(10.0**e) for e in exps]
+    try:  # libm's pow as numpy's 10.0**e, which would warn and give inf on overflow
+        values = [10.0**e for e in exps.tolist()]
+    except OverflowError:
+        raise ValueError(f"grid powers up to 10**{exps[-1]:g} overflow a float") from None
     return values, values
 
 
@@ -307,6 +309,7 @@ def cmd_scaling(args: argparse.Namespace) -> int:
 
 def _ensure_seed(args: argparse.Namespace) -> int:
     if args.seed is None:
+        import secrets  # here, off the start-up path of every call
         args.seed = secrets.randbits(63)
     return args.seed
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from typing import Callable, Iterator, NamedTuple
@@ -639,8 +639,3 @@ def coverage_experiment(cfg: CoverageConfig) -> CoverageResult:
         codewords=M,
         mutual_information_bits=cfg.mutual_information_bits,
     )
-
-
-def with_interferer(cfg: SimConfig, kind: str) -> SimConfig:
-    """Same run with the interferer distribution swapped at equal power."""
-    return replace(cfg, interferer=kind)

@@ -149,12 +149,6 @@ def case_constraints_hold(cfg: ChannelConfig, tag: ScenarioCase) -> bool:
     return True
 
 
-def validate_case(cfg: ChannelConfig, tag: ScenarioCase) -> None:
-    """Raise ValueError unless cfg matches the case's fixed parameters."""
-    if not case_constraints_hold(cfg, tag):
-        raise ValueError(f"config {cfg} does not satisfy the {tag.name} constraints")
-
-
 def gaussian_mi(signal_power: float, noise_plus_interference_power: float) -> float:
     """Gaussian mutual information 0.5*log2(1 + S/N) in bits per channel use.
 
@@ -194,10 +188,11 @@ def math_map(fn: Callable[[float], float], x) -> np.ndarray:
 
     The closed forms take every transcendental through here: numpy's own
     log1p, log2, expm1, exp and x**2 differ from libm's in the last bit on a
-    share of inputs, and the CLI prints floats with repr.
+    share of inputs, and the CLI prints floats with repr.  libm reads the
+    elements straight from the flat buffer, not from a list of their copies.
     """
     x = np.asarray(x, dtype=float)
-    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return np.fromiter(map(fn, memoryview(x.ravel())), float, x.size).reshape(x.shape)
 
 
 def square(x) -> np.ndarray:

@@ -10,12 +10,13 @@ in Case C, certifies the constant-bit gaps between achievable rates and
 outer bounds over power grids, demonstrates that the cut-set bound is
 strictly loose in Case C, and produces the rate-versus-sum-capacity sweep
 data (best link split per sum) behind the composite rate curves.  The sweep
-checks its powers once and evaluates all splits of a sum in one call of the
-array core (`achievable.best_arrays`, `bounds.cutset_min_array`); the gap
-certificates evaluate their grid one p_x row at a time, as arrays over p_j,
-and report each regime's largest gap as the config-checked per-point path
-(`gap_case_a/b/c`) gives it at that point.  The pre-log ladders and the
-looseness demo build one config per point.
+checks its powers once; it and the gap certificates call the array core
+(`achievable.best_arrays`, `bounds.cutset_min_array`, ...) in blocks of about
+`_BLOCK` grid points: all splits of as many sums as fit, or the points of one
+regime from consecutive p_x rows.  The certificates report each regime's
+largest gap as the config-checked per-point path (`_point_certificate`) gives
+it at that point.  The pre-log ladders and the looseness demo build one
+config per point.
 """
 
 from __future__ import annotations
@@ -28,11 +29,14 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .achievable import Scheme, achievable_case_c, best_achievable, best_arrays, lattice_arrays
-from .bounds import cutset_case_c, cutset_min_array, modulo_bound, modulo_bound_array
+from .bounds import cutset_case_c, cutset_min_array, modulo_bound_array
 from .bounds import modulo_bound_case_c, outer_bounds
 from .model import ScenarioCase, gaussian_mi, make_preset, math_map
 
 PRELOG_METHODS = ("finite_difference", "ratio")
+
+#: Grid points per array-core call of the sweeps and gap grids; peak memory stays flat.
+_BLOCK = 2048
 
 #: Default exponent ladder (log2 of transmit power) for pre-log estimation.
 DEFAULT_EXPONENTS = tuple(range(10, 41))
@@ -302,23 +306,33 @@ def _cutset_threshold(p_x: float) -> float:
         return (1.0 + p_x) * ((1.0 + p_x) / p_x)
 
 
-def _gap_row(case: ScenarioCase, p_x: float, p_j: np.ndarray):
-    """(regime, gaps over p_j[regime.mask]) per nonempty regime at one p_x."""
-    for regime in _gap_regimes(case, p_x, p_j):
-        if not regime.mask.any():
-            continue
-        pj = p_j[regime.mask]
-        c1 = regime.c1
-        c2 = 0.5 * math_map(math.log2, pj) if regime.c2 is None else regime.c2
-        if case is ScenarioCase.CASE_C:
-            rate = lattice_arrays(case, p_x, pj, c1, c2).rate
-        else:
-            rate = best_arrays(case, p_x, pj, c1, c2)[0].rate
-        if regime.bound == "modulo":
-            bound = modulo_bound_array(p_x, pj, c1, c2)
-        else:
-            bound = cutset_min_array(case, p_x, pj, c1, c2)
-        yield regime, bound - rate
+def _gap_blocks(case: ScenarioCase, px_grid: Sequence[float], pj_grid: Sequence[float]):
+    """(regime, points, gaps) per regime the grid reaches, the points in grid order
+    (p_x rows, then p_j), evaluated `_BLOCK` points to one array-core call."""
+    p_j = np.array(pj_grid, dtype=float)
+    rows: dict[str, list] = {}
+    for p_x in px_grid:
+        for regime in _gap_regimes(case, p_x, p_j):
+            rows.setdefault(regime.name, []).append((p_x, regime))
+    for regime_rows in rows.values():
+        regime, counts = regime_rows[0][1], [np.count_nonzero(r.mask) for _, r in regime_rows]
+        points = [(p_x, q) for p_x, r in regime_rows
+                  for q in itertools.compress(pj_grid, r.mask.tolist())]
+        px = np.repeat(np.array([p_x for p_x, _ in regime_rows], dtype=float), counts)
+        pj = np.concatenate([p_j[r.mask] for _, r in regime_rows])
+        c1 = np.repeat(np.array([r.c1 for _, r in regime_rows]), counts)
+        c2 = (0.5 * math_map(math.log2, pj) if regime.c2 is None
+              else np.repeat(np.array([r.c2 for _, r in regime_rows]), counts))
+        gaps = np.empty(len(points))
+        for k in range(0, len(points), _BLOCK):
+            block = [v[k:k + _BLOCK] for v in (px, pj, c1, c2)]
+            rate = (lattice_arrays(case, *block).rate if case is ScenarioCase.CASE_C
+                    else best_arrays(case, *block)[0].rate)
+            bound = (modulo_bound_array(*block) if regime.bound == "modulo"
+                     else cutset_min_array(case, *block))
+            gaps[k:k + _BLOCK] = bound - rate
+        if points:
+            yield regime, points, gaps
 
 
 def _point_certificate(case: ScenarioCase, p_x: float, p_j: float) -> GapCertificate:
@@ -340,21 +354,6 @@ def _point_certificate(case: ScenarioCase, p_x: float, p_j: float) -> GapCertifi
     return GapCertificate(case, regime.name, ((p_x, p_j),), gap, regime.bound, regime.claim)
 
 
-def gap_case_a(p_x: float, p_j: float) -> GapCertificate:
-    """Case A gap at the one point (p_x, p_j), in its regime (see `_gap_regimes`)."""
-    return _point_certificate(ScenarioCase.CASE_A, p_x, p_j)
-
-
-def gap_case_b(p_x: float, p_j: float) -> GapCertificate:
-    """Case B gap at the one point (p_x, p_j) (see `_gap_regimes`)."""
-    return _point_certificate(ScenarioCase.CASE_B, p_x, p_j)
-
-
-def gap_case_c(p_x: float, p_j: float) -> GapCertificate:
-    """Case C gap at the one point (p_x, p_j), in its regime (see `_gap_regimes`)."""
-    return _point_certificate(ScenarioCase.CASE_C, p_x, p_j)
-
-
 def default_power_grid() -> tuple[float, ...]:
     """Decade-spaced grid, 5 points per decade, over [10, 1e9]."""
     return tuple(10.0**e for e in np.arange(1.0, 9.0 + 1e-9, 0.2))
@@ -368,10 +367,11 @@ def certify_gaps(
     """Sweep the gap over a power grid, one aggregated certificate per regime.
 
     Each regime of the case pins the link capacities to its prescribed
-    values (see `_gap_regimes`).  The grid is evaluated one p_x row at a
-    time, as arrays over p_j; each regime's largest gap is then evaluated
-    again at its point through the per-point path of `gap_case_a/b/c`.
-    Points outside every regime of the case are skipped.
+    values (see `_gap_regimes`).  Each regime's points, in grid order, go to
+    the array core in blocks of `_BLOCK`; its largest gap is then evaluated
+    again at its point through the config-checked per-point functions, so a
+    one-point grid gives the gap of that point.  Points outside every regime
+    of the case are skipped.
 
     Raises:
         ValueError: on a non-finite p_x, a NaN or negative power in either
@@ -379,22 +379,17 @@ def certify_gaps(
     """
     px_grid = default_power_grid() if px_grid is None else tuple(px_grid)
     pj_grid = default_power_grid() if pj_grid is None else tuple(pj_grid)
-    p_j = np.array(pj_grid, dtype=float)
     if not all(0.0 <= p_x < math.inf for p_x in px_grid):
         raise ValueError("every p_x of the grid must be finite and >= 0")
-    if not np.all(p_j >= 0.0):
+    if not np.all(np.array(pj_grid, dtype=float) >= 0.0):
         raise ValueError("every p_j of the grid must be >= 0 (inf is accepted)")
-    found: dict[str, tuple[list, list]] = {}
-    for p_x in px_grid:
-        for regime, gap in _gap_row(case, p_x, p_j):
-            points, gaps = found.setdefault(regime.name, ([], []))
-            points.extend((p_x, q) for q in itertools.compress(pj_grid, regime.mask.tolist()))
-            gaps.append(gap)
+    found = {regime.name: (points, gaps)
+             for regime, points, gaps in _gap_blocks(case, px_grid, pj_grid)}
     if not found:
         raise ValueError(f"no grid point lies inside a {case.name} gap regime")
     certificates = []
     for _, (points, gaps) in sorted(found.items()):
-        worst = points[int(np.argmax(np.concatenate(gaps)))]  # the first largest gap, or a NaN
+        worst = points[int(np.argmax(gaps))]  # the first largest gap, or a NaN
         certificates.append(replace(_point_certificate(case, *worst), grid=tuple(points)))
     return tuple(certificates)
 
@@ -479,18 +474,30 @@ def sweep_sum_capacity(
         raise ValueError("need at least two split samples")
     cfg = make_preset(case, p_x, p_j, c1=0.0, c2=0.0)  # the links vary per split below
     p_x, p_j = cfg.p_x, cfg.p_j
-    points = []
-    for total in map(float, sum_capacities):
+    totals = np.array([float(total) for total in sum_capacities])
+    for total in totals.tolist():
         if not 0.0 <= total < math.inf:
             raise ValueError(f"sum capacity must be finite and >= 0, got {total}")
-        c1 = np.linspace(0.0, total, split_samples)
-        c2 = total - c1
+    points = []
+    per_block = max(1, _BLOCK // split_samples)
+    for block in (totals[k:k + per_block] for k in range(0, totals.size, per_block)):
+        c1 = _splits(block, split_samples)
+        c2 = block[:, None] - c1
         best, local = best_arrays(case, p_x, p_j, c1, c2)
-        i = int(np.argmax(best.rate))  # the first maximum: the lowest c1 wins a tie
-        half = total / 2.0
-        modulo = modulo_bound(p_x, p_j, half, half) if case is ScenarioCase.CASE_C else None
-        scheme = Scheme.LOCAL_DECODE if local[i] else best.scheme
-        cutset = cutset_min_array(case, p_x, p_j, c1, c2).max().item()
-        points.append(SweepPoint(total, best.rate[i].item(), scheme, c1[i].item(),
-                                 c2[i].item(), cutset, modulo))
+        at = np.arange(block.size), np.argmax(best.rate, axis=1)  # the lowest c1 wins a tie
+        cutset = cutset_min_array(case, p_x, p_j, c1, c2).max(axis=1)
+        modulo = [None] * block.size
+        if case is ScenarioCase.CASE_C and p_j > 0.0:  # `modulo_bound` at each half split
+            modulo = modulo_bound_array(p_x, p_j, block / 2.0, block / 2.0).tolist()
+        schemes = [Scheme.LOCAL_DECODE if wins else best.scheme for wins in local[at].tolist()]
+        points += map(SweepPoint, block.tolist(), best.rate[at].tolist(), schemes,
+                      c1[at].tolist(), c2[at].tolist(), cutset.tolist(), modulo)
     return points
+
+
+def _splits(totals: np.ndarray, n: int) -> np.ndarray:
+    """Row k is np.linspace(0.0, totals[k], n), bit for bit, subnormal steps included."""
+    i, step = np.arange(n, dtype=float), totals[:, None] / (n - 1)
+    c1 = np.where(step == 0.0, i / (n - 1) * totals[:, None], i * step)
+    c1[:, -1] = totals
+    return c1

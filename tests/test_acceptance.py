@@ -7,6 +7,7 @@ or on failure).  Tolerances are fixed here, not calibrated elsewhere.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from tworelay.lattice_sim import (
     SimConfig,
     coverage_experiment,
     run_lattice_sim,
-    with_interferer,
 )
 from tworelay.model import ScenarioCase, gaussian_mi, make_preset
 from tworelay.scaling import (
@@ -228,7 +228,7 @@ def test_criterion_7_interferer_robustness():
     deltas = []
     ok = True
     for kind in ("uniform", "bpsk"):
-        swapped = run_lattice_sim(with_interferer(base_cfg, kind))
+        swapped = run_lattice_sim(replace(base_cfg, interferer=kind))
         delta = abs(swapped.empirical_var_neq - base.empirical_var_neq)
         deltas.append(f"{kind}: {delta / base.empirical_var_neq:.2e}")
         ok &= delta < 0.02 * base.empirical_var_neq

@@ -32,8 +32,8 @@ from tworelay.bounds import (
     modulo_bound,
     modulo_bound_array,
 )
-from tworelay.model import ScenarioCase
-from tworelay.scaling import _gap_row
+from tworelay.model import ScenarioCase, math_map
+from tworelay.scaling import _BLOCK, _gap_blocks, _splits, certify_gaps
 
 A, B, C = ScenarioCase.CASE_A, ScenarioCase.CASE_B, ScenarioCase.CASE_C
 N = 10_000
@@ -136,15 +136,54 @@ def test_gaps_equal_reference(case, seed):
     p_x[:3] = (0.0, 1.0, 4.0)
     p_j = 10.0 ** rng.uniform(-1, 9, 100)
     p_j[:4] = (0.0, 1.0, 4.0, math.inf)  # regime edges
-    for px in p_x.tolist():
-        expected = [ref.GAP_FUNCTIONS[case](px, pj) for pj in p_j.tolist()]
-        covered = np.zeros(p_j.size, dtype=bool)
-        for regime, gaps in _gap_row(case, px, p_j):
-            covered |= regime.mask
-            inside = [e for e, m in zip(expected, regime.mask) if m]
-            assert all(e[0] == regime.name for e in inside)
-            assert_bits_equal(gaps, [e[1] for e in inside])
-        assert covered.tolist() == [e is not None for e in expected]
+    expected = {(px, pj): ref.GAP_FUNCTIONS[case](px, pj)
+                for px in p_x.tolist() for pj in p_j.tolist()}
+    covered = []
+    for regime, points, gaps in _gap_blocks(case, p_x.tolist(), p_j.tolist()):
+        inside = [expected[point] for point in points]
+        assert all(e[0] == regime.name for e in inside)
+        assert_bits_equal(gaps, [e[1] for e in inside])
+        covered.extend(points)
+    assert len(covered) > _BLOCK  # the regimes' points span blocks
+    assert sorted(covered) == sorted(point for point, e in expected.items() if e is not None)
+
+
+@pytest.mark.parametrize("case", [A, B, C])
+def test_gap_certificates_equal_reference_across_blocks(case):
+    grid = (10.0 ** np.linspace(-1.0, 9.0, 101)).tolist()
+    expected = {}
+    for point in ((px, pj) for px in grid for pj in grid):
+        found = ref.GAP_FUNCTIONS[case](*point)
+        if found is not None:
+            expected.setdefault(found[0], []).append((point, found[1]))
+    certificates = certify_gaps(case, grid, grid)
+    assert [cert.regime for cert in certificates] == sorted(expected)
+    for cert in certificates:
+        points, gaps = zip(*expected[cert.regime])
+        assert len(points) > _BLOCK and len(points) % _BLOCK != 0
+        assert cert.grid == points
+        assert_bits_equal(cert.max_gap, max(gaps))
+
+
+def test_splits_equal_linspace():
+    # the subnormal totals take linspace's (i/(n-1))*total form
+    totals = np.array([0.0, 5e-324, 1e-320, 2.2e-308, 0.25, 1.75, 27.75, 600.0, 1e300])
+    for n in (2, 3, 61, 1001):
+        assert_bits_equal(_splits(totals, n), [np.linspace(0.0, t, n) for t in totals])
+
+
+@pytest.mark.parametrize("x", [
+    np.float64(2.5), np.array(0.75), 1.25, [0.5, 1.5],
+    np.arange(12.0).reshape(3, 4) / 7.0,
+    (np.arange(48.0).reshape(6, 8) / 7.0)[::2, 1::3],  # not contiguous
+    np.arange(6.0)[::-1], np.empty((0, 3)),
+])
+def test_math_map_keeps_shape_and_bits(x):
+    # a 0-d input stays 0-d, so float() of a per-point result works
+    out = math_map(math.expm1, x)
+    values = np.asarray(x, dtype=float)
+    assert out.shape == values.shape
+    assert_bits_equal(out.ravel(), [math.expm1(v) for v in values.ravel().tolist()])
 
 
 def test_point_wrappers_equal_reference():

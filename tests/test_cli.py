@@ -339,6 +339,30 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_cli_import_loads_no_secrets():
+    # secrets is needed only to draw a missing --seed, which
+    # test_simulate_generates_and_records_seed covers
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, tworelay.cli; print('secrets' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
+def test_grid_overflow_exits_2_before_numpy_warns():
+    # -W error would turn numpy's overflow warning on 10.0**310 into a traceback
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "tworelay.cli", "gaps",
+                           "--case", "a", "--grid", "306:310:1"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("tworelay: error: ")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_cli_import_starts_no_thread():
     # the simulator's thread pool is created per run, and concurrent.futures
     # is imported only then, so a CLI start-up pays for neither

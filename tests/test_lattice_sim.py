@@ -20,7 +20,6 @@ from tworelay.lattice_sim import (
     crypto_lemma_check,
     run_lattice_sim,
     sw_rate_check,
-    with_interferer,
 )
 
 CASE_B = SimConfig(case="b", p_x=15, p_j=15, c1=2, c2=1, samples=10**6, seed=1)
@@ -110,7 +109,7 @@ class TestRunLatticeSim:
     def test_interferer_statistics_do_not_matter(self):
         base = run_lattice_sim(CASE_B)
         for kind in ("uniform", "bpsk"):
-            swapped = run_lattice_sim(with_interferer(CASE_B, kind))
+            swapped = run_lattice_sim(replace(CASE_B, interferer=kind))
             delta = abs(swapped.empirical_var_neq - base.empirical_var_neq)
             assert delta < 0.02 * base.empirical_var_neq
             assert swapped.identity_max_residual <= 1e-9 * swapped.cell_length
@@ -199,8 +198,8 @@ def bit_patterns(stats):
 SMALL_C = replace(CASE_C, samples=3 * BATCH_SIZE + 17)
 BIT_IDENTITY_CONFIGS = [
     *(replace(CASE_B, samples=n) for n in (1, BATCH_SIZE, BATCH_SIZE + 1, 3 * BATCH_SIZE + 17)),
-    with_interferer(SMALL_C, "uniform"),
-    with_interferer(SMALL_C, "bpsk"),
+    replace(SMALL_C, interferer="uniform"),
+    replace(SMALL_C, interferer="bpsk"),
     replace(SMALL_C, p_j=0.0, seed=4),
     replace(SMALL_C, c1=math.inf, seed=5),
     SimConfig(case="general", p_x=8, p_j=3, c1=2, c2=1.5, samples=2 * BATCH_SIZE + 5,

@@ -7,14 +7,12 @@ from tworelay.achievable import Scheme, best_achievable, best_report
 from tworelay.bounds import cutset_terms, modulo_bound, modulo_bound_case_c, outer_bounds
 from tworelay.model import INFINITE_CAPACITY, ScenarioCase, make_preset
 from tworelay.scaling import (
+    _BLOCK,
     SweepPoint,
     certify_gaps,
     cutset_looseness_demo,
     default_power_grid,
     estimate_prelog,
-    gap_case_a,
-    gap_case_b,
-    gap_case_c,
     interference_info_lower_bound,
     coupled_capacity_rate_fn,
     required_region_case_c,
@@ -130,55 +128,61 @@ class TestCornerPointAchievability:
             assert est.prelog == pytest.approx(0.5, abs=0.02)
 
 
+def gap_at(case, p_x, p_j):
+    """The certificate of the one-point grid (p_x, p_j)."""
+    (cert,) = certify_gaps(case, [p_x], [p_j])
+    return cert
+
+
 class TestGapCertificates:
     def test_case_a_high_interference_point(self):
-        cert = gap_case_a(100.0, 1000.0)
+        cert = gap_at(ScenarioCase.CASE_A, 100.0, 1000.0)
         assert cert.regime == "high_interference"
         assert cert.claimed_bound == 0.7925
         assert cert.max_gap <= 0.7925
         assert cert.satisfied
 
     def test_case_a_low_interference_point(self):
-        cert = gap_case_a(1000.0, 100.0)
+        cert = gap_at(ScenarioCase.CASE_A, 1000.0, 100.0)
         assert cert.regime == "low_interference"
         assert cert.max_gap <= 1.0
 
     def test_case_a_outside_regimes(self):
         with pytest.raises(ValueError):
-            gap_case_a(10.0, 0.5)
+            gap_at(ScenarioCase.CASE_A, 10.0, 0.5)
 
     def test_case_a_equal_powers_grid(self):
-        gaps = [gap_case_a(p, p).max_gap for p in default_power_grid()]
+        gaps = [gap_at(ScenarioCase.CASE_A, p, p).max_gap for p in default_power_grid()]
         assert max(gaps) <= 1.0
 
     def test_case_b_points(self):
-        assert gap_case_b(1e4, 1e3).max_gap <= 1.29
-        assert gap_case_b(1.0001, 1.0).max_gap <= 1.29
-        assert gap_case_b(1e8, 1e8).max_gap <= 1.29
+        assert gap_at(ScenarioCase.CASE_B, 1e4, 1e3).max_gap <= 1.29
+        assert gap_at(ScenarioCase.CASE_B, 1.0001, 1.0).max_gap <= 1.29
+        assert gap_at(ScenarioCase.CASE_B, 1e8, 1e8).max_gap <= 1.29
 
     def test_case_b_regime_bounds(self):
         with pytest.raises(ValueError):
-            gap_case_b(1.0, 10.0)
+            gap_at(ScenarioCase.CASE_B, 1.0, 10.0)
         with pytest.raises(ValueError):
-            gap_case_b(100.0, 0.5)
+            gap_at(ScenarioCase.CASE_B, 100.0, 0.5)
 
     def test_case_c_modulo_regime(self):
-        cert = gap_case_c(1e6, 1e3)
+        cert = gap_at(ScenarioCase.CASE_C, 1e6, 1e3)
         assert cert.regime == "modulo"
         assert cert.bound_used == "modulo"
         assert cert.max_gap <= 2.816
-        assert gap_case_c(4.0, 2.0).max_gap <= 2.816
+        assert gap_at(ScenarioCase.CASE_C, 4.0, 2.0).max_gap <= 2.816
 
     def test_case_c_cutset_regime(self):
-        cert = gap_case_c(1e3, 1e7)
+        cert = gap_at(ScenarioCase.CASE_C, 1e3, 1e7)
         assert cert.regime == "cutset"
         assert cert.max_gap <= 1.5
 
     def test_case_c_between_regimes(self):
         with pytest.raises(ValueError):
-            gap_case_c(100.0, 100.0)
+            gap_at(ScenarioCase.CASE_C, 100.0, 100.0)
         with pytest.raises(ValueError):
-            gap_case_c(100.0, 1.0)
+            gap_at(ScenarioCase.CASE_C, 100.0, 1.0)
 
     def test_grid_certification(self):
         for case in (ScenarioCase.CASE_A, ScenarioCase.CASE_B, ScenarioCase.CASE_C):
@@ -299,6 +303,20 @@ class TestSweepMatchesReference:
         assert sweep_sum_capacity(case, p_x, p_j, sums, split_samples=61) == reference_sweep(
             case, p_x, p_j, sums, 61
         )
+
+    @pytest.mark.parametrize("case, p_x, p_j", [(ScenarioCase.CASE_B, 1e8, 1e4),
+                                                (ScenarioCase.CASE_C, 37.5, 2.5e5)])
+    def test_sums_span_blocks(self, case, p_x, p_j):
+        # a block holds two sums of 1 001 splits, so five sums take three blocks
+        sums = [0.0, 3.5, 7.0, 10.5, 14.0]
+        assert len(sums) * 1001 > 2 * _BLOCK
+        assert sweep_sum_capacity(case, p_x, p_j, sums) == reference_sweep(
+            case, p_x, p_j, sums, 1001)
+
+    def test_splits_exceed_a_block(self):
+        sums, splits = [2.0, 9.0], _BLOCK + 52
+        assert sweep_sum_capacity(ScenarioCase.CASE_C, 1e8, 1e4, sums, splits) == (
+            reference_sweep(ScenarioCase.CASE_C, 1e8, 1e4, sums, splits))
 
     @pytest.mark.parametrize("total", [math.inf, math.nan])
     def test_rejects_non_finite_sums(self, total):
