@@ -256,6 +256,7 @@ def _run_batches(
             stopped when it propagates.
     """
     from concurrent.futures import ThreadPoolExecutor
+    import numpy.random  # here: a worker's first draw would load it in its own malloc arena
 
     todo = _batches(samples)
     workers = min(_usable_cpus(), -(-samples // BATCH_SIZE))

@@ -486,9 +486,8 @@ def sweep_sum_capacity(
         best, local = best_arrays(case, p_x, p_j, c1, c2)
         at = np.arange(block.size), np.argmax(best.rate, axis=1)  # the lowest c1 wins a tie
         cutset = cutset_min_array(case, p_x, p_j, c1, c2).max(axis=1)
-        modulo = [None] * block.size
-        if case is ScenarioCase.CASE_C and p_j > 0.0:  # `modulo_bound` at each half split
-            modulo = modulo_bound_array(p_x, p_j, block / 2.0, block / 2.0).tolist()
+        modulo = (modulo_bound_array(p_x, p_j, block / 2.0, block / 2.0).tolist()  # half splits
+                  if case is ScenarioCase.CASE_C and p_j > 0.0 else [None] * block.size)
         schemes = [Scheme.LOCAL_DECODE if wins else best.scheme for wins in local[at].tolist()]
         points += map(SweepPoint, block.tolist(), best.rate[at].tolist(), schemes,
                       c1[at].tolist(), c2[at].tolist(), cutset.tolist(), modulo)
