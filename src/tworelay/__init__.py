@@ -23,8 +23,6 @@ from .achievable import (
 from .bounds import (
     MODULO_BOUND_CONSTANT,
     BoundReport,
-    cutset_case_a,
-    cutset_case_b,
     cutset_case_c,
     full_cooperation_capacity,
     modulo_bound_case_c,
@@ -70,8 +68,6 @@ __all__ = [
     "make_preset",
     "BoundReport",
     "MODULO_BOUND_CONSTANT",
-    "cutset_case_a",
-    "cutset_case_b",
     "cutset_case_c",
     "modulo_bound_case_c",
     "full_cooperation_capacity",

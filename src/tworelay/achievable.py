@@ -33,10 +33,11 @@ case, so a sweep evaluates all splits of several sums in one call.  Arithmetic r
 in numpy in the order of the formulas; every transcendental goes through
 `model.math_map` (libm), which keeps each element equal, bit for bit, to a
 per-point evaluation.  The core takes its input as given.  The per-point
-functions (`achievable_case_*`, `local_decode_baseline`, `best_report`)
-evaluate it at one point, `local_decode_baseline` after checking its powers
-as `model.gaussian_mi` does; `best_achievable` infers a config's case once
-and calls `best_report`.
+entries evaluate it at one point after one input check: `achievable_case_*`
+and `local_decode_baseline` check their powers and links as `ChannelConfig`
+checks its fields (`model._check_fields`), and `best_achievable` infers a
+config's case once and checks the config against it.  Input outside the
+model raises ValueError.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ChannelConfig, ScenarioCase, case_constraints_hold, check_mi_powers
+from .model import ChannelConfig, ScenarioCase, _check_fields, case_constraints_hold
 from .model import as_arrays, math_map, mutual_info, square
 
 _LN2 = math.log(2.0)
@@ -149,8 +150,8 @@ def mmse_alpha(p_x, p_n1, p_n2, gain_difference: float) -> np.ndarray:
     num = gain_difference * p_x
     denom = gain_difference**2 * p_x + p_n1 + p_n2
     alpha = np.where(denom == 0.0, 0.0, np.divide(num, denom))
-    overflowed = np.isinf(num) & np.isinf(denom)
-    if overflowed.any():  # past the largest float alpha tends to 1/gain_difference
+    overflowed = np.isinf(denom)
+    if overflowed.any():  # there alpha rounds to its limit 1/gain_difference
         alpha = np.where(overflowed, 1.0 / gain_difference, alpha)
     return alpha
 
@@ -192,9 +193,16 @@ def _unless_unlimited(p_j, power) -> np.ndarray:
 
 def side_information_power(p_x, p_j, alpha, p_d1, p_n1, p_n2, gain_sum: float) -> np.ndarray:
     """Power s of the sum signal relay 2's binned description is resolved against
-    (unlimited where p_j is)."""
-    return _unless_unlimited(
-        p_j, square(alpha) * (gain_sum**2 * p_x + 4.0 * p_j + p_n1 + p_n2) + p_d1)
+    (unlimited where p_j is).  Where the bracket overflows or alpha^2 underflows,
+    alpha scales a quarter of the bracket twice: no 0 * inf, no term lost as 0."""
+    bracket = gain_sum**2 * p_x + 4.0 * p_j + p_n1 + p_n2
+    alpha2 = square(alpha)
+    s = alpha2 * bracket + p_d1
+    lost = (np.isinf(bracket) | (alpha2 == 0.0)) & np.isfinite(p_j)
+    if lost.any():
+        quarter = 0.25 * (gain_sum**2 * p_x + p_n1 + p_n2) + p_j
+        s = np.where(lost, 4.0 * (alpha * (alpha * quarter)) + p_d1, s)
+    return _unless_unlimited(p_j, s)
 
 
 def distortion_relay2_case_c(
@@ -370,19 +378,22 @@ def achievable_case_a(p_x: float, p_j: float, c2: float) -> AchievableReport:
     which is the same quantity and stays accurate for capacities of
     hundreds of bits.
     """
+    p_x, p_j, c2 = _check_fields(p_x=p_x, p_j=p_j, c2=c2)
     return _report(lattice_arrays(ScenarioCase.CASE_A, p_x, p_j, math.inf, c2))
 
 
 def achievable_case_b(p_x: float, p_j: float, c1: float, c2: float) -> AchievableReport:
     """Case B rate of the lattice scheme at one point (closed form in `_case_b`)."""
-    return _report(lattice_arrays(ScenarioCase.CASE_B, p_x, p_j, c1, c2))
+    point = _check_fields(p_x=p_x, p_j=p_j, c1=c1, c2=c2)
+    return _report(lattice_arrays(ScenarioCase.CASE_B, *point))
 
 
 def achievable_case_c(
     p_x: float, p_j: float, c1: float, c2: float, variant: str = "prop"
 ) -> AchievableReport:
     """Case C rate of the lattice scheme at one point (see `_case_c`)."""
-    return _report(lattice_arrays(ScenarioCase.CASE_C, p_x, p_j, c1, c2, variant))
+    point = _check_fields(p_x=p_x, p_j=p_j, c1=c1, c2=c2)
+    return _report(lattice_arrays(ScenarioCase.CASE_C, *point, variant))
 
 
 def local_decode_baseline(
@@ -393,36 +404,22 @@ def local_decode_baseline(
     A relay can decode the message itself whenever
     R <= 0.5*log2(1 + p_x/(p_j+1)) and then forwards information bits, so
     Case B achieves min(c1, that SINR rate) and Case C (where either relay
-    may decode, sharing the work) min(c1+c2, that SINR rate).
+    may decode, sharing the work) min(c1+c2, that SINR rate); Case B ignores c2.
     """
     if case is ScenarioCase.CASE_C and c2 is None:
         raise ValueError("Case C local decoding needs c2")
-    check_mi_powers(p_x, p_j + 1.0)
-    rate = local_decode_rates(case, p_x, p_j, c1, c2).item()
-    return AchievableReport(rate=rate, scheme=Scheme.LOCAL_DECODE)
-
-
-def best_report(
-    case: ScenarioCase, p_x: float, p_j: float, c1: float, c2: float
-) -> AchievableReport:
-    """Best rate over the schemes of `case` at one operating point.
-
-    Case A has the single closed form; Cases B and C take the max of the
-    lattice scheme (both relay orientations for C) and the local-decoding
-    baseline.  The returned report records the winning scheme.  The case is
-    taken as given; callers check their inputs against it once.
-    """
-    arrays, local = best_arrays(case, p_x, p_j, c1, c2)
-    if local.item():
-        return AchievableReport(rate=arrays.rate.item(), scheme=Scheme.LOCAL_DECODE)
-    return _report(arrays)
+    point = _check_fields(p_x=p_x, p_j=p_j, c1=c1, c2=math.inf if c2 is None else c2)
+    return AchievableReport(local_decode_rates(case, *point).item(), Scheme.LOCAL_DECODE)
 
 
 def best_achievable(cfg: ChannelConfig) -> AchievableReport:
-    """Best rate over the schemes of cfg's case, inferred once (see `best_report`).
+    """Best rate over the schemes of cfg's case at its operating point.
 
-    The relay-2 gain singles out Case C (as which full cooperation reads) and
-    an unlimited c1 Case A; one constraint check confirms the pick.
+    Case A has the single closed form; Cases B and C take the max of the
+    lattice scheme (both relay orientations for C) and the local-decoding
+    baseline, and the report records the winner.  The case is inferred once:
+    the relay-2 gain singles out Case C and an unlimited c1 Case A; one
+    constraint check confirms the pick.
     """
     if cfg.b != 0.0:
         case = ScenarioCase.CASE_C
@@ -430,4 +427,7 @@ def best_achievable(cfg: ChannelConfig) -> AchievableReport:
         case = ScenarioCase.CASE_A if math.isinf(cfg.c1) else ScenarioCase.CASE_B
     if not case_constraints_hold(cfg, case):
         raise ValueError("config does not match any canonical case preset")
-    return best_report(case, cfg.p_x, cfg.p_j, cfg.c1, cfg.c2)
+    arrays, local = best_arrays(case, cfg.p_x, cfg.p_j, cfg.c1, cfg.c2)
+    if local.item():
+        return AchievableReport(arrays.rate.item(), Scheme.LOCAL_DECODE)
+    return _report(arrays)

@@ -8,13 +8,12 @@ which is evaluated exactly here (~1.5235 bits), never as a rounded figure.
 
 All bound terms are formed in the log domain, so an unlimited link
 (`INFINITE_CAPACITY`) simply makes its cut term infinite and never binding.
-The config-taking functions check a config against its case once, then call
-`cutset_terms` and `modulo_bound`, which check the powers as
-`model.gaussian_mi` does and evaluate the array forms (`cutset_term_arrays`,
-`cutset_min_array`, `modulo_bound_array`) at one point.  The array forms
-take their input as given, broadcast over (p_x, p_j, c1, c2) and take every
-logarithm through `model.math_map` (libm), so each element equals the
-per-point value bit for bit.
+The array forms (`cutset_term_arrays`, `cutset_min_array`,
+`modulo_bound_array`) take their input as given, broadcast over
+(p_x, p_j, c1, c2) and take every logarithm through `model.math_map`
+(libm).  The per-point entries (`outer_bounds`, `cutset_case_c`,
+`modulo_bound_case_c`) check a config against its case once, which raises
+ValueError on a mismatch, and evaluate the array forms at its point.
 """
 
 from __future__ import annotations
@@ -25,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChannelConfig, ScenarioCase, case_constraints_hold, gaussian_mi
-from .model import as_arrays, check_mi_powers, mutual_info
+from .model import ChannelConfig, ScenarioCase, as_arrays, case_constraints_hold
+from .model import math_map, mutual_info
 
 #: Additive constant of the Case C modulo bound: 0.25 * log2(8*pi*e).
 MODULO_BOUND_CONSTANT = 0.25 * math.log2(8.0 * math.pi * math.e)
@@ -58,9 +57,7 @@ class BoundReport:
 def _report(terms: list[tuple[str, float]], modulo: float | None = None) -> BoundReport:
     cutset = min(v for _, v in terms)
     binding = cutset if modulo is None else min(cutset, modulo)
-    return BoundReport(
-        terms=tuple(terms), cutset_min=cutset, modulo_bound=modulo, binding=binding
-    )
+    return BoundReport(tuple(terms), cutset, modulo, binding)
 
 
 @np.errstate(all="ignore")
@@ -68,8 +65,6 @@ def cutset_term_arrays(case: ScenarioCase, p_x, p_j, c1, c2) -> list[tuple[str, 
     """Labelled cut-set terms of `case` as arrays that broadcast over (p_x, p_j, c1, c2);
     the case is taken as given (callers check their inputs against it once)."""
     p_x, p_j, c1, c2 = as_arrays(p_x, p_j, c1, c2)
-    if case is ScenarioCase.FULL_COOPERATION:
-        return [("i(x;y1,y2)", mutual_info(2.0 * p_x, 1.0))]
     interfered = mutual_info(p_x, p_j + 1.0)
     if case is ScenarioCase.CASE_A:
         return [("c2 + i(x;y1)", c2 + interfered), ("i(x;y1|j)", mutual_info(p_x, 1.0))]
@@ -84,9 +79,20 @@ def cutset_term_arrays(case: ScenarioCase, p_x, p_j, c1, c2) -> list[tuple[str, 
             ("c1 + c2", c1 + c2),
             ("c1 + i(x;y2)", c1 + interfered),
             ("c2 + i(x;y1)", c2 + interfered),
-            ("i(x;y1,y2)", mutual_info(2.0 * p_x, 1.0)),
+            ("i(x;y1,y2)", _full_cooperation_array(p_x)),
         ]
     raise ValueError(f"unknown case {case!r}")
+
+
+@np.errstate(all="ignore")
+def _full_cooperation_array(p_x) -> np.ndarray:
+    """0.5*log2(1 + 2*p_x); where 2*p_x overflows, 0.5*(1 + log2(p_x)), which
+    differs from it by under a part in 1e308."""
+    doubled = 2.0 * p_x
+    mi = mutual_info(doubled, 1.0)
+    overflowed = np.isinf(doubled) & np.isfinite(p_x)
+    mi[overflowed] = 0.5 * (1.0 + math_map(math.log2, p_x[overflowed]))
+    return mi
 
 
 def cutset_min_array(case: ScenarioCase, p_x, p_j, c1, c2) -> np.ndarray:
@@ -101,22 +107,6 @@ def modulo_bound_array(p_x, p_j, c1, c2) -> np.ndarray:
     return 0.5 * (c1 + c2 + mutual_info(p_x, p_j)) + MODULO_BOUND_CONSTANT
 
 
-def cutset_terms(
-    case: ScenarioCase, p_x: float, p_j: float, c1: float, c2: float
-) -> list[tuple[str, float]]:
-    """Labelled cut-set terms of `case` at one operating point (see `cutset_term_arrays`)."""
-    check_mi_powers(p_x, 1.0 if case is ScenarioCase.FULL_COOPERATION else p_j + 1.0)
-    return [(label, value.item()) for label, value in cutset_term_arrays(case, p_x, p_j, c1, c2)]
-
-
-def modulo_bound(p_x: float, p_j: float, c1: float, c2: float) -> float | None:
-    """The Case C modulo bound at one operating point; None unless p_j > 0."""
-    if not p_j > 0.0:
-        return None
-    check_mi_powers(p_x, p_j)
-    return modulo_bound_array(p_x, p_j, c1, c2).item()
-
-
 def _validate(cfg: ChannelConfig, case: ScenarioCase) -> None:
     """Check cfg against `case` once; Case B also accepts c1 = INFINITE_CAPACITY."""
     checked = ScenarioCase.CASE_A if case is ScenarioCase.CASE_B and math.isinf(cfg.c1) else case
@@ -124,29 +114,11 @@ def _validate(cfg: ChannelConfig, case: ScenarioCase) -> None:
         raise ValueError(f"config {cfg} does not satisfy the {case.name} constraints")
 
 
-def _cutset(cfg: ChannelConfig, case: ScenarioCase) -> BoundReport:
+def _point_terms(cfg: ChannelConfig, case: ScenarioCase) -> list[tuple[str, float]]:
+    """The cut-set terms of `case` at cfg's point, cfg checked against `case` once."""
     _validate(cfg, case)
-    return _report(cutset_terms(case, cfg.p_x, cfg.p_j, cfg.c1, cfg.c2))
-
-
-def cutset_case_a(cfg: ChannelConfig) -> BoundReport:
-    """Case A cut-set bound.
-
-    R <= min{ c2 + 0.5*log2(1 + px/(pj+1)),  0.5*log2(1 + px) }
-
-    The first term cuts the relay-2 link together with the interfered
-    direct observation; the second is the interference-free ceiling.
-    """
-    return _cutset(cfg, ScenarioCase.CASE_A)
-
-
-def cutset_case_b(cfg: ChannelConfig) -> BoundReport:
-    """Case B cut-set bound: Case A's terms plus the relay-1 link cut c1.
-
-    Accepts the c1 = INFINITE_CAPACITY sentinel, for which the c1 cut never
-    binds and the bound collapses to the Case A bound.
-    """
-    return _cutset(cfg, ScenarioCase.CASE_B)
+    return [(label, value.item())
+            for label, value in cutset_term_arrays(case, cfg.p_x, cfg.p_j, cfg.c1, cfg.c2)]
 
 
 def cutset_case_c(cfg: ChannelConfig) -> BoundReport:
@@ -155,7 +127,7 @@ def cutset_case_c(cfg: ChannelConfig) -> BoundReport:
     R <= min{ c1+c2,  c1 + 0.5*log2(1+px/(pj+1)),  c2 + 0.5*log2(1+px/(pj+1)),
               0.5*log2(1+2*px) }
     """
-    return _cutset(cfg, ScenarioCase.CASE_C)
+    return _report(_point_terms(cfg, ScenarioCase.CASE_C))
 
 
 def modulo_bound_case_c(cfg: ChannelConfig) -> float:
@@ -169,7 +141,7 @@ def modulo_bound_case_c(cfg: ChannelConfig) -> float:
     _validate(cfg, ScenarioCase.CASE_C)
     if not cfg.p_j > 0.0:
         raise ValueError("modulo bound requires interferer power p_j > 0")
-    return modulo_bound(cfg.p_x, cfg.p_j, cfg.c1, cfg.c2)
+    return modulo_bound_array(cfg.p_x, cfg.p_j, cfg.c1, cfg.c2).item()
 
 
 def full_cooperation_capacity(p_x: float) -> float:
@@ -180,18 +152,19 @@ def full_cooperation_capacity(p_x: float) -> float:
     """
     if not p_x >= 0.0:
         raise ValueError(f"p_x must be >= 0, got {p_x!r}")
-    return gaussian_mi(2.0 * p_x, 1.0)
+    return _full_cooperation_array(as_arrays(p_x)[0]).item()
 
 
 def outer_bounds(cfg: ChannelConfig, case: ScenarioCase) -> BoundReport:
     """Assemble every outer bound applicable to `case`.
 
-    cfg is checked against `case` once (full cooperation takes any config).
-    For Case C the modulo bound is included (when pj > 0) and `binding`
-    is the minimum of the cut-set and modulo bounds; the two are not
-    ordered, and either may be the smaller one.
+    cfg is checked against `case` once; Case B also takes a Case A config
+    (c1 = INFINITE_CAPACITY), whose c1 cut never binds.  For Case C the
+    modulo bound is included (when pj > 0) and `binding` is the minimum of
+    the cut-set and modulo bounds; the two are not ordered, and either may
+    be the smaller one.
     """
-    if case is not ScenarioCase.FULL_COOPERATION:
-        _validate(cfg, case)
-    modulo = modulo_bound(cfg.p_x, cfg.p_j, cfg.c1, cfg.c2) if case is ScenarioCase.CASE_C else None
-    return _report(cutset_terms(case, cfg.p_x, cfg.p_j, cfg.c1, cfg.c2), modulo)
+    terms = _point_terms(cfg, case)
+    positive = case is ScenarioCase.CASE_C and cfg.p_j > 0.0
+    modulo = modulo_bound_array(cfg.p_x, cfg.p_j, cfg.c1, cfg.c2).item() if positive else None
+    return _report(terms, modulo)

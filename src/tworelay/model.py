@@ -19,9 +19,10 @@ Three canonical scenarios are used throughout the package:
 Powers are linear, rates are in bits per channel use, and an unlimited
 link is represented by the sentinel ``INFINITE_CAPACITY`` (``math.inf``),
 never by a large finite number.  ``p_j = inf`` is an accepted limit (every
-rate and bound stays finite); an unlimited ``p_x`` is rejected.  Each public
-entry point checks a config against its case once; the closed forms
-``achievable.best_report`` and ``bounds.cutset_terms`` take the case explicitly.
+rate and bound stays finite); an unlimited ``p_x`` is rejected.  The array
+core takes the case explicitly and its input as given; each per-point entry
+checks its input once, a config against its case or raw powers and links
+with `_check_fields`, and raises ValueError on input outside the model.
 """
 
 from __future__ import annotations
@@ -44,15 +45,18 @@ class ScenarioCase(enum.Enum):
     CASE_A = "a"
     CASE_B = "b"
     CASE_C = "c"
-    FULL_COOPERATION = "full"
 
 
-def _nonnegative(name: str, value: float) -> float:
-    value = float(value)
-    # NaN fails the comparison and is rejected alongside negatives
-    if not value >= 0.0:
-        raise ValueError(f"{name} must be >= 0, got {value!r}")
-    return value
+def _check_fields(**fields: float) -> list[float]:
+    """The powers and links as floats, each checked as `ChannelConfig` checks
+    the field of its name: >= 0 (NaN fails), and p_x finite as well."""
+    checked = {name: float(value) for name, value in fields.items()}
+    for name, value in checked.items():
+        if not value >= 0.0:
+            raise ValueError(f"{name} must be >= 0, got {value!r}")
+    if math.isinf(checked.get("p_x", 0.0)):
+        raise ValueError("p_x must be finite, got inf")
+    return list(checked.values())
 
 
 @dataclass(frozen=True)
@@ -80,17 +84,15 @@ class ChannelConfig:
     def __post_init__(self):
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", float(self.b))
-        for name in ("p_x", "p_j", "p_n1", "p_n2", "c1", "c2"):
-            object.__setattr__(self, name, _nonnegative(name, getattr(self, name)))
-        if math.isinf(self.p_x):
-            raise ValueError("p_x must be finite, got inf")
+        names = ("p_x", "p_j", "p_n1", "p_n2", "c1", "c2")
+        for name, value in zip(names, _check_fields(**{n: getattr(self, n) for n in names})):
+            object.__setattr__(self, name, value)
 
 
 _CASE_FIXED = {
     ScenarioCase.CASE_A: dict(a=1.0, b=0.0, p_n1=1.0, p_n2=0.0),
     ScenarioCase.CASE_B: dict(a=1.0, b=0.0, p_n1=1.0, p_n2=0.0),
     ScenarioCase.CASE_C: dict(a=1.0, b=-1.0, p_n1=1.0, p_n2=1.0),
-    ScenarioCase.FULL_COOPERATION: dict(a=1.0, b=-1.0, p_n1=1.0, p_n2=1.0),
 }
 
 
@@ -104,9 +106,8 @@ def make_preset(
     """Build a validated ChannelConfig for one of the canonical cases.
 
     Case A fixes c1 = INFINITE_CAPACITY; passing any finite c1 is rejected
-    rather than silently overridden.  Case B requires a finite c1.  Full
-    cooperation fixes both links to INFINITE_CAPACITY.  The result meets
-    `case_constraints_hold(cfg, tag)` by construction.
+    rather than silently overridden.  Case B requires a finite c1.  The
+    result meets `case_constraints_hold(cfg, tag)` by construction.
 
     Raises:
         ValueError: on negative powers/capacities or a capacity override
@@ -124,14 +125,8 @@ def make_preset(
             raise ValueError("Case B requires a finite c1")
         if c2 is None:
             raise ValueError("Case B requires c2")
-    elif tag is ScenarioCase.CASE_C:
-        if c1 is None or c2 is None:
-            raise ValueError("Case C requires both c1 and c2")
-    else:  # full cooperation
-        for name, value in (("c1", c1), ("c2", c2)):
-            if value is not None and not math.isinf(value):
-                raise ValueError(f"full cooperation has unlimited links; finite {name} rejected")
-        c1 = c2 = INFINITE_CAPACITY
+    elif c1 is None or c2 is None:
+        raise ValueError("Case C requires both c1 and c2")
     return ChannelConfig(p_x=p_x, p_j=p_j, c1=c1, c2=c2, **fixed)
 
 
@@ -144,8 +139,6 @@ def case_constraints_hold(cfg: ChannelConfig, tag: ScenarioCase) -> bool:
         return math.isinf(cfg.c1)
     if tag is ScenarioCase.CASE_B:
         return math.isfinite(cfg.c1)
-    if tag is ScenarioCase.FULL_COOPERATION:
-        return math.isinf(cfg.c1) and math.isinf(cfg.c2)
     return True
 
 
@@ -159,21 +152,14 @@ def gaussian_mi(signal_power: float, noise_plus_interference_power: float) -> fl
     Raises:
         ValueError: on negative signal power or nonpositive noise power.
     """
-    s, n = check_mi_powers(signal_power, noise_plus_interference_power)
-    if math.isinf(s):
-        return INFINITE_CAPACITY
-    return float(mutual_info(s, n))
-
-
-def check_mi_powers(signal_power: float, noise_power: float) -> tuple[float, float]:
-    """The powers as floats, checked as `gaussian_mi` takes them (the array forms
-    do not check; their per-point entries do, through here)."""
-    s, n = float(signal_power), float(noise_power)
-    if s < 0.0 or math.isnan(s):
+    s, n = float(signal_power), float(noise_plus_interference_power)
+    if not s >= 0.0:
         raise ValueError(f"signal power must be >= 0, got {s!r}")
     if not n > 0.0:
         raise ValueError(f"noise-plus-interference power must be > 0, got {n!r}")
-    return s, n
+    if math.isinf(s):
+        return INFINITE_CAPACITY
+    return float(mutual_info(s, n))
 
 
 @np.errstate(all="ignore")

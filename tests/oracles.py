@@ -91,6 +91,18 @@ def ach_c_derived(px, pj, c1, c2):
     return max(_ach_c_derived_one(px, pj, c1, c2), _ach_c_derived_one(px, pj, c2, c1))
 
 
+def case_c_allocation(px, pj, ca, cb):
+    """(alpha, p_d of the plain link ca, p_d of the binned link cb, p_neq) of the
+    Case C lattice scheme, the binned relay resolved against the side
+    information s = alpha^2*(4*pj + 2) + p_d(ca)."""
+    px, pj, ca, cb = mpf(px), mpf(pj), mpf(ca), mpf(cb)
+    alpha = 2 * px / (4 * px + 2)
+    plain = px / (2 ** (2 * ca) - 1)
+    s = alpha**2 * (4 * pj + 2) + plain
+    binned = min(px, s) / (2 ** (2 * cb) - 1)
+    return alpha, plain, binned, 2 * alpha**2 + (1 - 2 * alpha) ** 2 * px + plain + binned
+
+
 def local_b(px, pj, c1):
     return min(mpf(c1), mi(px, mpf(pj) + 1))
 

@@ -20,11 +20,10 @@ from tworelay.achievable import (
     local_decode_baseline,
 )
 from tworelay.bounds import (
-    cutset_case_a,
-    cutset_case_b,
     cutset_case_c,
     full_cooperation_capacity,
     modulo_bound_case_c,
+    outer_bounds,
 )
 from tworelay.lattice_sim import (
     CoverageConfig,
@@ -80,9 +79,9 @@ def test_criterion_1_formula_fidelity():
     for px, pj, c1, c2 in zip(pxs, pjs, c1s, c2s):
         checks = {
             "gaussian_mi": (gaussian_mi(px, pj + 1.0), oracles.mi(px, pj + 1)),
-            "cutset_a": (cutset_case_a(cfg_a(px, pj, c2)).cutset_min,
+            "cutset_a": (outer_bounds(cfg_a(px, pj, c2), ScenarioCase.CASE_A).cutset_min,
                          oracles.cutset_a(px, pj, c2)),
-            "cutset_b": (cutset_case_b(cfg_b(px, pj, c1, c2)).cutset_min,
+            "cutset_b": (outer_bounds(cfg_b(px, pj, c1, c2), ScenarioCase.CASE_B).cutset_min,
                          oracles.cutset_b(px, pj, c1, c2)),
             "cutset_c": (cutset_case_c(cfg_c(px, pj, c1, c2)).cutset_min,
                          oracles.cutset_c(px, pj, c1, c2)),

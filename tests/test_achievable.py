@@ -112,6 +112,42 @@ class TestLocalDecode:
             local_decode_baseline(ScenarioCase.CASE_A, 1, 1, 1)
 
 
+B, C = ScenarioCase.CASE_B, ScenarioCase.CASE_C
+
+
+class TestPointEntriesCheckTheirInput:
+    """The raw-float entries check powers and links as ChannelConfig does."""
+
+    @pytest.mark.parametrize("entry, args", [
+        (local_decode_baseline, (B, 5, 3, -1)),
+        (achievable_case_b, (5, -3, 1, 1)),
+        (achievable_case_a, (math.inf, 3, 1)),
+        (achievable_case_b, (5, math.nan, 1, 1)),
+        (achievable_case_c, (-5, 3, 1, 1)),
+        (achievable_case_c, (math.nan, 3, 1, 1)),
+        (achievable_case_c, (5, -3, 1, 1)),
+        (achievable_case_c, (5, math.nan, 1, 1)),
+        (achievable_case_c, (5, 3, -1, 1)),
+        (achievable_case_c, (5, 3, 1, math.nan)),
+        (local_decode_baseline, (C, 5, 3, 1, -1)),
+        (local_decode_baseline, (C, 5, -0.5, 1, 1)),
+    ], ids=lambda v: getattr(v, "__name__", None))
+    def test_input_outside_the_model_raises(self, entry, args):
+        with pytest.raises(ValueError):
+            entry(*args)
+
+    @pytest.mark.parametrize("p_j", [0.0, 15.0, INF])
+    @pytest.mark.parametrize("link", [0.0, 1.0, INF])
+    def test_edges_of_the_model_evaluate(self, p_j, link):
+        reports = [achievable_case_a(15, p_j, link), achievable_case_b(15, p_j, link, 1),
+                   achievable_case_b(15, p_j, INF, link), achievable_case_c(15, p_j, link, 1),
+                   local_decode_baseline(B, 15, p_j, link),
+                   local_decode_baseline(C, 15, p_j, 1, link)]
+        assert all(0.0 <= r.rate <= 2.0 for r in reports)
+        # Case B with an unlimited relay-1 link is Case A under its own label
+        assert achievable_case_b(15, p_j, INF, link).rate == achievable_case_a(15, p_j, link).rate
+
+
 class TestBestAchievable:
     def test_local_decoding_wins_at_tiny_links(self):
         cfg = make_preset(ScenarioCase.CASE_B, 15, 15, c1=0.4, c2=0)
@@ -186,9 +222,13 @@ class TestSchemeInternals:
         # equal gains leave the combiner nothing to weigh; past the largest
         # float, 2*p_x/(4*p_x+2) takes its limit 1/2 instead of inf/inf
         assert mmse_alpha(5.0, 1.0, 1.0, 0.0) == 0.0
-        with np.errstate(invalid="ignore"):  # inf/inf, replaced by the limit
+        with np.errstate(invalid="ignore", over="ignore"):  # replaced by the limit
             assert mmse_alpha(1e308, 1.0, 1.0, 2.0) == 0.5
             assert mmse_alpha(1e308, 1.0, 1.0, -2.0) == -0.5
+            # 4*p_x + 2 overflows while 2*p_x does not: finite/inf would give 0
+            assert mmse_alpha(5e307, 1.0, 1.0, 2.0) == 0.5
+        below = 4.4e307  # 4*p_x + 2 stays finite, and the quotient rounds to 1/2
+        assert mmse_alpha(below, 1.0, 1.0, 2.0) == (2.0 * below) / (4.0 * below + 2.0) == 0.5
 
 
 class TestOrderingProperties:

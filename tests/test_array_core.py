@@ -19,8 +19,8 @@ from tworelay.achievable import (
     achievable_case_a,
     achievable_case_b,
     achievable_case_c,
+    best_achievable,
     best_arrays,
-    best_report,
     lattice_arrays,
     local_decode_baseline,
     local_decode_rates,
@@ -28,11 +28,11 @@ from tworelay.achievable import (
 from tworelay.bounds import (
     cutset_min_array,
     cutset_term_arrays,
-    cutset_terms,
-    modulo_bound,
     modulo_bound_array,
+    modulo_bound_case_c,
+    outer_bounds,
 )
-from tworelay.model import ScenarioCase, math_map
+from tworelay.model import ScenarioCase, make_preset, math_map
 from tworelay.scaling import _BLOCK, _gap_blocks, _splits, certify_gaps
 
 A, B, C = ScenarioCase.CASE_A, ScenarioCase.CASE_B, ScenarioCase.CASE_C
@@ -196,9 +196,21 @@ def test_point_wrappers_equal_reference():
             assert achievable_case_c(*point, variant) == ref.achievable_case_c(*point, variant)
         for case in (B, C):
             assert local_decode_baseline(case, *point) == ref.local_decode_baseline(case, *point)
-            assert best_report(case, *point) == ref.best_report(case, *point)
-            assert cutset_terms(case, *point) == ref.cutset_terms(case, *point)
-        assert modulo_bound(*point) == ref.modulo_bound(*point)
+            expected = ref.best_report(case, *point)
+            if case is B and math.isinf(l1):
+                # a config with c1 = inf is Case A and labels its rate case_a_eq
+                arrays, local_wins = best_arrays(case, *point)
+                assert (arrays.rate.item(), local_wins.item()) == (
+                    expected.rate, expected.scheme is Scheme.LOCAL_DECODE)
+                cfg = make_preset(A, px, pj, c2=l2)
+            else:
+                cfg = make_preset(case, *point[:2], c1=l1, c2=l2)
+                assert best_achievable(cfg) == expected
+            assert list(outer_bounds(cfg, case).terms) == ref.cutset_terms(case, *point)
+        cfg = make_preset(C, *point[:2], c1=l1, c2=l2)
+        if pj > 0.0:
+            assert modulo_bound_case_c(cfg) == ref.modulo_bound(*point)
+        assert outer_bounds(cfg, C).modulo_bound == ref.modulo_bound(*point)
 
 
 def test_core_departs_from_reference_only_where_it_raised():
@@ -211,13 +223,14 @@ def test_core_departs_from_reference_only_where_it_raised():
 
 @pytest.mark.parametrize("p_x, p_j", [(-1.0, 1.0), (math.nan, 1.0), (1.0, -2.0), (1.0, math.nan)])
 def test_point_entries_reject_powers_outside_the_model(p_x, p_j):
-    # the array forms take their input as given; the per-point entries check it
+    # the array forms take their input as given; the per-point entries check it,
+    # the config-taking ones through the config
     for call in (lambda: local_decode_baseline(B, p_x, p_j, 1.0, 1.0),
                  lambda: local_decode_baseline(C, p_x, p_j, 1.0, 1.0),
-                 lambda: cutset_terms(A, p_x, p_j, math.inf, 1.0),
-                 lambda: cutset_terms(C, p_x, p_j, 1.0, 1.0)):
+                 lambda: achievable_case_a(p_x, p_j, 1.0),
+                 lambda: achievable_case_b(p_x, p_j, 1.0, 1.0),
+                 lambda: achievable_case_c(p_x, p_j, 1.0, 1.0),
+                 lambda: make_preset(A, p_x, p_j, c2=1.0),
+                 lambda: make_preset(C, p_x, p_j, c1=1.0, c2=1.0)):
         with pytest.raises(ValueError):
             call()
-    if p_j > 0.0:  # modulo_bound gives None unless p_j > 0
-        with pytest.raises(ValueError):
-            modulo_bound(p_x, p_j, 1.0, 1.0)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 import tworelay.cli as cli
 from tworelay.scaling import GapCertificate
 from tworelay.model import ScenarioCase
@@ -113,6 +114,46 @@ class TestBounds:
             "achievable,case_c_derived,0.5849625007211562,0.5,3.333333333333333e+307,"
             "1.1111111111111111e+307,4.4444444444444443e+307,bounds.v1",
         ]
+
+    def test_alpha_limit_where_only_the_denominator_overflows(self, capsys):
+        # 4*p_x + 2 overflows but 2*p_x does not; alpha rounds to its limit 1/2
+        code, out = run_cli(
+            ["bounds", "--case", "c", "--px", "5e307", "--pj", "15", "--c1", "1", "--c2", "1"],
+            capsys)
+        assert code == 0
+        assert out.splitlines()[-4:-2] == [
+            "achievable,case_c_prop,0.792481250360578,0.5,1.6666666666666666e+307,"
+            "5.5555555555555553e+306,2.2222222222222221e+307,bounds.v1",
+            "achievable,case_c_derived,0.5849625007211562,0.5,1.6666666666666666e+307,"
+            "5.5555555555555553e+306,2.2222222222222221e+307,bounds.v1",
+        ]
+        _, rows = parse_csv(out)
+        expected = oracles.case_c_allocation(5e307, 15, 1, 1)
+        fields = ("alpha", "p_d1", "p_d2", "p_neq")
+        assert all(oracles.within(float(rows[7][f]), v) for f, v in zip(fields, expected))
+
+    def test_full_cooperation_term_past_the_doubling_overflow(self, capsys):
+        code, out = run_cli(
+            ["bounds", "--case", "c", "--px", "1e308", "--pj", "15", "--c1", "1", "--c2", "1"],
+            capsys)
+        assert code == 0
+        assert out.splitlines()[4] == 'bound,"i(x;y1,y2)",512.0769266126538,,,,,bounds.v1'
+        assert oracles.within(512.0769266126538, oracles.full_cooperation(1e308))
+
+    @pytest.mark.parametrize("p_j", ["1e300", "1e308"])
+    def test_side_information_keeps_a_tiny_alpha(self, p_j, capsys):
+        # alpha**2 underflows to 0 (and at 1e308 4*p_j overflows), yet
+        # alpha**2 * 4*p_j is about 4e-92 > p_x: p_d2 takes p_x, not 0 or NaN
+        code, out = run_cli(
+            ["bounds", "--case", "c", "--px", "1e-200", "--pj", p_j, "--c1", "1", "--c2", "1"],
+            capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        expected = oracles.case_c_allocation(1e-200, float(p_j), 1, 1)
+        assert float(expected[2]) == pytest.approx(3.33e-201, rel=1e-3)
+        fields = ("alpha", "p_d1", "p_d2", "p_neq")
+        for row in rows[7:9] + rows[-1:]:
+            assert all(oracles.within(float(row[f]), v) for f, v in zip(fields, expected))
 
     def test_json_embeds_manifest(self, capsys):
         code, out = run_cli(

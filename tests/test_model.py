@@ -79,12 +79,6 @@ class TestPresets:
         with pytest.raises(ValueError):
             make_preset(ScenarioCase.CASE_C, 1, 1, c1=-0.5, c2=1)
 
-    def test_full_cooperation_rejects_finite_links(self):
-        cfg = make_preset(ScenarioCase.FULL_COOPERATION, 15, 15)
-        assert math.isinf(cfg.c1) and math.isinf(cfg.c2)
-        with pytest.raises(ValueError):
-            make_preset(ScenarioCase.FULL_COOPERATION, 15, 15, c1=2)
-
     def test_preset_round_trip_validates(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
@@ -94,8 +88,6 @@ class TestPresets:
                 kwargs = {"c1": c1, "c2": c2}
                 if tag is ScenarioCase.CASE_A:
                     kwargs = {"c2": c2}
-                elif tag is ScenarioCase.FULL_COOPERATION:
-                    kwargs = {}
                 cfg = make_preset(tag, p_x, p_j, **kwargs)
                 assert case_constraints_hold(cfg, tag)
 

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from tworelay.achievable import Scheme, best_achievable, best_report
-from tworelay.bounds import cutset_terms, modulo_bound, modulo_bound_case_c, outer_bounds
+from tworelay.achievable import AchievableReport, Scheme, best_achievable, best_arrays
+from tworelay.bounds import cutset_term_arrays, modulo_bound_array, modulo_bound_case_c
+from tworelay.bounds import outer_bounds
 from tworelay.model import INFINITE_CAPACITY, ScenarioCase, make_preset
 from tworelay.scaling import (
     _BLOCK,
@@ -342,8 +343,14 @@ class TestCaseExplicitCore:
                 cfg = make_preset(case, p_x, p_j, c1=None if case is ScenarioCase.CASE_A else c1,
                                   c2=c2)
                 point = (cfg.p_x, cfg.p_j, cfg.c1, cfg.c2)
-                assert best_report(case, *point) == best_achievable(cfg)
+                arrays, local_wins = best_arrays(case, *point)
+                fields = [v if isinstance(v, Scheme) else v.item() for v in arrays]
+                if local_wins.item():
+                    fields = [fields[0], Scheme.LOCAL_DECODE]
+                assert best_achievable(cfg) == AchievableReport(*fields)
                 bound = outer_bounds(cfg, case)
-                assert tuple(cutset_terms(case, *point)) == bound.terms
+                terms = cutset_term_arrays(case, *point)
+                assert tuple((label, value.item()) for label, value in terms) == bound.terms
                 if case is ScenarioCase.CASE_C:
-                    assert modulo_bound(*point) == bound.modulo_bound
+                    modulo = modulo_bound_array(*point).item() if p_j > 0.0 else None
+                    assert modulo == bound.modulo_bound
