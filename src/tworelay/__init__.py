@@ -6,9 +6,16 @@ modulo-lattice compress-and-forward scheme and the matching outer bounds
 signal), certifies the constant-bit gaps between them, estimates pre-log
 scaling laws and link-capacity regions, and cross-checks the scheme's
 algebra by Monte Carlo simulation.
+
+The closed forms (`model`, `achievable`, `bounds`) load with the package;
+the grid layer (`scaling`) and the simulator (`lattice_sim`) load on first
+access to one of their exports, so a caller of the closed forms alone pays
+for neither.
 """
 
 __version__ = "0.1.0"
+
+from importlib import import_module as _import_module
 
 from .achievable import (
     AchievableReport,
@@ -28,35 +35,12 @@ from .bounds import (
     modulo_bound_case_c,
     outer_bounds,
 )
-from .lattice_sim import (
-    CoverageConfig,
-    CoverageResult,
-    CryptoLemmaStats,
-    SimConfig,
-    SimStats,
-    coverage_experiment,
-    crypto_lemma_check,
-    run_lattice_sim,
-    sw_rate_check,
-)
 from .model import (
     INFINITE_CAPACITY,
     ChannelConfig,
     ScenarioCase,
     gaussian_mi,
     make_preset,
-)
-from .scaling import (
-    GapCertificate,
-    RegionPolygon,
-    ScalingEstimate,
-    certify_gaps,
-    cutset_looseness_demo,
-    estimate_prelog,
-    interference_info_lower_bound,
-    coupled_capacity_rate_fn,
-    required_region_case_c,
-    sweep_sum_capacity,
 )
 
 __all__ = [
@@ -100,3 +84,42 @@ __all__ = [
     "sw_rate_check",
     "coverage_experiment",
 ]
+
+#: The exports of the layers that load on first use, by defining module.
+_LAZY = {
+    "scaling": (
+        "GapCertificate",
+        "RegionPolygon",
+        "ScalingEstimate",
+        "certify_gaps",
+        "cutset_looseness_demo",
+        "estimate_prelog",
+        "interference_info_lower_bound",
+        "coupled_capacity_rate_fn",
+        "required_region_case_c",
+        "sweep_sum_capacity",
+    ),
+    "lattice_sim": (
+        "CoverageConfig",
+        "CoverageResult",
+        "CryptoLemmaStats",
+        "SimConfig",
+        "SimStats",
+        "coverage_experiment",
+        "crypto_lemma_check",
+        "run_lattice_sim",
+        "sw_rate_check",
+    ),
+}
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name in names:
+            value = globals()[name] = getattr(_import_module(f".{module}", __name__), name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(__all__) | set(globals()))

@@ -177,10 +177,17 @@ def distortion_relay2_case_b(p_x, p_j, c2, alpha) -> tuple[np.ndarray, np.ndarra
     The scaled, cell-reduced relay-2 signal has power at most
     min(p_x, alpha^2*p_j); describing it at rate c2 leaves distortion
     min(p_x, alpha^2*p_j) * 2**(-2*c2).  The second array is True where the
-    min takes p_x (the "signal_ceiling" branch, else "interference").  An
-    unlimited p_j takes its limit, so alpha^2 underflowing to 0 gives no NaN.
+    min takes p_x (the "signal_ceiling" branch, else "interference").  Where
+    alpha^2 underflows to 0, alpha scales p_j twice, so a representable
+    alpha^2*p_j is not lost as 0; an unlimited p_j takes its limit, so that
+    underflow gives no NaN either.
     """
-    interference = _unless_unlimited(p_j, square(alpha) * p_j)
+    alpha2 = square(alpha)
+    interference = alpha2 * p_j
+    lost = (alpha2 == 0.0) & np.isfinite(p_j)
+    if lost.any():
+        interference = np.where(lost, alpha * (alpha * p_j), interference)
+    interference = _unless_unlimited(p_j, interference)
     at_ceiling = p_x <= interference
     return np.where(at_ceiling, p_x, interference) * _pow2neg(c2), at_ceiling
 

@@ -31,6 +31,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
+from importlib import import_module
 from pathlib import Path
 
 import numpy as np
@@ -44,15 +45,42 @@ from .achievable import (
     local_decode_baseline,
 )
 from .bounds import outer_bounds
-from .lattice_sim import CoverageConfig, SimConfig, coverage_experiment, run_lattice_sim
 from .model import INFINITE_CAPACITY, ScenarioCase, make_preset
-from .scaling import (
-    certify_gaps,
-    estimate_prelog,
-    coupled_capacity_rate_fn,
-    required_region_case_c,
-    sweep_sum_capacity,
-)
+
+#: The names this module takes from the grid layer and the simulator.  A
+#: subcommand binds its layer's names here on first use (`_bind`), so a
+#: process imports only the layers its subcommand runs.
+_LAZY = {
+    "scaling": (
+        "certify_gaps",
+        "estimate_prelog",
+        "coupled_capacity_rate_fn",
+        "required_region_case_c",
+        "sweep_sum_capacity",
+    ),
+    "lattice_sim": ("CoverageConfig", "SimConfig", "coverage_experiment", "run_lattice_sim"),
+}
+
+
+def _bind(layer: str) -> None:
+    """Import `layer` and bind its names in this module's namespace.
+
+    A name already set here (say, a wrapper that replaced it) is kept, and
+    each subcommand looks its names up here at call time, so it calls
+    whatever the namespace holds.
+    """
+    module = import_module(f".{layer}", __package__)
+    namespace = globals()
+    for name in _LAZY[layer]:
+        namespace.setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    for layer, names in _LAZY.items():
+        if name in names:
+            _bind(layer)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _capacity(text: str) -> float:
@@ -187,6 +215,7 @@ def _parse_range(spec: str) -> list[float]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    _bind("scaling")
     case = ScenarioCase(args.case)
     sums = _parse_range(args.sum_range)
     points = sweep_sum_capacity(case, args.px, args.pj, sums, split_samples=args.split_samples)
@@ -234,6 +263,7 @@ def _region_svg(region) -> str:
 
 
 def cmd_region(args: argparse.Namespace) -> int:
+    _bind("scaling")
     region = required_region_case_c(args.rate, args.px, args.pj)
     manifest = _manifest("region", args, [])
     if args.format == "svg":
@@ -267,6 +297,7 @@ def _parse_grid(spec: str) -> tuple[list[float], list[float]] | tuple[None, None
 
 
 def cmd_gaps(args: argparse.Namespace) -> int:
+    _bind("scaling")
     case = ScenarioCase(args.case)
     px_grid, pj_grid = _parse_grid(args.grid)
     certificates = certify_gaps(case, px_grid, pj_grid)
@@ -289,6 +320,7 @@ def cmd_gaps(args: argparse.Namespace) -> int:
 
 
 def cmd_scaling(args: argparse.Namespace) -> int:
+    _bind("scaling")
     case = ScenarioCase(args.case)
     lo_s, hi_s = args.exponents.split(":")
     exponents = list(range(int(lo_s), int(hi_s) + 1))
@@ -315,6 +347,7 @@ def _ensure_seed(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    _bind("lattice_sim")
     seed = _ensure_seed(args)
     cfg = SimConfig(
         case=args.case,
@@ -343,6 +376,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_cover(args: argparse.Namespace) -> int:
+    _bind("lattice_sim")
     seed = _ensure_seed(args)
     cfg = CoverageConfig(
         codebook_rate=args.rate,

@@ -103,6 +103,16 @@ def case_c_allocation(px, pj, ca, cb):
     return alpha, plain, binned, 2 * alpha**2 + (1 - 2 * alpha) ** 2 * px + plain + binned
 
 
+def case_b_allocation(px, pj, c1, c2):
+    """(alpha, p_d1, p_d2, p_neq) of the Case B lattice scheme (Case A at
+    c1 = inf), relay 2 describing min(px, alpha^2*pj) at rate c2."""
+    px, pj, c1, c2 = mpf(px), mpf(pj), mpf(c1), mpf(c2)
+    alpha = px / (px + 1)
+    p_d1 = px / (2 ** (2 * c1) - 1)
+    p_d2 = min(px, alpha**2 * pj) * 2 ** (-2 * c2)
+    return alpha, p_d1, p_d2, px / (px + 1) + p_d1 + p_d2
+
+
 def local_b(px, pj, c1):
     return min(mpf(c1), mi(px, mpf(pj) + 1))
 

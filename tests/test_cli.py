@@ -86,6 +86,27 @@ class TestBounds:
             "best,case_a_eq,0.0,1e-200,0.0,2.5e-201,1.25e-200,bounds.v1",
         ]
 
+    @pytest.mark.parametrize("case, c1", [("a", "inf"), ("b", "3")])
+    def test_relay2_distortion_keeps_a_tiny_alpha(self, case, c1, capsys):
+        # alpha**2 underflows to 0, yet alpha**2 * p_j is about 1e-100 > p_x:
+        # p_d2 takes p_x * 2**(-2*c2), not the lost term 0
+        links = ["--c2", "1"] if case == "a" else ["--c1", c1, "--c2", "1"]
+        code, out = run_cli(
+            ["bounds", "--case", case, "--px", "1e-200", "--pj", "1e300", *links], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        lattice = [r for r in rows if r["label"] == f"case_{case}_eq"]
+        assert [r["row_type"] for r in lattice] == ["achievable", "best"]
+        expected = oracles.case_b_allocation(1e-200, 1e300, float(c1), 1)
+        fields = ("alpha", "p_d1", "p_d2", "p_neq")
+        for row in lattice:
+            assert float(row["rate_bits"]) == 0.0
+            # no absolute floor: every field is below 1e-13
+            assert all(oracles.within(float(row[f]), v, abs_floor=0.0)
+                       for f, v in zip(fields, expected))
+        if case == "a":
+            assert out.splitlines()[-1] == "best,case_a_eq,0.0,1e-200,0.0,2.5e-201,1.25e-200,bounds.v1"
+
     def test_subnormal_links_give_a_zero_rate(self, capsys):
         # p_x/p_neq underflows to 0, where log2 has no value: the clamped rate is 0
         code, out = run_cli(
@@ -153,7 +174,8 @@ class TestBounds:
         assert float(expected[2]) == pytest.approx(3.33e-201, rel=1e-3)
         fields = ("alpha", "p_d1", "p_d2", "p_neq")
         for row in rows[7:9] + rows[-1:]:
-            assert all(oracles.within(float(row[f]), v) for f, v in zip(fields, expected))
+            assert all(oracles.within(float(row[f]), v, abs_floor=0.0)
+                       for f, v in zip(fields, expected))
 
     def test_json_embeds_manifest(self, capsys):
         code, out = run_cli(
