@@ -32,7 +32,8 @@ and `best_arrays` broadcast over (p_x, p_j, c1, c2) for an explicitly given
 case, so a sweep evaluates all splits of several sums in one call.  Arithmetic runs
 in numpy in the order of the formulas; every transcendental goes through
 `model.math_map` (libm), which keeps each element equal, bit for bit, to a
-per-point evaluation.  The core takes its input as given.  The per-point
+per-point evaluation (numpy's ufuncs run instead inside `model._screening`,
+with which the grids rank their points).  The core takes its input as given.  The per-point
 entries evaluate it at one point after one input check: `achievable_case_*`
 and `local_decode_baseline` check their powers and links as `ChannelConfig`
 checks its fields (`model._check_fields`), and `best_achievable` infers a
@@ -44,13 +45,14 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .model import ChannelConfig, ScenarioCase, _check_fields, case_constraints_hold
-from .model import as_arrays, math_map, mutual_info, square
+from .model import _expm1, as_arrays, math_map, mutual_info, square
 
 _LN2 = math.log(2.0)
 
@@ -109,13 +111,6 @@ def _pow2m1(c) -> np.ndarray:
     return math_map(_expm1 if np.any(x > 709.0) else math.expm1, x)  # guard near overflow only
 
 
-def _expm1(x: float) -> float:
-    try:
-        return math.expm1(x)
-    except OverflowError:  # past the largest float
-        return math.inf
-
-
 def _pow2neg(c) -> np.ndarray:
     """2**(-2c); 0.0 at c = inf."""
     return math_map(math.exp, -2.0 * c * _LN2)
@@ -166,9 +161,12 @@ def distortion_relay1(p_x, c1) -> np.ndarray:
     return _distortion(p_x, _pow2m1(c1))
 
 
-def _distortion(p_x, den) -> np.ndarray:
-    """p_x / den with den = 2**(2c) - 1 (see `distortion_relay1`)."""
-    return np.where(den == 0.0, np.where(p_x > 0.0, math.inf, 0.0), np.divide(p_x, den))
+def _distortion(p_x, den, signal=None) -> np.ndarray:
+    """signal / den with den = 2**(2c) - 1, the signal power p_x unless given (see
+    `distortion_relay1`).  A zero-rate link takes its limit inf wherever p_x > 0,
+    also where a given signal power, positive for p_x > 0, has underflowed to 0."""
+    signal = p_x if signal is None else signal
+    return np.where(den == 0.0, np.where(p_x > 0.0, math.inf, 0.0), np.divide(signal, den))
 
 
 def distortion_relay2_case_b(p_x, p_j, c2, alpha) -> tuple[np.ndarray, np.ndarray]:
@@ -178,13 +176,13 @@ def distortion_relay2_case_b(p_x, p_j, c2, alpha) -> tuple[np.ndarray, np.ndarra
     min(p_x, alpha^2*p_j); describing it at rate c2 leaves distortion
     min(p_x, alpha^2*p_j) * 2**(-2*c2).  The second array is True where the
     min takes p_x (the "signal_ceiling" branch, else "interference").  Where
-    alpha^2 underflows to 0, alpha scales p_j twice, so a representable
-    alpha^2*p_j is not lost as 0; an unlimited p_j takes its limit, so that
-    underflow gives no NaN either.
+    alpha^2 is subnormal or underflows to 0, alpha scales p_j twice, so a
+    representable alpha^2*p_j keeps its digits and is not lost as 0; an
+    unlimited p_j takes its limit, so that underflow gives no NaN either.
     """
     alpha2 = square(alpha)
     interference = alpha2 * p_j
-    lost = (alpha2 == 0.0) & np.isfinite(p_j)
+    lost = (alpha2 < sys.float_info.min) & np.isfinite(p_j)
     if lost.any():
         interference = np.where(lost, alpha * (alpha * p_j), interference)
     interference = _unless_unlimited(p_j, interference)
@@ -200,12 +198,13 @@ def _unless_unlimited(p_j, power) -> np.ndarray:
 
 def side_information_power(p_x, p_j, alpha, p_d1, p_n1, p_n2, gain_sum: float) -> np.ndarray:
     """Power s of the sum signal relay 2's binned description is resolved against
-    (unlimited where p_j is).  Where the bracket overflows or alpha^2 underflows,
-    alpha scales a quarter of the bracket twice: no 0 * inf, no term lost as 0."""
+    (unlimited where p_j is).  Where the bracket overflows or alpha^2 is subnormal
+    or 0, alpha scales a quarter of the bracket twice: no 0 * inf, no term lost
+    as 0 and no digits lost to a subnormal alpha^2."""
     bracket = gain_sum**2 * p_x + 4.0 * p_j + p_n1 + p_n2
     alpha2 = square(alpha)
     s = alpha2 * bracket + p_d1
-    lost = (np.isinf(bracket) | (alpha2 == 0.0)) & np.isfinite(p_j)
+    lost = (np.isinf(bracket) | (alpha2 < sys.float_info.min)) & np.isfinite(p_j)
     if lost.any():
         quarter = 0.25 * (gain_sum**2 * p_x + p_n1 + p_n2) + p_j
         s = np.where(lost, 4.0 * (alpha * (alpha * quarter)) + p_d1, s)
@@ -226,7 +225,7 @@ def distortion_relay2_case_c(
     """
     s = side_information_power(p_x, p_j, alpha, p_d1, p_n1, p_n2, gain_sum)
     at_ceiling = p_x <= s
-    return distortion_relay1(np.where(at_ceiling, p_x, s), c2), at_ceiling
+    return _distortion(p_x, _pow2m1(c2), np.where(at_ceiling, p_x, s)), at_ceiling
 
 
 def equivalent_noise_power(p_x, p_n1, p_n2, alpha, p_d1, p_d2, gain_difference: float):
@@ -328,7 +327,7 @@ def _case_c(p_x, p_j, c1, c2, variant: str) -> RateArrays:
     pd_primary = np.where(swap, pd2, pd1)
     s = side_information_power(p_x, p_j, alpha, pd_primary, 1.0, 1.0, 0.0)
     at_ceiling = p_x <= s  # as in `distortion_relay2_case_c`
-    pd_binned = _distortion(np.where(at_ceiling, p_x, s), np.where(swap, m1, m2))
+    pd_binned = _distortion(p_x, np.where(swap, m1, m2), np.where(at_ceiling, p_x, s))
     p_d1, p_d2 = np.where(swap, pd_binned, pd_primary), np.where(swap, pd_primary, pd_binned)
     p_neq = equivalent_noise_power(p_x, 1.0, 1.0, alpha, p_d1, p_d2, 2.0)
     rate = np.where(swapped > forward, swapped, forward)

@@ -27,6 +27,8 @@ with `_check_fields`, and raises ValueError on input outside the model.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import enum
 import itertools
 import math
@@ -177,8 +179,11 @@ def math_map(fn: Callable[[float], float], x) -> np.ndarray:
     log1p, log2, expm1, exp and x**2 differ from libm's in the last bit on a
     share of inputs, and the CLI prints floats with repr.  libm reads the
     elements straight from the flat buffer, not from a list of their copies.
+    Inside `_screening` the numpy ufunc of `fn` runs instead.
     """
     x = np.asarray(x, dtype=float)
+    if _SCREEN.get():
+        return _UFUNCS[fn](x)
     return np.fromiter(map(fn, memoryview(x.ravel())), float, x.size).reshape(x.shape)
 
 
@@ -186,11 +191,45 @@ def square(x) -> np.ndarray:
     """x**2 elementwise as Python's float ** computes it: libm pow, not x*x.
 
     `pow(v, 2.0)` is what `v**2` runs for a float v, called here from the
-    buffer without a Python frame per element.
+    buffer without a Python frame per element.  Inside `_screening`, x*x.
     """
     x = np.asarray(x, dtype=float)
+    if _SCREEN.get():
+        return x * x
     squares = map(pow, memoryview(x.ravel()), itertools.repeat(2.0))
     return np.fromiter(squares, float, x.size).reshape(x.shape)
+
+
+def _expm1(x: float) -> float:
+    """math.expm1, with inf past the largest float in place of OverflowError."""
+    try:
+        return math.expm1(x)
+    except OverflowError:
+        return math.inf
+
+
+#: Set inside `_screening`: `math_map` and `square` run numpy's ufuncs.
+_SCREEN = contextvars.ContextVar("tworelay_screen", default=False)
+_UFUNCS = {math.log1p: np.log1p, math.log2: np.log2, math.expm1: np.expm1,
+           _expm1: np.expm1, math.exp: np.exp}
+
+
+@contextlib.contextmanager
+def _screening():
+    """Evaluate the closed forms with numpy's ufuncs in place of libm.
+
+    Inside, `math_map` and `square` run numpy's log1p, log2, expm1, exp and
+    x*x, with numpy's floating-point warnings off (np.expm1 warns where
+    `_expm1` returns inf).  A value computed inside may differ from the
+    exact one in the last bits of its terms: it ranks grid points and is
+    never printed.
+    """
+    token = _SCREEN.set(True)
+    try:
+        with np.errstate(all="ignore"):
+            yield
+    finally:
+        _SCREEN.reset(token)
 
 
 def as_arrays(*values) -> list[np.ndarray]:

@@ -13,10 +13,21 @@ data (best link split per sum) behind the composite rate curves.  The sweep
 checks its powers once; it and the gap certificates call the array core
 (`achievable.best_arrays`, `bounds.cutset_min_array`, ...) in blocks of about
 `_BLOCK` grid points: all splits of as many sums as fit, or the points of one
-regime from consecutive p_x rows.  The certificates report each regime's
-largest gap as the config-checked per-point path (`_point_certificate`) gives
-it at that point.  The pre-log ladders and the looseness demo build one
-config per point.
+regime from consecutive p_x rows.
+
+Of each sum's splits and each regime's points only the argmax is reported,
+so every point is evaluated twice at most.  A screen pass runs the core with
+numpy's ufuncs in place of libm (`model._screening`) over all points; an
+exact pass, through libm, then evaluates only the points whose screened
+value lies within a tolerance of their row's screened maximum
+(`_near_max`), `_BLOCK` of them to one call, and takes the first exact
+maximum among them.  That is the point a full exact pass would pick, and the
+reported values are exact ones, so the output bytes are those of a full
+exact pass.  The cut-set and modulo columns of the sweep take libm only at
+p_x and p_j and are evaluated exactly.  The certificates report each
+regime's largest gap as the config-checked per-point path
+(`_point_certificate`) gives it at that point.  The pre-log ladders and the
+looseness demo build one config per point.
 """
 
 from __future__ import annotations
@@ -31,7 +42,7 @@ import numpy as np
 from .achievable import Scheme, achievable_case_c, best_achievable, best_arrays, lattice_arrays
 from .bounds import cutset_case_c, cutset_min_array, modulo_bound_array
 from .bounds import modulo_bound_case_c, outer_bounds
-from .model import ScenarioCase, gaussian_mi, make_preset, math_map
+from .model import ScenarioCase, _screening, gaussian_mi, make_preset, math_map
 
 PRELOG_METHODS = ("finite_difference", "ratio")
 
@@ -306,9 +317,9 @@ def _cutset_threshold(p_x: float) -> float:
         return (1.0 + p_x) * ((1.0 + p_x) / p_x)
 
 
-def _gap_blocks(case: ScenarioCase, px_grid: Sequence[float], pj_grid: Sequence[float]):
-    """(regime, points, gaps) per regime the grid reaches, the points in grid order
-    (p_x rows, then p_j), evaluated `_BLOCK` points to one array-core call."""
+def _regime_points(case: ScenarioCase, px_grid: Sequence[float], pj_grid: Sequence[float]):
+    """(regime, points, columns) per regime the grid reaches: the points in grid
+    order (p_x rows, then p_j), and their (p_x, p_j, c1, c2) as `_gaps` takes them."""
     p_j = np.array(pj_grid, dtype=float)
     rows: dict[str, list] = {}
     for p_x in px_grid:
@@ -318,21 +329,63 @@ def _gap_blocks(case: ScenarioCase, px_grid: Sequence[float], pj_grid: Sequence[
         regime, counts = regime_rows[0][1], [np.count_nonzero(r.mask) for _, r in regime_rows]
         points = [(p_x, q) for p_x, r in regime_rows
                   for q in itertools.compress(pj_grid, r.mask.tolist())]
+        if not points:
+            continue
         px = np.repeat(np.array([p_x for p_x, _ in regime_rows], dtype=float), counts)
         pj = np.concatenate([p_j[r.mask] for _, r in regime_rows])
         c1 = np.repeat(np.array([r.c1 for _, r in regime_rows]), counts)
-        c2 = (0.5 * math_map(math.log2, pj) if regime.c2 is None
+        c2 = (None if regime.c2 is None
               else np.repeat(np.array([r.c2 for _, r in regime_rows]), counts))
-        gaps = np.empty(len(points))
-        for k in range(0, len(points), _BLOCK):
-            block = [v[k:k + _BLOCK] for v in (px, pj, c1, c2)]
-            rate = (lattice_arrays(case, *block).rate if case is ScenarioCase.CASE_C
-                    else best_arrays(case, *block)[0].rate)
-            bound = (modulo_bound_array(*block) if regime.bound == "modulo"
-                     else cutset_min_array(case, *block))
-            gaps[k:k + _BLOCK] = bound - rate
-        if points:
-            yield regime, points, gaps
+        yield regime, points, (px, pj, c1, c2)
+
+
+def _worst_point(case: ScenarioCase, regime: _Regime, px, pj, c1, c2) -> int:
+    """Index of the first largest exact gap (or the first NaN) among the points:
+    every point screened, the candidates of `_near_max` confirmed exactly."""
+    with _screening():
+        screened = _gaps(case, regime, px, pj, c1, c2)
+    (at,) = np.nonzero(_near_max(screened))
+    exact = _gaps(case, regime, px[at], pj[at], c1[at], None if c2 is None else c2[at])
+    return int(at[np.argmax(exact)])
+
+
+def _gaps(case: ScenarioCase, regime: _Regime, px, pj, c1, c2) -> np.ndarray:
+    """Outer bound minus rate of `regime` at the points, `_BLOCK` points to one
+    array-core call; c2 None takes the regime's 0.5*log2(p_j)."""
+    if c2 is None:
+        c2 = 0.5 * math_map(math.log2, pj)
+    gaps = np.empty(px.size)
+    for k in range(0, px.size, _BLOCK):
+        block = [v[k:k + _BLOCK] for v in (px, pj, c1, c2)]
+        rate = (lattice_arrays(case, *block).rate if case is ScenarioCase.CASE_C
+                else best_arrays(case, *block)[0].rate)
+        bound = (modulo_bound_array(*block) if regime.bound == "modulo"
+                 else cutset_min_array(case, *block))
+        gaps[k:k + _BLOCK] = bound - rate
+    return gaps
+
+
+@np.errstate(invalid="ignore")  # an infinite row maximum minus its inf tolerance
+def _near_max(screened: np.ndarray) -> np.ndarray:
+    """Where each row (last axis) of `screened` may hold its row's first exact maximum.
+
+    `screened` holds a grid's values as `model._screening` computes them.  A
+    point is a candidate when its screened value is at least the row maximum
+    minus tau = 1e-9*max(1, |row maximum|); a row with a value that is not
+    finite is a candidate throughout.  Why the exact pass over the candidates
+    finds the first exact maximum of the whole row, ties included: suppose the
+    screened and exact values differ by at most eps at every point and
+    tau > 2*eps.  A point whose screened value lies below the screened maximum
+    minus tau has an exact value below (screened maximum - tau) + eps, and the
+    exact maximum is at least (screened maximum - eps), which is larger.  So
+    every point that holds the exact maximum is a candidate, and the first one
+    among the candidates, in grid order, is the first one of the row.
+    `tests/test_screen.py` checks eps <= tau/2 on random points of every case.
+    """
+    top = screened.max(axis=-1, keepdims=True)
+    tau = 1e-9 * np.maximum(1.0, np.abs(top))
+    finite = np.isfinite(screened).all(axis=-1, keepdims=True)
+    return (screened >= top - tau) | ~finite
 
 
 def _point_certificate(case: ScenarioCase, p_x: float, p_j: float) -> GapCertificate:
@@ -383,14 +436,13 @@ def certify_gaps(
         raise ValueError("every p_x of the grid must be finite and >= 0")
     if not np.all(np.array(pj_grid, dtype=float) >= 0.0):
         raise ValueError("every p_j of the grid must be >= 0 (inf is accepted)")
-    found = {regime.name: (points, gaps)
-             for regime, points, gaps in _gap_blocks(case, px_grid, pj_grid)}
+    found = {regime.name: (points, _worst_point(case, regime, *columns))
+             for regime, points, columns in _regime_points(case, px_grid, pj_grid)}
     if not found:
         raise ValueError(f"no grid point lies inside a {case.name} gap regime")
     certificates = []
-    for _, (points, gaps) in sorted(found.items()):
-        worst = points[int(np.argmax(gaps))]  # the first largest gap, or a NaN
-        certificates.append(replace(_point_certificate(case, *worst), grid=tuple(points)))
+    for _, (points, worst) in sorted(found.items()):
+        certificates.append(replace(_point_certificate(case, *points[worst]), grid=tuple(points)))
     return tuple(certificates)
 
 
@@ -478,20 +530,32 @@ def sweep_sum_capacity(
     for total in totals.tolist():
         if not 0.0 <= total < math.inf:
             raise ValueError(f"sum capacity must be finite and >= 0, got {total}")
-    points = []
+    candidates, cutset = [], []
     per_block = max(1, _BLOCK // split_samples)
-    for block in (totals[k:k + per_block] for k in range(0, totals.size, per_block)):
+    for k in range(0, totals.size, per_block):
+        block = totals[k:k + per_block]
         c1 = _splits(block, split_samples)
         c2 = block[:, None] - c1
-        best, local = best_arrays(case, p_x, p_j, c1, c2)
-        at = np.arange(block.size), np.argmax(best.rate, axis=1)  # the lowest c1 wins a tie
-        cutset = cutset_min_array(case, p_x, p_j, c1, c2).max(axis=1)
-        modulo = (modulo_bound_array(p_x, p_j, block / 2.0, block / 2.0).tolist()  # half splits
-                  if case is ScenarioCase.CASE_C and p_j > 0.0 else [None] * block.size)
-        schemes = [Scheme.LOCAL_DECODE if wins else best.scheme for wins in local[at].tolist()]
-        points += map(SweepPoint, block.tolist(), best.rate[at].tolist(), schemes,
-                      c1[at].tolist(), c2[at].tolist(), cutset.tolist(), modulo)
-    return points
+        with _screening():
+            screened = best_arrays(case, p_x, p_j, c1, c2)[0].rate
+        row, split = np.nonzero(_near_max(screened))
+        candidates.append((k + row, c1[row, split], c2[row, split]))
+        cutset += cutset_min_array(case, p_x, p_j, c1, c2).max(axis=1).tolist()
+    if not candidates:
+        return []
+    row, c1, c2 = (np.concatenate(column) for column in zip(*candidates))
+    rate, local = np.empty(row.size), np.empty(row.size, dtype=bool)
+    for k in range(0, row.size, _BLOCK):  # the exact pass, at the candidates only
+        best, wins = best_arrays(case, p_x, p_j, c1[k:k + _BLOCK], c2[k:k + _BLOCK])
+        rate[k:k + _BLOCK], local[k:k + _BLOCK] = best.rate, wins
+    starts = np.searchsorted(row, np.arange(totals.size))  # every row has a candidate
+    at = [start + int(np.argmax(rates))  # the lowest c1 wins a tie
+          for start, rates in zip(starts.tolist(), np.split(rate, starts[1:]))]
+    schemes = [Scheme.LOCAL_DECODE if wins else best.scheme for wins in local[at].tolist()]
+    modulo = (modulo_bound_array(p_x, p_j, totals / 2.0, totals / 2.0).tolist()  # half splits
+              if case is ScenarioCase.CASE_C and p_j > 0.0 else [None] * totals.size)
+    return list(map(SweepPoint, totals.tolist(), rate[at].tolist(), schemes,
+                    c1[at].tolist(), c2[at].tolist(), cutset, modulo))
 
 
 def _splits(totals: np.ndarray, n: int) -> np.ndarray:

@@ -99,7 +99,7 @@ def case_c_allocation(px, pj, ca, cb):
     alpha = 2 * px / (4 * px + 2)
     plain = px / (2 ** (2 * ca) - 1)
     s = alpha**2 * (4 * pj + 2) + plain
-    binned = min(px, s) / (2 ** (2 * cb) - 1)
+    binned = min(px, s) / (2 ** (2 * cb) - 1) if cb > 0 else INF  # s > 0 where px > 0
     return alpha, plain, binned, 2 * alpha**2 + (1 - 2 * alpha) ** 2 * px + plain + binned
 
 

@@ -33,7 +33,7 @@ from tworelay.bounds import (
     outer_bounds,
 )
 from tworelay.model import ScenarioCase, make_preset, math_map
-from tworelay.scaling import _BLOCK, _gap_blocks, _splits, certify_gaps
+from tworelay.scaling import _BLOCK, _gaps, _regime_points, _splits, certify_gaps
 
 A, B, C = ScenarioCase.CASE_A, ScenarioCase.CASE_B, ScenarioCase.CASE_C
 N = 10_000
@@ -139,10 +139,10 @@ def test_gaps_equal_reference(case, seed):
     expected = {(px, pj): ref.GAP_FUNCTIONS[case](px, pj)
                 for px in p_x.tolist() for pj in p_j.tolist()}
     covered = []
-    for regime, points, gaps in _gap_blocks(case, p_x.tolist(), p_j.tolist()):
+    for regime, points, columns in _regime_points(case, p_x.tolist(), p_j.tolist()):
         inside = [expected[point] for point in points]
         assert all(e[0] == regime.name for e in inside)
-        assert_bits_equal(gaps, [e[1] for e in inside])
+        assert_bits_equal(_gaps(case, regime, *columns), [e[1] for e in inside])
         covered.extend(points)
     assert len(covered) > _BLOCK  # the regimes' points span blocks
     assert sorted(covered) == sorted(point for point, e in expected.items() if e is not None)

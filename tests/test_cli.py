@@ -177,6 +177,44 @@ class TestBounds:
             assert all(oracles.within(float(row[f]), v, abs_floor=0.0)
                        for f, v in zip(fields, expected))
 
+    def test_zero_rate_binned_link_has_unlimited_distortion(self, capsys):
+        # c2 = 0 and the side-information power underflows to 0: the binned
+        # distortion takes the zero-rate limit inf of p_x > 0, not 0/0 = 0
+        code, out = run_cli(
+            ["bounds", "--case", "c", "--px", "1e-200", "--pj", "0", "--c1", "inf", "--c2", "0"],
+            capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        expected = oracles.case_c_allocation(1e-200, 0, math.inf, 0)
+        fields = ("alpha", "p_d1", "p_d2", "p_neq")
+        for row in rows[6:8]:
+            assert float(row["rate_bits"]) == 0.0
+            assert [float(row[f]) for f in fields[2:]] == [math.inf, math.inf] == list(expected[2:])
+            assert all(oracles.within(float(row[f]), v, abs_floor=0.0)
+                       for f, v in zip(fields[:2], expected[:2]))
+        assert out.splitlines()[-1] == "best,local_decode,7.213475204444817e-201,,,,,bounds.v1"
+
+    @pytest.mark.parametrize("case", ["a", "b", "c"])
+    @pytest.mark.parametrize("p_x, p_j", [(3e-161, 1e155), (1e-160, 1e150)])
+    def test_subnormal_alpha_squared_keeps_its_digits(self, case, p_x, p_j, capsys):
+        # alpha**2 is subnormal here; alpha scales p_j twice instead
+        links = ["--c2", "1"] if case == "a" else ["--c1", "1", "--c2", "1"]
+        code, out = run_cli(
+            ["bounds", "--case", case, "--px", repr(p_x), "--pj", repr(p_j), *links], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        if case == "c":
+            expected = oracles.case_c_allocation(p_x, p_j, 1, 1)
+        else:
+            expected = oracles.case_b_allocation(p_x, p_j, math.inf if case == "a" else 1, 1)
+        # the best row copies the lattice row where the lattice scheme wins (not in Case B)
+        lattice = [r for r in rows if r["row_type"] in ("achievable", "best") and r["alpha"]]
+        assert len(lattice) == (1 if case == "b" else 2)
+        for row in lattice:
+            assert float(row["rate_bits"]) == 0.0
+            assert all(oracles.within(float(row[f]), v, abs_floor=0.0)
+                       for f, v in zip(("alpha", "p_d1", "p_d2", "p_neq"), expected))
+
     def test_json_embeds_manifest(self, capsys):
         code, out = run_cli(
             ["bounds", "--case", "b", "--px", "1e2", "--pj", "1", "--c1", "2",
