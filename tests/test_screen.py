@@ -22,7 +22,7 @@ from test_scaling import reference_sweep
 from tworelay.achievable import best_arrays, lattice_arrays
 from tworelay.bounds import cutset_min_array, modulo_bound_array
 from tworelay.model import ScenarioCase, _screening
-from tworelay.scaling import _gap_regimes, _gaps, _point_certificate
+from tworelay.scaling import _gap_regimes, _gaps, _near_max, _point_certificate
 from tworelay.scaling import certify_gaps, sweep_sum_capacity
 
 A, B, C = ScenarioCase.CASE_A, ScenarioCase.CASE_B, ScenarioCase.CASE_C
@@ -93,6 +93,14 @@ def test_screened_gaps_are_within_half_tau(case, p_x, p_j):
             assert_within_half_tau(regime.name, screened, _gaps(case, regime, px, pj, c1, c2))
 
 
+def test_near_max_keeps_a_row_with_a_non_finite_value_whole():
+    # tau is 2e-9 at a row maximum of 2
+    screened = np.array([[1.0, 2.0, 2.0 - 1e-9, 2.0 - 3e-9],
+                         [1.0, math.nan, 0.0, 1.0],
+                         [0.0, math.inf, 1.0, 2.0]])
+    assert _near_max(screened).tolist() == [[False, True, True, False], [True] * 4, [True] * 4]
+
+
 def reference_certificates(case, px_grid, pj_grid):
     """One certificate per regime from the per-point path: the first largest gap
     in grid order, with the regime's points as its grid."""
@@ -122,7 +130,10 @@ def test_sweep_picks_the_exact_best_split(case, p_x, p_j, totals):
 @given(st.sampled_from([A, B, C]), axis(log_uniform(0.0, 9.0)), axis(log_uniform(0.0, 9.0)))
 def test_gap_grid_picks_the_exact_worst_point(case, p_x, p_j):
     expected = reference_certificates(case, p_x.tolist(), p_j.tolist())
-    if expected:
+    if not expected:
+        with pytest.raises(ValueError, match="no grid point"):
+            certify_gaps(case, p_x.tolist(), p_j.tolist())
+    else:
         assert certify_gaps(case, p_x.tolist(), p_j.tolist()) == expected
 
 
