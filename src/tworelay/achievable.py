@@ -206,9 +206,31 @@ def side_information_power(p_x, p_j, alpha, p_d1, p_n1, p_n2, gain_sum: float) -
     s = alpha2 * bracket + p_d1
     lost = (np.isinf(bracket) | (alpha2 < sys.float_info.min)) & np.isfinite(p_j)
     if lost.any():
-        quarter = 0.25 * (gain_sum**2 * p_x + p_n1 + p_n2) + p_j
+        quarter = _quarter_bracket(p_x, p_j, p_n1, p_n2, gain_sum)
         s = np.where(lost, 4.0 * (alpha * (alpha * quarter)) + p_d1, s)
     return _unless_unlimited(p_j, s)
+
+
+def _quarter_bracket(p_x, p_j, p_n1, p_n2, gain_sum: float) -> np.ndarray:
+    """A quarter of the side-information bracket, finite wherever p_j is."""
+    return 0.25 * (gain_sum**2 * p_x + p_n1 + p_n2) + p_j
+
+
+def _binned_distortion(p_x, p_j, alpha, p_d1, p_n1, p_n2, gain_sum: float,
+                       den) -> tuple[np.ndarray, np.ndarray]:
+    """min(p_x, s)/den with den = 2**(2*c2) - 1, and where the min takes p_x
+    (see `distortion_relay2_case_c`).  A subnormal s kept only a few digits,
+    which a den below 1 would carry into a larger value; there s/den is formed
+    as alpha*(4*(alpha*quarter)/den) + p_d1/den, which can go subnormal only
+    in its last product."""
+    s = side_information_power(p_x, p_j, alpha, p_d1, p_n1, p_n2, gain_sum)
+    at_ceiling = p_x <= s
+    p_d2 = _distortion(p_x, den, np.where(at_ceiling, p_x, s))
+    tiny = (s < sys.float_info.min) & ~at_ceiling & (den > 0.0)
+    if tiny.any():
+        quarter = _quarter_bracket(p_x, p_j, p_n1, p_n2, gain_sum)
+        p_d2 = np.where(tiny, alpha * (4.0 * (alpha * quarter) / den) + p_d1 / den, p_d2)
+    return p_d2, at_ceiling
 
 
 def distortion_relay2_case_c(
@@ -223,9 +245,7 @@ def distortion_relay2_case_c(
     constraint with equality.  The second array marks where min(p_x, s)
     takes p_x, as in `distortion_relay2_case_b`.
     """
-    s = side_information_power(p_x, p_j, alpha, p_d1, p_n1, p_n2, gain_sum)
-    at_ceiling = p_x <= s
-    return _distortion(p_x, _pow2m1(c2), np.where(at_ceiling, p_x, s)), at_ceiling
+    return _binned_distortion(p_x, p_j, alpha, p_d1, p_n1, p_n2, gain_sum, _pow2m1(c2))
 
 
 def equivalent_noise_power(p_x, p_n1, p_n2, alpha, p_d1, p_d2, gain_difference: float):
@@ -248,11 +268,16 @@ def lattice_cf_report(
     return AchievableReport(rate, Scheme.LATTICE_CF, alpha, p_d1, p_d2, float(p_neq))
 
 
+#: `min_branch` labels by index: at_ceiling False, True, and p_x = 0.
+_BRANCHES = np.array(["interference", "signal_ceiling", None], dtype=object)
+
+
 def _lattice(scheme, p_x, rate, alpha, p_d1, p_d2, p_neq, at_ceiling) -> RateArrays:
     """The fields as RateArrays, all zero (and no min branch) where p_x = 0."""
     off = p_x == 0.0
     fields = [np.where(off, 0.0, v) for v in (rate, alpha, p_d1, p_d2, p_neq)]
-    fields.append(np.where(off, None, np.where(at_ceiling, "signal_ceiling", "interference")))
+    # a 0-d index picks the label itself, which asarray wraps back into an array
+    fields.append(np.asarray(_BRANCHES[np.where(off, 2, at_ceiling)], dtype=object))
     rate, alpha, p_d1, p_d2, p_neq, branch = np.broadcast_arrays(*fields)
     return RateArrays(rate, scheme, alpha, p_d1, p_d2, p_neq, branch)
 
@@ -325,9 +350,8 @@ def _case_c(p_x, p_j, c1, c2, variant: str) -> RateArrays:
     swap = ~(forward >= swapped)
     alpha = mmse_alpha(p_x, 1.0, 1.0, 2.0)
     pd_primary = np.where(swap, pd2, pd1)
-    s = side_information_power(p_x, p_j, alpha, pd_primary, 1.0, 1.0, 0.0)
-    at_ceiling = p_x <= s  # as in `distortion_relay2_case_c`
-    pd_binned = _distortion(p_x, np.where(swap, m1, m2), np.where(at_ceiling, p_x, s))
+    pd_binned, at_ceiling = _binned_distortion(p_x, p_j, alpha, pd_primary, 1.0, 1.0, 0.0,
+                                               np.where(swap, m1, m2))
     p_d1, p_d2 = np.where(swap, pd_binned, pd_primary), np.where(swap, pd_primary, pd_binned)
     p_neq = equivalent_noise_power(p_x, 1.0, 1.0, alpha, p_d1, p_d2, 2.0)
     rate = np.where(swapped > forward, swapped, forward)

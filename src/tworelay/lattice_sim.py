@@ -30,13 +30,17 @@ draw.  Batches therefore run concurrently: `run_lattice_sim` and
 threads (numpy's draws and large ufuncs release the interpreter lock) and
 reduce the small per-batch results in batch order.  The output is
 identical for every worker count; the pool size follows the CPUs the
-process may run on and is not a setting.
+process may run on and is not a setting.  Each simulator worker draws and
+reduces its batches in place in seven batch-sized buffers of its own, so
+after its first batch a batch allocates no batch-sized array but a BPSK
+interferer's integer draw.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -180,11 +184,18 @@ def centered_mod(x: np.ndarray | float, cell: float) -> np.ndarray | float:
     """
     if np.ndim(x) == 0:
         return x - cell * np.floor(x / cell + 0.5)
-    q = np.divide(x, cell)
+    return _reduce(x, cell)
+
+
+def _reduce(x: np.ndarray, cell: float, scratch: np.ndarray | None = None,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """`centered_mod` of an array, x/cell formed in `scratch` and the result
+    written to `out` (which may be x); without them, into one new buffer."""
+    q = np.divide(x, cell, out=scratch)
     q += 0.5
     np.floor(q, out=q)
     q *= cell
-    return np.subtract(x, q, out=q)
+    return np.subtract(x, q, out=q if out is None else out)
 
 
 def _stream(seed: int, batch: int, var: int) -> np.random.Generator:
@@ -201,23 +212,58 @@ def _batches(samples: int) -> Iterator[tuple[int, int]]:
         batch += 1
 
 
-def _draw_interferer(rng: np.random.Generator, kind: str, p_j: float, m: int) -> np.ndarray:
+def _draw_interferer(rng: np.random.Generator, kind: str, p_j: float,
+                     out: np.ndarray) -> np.ndarray:
     if kind == "gaussian":
-        return _scaled_normal(rng, p_j, m)
+        return _scaled_normal(rng, p_j, out)
     if p_j == 0.0:
-        return np.zeros(m)
+        out.fill(0.0)
+        return out
     if kind == "uniform":
         half_width = math.sqrt(3.0 * p_j)
-        return rng.uniform(-half_width, half_width, m)
-    return (2.0 * rng.integers(0, 2, m) - 1.0) * math.sqrt(p_j)
+        return _uniform(rng, -half_width, half_width, out)
+    np.copyto(out, rng.integers(0, 2, out.size))  # unlike 2.0*ints, casts with no buffer
+    out *= 2.0
+    out -= 1.0
+    out *= math.sqrt(p_j)
+    return out
 
 
-def _scaled_normal(rng: np.random.Generator, power: float, m: int) -> np.ndarray:
+def _scaled_normal(rng: np.random.Generator, power: float, out: np.ndarray) -> np.ndarray:
     if power == 0.0:
-        return np.zeros(m)
-    z = rng.standard_normal(m)
-    z *= math.sqrt(power)
-    return z
+        out.fill(0.0)
+        return out
+    rng.standard_normal(out=out)
+    out *= math.sqrt(power)
+    return out
+
+
+def _uniform(rng: np.random.Generator, low: float, high: float, out: np.ndarray) -> np.ndarray:
+    """`rng.uniform(low, high, out.size)` drawn into `out`: numpy forms
+    low + (high - low)*u from the same doubles u that `random` yields."""
+    rng.random(out=out)
+    out *= high - low
+    out += low
+    return out
+
+
+#: Batch-sized float64 buffers per pool worker (see `_sim_batch`).
+_BUFFERS = 7
+
+_worker = threading.local()
+
+
+def _worker_buffers(m: int) -> list[np.ndarray]:
+    """The calling thread's `_BUFFERS` buffers, cut to m samples.
+
+    A thread allocates them on its first batch (anew only for a larger
+    batch, which in a run follows none but its last) and refills them on
+    every later one; a pool worker's go with its thread.
+    """
+    arrays = getattr(_worker, "arrays", None)
+    if arrays is None or arrays[0].size < m:
+        arrays = _worker.arrays = [np.empty(m) for _ in range(_BUFFERS)]
+    return [a[:m] for a in arrays]
 
 
 class _Batch(NamedTuple):
@@ -246,6 +292,8 @@ def _run_batches(
 
     The batches run on min(usable CPUs, batches) threads, at most two per
     worker submitted ahead, so memory does not grow with `samples`.  The
+    threads start with the call and have ended when it returns, so what a
+    batch keeps per thread (`_worker_buffers`) lasts one call.  The
     reduction takes the results in batch order, as a serial loop would, and
     returns the largest residual, the summed histogram and, per moment, the
     list of batch sums.
@@ -282,14 +330,23 @@ def _run_batches(
 
 
 def _dither_moments(
-    x: np.ndarray, v: np.ndarray, edges: np.ndarray
+    x: np.ndarray, v: np.ndarray, edges: np.ndarray, scratch: np.ndarray
 ) -> tuple[np.ndarray, dict[str, float]]:
-    """One batch's histogram counts of x and its x/v moment sums."""
+    """One batch's histogram counts of x and its x/v moment sums.
+
+    `scratch`, an array like x, holds each product and then a sorted copy
+    of x; the counts are those of `np.histogram(x, bins=edges)`, which
+    counts a sorted copy the same way (every bin half-open, the last one
+    closed).
+    """
     sums = {"x": float(x.sum()), "v": float(v.sum())}
-    product = np.empty_like(x)
     for key, left, right in (("xv", x, v), ("x2", x, x), ("v2", v, v)):
-        sums[key] = float(np.multiply(left, right, out=product).sum())
-    return np.histogram(x, bins=edges)[0], sums
+        sums[key] = float(np.multiply(left, right, out=scratch).sum())
+    np.copyto(scratch, x)
+    scratch.sort()
+    below = np.concatenate((scratch.searchsorted(edges[:-1], "left"),
+                            scratch.searchsorted(edges[-1:], "right")))
+    return np.diff(below), sums
 
 
 def _chi2_sf_odd(x: float, k: int) -> float:
@@ -337,57 +394,57 @@ def _dither_summary(hist: np.ndarray, sums: dict, n: int) -> tuple[float, float]
 def _sim_batch(cfg: SimConfig, scheme: tuple[float, float, float], edges: np.ndarray,
                batch: int, m: int) -> _Batch:
     """One batch of the scheme, computed in place in the order of the formulas
-    (see the module docstring), holding at most eight batch-sized arrays."""
+    (see the module docstring).
+
+    Every variable is drawn into, and every step written to, the calling
+    worker's seven buffers; the last one is the scratch of the cell
+    reductions and holds the draws used once (n2, d1, d2).  After a worker's
+    first batch only a BPSK interferer's integer draw allocates a
+    batch-sized array.
+    """
     alpha, p_d1, p_d2 = scheme
     L = cfg.cell_length
-    v = _stream(cfg.seed, batch, _VAR_V).uniform(-L / 2.0, L / 2.0, m)
-    u = _stream(cfg.seed, batch, _VAR_U).uniform(-L / 2.0, L / 2.0, m)
-    x = centered_mod(v - u, L)
-    hist, sums = _dither_moments(x, v, edges)
+    v, u, x, j, y1, y2, scratch = _worker_buffers(m)
+    _uniform(_stream(cfg.seed, batch, _VAR_V), -L / 2.0, L / 2.0, v)
+    _uniform(_stream(cfg.seed, batch, _VAR_U), -L / 2.0, L / 2.0, u)
+    _reduce(np.subtract(v, u, out=x), L, scratch, x)
+    hist, sums = _dither_moments(x, v, edges, scratch)
 
     # y_i = a_i*x + j + n_i, the two relay observations
-    j = _draw_interferer(_stream(cfg.seed, batch, _VAR_J), cfg.interferer, cfg.p_j, m)
-    y1 = np.multiply(x, cfg.a)
+    _draw_interferer(_stream(cfg.seed, batch, _VAR_J), cfg.interferer, cfg.p_j, j)
+    np.multiply(x, cfg.a, out=y1)
     y1 += j
-    y2 = np.multiply(x, cfg.b)
+    np.multiply(x, cfg.b, out=y2)
     y2 += j
-    del j
     leak = x
     leak *= 1.0 - alpha * (cfg.a - cfg.b)
-    neq = _scaled_normal(_stream(cfg.seed, batch, _VAR_N1), cfg.p_n1, m)
+    neq = _scaled_normal(_stream(cfg.seed, batch, _VAR_N1), cfg.p_n1, j)  # n1, in j's buffer
     y1 += neq
-    n2 = _scaled_normal(_stream(cfg.seed, batch, _VAR_N2), cfg.p_n2, m)
+    n2 = _scaled_normal(_stream(cfg.seed, batch, _VAR_N2), cfg.p_n2, scratch)
     y2 += n2
     neq -= n2
-    del n2
 
     # w_i = (alpha*y_i mod cell) + d_i, and n_eq = alpha*(n1 - n2) + d1 - d2 - leak
     neq *= alpha
     y1 *= alpha
-    w1 = centered_mod(y1, L)
-    del y1
+    w1 = _reduce(y1, L, scratch, y1)
     y2 *= alpha
-    w2 = centered_mod(y2, L)
-    del y2
-    d = _scaled_normal(_stream(cfg.seed, batch, _VAR_D1), p_d1, m)
+    w2 = _reduce(y2, L, scratch, y2)
+    d = _scaled_normal(_stream(cfg.seed, batch, _VAR_D1), p_d1, scratch)
     w1 += d
     neq += d
-    d = _scaled_normal(_stream(cfg.seed, batch, _VAR_D2), p_d2, m)
+    _scaled_normal(_stream(cfg.seed, batch, _VAR_D2), p_d2, d)
     w2 += d
     neq -= d
-    del d
     neq -= leak
-    del leak
 
     w1 -= w2
     w1 += u
-    del w2, u
-    combined = centered_mod(w1, L)
-    del w1
+    combined = _reduce(w1, L, scratch, w1)
     v += neq
-    predicted = centered_mod(v, L)
-    del v
-    if not (np.all(np.isfinite(combined)) and np.all(np.isfinite(neq))):
+    predicted = _reduce(v, L, scratch, v)
+    flags = u.view(np.bool_)[:m]  # u is spent; its bytes hold the finiteness flags
+    if not (np.isfinite(combined, out=flags).all() and np.isfinite(neq, out=flags).all()):
         return _Batch(False, math.nan, hist, sums)
     gap = combined
     gap -= predicted
@@ -476,7 +533,7 @@ def crypto_lemma_check(
             u = np.zeros(m)
         else:
             u = _stream(seed, batch, _VAR_U).uniform(-L / 2.0, L / 2.0, m)
-        return _Batch(True, 0.0, *_dither_moments(centered_mod(v - u, L), v, edges))
+        return _Batch(True, 0.0, *_dither_moments(centered_mod(v - u, L), v, edges, np.empty(m)))
 
     _, hist, sums = _run_batches(samples, dither_batch)
     pvalue, corr = _dither_summary(hist, sums, samples)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import oracles
@@ -214,6 +215,24 @@ class TestBounds:
             assert float(row["rate_bits"]) == 0.0
             assert all(oracles.within(float(row[f]), v, abs_floor=0.0)
                        for f, v in zip(("alpha", "p_d1", "p_d2", "p_neq"), expected))
+
+    @pytest.mark.parametrize("p_x, p_j, c2", [
+        (3e-161, 15, 1e-3), (1e-162, 0, 1e-3), (1e-159, 1, 0.5), (1e-160, 1e8, 1)])
+    def test_subnormal_side_information_keeps_its_digits(self, p_x, p_j, c2, capsys):
+        # s = alpha**2*(4*p_j + 2) is subnormal; the binned p_d2 = s/(2**(2*c2) - 1)
+        # is rounded once, to the nearest subnormal, not carried up from s
+        code, out = run_cli(["bounds", "--case", "c", "--px", repr(p_x), "--pj", repr(p_j),
+                             "--c1", "inf", "--c2", repr(c2)], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        expected = oracles.case_c_allocation(p_x, p_j, math.inf, c2)
+        lattice = [r for r in rows if r["row_type"] == "achievable" and r["alpha"]]
+        assert len(lattice) == 2
+        for row in lattice:
+            assert float(row["rate_bits"]) == 0.0
+            assert abs(mpmath.mpf(float(row["p_d2"])) - expected[2]) <= mpmath.mpf(2) ** -1075
+            assert all(oracles.within(float(row[f]), v, abs_floor=0.0)
+                       for f, v in zip(("alpha", "p_d1", "p_neq"), expected[:2] + expected[3:]))
 
     def test_json_embeds_manifest(self, capsys):
         code, out = run_cli(

@@ -58,6 +58,12 @@ CALLS = {
     "simulate_c.json": ["simulate", "--case", "c", "--px", "15", "--pj", "15", "--c1", "2",
                         "--c2", "1", "--samples", "100000", "--seed", "7",
                         "--interferer", "uniform"],
+    # three full batches and a partial one of 17 samples
+    "simulate_b.json": ["simulate", "--case", "b", "--px", "15", "--pj", "15", "--c1", "2",
+                        "--c2", "1", "--samples", "196625", "--seed", "11"],
+    "simulate_c_bpsk.json": ["simulate", "--case", "c", "--px", "100", "--pj", "30",
+                             "--c1", "3", "--c2", "1.5", "--samples", "196625", "--seed", "12",
+                             "--interferer", "bpsk"],
     "cover.json": ["cover", "--rate", "0.5", "--trials", "100", "--seed", "3"],
 }
 

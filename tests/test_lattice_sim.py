@@ -3,6 +3,7 @@ import struct
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import astuple, replace
 
 import mpmath
@@ -266,6 +267,64 @@ class TestThreadedBatches:
         for thread in threads:
             thread.join(timeout=10.0)
             assert not thread.is_alive()
+        assert not [t for t in threading.enumerate() if t.name.startswith("tworelay-batch")]
+
+
+class TestWorkerBuffers:
+    """Each pool worker draws and reduces its batches in one reused set of
+    buffers; nothing of one run may reach the next."""
+
+    def test_back_to_back_runs_equal_the_serial_loop(self, monkeypatch):
+        monkeypatch.setattr(lattice_sim, "_usable_cpus", lambda: 2)
+        aborts = replace(CASE_B, samples=10**4, alpha_override=math.nan)
+        runs = [
+            replace(CASE_C, samples=5 * BATCH_SIZE + 3, interferer="bpsk"),
+            replace(CASE_B, p_x=1e4, samples=BATCH_SIZE - 1, interferer="uniform"),
+            aborts,
+            replace(CASE_C, p_x=0.3, p_j=0.0, samples=2 * BATCH_SIZE, seed=3),
+            SimConfig(case="general", p_x=8, p_j=3, c1=2, c2=1.5, samples=3 * BATCH_SIZE + 17,
+                      seed=9, a=0.7, b=-1.3, p_n1=0.4, p_n2=1.1, interferer="uniform"),
+            replace(CASE_B, samples=1),
+        ]
+        for cfg in runs:
+            if cfg is aborts:
+                with pytest.raises(ValueError, match="non-finite"):
+                    run_lattice_sim(cfg)
+            else:
+                assert bit_patterns(run_lattice_sim(cfg)) == bit_patterns(
+                    reference_run_lattice_sim(cfg)), cfg
+
+    def test_peak_memory_stays_below_eight_batch_arrays(self, monkeypatch):
+        # the serial loop held eight batch-sized arrays at its peak; the seven
+        # buffers of a single worker, and its histogram, stay below that, the
+        # same at any batch count, and are gone when the run returns
+        monkeypatch.setattr(lattice_sim, "_usable_cpus", lambda: 1)
+        run_lattice_sim(replace(CASE_C, samples=BATCH_SIZE))  # first-call allocations
+        peaks = []
+        for batches in (6, 12):
+            tracemalloc.start()
+            try:
+                run_lattice_sim(replace(CASE_C, samples=batches * BATCH_SIZE))
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * BATCH_SIZE * 8
+            assert current < BATCH_SIZE
+            peaks.append(peak)
+        assert abs(peaks[1] - peaks[0]) < BATCH_SIZE
+
+    def test_histogram_counts_equal_numpys(self):
+        # values on every edge, one step below each, outside the cell and random
+        edges = np.linspace(-1.5, 1.5, lattice_sim.UNIFORMITY_BINS + 1)
+        x = np.concatenate((edges, np.nextafter(edges, -np.inf), [-2.0, 2.0, -0.0],
+                            np.random.default_rng(3).uniform(-1.5, 1.5, 5000)))
+        hist, _ = lattice_sim._dither_moments(x, x, edges, np.empty_like(x))
+        assert hist.dtype == np.histogram(x, bins=edges)[0].dtype
+        assert hist.tolist() == np.histogram(x, bins=edges)[0].tolist()
+
+    def test_no_worker_outlives_a_run(self, monkeypatch):
+        monkeypatch.setattr(lattice_sim, "_usable_cpus", lambda: 3)
+        run_lattice_sim(replace(CASE_B, samples=4 * BATCH_SIZE))
         assert not [t for t in threading.enumerate() if t.name.startswith("tworelay-batch")]
 
 
