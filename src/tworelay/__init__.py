@@ -15,7 +15,13 @@ for neither.
 
 __version__ = "0.1.0"
 
+import os as _os
+import sys as _sys
 from importlib import import_module as _import_module
+
+if "numpy" not in _sys.modules and "NPY_ENABLE_CPU_FEATURES" not in _os.environ:
+    # numpy reads it as it loads, and refuses it next to the ENABLE one (see `model`)
+    _os.environ.setdefault("NPY_DISABLE_CPU_FEATURES", "X86_V4")
 
 from .achievable import (
     AchievableReport,

@@ -31,9 +31,8 @@ The closed forms are one array core: `lattice_arrays`, `local_decode_rates`
 and `best_arrays` broadcast over (p_x, p_j, c1, c2) for an explicitly given
 case, so a sweep evaluates all splits of several sums in one call.  Arithmetic runs
 in numpy in the order of the formulas; every transcendental goes through
-`model.math_map` (libm), which keeps each element equal, bit for bit, to a
-per-point evaluation (numpy's ufuncs run instead inside `model._screening`,
-with which the grids rank their points).  The core takes its input as given.  The per-point
+`model.math_map` or `model.square` (libm's bits), which keeps each element
+equal, bit for bit, to a per-point evaluation.  The core takes its input as given.  The per-point
 entries evaluate it at one point after one input check: `achievable_case_*`
 and `local_decode_baseline` check their powers and links as `ChannelConfig`
 checks its fields (`model._check_fields`), and `best_achievable` infers a
@@ -217,19 +216,20 @@ def _quarter_bracket(p_x, p_j, p_n1, p_n2, gain_sum: float) -> np.ndarray:
 
 
 def _binned_distortion(p_x, p_j, alpha, p_d1, p_n1, p_n2, gain_sum: float,
-                       den) -> tuple[np.ndarray, np.ndarray]:
+                       den, plain_den=None) -> tuple[np.ndarray, np.ndarray]:
     """min(p_x, s)/den with den = 2**(2*c2) - 1, and where the min takes p_x
     (see `distortion_relay2_case_c`).  A subnormal s kept only a few digits,
     which a den below 1 would carry into a larger value; there s/den is formed
     as alpha*(4*(alpha*quarter)/den) + p_d1/den, which can go subnormal only
-    in its last product."""
+    in its last product; given p_d1 = p_x/plain_den, p_d1/den is p_x/(plain_den*den)."""
     s = side_information_power(p_x, p_j, alpha, p_d1, p_n1, p_n2, gain_sum)
     at_ceiling = p_x <= s
     p_d2 = _distortion(p_x, den, np.where(at_ceiling, p_x, s))
     tiny = (s < sys.float_info.min) & ~at_ceiling & (den > 0.0)
     if tiny.any():
         quarter = _quarter_bracket(p_x, p_j, p_n1, p_n2, gain_sum)
-        p_d2 = np.where(tiny, alpha * (4.0 * (alpha * quarter) / den) + p_d1 / den, p_d2)
+        plain = p_d1 / den if plain_den is None else p_x / (plain_den * den)
+        p_d2 = np.where(tiny, alpha * (4.0 * (alpha * quarter) / den) + plain, p_d2)
     return p_d2, at_ceiling
 
 
@@ -351,7 +351,7 @@ def _case_c(p_x, p_j, c1, c2, variant: str) -> RateArrays:
     alpha = mmse_alpha(p_x, 1.0, 1.0, 2.0)
     pd_primary = np.where(swap, pd2, pd1)
     pd_binned, at_ceiling = _binned_distortion(p_x, p_j, alpha, pd_primary, 1.0, 1.0, 0.0,
-                                               np.where(swap, m1, m2))
+                                               np.where(swap, m1, m2), np.where(swap, m2, m1))
     p_d1, p_d2 = np.where(swap, pd_binned, pd_primary), np.where(swap, pd_primary, pd_binned)
     p_neq = equivalent_noise_power(p_x, 1.0, 1.0, alpha, p_d1, p_d2, 2.0)
     rate = np.where(swapped > forward, swapped, forward)

@@ -124,6 +124,8 @@ class SimConfig:
                 raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
         for name in ("c1", "c2"):
             c = getattr(self, name)
+            if c is None:
+                raise ValueError(f"case {self.case!r} needs {name}")
             if math.isinf(c) and c > 0:
                 continue  # quantizer disabled
             if not c > 0.0:

@@ -23,12 +23,12 @@ rate and bound stays finite); an unlimited ``p_x`` is rejected.  The array
 core takes the case explicitly and its input as given; each per-point entry
 checks its input once, a config against its case or raw powers and links
 with `_check_fields`, and raises ValueError on input outside the model.
+Every transcendental goes through `math_map` or `square`, which give libm's
+bits: through numpy's ufuncs where their loops do (`_UFUNC_PATH`), else per element.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import enum
 import itertools
 import math
@@ -173,29 +173,30 @@ def mutual_info(signal_power, noise_power) -> np.ndarray:
 
 
 def math_map(fn: Callable[[float], float], x) -> np.ndarray:
-    """The `math` function `fn` applied to each element of x.
+    """The `math` function `fn` applied to each element of x, with libm's bits.
 
-    The closed forms take every transcendental through here: numpy's own
-    log1p, log2, expm1, exp and x**2 differ from libm's in the last bit on a
-    share of inputs, and the CLI prints floats with repr.  libm reads the
-    elements straight from the flat buffer, not from a list of their copies.
-    Inside `_screening` the numpy ufunc of `fn` runs instead.
+    The CLI prints floats with repr, and numpy's AVX-512 loops differ from
+    libm in the last bit.  On the ufunc path numpy's ufunc of `fn` runs, its
+    warnings off (np.expm1 warns where `_expm1` returns inf); else libm reads
+    the elements straight from the flat buffer.
     """
     x = np.asarray(x, dtype=float)
-    if _SCREEN.get():
-        return _UFUNCS[fn](x)
+    if _UFUNC_PATH:
+        with np.errstate(all="ignore"):
+            return _UFUNCS[fn](x)
     return np.fromiter(map(fn, memoryview(x.ravel())), float, x.size).reshape(x.shape)
 
 
 def square(x) -> np.ndarray:
     """x**2 elementwise as Python's float ** computes it: libm pow, not x*x.
 
-    `pow(v, 2.0)` is what `v**2` runs for a float v, called here from the
-    buffer without a Python frame per element.  Inside `_screening`, x*x.
+    On the ufunc path np.power runs with an exponent array, as a scalar 2.0
+    takes numpy's x*x; else `pow(v, 2.0)`, what `v**2` runs for a float v.
     """
     x = np.asarray(x, dtype=float)
-    if _SCREEN.get():
-        return x * x
+    if _UFUNC_PATH:
+        with np.errstate(all="ignore"):
+            return np.power(x, np.full(x.shape, 2.0))
     squares = map(pow, memoryview(x.ravel()), itertools.repeat(2.0))
     return np.fromiter(squares, float, x.size).reshape(x.shape)
 
@@ -208,28 +209,29 @@ def _expm1(x: float) -> float:
         return math.inf
 
 
-#: Set inside `_screening`: `math_map` and `square` run numpy's ufuncs.
-_SCREEN = contextvars.ContextVar("tworelay_screen", default=False)
 _UFUNCS = {math.log1p: np.log1p, math.log2: np.log2, math.expm1: np.expm1,
            _expm1: np.expm1, math.exp: np.exp}
 
+#: (ufunc, loop, targets giving libm's bits: baseline calls libm, exp's X86_V3 matched it)
+_LIBM_TARGETS = (("log1p", "dd", ("baseline",)), ("log2", "dd", ("baseline",)),
+                 ("expm1", "dd", ("baseline",)), ("power", "ddd", ("baseline",)),
+                 ("exp", "dd", ("baseline", "X86_V3")))
 
-@contextlib.contextmanager
-def _screening():
-    """Evaluate the closed forms with numpy's ufuncs in place of libm.
 
-    Inside, `math_map` and `square` run numpy's log1p, log2, expm1, exp and
-    x*x, with numpy's floating-point warnings off (np.expm1 warns where
-    `_expm1` returns inf).  A value computed inside may differ from the
-    exact one in the last bits of its terms: it ranks grid points and is
-    never printed.
-    """
-    token = _SCREEN.set(True)
+def _ufuncs_give_libm_bits() -> bool:
+    """Whether numpy, as loaded, runs a loop of `_LIBM_TARGETS` for each ufunc
+    (see `tworelay/__init__.py`); numpy before 2.0 cannot say."""
     try:
-        with np.errstate(all="ignore"):
-            yield
-    finally:
-        _SCREEN.reset(token)
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return False
+    info = opt_func_info()
+    return all(info.get(name, {}).get(signature, {}).get("current", "").startswith(targets)
+               for name, signature, targets in _LIBM_TARGETS)
+
+
+#: Whether `math_map` and `square` run numpy's ufuncs; else libm per element.
+_UFUNC_PATH = _ufuncs_give_libm_bits()
 
 
 def as_arrays(*values) -> list[np.ndarray]:

@@ -234,6 +234,21 @@ class TestBounds:
             assert all(oracles.within(float(row[f]), v, abs_floor=0.0)
                        for f, v in zip(("alpha", "p_d1", "p_neq"), expected[:2] + expected[3:]))
 
+    @pytest.mark.parametrize("c1", ["1", "3"])
+    def test_subnormal_plain_distortion_keeps_its_digits(self, c1, capsys):
+        # p_x and p_d1 = p_x/(2**(2*c1) - 1) are subnormal; the binned
+        # p_d2 = p_d1/(2**(2*c2) - 1) is formed from p_x, rounded once
+        code, out = run_cli(["bounds", "--case", "c", "--px", "1e-320", "--pj", "0",
+                             "--c1", c1, "--c2", "1e-3"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        expected = oracles.case_c_allocation(1e-320, 0, float(c1), 1e-3)
+        lattice = [r for r in rows if r["row_type"] == "achievable" and r["alpha"]]
+        assert len(lattice) == 2
+        for row in lattice:
+            for field, value in zip(("p_d1", "p_d2"), expected[1:3]):
+                assert abs(mpmath.mpf(float(row[field])) - value) <= mpmath.mpf(2) ** -1075
+
     def test_json_embeds_manifest(self, capsys):
         code, out = run_cli(
             ["bounds", "--case", "b", "--px", "1e2", "--pj", "1", "--c1", "2",
@@ -438,6 +453,13 @@ class TestReproducibility:
         ["scaling", "--case", "a", "--exponents", "10"],
         ["sweep", "--case", "b", "--px", "10", "--pj", "1", "--sum-range", "0:1:-1"],
         ["sweep", "--case", "b", "--px", "10", "--pj", "1", "--sum-range", "0:1"],
+        ["simulate", "--case", "b", "--px", "15", "--pj", "15", "--c1", "1", "--seed", "1"],
+        ["simulate", "--case", "b", "--px", "15", "--pj", "15", "--c2", "1", "--seed", "1"],
+        ["simulate", "--case", "c", "--px", "15", "--pj", "15", "--c2", "1", "--seed", "1"],
+        ["simulate", "--case", "c", "--px", "15", "--pj", "15", "--c1", "1", "--seed", "1"],
+        ["scaling", "--case", "a", "--exponents", "1:1024"],
+        ["scaling", "--case", "b", "--exponents", "1:1024"],
+        ["scaling", "--case", "c", "--exponents", "1:1024"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -445,6 +467,13 @@ def test_input_outside_the_model_exits_2(argv, capsys):
     code, out = run_cli(argv, capsys)
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("case", ["a", "b", "c"])
+def test_largest_exponent_below_overflow_is_accepted(case, capsys):
+    code, out = run_cli(["scaling", "--case", case, "--exponents", "1:1023"], capsys)
+    assert code == 0
+    assert json.loads(out)["exponent_grid"][-1] == 1023.0
 
 
 def test_cli_import_loads_no_scipy():
