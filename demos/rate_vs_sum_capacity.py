@@ -15,9 +15,11 @@ Equivalent CLI:  tworelay sweep --case c --px 1e8 --pj 1e4 --out sweep.csv
 
 import math
 
-import numpy as np
-
+# tworelay first: loaded before numpy, it gets numpy's libm-exact loops, and the
+# sweep one ufunc pass per grid; after numpy, libm runs once per element.
 from tworelay import ScenarioCase, gaussian_mi, sweep_sum_capacity
+
+import numpy as np
 
 P_X, P_J = 1e8, 1e4
 BP1 = 0.5 * math.log2(P_X / P_J)

@@ -216,36 +216,35 @@ def _quarter_bracket(p_x, p_j, p_n1, p_n2, gain_sum: float) -> np.ndarray:
 
 
 def _binned_distortion(p_x, p_j, alpha, p_d1, p_n1, p_n2, gain_sum: float,
-                       den, plain_den=None) -> tuple[np.ndarray, np.ndarray]:
-    """min(p_x, s)/den with den = 2**(2*c2) - 1, and where the min takes p_x
-    (see `distortion_relay2_case_c`).  A subnormal s kept only a few digits,
-    which a den below 1 would carry into a larger value; there s/den is formed
-    as alpha*(4*(alpha*quarter)/den) + p_d1/den, which can go subnormal only
-    in its last product; given p_d1 = p_x/plain_den, p_d1/den is p_x/(plain_den*den)."""
+                       den, plain_den) -> tuple[np.ndarray, np.ndarray]:
+    """min(p_x, s)/den with den = 2**(2*c2) - 1 and p_d1 = p_x/plain_den, and where
+    the min takes p_x (see `distortion_relay2_case_c`).  A subnormal s kept only a
+    few digits, which a den below 1 would carry into a larger value; there s/den is
+    alpha*(4*(alpha*quarter)/den) + p_x/(plain_den*den), subnormal only in its last product."""
     s = side_information_power(p_x, p_j, alpha, p_d1, p_n1, p_n2, gain_sum)
     at_ceiling = p_x <= s
     p_d2 = _distortion(p_x, den, np.where(at_ceiling, p_x, s))
     tiny = (s < sys.float_info.min) & ~at_ceiling & (den > 0.0)
     if tiny.any():
-        quarter = _quarter_bracket(p_x, p_j, p_n1, p_n2, gain_sum)
-        plain = p_d1 / den if plain_den is None else p_x / (plain_den * den)
-        p_d2 = np.where(tiny, alpha * (4.0 * (alpha * quarter) / den) + plain, p_d2)
+        scaled = alpha * _quarter_bracket(p_x, p_j, p_n1, p_n2, gain_sum)
+        p_d2 = np.where(tiny, alpha * (4.0 * scaled / den) + p_x / (plain_den * den), p_d2)
     return p_d2, at_ceiling
 
 
 def distortion_relay2_case_c(
-    p_x, p_j, c2, alpha, p_d1, p_n1=1.0, p_n2=1.0, gain_sum: float = 0.0
+    p_x, p_j, c1, c2, alpha, p_n1=1.0, p_n2=1.0, gain_sum: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Relay-2 distortion for Case C via binned (side-information) coding.
 
     Relay 2's description is recovered from relay 1's, so its rate
     constraint reads 0.5*log2(1 + min(p_x, s)/d2) <= c2 with
     s = alpha^2*(gain_sum^2*p_x + 4*p_j + p_n1 + p_n2) + p_d1 the power of
-    the sum signal it must be resolved against.  The allocation takes the
-    constraint with equality.  The second array marks where min(p_x, s)
-    takes p_x, as in `distortion_relay2_case_b`.
+    the sum signal it must be resolved against (p_d1 = `distortion_relay1`
+    at rate c1).  The allocation takes the constraint with equality.  The
+    second array marks where min(p_x, s) takes p_x, as in `distortion_relay2_case_b`.
     """
-    return _binned_distortion(p_x, p_j, alpha, p_d1, p_n1, p_n2, gain_sum, _pow2m1(c2))
+    m1, m2 = _pow2m1(c1), _pow2m1(c2)
+    return _binned_distortion(p_x, p_j, alpha, _distortion(p_x, m1), p_n1, p_n2, gain_sum, m2, m1)
 
 
 def equivalent_noise_power(p_x, p_n1, p_n2, alpha, p_d1, p_d2, gain_difference: float):

@@ -152,7 +152,7 @@ class SimConfig:
             p_d2, _ = distortion_relay2_case_b(self.p_x, self.p_j, self.c2, alpha)
         else:
             p_d2, _ = distortion_relay2_case_c(
-                self.p_x, self.p_j, self.c2, alpha, p_d1,
+                self.p_x, self.p_j, self.c1, self.c2, alpha,
                 self.p_n1, self.p_n2, gain_sum=self.a + self.b,
             )
         return float(alpha), float(p_d1), float(p_d2)

@@ -190,11 +190,10 @@ def math_map(fn: Callable[[float], float], x) -> np.ndarray:
 def square(x) -> np.ndarray:
     """x**2 elementwise as Python's float ** computes it: libm pow, not x*x.
 
-    On the ufunc path np.power runs with an exponent array, as a scalar 2.0
-    takes numpy's x*x; else `pow(v, 2.0)`, what `v**2` runs for a float v.
-    """
+    For two or more elements on the ufunc path, np.power with an exponent array
+    (one of stride 0, as a scalar or 0-d one has, takes x*x); else `pow(v, 2.0)`."""
     x = np.asarray(x, dtype=float)
-    if _UFUNC_PATH:
+    if _UFUNC_PATH and x.size > 1:
         with np.errstate(all="ignore"):
             return np.power(x, np.full(x.shape, 2.0))
     squares = map(pow, memoryview(x.ravel()), itertools.repeat(2.0))

@@ -2,11 +2,12 @@
 
 `tworelay` asks numpy, before numpy loads, to leave out its AVX-512 loops,
 and `model` runs the ufuncs (`model._UFUNC_PATH`) only where
-`numpy.lib.introspect.opt_func_info` reports loops whose bits are libm's;
-elsewhere `math_map` and `square` call libm per element.  These tests check
-that a fresh CLI process takes the ufunc path where numpy reports those
-loops, that each accepted loop equals libm bit for bit at the extremes, and
-that the per-element path writes the golden bytes.
+`numpy.lib.introspect.opt_func_info` reports loops whose bits are libm's
+(`model._LIBM_TARGETS`); elsewhere `math_map` and `square` call libm per
+element.  These tests check that a fresh CLI process takes the path the suite
+takes, that each accepted loop equals libm bit for bit at the extremes, for
+an array and for the 0-d and one-element input of a per-point call, and that
+the per-element path writes the golden bytes.
 """
 
 import json
@@ -24,13 +25,6 @@ from tworelay import model
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
-
-#: The loops whose bits match libm: the baseline ones call it, and exp's
-#: X86_V3 loop matched on every input measured (see the extremes below).
-ACCEPTED = {("log1p", "dd"): ("baseline",), ("log2", "dd"): ("baseline",),
-            ("expm1", "dd"): ("baseline",), ("power", "ddd"): ("baseline",),
-            ("exp", "dd"): ("baseline", "X86_V3")}
-
 
 def _python(code: str, env: dict) -> str:
     """The last stdout line of `code` run in a fresh interpreter."""
@@ -53,22 +47,22 @@ FRESH_CLI = """
         runpy.run_module("tworelay.cli", run_name="__main__", alter_sys=True)
     except SystemExit as exit:
         code = exit.code
+    import os
     from numpy.lib.introspect import opt_func_info
     from tworelay import model
-    print(json.dumps([code, opt_func_info(), model._UFUNC_PATH]))
+    current = {name: opt_func_info()[name][sig]["current"] for name, sig, _ in model._LIBM_TARGETS}
+    print(json.dumps([code, os.environ.get("NPY_DISABLE_CPU_FEATURES"), current,
+                      model._UFUNC_PATH]))
 """
 
 
-def test_fresh_cli_takes_the_ufunc_path_where_numpy_reports_libm_loops():
+def test_fresh_cli_takes_the_path_the_suite_takes():
     pytest.importorskip("numpy.lib.introspect")
-    code, info, ufunc_path = json.loads(_python(FRESH_CLI, _without_cpu_features()))
+    code, disabled, current, ufunc_path = json.loads(_python(FRESH_CLI, _without_cpu_features()))
     assert code == 0
-    current = {(name, sig): info.get(name, {}).get(sig, {}).get("current", "")
-               for name, sig in ACCEPTED}
-    verified = all(current[key].startswith(targets) for key, targets in ACCEPTED.items())
-    assert ufunc_path == verified
-    assert model._UFUNC_PATH == ufunc_path  # the suite runs the CLI's path
-    if not verified:
+    assert disabled == "X86_V4"  # set before the CLI's numpy loaded
+    assert model._UFUNC_PATH == ufunc_path
+    if not ufunc_path:
         pytest.skip(f"numpy dispatches to loops not verified against libm: {current}")
 
 
@@ -138,11 +132,18 @@ def _libm(fn, *args):
         return None
 
 
-def _assert_libm_bits(name, got, inputs, reference):
-    mismatches = [(x, g, r) for x, g, r in zip(inputs, got.tolist(), reference)
-                  if r is not None and not (math.isnan(g) and math.isnan(r))
-                  and np.float64(g).view(np.uint64) != np.float64(r).view(np.uint64)]
-    assert mismatches == [], name
+def _assert_libm_bits(name, op, inputs, reference):
+    """op's values equal the reference bit for bit, on the inputs as one array
+    and on each input alone, as a 0-d and as a one-element array.  Alone, an
+    input can take libm per element, which raises OverflowError where the
+    reference has inf."""
+    for shape, got in (("array", op(inputs).tolist()),
+                       ("0-d", [_libm(lambda v: op(np.float64(v)).item(), x) for x in inputs]),
+                       ("1-element", [_libm(lambda v: op([v])[0].item(), x) for x in inputs])):
+        mismatches = [(x, g, r) for x, g, r in zip(inputs, got, reference)
+                      if r is not None and not (math.isnan(g) and math.isnan(r))
+                      and np.float64(g).view(np.uint64) != np.float64(r).view(np.uint64)]
+        assert mismatches == [], (name, shape)
 
 
 @pytest.mark.skipif(not model._UFUNC_PATH, reason="the per-element path calls libm itself")
@@ -151,10 +152,10 @@ def test_accepted_loop_equals_libm_at_the_extremes(fn):
     inputs = EXTREMES[fn]
     reference = [_libm(fn, x) for x in inputs]
     assert sum(r is not None for r in reference) > 0.9 * len(inputs)
-    _assert_libm_bits(fn.__name__, model.math_map(fn, inputs), inputs, reference)
+    _assert_libm_bits(fn.__name__, lambda x: model.math_map(fn, x), inputs, reference)
 
 
 @pytest.mark.skipif(not model._UFUNC_PATH, reason="the per-element path calls libm itself")
 def test_accepted_power_loop_equals_libm_pow_at_the_extremes():
     reference = [_libm(pow, x, 2.0) for x in SQUARES]
-    _assert_libm_bits("square", model.square(SQUARES), SQUARES, reference)
+    _assert_libm_bits("square", model.square, SQUARES, reference)
