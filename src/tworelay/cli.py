@@ -309,7 +309,7 @@ def cmd_gaps(args: argparse.Namespace) -> int:
                 "bound_used": cert.bound_used,
                 "claimed_bound": cert.claimed_bound,
                 "max_gap": cert.max_gap,
-                "grid_points": len(cert.grid),
+                "grid_points": cert.grid_points,
                 "satisfied": cert.satisfied,
             }
             for cert in certificates

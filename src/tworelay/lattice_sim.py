@@ -66,6 +66,9 @@ BATCH_SIZE = 1 << 16
 #: Number of histogram bins for the dither-uniformity test.
 UNIFORMITY_BINS = 64
 
+#: The smallest positive normal float.
+_SMALLEST_NORMAL = 2.0**-1022
+
 _INTERFERERS = ("gaussian", "uniform", "bpsk")
 
 # stream indices per random variable
@@ -381,13 +384,27 @@ def _chi2_sf_odd(x: float, k: int) -> float:
     return head + math.exp(-y) * math.fsum(terms)
 
 
+def _root_product(a: float, b: float) -> float:
+    """sqrt(a * b) for positive variances, NaN unless both are positive and finite.
+
+    The product is kept where it is a normal float, so those values keep their
+    bits; where it underflows or overflows, the roots are taken apart.
+    """
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        return math.nan
+    product = a * b
+    if _SMALLEST_NORMAL <= product < math.inf:
+        return math.sqrt(product)
+    return math.sqrt(a) * math.sqrt(b)
+
+
 def _dither_summary(hist: np.ndarray, sums: dict, n: int) -> tuple[float, float]:
     """Chi-square uniformity p-value of the histogram and the x-v correlation."""
     total = {k: math.fsum(sums[k]) for k in ("x", "v", "xv", "x2", "v2")}
     cov_xv = total["xv"] - total["x"] * total["v"] / n
     var_x = total["x2"] - total["x"] ** 2 / n
     var_v = total["v2"] - total["v"] ** 2 / n
-    corr = cov_xv / math.sqrt(var_x * var_v) if var_x > 0.0 and var_v > 0.0 else math.nan
+    corr = cov_xv / _root_product(var_x, var_v)
     expected = n / UNIFORMITY_BINS
     chi2_stat = float(((hist - expected) ** 2 / expected).sum())
     return _chi2_sf_odd(chi2_stat, UNIFORMITY_BINS - 1), corr

@@ -18,15 +18,15 @@ regime from consecutive p_x rows.
 Of each sum's splits and each regime's points only the first argmax in grid
 order is reported (the lowest c1 of a sum, the first worst point of a
 regime), from one pass over the grid; `model.math_map` gives every value
-libm's bits, so the pick is the one a per-point evaluation makes.  The
-certificates report each regime's largest gap as the config-checked
+libm's bits, so the pick is the one a per-point evaluation makes.  A
+certificate carries its regime's point count and that worst point, not the
+points themselves, and reports the largest gap as the config-checked
 per-point path (`_point_certificate`) gives it at that point.  The pre-log
 ladders and the looseness demo build one config per point.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
@@ -252,14 +252,17 @@ def required_region_case_c(target_rate: float, p_x: float, p_j: float) -> Region
 class GapCertificate:
     """Outer bound minus achievable rate, certified over a parameter grid.
 
-    `max_gap` is the largest observed difference on `grid`, `bound_used`
-    names the outer bound it was measured against, and `claimed_bound` is
-    the constant the gap is asserted to stay below.
+    `grid_points` counts the grid points inside the regime, and `max_gap` is
+    the largest difference among them, attained first (in grid order: p_x
+    rows, then p_j) at `worst_point` = (p_x, p_j).  `bound_used` names the
+    outer bound it was measured against, and `claimed_bound` is the
+    constant the gap is asserted to stay below.
     """
 
     case: ScenarioCase
     regime: str
-    grid: tuple[tuple[float, float], ...]
+    grid_points: int
+    worst_point: tuple[float, float]
     max_gap: float
     bound_used: str
     claimed_bound: float
@@ -317,8 +320,8 @@ def _cutset_threshold(p_x: float) -> float:
 
 
 def _regime_points(case: ScenarioCase, px_grid: Sequence[float], pj_grid: Sequence[float]):
-    """(regime, points, columns) per regime the grid reaches: the points in grid
-    order (p_x rows, then p_j), and their (p_x, p_j, c1, c2) as `_gaps` takes them."""
+    """(regime, columns) per regime the grid reaches: the (p_x, p_j, c1, c2) of
+    its points in grid order (p_x rows, then p_j), as `_gaps` takes them."""
     p_j = np.array(pj_grid, dtype=float)
     rows: dict[str, list] = {}
     for p_x in px_grid:
@@ -326,16 +329,14 @@ def _regime_points(case: ScenarioCase, px_grid: Sequence[float], pj_grid: Sequen
             rows.setdefault(regime.name, []).append((p_x, regime))
     for regime_rows in rows.values():
         regime, counts = regime_rows[0][1], [np.count_nonzero(r.mask) for _, r in regime_rows]
-        points = [(p_x, q) for p_x, r in regime_rows
-                  for q in itertools.compress(pj_grid, r.mask.tolist())]
-        if not points:
+        if not any(counts):
             continue
         px = np.repeat(np.array([p_x for p_x, _ in regime_rows], dtype=float), counts)
         pj = np.concatenate([p_j[r.mask] for _, r in regime_rows])
         c1 = np.repeat(np.array([r.c1 for _, r in regime_rows]), counts)
         c2 = (None if regime.c2 is None
               else np.repeat(np.array([r.c2 for _, r in regime_rows]), counts))
-        yield regime, points, (px, pj, c1, c2)
+        yield regime, (px, pj, c1, c2)
 
 
 def _gaps(case: ScenarioCase, regime: _Regime, px, pj, c1, c2) -> np.ndarray:
@@ -370,7 +371,7 @@ def _point_certificate(case: ScenarioCase, p_x: float, p_j: float) -> GapCertifi
         gap = modulo_bound_case_c(cfg) - achievable_case_c(p_x, p_j, cfg.c1, cfg.c2).rate
     else:
         gap = cutset_case_c(cfg).cutset_min - achievable_case_c(p_x, p_j, cfg.c1, cfg.c2).rate
-    return GapCertificate(case, regime.name, ((p_x, p_j),), gap, regime.bound, regime.claim)
+    return GapCertificate(case, regime.name, 1, (p_x, p_j), gap, regime.bound, regime.claim)
 
 
 def default_power_grid() -> tuple[float, ...]:
@@ -390,7 +391,8 @@ def certify_gaps(
     the array core in blocks of `_BLOCK`; its largest gap is then evaluated
     again at its point through the config-checked per-point functions, so a
     one-point grid gives the gap of that point.  Points outside every regime
-    of the case are skipped.
+    of the case are skipped.  A certificate counts its regime's points
+    (`grid_points`) and names the first worst one (`worst_point`).
 
     Raises:
         ValueError: on a non-finite p_x, a NaN or negative power in either
@@ -402,12 +404,14 @@ def certify_gaps(
         raise ValueError("every p_x of the grid must be finite and >= 0")
     if not np.all(np.array(pj_grid, dtype=float) >= 0.0):
         raise ValueError("every p_j of the grid must be >= 0 (inf is accepted)")
-    found = {regime.name: (points, int(np.argmax(_gaps(case, regime, *columns))))
-             for regime, points, columns in _regime_points(case, px_grid, pj_grid)}
+    found = {}  # regime name: its point count and its first worst point
+    for regime, (px, pj, c1, c2) in _regime_points(case, px_grid, pj_grid):
+        worst = int(np.argmax(_gaps(case, regime, px, pj, c1, c2)))
+        found[regime.name] = px.size, float(px[worst]), float(pj[worst])
     if not found:
         raise ValueError(f"no grid point lies inside a {case.name} gap regime")
-    return tuple(replace(_point_certificate(case, *points[worst]), grid=tuple(points))
-                 for _, (points, worst) in sorted(found.items()))
+    return tuple(replace(_point_certificate(case, p_x, p_j), grid_points=count)
+                 for _, (count, p_x, p_j) in sorted(found.items()))
 
 
 # ---------------------------------------------------------------------------

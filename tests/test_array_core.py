@@ -139,7 +139,8 @@ def test_gaps_equal_reference(case, seed):
     expected = {(px, pj): ref.GAP_FUNCTIONS[case](px, pj)
                 for px in p_x.tolist() for pj in p_j.tolist()}
     covered = []
-    for regime, points, columns in _regime_points(case, p_x.tolist(), p_j.tolist()):
+    for regime, columns in _regime_points(case, p_x.tolist(), p_j.tolist()):
+        points = list(zip(columns[0].tolist(), columns[1].tolist()))
         inside = [expected[point] for point in points]
         assert all(e[0] == regime.name for e in inside)
         assert_bits_equal(_gaps(case, regime, *columns), [e[1] for e in inside])
@@ -161,7 +162,8 @@ def test_gap_certificates_equal_reference_across_blocks(case):
     for cert in certificates:
         points, gaps = zip(*expected[cert.regime])
         assert len(points) > _BLOCK and len(points) % _BLOCK != 0
-        assert cert.grid == points
+        assert cert.grid_points == len(points)
+        assert cert.worst_point == points[int(np.argmax(gaps))]  # the first largest gap
         assert_bits_equal(cert.max_gap, max(gaps))
 
 

@@ -346,7 +346,7 @@ class TestGaps:
 
     def test_violation_exits_3(self, capsys, monkeypatch):
         bogus = GapCertificate(
-            case=ScenarioCase.CASE_B, regime="standard", grid=((10.0, 10.0),),
+            case=ScenarioCase.CASE_B, regime="standard", grid_points=1, worst_point=(10.0, 10.0),
             max_gap=2.0, bound_used="cut-set", claimed_bound=1.29,
         )
         monkeypatch.setattr(cli, "certify_gaps", lambda *a, **k: (bogus,))
@@ -385,6 +385,20 @@ class TestSimulateAndCover:
         ratio = doc["stats"]["empirical_var_neq"] / doc["stats"]["analytic_var_neq"]
         assert 0.98 <= ratio <= 1.02
         assert doc["manifest"]["seed"] == 7
+
+    def test_correlation_does_not_depend_on_the_scale_of_p_x(self, capsys):
+        # var_x * var_v underflows (1e-200), is subnormal (1e-160) or overflows
+        # (1e154 on) where each variance is a normal float
+        def correlation(p_x):
+            args = ["simulate", "--case", "b", "--px", p_x, "--pj", "1", "--c1", "1",
+                    "--c2", "1", "--samples", "1000", "--seed", "1"]
+            code, out = run_cli(args, capsys)
+            assert code == 0
+            return json.loads(out)["stats"]["x_v_correlation"]
+
+        reference = correlation("1e150")
+        for p_x in ("1e-200", "1e-160", "1e154", "1e160", "1e300"):
+            assert correlation(p_x) == pytest.approx(reference, rel=1e-12, abs=0.0)
 
     def test_simulate_generates_and_records_seed(self, capsys):
         args = ["simulate", "--case", "b", "--px", "15", "--pj", "15", "--c1", "2",

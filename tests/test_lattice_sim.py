@@ -364,6 +364,23 @@ class TestCryptoLemma:
         with pytest.raises(ValueError):
             crypto_lemma_check(1.0, 10**4, seed=0)
 
+    def test_correlation_does_not_depend_on_the_scale_of_p_x(self):
+        # var_x * var_v underflows (1e-200), is subnormal (1e-160) or overflows
+        # (1e154 on) where each variance is a normal float
+        reference = crypto_lemma_check(1e150, 10**5, 1).x_v_correlation
+        for p_x in (1e-200, 1e-160, 1e154, 1e160, 1e300):
+            assert crypto_lemma_check(p_x, 10**5, 1).x_v_correlation == pytest.approx(
+                reference, rel=1e-12, abs=0.0)
+
+    def test_correlation_norm(self):
+        root = lattice_sim._root_product
+        assert root(4.0, 9.0) == 6.0
+        assert root(1e-200, 1e-200) == 1e-200  # the product underflows to 0
+        assert root(1e-160, 1e-160) == 1e-160  # the product is subnormal
+        assert root(1e200, 1e200) == 1e200  # the product overflows
+        for a, b in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (0.0, 1.0), (1.0, -1.0)):
+            assert math.isnan(root(a, b))
+
 
 def mp_chi2_sf(x, k):
     """P(chi2_k > x) as the regularized upper incomplete gamma at 50 digits."""

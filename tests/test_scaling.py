@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from tworelay.achievable import AchievableReport, Scheme, best_achievable, best_arrays
 from tworelay.bounds import cutset_term_arrays, modulo_bound_array, modulo_bound_case_c
 from tworelay.bounds import outer_bounds
+from tworelay.cli import _parse_grid
 from tworelay.model import INFINITE_CAPACITY, ScenarioCase, make_preset
 from tworelay.scaling import (
     _BLOCK,
@@ -189,7 +191,7 @@ class TestGapCertificates:
         for case in (ScenarioCase.CASE_A, ScenarioCase.CASE_B, ScenarioCase.CASE_C):
             certs = certify_gaps(case)
             assert all(c.satisfied for c in certs)
-            assert all(len(c.grid) > 0 for c in certs)
+            assert all(c.grid_points > 0 for c in certs)
         regimes = {c.regime for c in certify_gaps(ScenarioCase.CASE_A)}
         assert regimes == {"high_interference", "low_interference"}
 
@@ -208,7 +210,21 @@ class TestGapCertificates:
 
     def test_unlimited_interferer_stays_on_the_grid(self):
         (cert,) = certify_gaps(ScenarioCase.CASE_B, [10.0, 100.0], [10.0, math.inf])
-        assert len(cert.grid) == 4 and cert.satisfied
+        assert cert.grid_points == 4 and cert.satisfied
+
+    @pytest.mark.parametrize("case", list(ScenarioCase))
+    def test_grid_memory_does_not_grow_with_the_points(self, case):
+        # `gaps --grid 1:9:20`: 25 921 points, of which a certificate keeps a
+        # count and one point; a tuple per point would peak at 2.3-2.8 MiB
+        grid, _ = _parse_grid("1:9:20")
+        certify_gaps(case, grid, grid)  # warm-up: first-call caches are not the grid's
+        tracemalloc.start()
+        try:
+            certify_gaps(case, grid, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.8 * 2**20
 
 
 class TestCutsetLooseness:

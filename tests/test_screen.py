@@ -38,15 +38,16 @@ def axis(values):
 
 def reference_certificates(case, px_grid, pj_grid):
     """One certificate per regime from the per-point path: the first largest gap
-    in grid order, with the regime's points as its grid."""
+    in grid order, at its point, with the count of the regime's points."""
     by_regime = {}
     for p_x in px_grid:
         for p_j in pj_grid:
             if any(regime.mask[0] for regime in _gap_regimes(case, p_x, np.array([p_j]))):
                 cert = _point_certificate(case, p_x, p_j)
+                assert (cert.grid_points, cert.worst_point) == (1, (p_x, p_j))
                 by_regime.setdefault(cert.regime, []).append(cert)
     return tuple(replace(certs[int(np.argmax([c.max_gap for c in certs]))],
-                         grid=tuple(c.grid[0] for c in certs))
+                         grid_points=len(certs))
                  for _, certs in sorted(by_regime.items()))
 
 
@@ -112,4 +113,7 @@ def test_gap_grid_where_the_numpy_argmax_is_not_exact():
     # Case A on --grid 2:4:2: AVX-512 loops put the worst high-interference gap
     # at (100, 10**2.5), the exact one, larger by an ulp, at (10**3.5, 10**4)
     grid = [10.0 ** (2.0 + k / 2.0) for k in range(5)]
-    assert certify_gaps(A, grid, grid) == reference_certificates(A, grid, grid)
+    certificates = certify_gaps(A, grid, grid)
+    (high,) = [c for c in certificates if c.regime == "high_interference"]
+    assert high.worst_point == (grid[3], grid[4])
+    assert certificates == reference_certificates(A, grid, grid)
