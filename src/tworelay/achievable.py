@@ -29,7 +29,9 @@ scheme at small link capacities.
 
 The closed forms are one array core: `lattice_arrays`, `local_decode_rates`
 and `best_arrays` broadcast over (p_x, p_j, c1, c2) for an explicitly given
-case, so a sweep evaluates all splits of several sums in one call.  Arithmetic runs
+case, so a sweep evaluates all splits of several sums in one call;
+`lattice_rate` and `best_rate` give their rates alone, skipping the steps
+that form only the other report fields, for the grids.  Arithmetic runs
 in numpy in the order of the formulas; every transcendental goes through
 `model.math_map` or `model.square` (libm's bits), which keeps each element
 equal, bit for bit, to a per-point evaluation.  The core takes its input as given.  The per-point
@@ -281,8 +283,9 @@ def _lattice(scheme, p_x, rate, alpha, p_d1, p_d2, p_neq, at_ceiling) -> RateArr
     return RateArrays(rate, scheme, alpha, p_d1, p_d2, p_neq, branch)
 
 
-def _case_b(p_x, p_j, c1, c2) -> RateArrays:
-    """Case B rate of the lattice scheme.
+def _case_b(p_x, p_j, c1, c2) -> tuple[np.ndarray, tuple]:
+    """Case B rate of the lattice scheme, and the (alpha, p_d1, p_d2, p_neq,
+    at_ceiling) it is formed from.
 
     rate = max(0.5*log2((1+p_x)*(2**(2*c1)-1) /
                         (p_x + 2**(2*c1)
@@ -297,8 +300,7 @@ def _case_b(p_x, p_j, c1, c2) -> RateArrays:
     p_d1 = distortion_relay1(p_x, c1)
     p_d2, at_ceiling = distortion_relay2_case_b(p_x, p_j, c2, alpha)
     p_neq = p_x / (p_x + 1.0) + p_d1 + p_d2
-    rate = _clamped_rate(p_x, p_neq)
-    return _lattice(Scheme.CASE_B_EQ, p_x, rate, alpha, p_d1, p_d2, p_neq, at_ceiling)
+    return _clamped_rate(p_x, p_neq), (alpha, p_d1, p_d2, p_neq, at_ceiling)
 
 
 def _case_c_prop_rate(p_x, p_j, p_d1, binned_pow2neg) -> np.ndarray:
@@ -326,26 +328,32 @@ def _case_c_derived_rate(p_x, p_j, p_d1, binned_pow2m1) -> np.ndarray:
     return _clamped_rate(p_x, den)
 
 
-def _case_c(p_x, p_j, c1, c2, variant: str) -> RateArrays:
-    """Case C rate of the lattice scheme, better relay orientation taken.
+def _case_c(p_x, p_j, c1, c2, variant: str) -> tuple[np.ndarray, tuple]:
+    """Case C rate of the lattice scheme, better relay orientation taken, and
+    the per-link values and orientation rates `_case_c_fields` takes.
 
     `variant` selects between the two closed forms ("prop" is the default;
     "derived" accounts relay 2's rate through the conditional-binning
-    constraint and bounds the combiner leakage by 1/2).  The reported
-    alpha/p_d1/p_d2/p_neq are the scheme parameters of the winning
-    orientation with alpha = 2*p_x/(4*p_x+2); for the "prop" variant the
-    rate is the closed form of `_case_c_prop_rate`, which is not the same
-    expression as 0.5*log2(p_x/p_neq).
+    constraint and bounds the combiner leakage by 1/2).
     """
     if variant not in ("prop", "derived"):
         raise ValueError(f"variant must be 'prop' or 'derived', got {variant!r}")
     rate_fn = _case_c_prop_rate if variant == "prop" else _case_c_derived_rate
-    scheme = Scheme.CASE_C_PROP if variant == "prop" else Scheme.CASE_C_DERIVED
     m1, m2 = _pow2m1(c1), _pow2m1(c2)  # each link's libm values serve both orientations
     pd1, pd2 = _distortion(p_x, m1), _distortion(p_x, m2)
     binned1, binned2 = (_pow2neg(c1), _pow2neg(c2)) if variant == "prop" else (m1, m2)
     forward = rate_fn(p_x, p_j, pd1, binned2)
     swapped = rate_fn(p_x, p_j, pd2, binned1)
+    return np.where(swapped > forward, swapped, forward), (m1, m2, pd1, pd2, forward, swapped)
+
+
+def _case_c_fields(p_x, p_j, m1, m2, pd1, pd2, forward, swapped) -> tuple:
+    """(alpha, p_d1, p_d2, p_neq, at_ceiling) of the winning Case C orientation.
+
+    These are the scheme parameters with alpha = 2*p_x/(4*p_x+2); for the
+    "prop" variant the rate is the closed form of `_case_c_prop_rate`, which
+    is not the same expression as 0.5*log2(p_x/p_neq).
+    """
     swap = ~(forward >= swapped)
     alpha = mmse_alpha(p_x, 1.0, 1.0, 2.0)
     pd_primary = np.where(swap, pd2, pd1)
@@ -353,8 +361,14 @@ def _case_c(p_x, p_j, c1, c2, variant: str) -> RateArrays:
                                                np.where(swap, m1, m2), np.where(swap, m2, m1))
     p_d1, p_d2 = np.where(swap, pd_binned, pd_primary), np.where(swap, pd_primary, pd_binned)
     p_neq = equivalent_noise_power(p_x, 1.0, 1.0, alpha, p_d1, p_d2, 2.0)
-    rate = np.where(swapped > forward, swapped, forward)
-    return _lattice(scheme, p_x, rate, alpha, p_d1, p_d2, p_neq, at_ceiling)
+    return alpha, p_d1, p_d2, p_neq, at_ceiling
+
+
+def _case_point(case: ScenarioCase, p_x, p_j, c1, c2) -> list[np.ndarray]:
+    """The point as arrays; Case A is Case B with an unlimited relay-1 link."""
+    if case not in (ScenarioCase.CASE_A, ScenarioCase.CASE_B, ScenarioCase.CASE_C):
+        raise ValueError(f"no achievable-rate schemes for {case!r}")
+    return as_arrays(p_x, p_j, math.inf if case is ScenarioCase.CASE_A else c1, c2)
 
 
 @np.errstate(all="ignore")
@@ -364,13 +378,22 @@ def lattice_arrays(case: ScenarioCase, p_x, p_j, c1, c2, variant: str = "prop") 
     Case A is Case B with an unlimited relay-1 link (its c1 is ignored);
     Case C takes the closed form `variant`.  The case is taken as given.
     """
-    if case is ScenarioCase.CASE_A:
-        return _case_b(*as_arrays(p_x, p_j, math.inf, c2))._replace(scheme=Scheme.CASE_A_EQ)
-    if case is ScenarioCase.CASE_B:
-        return _case_b(*as_arrays(p_x, p_j, c1, c2))
+    point = _case_point(case, p_x, p_j, c1, c2)
     if case is ScenarioCase.CASE_C:
-        return _case_c(*as_arrays(p_x, p_j, c1, c2), variant)
-    raise ValueError(f"no achievable-rate schemes for {case!r}")
+        rate, values = _case_c(*point, variant)
+        scheme = Scheme.CASE_C_PROP if variant == "prop" else Scheme.CASE_C_DERIVED
+        return _lattice(scheme, point[0], rate, *_case_c_fields(*point[:2], *values))
+    rate, fields = _case_b(*point)
+    scheme = Scheme.CASE_A_EQ if case is ScenarioCase.CASE_A else Scheme.CASE_B_EQ
+    return _lattice(scheme, point[0], rate, *fields)
+
+
+@np.errstate(all="ignore")
+def lattice_rate(case: ScenarioCase, p_x, p_j, c1, c2) -> np.ndarray:
+    """The rate of `lattice_arrays` (Case C's "prop" form) alone, bit for bit:
+    the steps that form only the other fields are skipped."""
+    point = _case_point(case, p_x, p_j, c1, c2)
+    return (_case_c(*point, "prop") if case is ScenarioCase.CASE_C else _case_b(*point))[0]
 
 
 def local_decode_rates(case: ScenarioCase, p_x, p_j, c1, c2) -> np.ndarray:
@@ -390,11 +413,22 @@ def best_arrays(case: ScenarioCase, p_x, p_j, c1, c2) -> tuple[RateArrays, np.nd
     to the lattice scheme.  Case A has the lattice scheme alone.
     """
     lattice = lattice_arrays(case, p_x, p_j, c1, c2)
+    rate, wins = _with_local_decoding(case, lattice.rate, p_x, p_j, c1, c2)
+    return lattice._replace(rate=rate), wins
+
+
+def best_rate(case: ScenarioCase, p_x, p_j, c1, c2) -> tuple[np.ndarray, np.ndarray]:
+    """The rate and the local-decoding mask of `best_arrays`, from `lattice_rate`."""
+    return _with_local_decoding(case, lattice_rate(case, p_x, p_j, c1, c2), p_x, p_j, c1, c2)
+
+
+def _with_local_decoding(case: ScenarioCase, rate, p_x, p_j, c1, c2):
+    """The better of the lattice `rate` and local decoding, and where local decoding wins."""
     if case is ScenarioCase.CASE_A:
-        return lattice, np.zeros(lattice.rate.shape, dtype=bool)
+        return rate, np.zeros(rate.shape, dtype=bool)
     local = local_decode_rates(case, p_x, p_j, c1, c2)
-    wins = local > lattice.rate
-    return lattice._replace(rate=np.where(wins, local, lattice.rate)), wins
+    wins = local > rate
+    return np.where(wins, local, rate), wins
 
 
 def achievable_case_a(p_x: float, p_j: float, c2: float) -> AchievableReport:

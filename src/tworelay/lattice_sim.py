@@ -119,8 +119,9 @@ class SimConfig:
             for name in ("p_n1", "p_n2"):
                 if getattr(self, name) is None:
                     object.__setattr__(self, name, fixed[name])
-        if not self.p_x > 0.0 or not math.isfinite(self.p_x):
-            raise ValueError("simulation needs a finite p_x > 0 (the cell scales with it)")
+        if not 0.0 < 12.0 * self.p_x < math.inf:
+            raise ValueError("simulation needs a p_x > 0 whose cell length sqrt(12*p_x) "
+                             f"is finite (the cell scales with it), got {self.p_x!r}")
         for name in ("p_j", "p_n1", "p_n2"):
             v = getattr(self, name)
             if not v >= 0.0 or not math.isfinite(v):
@@ -239,7 +240,8 @@ def _scaled_normal(rng: np.random.Generator, power: float, out: np.ndarray) -> n
         out.fill(0.0)
         return out
     rng.standard_normal(out=out)
-    out *= math.sqrt(power)
+    if power != 1.0:  # x*1.0 == x
+        out *= math.sqrt(power)
     return out
 
 
@@ -334,24 +336,61 @@ def _run_batches(
     return max_residual, hist, sums
 
 
+@np.errstate(over="ignore")  # a sum past the largest float is refused in `_moment_totals`
 def _dither_moments(
-    x: np.ndarray, v: np.ndarray, edges: np.ndarray, scratch: np.ndarray
+    x: np.ndarray, v: np.ndarray, edges: np.ndarray, scratch: np.ndarray, index: np.ndarray
 ) -> tuple[np.ndarray, dict[str, float]]:
     """One batch's histogram counts of x and its x/v moment sums.
 
-    `scratch`, an array like x, holds each product and then a sorted copy
-    of x; the counts are those of `np.histogram(x, bins=edges)`, which
-    counts a sorted copy the same way (every bin half-open, the last one
-    closed).
+    `scratch`, an array like x, holds each product and then the bin
+    coordinates of x; `index`, an intp array like x, its bins.  The counts
+    are those of `np.histogram(x, bins=edges)` (every bin half-open, the
+    last one closed) for evenly spaced edges.
     """
     sums = {"x": float(x.sum()), "v": float(v.sum())}
     for key, left, right in (("xv", x, v), ("x2", x, x), ("v2", v, v)):
         sums[key] = float(np.multiply(left, right, out=scratch).sum())
-    np.copyto(scratch, x)
-    scratch.sort()
-    below = np.concatenate((scratch.searchsorted(edges[:-1], "left"),
-                            scratch.searchsorted(edges[-1:], "right")))
-    return np.diff(below), sums
+    return _histogram(x, edges, scratch, index), sums
+
+
+#: Half-width, in bins, of the band around each edge in which `_histogram`
+#: bins a point again by comparison with the edges.
+_EDGE_BAND = 1e-6
+
+
+def _histogram(x: np.ndarray, edges: np.ndarray, scratch: np.ndarray,
+               index: np.ndarray) -> np.ndarray:
+    """`np.histogram(x, bins=edges)[0]` of finite x for evenly spaced edges, in O(n).
+
+    The bin of a point is the floor of its coordinate (x - lo)*bins/(hi - lo),
+    clipped to [0, bins].  That coordinate is off by a few ulps at most, so
+    only the points within `_EDGE_BAND` of a bin edge and those outside the
+    cell (clipped onto its ends) are binned again, by searchsorted on the
+    edges; the ones outside the cell go to an extra bin that is dropped.
+    `scratch` (float) and `index` (intp) are x-sized work buffers; the floors
+    are formed in index's bytes and cast in place, so nothing x-sized is
+    allocated.
+    """
+    bins = edges.size - 1
+    lo, hi = edges[0], edges[-1]
+    t = np.subtract(x, lo, out=scratch)
+    t *= bins / (hi - lo)
+    np.clip(t, 0.0, bins, out=t)
+    floors = np.floor(t, out=index.view(np.float64))
+    t -= floors  # the position in the bin, in [0, 1)
+    t -= 0.5
+    np.abs(t, out=t)
+    t -= 0.5 - _EDGE_BAND
+    np.maximum(t, 0.0, out=t)  # nonzero within the band of an edge
+    np.copyto(index, floors, casting="unsafe")
+    again = np.flatnonzero(t)
+    if again.size:
+        near = x[again]
+        redo = np.searchsorted(edges, near, "right") - 1
+        redo[near == hi] = bins - 1  # the last bin is closed
+        redo[(redo < 0) | (redo >= bins)] = bins  # outside the cell
+        index[again] = redo
+    return np.bincount(index, minlength=bins + 1)[:bins]
 
 
 def _chi2_sf_odd(x: float, k: int) -> float:
@@ -398,12 +437,46 @@ def _root_product(a: float, b: float) -> float:
     return math.sqrt(a) * math.sqrt(b)
 
 
-def _dither_summary(hist: np.ndarray, sums: dict, n: int) -> tuple[float, float]:
+def _moment_totals(sums: dict[str, list[float]], p_x: float) -> dict[str, float]:
+    """The exact total of each moment's batch sums.
+
+    Raises:
+        ValueError: naming p_x, where a batch sum or a total passes the
+            largest float (the moments grow like p_x times the samples).
+    """
+    totals = {}
+    for key, values in sums.items():
+        try:
+            totals[key] = math.fsum(values)
+        except (OverflowError, ValueError):  # an exact total past the largest float, inf - inf
+            totals[key] = math.inf
+        if not math.isfinite(totals[key]):
+            raise ValueError(f"the sample moments at p_x = {p_x!r} pass the largest float; "
+                             "take a smaller p_x or fewer samples")
+    return totals
+
+
+def _centered(second: float, a: float, n: int, b: float | None = None) -> float:
+    """second - a*b/n from moment sums, a**2/n where b is None.
+
+    Where the product passes the largest float, the centred moment is finite
+    all the same (|a*b|/n is at most the larger sum of squares), and
+    a*(b/n) forms it; elsewhere the plain form keeps its bits.
+    """
+    try:
+        product = a**2 if b is None else a * b
+    except OverflowError:
+        product = math.inf
+    if math.isinf(product):
+        return second - a * ((a if b is None else b) / n)
+    return second - product / n
+
+
+def _dither_summary(hist: np.ndarray, total: dict[str, float], n: int) -> tuple[float, float]:
     """Chi-square uniformity p-value of the histogram and the x-v correlation."""
-    total = {k: math.fsum(sums[k]) for k in ("x", "v", "xv", "x2", "v2")}
-    cov_xv = total["xv"] - total["x"] * total["v"] / n
-    var_x = total["x2"] - total["x"] ** 2 / n
-    var_v = total["v2"] - total["v"] ** 2 / n
+    cov_xv = _centered(total["xv"], total["x"], n, total["v"])
+    var_x = _centered(total["x2"], total["x"], n)
+    var_v = _centered(total["v2"], total["v"], n)
     corr = cov_xv / _root_product(var_x, var_v)
     expected = n / UNIFORMITY_BINS
     chi2_stat = float(((hist - expected) ** 2 / expected).sum())
@@ -417,8 +490,9 @@ def _sim_batch(cfg: SimConfig, scheme: tuple[float, float, float], edges: np.nda
 
     Every variable is drawn into, and every step written to, the calling
     worker's seven buffers; the last one is the scratch of the cell
-    reductions and holds the draws used once (n2, d1, d2).  After a worker's
-    first batch only a BPSK interferer's integer draw allocates a
+    reductions and holds the draws used once (n2, d1, d2), and j's holds the
+    histogram's bin indices before the interferer is drawn.  After a
+    worker's first batch only a BPSK interferer's integer draw allocates a
     batch-sized array.
     """
     alpha, p_d1, p_d2 = scheme
@@ -427,7 +501,7 @@ def _sim_batch(cfg: SimConfig, scheme: tuple[float, float, float], edges: np.nda
     _uniform(_stream(cfg.seed, batch, _VAR_V), -L / 2.0, L / 2.0, v)
     _uniform(_stream(cfg.seed, batch, _VAR_U), -L / 2.0, L / 2.0, u)
     _reduce(np.subtract(v, u, out=x), L, scratch, x)
-    hist, sums = _dither_moments(x, v, edges, scratch)
+    hist, sums = _dither_moments(x, v, edges, scratch, j.view(np.intp))  # j is drawn below
 
     # y_i = a_i*x + j + n_i, the two relay observations
     _draw_interferer(_stream(cfg.seed, batch, _VAR_J), cfg.interferer, cfg.p_j, j)
@@ -470,8 +544,9 @@ def _sim_batch(cfg: SimConfig, scheme: tuple[float, float, float], edges: np.nda
     np.abs(gap, out=gap)
     other = np.subtract(L, gap, out=predicted)
     residual = np.minimum(gap, other, out=gap)  # distance on the cell circle
-    sums["neq"] = float(neq.sum())
-    sums["neq2"] = float(np.multiply(neq, neq, out=other).sum())
+    with np.errstate(over="ignore"):  # a sum past the largest float is refused in `_moment_totals`
+        sums["neq"] = float(neq.sum())
+        sums["neq2"] = float(np.multiply(neq, neq, out=other).sum())
     return _Batch(True, float(residual.max()), hist, sums)
 
 
@@ -489,9 +564,9 @@ def run_lattice_sim(cfg: SimConfig) -> SimStats:
     max_residual, hist, sums = _run_batches(cfg.samples, partial(_sim_batch, cfg, scheme, edges))
 
     n = cfg.samples
-    neq_sum, neq2_sum = math.fsum(sums["neq"]), math.fsum(sums["neq2"])
-    var_neq = (neq2_sum - neq_sum**2 / n) / max(n - 1, 1)
-    pvalue, corr = _dither_summary(hist, sums, n)
+    total = _moment_totals(sums, cfg.p_x)
+    var_neq = _centered(total["neq2"], total["neq"], n) / max(n - 1, 1)
+    pvalue, corr = _dither_summary(hist, total, n)
     rate = 0.5 * math.log2(cfg.p_x / var_neq) if var_neq > 0.0 else math.inf
     return SimStats(
         empirical_var_neq=var_neq,
@@ -538,8 +613,8 @@ def crypto_lemma_check(
     """
     if samples < 10**5:
         raise ValueError("crypto-lemma statistics need at least 1e5 samples")
-    if not p_x > 0.0:
-        raise ValueError("p_x must be > 0")
+    if not 0.0 < 12.0 * p_x < math.inf:
+        raise ValueError(f"p_x must be > 0 with a finite cell length sqrt(12*p_x), got {p_x!r}")
     L = math.sqrt(12.0 * p_x)
     edges = np.linspace(-L / 2.0, L / 2.0, UNIFORMITY_BINS + 1)
 
@@ -552,10 +627,11 @@ def crypto_lemma_check(
             u = np.zeros(m)
         else:
             u = _stream(seed, batch, _VAR_U).uniform(-L / 2.0, L / 2.0, m)
-        return _Batch(True, 0.0, *_dither_moments(centered_mod(v - u, L), v, edges, np.empty(m)))
+        x = centered_mod(v - u, L)
+        return _Batch(True, 0.0, *_dither_moments(x, v, edges, np.empty(m), u.view(np.intp)))
 
     _, hist, sums = _run_batches(samples, dither_batch)
-    pvalue, corr = _dither_summary(hist, sums, samples)
+    pvalue, corr = _dither_summary(hist, _moment_totals(sums, p_x), samples)
     return CryptoLemmaStats(
         uniformity_pvalue=pvalue, x_v_correlation=corr, samples=samples, seed=seed
     )

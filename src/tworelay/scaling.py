@@ -10,14 +10,18 @@ in Case C, certifies the constant-bit gaps between achievable rates and
 outer bounds over power grids, demonstrates that the cut-set bound is
 strictly loose in Case C, and produces the rate-versus-sum-capacity sweep
 data (best link split per sum) behind the composite rate curves.  The sweep
-checks its powers once; it and the gap certificates call the array core
-(`achievable.best_arrays`, `bounds.cutset_min_array`, ...) in blocks of about
-`_BLOCK` grid points: all splits of as many sums as fit, or the points of one
-regime from consecutive p_x rows.
+checks its powers once; it and the gap certificates call the rates alone of
+the array core (`achievable.best_rate`, `bounds.cutset_min_array`, ...) in
+blocks of at most `_BLOCK` grid points: all splits of as many sums as fit
+(a longer sum in chunks of `_LONG_SUM_BLOCK` splits), or the points of one
+regime, gathered from the p_x rows as they are walked once.
 
 Of each sum's splits and each regime's points only the first argmax in grid
 order is reported (the lowest c1 of a sum, the first worst point of a
-regime), from one pass over the grid; `model.math_map` gives every value
+regime).  `_first_max` folds the blocks into it one by one, as np.argmax
+over the whole grid would pick it, and nothing else of a block is kept but
+a regime's point count and a sum's largest cut-set bound, so the memory of
+a grid follows the block, not the grid.  `model.math_map` gives every value
 libm's bits, so the pick is the one a per-point evaluation makes.  A
 certificate carries its regime's point count and that worst point, not the
 points themselves, and reports the largest gap as the config-checked
@@ -33,15 +37,24 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .achievable import Scheme, achievable_case_c, best_achievable, best_arrays, lattice_arrays
+from .achievable import Scheme, achievable_case_c, best_achievable, best_rate, lattice_rate
 from .bounds import cutset_case_c, cutset_min_array, modulo_bound_array
 from .bounds import modulo_bound_case_c, outer_bounds
 from .model import ScenarioCase, gaussian_mi, make_preset, math_map
 
 PRELOG_METHODS = ("finite_difference", "ratio")
 
-#: Grid points per array-core call of the sweeps and gap grids; peak memory stays flat.
+#: Grid points per array-core call of the sweeps and gap grids.  The grids are
+#: folded block by block into running counts and first maxima, so their peak
+#: memory follows the block, not the size of the grid.
 _BLOCK = 2048
+
+#: Splits per array-core call of a sum with more than `_BLOCK` splits (such a
+#: sum is a block of its own).  The core costs about 0.2 ms a call besides its
+#: work per point: chunks of `_BLOCK` splits made `--split-samples 200001`
+#: half again as slow as one call per sum, chunks of this size keep its time
+#: for about 0.5 MB more peak RSS than the default sweep.
+_LONG_SUM_BLOCK = 4 * _BLOCK
 
 #: Default exponent ladder (log2 of transmit power) for pre-log estimation.
 DEFAULT_EXPONENTS = tuple(range(10, 41))
@@ -319,40 +332,64 @@ def _cutset_threshold(p_x: float) -> float:
         return (1.0 + p_x) * ((1.0 + p_x) / p_x)
 
 
-def _regime_points(case: ScenarioCase, px_grid: Sequence[float], pj_grid: Sequence[float]):
-    """(regime, columns) per regime the grid reaches: the (p_x, p_j, c1, c2) of
-    its points in grid order (p_x rows, then p_j), as `_gaps` takes them."""
+def _regime_blocks(case: ScenarioCase, px_grid: Sequence[float], pj_grid: Sequence[float]):
+    """(regime, columns) per block of at most `_BLOCK` points of one regime: the
+    (p_x, p_j, c1, c2) of the points, as `_gaps` takes them.
+
+    The p_x rows are walked once.  Each regime gathers its points of the rows
+    into a block of its own and hands the block on when it is full, the
+    partly filled ones at the end, so its blocks come in grid order (p_x rows,
+    then p_j) and only the blocks being filled are held.  A block comes with
+    the regime of its last row (the name, bound and claim of every row).
+    """
     p_j = np.array(pj_grid, dtype=float)
-    rows: dict[str, list] = {}
+    filling = {}  # regime name: (regime, block columns, points in them)
     for p_x in px_grid:
         for regime in _gap_regimes(case, p_x, p_j):
-            rows.setdefault(regime.name, []).append((p_x, regime))
-    for regime_rows in rows.values():
-        regime, counts = regime_rows[0][1], [np.count_nonzero(r.mask) for _, r in regime_rows]
-        if not any(counts):
-            continue
-        px = np.repeat(np.array([p_x for p_x, _ in regime_rows], dtype=float), counts)
-        pj = np.concatenate([p_j[r.mask] for _, r in regime_rows])
-        c1 = np.repeat(np.array([r.c1 for _, r in regime_rows]), counts)
-        c2 = (None if regime.c2 is None
-              else np.repeat(np.array([r.c2 for _, r in regime_rows]), counts))
-        yield regime, (px, pj, c1, c2)
+            inside = p_j[regime.mask]
+            while inside.size:
+                _, block, n = filling.get(regime.name) or (None, np.empty((4, _BLOCK)), 0)
+                take = min(inside.size, _BLOCK - n)
+                piece, inside = inside[:take], inside[take:]
+                block[0, n:n + take] = p_x
+                block[1, n:n + take] = piece
+                block[2, n:n + take] = regime.c1
+                block[3, n:n + take] = (0.5 * math_map(math.log2, piece) if regime.c2 is None
+                                        else regime.c2)
+                n += take
+                filling[regime.name] = regime, block, n
+                if n == _BLOCK:
+                    del filling[regime.name]
+                    yield regime, block
+    for regime, block, n in filling.values():
+        yield regime, block[:, :n]
 
 
 def _gaps(case: ScenarioCase, regime: _Regime, px, pj, c1, c2) -> np.ndarray:
-    """Outer bound minus rate of `regime` at the points, `_BLOCK` points to one
-    array-core call; c2 None takes the regime's 0.5*log2(p_j)."""
-    if c2 is None:
-        c2 = 0.5 * math_map(math.log2, pj)
-    gaps = np.empty(px.size)
-    for k in range(0, px.size, _BLOCK):
-        block = [v[k:k + _BLOCK] for v in (px, pj, c1, c2)]
-        rate = (lattice_arrays(case, *block).rate if case is ScenarioCase.CASE_C
-                else best_arrays(case, *block)[0].rate)
-        bound = (modulo_bound_array(*block) if regime.bound == "modulo"
-                 else cutset_min_array(case, *block))
-        gaps[k:k + _BLOCK] = bound - rate
-    return gaps
+    """Outer bound minus rate of `regime` at the points, in one array-core call."""
+    rate = (lattice_rate(case, px, pj, c1, c2) if case is ScenarioCase.CASE_C
+            else best_rate(case, px, pj, c1, c2)[0])
+    bound = (modulo_bound_array(px, pj, c1, c2) if regime.bound == "modulo"
+             else cutset_min_array(case, px, pj, c1, c2))
+    return bound - rate
+
+
+def _first_max(best: list | None, values: np.ndarray, *columns: np.ndarray) -> list:
+    """Fold the next block into a running first maximum along the last axis.
+
+    `best` is [value, *columns at it] of the blocks before, or None for the
+    first block; `values` and `columns` hold the block, one row per running
+    maximum.  The result is what np.argmax over the rows of all the blocks
+    so far picks: a NaN beats every number and of equal values the earlier
+    wins, across block boundaries too.
+    """
+    at = np.argmax(values, axis=-1)
+    first = (*np.indices(at.shape, sparse=True), at)  # per row, the index of its first maximum
+    picked = [v[first] for v in (values, *columns)]
+    if best is None:
+        return picked
+    later = ((picked[0] > best[0]) | np.isnan(picked[0])) & ~np.isnan(best[0])
+    return [np.where(later, new, old) for new, old in zip(picked, best)]
 
 
 def _point_certificate(case: ScenarioCase, p_x: float, p_j: float) -> GapCertificate:
@@ -388,11 +425,13 @@ def certify_gaps(
 
     Each regime of the case pins the link capacities to its prescribed
     values (see `_gap_regimes`).  Each regime's points, in grid order, go to
-    the array core in blocks of `_BLOCK`; its largest gap is then evaluated
-    again at its point through the config-checked per-point functions, so a
-    one-point grid gives the gap of that point.  Points outside every regime
-    of the case are skipped.  A certificate counts its regime's points
-    (`grid_points`) and names the first worst one (`worst_point`).
+    the array core in blocks of `_BLOCK` (`_regime_blocks`), which are
+    folded into its point count and first worst point as they come; its
+    largest gap is then evaluated again at that point through the
+    config-checked per-point functions, so a one-point grid gives the gap of
+    that point.  Points outside every regime of the case are skipped.  A
+    certificate counts its regime's points (`grid_points`) and names the
+    first worst one (`worst_point`).
 
     Raises:
         ValueError: on a non-finite p_x, a NaN or negative power in either
@@ -404,14 +443,16 @@ def certify_gaps(
         raise ValueError("every p_x of the grid must be finite and >= 0")
     if not np.all(np.array(pj_grid, dtype=float) >= 0.0):
         raise ValueError("every p_j of the grid must be >= 0 (inf is accepted)")
-    found = {}  # regime name: its point count and its first worst point
-    for regime, (px, pj, c1, c2) in _regime_points(case, px_grid, pj_grid):
-        worst = int(np.argmax(_gaps(case, regime, px, pj, c1, c2)))
-        found[regime.name] = px.size, float(px[worst]), float(pj[worst])
-    if not found:
+    counts, worst = {}, {}  # per regime name: its points, and [gap, p_x, p_j] at the first worst
+    for regime, (px, pj, c1, c2) in _regime_blocks(case, px_grid, pj_grid):
+        counts[regime.name] = counts.get(regime.name, 0) + px.size
+        worst[regime.name] = _first_max(worst.get(regime.name),
+                                        _gaps(case, regime, px, pj, c1, c2), px, pj)
+    if not counts:
         raise ValueError(f"no grid point lies inside a {case.name} gap regime")
-    return tuple(replace(_point_certificate(case, p_x, p_j), grid_points=count)
-                 for _, (count, p_x, p_j) in sorted(found.items()))
+    return tuple(replace(_point_certificate(case, float(worst[name][1]), float(worst[name][2])),
+                         grid_points=counts[name])
+                 for name in sorted(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -498,28 +539,35 @@ def sweep_sum_capacity(
     for total in totals.tolist():
         if not 0.0 <= total < math.inf:
             raise ValueError(f"sum capacity must be finite and >= 0, got {total}")
-    columns = []  # per block: rate, c1, c2 and local-decoding win at each best split; cut-set
+    columns = []  # per block of sums: rate, c1, c2, local-decoding win at the best split; cut-set
     per_block = max(1, _BLOCK // split_samples)
+    chunk = split_samples if split_samples <= _BLOCK else _LONG_SUM_BLOCK
     for k in range(0, totals.size, per_block):
         block = totals[k:k + per_block]
-        c1 = _splits(block, split_samples)
-        c2 = block[:, None] - c1
-        best, wins = best_arrays(case, p_x, p_j, c1, c2)
-        at = np.argmax(best.rate, axis=1)[:, None]  # the first maximum: the lowest c1 wins a tie
-        picked = [np.take_along_axis(v, at, axis=1)[:, 0] for v in (best.rate, c1, c2, wins)]
-        columns.append(picked + [cutset_min_array(case, p_x, p_j, c1, c2).max(axis=1)])
+        best, cutset = None, np.full(block.size, -math.inf)
+        for start in range(0, split_samples, chunk):
+            c1 = _splits(block, split_samples, start, start + chunk)
+            c2 = block[:, None] - c1
+            rate, wins = best_rate(case, p_x, p_j, c1, c2)
+            best = _first_max(best, rate, c1, c2, wins)  # the lowest c1 wins a tie
+            cutset = np.maximum(cutset, cutset_min_array(case, p_x, p_j, c1, c2).max(axis=1))
+        columns.append(best + [cutset])
     if not columns:
         return []
     rate, c1, c2, local, cutset = (np.concatenate(column).tolist() for column in zip(*columns))
-    schemes = [Scheme.LOCAL_DECODE if won else best.scheme for won in local]
+    lattice = Scheme.CASE_C_PROP if case is ScenarioCase.CASE_C else Scheme.CASE_B_EQ
+    schemes = [Scheme.LOCAL_DECODE if won else lattice for won in local]
     modulo = (modulo_bound_array(p_x, p_j, totals / 2.0, totals / 2.0).tolist()  # half splits
               if case is ScenarioCase.CASE_C and p_j > 0.0 else [None] * totals.size)
     return list(map(SweepPoint, totals.tolist(), rate, schemes, c1, c2, cutset, modulo))
 
 
-def _splits(totals: np.ndarray, n: int) -> np.ndarray:
-    """Row k is np.linspace(0.0, totals[k], n), bit for bit, subnormal steps included."""
-    i, step = np.arange(n, dtype=float), totals[:, None] / (n - 1)
+def _splits(totals: np.ndarray, n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Row k is np.linspace(0.0, totals[k], n)[start:stop], bit for bit, subnormal
+    steps included."""
+    stop = n if stop is None else min(stop, n)
+    i, step = np.arange(start, stop, dtype=float), totals[:, None] / (n - 1)
     c1 = np.where(step == 0.0, i / (n - 1) * totals[:, None], i * step)
-    c1[:, -1] = totals
+    if stop == n:
+        c1[:, -1] = totals
     return c1

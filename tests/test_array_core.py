@@ -21,7 +21,9 @@ from tworelay.achievable import (
     achievable_case_c,
     best_achievable,
     best_arrays,
+    best_rate,
     lattice_arrays,
+    lattice_rate,
     local_decode_baseline,
     local_decode_rates,
 )
@@ -33,7 +35,7 @@ from tworelay.bounds import (
     outer_bounds,
 )
 from tworelay.model import ScenarioCase, make_preset, math_map
-from tworelay.scaling import _BLOCK, _gaps, _regime_points, _splits, certify_gaps
+from tworelay.scaling import _BLOCK, _gaps, _regime_blocks, _splits, certify_gaps
 
 A, B, C = ScenarioCase.CASE_A, ScenarioCase.CASE_B, ScenarioCase.CASE_C
 N = 10_000
@@ -108,6 +110,22 @@ def test_local_decoding_and_best_scheme_equal_reference(case, seed):
     assert 0 < local_wins.sum() < N
 
 
+@pytest.mark.parametrize("case, seed", [(A, 14), (B, 15), (C, 16)])
+def test_rates_alone_equal_the_report_arrays(case, seed):
+    # the grids take the rate without the other fields; p_x = 0 is mixed in
+    p_x, p_j, c1, c2 = random_points(seed)
+    assert_bits_equal(lattice_rate(case, p_x, p_j, c1, c2),
+                      lattice_arrays(case, p_x, p_j, c1, c2).rate)
+    rate, local_wins = best_rate(case, p_x, p_j, c1, c2)
+    arrays, expected_wins = best_arrays(case, p_x, p_j, c1, c2)
+    assert_bits_equal(rate, arrays.rate)
+    assert local_wins.tolist() == expected_wins.tolist()
+    # a sweep's broadcast: scalar powers against rows of splits
+    c1 = np.linspace(0.0, 9.0, 41)[None, :] * np.array([[0.5], [1.0]])
+    assert_bits_equal(best_rate(case, 1e6, 1e3, c1, 9.0 - c1)[0],
+                      best_arrays(case, 1e6, 1e3, c1, 9.0 - c1)[0].rate)
+
+
 @pytest.mark.parametrize("case, seed", [(A, 7), (B, 8), (C, 9)])
 def test_bounds_equal_reference(case, seed):
     p_x, p_j, c1, c2 = random_points(seed)
@@ -139,7 +157,8 @@ def test_gaps_equal_reference(case, seed):
     expected = {(px, pj): ref.GAP_FUNCTIONS[case](px, pj)
                 for px in p_x.tolist() for pj in p_j.tolist()}
     covered = []
-    for regime, columns in _regime_points(case, p_x.tolist(), p_j.tolist()):
+    for regime, columns in _regime_blocks(case, p_x.tolist(), p_j.tolist()):
+        assert len(columns[0]) <= _BLOCK
         points = list(zip(columns[0].tolist(), columns[1].tolist()))
         inside = [expected[point] for point in points]
         assert all(e[0] == regime.name for e in inside)
@@ -172,6 +191,9 @@ def test_splits_equal_linspace():
     totals = np.array([0.0, 5e-324, 1e-320, 2.2e-308, 0.25, 1.75, 27.75, 600.0, 1e300])
     for n in (2, 3, 61, 1001):
         assert_bits_equal(_splits(totals, n), [np.linspace(0.0, t, n) for t in totals])
+        for start, stop in ((0, 1), (1, n - 1), (n // 2, n), (n - 1, n + 5)):
+            assert_bits_equal(_splits(totals, n, start, stop),
+                              [np.linspace(0.0, t, n)[start:stop] for t in totals])
 
 
 @pytest.mark.parametrize("x", [

@@ -471,6 +471,10 @@ class TestReproducibility:
         ["simulate", "--case", "b", "--px", "15", "--pj", "15", "--c2", "1", "--seed", "1"],
         ["simulate", "--case", "c", "--px", "15", "--pj", "15", "--c2", "1", "--seed", "1"],
         ["simulate", "--case", "c", "--px", "15", "--pj", "15", "--c1", "1", "--seed", "1"],
+        ["simulate", "--case", "b", "--px", "1e306", "--pj", "1", "--c1", "1", "--c2", "1",
+         "--samples", "1000", "--seed", "1"],
+        ["simulate", "--case", "b", "--px", "1e308", "--pj", "1", "--c1", "1", "--c2", "1",
+         "--samples", "1000", "--seed", "1"],
         ["scaling", "--case", "a", "--exponents", "1:1024"],
         ["scaling", "--case", "b", "--exponents", "1:1024"],
         ["scaling", "--case", "c", "--exponents", "1:1024"],
@@ -524,6 +528,35 @@ def test_grid_overflow_exits_2_before_numpy_warns():
     assert proc.stdout == ""
     assert proc.stderr.startswith("tworelay: error: ")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("p_x, samples, code", [
+    ("1e303", "100000", 0),  # the sums' squares pass the largest float, the moments do not
+    ("1e306", "1000", 2),  # the sum of x**2 passes it: refused, naming p_x
+    ("1e308", "1000", 2),  # so does the cell length sqrt(12*p_x)
+])
+def test_simulate_near_the_largest_float_warns_nothing(p_x, samples, code):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = ["simulate", "--case", "b", "--px", p_x, "--pj", "1", "--c1", "1", "--c2", "1",
+            "--samples", samples, "--seed", "1"]
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "tworelay.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code
+    if code:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("tworelay: error: ") and "p_x" in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        return
+    assert proc.stderr == ""
+    stats = json.loads(proc.stdout)["stats"]
+    reference = subprocess.run([sys.executable, "-m", "tworelay.cli", *argv[:4], "1e150",
+                                *argv[5:]], env=env, capture_output=True, text=True,
+                               timeout=120, check=True)
+    expected = json.loads(reference.stdout)["stats"]
+    assert stats["x_v_correlation"] == pytest.approx(expected["x_v_correlation"], rel=1e-12)
+    assert stats["dither_uniformity_pvalue"] == expected["dither_uniformity_pvalue"]
+    assert stats["rate_estimate"] == pytest.approx(expected["rate_estimate"], rel=1e-12)
 
 
 def test_cli_import_starts_no_thread():

@@ -185,7 +185,7 @@ def reference_run_lattice_sim(cfg):
     n = cfg.samples
     neq_sum, neq2_sum = math.fsum(sums["neq"]), math.fsum(sums["neq2"])
     var_neq = (neq2_sum - neq_sum**2 / n) / max(n - 1, 1)
-    pvalue, corr = lattice_sim._dither_summary(hist, sums, n)
+    pvalue, corr = lattice_sim._dither_summary(hist, {k: math.fsum(v) for k, v in sums.items()}, n)
     rate = 0.5 * math.log2(cfg.p_x / var_neq) if var_neq > 0.0 else math.inf
     return lattice_sim.SimStats(var_neq, cfg.analytic_var_neq(), max_residual, pvalue, corr,
                                 rate, n, cfg.seed, L)
@@ -314,13 +314,20 @@ class TestWorkerBuffers:
         assert abs(peaks[1] - peaks[0]) < BATCH_SIZE
 
     def test_histogram_counts_equal_numpys(self):
-        # values on every edge, one step below each, outside the cell and random
-        edges = np.linspace(-1.5, 1.5, lattice_sim.UNIFORMITY_BINS + 1)
-        x = np.concatenate((edges, np.nextafter(edges, -np.inf), [-2.0, 2.0, -0.0],
-                            np.random.default_rng(3).uniform(-1.5, 1.5, 5000)))
-        hist, _ = lattice_sim._dither_moments(x, x, edges, np.empty_like(x))
-        assert hist.dtype == np.histogram(x, bins=edges)[0].dtype
-        assert hist.tolist() == np.histogram(x, bins=edges)[0].tolist()
+        # values on every edge, one ulp either side of each, outside the cell and
+        # random, for a plain cell and those of p_x 1e-320 and 1e300
+        rng = np.random.default_rng(3)
+        for half in (1.5, math.sqrt(12.0 * 1e-320) / 2.0, math.sqrt(12.0 * 1e300) / 2.0):
+            edges = np.linspace(-half, half, lattice_sim.UNIFORMITY_BINS + 1)
+            x = np.concatenate((edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                                [-2.0 * half, 2.0 * half, -0.0, -1e300, 1e300],
+                                rng.uniform(-half, half, 5000)))
+            scratch, index = np.empty_like(x), np.empty(x.size, np.intp)
+            hist, _ = lattice_sim._dither_moments(x, x, edges, scratch, index)
+            expected = np.histogram(x, bins=edges)[0]
+            assert hist.dtype == expected.dtype
+            assert hist.tolist() == expected.tolist()
+            assert expected.sum() == x.size - 6  # four points outside the cell, two ulps past it
 
     def test_no_worker_outlives_a_run(self, monkeypatch):
         monkeypatch.setattr(lattice_sim, "_usable_cpus", lambda: 3)
@@ -371,6 +378,33 @@ class TestCryptoLemma:
         for p_x in (1e-200, 1e-160, 1e154, 1e160, 1e300):
             assert crypto_lemma_check(p_x, 10**5, 1).x_v_correlation == pytest.approx(
                 reference, rel=1e-12, abs=0.0)
+
+    def test_constant_message_at_a_huge_cell(self):
+        # the message sums to samples * L/4, whose square passes the largest float;
+        # its variance is zero up to rounding, and so is the correlation (or NaN)
+        stats = crypto_lemma_check(1e300, 10**5, 1, hold_message_constant=True)
+        assert not abs(stats.x_v_correlation) > 1e-9
+        reference = crypto_lemma_check(1.0, 10**5, 1, hold_message_constant=True)
+        assert stats.uniformity_pvalue == pytest.approx(reference.uniformity_pvalue, rel=1e-6)
+
+    def test_cell_past_the_largest_float_is_refused(self):
+        with pytest.raises(ValueError, match="cell length"):
+            crypto_lemma_check(1e308, 10**5, 1)
+        with pytest.raises(ValueError, match="cell length"):
+            replace(CASE_B, p_x=1e308)
+
+    def test_moment_sums_past_the_largest_float_are_refused(self):
+        # 1 000 samples of x**2 ~ 1e306 sum past the largest float
+        with pytest.raises(ValueError, match=r"p_x = 1e\+306"):
+            run_lattice_sim(replace(CASE_B, p_x=1e306, p_j=1.0, c1=1.0, samples=1000))
+
+    def test_centered_moments_whose_product_overflows(self):
+        # the plain form where the product is finite; a*(b/n) where it is not
+        centered = lattice_sim._centered
+        assert centered(10.0, 4.0, 8) == 10.0 - 4.0**2 / 8
+        assert centered(10.0, 4.0, 8, 3.0) == 10.0 - 4.0 * 3.0 / 8
+        assert centered(3e304, 1e156, 10**5) == 3e304 - 1e156 * (1e156 / 10**5)
+        assert centered(3e304, 1e156, 10**5, -2e153) == 3e304 - 1e156 * (-2e153 / 10**5)
 
     def test_correlation_norm(self):
         root = lattice_sim._root_product

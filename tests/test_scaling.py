@@ -1,17 +1,22 @@
 import math
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from tworelay import scaling
 from tworelay.achievable import AchievableReport, Scheme, best_achievable, best_arrays
-from tworelay.bounds import cutset_term_arrays, modulo_bound_array, modulo_bound_case_c
-from tworelay.bounds import outer_bounds
+from tworelay.bounds import cutset_min_array, cutset_term_arrays, modulo_bound_array
+from tworelay.bounds import modulo_bound_case_c, outer_bounds
 from tworelay.cli import _parse_grid
 from tworelay.model import INFINITE_CAPACITY, ScenarioCase, make_preset
 from tworelay.scaling import (
     _BLOCK,
+    _LONG_SUM_BLOCK,
     SweepPoint,
+    _first_max,
+    _regime_blocks,
     certify_gaps,
     cutset_looseness_demo,
     default_power_grid,
@@ -226,6 +231,100 @@ class TestGapCertificates:
             tracemalloc.stop()
         assert peak < 1.8 * 2**20
 
+    @pytest.mark.parametrize("case", list(ScenarioCase))
+    def test_grid_memory_does_not_grow_with_the_grid(self, case):
+        # `gaps --grid 1:9:60`: 231 361 points, nine times those of 1:9:20,
+        # under the same bound; whole-regime columns would peak at 7-9 MiB
+        grid, _ = _parse_grid("1:9:60")
+        certify_gaps(case, grid, grid)
+        tracemalloc.start()
+        try:
+            certify_gaps(case, grid, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.8 * 2**20
+
+
+def bit_patterns(values):
+    return [struct.pack("<d", v) for v in np.asarray(values, dtype=float).tolist()]
+
+
+def fold_in_blocks(values, cuts, *columns):
+    """`_first_max` over the blocks that the cuts split the last axis into."""
+    best = None
+    for block in zip(*(np.split(v, cuts, axis=-1) for v in (values, *columns))):
+        best = _first_max(best, *block)
+    return best
+
+
+class TestFirstMaxFold:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_argmax_over_the_concatenation(self, seed):
+        # few distinct values, so ties span block boundaries, and some NaNs
+        rng = np.random.default_rng(seed)
+        rows, n = int(rng.integers(1, 4)), int(rng.integers(1, 30))
+        values = rng.choice([0.0, 1.0, 2.0, math.nan], size=(rows, n),
+                            p=[0.3, 0.3, 0.35, 0.05] if seed % 2 else [0.3, 0.3, 0.4, 0.0])
+        position = np.broadcast_to(np.arange(n), values.shape)
+        cuts = np.sort(rng.choice(np.arange(1, n), size=int(rng.integers(0, n)), replace=False))
+        value, at = fold_in_blocks(values, cuts, position)
+        assert at.tolist() == np.argmax(values, axis=-1).tolist()
+        assert bit_patterns(value) == bit_patterns(values.max(axis=-1))
+        # one row folds as a 1-d block stream
+        value, at = fold_in_blocks(values[0], cuts, position[0])
+        assert int(at) == int(np.argmax(values[0]))
+
+    @pytest.mark.parametrize("values, expected", [
+        ([[0.0, 2.0], [2.0, 1.0]], 1),  # the tie across the boundary keeps the first
+        ([[0.0, 1.0], [2.0, math.nan]], 3),  # a NaN beats every number
+        ([[math.nan, 1.0], [2.0, math.nan]], 0),  # the first NaN wins
+        ([[-math.inf], [-math.inf]], 0),
+    ])
+    def test_block_boundaries(self, values, expected):
+        blocks = [np.array(v) for v in values]
+        best = None
+        for k, block in enumerate(blocks):
+            best = _first_max(best, block, np.arange(block.size) + 2 * k)
+        assert int(best[1]) == expected == int(np.argmax(np.concatenate(blocks)))
+
+
+class TestRegimeBlocks:
+    """`certify_gaps` folds each regime's blocks exactly as np.argmax over the
+    whole regime in grid order picks its worst point."""
+
+    CASE = ScenarioCase.CASE_B
+    GRID = (10.0 ** np.linspace(0.5, 9.0, 60)).tolist()  # 3 600 standard points: two blocks
+
+    def regime_points(self):
+        points = [list(zip(px.tolist(), pj.tolist()))
+                  for _, (px, pj, _, _) in _regime_blocks(self.CASE, self.GRID, self.GRID)]
+        assert [len(block) for block in points] == [_BLOCK, 60 * 60 - _BLOCK]
+        return [point for block in points for point in block]
+
+    def certify_with_gaps(self, monkeypatch, gap_at):
+        def gaps(case, regime, px, pj, c1, c2):
+            return np.array([gap_at.get(point, 0.0) for point in zip(px.tolist(), pj.tolist())])
+
+        monkeypatch.setattr(scaling, "_gaps", gaps)
+        (cert,) = certify_gaps(self.CASE, self.GRID, self.GRID)
+        return cert
+
+    @pytest.mark.parametrize("marked", [
+        {_BLOCK - 1: 1.0, _BLOCK: 1.0},  # a tie on either side of the block boundary
+        {_BLOCK - 1: 1.0, _BLOCK + 5: math.nan},  # a NaN in the later block wins
+        {_BLOCK + 5: math.nan, _BLOCK + 9: math.nan, 7: 3.0},  # of two NaNs the first
+        {0: math.nan, _BLOCK: math.nan},
+        {},  # every gap ties: the regime's first point
+    ])
+    def test_worst_point_is_the_argmax_of_the_concatenation(self, monkeypatch, marked):
+        points = self.regime_points()
+        gap_at = {points[k]: gap for k, gap in marked.items()}
+        cert = self.certify_with_gaps(monkeypatch, gap_at)
+        concatenated = [gap_at.get(point, 0.0) for point in points]
+        assert cert.worst_point == points[int(np.argmax(concatenated))]
+        assert cert.grid_points == len(points)
+
 
 class TestCutsetLooseness:
     def test_separation_at_1e9(self):
@@ -334,6 +433,44 @@ class TestSweepMatchesReference:
         sums, splits = [2.0, 9.0], _BLOCK + 52
         assert sweep_sum_capacity(ScenarioCase.CASE_C, 1e8, 1e4, sums, splits) == (
             reference_sweep(ScenarioCase.CASE_C, 1e8, 1e4, sums, splits))
+
+    @pytest.mark.parametrize("case", [ScenarioCase.CASE_B, ScenarioCase.CASE_C])
+    def test_long_sums_fold_their_chunks(self, case, monkeypatch):
+        # chunks of 7 splits put the local-decoding plateau (a tie of every
+        # split below the breakpoint) and each best split across chunk boundaries
+        sums, splits = [0.0, 1.0, 3.0, 9.0, 20.0], _BLOCK + 52
+        assert splits < _LONG_SUM_BLOCK
+        whole = sweep_sum_capacity(case, 1e8, 1e4, sums, splits)
+        monkeypatch.setattr(scaling, "_LONG_SUM_BLOCK", 7)
+        assert sweep_sum_capacity(case, 1e8, 1e4, sums, splits) == whole
+
+    @pytest.mark.parametrize("case", [ScenarioCase.CASE_B, ScenarioCase.CASE_C])
+    def test_splits_past_a_long_sum_block_equal_the_whole_row(self, case):
+        n, totals = 2 * _LONG_SUM_BLOCK + 37, [0.0, 2.5, 13.0]
+        points = sweep_sum_capacity(case, 1e6, 1e3, totals, n)
+        for point, total in zip(points, totals):
+            c1 = np.linspace(0.0, total, n)
+            c2 = total - c1
+            best, wins = best_arrays(case, 1e6, 1e3, c1, c2)
+            k = int(np.argmax(best.rate))
+            assert (point.best_rate, point.c1, point.c2) == (best.rate[k], c1[k], c2[k])
+            assert (point.winning_scheme is Scheme.LOCAL_DECODE) == wins[k]
+            assert point.cutset == cutset_min_array(case, 1e6, 1e3, c1, c2).max()
+
+    @pytest.mark.parametrize("case", [ScenarioCase.CASE_B, ScenarioCase.CASE_C])
+    def test_memory_does_not_grow_with_the_splits(self, case):
+        # one call over the whole row of 98 305 splits peaks at 7.5 (B) and 17 MiB (C)
+        peaks = []
+        for n in (2 * _LONG_SUM_BLOCK + 1, 12 * _LONG_SUM_BLOCK + 1):
+            sweep_sum_capacity(case, 1e6, 1e3, [6.0], n)
+            tracemalloc.start()
+            try:
+                sweep_sum_capacity(case, 1e6, 1e3, [6.0], n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 1.5 * 2**20
+        assert abs(peaks[1] - peaks[0]) < 0.1 * 2**20
 
     @pytest.mark.parametrize("total", [math.inf, math.nan])
     def test_rejects_non_finite_sums(self, total):
