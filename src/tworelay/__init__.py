@@ -49,48 +49,6 @@ from .model import (
     make_preset,
 )
 
-__all__ = [
-    "__version__",
-    "INFINITE_CAPACITY",
-    "ChannelConfig",
-    "ScenarioCase",
-    "gaussian_mi",
-    "make_preset",
-    "BoundReport",
-    "MODULO_BOUND_CONSTANT",
-    "cutset_case_c",
-    "modulo_bound_case_c",
-    "full_cooperation_capacity",
-    "outer_bounds",
-    "AchievableReport",
-    "Scheme",
-    "achievable_case_a",
-    "achievable_case_b",
-    "achievable_case_c",
-    "best_achievable",
-    "lattice_cf_report",
-    "local_decode_baseline",
-    "ScalingEstimate",
-    "RegionPolygon",
-    "GapCertificate",
-    "estimate_prelog",
-    "coupled_capacity_rate_fn",
-    "interference_info_lower_bound",
-    "required_region_case_c",
-    "certify_gaps",
-    "cutset_looseness_demo",
-    "sweep_sum_capacity",
-    "SimConfig",
-    "SimStats",
-    "CoverageConfig",
-    "CoverageResult",
-    "CryptoLemmaStats",
-    "run_lattice_sim",
-    "crypto_lemma_check",
-    "sw_rate_check",
-    "coverage_experiment",
-]
-
 #: The exports of the layers that load on first use, by defining module.
 _LAZY = {
     "scaling": (
@@ -117,6 +75,31 @@ _LAZY = {
         "sw_rate_check",
     ),
 }
+
+
+__all__ = [
+    "__version__",
+    "INFINITE_CAPACITY",
+    "ChannelConfig",
+    "ScenarioCase",
+    "gaussian_mi",
+    "make_preset",
+    "BoundReport",
+    "MODULO_BOUND_CONSTANT",
+    "cutset_case_c",
+    "modulo_bound_case_c",
+    "full_cooperation_capacity",
+    "outer_bounds",
+    "AchievableReport",
+    "Scheme",
+    "achievable_case_a",
+    "achievable_case_b",
+    "achievable_case_c",
+    "best_achievable",
+    "lattice_cf_report",
+    "local_decode_baseline",
+    *(name for names in _LAZY.values() for name in names),
+]
 
 
 def __getattr__(name: str):

@@ -27,19 +27,20 @@ A local-decoding baseline (a relay decodes the message treating the
 interferer as noise and forwards information bits) complements the lattice
 scheme at small link capacities.
 
-The closed forms are one array core: `lattice_arrays`, `local_decode_rates`
-and `best_arrays` broadcast over (p_x, p_j, c1, c2) for an explicitly given
-case, so a sweep evaluates all splits of several sums in one call;
-`lattice_rate` and `best_rate` give their rates alone, skipping the steps
-that form only the other report fields, for the grids.  Arithmetic runs
-in numpy in the order of the formulas; every transcendental goes through
-`model.math_map` or `model.square` (libm's bits), which keeps each element
-equal, bit for bit, to a per-point evaluation.  The core takes its input as given.  The per-point
-entries evaluate it at one point after one input check: `achievable_case_*`
-and `local_decode_baseline` check their powers and links as `ChannelConfig`
-checks its fields (`model._check_fields`), and `best_achievable` infers a
-config's case once and checks the config against it.  Input outside the
-model raises ValueError.
+The closed forms are one array core: `lattice_rate`, `local_decode_rates`
+and `best_rate` broadcast the rates over (p_x, p_j, c1, c2) for an
+explicitly given case, so a sweep evaluates all splits of several sums in
+one call.  Arithmetic runs in numpy in the order of the formulas; every
+transcendental goes through `model.math_map` or `model.square` (libm's
+bits), which keeps each element equal, bit for bit, to a per-point
+evaluation.  The core takes its input as given.  The per-point entries
+build the full report (combiner coefficient, distortions, equivalent-noise
+power, active branch of the relay-2 min) from the same closed forms after
+one input check: `achievable_case_*` and `local_decode_baseline` check
+their powers and links as `ChannelConfig` checks its fields
+(`model._check_fields`), and `best_achievable` infers a config's case once
+and checks the config against it.  Input outside the model raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -88,22 +88,6 @@ class AchievableReport:
     p_d2: float | None = None
     p_neq: float | None = None
     min_branch: str | None = None
-
-
-class RateArrays(NamedTuple):
-    """The `AchievableReport` of a lattice scheme, its fields as arrays over a grid."""
-
-    rate: np.ndarray
-    scheme: Scheme
-    alpha: np.ndarray
-    p_d1: np.ndarray
-    p_d2: np.ndarray
-    p_neq: np.ndarray
-    min_branch: np.ndarray
-
-
-def _report(arrays: RateArrays) -> AchievableReport:
-    return AchievableReport(*(v if isinstance(v, Scheme) else v.item() for v in arrays))
 
 
 def _pow2m1(c) -> np.ndarray:
@@ -269,20 +253,6 @@ def lattice_cf_report(
     return AchievableReport(rate, Scheme.LATTICE_CF, alpha, p_d1, p_d2, float(p_neq))
 
 
-#: `min_branch` labels by index: at_ceiling False, True, and p_x = 0.
-_BRANCHES = np.array(["interference", "signal_ceiling", None], dtype=object)
-
-
-def _lattice(scheme, p_x, rate, alpha, p_d1, p_d2, p_neq, at_ceiling) -> RateArrays:
-    """The fields as RateArrays, all zero (and no min branch) where p_x = 0."""
-    off = p_x == 0.0
-    fields = [np.where(off, 0.0, v) for v in (rate, alpha, p_d1, p_d2, p_neq)]
-    # a 0-d index picks the label itself, which asarray wraps back into an array
-    fields.append(np.asarray(_BRANCHES[np.where(off, 2, at_ceiling)], dtype=object))
-    rate, alpha, p_d1, p_d2, p_neq, branch = np.broadcast_arrays(*fields)
-    return RateArrays(rate, scheme, alpha, p_d1, p_d2, p_neq, branch)
-
-
 def _case_b(p_x, p_j, c1, c2) -> tuple[np.ndarray, tuple]:
     """Case B rate of the lattice scheme, and the (alpha, p_d1, p_d2, p_neq,
     at_ceiling) it is formed from.
@@ -372,28 +342,34 @@ def _case_point(case: ScenarioCase, p_x, p_j, c1, c2) -> list[np.ndarray]:
 
 
 @np.errstate(all="ignore")
-def lattice_arrays(case: ScenarioCase, p_x, p_j, c1, c2, variant: str = "prop") -> RateArrays:
-    """The lattice scheme of `case` over the broadcast of (p_x, p_j, c1, c2).
+def lattice_rate(case: ScenarioCase, p_x, p_j, c1, c2, variant: str = "prop") -> np.ndarray:
+    """Rate of the lattice scheme of `case` over the broadcast of (p_x, p_j, c1, c2).
 
     Case A is Case B with an unlimited relay-1 link (its c1 is ignored);
     Case C takes the closed form `variant`.  The case is taken as given.
     """
     point = _case_point(case, p_x, p_j, c1, c2)
-    if case is ScenarioCase.CASE_C:
-        rate, values = _case_c(*point, variant)
-        scheme = Scheme.CASE_C_PROP if variant == "prop" else Scheme.CASE_C_DERIVED
-        return _lattice(scheme, point[0], rate, *_case_c_fields(*point[:2], *values))
-    rate, fields = _case_b(*point)
-    scheme = Scheme.CASE_A_EQ if case is ScenarioCase.CASE_A else Scheme.CASE_B_EQ
-    return _lattice(scheme, point[0], rate, *fields)
+    return (_case_c(*point, variant) if case is ScenarioCase.CASE_C else _case_b(*point))[0]
 
 
 @np.errstate(all="ignore")
-def lattice_rate(case: ScenarioCase, p_x, p_j, c1, c2) -> np.ndarray:
-    """The rate of `lattice_arrays` (Case C's "prop" form) alone, bit for bit:
-    the steps that form only the other fields are skipped."""
+def _lattice_report(case: ScenarioCase, p_x: float, p_j: float, c1: float, c2: float,
+                    variant: str = "prop") -> AchievableReport:
+    """The lattice scheme of `case` at one point with its internals; every field
+    is 0 (and there is no min branch) at p_x = 0."""
     point = _case_point(case, p_x, p_j, c1, c2)
-    return (_case_c(*point, "prop") if case is ScenarioCase.CASE_C else _case_b(*point))[0]
+    if case is ScenarioCase.CASE_C:
+        rate, values = _case_c(*point, variant)
+        fields = _case_c_fields(*point[:2], *values)
+        scheme = Scheme.CASE_C_PROP if variant == "prop" else Scheme.CASE_C_DERIVED
+    else:
+        rate, fields = _case_b(*point)
+        scheme = Scheme.CASE_A_EQ if case is ScenarioCase.CASE_A else Scheme.CASE_B_EQ
+    if p_x == 0.0:
+        return AchievableReport(0.0, scheme, 0.0, 0.0, 0.0, 0.0)
+    rate, alpha, p_d1, p_d2, p_neq, at_ceiling = (v.item() for v in (rate, *fields))
+    return AchievableReport(rate, scheme, alpha, p_d1, p_d2, p_neq,
+                            "signal_ceiling" if at_ceiling else "interference")
 
 
 def local_decode_rates(case: ScenarioCase, p_x, p_j, c1, c2) -> np.ndarray:
@@ -405,20 +381,13 @@ def local_decode_rates(case: ScenarioCase, p_x, p_j, c1, c2) -> np.ndarray:
     return np.where(sinr_rate < links, sinr_rate, links)
 
 
-def best_arrays(case: ScenarioCase, p_x, p_j, c1, c2) -> tuple[RateArrays, np.ndarray]:
-    """The best scheme of `case` over the broadcast grid, and where local decoding wins.
-
-    The lattice arrays (Case C's "prop" form) carry the best rate; the mask
-    marks the points where local decoding is strictly better, so a tie goes
-    to the lattice scheme.  Case A has the lattice scheme alone.
-    """
-    lattice = lattice_arrays(case, p_x, p_j, c1, c2)
-    rate, wins = _with_local_decoding(case, lattice.rate, p_x, p_j, c1, c2)
-    return lattice._replace(rate=rate), wins
-
-
 def best_rate(case: ScenarioCase, p_x, p_j, c1, c2) -> tuple[np.ndarray, np.ndarray]:
-    """The rate and the local-decoding mask of `best_arrays`, from `lattice_rate`."""
+    """The best rate of `case` over the broadcast grid, and where local decoding wins.
+
+    The lattice rate (Case C's "prop" form) is compared with local decoding;
+    the mask marks the points where local decoding is strictly better, so a
+    tie goes to the lattice scheme.  Case A has the lattice scheme alone.
+    """
     return _with_local_decoding(case, lattice_rate(case, p_x, p_j, c1, c2), p_x, p_j, c1, c2)
 
 
@@ -442,13 +411,13 @@ def achievable_case_a(p_x: float, p_j: float, c2: float) -> AchievableReport:
     hundreds of bits.
     """
     p_x, p_j, c2 = _check_fields(p_x=p_x, p_j=p_j, c2=c2)
-    return _report(lattice_arrays(ScenarioCase.CASE_A, p_x, p_j, math.inf, c2))
+    return _lattice_report(ScenarioCase.CASE_A, p_x, p_j, math.inf, c2)
 
 
 def achievable_case_b(p_x: float, p_j: float, c1: float, c2: float) -> AchievableReport:
     """Case B rate of the lattice scheme at one point (closed form in `_case_b`)."""
     point = _check_fields(p_x=p_x, p_j=p_j, c1=c1, c2=c2)
-    return _report(lattice_arrays(ScenarioCase.CASE_B, *point))
+    return _lattice_report(ScenarioCase.CASE_B, *point)
 
 
 def achievable_case_c(
@@ -456,7 +425,7 @@ def achievable_case_c(
 ) -> AchievableReport:
     """Case C rate of the lattice scheme at one point (see `_case_c`)."""
     point = _check_fields(p_x=p_x, p_j=p_j, c1=c1, c2=c2)
-    return _report(lattice_arrays(ScenarioCase.CASE_C, *point, variant))
+    return _lattice_report(ScenarioCase.CASE_C, *point, variant)
 
 
 def local_decode_baseline(
@@ -490,7 +459,7 @@ def best_achievable(cfg: ChannelConfig) -> AchievableReport:
         case = ScenarioCase.CASE_A if math.isinf(cfg.c1) else ScenarioCase.CASE_B
     if not case_constraints_hold(cfg, case):
         raise ValueError("config does not match any canonical case preset")
-    arrays, local = best_arrays(case, cfg.p_x, cfg.p_j, cfg.c1, cfg.c2)
-    if local.item():
-        return AchievableReport(arrays.rate.item(), Scheme.LOCAL_DECODE)
-    return _report(arrays)
+    point = (cfg.p_x, cfg.p_j, cfg.c1, cfg.c2)
+    lattice = _lattice_report(case, *point)
+    rate, local = _with_local_decoding(case, np.asarray(lattice.rate), *point)
+    return AchievableReport(rate.item(), Scheme.LOCAL_DECODE) if local.item() else lattice

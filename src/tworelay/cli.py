@@ -27,7 +27,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -36,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import _LAZY, __version__
 from .achievable import (
     achievable_case_a,
     achievable_case_b,
@@ -45,25 +44,12 @@ from .achievable import (
     local_decode_baseline,
 )
 from .bounds import outer_bounds
-from .model import INFINITE_CAPACITY, ScenarioCase, make_preset
-
-#: The names this module takes from the grid layer and the simulator.  A
-#: subcommand binds its layer's names here on first use (`_bind`), so a
-#: process imports only the layers its subcommand runs.
-_LAZY = {
-    "scaling": (
-        "certify_gaps",
-        "estimate_prelog",
-        "coupled_capacity_rate_fn",
-        "required_region_case_c",
-        "sweep_sum_capacity",
-    ),
-    "lattice_sim": ("CoverageConfig", "SimConfig", "coverage_experiment", "run_lattice_sim"),
-}
+from .model import ScenarioCase, make_preset
 
 
 def _bind(layer: str) -> None:
-    """Import `layer` and bind its names in this module's namespace.
+    """Import `layer` and bind its exports (the package's `_LAZY`) in this
+    module's namespace, so a process imports only the layers its subcommand runs.
 
     A name already set here (say, a wrapper that replaced it) is kept, and
     each subcommand looks its names up here at call time, so it calls
@@ -81,11 +67,6 @@ def __getattr__(name: str):
             _bind(layer)
             return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _capacity(text: str) -> float:
-    value = float(text)
-    return INFINITE_CAPACITY if math.isinf(value) else value
 
 
 def _fmt(value) -> str:
@@ -410,8 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--px", type=float, required=True, help="transmit power (linear)")
         p.add_argument("--pj", type=float, required=True, help="interferer power (linear)")
         if with_c1:
-            p.add_argument("--c1", type=_capacity, help="relay-1 link capacity (bits; 'inf' ok)")
-        p.add_argument("--c2", type=_capacity, help="relay-2 link capacity (bits; 'inf' ok)")
+            p.add_argument("--c1", type=float, help="relay-1 link capacity (bits; 'inf' ok)")
+        p.add_argument("--c2", type=float, help="relay-2 link capacity (bits; 'inf' ok)")
 
     p = sub.add_parser("bounds", help="outer bounds and achievable rates at one point")
     p.add_argument("--case", choices=("a", "b", "c"), required=True)

@@ -66,8 +66,9 @@ BATCH_SIZE = 1 << 16
 #: Number of histogram bins for the dither-uniformity test.
 UNIFORMITY_BINS = 64
 
-#: The smallest positive normal float.
+#: The smallest positive normal float, and the spacing of floats at 1.
 _SMALLEST_NORMAL = 2.0**-1022
+_EPSILON = 2.0**-52
 
 _INTERFERERS = ("gaussian", "uniform", "bpsk")
 
@@ -472,11 +473,20 @@ def _centered(second: float, a: float, n: int, b: float | None = None) -> float:
     return second - product / n
 
 
+def _variance(second: float, a: float, n: int) -> float:
+    """The centred moment `_centered(second, a, n)`, or 0.0 where it lies within
+    the rounding of summing n terms (n * eps of the raw moment `second`): the n
+    samples are constant, and what is left of their variance is rounding."""
+    var = _centered(second, a, n)
+    return 0.0 if var <= n * _EPSILON * second else var
+
+
 def _dither_summary(hist: np.ndarray, total: dict[str, float], n: int) -> tuple[float, float]:
-    """Chi-square uniformity p-value of the histogram and the x-v correlation."""
+    """Chi-square uniformity p-value of the histogram and the x-v correlation
+    (NaN where x or v is constant)."""
     cov_xv = _centered(total["xv"], total["x"], n, total["v"])
-    var_x = _centered(total["x2"], total["x"], n)
-    var_v = _centered(total["v2"], total["v"], n)
+    var_x = _variance(total["x2"], total["x"], n)
+    var_v = _variance(total["v2"], total["v"], n)
     corr = cov_xv / _root_product(var_x, var_v)
     expected = n / UNIFORMITY_BINS
     chi2_stat = float(((hist - expected) ** 2 / expected).sum())

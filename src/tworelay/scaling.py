@@ -102,20 +102,24 @@ def estimate_prelog(
         if not math.isfinite(r):
             raise ValueError(f"rate_fn(2**{k}) = {r!r} is not finite")
         rates.append(r)
-    if method == "finite_difference":
-        if len(exponents) < 2:
-            raise ValueError("finite differences need at least two exponents")
-        prelog = (rates[-1] - rates[-2]) / (exponents[-1] - exponents[-2])
-    else:
-        if exponents[-1] == 0.0:
-            raise ValueError("ratio method needs a nonzero top exponent")
-        prelog = rates[-1] / exponents[-1]
+    if method == "finite_difference" and len(exponents) < 2:
+        raise ValueError("finite differences need at least two exponents")
+    if method == "ratio" and exponents[-1] == 0.0:
+        raise ValueError("ratio method needs a nonzero top exponent")
     return ScalingEstimate(
-        prelog=prelog,
+        prelog=_slope(exponents, rates, method),
         exponent_grid=exponents,
         rate_samples=tuple(rates),
         method=method,
     )
+
+
+def _slope(exponents: Sequence[float], rates: Sequence[float], method: str) -> float:
+    """Pre-log of `rates` over log2 powers `exponents`: the finite difference
+    between the two largest, or the ratio rate / exponent at the largest."""
+    if method == "finite_difference":
+        return (rates[-1] - rates[-2]) / (exponents[-1] - exponents[-2])
+    return rates[-1] / exponents[-1]
 
 
 def _parse_coupling(coupling: str) -> Callable[[float], float]:
@@ -485,14 +489,9 @@ def cutset_looseness_demo(p_x: float) -> LoosenessPrelogs:
         cfg = make_preset(ScenarioCase.CASE_C, power, math.sqrt(power), c1=cap, c2=cap)
         return cutset_case_c(cfg).cutset_min, modulo_bound_case_c(cfg)
 
-    values = [both(p) for p in ladder]
-    if len(ladder) >= 2:
-        dk = math.log2(ladder[-1]) - math.log2(ladder[-2])
-        cut = (values[-1][0] - values[-2][0]) / dk
-        mod = (values[-1][1] - values[-2][1]) / dk
-    else:
-        k = math.log2(ladder[-1])
-        cut, mod = values[-1][0] / k, values[-1][1] / k
+    exponents = [math.log2(p) for p in ladder]
+    method = "finite_difference" if len(ladder) >= 2 else "ratio"
+    cut, mod = (_slope(exponents, bound, method) for bound in zip(*map(both, ladder)))
     return LoosenessPrelogs(cutset_prelog=cut, modulo_prelog=mod)
 
 

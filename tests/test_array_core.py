@@ -19,10 +19,12 @@ from tworelay.achievable import (
     achievable_case_a,
     achievable_case_b,
     achievable_case_c,
+    _case_b,
+    _case_c,
+    _case_c_fields,
+    _case_point,
     best_achievable,
-    best_arrays,
     best_rate,
-    lattice_arrays,
     lattice_rate,
     local_decode_baseline,
     local_decode_rates,
@@ -70,11 +72,42 @@ def as_lists(*arrays):
     return [a.tolist() for a in arrays]
 
 
-def assert_report_arrays(arrays, reports):
-    assert all(r.scheme is arrays.scheme for r in reports)
-    for field in ("rate", "alpha", "p_d1", "p_d2", "p_neq"):
-        assert_bits_equal(getattr(arrays, field), [getattr(r, field) for r in reports])
-    assert arrays.min_branch.tolist() == [r.min_branch for r in reports]
+POINT_ENTRIES = {
+    A: lambda p_x, p_j, c1, c2, variant: achievable_case_a(p_x, p_j, c2),
+    B: lambda p_x, p_j, c1, c2, variant: achievable_case_b(p_x, p_j, c1, c2),
+    C: achievable_case_c,
+}
+
+
+def lattice_fields(case, variant, p_x, p_j, c1, c2):
+    """The (alpha, p_d1, p_d2, p_neq, at_ceiling) arrays the core forms the
+    rate from, broadcast over the draw."""
+    point = _case_point(case, p_x, p_j, c1, c2)
+    with np.errstate(all="ignore"):
+        if case is C:
+            fields = _case_c_fields(*point[:2], *_case_c(*point, variant)[1])
+        else:
+            fields = _case_b(*point)[1]
+    return np.broadcast_arrays(*fields)
+
+
+def assert_reports_equal(case, variant, points, reports):
+    """The core's rates and fields against the reference reports; the zero
+    fields at p_x = 0 through the per-point entries."""
+    p_x, p_j, c1, c2 = points
+    assert_bits_equal(lattice_rate(case, p_x, p_j, c1, c2, variant), [r.rate for r in reports])
+    live = p_x > 0.0
+    kept = [r for r, on in zip(reports, live.tolist()) if on]
+    *values, at_ceiling = lattice_fields(case, variant, *points)
+    for field, value in zip(("alpha", "p_d1", "p_d2", "p_neq"), values):
+        assert_bits_equal(value[live], [getattr(r, field) for r in kept])
+    labels = np.where(at_ceiling[live], "signal_ceiling", "interference").tolist()
+    assert labels == [r.min_branch for r in kept]
+    zero = [(point, r) for point, r, on in zip(zip(*as_lists(*points)), reports, live.tolist())
+            if not on]
+    assert len(zero) > 100
+    for point, expected in zero:
+        assert POINT_ENTRIES[case](*point, variant) == expected
 
 
 @pytest.mark.parametrize("case, variant, seed", [
@@ -89,7 +122,7 @@ def test_lattice_rates_equal_reference(case, variant, seed):
     else:
         reports = [ref.achievable_case_c(*point, variant)
                    for point in zip(*as_lists(p_x, p_j, c1, c2))]
-    assert_report_arrays(lattice_arrays(case, p_x, p_j, c1, c2, variant), reports)
+    assert_reports_equal(case, variant, (p_x, p_j, c1, c2), reports)
     if case is not C:
         # the draw reaches the log1p branch of the clamped rate
         live = p_x > 0.0
@@ -104,26 +137,29 @@ def test_local_decoding_and_best_scheme_equal_reference(case, seed):
     local = [ref.local_decode_baseline(case, *point).rate for point in points]
     assert_bits_equal(local_decode_rates(case, p_x, p_j, c1, c2), local)
     best = [ref.best_report(case, *point) for point in points]
-    arrays, local_wins = best_arrays(case, p_x, p_j, c1, c2)
-    assert_bits_equal(arrays.rate, [r.rate for r in best])
+    rate, local_wins = best_rate(case, p_x, p_j, c1, c2)
+    assert_bits_equal(rate, [r.rate for r in best])
     assert local_wins.tolist() == [r.scheme is Scheme.LOCAL_DECODE for r in best]
     assert 0 < local_wins.sum() < N
 
 
 @pytest.mark.parametrize("case, seed", [(A, 14), (B, 15), (C, 16)])
-def test_rates_alone_equal_the_report_arrays(case, seed):
-    # the grids take the rate without the other fields; p_x = 0 is mixed in
+def test_rates_on_broadcasts_equal_reference(case, seed):
+    # the grids take the rates alone; p_x = 0 is mixed in
     p_x, p_j, c1, c2 = random_points(seed)
-    assert_bits_equal(lattice_rate(case, p_x, p_j, c1, c2),
-                      lattice_arrays(case, p_x, p_j, c1, c2).rate)
+    best = [ref.best_report(case, *point) for point in zip(*as_lists(p_x, p_j, c1, c2))]
+    lattice = best if case is A else [
+        ref.achievable_case_b(*point) if case is B else ref.achievable_case_c(*point)
+        for point in zip(*as_lists(p_x, p_j, c1, c2))]
+    assert_bits_equal(lattice_rate(case, p_x, p_j, c1, c2), [r.rate for r in lattice])
     rate, local_wins = best_rate(case, p_x, p_j, c1, c2)
-    arrays, expected_wins = best_arrays(case, p_x, p_j, c1, c2)
-    assert_bits_equal(rate, arrays.rate)
-    assert local_wins.tolist() == expected_wins.tolist()
+    assert_bits_equal(rate, [r.rate for r in best])
+    assert local_wins.tolist() == [r.scheme is Scheme.LOCAL_DECODE for r in best]
     # a sweep's broadcast: scalar powers against rows of splits
     c1 = np.linspace(0.0, 9.0, 41)[None, :] * np.array([[0.5], [1.0]])
-    assert_bits_equal(best_rate(case, 1e6, 1e3, c1, 9.0 - c1)[0],
-                      best_arrays(case, 1e6, 1e3, c1, 9.0 - c1)[0].rate)
+    rows = best_rate(case, 1e6, 1e3, c1, 9.0 - c1)[0]
+    assert_bits_equal(rows.ravel(), [ref.best_report(case, 1e6, 1e3, l1, 9.0 - l1).rate
+                                     for l1 in c1.ravel().tolist()])
 
 
 @pytest.mark.parametrize("case, seed", [(A, 7), (B, 8), (C, 9)])
@@ -223,8 +259,8 @@ def test_point_wrappers_equal_reference():
             expected = ref.best_report(case, *point)
             if case is B and math.isinf(l1):
                 # a config with c1 = inf is Case A and labels its rate case_a_eq
-                arrays, local_wins = best_arrays(case, *point)
-                assert (arrays.rate.item(), local_wins.item()) == (
+                rate, local_wins = best_rate(case, *point)
+                assert (rate.item(), local_wins.item()) == (
                     expected.rate, expected.scheme is Scheme.LOCAL_DECODE)
                 cfg = make_preset(A, px, pj, c2=l2)
             else:

@@ -478,6 +478,12 @@ class TestReproducibility:
         ["scaling", "--case", "a", "--exponents", "1:1024"],
         ["scaling", "--case", "b", "--exponents", "1:1024"],
         ["scaling", "--case", "c", "--exponents", "1:1024"],
+        ["bounds", "--case", "a", "--px", "15", "--pj", "15", "--c2=-inf"],
+        ["bounds", "--case", "c", "--px", "15", "--pj", "15", "--c1", "1", "--c2=-inf"],
+        ["simulate", "--case", "b", "--px", "15", "--pj", "15", "--c1=-inf", "--c2", "1",
+         "--samples", "1000", "--seed", "1"],
+        ["simulate", "--case", "c", "--px", "15", "--pj", "15", "--c1=-inf", "--c2", "1",
+         "--samples", "1000", "--seed", "1"],
     ],
     ids=lambda argv: " ".join(argv),
 )

@@ -373,17 +373,20 @@ class TestCryptoLemma:
 
     def test_correlation_does_not_depend_on_the_scale_of_p_x(self):
         # var_x * var_v underflows (1e-200), is subnormal (1e-160) or overflows
-        # (1e154 on) where each variance is a normal float
+        # (1e154 on) where each variance is a normal float; a constant message's
+        # variance is rounding alone, so its correlation is undefined at every scale
         reference = crypto_lemma_check(1e150, 10**5, 1).x_v_correlation
         for p_x in (1e-200, 1e-160, 1e154, 1e160, 1e300):
             assert crypto_lemma_check(p_x, 10**5, 1).x_v_correlation == pytest.approx(
                 reference, rel=1e-12, abs=0.0)
+            constant = crypto_lemma_check(p_x, 10**5, 1, hold_message_constant=True)
+            assert math.isnan(constant.x_v_correlation)
 
     def test_constant_message_at_a_huge_cell(self):
         # the message sums to samples * L/4, whose square passes the largest float;
-        # its variance is zero up to rounding, and so is the correlation (or NaN)
+        # its variance is zero up to rounding, so the correlation is undefined
         stats = crypto_lemma_check(1e300, 10**5, 1, hold_message_constant=True)
-        assert not abs(stats.x_v_correlation) > 1e-9
+        assert math.isnan(stats.x_v_correlation)
         reference = crypto_lemma_check(1.0, 10**5, 1, hold_message_constant=True)
         assert stats.uniformity_pvalue == pytest.approx(reference.uniformity_pvalue, rel=1e-6)
 

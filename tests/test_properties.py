@@ -17,7 +17,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import tworelay.lattice_sim as lattice_sim
-from tworelay.achievable import best_arrays, lattice_arrays, local_decode_rates
+from tworelay.achievable import best_rate, lattice_rate, local_decode_rates
 from tworelay.bounds import cutset_min_array, modulo_bound_array
 from tworelay.model import ScenarioCase
 
@@ -42,11 +42,11 @@ def rates_on(grid):
     """The rates that carry each invariant: every case's best scheme, and
     Case C's lattice scheme in both closed forms."""
     return {
-        "a": best_arrays(A, *grid)[0].rate,
-        "b": best_arrays(B, *grid)[0].rate,
-        "c": best_arrays(C, *grid)[0].rate,
-        "c prop": lattice_arrays(C, *grid, "prop").rate,
-        "c derived": lattice_arrays(C, *grid, "derived").rate,
+        "a": best_rate(A, *grid)[0],
+        "b": best_rate(B, *grid)[0],
+        "c": best_rate(C, *grid)[0],
+        "c prop": lattice_rate(C, *grid, "prop"),
+        "c derived": lattice_rate(C, *grid, "derived"),
     }
 
 
@@ -60,7 +60,7 @@ def test_best_rate_is_at_most_the_binding_bound(p_x, p_j, c1, c2):
             with np.errstate(divide="ignore", invalid="ignore"):
                 modulo = modulo_bound_array(*grid)
             bound = np.where((grid[1] > 0.0) & (modulo < bound), modulo, bound)
-        assert np.all(best_arrays(case, *grid)[0].rate <= bound + TOL), case
+        assert np.all(best_rate(case, *grid)[0] <= bound + TOL), case
 
 
 @GRIDS
@@ -83,14 +83,14 @@ def test_case_c_is_symmetric_under_swapping_the_links(p_x, p_j, c):
 @given(axis(powers), axis(interferers), axis(links), st.floats(0.0, 60.0))
 def test_case_b_tends_to_case_a_as_c1_grows(p_x, p_j, c2, excess):
     p_x, p_j, c2 = np.ix_(p_x, p_j, c2)
-    case_a = lattice_arrays(A, p_x, p_j, math.inf, c2).rate
-    assert np.array_equal(lattice_arrays(B, p_x, p_j, math.inf, c2).rate, case_a)
+    case_a = lattice_rate(A, p_x, p_j, math.inf, c2)
+    assert np.array_equal(lattice_rate(B, p_x, p_j, math.inf, c2), case_a)
     # c1 = 0.5*log2(1+p_x) + excess leaves a relay-1 distortion of about
     # 2**(-2*excess), so Case B approaches Case A from below as excess grows
     c1 = 0.5 * np.log2(1.0 + p_x) + excess
-    case_b = lattice_arrays(B, p_x, p_j, c1, c2).rate
+    case_b = lattice_rate(B, p_x, p_j, c1, c2)
     assert np.all(case_b <= case_a + TOL)
-    far = lattice_arrays(B, p_x, p_j, c1 + 40.0, c2).rate
+    far = lattice_rate(B, p_x, p_j, c1 + 40.0, c2)
     assert np.all(case_a - far <= 1e-9)
     assert np.all(far >= case_b - TOL)
 

@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import scalar_reference as ref
 from tworelay import scaling
-from tworelay.achievable import AchievableReport, Scheme, best_achievable, best_arrays
+from tworelay.achievable import Scheme, best_achievable, best_rate
 from tworelay.bounds import cutset_min_array, cutset_term_arrays, modulo_bound_array
 from tworelay.bounds import modulo_bound_case_c, outer_bounds
 from tworelay.cli import _parse_grid
@@ -337,6 +338,16 @@ class TestCutsetLooseness:
         assert math.isfinite(demo.cutset_prelog)
         assert math.isfinite(demo.modulo_prelog)
 
+    @pytest.mark.parametrize("p_x, cutset, modulo", [
+        (2.0, "0x1.0000000000000p-1", "0x1.0bb42dc10f6ddp+1"),  # one rung: plain ratios
+        (10.0, "0x1.0000000000000p-1", "0x1.ba1842d6ad9cap-1"),
+        (1e9, "0x1.0000000000000p-1", "0x1.7ffe0dd1af632p-2"),
+    ])
+    def test_slopes_keep_their_bits(self, p_x, cutset, modulo):
+        demo = cutset_looseness_demo(p_x)
+        assert (demo.cutset_prelog, demo.modulo_prelog) == (
+            float.fromhex(cutset), float.fromhex(modulo))
+
 
 class TestInterferenceInformationBound:
     def test_equal_powers(self):
@@ -451,9 +462,9 @@ class TestSweepMatchesReference:
         for point, total in zip(points, totals):
             c1 = np.linspace(0.0, total, n)
             c2 = total - c1
-            best, wins = best_arrays(case, 1e6, 1e3, c1, c2)
-            k = int(np.argmax(best.rate))
-            assert (point.best_rate, point.c1, point.c2) == (best.rate[k], c1[k], c2[k])
+            rate, wins = best_rate(case, 1e6, 1e3, c1, c2)
+            k = int(np.argmax(rate))
+            assert (point.best_rate, point.c1, point.c2) == (rate[k], c1[k], c2[k])
             assert (point.winning_scheme is Scheme.LOCAL_DECODE) == wins[k]
             assert point.cutset == cutset_min_array(case, 1e6, 1e3, c1, c2).max()
 
@@ -496,11 +507,11 @@ class TestCaseExplicitCore:
                 cfg = make_preset(case, p_x, p_j, c1=None if case is ScenarioCase.CASE_A else c1,
                                   c2=c2)
                 point = (cfg.p_x, cfg.p_j, cfg.c1, cfg.c2)
-                arrays, local_wins = best_arrays(case, *point)
-                fields = [v if isinstance(v, Scheme) else v.item() for v in arrays]
-                if local_wins.item():
-                    fields = [fields[0], Scheme.LOCAL_DECODE]
-                assert best_achievable(cfg) == AchievableReport(*fields)
+                rate, local_wins = best_rate(case, *point)
+                report = best_achievable(cfg)
+                assert (report.rate, report.scheme is Scheme.LOCAL_DECODE) == (
+                    rate.item(), local_wins.item())
+                assert report == ref.best_report(case, *point)
                 bound = outer_bounds(cfg, case)
                 terms = cutset_term_arrays(case, *point)
                 assert tuple((label, value.item()) for label, value in terms) == bound.terms
