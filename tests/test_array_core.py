@@ -16,13 +16,13 @@ import pytest
 import scalar_reference as ref
 from tworelay.achievable import (
     Scheme,
-    achievable_case_a,
-    achievable_case_b,
-    achievable_case_c,
     _case_b,
     _case_c,
     _case_c_fields,
     _case_point,
+    achievable_case_a,
+    achievable_case_b,
+    achievable_case_c,
     best_achievable,
     best_rate,
     lattice_rate,
