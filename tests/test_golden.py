@@ -55,6 +55,8 @@ CALLS = {
                        "--method", "ratio"],
     "scaling_c.json": ["scaling", "--case", "c", "--coupling", "pj=1000",
                        "--capacity-scale", "0.8"],
+    "scaling_c_long.json": ["scaling", "--case", "c", "--coupling", "pj=sqrt(px)",
+                            "--exponents", "10:1000", "--capacity-scale", "0.8"],
     "simulate_c.json": ["simulate", "--case", "c", "--px", "15", "--pj", "15", "--c1", "2",
                         "--c2", "1", "--samples", "100000", "--seed", "7",
                         "--interferer", "uniform"],
