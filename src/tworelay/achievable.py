@@ -21,7 +21,8 @@ Closed forms are provided for the canonical cases:
 * Case C: two closed forms of the same scheme are in circulation and they
   do not coincide; both are kept behind `variant` ("prop", the default,
   and "derived") rather than silently reconciled.  Either orientation of
-  the relay roles is allowed and the better one is taken.
+  the relay roles is allowed and the better one is taken; "prop" is the
+  Case B closed form in the better orientation.
 
 A local-decoding baseline (a relay decodes the message treating the
 interferer as noise and forwards information bits) complements the lattice
@@ -273,17 +274,6 @@ def _case_b(p_x, p_j, c1, c2) -> tuple[np.ndarray, tuple]:
     return _clamped_rate(p_x, p_neq), (alpha, p_d1, p_d2, p_neq, at_ceiling)
 
 
-def _case_c_prop_rate(p_x, p_j, p_d1, binned_pow2neg) -> np.ndarray:
-    """One orientation of the Case C 'prop' closed form, given p_d1 and 2**(-2*c2).
-
-    rate = max(0.5*log2(p_x / (p_x/(p_x+1) + p_x/(2**(2*c1)-1)
-                               + min(p_x, p_j*p_x^2/(p_x+1)^2) * 2**(-2*c2))), 0)
-    """
-    m = p_j * square(p_x / (p_x + 1.0))
-    den = p_x / (p_x + 1.0) + p_d1 + np.where(m < p_x, m, p_x) * binned_pow2neg
-    return _clamped_rate(p_x, den)
-
-
 def _case_c_derived_rate(p_x, p_j, p_d1, binned_pow2m1) -> np.ndarray:
     """One orientation of the Case C 'derived' closed form, given p_d1 and 2**(2*c2)-1.
 
@@ -300,35 +290,36 @@ def _case_c_derived_rate(p_x, p_j, p_d1, binned_pow2m1) -> np.ndarray:
 
 def _case_c(p_x, p_j, c1, c2, variant: str) -> tuple[np.ndarray, tuple]:
     """Case C rate of the lattice scheme, better relay orientation taken, and
-    the per-link values and orientation rates `_case_c_fields` takes.
+    the two orientation rates `_case_c_fields` takes.
 
-    `variant` selects between the two closed forms ("prop" is the default;
+    `variant` selects between the two closed forms: "prop", the default, is
+    the Case B closed form (`_case_b`) with either relay as relay 1;
     "derived" accounts relay 2's rate through the conditional-binning
-    constraint and bounds the combiner leakage by 1/2).
+    constraint and bounds the combiner leakage by 1/2.
     """
     if variant not in ("prop", "derived"):
         raise ValueError(f"variant must be 'prop' or 'derived', got {variant!r}")
-    rate_fn = _case_c_prop_rate if variant == "prop" else _case_c_derived_rate
-    m1, m2 = _pow2m1(c1), _pow2m1(c2)  # each link's libm values serve both orientations
-    pd1, pd2 = _distortion(p_x, m1), _distortion(p_x, m2)
-    binned1, binned2 = (_pow2neg(c1), _pow2neg(c2)) if variant == "prop" else (m1, m2)
-    forward = rate_fn(p_x, p_j, pd1, binned2)
-    swapped = rate_fn(p_x, p_j, pd2, binned1)
-    return np.where(swapped > forward, swapped, forward), (m1, m2, pd1, pd2, forward, swapped)
+    if variant == "prop":
+        forward, swapped = _case_b(p_x, p_j, c1, c2)[0], _case_b(p_x, p_j, c2, c1)[0]
+    else:
+        m1, m2 = _pow2m1(c1), _pow2m1(c2)  # each link's libm values serve both orientations
+        forward = _case_c_derived_rate(p_x, p_j, _distortion(p_x, m1), m2)
+        swapped = _case_c_derived_rate(p_x, p_j, _distortion(p_x, m2), m1)
+    return np.where(swapped > forward, swapped, forward), (forward, swapped)
 
 
-def _case_c_fields(p_x, p_j, m1, m2, pd1, pd2, forward, swapped) -> tuple:
+def _case_c_fields(p_x, p_j, c1, c2, forward, swapped) -> tuple:
     """(alpha, p_d1, p_d2, p_neq, at_ceiling) of the winning Case C orientation.
 
     These are the scheme parameters with alpha = 2*p_x/(4*p_x+2); for the
-    "prop" variant the rate is the closed form of `_case_c_prop_rate`, which
+    "prop" variant the rate is the Case B closed form (see `_case_c`), which
     is not the same expression as 0.5*log2(p_x/p_neq).
     """
     swap = ~(forward >= swapped)
+    primary, binned = np.where(swap, c2, c1), np.where(swap, c1, c2)
     alpha = mmse_alpha(p_x, 1.0, 1.0, 2.0)
-    pd_primary = np.where(swap, pd2, pd1)
-    pd_binned, at_ceiling = _binned_distortion(p_x, p_j, alpha, pd_primary, 1.0, 1.0, 0.0,
-                                               np.where(swap, m1, m2), np.where(swap, m2, m1))
+    pd_primary = distortion_relay1(p_x, primary)
+    pd_binned, at_ceiling = distortion_relay2_case_c(p_x, p_j, primary, binned, alpha)
     p_d1, p_d2 = np.where(swap, pd_binned, pd_primary), np.where(swap, pd_primary, pd_binned)
     p_neq = equivalent_noise_power(p_x, 1.0, 1.0, alpha, p_d1, p_d2, 2.0)
     return alpha, p_d1, p_d2, p_neq, at_ceiling
@@ -360,7 +351,7 @@ def _lattice_report(case: ScenarioCase, p_x: float, p_j: float, c1: float, c2: f
     point = _case_point(case, p_x, p_j, c1, c2)
     if case is ScenarioCase.CASE_C:
         rate, values = _case_c(*point, variant)
-        fields = _case_c_fields(*point[:2], *values)
+        fields = _case_c_fields(*point, *values)
         scheme = Scheme.CASE_C_PROP if variant == "prop" else Scheme.CASE_C_DERIVED
     else:
         rate, fields = _case_b(*point)

@@ -25,8 +25,9 @@ a grid follows the block, not the grid.  `model.math_map` gives every value
 libm's bits, so the pick is the one a per-point evaluation makes.  A
 certificate carries its regime's point count and that worst point, not the
 points themselves, and reports the largest gap as the config-checked
-per-point path (`_point_certificate`) gives it at that point.  The pre-log
-ladders and the looseness demo build one config per point.
+per-point path (`_point_certificate`) gives it at that point.  A pre-log
+ladder, and each bound of the looseness demo, is one array-core call over
+all its powers, checked once over its arrays; neither builds a config.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 from .achievable import Scheme, achievable_case_c, best_achievable, best_rate, lattice_rate
 from .bounds import cutset_case_c, cutset_min_array, modulo_bound_array
 from .bounds import modulo_bound_case_c, outer_bounds
-from .model import ScenarioCase, gaussian_mi, make_preset, math_map
+from .model import ScenarioCase, gaussian_mi, make_preset, math_map, mutual_info
 
 PRELOG_METHODS = ("finite_difference", "ratio")
 
@@ -71,47 +72,44 @@ class ScalingEstimate:
 
 
 def estimate_prelog(
-    rate_fn: Callable[[float], float],
+    rate_fn: Callable[[np.ndarray], np.ndarray],
     exponent_range: Sequence[float] = DEFAULT_EXPONENTS,
     method: str = "finite_difference",
 ) -> ScalingEstimate:
-    """Estimate the pre-log of rate_fn(p_x) over p_x = 2**k, k in the grid.
+    """Estimate the pre-log of rate_fn over p_x = 2**k, k in the grid.
 
-    `rate_fn` must map a transmit power to a rate under whatever coupling
-    of the remaining parameters to p_x the caller wants.  The
-    finite-difference estimate is the slope between the two largest
-    exponents; the ratio estimate is rate / log2(p_x) at the largest one.
+    `rate_fn` is called once, with the array of all the powers, and must
+    give the array of their rates under whatever coupling of the remaining
+    parameters to p_x the caller wants.  The finite-difference estimate is
+    the slope between the two largest exponents; the ratio estimate is
+    rate / log2(p_x) at the largest one.
 
     Raises:
-        ValueError: on an empty grid, an exponent past the largest float, a
-            non-finite rate sample, or an unknown method (finite differences
-            need at least two points).
+        ValueError: on an empty grid, an exponent past the largest float, not
+            one rate per power, a non-finite rate, or an unknown method
+            (finite differences need at least two points).
     """
     if method not in PRELOG_METHODS:
         raise ValueError(f"method must be one of {PRELOG_METHODS}, got {method!r}")
     exponents = tuple(float(k) for k in exponent_range)
     if not exponents:
         raise ValueError("exponent range must be nonempty")
-    rates = []
-    for k in exponents:
-        try:
-            p_x = 2.0**k
-        except OverflowError:
-            raise ValueError(f"p_x = 2**{k:g} overflows a float") from None
-        r = float(rate_fn(p_x))
+    try:
+        powers = np.array([2.0**k for k in exponents])
+    except OverflowError:
+        raise ValueError(f"p_x = 2**{max(exponents):g} overflows a float") from None
+    rates = np.asarray(rate_fn(powers), dtype=float)
+    if rates.shape != powers.shape:
+        raise ValueError(f"rate_fn gave {rates.shape} rates for {powers.size} powers")
+    rates = rates.tolist()
+    for k, r in zip(exponents, rates):
         if not math.isfinite(r):
             raise ValueError(f"rate_fn(2**{k}) = {r!r} is not finite")
-        rates.append(r)
     if method == "finite_difference" and len(exponents) < 2:
         raise ValueError("finite differences need at least two exponents")
     if method == "ratio" and exponents[-1] == 0.0:
         raise ValueError("ratio method needs a nonzero top exponent")
-    return ScalingEstimate(
-        prelog=_slope(exponents, rates, method),
-        exponent_grid=exponents,
-        rate_samples=tuple(rates),
-        method=method,
-    )
+    return ScalingEstimate(_slope(exponents, rates, method), exponents, tuple(rates), method)
 
 
 def _slope(exponents: Sequence[float], rates: Sequence[float], method: str) -> float:
@@ -122,18 +120,18 @@ def _slope(exponents: Sequence[float], rates: Sequence[float], method: str) -> f
     return rates[-1] / exponents[-1]
 
 
-def _parse_coupling(coupling: str) -> Callable[[float], float]:
-    """Interferer-power coupling: 'pj=px', 'pj=sqrt(px)' or 'pj=<value>'."""
+def _parse_coupling(coupling: str) -> Callable[[np.ndarray], np.ndarray]:
+    """Interferer power of an array of p_x: 'pj=px', 'pj=sqrt(px)' or 'pj=<value>'."""
     key = coupling.replace(" ", "").lower()
     if key == "pj=px":
         return lambda p_x: p_x
     if key == "pj=sqrt(px)":
-        return math.sqrt
+        return np.sqrt
     if key.startswith("pj="):
         value = float(key[3:])
         if value < 0.0:
             raise ValueError(f"constant interferer power must be >= 0, got {value}")
-        return lambda p_x: value
+        return lambda p_x: np.full(p_x.shape, value)
     raise ValueError(f"unrecognized coupling {coupling!r}")
 
 
@@ -141,7 +139,7 @@ def coupled_capacity_rate_fn(
     case: ScenarioCase,
     coupling: str = "pj=px",
     capacity_scale: float = 1.0,
-) -> Callable[[float], float]:
+) -> Callable[[np.ndarray], np.ndarray]:
     """Rate-vs-power function with link capacities tied to the power.
 
     Capacities grow with p_x exactly as the sufficiency side of each
@@ -153,25 +151,30 @@ def coupled_capacity_rate_fn(
       R = 0.5*log2(p_x) and g = 0.5*log2(1 + p_x/p_j)
 
     At scale 1.0 the resulting pre-log is 1/2; scaling the capacities down
-    (e.g. by 0.8) drags the pre-log below 1/2, witnessing necessity.
+    (e.g. by 0.8) drags the pre-log below 1/2, witnessing necessity.  The
+    function maps an array of powers to their `achievable.best_rate` in one
+    call, and raises ValueError where a config of a power would be refused.
     """
     pj_of = _parse_coupling(coupling)
 
-    def rate(p_x: float) -> float:
+    @np.errstate(all="ignore")
+    def rate(p_x: np.ndarray) -> np.ndarray:
         p_j = pj_of(p_x)
-        c1 = None  # Case A: relay 1 stays unlimited
-        if case in (ScenarioCase.CASE_A, ScenarioCase.CASE_B):
-            if case is ScenarioCase.CASE_B:
-                c1 = capacity_scale * max(0.5 * math.log2(p_x), 0.0)
-            c2 = capacity_scale * max(interference_info_lower_bound(p_x, p_j), 0.0)
-        elif case is ScenarioCase.CASE_C:
-            target = max(0.5 * math.log2(p_x), 0.0)
-            g = gaussian_mi(p_x, p_j)
-            c1 = capacity_scale * max(target, g)
-            c2 = capacity_scale * max(target - g, 0.0)
-        else:
-            raise ValueError(f"no capacity coupling defined for {case!r}")
-        return best_achievable(make_preset(case, p_x, p_j, c1=c1, c2=c2)).rate
+        if not (np.all((0.0 < p_x) & (p_x < math.inf)) and np.all(p_j > 0.0)):
+            raise ValueError(f"every p_x must be finite and > 0, and every p_j > 0 ({coupling})")
+        target = np.maximum(0.5 * math_map(math.log2, p_x), 0.0)
+        if case is ScenarioCase.CASE_C:
+            g = mutual_info(p_x, p_j)
+            c1 = capacity_scale * np.maximum(target, g)
+            c2 = capacity_scale * np.maximum(target - g, 0.0)
+        else:  # Case A: relay 1 stays unlimited
+            c1 = capacity_scale * target if case is ScenarioCase.CASE_B else math.inf
+            c2 = capacity_scale * np.maximum(_interference_info(p_x, p_j), 0.0)
+        if not (np.all(np.greater_equal(c1, 0.0)) and np.all(c2 >= 0.0)):
+            raise ValueError(f"capacity scale {capacity_scale!r} gives a link that is not >= 0")
+        if case is ScenarioCase.CASE_B and np.isinf(c1).any():
+            raise ValueError("Case B requires a finite c1")
+        return best_rate(case, p_x, p_j, c1, c2)[0]
 
     return rate
 
@@ -182,11 +185,19 @@ def interference_info_lower_bound(p_x: float, p_j: float) -> float:
     0.5*log2(p_x*p_j/(p_x+p_j)) bits per channel use, the floor on the
     rate of relay 2's description when the overall rate scales like
     0.5*log2(p_x); behaves like 0.5*log2(min(p_x, p_j)) for unbalanced
-    powers.
+    powers, and takes its limit 0.5*log2(p_x) at p_j = inf.
     """
-    if not (p_x > 0.0 and p_j > 0.0):
-        raise ValueError("interference information bound needs p_x > 0 and p_j > 0")
-    return 0.5 * (math.log2(p_x) + math.log2(p_j) - math.log2(p_x + p_j))
+    if not (0.0 < p_x < math.inf and p_j > 0.0):
+        raise ValueError("interference information bound needs 0 < p_x < inf and p_j > 0")
+    return float(_interference_info(p_x, p_j))
+
+
+@np.errstate(all="ignore")
+def _interference_info(p_x, p_j) -> np.ndarray:
+    """`interference_info_lower_bound` as a broadcast over arrays, without its checks."""
+    log_px = math_map(math.log2, p_x)
+    info = 0.5 * (log_px + math_map(math.log2, p_j) - math_map(math.log2, np.add(p_x, p_j)))
+    return np.where(np.isinf(p_j), 0.5 * log_px, info)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +332,7 @@ def _gap_regimes(case: ScenarioCase, p_x: float, p_j: np.ndarray) -> tuple[_Regi
     if case is ScenarioCase.CASE_B:
         return (_Regime("standard", "cut-set", 1.29, (p_j >= 1.0) & (p_x > 1.0), h, None),)
     modulo = (1.0 < p_j) & (p_j < p_x)
-    threshold = _cutset_threshold(p_x)
+    threshold = _cutset_threshold(float(p_x))  # a numpy float's ** would not raise
     return (_Regime("modulo", "modulo", 2.816, modulo, h, None),
             _Regime("cutset", "cut-set", 1.5, ~modulo & (p_j > threshold), h, h))
 
@@ -478,21 +489,18 @@ def cutset_looseness_demo(p_x: float) -> LoosenessPrelogs:
     returned slopes are finite differences at the top of the ladder
     (plain ratios if p_x < 100 leaves a single rung).
     """
-    if not p_x > 1.0:
-        raise ValueError("looseness demo needs p_x > 1")
+    if not 1.0 < p_x < math.inf:
+        raise ValueError(f"looseness demo needs a finite p_x > 1, got {p_x!r}")
     ladder = [10.0**e for e in range(1, int(math.floor(math.log10(p_x))) + 1)]
     if not ladder or ladder[-1] != p_x:
         ladder.append(p_x)
-
-    def both(power: float) -> tuple[float, float]:
-        cap = 0.25 * math.log2(power)
-        cfg = make_preset(ScenarioCase.CASE_C, power, math.sqrt(power), c1=cap, c2=cap)
-        return cutset_case_c(cfg).cutset_min, modulo_bound_case_c(cfg)
-
+    powers = np.array(ladder)
+    cap = 0.25 * math_map(math.log2, powers)
+    point = (powers, np.sqrt(powers), cap, cap)
+    bounds = cutset_min_array(ScenarioCase.CASE_C, *point), modulo_bound_array(*point)
     exponents = [math.log2(p) for p in ladder]
     method = "finite_difference" if len(ladder) >= 2 else "ratio"
-    cut, mod = (_slope(exponents, bound, method) for bound in zip(*map(both, ladder)))
-    return LoosenessPrelogs(cutset_prelog=cut, modulo_prelog=mod)
+    return LoosenessPrelogs(*(_slope(exponents, bound.tolist(), method) for bound in bounds))
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,7 @@ def lattice_fields(case, variant, p_x, p_j, c1, c2):
     point = _case_point(case, p_x, p_j, c1, c2)
     with np.errstate(all="ignore"):
         if case is C:
-            fields = _case_c_fields(*point[:2], *_case_c(*point, variant)[1])
+            fields = _case_c_fields(*point, *_case_c(*point, variant)[1])
         else:
             fields = _case_b(*point)[1]
     return np.broadcast_arrays(*fields)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -498,6 +499,36 @@ def test_largest_exponent_below_overflow_is_accepted(case, capsys):
     code, out = run_cli(["scaling", "--case", case, "--exponents", "1:1023"], capsys)
     assert code == 0
     assert json.loads(out)["exponent_grid"][-1] == 1023.0
+
+
+#: `scaling` flags at an edge -> exit code of Cases A, B and C
+SCALING_EDGES = {
+    "--exponents=-1100:-1070": (2, 2, 2),  # every power underflows to 0
+    "--exponents=1020:1023": (0, 0, 0),  # p_x + p_j overflows in Cases A and B
+    "--exponents=10:1000": (0, 0, 0),
+    "--capacity-scale=inf": (0, 2, 0),  # Case B needs a finite c1
+    "--capacity-scale=inf --exponents=0:12": (2, 2, 2),  # inf * 0 bits at p_x = 1
+    "--capacity-scale=-1": (2, 2, 2),
+    "--capacity-scale=nan": (2, 2, 2),
+    "--capacity-scale=0": (0, 0, 0),
+    "--coupling=pj=0": (2, 2, 2),
+    "--coupling=pj=nan": (2, 2, 2),
+    "--coupling=pj=inf": (0, 0, 0),  # c2 takes its limit 0.5*log2(p_x)
+    "--coupling=pj=1e-320": (0, 0, 0),
+}
+
+
+@pytest.mark.parametrize("flags", sorted(SCALING_EDGES))
+@pytest.mark.parametrize("case", ["a", "b", "c"])
+def test_scaling_ladder_edges_exit_0_or_2_without_warning(case, flags, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(["scaling", "--case", case, *flags.split()], capsys)
+    assert code == SCALING_EDGES[flags]["abc".index(case)]
+    if code == 0:
+        assert all(math.isfinite(r) for r in json.loads(out)["rate_samples"])
+    else:
+        assert out == ""
 
 
 def test_cli_import_loads_no_scipy():

@@ -11,7 +11,8 @@ from tworelay.achievable import Scheme, best_achievable, best_rate
 from tworelay.bounds import cutset_min_array, cutset_term_arrays, modulo_bound_array
 from tworelay.bounds import modulo_bound_case_c, outer_bounds
 from tworelay.cli import _parse_grid
-from tworelay.model import INFINITE_CAPACITY, ScenarioCase, make_preset
+from tworelay.model import INFINITE_CAPACITY, ChannelConfig, ScenarioCase, gaussian_mi
+from tworelay.model import make_preset
 from tworelay.scaling import (
     _BLOCK,
     _LONG_SUM_BLOCK,
@@ -29,30 +30,40 @@ from tworelay.scaling import (
 )
 
 
+def constant(value):
+    """An array rate_fn that gives `value` at every power."""
+    return lambda p: np.full(p.shape, value)
+
+
 class TestEstimatePrelog:
     def test_pure_half_log(self):
-        est = estimate_prelog(lambda p: 0.5 * math.log2(p), range(10, 21))
+        est = estimate_prelog(lambda p: 0.5 * np.log2(p), range(10, 21))
         assert est.prelog == pytest.approx(0.5, abs=1e-12)
         assert est.method == "finite_difference"
         assert len(est.rate_samples) == 11
 
     def test_constant_rate(self):
-        assert estimate_prelog(lambda p: 3.25, range(5, 10)).prelog == 0.0
+        assert estimate_prelog(constant(3.25), range(5, 10)).prelog == 0.0
 
     def test_ratio_method(self):
-        est = estimate_prelog(lambda p: 0.5 * math.log2(p) + 7.0, [40], method="ratio")
+        est = estimate_prelog(lambda p: 0.5 * np.log2(p) + 7.0, [40], method="ratio")
         # the offset decays only like 1/log2(p), hence the slow convergence
         assert est.prelog == pytest.approx(0.5 + 7.0 / 40.0, abs=1e-12)
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            estimate_prelog(lambda p: 0.0, [])
+            estimate_prelog(constant(0.0), [])
         with pytest.raises(ValueError):
-            estimate_prelog(lambda p: math.nan, [10, 11])
+            estimate_prelog(constant(math.nan), [10, 11])
         with pytest.raises(ValueError):
-            estimate_prelog(lambda p: 1.0, [10, 11], method="slope")
+            estimate_prelog(constant(1.0), [10, 11], method="slope")
         with pytest.raises(ValueError):
-            estimate_prelog(lambda p: 1.0, [10])
+            estimate_prelog(constant(1.0), [10])
+
+    def test_rate_fn_gives_one_rate_per_power(self):
+        # the whole ladder goes to rate_fn at once; a scalar is not taken as every rung's rate
+        with pytest.raises(ValueError, match="rates for 2 powers"):
+            estimate_prelog(lambda p: 1.0, [10, 11])
 
     def test_case_a_coupling_reaches_half(self):
         est = estimate_prelog(coupled_capacity_rate_fn(ScenarioCase.CASE_A))
@@ -61,6 +72,82 @@ class TestEstimatePrelog:
     def test_unknown_coupling_rejected(self):
         with pytest.raises(ValueError):
             coupled_capacity_rate_fn(ScenarioCase.CASE_A, coupling="pj=px^2")
+
+
+def per_rung_rate(case, coupling, scale, p_x):
+    """One rung as a single config gives it: the couplings of
+    `coupled_capacity_rate_fn` in scalar Python, then `best_achievable`."""
+    p_j = {"pj=px": p_x, "pj=sqrt(px)": math.sqrt(p_x), "pj=1000": 1000.0}[coupling]
+    target = max(0.5 * math.log2(p_x), 0.0)
+    c1 = None
+    if case is ScenarioCase.CASE_C:
+        g = gaussian_mi(p_x, p_j)
+        c1, c2 = scale * max(target, g), scale * max(target - g, 0.0)
+    else:
+        if case is ScenarioCase.CASE_B:
+            c1 = scale * target
+        info = 0.5 * (math.log2(p_x) + math.log2(p_j) - math.log2(p_x + p_j))
+        c2 = scale * max(info, 0.0)
+    return best_achievable(make_preset(case, p_x, p_j, c1=c1, c2=c2)).rate
+
+
+@pytest.fixture
+def no_config(monkeypatch):
+    """Every ChannelConfig built during the test fails it."""
+    def refuse(self):
+        raise AssertionError("a ladder builds no ChannelConfig")
+
+    monkeypatch.setattr(ChannelConfig, "__post_init__", refuse)
+
+
+class TestArrayLadders:
+    @pytest.mark.parametrize("case", list(ScenarioCase))
+    @pytest.mark.parametrize("coupling", ["pj=px", "pj=sqrt(px)", "pj=1000"])
+    @pytest.mark.parametrize("scale", [1.0, 0.8])
+    def test_ladder_equals_one_config_per_rung(self, case, coupling, scale):
+        rate_fn = coupled_capacity_rate_fn(case, coupling, scale)
+        for lo, hi in ((10, 1000), (-30, 5)):
+            powers = [2.0**k for k in range(lo, hi + 1)]
+            rates = rate_fn(np.array(powers))
+            assert bit_patterns(rates) == bit_patterns(
+                [per_rung_rate(case, coupling, scale, p) for p in powers])
+
+    @pytest.mark.usefixtures("no_config")
+    @pytest.mark.parametrize("case", list(ScenarioCase))
+    def test_a_ladder_is_one_call_and_builds_no_config(self, case, monkeypatch):
+        calls = []
+        core, rate_fn = scaling.best_rate, coupled_capacity_rate_fn(case, "pj=sqrt(px)", 0.8)
+        monkeypatch.setattr(scaling, "best_rate", lambda *a: calls.append("core") or core(*a))
+        est = estimate_prelog(lambda p: calls.append(p.size) or rate_fn(p), range(10, 1001))
+        assert calls == [991, "core"]
+        assert len(est.rate_samples) == 991
+
+    @pytest.mark.usefixtures("no_config")
+    def test_the_looseness_demo_is_one_call_per_bound(self, monkeypatch):
+        calls = []
+        for name in ("cutset_min_array", "modulo_bound_array"):
+            bound = getattr(scaling, name)
+            monkeypatch.setattr(scaling, name,
+                                lambda *a, _n=name, _f=bound: calls.append(_n) or _f(*a))
+        cutset_looseness_demo(1e9)
+        assert calls == ["cutset_min_array", "modulo_bound_array"]
+
+    @pytest.mark.parametrize("coupling, scale, ladder, refused", [
+        ("pj=px", 1.0, [-1100, 10], "every p_x"),  # 2**-1100 underflows to 0
+        ("pj=0", 1.0, [10, 11], "every p_j"),
+        ("pj=nan", 1.0, [10, 11], "every p_j"),
+        ("pj=px", -1.0, [10, 11], "link"),
+        ("pj=px", math.nan, [10, 11], "link"),
+    ])
+    @pytest.mark.parametrize("case", list(ScenarioCase))
+    def test_the_ladder_refuses_what_a_config_refuses(self, case, coupling, scale, ladder,
+                                                      refused):
+        with pytest.raises(ValueError, match=refused):
+            estimate_prelog(coupled_capacity_rate_fn(case, coupling, scale), ladder)
+
+    def test_case_b_refuses_an_unlimited_c1(self):
+        with pytest.raises(ValueError, match="finite c1"):
+            estimate_prelog(coupled_capacity_rate_fn(ScenarioCase.CASE_B, capacity_scale=math.inf))
 
 
 class TestRegion:
@@ -120,17 +207,13 @@ class TestRegion:
 class TestCornerPointAchievability:
     def test_prelog_at_both_corners(self):
         # capacities pinned to the region corners sustain the target pre-log
-        from tworelay.achievable import best_achievable
-        from tworelay.model import make_preset
-
         def corner_rate(p_x, swap):
-            target = 0.5 * math.log2(p_x)
+            target = 0.5 * np.log2(p_x)
             g = 0.5 * math.log2(1.0 + 1.0)  # pj = px coupling
-            c1, c2 = max(target, g), max(target - g, 0.0)
+            c1, c2 = np.maximum(target, g), np.maximum(target - g, 0.0)
             if swap:
                 c1, c2 = c2, c1
-            cfg = make_preset(ScenarioCase.CASE_C, p_x, p_x, c1=c1, c2=c2)
-            return best_achievable(cfg).rate
+            return best_rate(ScenarioCase.CASE_C, p_x, p_x, c1, c2)[0]
 
         for swap in (False, True):
             est = estimate_prelog(lambda p: corner_rate(p, swap), range(10, 41))
@@ -213,6 +296,14 @@ class TestGapCertificates:
         for case in (ScenarioCase.CASE_A, ScenarioCase.CASE_B, ScenarioCase.CASE_C):
             with pytest.raises(ValueError):
                 certify_gaps(case, px_grid, pj_grid)
+
+    def test_numpy_powers_certify_as_python_floats(self):
+        # (1 + p_x)**2 of a numpy float warns and gives inf past p_x ~ 1.3e154,
+        # which would empty the cut-set regime of those rows
+        powers = [10.0 ** (150.0 + k / 2.0) for k in range(21)]
+        certs = certify_gaps(ScenarioCase.CASE_C, powers, powers)
+        assert certify_gaps(ScenarioCase.CASE_C, np.array(powers), np.array(powers)) == certs
+        assert {c.regime: c.grid_points for c in certs}["cutset"] == 210
 
     def test_unlimited_interferer_stays_on_the_grid(self):
         (cert,) = certify_gaps(ScenarioCase.CASE_B, [10.0, 100.0], [10.0, math.inf])
@@ -338,6 +429,11 @@ class TestCutsetLooseness:
         assert math.isfinite(demo.cutset_prelog)
         assert math.isfinite(demo.modulo_prelog)
 
+    @pytest.mark.parametrize("p_x", [math.inf, math.nan, 1.0, -5.0])
+    def test_needs_a_finite_power_above_1(self, p_x):
+        with pytest.raises(ValueError, match="finite p_x > 1"):
+            cutset_looseness_demo(p_x)
+
     @pytest.mark.parametrize("p_x, cutset, modulo", [
         (2.0, "0x1.0000000000000p-1", "0x1.0bb42dc10f6ddp+1"),  # one rung: plain ratios
         (10.0, "0x1.0000000000000p-1", "0x1.ba1842d6ad9cap-1"),
@@ -369,6 +465,15 @@ class TestInterferenceInformationBound:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             interference_info_lower_bound(0.0, 1.0)
+
+    def test_unlimited_interferer_takes_the_limit(self):
+        assert interference_info_lower_bound(15, math.inf) == 0.5 * math.log2(15.0)
+        info = scaling._interference_info(np.array([15.0, 1e300]), math.inf)
+        assert info.tolist() == [0.5 * math.log2(15.0), 0.5 * math.log2(1e300)]
+
+    def test_rejects_unlimited_transmit_power(self):
+        with pytest.raises(ValueError):
+            interference_info_lower_bound(math.inf, 15.0)
 
 
 class TestSweep:
