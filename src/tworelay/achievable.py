@@ -367,7 +367,8 @@ def local_decode_rates(case: ScenarioCase, p_x, p_j, c1, c2) -> np.ndarray:
     """Rates of plain local decoding over the broadcast grid (see `local_decode_baseline`)."""
     if case not in (ScenarioCase.CASE_B, ScenarioCase.CASE_C):
         raise ValueError("local decoding baseline applies to Cases B and C only")
-    links = c1 if case is ScenarioCase.CASE_B else np.add(c1, c2)
+    with np.errstate(over="ignore"):  # two links past the largest float sum to inf
+        links = c1 if case is ScenarioCase.CASE_B else np.add(c1, c2)
     sinr_rate = mutual_info(p_x, np.add(p_j, 1.0))
     return np.where(sinr_rate < links, sinr_rate, links)
 

@@ -30,10 +30,12 @@ draw.  Batches therefore run concurrently: `run_lattice_sim` and
 threads (numpy's draws and large ufuncs release the interpreter lock) and
 reduce the small per-batch results in batch order.  The output is
 identical for every worker count; the pool size follows the CPUs the
-process may run on and is not a setting.  Each simulator worker draws and
-reduces its batches in place in seven batch-sized buffers of its own, so
-after its first batch a batch allocates no batch-sized array but a BPSK
-interferer's integer draw.
+process may run on and is not a setting.  Each simulator worker computes a
+batch in two pieces of half a batch, cut where numpy's pairwise summation
+cuts the batch, so that the pieces' moment sums add up to the batch's bit
+for bit; it draws and reduces them in place in seven half-batch buffers of
+its own, so after its first batch a piece allocates no piece-sized array but
+a BPSK interferer's integer draw.
 """
 
 from __future__ import annotations
@@ -85,7 +87,9 @@ class SimConfig:
     INFINITE_CAPACITY disables the corresponding quantizer (zero
     distortion); a finite link must have positive capacity.  `interferer`
     switches the interferer's distribution ("gaussian", "uniform", "bpsk")
-    at fixed power, leaving all other draws untouched.
+    at fixed power, leaving all other draws untouched.  A config is refused
+    where `alpha_override` or its square is not finite, and where the
+    scheme's alpha, distortions or analytic var(n_eq) is not.
     """
 
     case: str
@@ -139,11 +143,23 @@ class SimConfig:
             raise ValueError("samples must be >= 1")
         if self.interferer not in _INTERFERERS:
             raise ValueError(f"interferer must be one of {_INTERFERERS}")
+        alpha = self.alpha_override
+        if alpha is not None and not math.isfinite(alpha * alpha):
+            raise ValueError(f"alpha must be finite with a finite square, got {alpha!r}")
+        try:
+            scheme = (*self.scheme_parameters(), self.analytic_var_neq())
+            finite = all(map(math.isfinite, scheme))
+        except OverflowError:  # libm's pow of a square past the largest float
+            scheme, finite = "a square past the largest float", False
+        if not finite:
+            raise ValueError("the scheme's alpha, distortions and var(n_eq) must be finite "
+                             f"at this config, got {scheme}")
 
     @property
     def cell_length(self) -> float:
         return math.sqrt(12.0 * self.p_x)
 
+    @np.errstate(all="ignore")  # a config with a non-finite result is refused
     def scheme_parameters(self) -> tuple[float, float, float]:
         """(alpha, p_d1, p_d2) used by the relays in this run."""
         delta = self.a - self.b
@@ -162,6 +178,7 @@ class SimConfig:
             )
         return float(alpha), float(p_d1), float(p_d2)
 
+    @np.errstate(all="ignore")
     def analytic_var_neq(self) -> float:
         alpha, p_d1, p_d2 = self.scheme_parameters()
         return float(equivalent_noise_power(
@@ -255,18 +272,27 @@ def _uniform(rng: np.random.Generator, low: float, high: float, out: np.ndarray)
     return out
 
 
-#: Batch-sized float64 buffers per pool worker (see `_sim_batch`).
+#: Piece-sized float64 buffers per pool worker (see `_sim_batch`).
 _BUFFERS = 7
+
+#: The largest piece of a batch that `_sim_batch` computes at once.  The
+#: pieces are cut where numpy's pairwise sum cuts the batch, so no output
+#: bit depends on it.
+_PIECE = BATCH_SIZE // 2
+
+#: numpy's pairwise sum adds a run of up to this many elements uncut.
+_PAIRWISE_BLOCK = 128
 
 _worker = threading.local()
 
 
 def _worker_buffers(m: int) -> list[np.ndarray]:
-    """The calling thread's `_BUFFERS` buffers, cut to m samples.
+    """The calling thread's `_BUFFERS` buffers, cut to m samples: room for
+    the largest piece of a batch, half a batch at most (see `_sim_batch`).
 
     A thread allocates them on its first batch (anew only for a larger
-    batch, which in a run follows none but its last) and refills them on
-    every later one; a pool worker's go with its thread.
+    piece, which no batch of a run has after a full one) and refills them
+    on every later one; a pool worker's go with its thread.
     """
     arrays = getattr(_worker, "arrays", None)
     if arrays is None or arrays[0].size < m:
@@ -495,35 +521,73 @@ def _dither_summary(hist: np.ndarray, total: dict[str, float], n: int) -> tuple[
 
 def _sim_batch(cfg: SimConfig, scheme: tuple[float, float, float], edges: np.ndarray,
                batch: int, m: int) -> _Batch:
-    """One batch of the scheme, computed in place in the order of the formulas
+    """One batch of the scheme, computed piece by piece.
+
+    `_fold_pairwise` cuts the batch into pieces of at most half a batch,
+    which `_sim_piece` computes in turn in the calling worker's buffers, each
+    drawing the next samples of the batch's seven streams.
+    """
+    streams = [_stream(cfg.seed, batch, var) for var in range(_VAR_D2 + 1)]
+    buffers = _worker_buffers(min(m, max(_PIECE, _PAIRWISE_BLOCK)))
+    return _fold_pairwise(
+        m, lambda k: _sim_piece(cfg, scheme, edges, streams, [b[:k] for b in buffers]))
+
+
+def _fold_pairwise(m: int, piece: Callable[[int], _Batch]) -> _Batch:
+    """The result of m samples from `piece(size)` called in sample order on
+    pieces of at most `_PIECE`, cut as numpy's pairwise sum cuts m elements.
+
+    numpy sums more than `_PAIRWISE_BLOCK` elements as the sum of the first
+    n2 and that of the other m - n2, n2 being m//2 less its remainder mod 8.
+    The moment sums of the two parts are added back here in that tree, so
+    they keep the bits of numpy's sum over all m samples.  Histogram counts
+    add, the residual is the largest of the parts'.  The fold stops at the
+    first piece that is not finite and hands that one back.
+    """
+    if m <= max(_PIECE, _PAIRWISE_BLOCK):
+        return piece(m)
+    n2 = m // 2
+    n2 -= n2 % 8
+    left = _fold_pairwise(n2, piece)
+    if not left.finite:
+        return left
+    right = _fold_pairwise(m - n2, piece)
+    if not right.finite:
+        return right
+    return _Batch(True, max(left.max_residual, right.max_residual), left.hist + right.hist,
+                  {key: value + right.sums[key] for key, value in left.sums.items()})
+
+
+def _sim_piece(cfg: SimConfig, scheme: tuple[float, float, float], edges: np.ndarray,
+               streams: list[np.random.Generator], buffers: list[np.ndarray]) -> _Batch:
+    """One piece of a batch, computed in place in the order of the formulas
     (see the module docstring).
 
-    Every variable is drawn into, and every step written to, the calling
-    worker's seven buffers; the last one is the scratch of the cell
+    Every variable is drawn into, and every step written to, the seven
+    piece-sized `buffers`; the last one is the scratch of the cell
     reductions and holds the draws used once (n2, d1, d2), and j's holds the
-    histogram's bin indices before the interferer is drawn.  After a
-    worker's first batch only a BPSK interferer's integer draw allocates a
-    batch-sized array.
+    histogram's bin indices before the interferer is drawn.  Only a BPSK
+    interferer's integer draw allocates a piece-sized array.
     """
     alpha, p_d1, p_d2 = scheme
     L = cfg.cell_length
-    v, u, x, j, y1, y2, scratch = _worker_buffers(m)
-    _uniform(_stream(cfg.seed, batch, _VAR_V), -L / 2.0, L / 2.0, v)
-    _uniform(_stream(cfg.seed, batch, _VAR_U), -L / 2.0, L / 2.0, u)
+    v, u, x, j, y1, y2, scratch = buffers
+    _uniform(streams[_VAR_V], -L / 2.0, L / 2.0, v)
+    _uniform(streams[_VAR_U], -L / 2.0, L / 2.0, u)
     _reduce(np.subtract(v, u, out=x), L, scratch, x)
     hist, sums = _dither_moments(x, v, edges, scratch, j.view(np.intp))  # j is drawn below
 
     # y_i = a_i*x + j + n_i, the two relay observations
-    _draw_interferer(_stream(cfg.seed, batch, _VAR_J), cfg.interferer, cfg.p_j, j)
+    _draw_interferer(streams[_VAR_J], cfg.interferer, cfg.p_j, j)
     np.multiply(x, cfg.a, out=y1)
     y1 += j
     np.multiply(x, cfg.b, out=y2)
     y2 += j
     leak = x
     leak *= 1.0 - alpha * (cfg.a - cfg.b)
-    neq = _scaled_normal(_stream(cfg.seed, batch, _VAR_N1), cfg.p_n1, j)  # n1, in j's buffer
+    neq = _scaled_normal(streams[_VAR_N1], cfg.p_n1, j)  # n1, in j's buffer
     y1 += neq
-    n2 = _scaled_normal(_stream(cfg.seed, batch, _VAR_N2), cfg.p_n2, scratch)
+    n2 = _scaled_normal(streams[_VAR_N2], cfg.p_n2, scratch)
     y2 += n2
     neq -= n2
 
@@ -533,10 +597,10 @@ def _sim_batch(cfg: SimConfig, scheme: tuple[float, float, float], edges: np.nda
     w1 = _reduce(y1, L, scratch, y1)
     y2 *= alpha
     w2 = _reduce(y2, L, scratch, y2)
-    d = _scaled_normal(_stream(cfg.seed, batch, _VAR_D1), p_d1, scratch)
+    d = _scaled_normal(streams[_VAR_D1], p_d1, scratch)
     w1 += d
     neq += d
-    _scaled_normal(_stream(cfg.seed, batch, _VAR_D2), p_d2, d)
+    _scaled_normal(streams[_VAR_D2], p_d2, d)
     w2 += d
     neq -= d
     neq -= leak
@@ -546,7 +610,7 @@ def _sim_batch(cfg: SimConfig, scheme: tuple[float, float, float], edges: np.nda
     combined = _reduce(w1, L, scratch, w1)
     v += neq
     predicted = _reduce(v, L, scratch, v)
-    flags = u.view(np.bool_)[:m]  # u is spent; its bytes hold the finiteness flags
+    flags = u.view(np.bool_)[:u.size]  # u is spent; its bytes hold the finiteness flags
     if not (np.isfinite(combined, out=flags).all() and np.isfinite(neq, out=flags).all()):
         return _Batch(False, math.nan, hist, sums)
     gap = combined
@@ -692,6 +756,12 @@ def sw_rate_check(cfg: SimConfig, p_d2_override: float | None = None) -> Slepian
 # ---------------------------------------------------------------------------
 # Random-codebook coverage experiment
 
+#: Bound on the experiment's terms in units of block_length*(s2 + d2) times
+#: 1, s2 or 1/d2 (the sums of squares, the joint quadratic form and its
+#: ratio to s2*d2): each adds at most four sums of products of two of numpy's
+#: standard normals, which stay below 14 in size, and 4*14**2 < 2**10.
+_COVERAGE_HEADROOM = 2.0**10
+
 
 @dataclass(frozen=True)
 class CoverageConfig:
@@ -722,8 +792,17 @@ class CoverageConfig:
             raise ValueError("codebook_rate must be >= 0")
         if self.block_length * self.codebook_rate > 24.0 + 1e-9:
             raise ValueError("codebook would exceed the 2**24-entry cap")
-        if not (self.source_variance > 0.0 and self.test_channel_distortion > 0.0):
-            raise ValueError("source variance and distortion must be > 0")
+        s2, d2 = self.source_variance, self.test_channel_distortion
+        if not (0.0 < s2 < math.inf and 0.0 < d2 < math.inf):
+            raise ValueError(f"source variance and distortion must be finite and > 0, "
+                             f"got {s2!r} and {d2!r}")
+        if math.isinf(self.mutual_information_bits):
+            raise ValueError(f"source variance {s2!r} over distortion {d2!r} passes the "
+                             "largest float: the mutual information is infinite")
+        largest = _COVERAGE_HEADROOM * self.block_length * (s2 + d2)
+        if not (math.isfinite(largest * max(1.0, s2, 1.0 / d2)) and s2 * d2 >= _SMALLEST_NORMAL):
+            raise ValueError(f"the typicality statistics at source variance {s2!r} and "
+                             f"distortion {d2!r} leave the range of normal floats")
         if not self.typicality_epsilon > 0.0:
             raise ValueError("typicality_epsilon must be > 0")
 

@@ -41,7 +41,7 @@ import numpy as np
 from .achievable import Scheme, achievable_case_c, best_achievable, best_rate, lattice_rate
 from .bounds import cutset_case_c, cutset_min_array, modulo_bound_array
 from .bounds import modulo_bound_case_c, outer_bounds
-from .model import ScenarioCase, gaussian_mi, make_preset, math_map, mutual_info
+from .model import _LN2, ScenarioCase, gaussian_mi, make_preset, math_map, mutual_info
 
 PRELOG_METHODS = ("finite_difference", "ratio")
 
@@ -194,9 +194,17 @@ def interference_info_lower_bound(p_x: float, p_j: float) -> float:
 
 @np.errstate(all="ignore")
 def _interference_info(p_x, p_j) -> np.ndarray:
-    """`interference_info_lower_bound` as a broadcast over arrays, without its checks."""
+    """`interference_info_lower_bound` as a broadcast over arrays, without its checks.
+
+    Where p_x + p_j passes the largest float, log2 of the sum is formed as
+    log2(larger) + log1p(smaller/larger)/ln 2."""
     log_px = math_map(math.log2, p_x)
-    info = 0.5 * (log_px + math_map(math.log2, p_j) - math_map(math.log2, np.add(p_x, p_j)))
+    total = np.add(p_x, p_j)
+    larger, smaller = np.maximum(p_x, p_j), np.minimum(p_x, p_j)
+    log_sum = np.where(np.isinf(total) & np.isfinite(p_j),
+                       math_map(math.log2, larger) + math_map(math.log1p, smaller / larger) / _LN2,
+                       math_map(math.log2, total))
+    info = 0.5 * (log_px + math_map(math.log2, p_j) - log_sum)
     return np.where(np.isinf(p_j), 0.5 * log_px, info)
 
 

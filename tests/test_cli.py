@@ -485,6 +485,16 @@ class TestReproducibility:
          "--samples", "1000", "--seed", "1"],
         ["simulate", "--case", "c", "--px", "15", "--pj", "15", "--c1=-inf", "--c2", "1",
          "--samples", "1000", "--seed", "1"],
+        *(["simulate", "--case", "b", "--px", "15", "--pj", "15", "--c1", c1, "--c2", "1",
+           "--samples", "100", "--seed", "1", f"--alpha={alpha}"]
+          for c1, alpha in (("1", "1e308"), ("1", "5e307"), ("1", "1.4e154"), ("1", "inf"),
+                            ("1", "-inf"), ("1", "nan"), ("1", "1e154"), ("1e-320", "0.5"))),
+        ["simulate", "--case", "b", "--px", "15", "--pj", "15", "--c1", "1e-320", "--c2", "1",
+         "--samples", "100", "--seed", "1"],
+        *(["cover", "--rate", "0.5", "--seed", "1", *flags.split()]
+          for flags in ("--source-var inf", "--source-var 1e154", "--distortion 1e308",
+                        "--distortion 5e-324", "--source-var nan", "--distortion=-1",
+                        "--source-var 1e-200 --distortion 1e-200")),
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -496,9 +506,16 @@ def test_input_outside_the_model_exits_2(argv, capsys):
 
 @pytest.mark.parametrize("case", ["a", "b", "c"])
 def test_largest_exponent_below_overflow_is_accepted(case, capsys):
+    # p_x + p_j overflows on the top rung of Cases A and B; its rate still
+    # climbs half a bit per rung
     code, out = run_cli(["scaling", "--case", case, "--exponents", "1:1023"], capsys)
     assert code == 0
-    assert json.loads(out)["exponent_grid"][-1] == 1023.0
+    doc = json.loads(out)
+    assert doc["exponent_grid"][-1] == 1023.0
+    rates = doc["rate_samples"]
+    assert rates[-1] == pytest.approx(rates[-2] + 0.5, abs=1e-9)
+    assert rates[-1] == pytest.approx({"a": 510.7075187496394}.get(case, 510.5), abs=1e-9)
+    assert doc["prelog"] == pytest.approx(0.5, abs=1e-9)
 
 
 #: `scaling` flags at an edge -> exit code of Cases A, B and C
@@ -529,6 +546,17 @@ def test_scaling_ladder_edges_exit_0_or_2_without_warning(case, flags, capsys):
         assert all(math.isfinite(r) for r in json.loads(out)["rate_samples"])
     else:
         assert out == ""
+
+
+def test_bounds_on_links_whose_sum_overflows_warn_nothing(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(["bounds", "--case", "c", "--px", "15", "--pj", "15",
+                             "--c1", "1e308", "--c2", "1e308"], capsys)
+    assert code == 0
+    rows = {(row["row_type"], row["label"]): row["rate_bits"] for row in parse_csv(out)[1]}
+    assert rows["bound", "c1 + c2"] == "inf"
+    assert rows["achievable", "local_decode"] == repr(0.5 * math.log2(1.0 + 15.0 / 16.0))
 
 
 def test_cli_import_loads_no_scipy():

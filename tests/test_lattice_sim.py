@@ -1,10 +1,16 @@
+import json
 import math
+import os
 import struct
+import subprocess
 import sys
+import textwrap
 import threading
 import time
 import tracemalloc
 from dataclasses import astuple, replace
+from functools import lru_cache
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -66,6 +72,28 @@ class TestSimConfig:
     def test_cell_second_moment_matches_power(self):
         assert CASE_B.cell_length == pytest.approx(math.sqrt(12.0 * 15.0))
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, 1e308, -5e307, 1.4e154])
+    def test_alpha_with_no_finite_square_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            replace(CASE_B, alpha_override=alpha)
+
+    @pytest.mark.parametrize("base, changes", [
+        (CASE_B, {"alpha_override": 1e154}),  # alpha**2 is finite, alpha**2 * p_n1 is not
+        (CASE_C, {"alpha_override": -1e154}),
+        (CASE_B, {"c1": 1e-320}),  # p_d1 = p_x / (2**(2*c1) - 1) overflows
+        (CASE_C, {"c2": 1e-320}),
+        # the derived alpha = 1/(a - b) = 1e160 where the noises vanish
+        (SimConfig(case="general", p_x=1, p_j=1, c1=1, c2=1, samples=10, seed=0,
+                   a=1.0, b=0.0, p_n1=0.0, p_n2=0.0), {"a": 1e-160}),
+    ], ids=lambda v: getattr(v, "case", v))
+    def test_scheme_that_is_not_finite_rejected(self, base, changes):
+        with pytest.raises(ValueError, match="must be finite at this config"):
+            replace(base, **changes)
+
+    def test_largest_finite_scheme_accepted(self):
+        cfg = replace(CASE_B, alpha_override=1e150)
+        assert all(math.isfinite(v) for v in (*cfg.scheme_parameters(), cfg.analytic_var_neq()))
+
 
 class TestRunLatticeSim:
     def test_case_b_matches_analytic_variance(self):
@@ -124,10 +152,24 @@ class TestRunLatticeSim:
             )
             assert abs(stats.rate_estimate - analytic.rate) < 0.05
 
-    def test_nonfinite_samples_abort(self):
-        cfg = replace(CASE_B, samples=10**4, alpha_override=math.nan)
-        with pytest.raises(ValueError, match="non-finite"):
-            run_lattice_sim(cfg)
+    def test_nonfinite_samples_abort(self, monkeypatch):
+        nan_in_interferer(monkeypatch, 1)
+        with pytest.raises(ValueError, match="non-finite samples in batch 1;"):
+            run_lattice_sim(replace(CASE_B, samples=3 * BATCH_SIZE))
+
+
+def nan_in_interferer(monkeypatch, batch):
+    """Plant a NaN in the interferer's draw at the first sample of each piece
+    of `batch`: `SimConfig` refuses every config whose scheme is not finite."""
+    real_draw = lattice_sim._draw_interferer
+
+    def draw(rng, kind, p_j, out):
+        real_draw(rng, kind, p_j, out)
+        if rng.bit_generator.seed_seq.spawn_key[0] == batch:
+            out[0] = math.nan
+        return out
+
+    monkeypatch.setattr(lattice_sim, "_draw_interferer", draw)
 
 
 def reference_run_lattice_sim(cfg):
@@ -212,7 +254,7 @@ class TestThreadedBatches:
     @pytest.mark.parametrize("cfg", BIT_IDENTITY_CONFIGS,
                              ids=lambda c: f"{c.case}-{c.interferer}-pj{c.p_j}-c1{c.c1}-n{c.samples}")
     def test_equals_the_serial_loop_at_any_worker_count(self, cfg, monkeypatch):
-        expected = bit_patterns(reference_run_lattice_sim(cfg))
+        expected = reference_bits(cfg)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # interleave the workers as finely as possible
         try:
@@ -270,13 +312,116 @@ class TestThreadedBatches:
         assert not [t for t in threading.enumerate() if t.name.startswith("tworelay-batch")]
 
 
+def fold_pieces(m):
+    """The piece sizes, in order, in which `_sim_batch` computes m samples."""
+    pieces = []
+
+    def piece(k):
+        pieces.append(k)
+        return lattice_sim._Batch(True, 0.0, np.zeros(1, dtype=np.int64), {})
+
+    lattice_sim._fold_pairwise(m, piece)
+    return pieces
+
+
+def sum_over_pieces(x):
+    """x's sum as `_sim_batch` forms a moment sum: numpy's sum of each piece,
+    added back by `_fold_pairwise`."""
+    starts = np.cumsum([0, *fold_pieces(x.size)])
+    sums = iter(float(x[a:b].sum()) for a, b in zip(starts, starts[1:]))
+    zero = np.zeros(1, dtype=np.int64)
+    return lattice_sim._fold_pairwise(
+        x.size, lambda k: lattice_sim._Batch(True, 0.0, zero, {"x": next(sums)})).sums["x"]
+
+
+PAIRWISE_SIZES = [*range(1, 130), *range(32760, 32777), 65535, 65536,
+                  *np.random.default_rng(11).integers(130, BATCH_SIZE, 16).tolist()]
+
+
+def pairwise_mismatches():
+    """The (piece, size, scale) at which a sum over the pieces differs in
+    any bit from numpy's sum of the whole array."""
+    rng = np.random.default_rng(7)
+    mismatches = []
+    for piece in (BATCH_SIZE // 2, 8192, 1000, 129, 8):
+        lattice_sim._PIECE = piece
+        for m in PAIRWISE_SIZES:
+            x = rng.standard_normal(m)
+            for scale in (1.0, 1e-300, 1e300, -0.0):
+                y = x * scale if scale else np.full(m, -0.0)
+                got = sum_over_pieces(y)
+                if struct.pack("<d", got) != struct.pack("<d", float(y.sum())):
+                    mismatches.append((piece, m, scale))
+    lattice_sim._PIECE = BATCH_SIZE // 2
+    return mismatches
+
+
+PAIRWISE_IN_A_FRESH_PROCESS = """
+    import json
+    import test_lattice_sim
+    print(json.dumps(test_lattice_sim.pairwise_mismatches()))
+"""
+
+
+@lru_cache(maxsize=None)
+def reference_bits(cfg):
+    return bit_patterns(reference_run_lattice_sim(cfg))
+
+
+class TestPairwiseCut:
+    """A batch is computed in pieces cut where numpy's pairwise sum cuts it,
+    so its moment sums keep the bits of one sum over the whole batch."""
+
+    def test_sums_over_the_cut_equal_numpys_sum(self, monkeypatch):
+        monkeypatch.setattr(lattice_sim, "_PIECE", lattice_sim._PIECE)  # restored after
+        assert pairwise_mismatches() == []
+
+    def test_sums_over_the_cut_equal_numpys_sum_with_avx512_kept(self):
+        # the suite runs numpy without its AVX-512 loops; a process that sets
+        # NPY_DISABLE_CPU_FEATURES itself runs numpy with them
+        tests = Path(__file__).resolve().parent
+        env = {k: v for k, v in os.environ.items() if k != "NPY_ENABLE_CPU_FEATURES"}
+        env["NPY_DISABLE_CPU_FEATURES"] = ""
+        env["PYTHONPATH"] = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+        proc = subprocess.run([sys.executable, "-c", textwrap.dedent(PAIRWISE_IN_A_FRESH_PROCESS)],
+                              env=env, capture_output=True, text=True, timeout=300, check=True)
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+    def test_a_batch_is_two_halves(self):
+        assert fold_pieces(BATCH_SIZE) == [BATCH_SIZE // 2, BATCH_SIZE // 2]
+        assert fold_pieces(BATCH_SIZE // 2 + 1) == [16384, 16385]
+        assert fold_pieces(BATCH_SIZE // 2) == [BATCH_SIZE // 2]
+        assert fold_pieces(BATCH_SIZE - 1) == [32760, 16384, 16391]
+        for m in PAIRWISE_SIZES:
+            pieces = fold_pieces(m)
+            assert sum(pieces) == m
+            assert max(pieces) <= BATCH_SIZE // 2
+
+    def test_the_first_non_finite_piece_ends_the_batch(self):
+        pieces = []
+
+        def piece(k):
+            pieces.append(k)
+            return lattice_sim._Batch(len(pieces) != 2, 0.0, None, {})
+
+        assert not lattice_sim._fold_pairwise(4 * BATCH_SIZE, piece).finite
+        assert len(pieces) == 2
+
+    @pytest.mark.parametrize("piece", [8192, 1000, 129, 8])
+    def test_any_piece_size_gives_the_serial_loop(self, piece, monkeypatch):
+        monkeypatch.setattr(lattice_sim, "_PIECE", piece)
+        monkeypatch.setattr(lattice_sim, "_usable_cpus", lambda: 2)
+        for cfg in BIT_IDENTITY_CONFIGS:
+            assert bit_patterns(run_lattice_sim(cfg)) == reference_bits(cfg), cfg
+
+
 class TestWorkerBuffers:
     """Each pool worker draws and reduces its batches in one reused set of
     buffers; nothing of one run may reach the next."""
 
     def test_back_to_back_runs_equal_the_serial_loop(self, monkeypatch):
         monkeypatch.setattr(lattice_sim, "_usable_cpus", lambda: 2)
-        aborts = replace(CASE_B, samples=10**4, alpha_override=math.nan)
+        aborts = replace(CASE_B, samples=10**4)  # with a NaN planted in its interferer
         runs = [
             replace(CASE_C, samples=5 * BATCH_SIZE + 3, interferer="bpsk"),
             replace(CASE_B, p_x=1e4, samples=BATCH_SIZE - 1, interferer="uniform"),
@@ -288,16 +433,17 @@ class TestWorkerBuffers:
         ]
         for cfg in runs:
             if cfg is aborts:
-                with pytest.raises(ValueError, match="non-finite"):
+                with monkeypatch.context() as patch, pytest.raises(ValueError, match="non-finite"):
+                    nan_in_interferer(patch, 0)
                     run_lattice_sim(cfg)
             else:
                 assert bit_patterns(run_lattice_sim(cfg)) == bit_patterns(
                     reference_run_lattice_sim(cfg)), cfg
 
-    def test_peak_memory_stays_below_eight_batch_arrays(self, monkeypatch):
+    def test_peak_memory_stays_below_four_batch_arrays(self, monkeypatch):
         # the serial loop held eight batch-sized arrays at its peak; the seven
-        # buffers of a single worker, and its histogram, stay below that, the
-        # same at any batch count, and are gone when the run returns
+        # half-batch buffers of a single worker, and its histogram, stay below
+        # half that, the same at any batch count, and are gone when the run returns
         monkeypatch.setattr(lattice_sim, "_usable_cpus", lambda: 1)
         run_lattice_sim(replace(CASE_C, samples=BATCH_SIZE))  # first-call allocations
         peaks = []
@@ -308,7 +454,7 @@ class TestWorkerBuffers:
                 current, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < 8 * BATCH_SIZE * 8
+            assert peak < 4 * BATCH_SIZE * 8
             assert current < BATCH_SIZE
             peaks.append(peak)
         assert abs(peaks[1] - peaks[0]) < BATCH_SIZE

@@ -475,6 +475,16 @@ class TestInterferenceInformationBound:
         with pytest.raises(ValueError):
             interference_info_lower_bound(math.inf, 15.0)
 
+    def test_powers_whose_sum_overflows(self):
+        # 0.5*log2(p_x*p_j/(p_x + p_j)) with p_x + p_j past the largest float
+        top = 2.0**1023
+        assert interference_info_lower_bound(top, top) == 511.0
+        assert interference_info_lower_bound(top, 1.0) == 0.0
+        assert interference_info_lower_bound(1e308, 1e308) == pytest.approx(
+            0.5 * math.log2(1e308 / 2.0), rel=1e-15)
+        info = scaling._interference_info(np.array([2.0**1022, top]), np.array([2.0**1022, top]))
+        assert info.tolist() == [510.5, 511.0]
+
 
 class TestSweep:
     def test_empty_range(self):
