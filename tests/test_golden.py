@@ -1,6 +1,10 @@
 """Golden outputs: the exact stdout bytes of every subcommand.
 
-Each call's stdout is compared byte for byte with `tests/golden/<name>`.
+Each call's stdout is compared byte for byte with `tests/golden/<name>`,
+and each `--out` call's file and its `.manifest.json` sidecar with
+`tests/golden/out/<name>` and `tests/golden/out/<name>.manifest.json`.
+The `--out` calls run in an empty directory with `TWORELAY_OUTDIR=out`,
+so the sidecar names its file by the relative path `out/<name>`.
 A change that alters an output on purpose regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -10,7 +14,9 @@ and says so (with the bumped schema tag) in CHANGES.md.
 
 import contextlib
 import io
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -69,6 +75,19 @@ CALLS = {
     "cover.json": ["cover", "--rate", "0.5", "--trials", "100", "--seed", "3"],
 }
 
+#: golden `--out` file name -> CLI arguments, the `--out` flag left out.
+OUT_CALLS = {
+    "bounds_b.csv": CALLS["bounds_b.csv"],
+    "bounds_c.json": CALLS["bounds_c.json"],
+    "region.svg": CALLS["region.svg"],
+    "gaps_b.json": CALLS["gaps_b.json"],
+    "simulate_c.json": ["simulate", "--case", "c", "--px", "15", "--pj", "15", "--c1", "2",
+                        "--c2", "1", "--samples", "1000", "--seed", "5"],
+    "cover.json": CALLS["cover.json"],
+}
+
+OUT_DIR = GOLDEN_DIR / "out"
+
 
 def stdout_bytes(argv: list[str]) -> bytes:
     """Exit code 0 and the stdout of one in-process CLI call, as UTF-8 bytes."""
@@ -79,16 +98,48 @@ def stdout_bytes(argv: list[str]) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
+def out_bytes(name: str) -> tuple[bytes, bytes]:
+    """The `--out` file and sidecar bytes of `OUT_CALLS[name]`, written from
+    the current directory under `TWORELAY_OUTDIR=out`; nothing on stdout."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main([*OUT_CALLS[name], "--out", name])
+    assert code == 0 and buf.getvalue() == "", f"{name} exited {code}"
+    path = Path("out") / name
+    return path.read_bytes(), path.with_name(name + ".manifest.json").read_bytes()
+
+
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_golden_output(name, monkeypatch):
     monkeypatch.delenv("TWORELAY_OUTDIR", raising=False)
     assert stdout_bytes(CALLS[name]) == (GOLDEN_DIR / name).read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(OUT_CALLS))
+def test_golden_out_file_and_sidecar(name, monkeypatch, tmp_path):
+    monkeypatch.setenv("TWORELAY_OUTDIR", "out")
+    monkeypatch.chdir(tmp_path)
+    written, sidecar = out_bytes(name)
+    assert written == (OUT_DIR / name).read_bytes()
+    assert sidecar == (OUT_DIR / (name + ".manifest.json")).read_bytes()
+
+
 def write_golden() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, argv in CALLS.items():
         (GOLDEN_DIR / name).write_bytes(stdout_bytes(argv))
+    OUT_DIR.mkdir(exist_ok=True)
+    cwd = os.getcwd()
+    os.environ["TWORELAY_OUTDIR"] = "out"
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            for name in OUT_CALLS:
+                written, sidecar = out_bytes(name)
+                (OUT_DIR / name).write_bytes(written)
+                (OUT_DIR / (name + ".manifest.json")).write_bytes(sidecar)
+        finally:
+            os.chdir(cwd)
 
 
 if __name__ == "__main__":
