@@ -16,8 +16,9 @@ library entry points; input outside the model exits 2.
 Exit codes: 0 success, 2 invalid usage/parameters, 3 certificate violation.
 Deterministic commands are byte-reproducible; stochastic ones are
 byte-reproducible given --seed (one is generated and recorded otherwise).
-Every output file is accompanied by a ``<name>.manifest.json`` sidecar
-(JSON documents embed the manifest instead), and the environment variable
+A manifest records the command, parameters, version, seed and outputs.
+JSON documents embed it with empty ``outputs``; a file written with --out
+gets a ``<name>.manifest.json`` sidecar whose ``outputs`` names the file.
 ``TWORELAY_OUTDIR`` supplies the directory for relative --out paths.
 """
 
@@ -86,49 +87,43 @@ def _resolve_out(path_text: str) -> Path:
     return path
 
 
-def _manifest(command: str, args: argparse.Namespace, outputs: list[str], seed=None) -> dict:
-    parameters = {
-        k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out") and v is not None
-    }
+def _manifest(args: argparse.Namespace, outputs: list[str]) -> dict:
     return {
-        "command": command,
-        "parameters": parameters,
+        "command": args.command,
+        "parameters": {k: v for k, v in sorted(vars(args).items())
+                       if k not in ("func", "out") and v is not None},
         "version": __version__,
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
         "outputs": outputs,
     }
 
 
-def _emit_text(text: str, args: argparse.Namespace, manifest: dict) -> None:
-    if getattr(args, "out", None):
+def _emit_text(text: str, args: argparse.Namespace) -> None:
+    if args.out:
         path = _resolve_out(args.out)
-        manifest["outputs"] = [str(path)]
         path.write_text(text, encoding="utf-8", newline="")
         sidecar = path.with_name(path.name + ".manifest.json")
         sidecar.write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            json.dumps(_manifest(args, [str(path)]), indent=2, sort_keys=True) + "\n",
+            encoding="utf-8",
         )
     else:
         sys.stdout.write(text)
 
 
-def _emit_json(document: dict, args: argparse.Namespace, manifest: dict) -> None:
-    document = {"manifest": manifest, **document}
-    _emit_text(json.dumps(document, indent=2, sort_keys=True) + "\n", args, manifest)
+def _emit_json(document: dict, args: argparse.Namespace) -> None:
+    document = {"manifest": _manifest(args, []), **document}
+    _emit_text(json.dumps(document, indent=2, sort_keys=True) + "\n", args)
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _emit_csv(header: list[str], rows: list[list], schema: str,
+              args: argparse.Namespace) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(header)
+    writer.writerow([*header, "schema"])
     for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    return buf.getvalue()
-
-
-def _report_row(kind: str, label: str, report, schema: str) -> list:
-    return [kind, label, report.rate, report.alpha, report.p_d1, report.p_d2,
-            report.p_neq, schema]
+        writer.writerow([*map(_fmt, row), schema])
+    _emit_text(buf.getvalue(), args)
 
 
 # ---------------------------------------------------------------------------
@@ -140,46 +135,40 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     cfg = make_preset(case, args.px, args.pj, c1=args.c1, c2=args.c2)
     point = (args.px, args.pj, args.c1, args.c2)
     if case is ScenarioCase.CASE_A:
-        reports = [("case_a_eq", achievable_case_a(args.px, args.pj, args.c2))]
+        reports = [achievable_case_a(args.px, args.pj, args.c2)]
     elif case is ScenarioCase.CASE_B:
-        reports = [("case_b_eq", achievable_case_b(*point))]
+        reports = [achievable_case_b(*point), local_decode_baseline(case, *point)]
     else:
-        reports = [
-            ("case_c_prop", achievable_case_c(*point, "prop")),
-            ("case_c_derived", achievable_case_c(*point, "derived")),
-        ]
-    if case is not ScenarioCase.CASE_A:
-        reports.append(("local_decode", local_decode_baseline(case, *point)))
+        reports = [achievable_case_c(*point, "prop"), achievable_case_c(*point, "derived"),
+                   local_decode_baseline(case, *point)]
     bound = outer_bounds(cfg, case)
     best = best_achievable(cfg)
-    manifest = _manifest("bounds", args, [])
 
     if args.format == "json":
         document = {
             "case": args.case,
             "bounds": {
-                "terms": {label: value for label, value in bound.terms},
+                "terms": dict(bound.terms),
                 "cutset_min": bound.cutset_min,
                 "modulo_bound": bound.modulo_bound,
                 "binding": bound.binding,
             },
-            "achievable": {label: asdict(rep) | {"scheme": rep.scheme.value}
-                           for label, rep in reports},
+            "achievable": {rep.scheme.value: asdict(rep) | {"scheme": rep.scheme.value}
+                           for rep in reports},
             "best": asdict(best) | {"scheme": best.scheme.value},
         }
-        _emit_json(document, args, manifest)
+        _emit_json(document, args)
         return 0
 
-    schema = "bounds.v1"
-    rows = [["bound", label, value, None, None, None, None, schema] for label, value in bound.terms]
-    rows.append(["bound", "cutset_min", bound.cutset_min, None, None, None, None, schema])
+    rows = [["bound", label, value, None, None, None, None] for label, value in bound.terms]
+    rows.append(["bound", "cutset_min", bound.cutset_min, None, None, None, None])
     if bound.modulo_bound is not None:
-        rows.append(["bound", "modulo", bound.modulo_bound, None, None, None, None, schema])
-    rows.append(["bound", "binding", bound.binding, None, None, None, None, schema])
-    rows.extend(_report_row("achievable", label, rep, schema) for label, rep in reports)
-    rows.append(_report_row("best", best.scheme.value, best, schema))
-    header = ["row_type", "label", "rate_bits", "alpha", "p_d1", "p_d2", "p_neq", "schema"]
-    _emit_text(_csv_text(header, rows), args, manifest)
+        rows.append(["bound", "modulo", bound.modulo_bound, None, None, None, None])
+    rows.append(["bound", "binding", bound.binding, None, None, None, None])
+    for kind, rep in zip(["achievable"] * len(reports) + ["best"], [*reports, best]):
+        rows.append([kind, rep.scheme.value, rep.rate, rep.alpha, rep.p_d1, rep.p_d2, rep.p_neq])
+    header = ["row_type", "label", "rate_bits", "alpha", "p_d1", "p_d2", "p_neq"]
+    _emit_csv(header, rows, "bounds.v1", args)
     return 0
 
 
@@ -200,15 +189,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     case = ScenarioCase(args.case)
     sums = _parse_range(args.sum_range)
     points = sweep_sum_capacity(case, args.px, args.pj, sums, split_samples=args.split_samples)
-    schema = "sweep.v1"
-    rows = [
-        [p.sum_capacity, p.best_rate, p.winning_scheme.value, p.c1, p.c2, p.cutset,
-         p.modulo, schema]
-        for p in points
-    ]
+    rows = [[p.sum_capacity, p.best_rate, p.winning_scheme.value, p.c1, p.c2, p.cutset, p.modulo]
+            for p in points]
     header = ["sum_capacity", "best_rate", "winning_scheme", "best_c1", "best_c2",
-              "cutset", "modulo", "schema"]
-    _emit_text(_csv_text(header, rows), args, _manifest("sweep", args, []))
+              "cutset", "modulo"]
+    _emit_csv(header, rows, "sweep.v1", args)
     return 0
 
 
@@ -246,19 +231,17 @@ def _region_svg(region) -> str:
 def cmd_region(args: argparse.Namespace) -> int:
     _bind("scaling")
     region = required_region_case_c(args.rate, args.px, args.pj)
-    manifest = _manifest("region", args, [])
     if args.format == "svg":
-        _emit_text(_region_svg(region), args, manifest)
+        _emit_text(_region_svg(region), args)
         return 0
-    schema = "region.v1"
     rows = []
     labels = ["P2", "P1"] if len(region.vertices) == 2 else ["P1=P2"]
     for label, (c1, c2) in zip(labels, region.vertices):
-        rows.append(["vertex", label, c1, c2, None, None, None, schema])
+        rows.append(["vertex", label, c1, c2, None, None, None])
     for label, coef1, coef2, rhs in region.constraints:
-        rows.append(["constraint", label, None, None, coef1, coef2, rhs, schema])
-    header = ["row_type", "label", "c1", "c2", "coef_c1", "coef_c2", "rhs", "schema"]
-    _emit_text(_csv_text(header, rows), args, manifest)
+        rows.append(["constraint", label, None, None, coef1, coef2, rhs])
+    header = ["row_type", "label", "c1", "c2", "coef_c1", "coef_c2", "rhs"]
+    _emit_csv(header, rows, "region.v1", args)
     return 0
 
 
@@ -296,7 +279,7 @@ def cmd_gaps(args: argparse.Namespace) -> int:
             for cert in certificates
         ],
     }
-    _emit_json(document, args, _manifest("gaps", args, []))
+    _emit_json(document, args)
     return 0 if all(cert.satisfied for cert in certificates) else 3
 
 
@@ -307,16 +290,9 @@ def cmd_scaling(args: argparse.Namespace) -> int:
     exponents = list(range(int(lo_s), int(hi_s) + 1))
     rate_fn = coupled_capacity_rate_fn(case, coupling=args.coupling, capacity_scale=args.capacity_scale)
     estimate = estimate_prelog(rate_fn, exponents, method=args.method)
-    document = {
-        "case": args.case,
-        "coupling": args.coupling,
-        "capacity_scale": args.capacity_scale,
-        "method": estimate.method,
-        "prelog": estimate.prelog,
-        "exponent_grid": list(estimate.exponent_grid),
-        "rate_samples": list(estimate.rate_samples),
-    }
-    _emit_json(document, args, _manifest("scaling", args, []))
+    document = {"case": args.case, "coupling": args.coupling,
+                "capacity_scale": args.capacity_scale, **asdict(estimate)}
+    _emit_json(document, args)
     return 0
 
 
@@ -352,7 +328,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "scheme": {"alpha": alpha, "p_d1": p_d1, "p_d2": p_d2},
         "stats": asdict(stats),
     }
-    _emit_json(document, args, _manifest("simulate", args, [], seed=seed))
+    _emit_json(document, args)
     return 0
 
 
@@ -370,7 +346,7 @@ def cmd_cover(args: argparse.Namespace) -> int:
     )
     result = coverage_experiment(cfg)
     document = {"config": asdict(cfg), "result": asdict(result)}
-    _emit_json(document, args, _manifest("cover", args, [], seed=seed))
+    _emit_json(document, args)
     return 0
 
 
@@ -398,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", choices=("a", "b", "c"), required=True)
     add_channel_flags(p)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("sweep", help="rate vs. total link budget, best split per sum")
@@ -407,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pj", type=float, required=True)
     p.add_argument("--sum-range", default="0:28:0.25", help="start:stop:step in bits")
     p.add_argument("--split-samples", type=int, default=1001)
-    p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("region", help="(c1,c2) region sustaining a Case C rate")
@@ -415,14 +389,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--px", type=float, required=True)
     p.add_argument("--pj", type=float, required=True)
     p.add_argument("--format", choices=("csv", "svg"), default="csv")
-    p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("gaps", help="certify achievable-vs-bound gaps over a power grid")
     p.add_argument("--case", choices=("a", "b", "c"), required=True)
     p.add_argument("--grid", default="default",
                    help="'default' or exp_lo:exp_hi:points_per_decade (powers of ten)")
-    p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=cmd_gaps)
 
     p = sub.add_parser("scaling", help="pre-log estimate under a capacity coupling")
@@ -434,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="multiply the coupled capacities (0.8 shows necessity)")
     p.add_argument("--method", choices=("finite_difference", "ratio"),
                    default="finite_difference")
-    p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=cmd_scaling)
 
     p = sub.add_parser("simulate", help="Monte Carlo run of the lattice scheme")
@@ -449,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="gaussian")
     p.add_argument("--samples", type=int, default=10**6)
     p.add_argument("--seed", type=int, help="RNG seed (generated and recorded if absent)")
-    p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("cover", help="random-codebook joint-typicality coverage")
@@ -460,8 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.46, help="typicality tolerance (bits)")
     p.add_argument("--trials", type=int, default=500)
     p.add_argument("--seed", type=int, help="RNG seed (generated and recorded if absent)")
-    p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=cmd_cover)
+
+    for p in sub.choices.values():
+        p.add_argument("--out", help="output file (default stdout)")
     return parser
 
 

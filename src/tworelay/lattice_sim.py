@@ -74,6 +74,12 @@ _EPSILON = 2.0**-52
 
 _INTERFERERS = ("gaussian", "uniform", "bpsk")
 
+#: Bound on a relay's observation y_i = a_i*x + j + n_i in units of
+#: |a_i|*cell/2 + sqrt(p_j) + sqrt(p_ni): numpy's standard normals stay below
+#: 14 in size (a uniform interferer below sqrt(3)), and alpha*(n1 - n2) adds
+#: at most the other relay's term, so 2*14 < 2**5.
+_OBSERVATION_HEADROOM = 2.0**5
+
 # stream indices per random variable
 _VAR_V, _VAR_U, _VAR_J, _VAR_N1, _VAR_N2, _VAR_D1, _VAR_D2 = range(7)
 
@@ -88,8 +94,10 @@ class SimConfig:
     distortion); a finite link must have positive capacity.  `interferer`
     switches the interferer's distribution ("gaussian", "uniform", "bpsk")
     at fixed power, leaving all other draws untouched.  A config is refused
-    where `alpha_override` or its square is not finite, and where the
-    scheme's alpha, distortions or analytic var(n_eq) is not.
+    where `alpha_override` or its square is not finite, where the scheme's
+    alpha, distortions or analytic var(n_eq) is not, and where a relay's
+    observation y_i, alpha*y_i or alpha*y_i over the cell length could pass
+    the largest float.
     """
 
     case: str
@@ -154,6 +162,14 @@ class SimConfig:
         if not finite:
             raise ValueError("the scheme's alpha, distortions and var(n_eq) must be finite "
                              f"at this config, got {scheme}")
+        alpha, L = abs(scheme[0]), self.cell_length
+        for relay, gain, p_n in ((1, self.a, self.p_n1), (2, self.b, self.p_n2)):
+            y = _OBSERVATION_HEADROOM * (abs(gain) * L / 2.0 + math.sqrt(self.p_j)
+                                         + math.sqrt(p_n))
+            if not all(map(math.isfinite, (y, alpha * y, alpha * y / L))):
+                raise ValueError(f"relay {relay}'s observation y{relay}, scaled by alpha = "
+                                 f"{scheme[0]!r} and over the cell length, could pass the "
+                                 "largest float")
 
     @property
     def cell_length(self) -> float:

@@ -247,7 +247,8 @@ def required_region_case_c(target_rate: float, p_x: float, p_j: float) -> Region
 
     Negative right-hand sides clamp to zero, so a zero target yields the
     whole nonnegative quadrant, and a target below 0.5*log2(1 + p_x/p_j)
-    leaves only the sum constraint c1 + c2 >= target active.
+    leaves only the sum constraint c1 + c2 >= target active.  A target whose
+    sum constraint 2*target - 0.5*log2(1 + p_x/p_j) overflows is refused.
     """
     if math.isinf(p_x):
         raise ValueError("the region needs a finite p_x")
@@ -257,6 +258,9 @@ def required_region_case_c(target_rate: float, p_x: float, p_j: float) -> Region
         raise ValueError(f"target rate must be finite and >= 0, got {target_rate!r}")
     g = gaussian_mi(p_x, p_j)
     sum_rhs = max(2.0 * target_rate - g, target_rate, 0.0)
+    if not math.isfinite(sum_rhs):
+        raise ValueError(f"target rate {target_rate!r} is too large: its sum constraint "
+                         f"2*rate - {g!r} overflows")
     link_rhs = max(target_rate - g, 0.0)
     constraints = (
         ("b1: c1 + c2", 1.0, 1.0, sum_rhs),

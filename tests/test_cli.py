@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 import tworelay.cli as cli
@@ -460,6 +464,8 @@ class TestReproducibility:
         ["region", "--rate", "2", "--px", "inf", "--pj", "10"],
         ["region", "--rate", "nan", "--px", "10", "--pj", "5"],
         ["region", "--rate", "inf", "--px", "10", "--pj", "5"],
+        ["region", "--rate", "1e308", "--px", "15", "--pj", "15"],  # 2*rate overflows
+        ["region", "--rate", "1e308", "--px", "15", "--pj", "15", "--format", "svg"],
         ["cover", "--rate", "nan", "--trials", "1", "--seed", "1"],
         ["gaps", "--case", "a", "--grid", "306:310:1"],
         ["gaps", "--case", "b", "--grid", "1:2"],
@@ -491,6 +497,11 @@ class TestReproducibility:
                             ("1", "-inf"), ("1", "nan"), ("1", "1e154"), ("1e-320", "0.5"))),
         ["simulate", "--case", "b", "--px", "15", "--pj", "15", "--c1", "1e-320", "--c2", "1",
          "--samples", "100", "--seed", "1"],
+        # alpha*y1 passes the largest float; so does alpha*y1 over the cell length
+        *(["simulate", "--case", "general", "--px", px, "--pj", pj, "--c1", "inf", "--c2", "inf",
+           "--a", "0", "--b", "0", "--pn1", "0", "--pn2", "0", "--alpha", alpha,
+           "--samples", "100", "--seed", "1"]
+          for px, pj, alpha in (("1", "1e308", "1e154"), ("1e-300", "1e200", "1e60"))),
         *(["cover", "--rate", "0.5", "--seed", "1", *flags.split()]
           for flags in ("--source-var inf", "--source-var 1e154", "--distortion 1e308",
                         "--distortion 5e-324", "--source-var nan", "--distortion=-1",
@@ -502,6 +513,50 @@ def test_input_outside_the_model_exits_2(argv, capsys):
     code, out = run_cli(argv, capsys)
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("px, pj, alpha", [
+    ("1", "1e308", "1e46"),  # alpha**2 * p_j overflows, alpha*y_i does not
+    ("1", "1e300", "1e150"),
+    ("1e-300", "1e100", "1e100"),  # alpha*y_i over the cell length stays below 1e302
+])
+def test_scaled_observations_below_the_largest_float_run(px, pj, alpha, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(["simulate", "--case", "general", "--px", px, "--pj", pj,
+                             "--c1", "inf", "--c2", "inf", "--a", "0", "--b", "0",
+                             "--pn1", "0", "--pn2", "0", "--alpha", alpha,
+                             "--samples", "100", "--seed", "1"], capsys)
+    assert code == 0
+    assert json.loads(out)["stats"]["samples"] == 100
+
+
+#: The `simulate` flags of the extreme-input matrix, and the values each
+#: takes; None leaves the flag out.
+EXTREME_FLAGS = ("--px", "--pj", "--c1", "--c2", "--pn1", "--pn2", "--a", "--b", "--alpha")
+EXTREME_VALUES = (None, "0", "-0.0", "5e-324", "1e-320", "1e-300", "1e-200", "1e60", "1e150",
+                  "1e154", "5e307", "1e308", "inf", "-inf", "nan", "-1")
+BEYOND_THE_LARGEST_FLOAT = ("inf", "inf", "0", "0", "0", "0")  # --c1 ... --b
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
+          phases=(Phase.explicit, Phase.generate))
+@given(case=st.sampled_from(["b", "c", "general"]),
+       values=st.tuples(*[st.sampled_from(EXTREME_VALUES)] * len(EXTREME_FLAGS)))
+@example(case="general", values=("1", "1e308", *BEYOND_THE_LARGEST_FLOAT, "1e154"))
+@example(case="general", values=("1e-300", "1e200", *BEYOND_THE_LARGEST_FLOAT, "1e60"))
+def test_simulate_at_extreme_inputs_exits_0_or_2(case, values):
+    # warnings are errors in the worker threads too: the filters are process-wide
+    argv = ["simulate", "--case", case, "--samples", "100", "--seed", "1"]
+    argv += [f"{flag}={value}" for flag, value in zip(EXTREME_FLAGS, values) if value]
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("error")
+        try:
+            code = cli.main(argv)
+        except SystemExit as exit:  # argparse's usage error
+            code = exit.code
+    assert code in (0, 2)
 
 
 @pytest.mark.parametrize("case", ["a", "b", "c"])

@@ -8,6 +8,7 @@ traced benchmark run.  The tracer module is read here, not changed.
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -37,3 +38,9 @@ def test_site_holds_its_layer_function(site, name, layer):
     function = getattr(importlib.import_module(f"tworelay.{site}"), name, None)
     assert callable(function)
     assert function is getattr(importlib.import_module(f"tworelay.{layer}"), name)
+
+
+def test_emit_text_takes_text_and_args_first():
+    # the tracer labels `_emit_text` spans by its second positional argument
+    cli = importlib.import_module("tworelay.cli")
+    assert list(inspect.signature(cli._emit_text).parameters)[:2] == ["text", "args"]
