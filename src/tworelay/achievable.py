@@ -54,9 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ChannelConfig, ScenarioCase, _check_fields, case_constraints_hold
-from .model import _expm1, as_arrays, math_map, mutual_info, square
-
-_LN2 = math.log(2.0)
+from .model import _LN2, _expm1, as_arrays, half_log2_ratio, math_map, mutual_info, square
 
 
 class Scheme(enum.Enum):
@@ -104,7 +102,7 @@ def _pow2neg(c) -> np.ndarray:
 
 def _clamped_rate(p_x, p_neq) -> np.ndarray:
     """max(0.5*log2(p_x/p_neq), 0); 0 where p_x <= 0, p_neq = inf or p_x/p_neq
-    underflows to 0."""
+    underflows to 0, and finite where the ratio overflows (see `half_log2_ratio`)."""
     p_x, p_neq = np.broadcast_arrays(*as_arrays(p_x, p_neq))
     ratio = p_x / p_neq
     rate = np.zeros(ratio.shape)
@@ -115,7 +113,7 @@ def _clamped_rate(p_x, p_neq) -> np.ndarray:
     excess = (p_x[near] - p_neq[near]) / p_neq[near]
     rate[near] = 0.5 * math_map(math.log1p, excess) / _LN2
     rate[far] = 0.5 * math_map(math.log2, ratio[far])
-    return np.where(rate < 0.0, 0.0, rate)
+    return np.where(rate < 0.0, 0.0, half_log2_ratio(p_x, p_neq, rate))
 
 
 def mmse_alpha(p_x, p_n1, p_n2, gain_difference: float) -> np.ndarray:

@@ -10,10 +10,10 @@ All bound terms are formed in the log domain, so an unlimited link
 (`INFINITE_CAPACITY`) simply makes its cut term infinite and never binding.
 The array forms (`cutset_term_arrays`, `cutset_min_array`,
 `modulo_bound_array`) take their input as given, broadcast over
-(p_x, p_j, c1, c2) and take every logarithm through `model.math_map`
-(libm).  The per-point entries (`outer_bounds`, `cutset_case_c`,
-`modulo_bound_case_c`) check a config against its case once, which raises
-ValueError on a mismatch, and evaluate the array forms at its point.
+(p_x, p_j, c1, c2) and take every logarithm through `model.mutual_info` (libm's
+bits; finite where a ratio passes the largest float).  The per-point entries
+(`outer_bounds`, `cutset_case_c`, `modulo_bound_case_c`) check a config against its
+case once, which raises ValueError on a mismatch, and evaluate the array forms at its point.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ChannelConfig, ScenarioCase, as_arrays, case_constraints_hold
-from .model import math_map, mutual_info
+from .model import gaussian_mi, mutual_info
 
 #: Additive constant of the Case C modulo bound: 0.25 * log2(8*pi*e).
 MODULO_BOUND_CONSTANT = 0.25 * math.log2(8.0 * math.pi * math.e)
@@ -79,20 +79,9 @@ def cutset_term_arrays(case: ScenarioCase, p_x, p_j, c1, c2) -> list[tuple[str, 
             ("c1 + c2", c1 + c2),
             ("c1 + i(x;y2)", c1 + interfered),
             ("c2 + i(x;y1)", c2 + interfered),
-            ("i(x;y1,y2)", _full_cooperation_array(p_x)),
+            ("i(x;y1,y2)", mutual_info(p_x, 0.5)),  # = 2*p_x over 1, finite past its overflow
         ]
     raise ValueError(f"unknown case {case!r}")
-
-
-@np.errstate(all="ignore")
-def _full_cooperation_array(p_x) -> np.ndarray:
-    """0.5*log2(1 + 2*p_x); where 2*p_x overflows, 0.5*(1 + log2(p_x)), which
-    differs from it by under a part in 1e308."""
-    doubled = 2.0 * p_x
-    mi = mutual_info(doubled, 1.0)
-    overflowed = np.isinf(doubled) & np.isfinite(p_x)
-    mi[overflowed] = 0.5 * (1.0 + math_map(math.log2, p_x[overflowed]))
-    return mi
 
 
 def cutset_min_array(case: ScenarioCase, p_x, p_j, c1, c2) -> np.ndarray:
@@ -103,8 +92,9 @@ def cutset_min_array(case: ScenarioCase, p_x, p_j, c1, c2) -> np.ndarray:
 
 @np.errstate(all="ignore")
 def modulo_bound_array(p_x, p_j, c1, c2) -> np.ndarray:
-    """The Case C modulo bound over the broadcast grid; it needs p_j > 0."""
-    return 0.5 * (c1 + c2 + mutual_info(p_x, p_j)) + MODULO_BOUND_CONSTANT
+    """The Case C modulo bound over the broadcast grid; it needs p_j > 0.  Each term
+    is halved before the sum (exact for normal floats), so c1 + c2 may overflow."""
+    return 0.5 * c1 + 0.5 * c2 + 0.5 * mutual_info(p_x, p_j) + MODULO_BOUND_CONSTANT
 
 
 def _validate(cfg: ChannelConfig, case: ScenarioCase) -> None:
@@ -150,9 +140,7 @@ def full_cooperation_capacity(p_x: float) -> float:
     Joint processing can subtract the two receptions, which removes the
     interferer entirely and leaves maximal-ratio combining of the signal.
     """
-    if not p_x >= 0.0:
-        raise ValueError(f"p_x must be >= 0, got {p_x!r}")
-    return _full_cooperation_array(as_arrays(p_x)[0]).item()
+    return gaussian_mi(p_x, 0.5)
 
 
 def outer_bounds(cfg: ChannelConfig, case: ScenarioCase) -> BoundReport:

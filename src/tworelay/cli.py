@@ -181,7 +181,10 @@ def _parse_range(spec: str) -> list[float]:
         raise ValueError("range step must be > 0")
     if stop < start:
         return []
-    return [float(v) for v in np.arange(start, stop + step / 2.0, step)]
+    try:
+        return [float(v) for v in np.arange(start, stop + step / 2.0, step)]
+    except MemoryError:
+        raise ValueError(f"{(stop - start) / step + 1:.0f} sums do not fit in memory") from None
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -252,11 +255,13 @@ def _parse_grid(spec: str) -> tuple[list[float], list[float]] | tuple[None, None
     lo, hi, per_decade = float(lo_s), float(hi_s), int(per_decade_s)
     if per_decade < 1 or hi < lo:
         raise ValueError("grid spec must be 'default' or 'exp_lo:exp_hi:points_per_decade'")
-    exps = np.arange(lo, hi + 1e-9, 1.0 / per_decade)
     try:  # libm's pow as numpy's 10.0**e, which would warn and give inf on overflow
+        exps = np.arange(lo, hi + 1e-9, 1.0 / per_decade)
         values = [10.0**e for e in exps.tolist()]
     except OverflowError:
         raise ValueError(f"grid powers up to 10**{exps[-1]:g} overflow a float") from None
+    except MemoryError:
+        raise ValueError(f"{(hi - lo) * per_decade + 1:.0f} powers do not fit in memory") from None
     return values, values
 
 

@@ -59,7 +59,7 @@ from .achievable import (
     mmse_alpha,
     side_information_power,
 )
-from .model import _CASE_FIXED, ScenarioCase
+from .model import _CASE_FIXED, ScenarioCase, gaussian_mi
 
 #: Fixed batch size; part of the determinism contract (changing it changes
 #: the streams, so it is a module constant rather than a config knob).
@@ -755,12 +755,10 @@ def sw_rate_check(cfg: SimConfig, p_d2_override: float | None = None) -> Slepian
     alpha, p_d1, p_d2 = cfg.scheme_parameters()
     if p_d2_override is not None:
         p_d2 = p_d2_override
-    if not p_d2 > 0.0:
-        raise ValueError("p_d2 must be > 0")
     side_power = float(side_information_power(
         cfg.p_x, cfg.p_j, alpha, p_d1, cfg.p_n1, cfg.p_n2, cfg.a + cfg.b
     ))
-    required = 0.5 * math.log1p(min(cfg.p_x, side_power) / p_d2) / math.log(2.0)
+    required = gaussian_mi(min(cfg.p_x, side_power), p_d2)
     return SlepianWolfCheck(
         required_rate=required,
         link_capacity=cfg.c2,

@@ -25,6 +25,7 @@ checks its input once, a config against its case or raw powers and links
 with `_check_fields`, and raises ValueError on input outside the model.
 Every transcendental goes through `math_map` or `square`, which give libm's
 bits: through numpy's ufuncs where their loops do (`_UFUNC_PATH`), else per element.
+Every 0.5*log2(a/b) goes through `half_log2_ratio`, finite past the largest float.
 """
 
 from __future__ import annotations
@@ -149,27 +150,37 @@ def gaussian_mi(signal_power: float, noise_plus_interference_power: float) -> fl
     """Gaussian mutual information 0.5*log2(1 + S/N) in bits per channel use.
 
     Stable over S/N from ~1e-12 to ~1e15 (log1p keeps full relative
-    precision when the ratio is tiny).  An unlimited signal power yields
-    INFINITE_CAPACITY.
+    precision when the ratio is tiny), and finite past it (`half_log2_ratio`).
+    An unlimited signal power over a finite N yields INFINITE_CAPACITY.
 
     Raises:
-        ValueError: on negative signal power or nonpositive noise power.
+        ValueError: on negative signal power, nonpositive noise power, or both unlimited.
     """
     s, n = float(signal_power), float(noise_plus_interference_power)
     if not s >= 0.0:
         raise ValueError(f"signal power must be >= 0, got {s!r}")
-    if not n > 0.0:
-        raise ValueError(f"noise-plus-interference power must be > 0, got {n!r}")
-    if math.isinf(s):
-        return INFINITE_CAPACITY
+    if not n > 0.0 or math.isinf(s) and math.isinf(n):
+        raise ValueError(f"noise-plus-interference power must be > 0 (finite over inf), got {n!r}")
     return float(mutual_info(s, n))
 
 
 @np.errstate(all="ignore")
 def mutual_info(signal_power, noise_power) -> np.ndarray:
     """`gaussian_mi` as a broadcast over arrays, without its input checks."""
-    mi = 0.5 * math_map(math.log1p, np.divide(signal_power, noise_power)) / _LN2
+    ratio = np.divide(signal_power, noise_power)
+    mi = half_log2_ratio(signal_power, noise_power, 0.5 * math_map(math.log1p, ratio) / _LN2)
     return np.where(signal_power == 0.0, 0.0, mi)  # +0.0, also for a signal power of -0.0
+
+
+def half_log2_ratio(a, b, value) -> np.ndarray:
+    """`value`, 0.5*log2 of a/b or of 1 + a/b formed from the float a/b; where a/b passed the
+    largest float (value inf, b > 0), 0.5*(log2 a - log2 b), within a part in 1e308 of both."""
+    past = value == math.inf
+    if past.any():
+        past &= b > 0.0  # libm's log2 sees a and b only here, never 0; a = inf stays inf
+        log2_a, log2_b = (math_map(math.log2, np.where(past, v, 1.0)) for v in (a, b))
+        value = np.where(past, 0.5 * (log2_a - log2_b), value)
+    return value
 
 
 def math_map(fn: Callable[[float], float], x) -> np.ndarray:

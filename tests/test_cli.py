@@ -159,6 +159,23 @@ class TestBounds:
         fields = ("alpha", "p_d1", "p_d2", "p_neq")
         assert all(oracles.within(float(rows[7][f]), v) for f, v in zip(fields, expected))
 
+    @pytest.mark.parametrize("p_x, p_j, c1, c2", [
+        ("1", "5e-324", "1", "1"),  # p_x/p_j of the modulo bound overflows
+        ("1e308", "0", "600", "1e308"),  # p_x over the derived form's p_neq = 0.5 does
+    ])
+    def test_ratio_past_the_largest_float_stays_finite(self, p_x, p_j, c1, c2, capsys):
+        code, out = run_cli(["bounds", "--case", "c", "--px", p_x, "--pj", p_j,
+                             "--c1", c1, "--c2", c2], capsys)
+        assert code == 0
+        rows = {(row["row_type"], row["label"]): float(row["rate_bits"])
+                for row in parse_csv(out)[1]}
+        point = [float(v) for v in (p_x, p_j, c1, c2)]
+        derived = rows["achievable", "case_c_derived"]
+        assert oracles.within(derived, oracles.ach_c_derived(*point))
+        assert derived <= rows["bound", "binding"]
+        if point[1] > 0.0:
+            assert oracles.within(rows["bound", "modulo"], oracles.modulo_c(*point))
+
     def test_full_cooperation_term_past_the_doubling_overflow(self, capsys):
         code, out = run_cli(
             ["bounds", "--case", "c", "--px", "1e308", "--pj", "15", "--c1", "1", "--c2", "1"],
@@ -304,6 +321,16 @@ class TestRegion:
         vertices = [r for r in rows if r["row_type"] == "vertex"]
         assert len(vertices) == 1
         assert float(vertices[0]["c1"]) == 0.0 and float(vertices[0]["c2"]) == 0.0
+
+    def test_ratio_past_the_largest_float(self, capsys):
+        # 0.5*log2(1 + 1e608) is about 1010 bits, not inf
+        code, out = run_cli(["region", "--rate", "2000", "--px", "1e308", "--pj", "1e-300"],
+                            capsys)
+        assert code == 0
+        rhs = {row["label"]: float(row["rhs"]) for row in parse_csv(out)[1] if row["rhs"]}
+        g = oracles.mi(1e308, 1e-300)
+        assert oracles.within(rhs["b2: c1"], 2000 - g) and oracles.within(rhs["b2: c2"], 2000 - g)
+        assert oracles.within(rhs["b1: c1 + c2"], 4000 - g)
 
     def test_svg_matches_csv_vertices(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("TWORELAY_OUTDIR", str(tmp_path))
@@ -474,6 +501,9 @@ class TestReproducibility:
         ["scaling", "--case", "a", "--exponents", "10"],
         ["sweep", "--case", "b", "--px", "10", "--pj", "1", "--sum-range", "0:1:-1"],
         ["sweep", "--case", "b", "--px", "10", "--pj", "1", "--sum-range", "0:1"],
+        # arrays larger than the 64-bit user address space: refused before any allocation
+        ["sweep", "--case", "b", "--px", "10", "--pj", "1", "--sum-range", "0:1e12:1e-3"],
+        ["gaps", "--case", "a", "--grid", "0:9:10000000000000"],
         ["simulate", "--case", "b", "--px", "15", "--pj", "15", "--c1", "1", "--seed", "1"],
         ["simulate", "--case", "b", "--px", "15", "--pj", "15", "--c2", "1", "--seed", "1"],
         ["simulate", "--case", "c", "--px", "15", "--pj", "15", "--c2", "1", "--seed", "1"],
@@ -531,6 +561,20 @@ def test_scaled_observations_below_the_largest_float_run(px, pj, alpha, capsys):
     assert json.loads(out)["stats"]["samples"] == 100
 
 
+def run_extreme(argv):
+    """Exit code and stdout of `cli.main(argv)`, warnings as errors and stderr
+    discarded; argparse's usage error gives its exit code."""
+    out = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("error")
+        try:
+            code = cli.main(argv)
+        except SystemExit as exit:
+            code = exit.code
+    return code, out.getvalue()
+
+
 #: The `simulate` flags of the extreme-input matrix, and the values each
 #: takes; None leaves the flag out.
 EXTREME_FLAGS = ("--px", "--pj", "--c1", "--c2", "--pn1", "--pn2", "--a", "--b", "--alpha")
@@ -549,14 +593,100 @@ def test_simulate_at_extreme_inputs_exits_0_or_2(case, values):
     # warnings are errors in the worker threads too: the filters are process-wide
     argv = ["simulate", "--case", case, "--samples", "100", "--seed", "1"]
     argv += [f"{flag}={value}" for flag, value in zip(EXTREME_FLAGS, values) if value]
-    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        warnings.simplefilter("error")
-        try:
-            code = cli.main(argv)
-        except SystemExit as exit:  # argparse's usage error
-            code = exit.code
+    assert run_extreme(argv)[0] in (0, 2)
+
+
+#: Values of every numeric flag of the other subcommands; None leaves the flag out.
+TOKENS = (None, "0", "-0.0", "5e-324", "1e-320", "1e-200", "1e154", "5e307", "1e308", "inf",
+          "-inf", "nan", "-1")
+
+
+@st.composite
+def extreme_argv(draw):
+    """An argv of bounds, sweep, region, gaps, scaling or cover over `TOKENS`,
+    with ranges, grids and trials of a few points each.  A flag with a default
+    is left out half the time, so that more argv pass the boundary."""
+    token = st.sampled_from(TOKENS)
+    optional = st.one_of(st.none(), token)
+    cases = st.sampled_from("abc")
+    flags = {
+        "bounds": {"--case": cases, "--px": token, "--pj": token, "--c1": optional,
+                   "--c2": optional},
+        "sweep": {"--case": st.sampled_from("bc"), "--px": token, "--pj": token,
+                  "--sum-range": st.one_of(token.map(lambda t: t and f"0:{t}:{t}"),
+                                           token.map(lambda t: t and f"{t}:{t}:1")),
+                  "--split-samples": st.sampled_from(("0", "2", "5"))},
+        "region": {"--rate": token, "--px": token, "--pj": token},
+        "gaps": {"--case": cases,
+                 "--grid": st.builds(lambda lo, width, per_decade: f"{lo}:{float(lo) + width}:"
+                                     f"{per_decade}",
+                                     st.sampled_from(("-330", "-320", "-300", "0", "154", "300",
+                                                      "307", "308", "309", "inf", "nan")),
+                                     st.sampled_from((0, 1)), st.sampled_from(("0", "1", "2")))},
+        "scaling": {"--case": cases,
+                    "--exponents": st.builds(lambda lo, width: f"{lo}:{int(lo) + width}",
+                                             st.sampled_from(("-1100", "-1074", "0", "1", "1000",
+                                                              "1020", "1024")),
+                                             st.sampled_from((0, 1, 3))),
+                    "--capacity-scale": optional,
+                    "--coupling": st.one_of(st.sampled_from(("pj=px", "pj=sqrt(px)")),
+                                            token.map(lambda t: t and f"pj={t}"))},
+        "cover": {"--rate": token, "--source-var": optional, "--distortion": optional,
+                  "--eps": optional, "--trials": st.sampled_from(("1", "20"))},
+    }
+    command = draw(st.sampled_from(["bounds", *flags]))  # bounds carries most rates
+    argv = [command, "--seed=1"] if command == "cover" else [command]
+    for flag, values in flags[command].items():
+        value = draw(values)
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+def json_numbers(value):
+    """Every number in a JSON document."""
+    if isinstance(value, dict):
+        return [n for v in value.values() for n in json_numbers(v)]
+    if isinstance(value, list):
+        return [n for v in value for n in json_numbers(v)]
+    return [value] if isinstance(value, float) else []
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
+          phases=(Phase.explicit, Phase.generate))
+@given(extreme_argv())
+@example(["bounds", "--case=c", "--px=1e308", "--pj=0", "--c1=600", "--c2=1e308"])
+@example(["bounds", "--case=c", "--px=1", "--pj=5e-324", "--c1=1", "--c2=1"])
+@example(["bounds", "--case=c", "--px=15", "--pj=15", "--c1=1e308", "--c2=1e308"])
+@example(["sweep", "--case=c", "--px=1", "--pj=5e-324", "--sum-range=0:1e308:1e308"])
+@example(["region", "--rate=2000", "--px=1e308", "--pj=1e-300"])
+def test_other_subcommands_at_extreme_inputs_exit_0_or_2(argv):
+    code, out = run_extreme(argv)
     assert code in (0, 2)
+    if code != 0:
+        return
+    # a field is inf only where an input is unlimited or its exact value passes
+    # the largest float; rates and bounds stay finite for finite input
+    unlimited = any("inf" in arg for arg in argv)
+    if argv[0] in ("gaps", "scaling", "cover"):
+        assert unlimited or all(map(math.isfinite, json_numbers(json.loads(out))))
+    elif argv[0] == "region":
+        fields = [row[k] for row in parse_csv(out)[1] for k in ("c1", "c2", "rhs") if row[k]]
+        assert unlimited or all(math.isfinite(float(v)) for v in fields)
+    elif argv[0] == "sweep":
+        for row in parse_csv(out)[1]:
+            bounds = [float(row["cutset"])] + ([float(row["modulo"])] if row["modulo"] else [])
+            assert float(row["best_rate"]) <= min(bounds) + 1e-9, row
+            assert unlimited or all(map(math.isfinite, [float(row["best_rate"]), *bounds])), row
+    else:
+        links = dict(arg.split("=") for arg in argv[1:])
+        rows = {(row["row_type"], row["label"]): float(row["rate_bits"])
+                for row in parse_csv(out)[1]}
+        for (kind, label), rate in rows.items():
+            if kind != "bound":
+                assert rate <= rows["bound", "binding"] + 1e-9, (kind, label)
+            past = label == "c1 + c2" and math.isinf(float(links["--c1"]) + float(links["--c2"]))
+            assert unlimited or past or math.isfinite(rate), (kind, label)
 
 
 @pytest.mark.parametrize("case", ["a", "b", "c"])
@@ -703,3 +833,37 @@ def test_simulate_is_clean_under_dev_mode():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["stats"]["samples"] == 3 * (1 << 16)
+
+
+DEV_MODE_CALLS = [
+    ["bounds", "--case", "c", "--px", "15", "--pj", "15", "--c1", "2", "--c2", "1"],
+    ["bounds", "--case", "c", "--px", "15", "--pj", "15", "--c1", "2", "--c2", "1",
+     "--format", "json"],
+    ["sweep", "--case", "c", "--px", "1e8", "--pj", "1e4", "--sum-range", "0:4:0.5",
+     "--split-samples", "101"],
+    ["region", "--rate", "2", "--px", "15", "--pj", "15"],
+    ["region", "--rate", "2", "--px", "15", "--pj", "15", "--format", "svg"],
+    ["gaps", "--case", "c", "--grid", "1:9:2"],
+    ["scaling", "--case", "a"],
+    ["cover", "--rate", "0.5", "--trials", "20", "--seed", "1"],
+]
+
+
+def test_every_subcommand_is_clean_under_dev_mode():
+    # one process runs each call; each gives exit 0 and writes nothing to stderr
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = f"""
+import contextlib, io, json, sys
+import tworelay.cli as cli
+results = []
+for argv in {DEV_MODE_CALLS!r}:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        results.append([cli.main(argv), err.getvalue()])
+print(json.dumps(results))
+"""
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == [[0, ""]] * len(DEV_MODE_CALLS)

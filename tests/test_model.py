@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from tworelay import model
 from tworelay.model import (
     INFINITE_CAPACITY,
     ChannelConfig,
@@ -11,6 +12,7 @@ from tworelay.model import (
     case_constraints_hold,
     gaussian_mi,
     make_preset,
+    mutual_info,
 )
 
 
@@ -29,6 +31,28 @@ class TestGaussianMi:
     def test_stable_over_wide_ratio_range(self, ratio):
         impl = gaussian_mi(ratio * 3.0, 3.0)
         assert oracles.within(impl, oracles.mi(ratio * 3.0, 3.0), rel=1e-13)
+
+    @pytest.mark.parametrize("s, n", [(1e308, 1e-300), (1.0, 5e-324), (1.7e308, 0.5),
+                                      (5e-324, 5e-324)])
+    def test_ratio_past_the_largest_float_is_finite(self, s, n):
+        assert oracles.within(gaussian_mi(s, n), oracles.mi(s, n))
+
+    def test_unlimited_signal(self):
+        assert gaussian_mi(math.inf, 1.0) == INFINITE_CAPACITY
+        assert gaussian_mi(1.0, math.inf) == 0.0
+        with pytest.raises(ValueError):
+            gaussian_mi(math.inf, math.inf)
+
+    @pytest.mark.parametrize("ufunc_path", [True, False])
+    def test_array_form_on_both_libm_paths(self, ufunc_path, monkeypatch):
+        # libm's log2 raises on 0 per element: the log-domain form must not hand it one
+        monkeypatch.setattr(model, "_UFUNC_PATH", ufunc_path and model._UFUNC_PATH)
+        s = np.array([[1e308], [1.0], [0.0], [math.inf], [15.0]])
+        n = np.array([1e-300, 0.0, 5e-324, 1.0])
+        mi = mutual_info(s, n)
+        expected = [[0.0 if a == 0.0 else gaussian_mi(a, b) if b > 0.0 else math.inf for b in n]
+                    for a in s[:, 0]]
+        np.testing.assert_array_equal(mi, expected)
 
     def test_rejects_bad_noise(self):
         with pytest.raises(ValueError):
