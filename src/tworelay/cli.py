@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import os
@@ -452,5 +453,21 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> int:
+    """The process entry of `python -m tworelay.cli` and the `tworelay` script:
+    `main()`, then `gc.freeze()`, whatever the exit.
+
+    The freeze moves every live object, the numpy and tworelay imports
+    included, into the permanent generation, so the interpreter's final
+    collections have nothing to scan.  atexit handlers, the stdio flush, the
+    thread-pool joins and refcount deallocation still run.  An in-process
+    caller of `main()` keeps a working collector.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

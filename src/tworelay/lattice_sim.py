@@ -59,7 +59,7 @@ from .achievable import (
     mmse_alpha,
     side_information_power,
 )
-from .model import _CASE_FIXED, ScenarioCase, gaussian_mi
+from .model import _CASE_FIXED, ScenarioCase, gaussian_mi, half_log2_ratio
 
 #: Fixed batch size; part of the determinism contract (changing it changes
 #: the streams, so it is a module constant rather than a config knob).
@@ -94,6 +94,7 @@ class SimConfig:
     distortion); a finite link must have positive capacity.  `interferer`
     switches the interferer's distribution ("gaussian", "uniform", "bpsk")
     at fixed power, leaving all other draws untouched.  A config is refused
+    with fewer than two samples (the unbiased variance of n_eq needs two),
     where `alpha_override` or its square is not finite, where the scheme's
     alpha, distortions or analytic var(n_eq) is not, and where a relay's
     observation y_i, alpha*y_i or alpha*y_i over the cell length could pass
@@ -147,8 +148,8 @@ class SimConfig:
                 continue  # quantizer disabled
             if not c > 0.0:
                 raise ValueError(f"{name} must be > 0 when its quantizer is active, got {c!r}")
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+        if self.samples < 2:
+            raise ValueError(f"samples must be >= 2, got {self.samples!r}")
         if self.interferer not in _INTERFERERS:
             raise ValueError(f"interferer must be one of {_INTERFERERS}")
         alpha = self.alpha_override
@@ -655,9 +656,12 @@ def run_lattice_sim(cfg: SimConfig) -> SimStats:
 
     n = cfg.samples
     total = _moment_totals(sums, cfg.p_x)
-    var_neq = _centered(total["neq2"], total["neq"], n) / max(n - 1, 1)
+    var_neq = _centered(total["neq2"], total["neq"], n) / (n - 1)
     pvalue, corr = _dither_summary(hist, total, n)
-    rate = 0.5 * math.log2(cfg.p_x / var_neq) if var_neq > 0.0 else math.inf
+    rate = math.inf
+    if var_neq > 0.0:  # finite where p_x/var_neq passes the largest float
+        rate = float(half_log2_ratio(cfg.p_x, var_neq,
+                                     np.float64(0.5 * math.log2(cfg.p_x / var_neq))))
     return SimStats(
         empirical_var_neq=var_neq,
         analytic_var_neq=analytic,

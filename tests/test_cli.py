@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -508,6 +509,8 @@ class TestReproducibility:
         ["simulate", "--case", "b", "--px", "15", "--pj", "15", "--c2", "1", "--seed", "1"],
         ["simulate", "--case", "c", "--px", "15", "--pj", "15", "--c2", "1", "--seed", "1"],
         ["simulate", "--case", "c", "--px", "15", "--pj", "15", "--c1", "1", "--seed", "1"],
+        ["simulate", "--case", "b", "--px", "15", "--pj", "15", "--c1", "2", "--c2", "1",
+         "--samples", "1", "--seed", "1"],  # no unbiased variance from one sample
         ["simulate", "--case", "b", "--px", "1e306", "--pj", "1", "--c1", "1", "--c2", "1",
          "--samples", "1000", "--seed", "1"],
         ["simulate", "--case", "b", "--px", "1e308", "--pj", "1", "--c1", "1", "--c2", "1",
@@ -576,7 +579,8 @@ def run_extreme(argv):
 
 
 #: The `simulate` flags of the extreme-input matrix, and the values each
-#: takes; None leaves the flag out.
+#: takes; None leaves the flag out.  The flags after the channel's four have
+#: a default and are left out half the time, so that more argv pass the boundary.
 EXTREME_FLAGS = ("--px", "--pj", "--c1", "--c2", "--pn1", "--pn2", "--a", "--b", "--alpha")
 EXTREME_VALUES = (None, "0", "-0.0", "5e-324", "1e-320", "1e-300", "1e-200", "1e60", "1e150",
                   "1e154", "5e307", "1e308", "inf", "-inf", "nan", "-1")
@@ -586,14 +590,36 @@ BEYOND_THE_LARGEST_FLOAT = ("inf", "inf", "0", "0", "0", "0")  # --c1 ... --b
 @settings(max_examples=400, deadline=None, derandomize=True, database=None,
           phases=(Phase.explicit, Phase.generate))
 @given(case=st.sampled_from(["b", "c", "general"]),
-       values=st.tuples(*[st.sampled_from(EXTREME_VALUES)] * len(EXTREME_FLAGS)))
+       values=st.tuples(*[st.sampled_from(EXTREME_VALUES)] * 4,
+                        *[st.one_of(st.none(), st.sampled_from(EXTREME_VALUES))] * 5))
 @example(case="general", values=("1", "1e308", *BEYOND_THE_LARGEST_FLOAT, "1e154"))
 @example(case="general", values=("1e-300", "1e200", *BEYOND_THE_LARGEST_FLOAT, "1e60"))
+@example(case="general", values=("1e300", "1", "inf", "inf", "1e-200", "0", "1", "0", "1"))
 def test_simulate_at_extreme_inputs_exits_0_or_2(case, values):
     # warnings are errors in the worker threads too: the filters are process-wide
     argv = ["simulate", "--case", case, "--samples", "100", "--seed", "1"]
     argv += [f"{flag}={value}" for flag, value in zip(EXTREME_FLAGS, values) if value]
-    assert run_extreme(argv)[0] in (0, 2)
+    code, out = run_extreme(argv)
+    assert code in (0, 2)
+    if code != 0:
+        return
+    doc = json.loads(out)
+    stats = doc["stats"]
+    assert (stats["samples"], stats["seed"]) == (100, 1)
+    assert 0.0 <= stats["dither_uniformity_pvalue"] <= 1.0
+    assert math.isnan(stats["x_v_correlation"]) or -1.0 <= stats["x_v_correlation"] <= 1.0
+    for key in ("empirical_var_neq", "analytic_var_neq"):
+        assert math.isfinite(stats[key]) and stats[key] >= 0.0, key
+    assert math.isfinite(stats["identity_max_residual"])
+    assert stats["identity_max_residual"] <= stats["cell_length"] / 2
+    p_x, var = doc["config"]["p_x"], stats["empirical_var_neq"]
+    if var == 0.0:
+        assert stats["rate_estimate"] == math.inf
+    elif math.isfinite(p_x / var):
+        assert stats["rate_estimate"] == 0.5 * math.log2(p_x / var)
+    else:  # the ratio passes the largest float, the rate does not
+        exact = 0.5 * mpmath.log(mpmath.mpf(p_x) / var, 2)
+        assert stats["rate_estimate"] == pytest.approx(float(exact), rel=1e-15)
 
 
 #: Values of every numeric flag of the other subcommands; None leaves the flag out.
@@ -846,11 +872,15 @@ DEV_MODE_CALLS = [
     ["gaps", "--case", "c", "--grid", "1:9:2"],
     ["scaling", "--case", "a"],
     ["cover", "--rate", "0.5", "--trials", "20", "--seed", "1"],
+    ["simulate", "--case", "c", "--px", "15", "--pj", "15", "--c1", "2", "--c2", "1",
+     "--samples", str(3 * (1 << 16)), "--seed", "3"],  # three batches
 ]
 
 
 def test_every_subcommand_is_clean_under_dev_mode():
-    # one process runs each call; each gives exit 0 and writes nothing to stderr
+    # one process runs each call; each gives exit 0 and writes nothing to stderr.
+    # It calls main(), not run(), so its exit still collects reference cycles,
+    # and a ResourceWarning from one left behind fails here
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     code = f"""
@@ -867,3 +897,49 @@ print(json.dumps(results))
                           capture_output=True, text=True, timeout=120)
     assert proc.stderr == ""
     assert json.loads(proc.stdout) == [[0, ""]] * len(DEV_MODE_CALLS)
+
+
+#: The process entries: `python -m tworelay.cli`, and the body of the
+#: `tworelay` script that `[project.scripts]` installs
+PROCESS_ENTRIES = {
+    "module": ["-m", "tworelay.cli"],
+    "script": ["-c", "import sys; from tworelay.cli import run; sys.exit(run())"],
+}
+
+
+@pytest.mark.parametrize("entry", sorted(PROCESS_ENTRIES))
+def test_process_entry_ends_as_main_returns(entry, capsys):
+    # run() freezes the heap before exit; stdout is still flushed whole, and a
+    # refusal still gives exit 2 and one error line
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    accepted = ["bounds", "--case", "c", "--px", "15", "--pj", "15", "--c1", "2", "--c2", "1"]
+    refused = ["gaps", "--case", "a", "--grid", "306:310:1"]
+    runs = [subprocess.run([sys.executable, "-X", "dev", "-W", "error", *PROCESS_ENTRIES[entry],
+                            *argv], env=env, capture_output=True, timeout=120)
+            for argv in (accepted, refused)]
+    assert (runs[0].returncode, runs[0].stderr) == (0, b"")
+    assert runs[0].stdout == run_cli(accepted, capsys)[1].encode()
+    assert (runs[1].returncode, runs[1].stdout) == (2, b"")
+    assert runs[1].stderr.startswith(b"tworelay: error: ")
+    assert runs[1].stderr.count(b"\n") == 1
+
+
+def test_only_run_freezes_the_heap(capsys, monkeypatch):
+    argv = ["bounds", "--case", "b", "--px", "15", "--pj", "15", "--c1", "2", "--c2", "1"]
+    frozen = gc.get_freeze_count()
+    assert run_cli(argv, capsys)[0] == 0
+    assert gc.get_freeze_count() == frozen  # main() leaves the collector working
+    monkeypatch.setattr(sys, "argv", ["tworelay", *argv])
+    try:
+        assert cli.run() == 0
+        assert gc.get_freeze_count() > frozen
+    finally:
+        gc.unfreeze()
+
+
+def test_installed_script_is_run():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"tworelay": "tworelay.cli:run"}

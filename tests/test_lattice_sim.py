@@ -69,6 +69,12 @@ class TestSimConfig:
             SimConfig(case="b", p_x=1, p_j=1, c1=1, c2=1, samples=10, seed=0,
                       interferer="laplace")
 
+    def test_one_sample_rejected(self):
+        # the unbiased variance of n_eq divides by n - 1: one sample gave 0.0 and an
+        # infinite rate estimate
+        with pytest.raises(ValueError, match="samples must be >= 2"):
+            replace(CASE_B, samples=1)
+
     def test_cell_second_moment_matches_power(self):
         assert CASE_B.cell_length == pytest.approx(math.sqrt(12.0 * 15.0))
 
@@ -240,7 +246,7 @@ def bit_patterns(stats):
 
 SMALL_C = replace(CASE_C, samples=3 * BATCH_SIZE + 17)
 BIT_IDENTITY_CONFIGS = [
-    *(replace(CASE_B, samples=n) for n in (1, BATCH_SIZE, BATCH_SIZE + 1, 3 * BATCH_SIZE + 17)),
+    *(replace(CASE_B, samples=n) for n in (2, BATCH_SIZE, BATCH_SIZE + 1, 3 * BATCH_SIZE + 17)),
     replace(SMALL_C, interferer="uniform"),
     replace(SMALL_C, interferer="bpsk"),
     replace(SMALL_C, p_j=0.0, seed=4),
@@ -429,7 +435,7 @@ class TestWorkerBuffers:
             replace(CASE_C, p_x=0.3, p_j=0.0, samples=2 * BATCH_SIZE, seed=3),
             SimConfig(case="general", p_x=8, p_j=3, c1=2, c2=1.5, samples=3 * BATCH_SIZE + 17,
                       seed=9, a=0.7, b=-1.3, p_n1=0.4, p_n2=1.1, interferer="uniform"),
-            replace(CASE_B, samples=1),
+            replace(CASE_B, samples=2),
         ]
         for cfg in runs:
             if cfg is aborts:
