@@ -49,7 +49,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +68,7 @@ class Scheme(enum.Enum):
     CASE_C_DERIVED = "case_c_derived"
 
 
-@dataclass(frozen=True)
-class AchievableReport:
+class AchievableReport(NamedTuple):
     """An achievable rate together with the scheme internals behind it.
 
     `alpha`, `p_d1`, `p_d2` and `p_neq` are the combiner coefficient, the

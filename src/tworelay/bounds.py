@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ from .model import gaussian_mi, mutual_info
 MODULO_BOUND_CONSTANT = 0.25 * math.log2(8.0 * math.pi * math.e)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """All outer bounds that apply to one channel configuration.
 
     Attributes:

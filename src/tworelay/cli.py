@@ -101,13 +101,16 @@ def _manifest(args: argparse.Namespace, outputs: list[str]) -> dict:
 
 def _emit_text(text: str, args: argparse.Namespace) -> None:
     if args.out:
-        path = _resolve_out(args.out)
-        path.write_text(text, encoding="utf-8", newline="")
-        sidecar = path.with_name(path.name + ".manifest.json")
-        sidecar.write_text(
-            json.dumps(_manifest(args, [str(path)]), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        try:
+            path = _resolve_out(args.out)
+            path.write_text(text, encoding="utf-8", newline="")
+            sidecar = path.with_name(path.name + ".manifest.json")
+            sidecar.write_text(
+                json.dumps(_manifest(args, [str(path)]), indent=2, sort_keys=True) + "\n",
+                encoding="utf-8",
+            )
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {args.out}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -148,15 +151,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     if args.format == "json":
         document = {
             "case": args.case,
-            "bounds": {
-                "terms": dict(bound.terms),
-                "cutset_min": bound.cutset_min,
-                "modulo_bound": bound.modulo_bound,
-                "binding": bound.binding,
-            },
-            "achievable": {rep.scheme.value: asdict(rep) | {"scheme": rep.scheme.value}
+            "bounds": bound._asdict() | {"terms": dict(bound.terms)},
+            "achievable": {rep.scheme.value: rep._asdict() | {"scheme": rep.scheme.value}
                            for rep in reports},
-            "best": asdict(best) | {"scheme": best.scheme.value},
+            "best": best._asdict() | {"scheme": best.scheme.value},
         }
         _emit_json(document, args)
         return 0
@@ -173,10 +171,18 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
+def _split_spec(spec: str, flag: str, form: str) -> list[str]:
+    """`spec` split at its colons, refused unless it has the fields of `form`."""
+    fields = spec.split(":")
+    if len(fields) != form.count(":") + 1:
+        raise ValueError(f"{flag} must be {form}, got {spec!r}")
+    return fields
+
+
 def _parse_range(spec: str) -> list[float]:
     if not spec:
         return []
-    start_s, stop_s, step_s = spec.split(":")
+    start_s, stop_s, step_s = _split_spec(spec, "--sum-range", "start:stop:step")
     start, stop, step = float(start_s), float(stop_s), float(step_s)
     if step <= 0:
         raise ValueError("range step must be > 0")
@@ -252,7 +258,7 @@ def cmd_region(args: argparse.Namespace) -> int:
 def _parse_grid(spec: str) -> tuple[list[float], list[float]] | tuple[None, None]:
     if spec == "default":
         return None, None
-    lo_s, hi_s, per_decade_s = spec.split(":")
+    lo_s, hi_s, per_decade_s = _split_spec(spec, "--grid", "exp_lo:exp_hi:points_per_decade")
     lo, hi, per_decade = float(lo_s), float(hi_s), int(per_decade_s)
     if per_decade < 1 or hi < lo:
         raise ValueError("grid spec must be 'default' or 'exp_lo:exp_hi:points_per_decade'")
@@ -292,12 +298,12 @@ def cmd_gaps(args: argparse.Namespace) -> int:
 def cmd_scaling(args: argparse.Namespace) -> int:
     _bind("scaling")
     case = ScenarioCase(args.case)
-    lo_s, hi_s = args.exponents.split(":")
+    lo_s, hi_s = _split_spec(args.exponents, "--exponents", "lo:hi")
     exponents = list(range(int(lo_s), int(hi_s) + 1))
     rate_fn = coupled_capacity_rate_fn(case, coupling=args.coupling, capacity_scale=args.capacity_scale)
     estimate = estimate_prelog(rate_fn, exponents, method=args.method)
     document = {"case": args.case, "coupling": args.coupling,
-                "capacity_scale": args.capacity_scale, **asdict(estimate)}
+                "capacity_scale": args.capacity_scale, **estimate._asdict()}
     _emit_json(document, args)
     return 0
 
@@ -332,7 +338,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     document = {
         "config": {k: v for k, v in asdict(cfg).items() if v is not None},
         "scheme": {"alpha": alpha, "p_d1": p_d1, "p_d2": p_d2},
-        "stats": asdict(stats),
+        "stats": stats._asdict(),
     }
     _emit_json(document, args)
     return 0
@@ -351,7 +357,7 @@ def cmd_cover(args: argparse.Namespace) -> int:
         seed=seed,
     )
     result = coverage_experiment(cfg)
-    document = {"config": asdict(cfg), "result": asdict(result)}
+    document = {"config": asdict(cfg), "result": result._asdict()}
     _emit_json(document, args)
     return 0
 

@@ -203,8 +203,7 @@ class SimConfig:
         ))
 
 
-@dataclass(frozen=True)
-class SimStats:
+class SimStats(NamedTuple):
     """Empirical statistics of one simulation run."""
 
     empirical_var_neq: float
@@ -679,8 +678,7 @@ def run_lattice_sim(cfg: SimConfig) -> SimStats:
 # Dither (crypto lemma) statistics
 
 
-@dataclass(frozen=True)
-class CryptoLemmaStats:
+class CryptoLemmaStats(NamedTuple):
     """Uniformity and independence statistics of X = (V - U) mod cell."""
 
     uniformity_pvalue: float
@@ -735,8 +733,7 @@ def crypto_lemma_check(
 # Slepian-Wolf rate accounting
 
 
-@dataclass(frozen=True)
-class SlepianWolfCheck:
+class SlepianWolfCheck(NamedTuple):
     """Self-consistency of the Case C relay-2 description-rate budget."""
 
     required_rate: float
@@ -834,8 +831,7 @@ class CoverageConfig:
         return max(1, round(2.0 ** (self.block_length * self.codebook_rate)))
 
 
-@dataclass(frozen=True)
-class CoverageResult:
+class CoverageResult(NamedTuple):
     coverage: float
     hits: int
     trials: int

@@ -33,7 +33,6 @@ all its powers, checked once over its arrays; neither builds a config.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -61,8 +60,7 @@ _LONG_SUM_BLOCK = 4 * _BLOCK
 DEFAULT_EXPONENTS = tuple(range(10, 41))
 
 
-@dataclass(frozen=True)
-class ScalingEstimate:
+class ScalingEstimate(NamedTuple):
     """A pre-log slope estimate along an exponent ladder."""
 
     prelog: float
@@ -212,8 +210,7 @@ def _interference_info(p_x, p_j) -> np.ndarray:
 # Case C capacity region
 
 
-@dataclass(frozen=True)
-class RegionPolygon:
+class RegionPolygon(NamedTuple):
     """The set of (c1, c2) pairs that can sustain `target_rate` in Case C.
 
     The region is the intersection of three half-planes (closed under
@@ -288,8 +285,7 @@ def required_region_case_c(target_rate: float, p_x: float, p_j: float) -> Region
 # Gap certificates
 
 
-@dataclass(frozen=True)
-class GapCertificate:
+class GapCertificate(NamedTuple):
     """Outer bound minus achievable rate, certified over a parameter grid.
 
     `grid_points` counts the grid points inside the regime, and `max_gap` is
@@ -477,9 +473,8 @@ def certify_gaps(
                                         _gaps(case, regime, px, pj, c1, c2), px, pj)
     if not counts:
         raise ValueError(f"no grid point lies inside a {case.name} gap regime")
-    return tuple(replace(_point_certificate(case, float(worst[name][1]), float(worst[name][2])),
-                         grid_points=counts[name])
-                 for name in sorted(counts))
+    return tuple(_point_certificate(case, float(worst[name][1]), float(worst[name][2]))
+                 ._replace(grid_points=counts[name]) for name in sorted(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +514,7 @@ def cutset_looseness_demo(p_x: float) -> LoosenessPrelogs:
 # Rate versus sum capacity (composite curve data)
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     """One point of the rate-versus-sum-capacity sweep."""
 
     sum_capacity: float

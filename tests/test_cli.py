@@ -478,6 +478,41 @@ class TestReproducibility:
         assert b"\r\n" in (tmp_path / "r.csv").read_bytes()
 
 
+@pytest.mark.parametrize("out, outdir", [
+    pytest.param(".", None, id="out-is-a-directory"),
+    pytest.param("file/x.csv", None, id="out-below-a-file"),
+    pytest.param("x.csv", "file", id="outdir-is-a-file"),
+])
+def test_unwritable_out_exits_2_with_one_error_line(out, outdir, tmp_path, monkeypatch, capsys):
+    (tmp_path / "file").write_text("kept", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    if outdir is not None:
+        monkeypatch.setenv("TWORELAY_OUTDIR", str(tmp_path / outdir))
+    else:
+        monkeypatch.delenv("TWORELAY_OUTDIR", raising=False)
+    code = cli.main(["bounds", "--case", "b", "--px", "15", "--pj", "15", "--c1", "2",
+                     "--c2", "1", "--out", out])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("tworelay: error: ") and captured.err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    assert (tmp_path / "file").read_text(encoding="utf-8") == "kept"
+
+
+@pytest.mark.parametrize("argv, form", [
+    (["scaling", "--case", "a", "--exponents", "10"], "--exponents must be lo:hi"),
+    (["sweep", "--case", "b", "--px", "10", "--pj", "1", "--sum-range", "0:28"],
+     "--sum-range must be start:stop:step"),
+    (["gaps", "--case", "b", "--grid", "1:9"],
+     "--grid must be exp_lo:exp_hi:points_per_decade"),
+], ids=lambda value: value[-1] if isinstance(value, list) else "form")
+def test_range_spec_with_the_wrong_field_count_names_its_form(argv, form, capsys):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"tworelay: error: {form}, got {argv[-1]!r}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -8,7 +8,7 @@ import textwrap
 import threading
 import time
 import tracemalloc
-from dataclasses import astuple, replace
+from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -241,7 +241,7 @@ def reference_run_lattice_sim(cfg):
 
 def bit_patterns(stats):
     """Every field, floats as their 8 bytes (so NaN == NaN and -0.0 != 0.0)."""
-    return [struct.pack("<d", v) if isinstance(v, float) else v for v in astuple(stats)]
+    return [struct.pack("<d", v) if isinstance(v, float) else v for v in stats]
 
 
 SMALL_C = replace(CASE_C, samples=3 * BATCH_SIZE + 17)

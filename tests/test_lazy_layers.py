@@ -2,8 +2,10 @@
 
 `import tworelay` and `import tworelay.cli` load neither; the package serves
 their exports, and the CLI binds the names its subcommands call, on first
-access.  The test session itself imports every module, so the module sets
-are checked in fresh interpreters.
+access.  Each layer defines as few dataclasses as it can, since a process
+compiles their generated methods on import.  The test session itself imports
+every module, so the module sets and the dataclasses are checked in fresh
+interpreters.
 """
 
 import importlib
@@ -137,3 +139,29 @@ def test_replaced_cli_names_are_the_ones_called():
     assert patched.stderr.strip() == str(["run_lattice_sim", "certify_gaps", "run_lattice_sim"])
     assert patched.stdout == plain.stdout
     assert patched.stdout.count("\n}\n") == 3  # one JSON document per call
+
+
+DATACLASSES = """
+    import dataclasses, importlib, json, sys
+    import tworelay.cli
+
+    def defined():
+        return sorted(name for module in list(sys.modules) if module.startswith("tworelay")
+                      for name, value in vars(sys.modules[module]).items()
+                      if isinstance(value, type) and value.__module__ == module
+                      and dataclasses.is_dataclass(value))
+
+    steps = [defined()]
+    for layer in ("scaling", "lattice_sim"):
+        importlib.import_module(f"tworelay.{layer}")
+        steps.append(defined())
+    print(json.dumps(steps))
+"""
+
+
+def test_only_the_three_configs_are_dataclasses():
+    # dataclass() compiles its generated methods in every process, with or
+    # without a bytecode cache; the result records are NamedTuples
+    steps = json.loads(_python(DATACLASSES).stdout)
+    assert steps == [["ChannelConfig"], ["ChannelConfig"],
+                     ["ChannelConfig", "CoverageConfig", "SimConfig"]]

@@ -9,7 +9,6 @@ same examples on every run.
 """
 
 import math
-from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -150,7 +149,7 @@ def test_simulated_noise_power_is_within_its_batch_means_error(cfg):
         for workers in (1, 3):
             with mock.patch.object(lattice_sim, "_usable_cpus", lambda: workers):
                 runs.append(lattice_sim.run_lattice_sim(cfg))
-    assert astuple(runs[0]) == astuple(runs[1])
+    assert runs[0] == runs[1]
     stats = runs[0]
     per_batch = np.array([batch_vars[k] for k in sorted(batch_vars)])
     std_error = per_batch.std(ddof=1) / math.sqrt(per_batch.size)

@@ -10,7 +10,6 @@ test_properties.py.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,8 +45,7 @@ def reference_certificates(case, px_grid, pj_grid):
                 cert = _point_certificate(case, p_x, p_j)
                 assert (cert.grid_points, cert.worst_point) == (1, (p_x, p_j))
                 by_regime.setdefault(cert.regime, []).append(cert)
-    return tuple(replace(certs[int(np.argmax([c.max_gap for c in certs]))],
-                         grid_points=len(certs))
+    return tuple(certs[int(np.argmax([c.max_gap for c in certs]))]._replace(grid_points=len(certs))
                  for _, certs in sorted(by_regime.items()))
 
 
