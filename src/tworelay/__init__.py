@@ -7,10 +7,10 @@ signal), certifies the constant-bit gaps between them, estimates pre-log
 scaling laws and link-capacity regions, and cross-checks the scheme's
 algebra by Monte Carlo simulation.
 
-The closed forms (`model`, `achievable`, `bounds`) load with the package;
-the grid layer (`scaling`) and the simulator (`lattice_sim`) load on first
-access to one of their exports, so a caller of the closed forms alone pays
-for neither.
+Every layer (`model`, `bounds`, `achievable`, `scaling`, `lattice_sim`)
+loads on first use of one of its names or of the layer by its own name, so
+`import tworelay` alone imports no numpy, and a caller of the closed forms
+pays for neither the grid layer nor the simulator.
 """
 
 __version__ = "0.1.0"
@@ -23,34 +23,33 @@ if "numpy" not in _sys.modules and "NPY_ENABLE_CPU_FEATURES" not in _os.environ:
     # numpy reads it as it loads, and refuses it next to the ENABLE one (see `model`)
     _os.environ.setdefault("NPY_DISABLE_CPU_FEATURES", "X86_V4")
 
-from .achievable import (
-    AchievableReport,
-    Scheme,
-    achievable_case_a,
-    achievable_case_b,
-    achievable_case_c,
-    best_achievable,
-    lattice_cf_report,
-    local_decode_baseline,
-)
-from .bounds import (
-    MODULO_BOUND_CONSTANT,
-    BoundReport,
-    cutset_case_c,
-    full_cooperation_capacity,
-    modulo_bound_case_c,
-    outer_bounds,
-)
-from .model import (
-    INFINITE_CAPACITY,
-    ChannelConfig,
-    ScenarioCase,
-    gaussian_mi,
-    make_preset,
-)
-
-#: The exports of the layers that load on first use, by defining module.
+#: Every export, by defining module; `__all__` lists them in this order.
 _LAZY = {
+    "model": (
+        "INFINITE_CAPACITY",
+        "ChannelConfig",
+        "ScenarioCase",
+        "gaussian_mi",
+        "make_preset",
+    ),
+    "bounds": (
+        "BoundReport",
+        "MODULO_BOUND_CONSTANT",
+        "cutset_case_c",
+        "modulo_bound_case_c",
+        "full_cooperation_capacity",
+        "outer_bounds",
+    ),
+    "achievable": (
+        "AchievableReport",
+        "Scheme",
+        "achievable_case_a",
+        "achievable_case_b",
+        "achievable_case_c",
+        "best_achievable",
+        "lattice_cf_report",
+        "local_decode_baseline",
+    ),
     "scaling": (
         "GapCertificate",
         "RegionPolygon",
@@ -76,33 +75,12 @@ _LAZY = {
     ),
 }
 
-
-__all__ = [
-    "__version__",
-    "INFINITE_CAPACITY",
-    "ChannelConfig",
-    "ScenarioCase",
-    "gaussian_mi",
-    "make_preset",
-    "BoundReport",
-    "MODULO_BOUND_CONSTANT",
-    "cutset_case_c",
-    "modulo_bound_case_c",
-    "full_cooperation_capacity",
-    "outer_bounds",
-    "AchievableReport",
-    "Scheme",
-    "achievable_case_a",
-    "achievable_case_b",
-    "achievable_case_c",
-    "best_achievable",
-    "lattice_cf_report",
-    "local_decode_baseline",
-    *(name for names in _LAZY.values() for name in names),
-]
+__all__ = ["__version__", *(name for names in _LAZY.values() for name in names)]
 
 
 def __getattr__(name: str):
+    if name in _LAZY:  # importing a layer binds it here as well
+        return _import_module(f".{name}", __name__)
     for module, names in _LAZY.items():
         if name in names:
             value = globals()[name] = getattr(_import_module(f".{module}", __name__), name)

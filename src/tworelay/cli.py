@@ -29,6 +29,7 @@ import csv
 import gc
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -171,27 +172,37 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
-def _split_spec(spec: str, flag: str, form: str) -> list[str]:
-    """`spec` split at its colons, refused unless it has the fields of `form`."""
+def _split_spec(spec: str, flag: str, form: str, *kinds: type) -> list:
+    """The colon-separated fields of `spec`, one finite value of each of `kinds`;
+    any other spec is refused as not of `form`."""
     fields = spec.split(":")
-    if len(fields) != form.count(":") + 1:
-        raise ValueError(f"{flag} must be {form}, got {spec!r}")
-    return fields
+    try:
+        values = [kind(field) for kind, field in zip(kinds, fields, strict=True)]
+        if all(map(math.isfinite, values)):
+            return values
+    except (ValueError, OverflowError):  # OverflowError: an int past the largest float
+        pass
+    raise ValueError(f"{flag} must be {form}, got {spec!r}")
 
 
 def _parse_range(spec: str) -> list[float]:
     if not spec:
         return []
-    start_s, stop_s, step_s = _split_spec(spec, "--sum-range", "start:stop:step")
-    start, stop, step = float(start_s), float(stop_s), float(step_s)
+    start, stop, step = _split_spec(spec, "--sum-range", "start:stop:step", float, float, float)
     if step <= 0:
         raise ValueError("range step must be > 0")
     if stop < start:
         return []
+    end = stop + step / 2.0
+    if math.isinf(end):
+        raise ValueError(f"--sum-range stop + step/2 passes the largest float, got {spec!r}")
+    count = (stop - start) / step + 1
     try:
-        return [float(v) for v in np.arange(start, stop + step / 2.0, step)]
+        if count > sys.maxsize:  # longer than any numpy array
+            raise MemoryError
+        return [float(v) for v in np.arange(start, end, step)]
     except MemoryError:
-        raise ValueError(f"{(stop - start) / step + 1:.0f} sums do not fit in memory") from None
+        raise ValueError(f"{count:.0f} sums do not fit in memory") from None
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -207,16 +218,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _region_boundary(region, vmax: float) -> list[tuple[float, float]]:
-    pts = [(region.vertices[0][0], vmax)]
-    pts.extend(region.vertices)
-    pts.append((vmax, region.vertices[-1][1]))
-    return pts
-
-
 def _region_svg(region) -> str:
     vmax = max(1.0, 1.25 * max(v for vertex in region.vertices for v in vertex))
-    pts = _region_boundary(region, vmax)
+    pts = [(region.vertices[0][0], vmax), *region.vertices, (vmax, region.vertices[-1][1])]
     size = 480.0
     pad = 40.0
     scale = (size - 2 * pad) / vmax
@@ -258,17 +262,20 @@ def cmd_region(args: argparse.Namespace) -> int:
 def _parse_grid(spec: str) -> tuple[list[float], list[float]] | tuple[None, None]:
     if spec == "default":
         return None, None
-    lo_s, hi_s, per_decade_s = _split_spec(spec, "--grid", "exp_lo:exp_hi:points_per_decade")
-    lo, hi, per_decade = float(lo_s), float(hi_s), int(per_decade_s)
+    lo, hi, per_decade = _split_spec(spec, "--grid", "exp_lo:exp_hi:points_per_decade",
+                                     float, float, int)
     if per_decade < 1 or hi < lo:
         raise ValueError("grid spec must be 'default' or 'exp_lo:exp_hi:points_per_decade'")
+    count = (hi - lo) * per_decade + 1
     try:  # libm's pow as numpy's 10.0**e, which would warn and give inf on overflow
+        if count > sys.maxsize:  # longer than any numpy array
+            raise MemoryError
         exps = np.arange(lo, hi + 1e-9, 1.0 / per_decade)
         values = [10.0**e for e in exps.tolist()]
     except OverflowError:
         raise ValueError(f"grid powers up to 10**{exps[-1]:g} overflow a float") from None
     except MemoryError:
-        raise ValueError(f"{(hi - lo) * per_decade + 1:.0f} powers do not fit in memory") from None
+        raise ValueError(f"{count:.0f} powers do not fit in memory") from None
     return values, values
 
 
@@ -298,8 +305,10 @@ def cmd_gaps(args: argparse.Namespace) -> int:
 def cmd_scaling(args: argparse.Namespace) -> int:
     _bind("scaling")
     case = ScenarioCase(args.case)
-    lo_s, hi_s = _split_spec(args.exponents, "--exponents", "lo:hi")
-    exponents = list(range(int(lo_s), int(hi_s) + 1))
+    lo, hi = _split_spec(args.exponents, "--exponents", "lo:hi", int, int)
+    if lo < -1074 or hi > 1023:  # p_x = 2**k: 0 below -1074, past the largest float above 1023
+        raise ValueError(f"--exponents must lie within -1074:1023, got {args.exponents!r}")
+    exponents = list(range(lo, hi + 1))
     rate_fn = coupled_capacity_rate_fn(case, coupling=args.coupling, capacity_scale=args.capacity_scale)
     estimate = estimate_prelog(rate_fn, exponents, method=args.method)
     document = {"case": args.case, "coupling": args.coupling,
@@ -375,11 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"tworelay {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_channel_flags(p, with_c1=True):
+    def add_channel_flags(p):
         p.add_argument("--px", type=float, required=True, help="transmit power (linear)")
         p.add_argument("--pj", type=float, required=True, help="interferer power (linear)")
-        if with_c1:
-            p.add_argument("--c1", type=float, help="relay-1 link capacity (bits; 'inf' ok)")
+        p.add_argument("--c1", type=float, help="relay-1 link capacity (bits; 'inf' ok)")
         p.add_argument("--c2", type=float, help="relay-2 link capacity (bits; 'inf' ok)")
 
     p = sub.add_parser("bounds", help="outer bounds and achievable rates at one point")

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -59,7 +60,7 @@ from .achievable import (
     mmse_alpha,
     side_information_power,
 )
-from .model import _CASE_FIXED, ScenarioCase, gaussian_mi, half_log2_ratio
+from .model import _CASE_FIXED, ScenarioCase, gaussian_mi
 
 #: Fixed batch size; part of the determinism contract (changing it changes
 #: the streams, so it is a module constant rather than a config knob).
@@ -658,9 +659,12 @@ def run_lattice_sim(cfg: SimConfig) -> SimStats:
     var_neq = _centered(total["neq2"], total["neq"], n) / (n - 1)
     pvalue, corr = _dither_summary(hist, total, n)
     rate = math.inf
-    if var_neq > 0.0:  # finite where p_x/var_neq passes the largest float
-        rate = float(half_log2_ratio(cfg.p_x, var_neq,
-                                     np.float64(0.5 * math.log2(cfg.p_x / var_neq))))
+    if var_neq > 0.0:
+        ratio = cfg.p_x / var_neq
+        if sys.float_info.min <= ratio < math.inf:
+            rate = 0.5 * math.log2(ratio)
+        else:  # the ratio kept few digits below the smallest normal float, or none past the largest
+            rate = 0.5 * (math.log2(cfg.p_x) - math.log2(var_neq))
     return SimStats(
         empirical_var_neq=var_neq,
         analytic_var_neq=analytic,

@@ -25,7 +25,7 @@ checks its input once, a config against its case or raw powers and links
 with `_check_fields`, and raises ValueError on input outside the model.
 Every transcendental goes through `math_map` or `square`, which give libm's
 bits: through numpy's ufuncs where their loops do (`_UFUNC_PATH`), else per element.
-Every 0.5*log2(a/b) goes through `half_log2_ratio`, finite past the largest float.
+Every closed-form 0.5*log2(a/b) goes through `half_log2_ratio`, finite past the largest float.
 """
 
 from __future__ import annotations

@@ -125,12 +125,16 @@ def _parse_coupling(coupling: str) -> Callable[[np.ndarray], np.ndarray]:
         return lambda p_x: p_x
     if key == "pj=sqrt(px)":
         return np.sqrt
-    if key.startswith("pj="):
+    try:
+        if not key.startswith("pj="):
+            raise ValueError
         value = float(key[3:])
-        if value < 0.0:
-            raise ValueError(f"constant interferer power must be >= 0, got {value}")
-        return lambda p_x: np.full(p_x.shape, value)
-    raise ValueError(f"unrecognized coupling {coupling!r}")
+    except ValueError:
+        raise ValueError("coupling must be 'pj=px', 'pj=sqrt(px)' or 'pj=<value>', "
+                         f"got {coupling!r}") from None
+    if value < 0.0:
+        raise ValueError(f"constant interferer power must be >= 0, got {value}")
+    return lambda p_x: np.full(p_x.shape, value)
 
 
 def coupled_capacity_rate_fn(

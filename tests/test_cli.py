@@ -505,6 +505,23 @@ def test_unwritable_out_exits_2_with_one_error_line(out, outdir, tmp_path, monke
      "--sum-range must be start:stop:step"),
     (["gaps", "--case", "b", "--grid", "1:9"],
      "--grid must be exp_lo:exp_hi:points_per_decade"),
+    # fields that are not finite values of their type
+    (["scaling", "--case", "a", "--exponents", "10:abc"], "--exponents must be lo:hi"),
+    (["scaling", "--case", "a", "--exponents", "10.5:20"], "--exponents must be lo:hi"),
+    (["sweep", "--case", "b", "--px", "1e6", "--pj", "1e3", "--sum-range", "a:1:1"],
+     "--sum-range must be start:stop:step"),
+    (["sweep", "--case", "b", "--px", "1e6", "--pj", "1e3", "--sum-range", "0:1:nan"],
+     "--sum-range must be start:stop:step"),
+    (["sweep", "--case", "b", "--px", "1e6", "--pj", "1e3", "--sum-range", "0:inf:1"],
+     "--sum-range must be start:stop:step"),
+    (["gaps", "--case", "a", "--grid", "nan:9:5"],
+     "--grid must be exp_lo:exp_hi:points_per_decade"),
+    (["gaps", "--case", "a", "--grid", "1:inf:5"],
+     "--grid must be exp_lo:exp_hi:points_per_decade"),
+    (["gaps", "--case", "a", "--grid", "1:9:x"],
+     "--grid must be exp_lo:exp_hi:points_per_decade"),
+    (["scaling", "--case", "b", "--coupling", "pj=abc"],
+     "coupling must be 'pj=px', 'pj=sqrt(px)' or 'pj=<value>'"),
 ], ids=lambda value: value[-1] if isinstance(value, list) else "form")
 def test_range_spec_with_the_wrong_field_count_names_its_form(argv, form, capsys):
     code = cli.main(argv)
@@ -540,6 +557,10 @@ def test_range_spec_with_the_wrong_field_count_names_its_form(argv, form, capsys
         # arrays larger than the 64-bit user address space: refused before any allocation
         ["sweep", "--case", "b", "--px", "10", "--pj", "1", "--sum-range", "0:1e12:1e-3"],
         ["gaps", "--case", "a", "--grid", "0:9:10000000000000"],
+        ["sweep", "--case", "b", "--px", "1e6", "--pj", "1e3", "--sum-range", "0:1e300:1e-300"],
+        # ladders past the float range: refused before the list is built
+        ["scaling", "--case", "a", "--exponents", "0:100000000000"],
+        ["scaling", "--case", "a", "--exponents=-100000000000:0"],
         ["simulate", "--case", "b", "--px", "15", "--pj", "15", "--c1", "1", "--seed", "1"],
         ["simulate", "--case", "b", "--px", "15", "--pj", "15", "--c2", "1", "--seed", "1"],
         ["simulate", "--case", "c", "--px", "15", "--pj", "15", "--c2", "1", "--seed", "1"],
@@ -599,17 +620,45 @@ def test_scaled_observations_below_the_largest_float_run(px, pj, alpha, capsys):
     assert json.loads(out)["stats"]["samples"] == 100
 
 
+@pytest.mark.parametrize("argv", [
+    # p_x/var is subnormal: the ratio keeps a few digits
+    ["--case", "b", "--px", "1e-300", "--pj", "1", "--c1", "1e-323", "--c2", "1",
+     "--samples", "1000"],
+    ["--case", "general", "--px", "1e-30", "--pj", "1", "--c1", "inf", "--c2", "inf",
+     "--a", "1", "--b", "0", "--pn1", "1", "--pn2", "1", "--alpha", "1e140", "--samples", "100"],
+    # p_x/var underflows to 0
+    ["--case", "general", "--px", "1e-30", "--pj", "1", "--c1", "inf", "--c2", "inf",
+     "--a", "1", "--b", "0", "--pn1", "1", "--pn2", "1", "--alpha", "1e150", "--samples", "100"],
+], ids=["case-b", "general-subnormal", "general-zero"])
+def test_simulated_rate_below_the_smallest_normal_ratio_is_a_log_difference(argv, capsys):
+    code, out = run_cli(["simulate", *argv, "--seed", "1"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    p_x, var = doc["config"]["p_x"], doc["stats"]["empirical_var_neq"]
+    assert p_x / var < sys.float_info.min
+    rate = doc["stats"]["rate_estimate"]
+    assert rate == 0.5 * (math.log2(p_x) - math.log2(var))
+    assert rate == pytest.approx(float(0.5 * mpmath.log(mpmath.mpf(p_x) / var, 2)), rel=1e-15)
+
+
+#: Python's and numpy's own messages, which name neither the flag nor its form
+LEAKED = ("math domain error", "invalid literal for int()", "could not convert string to float",
+          "arange:", "Maximum allowed size exceeded")
+
+
 def run_extreme(argv):
-    """Exit code and stdout of `cli.main(argv)`, warnings as errors and stderr
-    discarded; argparse's usage error gives its exit code."""
-    out = io.StringIO()
+    """Exit code and stdout of `cli.main(argv)`, warnings as errors; argparse's
+    usage error gives its exit code.  A refusal must not print a bare message
+    of Python or numpy (`LEAKED`)."""
+    out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
+            contextlib.redirect_stderr(err):
         warnings.simplefilter("error")
         try:
             code = cli.main(argv)
         except SystemExit as exit:
             code = exit.code
+    assert not any(text in err.getvalue() for text in LEAKED), err.getvalue()
     return code, out.getvalue()
 
 
@@ -630,6 +679,7 @@ BEYOND_THE_LARGEST_FLOAT = ("inf", "inf", "0", "0", "0", "0")  # --c1 ... --b
 @example(case="general", values=("1", "1e308", *BEYOND_THE_LARGEST_FLOAT, "1e154"))
 @example(case="general", values=("1e-300", "1e200", *BEYOND_THE_LARGEST_FLOAT, "1e60"))
 @example(case="general", values=("1e300", "1", "inf", "inf", "1e-200", "0", "1", "0", "1"))
+@example(case="general", values=("1e-30", "1", "inf", "inf", "1", "1", "1", "0", "1e150"))
 def test_simulate_at_extreme_inputs_exits_0_or_2(case, values):
     # warnings are errors in the worker threads too: the filters are process-wide
     argv = ["simulate", "--case", case, "--samples", "100", "--seed", "1"]
@@ -650,9 +700,9 @@ def test_simulate_at_extreme_inputs_exits_0_or_2(case, values):
     p_x, var = doc["config"]["p_x"], stats["empirical_var_neq"]
     if var == 0.0:
         assert stats["rate_estimate"] == math.inf
-    elif math.isfinite(p_x / var):
+    elif sys.float_info.min <= p_x / var < math.inf:
         assert stats["rate_estimate"] == 0.5 * math.log2(p_x / var)
-    else:  # the ratio passes the largest float, the rate does not
+    else:  # the ratio is not a normal float, the rate is
         exact = 0.5 * mpmath.log(mpmath.mpf(p_x) / var, 2)
         assert stats["rate_estimate"] == pytest.approx(float(exact), rel=1e-15)
 
@@ -666,8 +716,14 @@ TOKENS = (None, "0", "-0.0", "5e-324", "1e-320", "1e-200", "1e154", "5e307", "1e
 def extreme_argv(draw):
     """An argv of bounds, sweep, region, gaps, scaling or cover over `TOKENS`,
     with ranges, grids and trials of a few points each.  A flag with a default
-    is left out half the time, so that more argv pass the boundary."""
+    is left out half the time, so that more argv pass the boundary.  A range
+    spec may also have a malformed or non-finite field, or a count of 1e18 or
+    more, which no host can allocate, so that no draw allocates."""
     token = st.sampled_from(TOKENS)
+
+    def spec(*fields):
+        return st.tuples(*map(st.sampled_from, fields)).map(":".join)
+
     optional = st.one_of(st.none(), token)
     cases = st.sampled_from("abc")
     flags = {
@@ -675,20 +731,29 @@ def extreme_argv(draw):
                    "--c2": optional},
         "sweep": {"--case": st.sampled_from("bc"), "--px": token, "--pj": token,
                   "--sum-range": st.one_of(token.map(lambda t: t and f"0:{t}:{t}"),
-                                           token.map(lambda t: t and f"{t}:{t}:1")),
+                                           token.map(lambda t: t and f"{t}:{t}:1"),
+                                           spec(("0", "1", "-1e18", "a", ""),
+                                                ("1", "1e18", "1e300", "nan"),
+                                                ("1", "1e-300", "inf", "1.5.1"))),
                   "--split-samples": st.sampled_from(("0", "2", "5"))},
         "region": {"--rate": token, "--px": token, "--pj": token},
         "gaps": {"--case": cases,
-                 "--grid": st.builds(lambda lo, width, per_decade: f"{lo}:{float(lo) + width}:"
-                                     f"{per_decade}",
-                                     st.sampled_from(("-330", "-320", "-300", "0", "154", "300",
-                                                      "307", "308", "309", "inf", "nan")),
-                                     st.sampled_from((0, 1)), st.sampled_from(("0", "1", "2")))},
+                 "--grid": st.one_of(
+                     st.builds(lambda lo, width, per_decade: f"{lo}:{float(lo) + width}:"
+                               f"{per_decade}",
+                               st.sampled_from(("-330", "-320", "-300", "0", "154", "300",
+                                                "307", "308", "309", "inf", "nan")),
+                               st.sampled_from((0, 1)), st.sampled_from(("0", "1", "2"))),
+                     spec(("0", "nan", "-inf", "x"), ("0", "1", "inf", "1e18"),
+                          ("1", "2", "x", "1.5", "1000000000000000000", "1e400")))},
         "scaling": {"--case": cases,
-                    "--exponents": st.builds(lambda lo, width: f"{lo}:{int(lo) + width}",
-                                             st.sampled_from(("-1100", "-1074", "0", "1", "1000",
-                                                              "1020", "1024")),
-                                             st.sampled_from((0, 1, 3))),
+                    "--exponents": st.one_of(
+                        st.builds(lambda lo, width: f"{lo}:{int(lo) + width}",
+                                  st.sampled_from(("-1100", "-1074", "0", "1", "1000", "1020",
+                                                   "1024")),
+                                  st.sampled_from((0, 1, 3))),
+                        spec(("0", "-1000000000000000000", "x", "nan"),
+                             ("2", "1000000000000000000", "2.5", "inf", ""))),
                     "--capacity-scale": optional,
                     "--coupling": st.one_of(st.sampled_from(("pj=px", "pj=sqrt(px)")),
                                             token.map(lambda t: t and f"pj={t}"))},

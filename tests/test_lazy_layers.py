@@ -1,11 +1,12 @@
-"""The grid layer (`scaling`) and the simulator (`lattice_sim`) load on first use.
+"""Every layer loads on first use.
 
-`import tworelay` and `import tworelay.cli` load neither; the package serves
-their exports, and the CLI binds the names its subcommands call, on first
-access.  Each layer defines as few dataclasses as it can, since a process
-compiles their generated methods on import.  The test session itself imports
-every module, so the module sets and the dataclasses are checked in fresh
-interpreters.
+`import tworelay` loads no layer and no numpy; `import tworelay.cli` loads
+the closed forms but neither the grid layer (`scaling`) nor the simulator
+(`lattice_sim`).  The package serves every export, and the CLI binds the
+names its subcommands call, on first access.  Each layer defines as few
+dataclasses as it can, since a process compiles their generated methods on
+import.  The test session itself imports every module, so the module sets
+and the dataclasses are checked in fresh interpreters.
 """
 
 import importlib
@@ -55,6 +56,22 @@ def test_unknown_names_raise_attribute_error():
         cli.no_such_name
     with pytest.raises(ImportError):
         exec("from tworelay import no_such_name", {})
+
+
+BARE_IMPORT = """
+    import json, sys
+    import tworelay
+    loaded = [m for m in sys.modules if m == "numpy" or m.startswith("tworelay.")]
+    layers = [getattr(tworelay, layer) is sys.modules[f"tworelay.{layer}"]
+              for layer in ("model", "achievable", "bounds")]
+    print(json.dumps([loaded, layers]))
+"""
+
+
+def test_a_bare_import_loads_no_layer_and_no_numpy():
+    loaded, layers = json.loads(_python(BARE_IMPORT).stdout)
+    assert loaded == []
+    assert layers == [True, True, True]
 
 
 FOOTPRINT = """
