@@ -12,9 +12,10 @@ strictly loose in Case C, and produces the rate-versus-sum-capacity sweep
 data (best link split per sum) behind the composite rate curves.  The sweep
 checks its powers once; it and the gap certificates call the rates alone of
 the array core (`achievable.best_rate`, `bounds.cutset_min_array`, ...) in
-blocks of at most `_BLOCK` grid points: all splits of as many sums as fit
-(a longer sum in chunks of `_LONG_SUM_BLOCK` splits), or the points of one
-regime, gathered from the p_x rows as they are walked once.
+full blocks: a sweep block holds all splits of as many sums as fit in
+`_SWEEP_BLOCK` (8 192) points, or 8 192 splits of a longer sum; a gap block
+holds `_GAP_BLOCK` (4 096) points of one regime, gathered in grid order from
+as many p_x rows as fill a block (only a regime's last block is shorter).
 
 Of each sum's splits and each regime's points only the first argmax in grid
 order is reported (the lowest c1 of a sum, the first worst point of a
@@ -44,17 +45,12 @@ from .model import _LN2, ScenarioCase, gaussian_mi, make_preset, math_map, mutua
 
 PRELOG_METHODS = ("finite_difference", "ratio")
 
-#: Grid points per array-core call of the sweeps and gap grids.  The grids are
-#: folded block by block into running counts and first maxima, so their peak
-#: memory follows the block, not the size of the grid.
-_BLOCK = 2048
+#: Splits per array-core call of the sweep (all of as many sums as fit, or 8 192 of a longer
+#: sum): the core's 0.2 ms a call was about half of a default sweep's time in blocks of 2 048.
+_SWEEP_BLOCK = 8192
 
-#: Splits per array-core call of a sum with more than `_BLOCK` splits (such a
-#: sum is a block of its own).  The core costs about 0.2 ms a call besides its
-#: work per point: chunks of `_BLOCK` splits made `--split-samples 200001`
-#: half again as slow as one call per sum, chunks of this size keep its time
-#: for about 0.5 MB more peak RSS than the default sweep.
-_LONG_SUM_BLOCK = 4 * _BLOCK
+#: Points of one regime per array-core call of the gap certificates (8 192 raised peak RSS).
+_GAP_BLOCK = 4096
 
 #: Default exponent ladder (log2 of transmit power) for pre-log estimation.
 DEFAULT_EXPONENTS = tuple(range(10, 41))
@@ -313,19 +309,20 @@ class GapCertificate(NamedTuple):
 
 
 class _Regime(NamedTuple):
-    """A gap regime at one p_x: the outer bound it is measured against, the
-    claimed gap, the p_j inside it, and its link pins (c2 None: 0.5*log2(p_j))."""
+    """A gap regime over p_x rows: the outer bound it is measured against, the claimed
+    gap, its mask of p_x rows by p_j, and its link pins per row (c2 None: 0.5*log2(p_j))."""
 
     name: str
     bound: str
     claim: float
     mask: np.ndarray
-    c1: float
-    c2: float | None
+    c1: np.ndarray
+    c2: np.ndarray | None
 
 
-def _gap_regimes(case: ScenarioCase, p_x: float, p_j: np.ndarray) -> tuple[_Regime, ...]:
-    """The gap regimes of `case` at one p_x over the p_j array.
+def _gap_regimes(case: ScenarioCase, p_x, p_j: np.ndarray) -> tuple[_Regime, ...]:
+    """The gap regimes of `case` over a column of p_x rows (or one p_x) and the
+    p_j array, broadcast against each other: a mask has one row per p_x.
 
     With h = 0.5*log2(1+p_x), each covers some powers and pins the links:
         A  high_interference  p_j >= p_x            c2 = h
@@ -336,60 +333,63 @@ def _gap_regimes(case: ScenarioCase, p_x: float, p_j: np.ndarray) -> tuple[_Regi
     Cases A and B measure the best scheme, Case C the lattice scheme alone; the
     narrow band between the Case C regimes belongs to neither.
     """
-    h = 0.5 * math.log2(1.0 + p_x)
+    h = 0.5 * math_map(math.log2, 1.0 + p_x)
     if case is ScenarioCase.CASE_A:
-        high = p_j >= p_x
-        return (_Regime("high_interference", "cut-set", 0.7925, high, math.inf, h),
-                _Regime("low_interference", "cut-set", 1.0, ~high & (p_j >= 1.0), math.inf, None))
+        high, inf = p_j >= p_x, np.full(h.shape, math.inf)
+        return (_Regime("high_interference", "cut-set", 0.7925, high, inf, h),
+                _Regime("low_interference", "cut-set", 1.0, ~high & (p_j >= 1.0), inf, None))
     if case is ScenarioCase.CASE_B:
         return (_Regime("standard", "cut-set", 1.29, (p_j >= 1.0) & (p_x > 1.0), h, None),)
     modulo = (1.0 < p_j) & (p_j < p_x)
-    threshold = _cutset_threshold(float(p_x))  # a numpy float's ** would not raise
+    threshold = np.reshape([_cutset_threshold(v) for v in np.ravel(p_x).tolist()], np.shape(p_x))
     return (_Regime("modulo", "modulo", 2.816, modulo, h, None),
             _Regime("cutset", "cut-set", 1.5, ~modulo & (p_j > threshold), h, h))
 
 
 def _cutset_threshold(p_x: float) -> float:
-    """(1+p_x)^2/p_x, the p_j above which Case C's cut-set regime starts."""
+    """(1+p_x)^2/p_x, the p_j above which Case C's cut-set regime starts, of a
+    Python float p_x: its ** raises on overflow, where a numpy float's gives inf."""
     if not p_x > 0.0:
         return math.inf
     try:
         return (1.0 + p_x) ** 2 / p_x
-    except OverflowError:  # (1+p_x)^2 passes the largest float from p_x ~ 1.3e154 on
+    except OverflowError:  # (1+p_x)^2 passes the largest float from p_x ~ 1.34e154 on
         return (1.0 + p_x) * ((1.0 + p_x) / p_x)
 
 
 def _regime_blocks(case: ScenarioCase, px_grid: Sequence[float], pj_grid: Sequence[float]):
-    """(regime, columns) per block of at most `_BLOCK` points of one regime: the
-    (p_x, p_j, c1, c2) of the points, as `_gaps` takes them.
+    """(regime, columns) per block of `_GAP_BLOCK` points of one regime (its last
+    shorter): the (p_x, p_j, c1, c2) of the points, as `_gaps` takes them.
 
-    The p_x rows are walked once.  Each regime gathers its points of the rows
-    into a block of its own and hands the block on when it is full, the
-    partly filled ones at the end, so its blocks come in grid order (p_x rows,
-    then p_j) and only the blocks being filled are held.  A block comes with
-    the regime of its last row (the name, bound and claim of every row).
+    The p_x rows are taken as many at a time as fill a block.  Each regime gathers
+    its points of them in grid order (p_x rows, then p_j) into the block it carries
+    from the rows before, and hands it on when full (the partly filled ones at the
+    end), so its blocks come in grid order and only a block's worth of rows and a
+    block per regime are held.  A block comes with the regime of its last rows.
     """
-    p_j = np.array(pj_grid, dtype=float)
-    filling = {}  # regime name: (regime, block columns, points in them)
-    for p_x in px_grid:
-        for regime in _gap_regimes(case, p_x, p_j):
-            inside = p_j[regime.mask]
-            while inside.size:
-                _, block, n = filling.get(regime.name) or (None, np.empty((4, _BLOCK)), 0)
-                take = min(inside.size, _BLOCK - n)
-                piece, inside = inside[:take], inside[take:]
-                block[0, n:n + take] = p_x
-                block[1, n:n + take] = piece
-                block[2, n:n + take] = regime.c1
-                block[3, n:n + take] = (0.5 * math_map(math.log2, piece) if regime.c2 is None
-                                        else regime.c2)
-                n += take
-                filling[regime.name] = regime, block, n
-                if n == _BLOCK:
-                    del filling[regime.name]
+    p_x, p_j = np.array(px_grid, dtype=float), np.array(pj_grid, dtype=float)
+    half_log_pj = 0.5 * math_map(math.log2, np.maximum(p_j, 1.0))  # no c2 pin reads p_j < 1
+    rows = max(1, _GAP_BLOCK // max(p_j.size, 1))
+    carried = {}  # regime name: (regime, its block being filled, points in it)
+    for k in range(0, p_x.size, rows):
+        column = p_x[k:k + rows]
+        for regime in _gap_regimes(case, column[:, None], p_j):
+            i, j = np.nonzero(regime.mask)
+            pins = ((column, i), (p_j, j), (regime.c1.ravel(), i),
+                    (half_log_pj, j) if regime.c2 is None else (regime.c2.ravel(), i))
+            start = 0
+            while start < i.size:
+                _, block, n = (carried.pop(regime.name, None)
+                               or (None, np.empty((4, _GAP_BLOCK)), 0))
+                take = min(i.size - start, _GAP_BLOCK - n)
+                for row, (values, at) in zip(block, pins):
+                    np.take(values, at[start:start + take], out=row[n:n + take])
+                start, n = start + take, n + take
+                if n < _GAP_BLOCK:
+                    carried[regime.name] = regime, block, n
+                else:
                     yield regime, block
-    for regime, block, n in filling.values():
-        yield regime, block[:, :n]
+    yield from ((regime, block[:, :n]) for regime, block, n in carried.values())
 
 
 def _gaps(case: ScenarioCase, regime: _Regime, px, pj, c1, c2) -> np.ndarray:
@@ -427,8 +427,8 @@ def _point_certificate(case: ScenarioCase, p_x: float, p_j: float) -> GapCertifi
     if not inside:
         raise ValueError(f"(p_x={p_x}, p_j={p_j}) lies outside every {case.name} gap regime")
     (regime,) = inside
-    c2 = 0.5 * math.log2(p_j) if regime.c2 is None else regime.c2
-    cfg = make_preset(case, p_x, p_j, c1=regime.c1, c2=c2)
+    c2 = 0.5 * math.log2(p_j) if regime.c2 is None else float(regime.c2)
+    cfg = make_preset(case, p_x, p_j, c1=float(regime.c1), c2=c2)
     if case is not ScenarioCase.CASE_C:
         gap = outer_bounds(cfg, case).binding - best_achievable(cfg).rate
     elif regime.bound == "modulo":
@@ -452,7 +452,7 @@ def certify_gaps(
 
     Each regime of the case pins the link capacities to its prescribed
     values (see `_gap_regimes`).  Each regime's points, in grid order, go to
-    the array core in blocks of `_BLOCK` (`_regime_blocks`), which are
+    the array core in blocks of `_GAP_BLOCK` (`_regime_blocks`), which are
     folded into its point count and first worst point as they come; its
     largest gap is then evaluated again at that point through the
     config-checked per-point functions, so a one-point grid gives the gap of
@@ -557,8 +557,8 @@ def sweep_sum_capacity(
         if not 0.0 <= total < math.inf:
             raise ValueError(f"sum capacity must be finite and >= 0, got {total}")
     columns = []  # per block of sums: rate, c1, c2, local-decoding win at the best split; cut-set
-    per_block = max(1, _BLOCK // split_samples)
-    chunk = split_samples if split_samples <= _BLOCK else _LONG_SUM_BLOCK
+    per_block = max(1, _SWEEP_BLOCK // split_samples)  # sums per call
+    chunk = min(split_samples, _SWEEP_BLOCK)  # splits per call
     for k in range(0, totals.size, per_block):
         block = totals[k:k + per_block]
         best, cutset = None, np.full(block.size, -math.inf)

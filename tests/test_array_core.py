@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import scalar_reference as ref
+from tworelay import scaling
 from tworelay.achievable import (
     Scheme,
     _case_b,
@@ -37,10 +38,12 @@ from tworelay.bounds import (
     outer_bounds,
 )
 from tworelay.model import ScenarioCase, make_preset, math_map
-from tworelay.scaling import _BLOCK, _gaps, _regime_blocks, _splits, certify_gaps
+from tworelay.scaling import _gaps, _regime_blocks, _splits, certify_gaps
 
 A, B, C = ScenarioCase.CASE_A, ScenarioCase.CASE_B, ScenarioCase.CASE_C
 N = 10_000
+#: Gap blocks of this size, patched in, end inside a row of the grids below.
+_BLOCK = 2048
 
 
 def bits(values) -> np.ndarray:
@@ -184,7 +187,8 @@ def test_bounds_equal_reference(case, seed):
 
 
 @pytest.mark.parametrize("case, seed", [(A, 10), (B, 11), (C, 12)])
-def test_gaps_equal_reference(case, seed):
+def test_gaps_equal_reference(case, seed, monkeypatch):
+    monkeypatch.setattr(scaling, "_GAP_BLOCK", _BLOCK)
     rng = np.random.default_rng(seed)
     p_x = 10.0 ** rng.uniform(-1, 9, 100)
     p_x[:3] = (0.0, 1.0, 4.0)
@@ -192,9 +196,11 @@ def test_gaps_equal_reference(case, seed):
     p_j[:4] = (0.0, 1.0, 4.0, math.inf)  # regime edges
     expected = {(px, pj): ref.GAP_FUNCTIONS[case](px, pj)
                 for px in p_x.tolist() for pj in p_j.tolist()}
-    covered = []
+    covered, last_block = [], {}  # per regime, whether its last block was full
     for regime, columns in _regime_blocks(case, p_x.tolist(), p_j.tolist()):
+        assert last_block.get(regime.name, True)  # only a regime's last block is short
         assert len(columns[0]) <= _BLOCK
+        last_block[regime.name] = len(columns[0]) == _BLOCK
         points = list(zip(columns[0].tolist(), columns[1].tolist()))
         inside = [expected[point] for point in points]
         assert all(e[0] == regime.name for e in inside)
@@ -205,7 +211,8 @@ def test_gaps_equal_reference(case, seed):
 
 
 @pytest.mark.parametrize("case", [A, B, C])
-def test_gap_certificates_equal_reference_across_blocks(case):
+def test_gap_certificates_equal_reference_across_blocks(case, monkeypatch):
+    monkeypatch.setattr(scaling, "_GAP_BLOCK", _BLOCK)
     grid = (10.0 ** np.linspace(-1.0, 9.0, 101)).tolist()
     expected = {}
     for point in ((px, pj) for px in grid for pj in grid):

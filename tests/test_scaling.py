@@ -1,12 +1,14 @@
 import math
 import struct
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import scalar_reference as ref
-from tworelay import scaling
+from test_libm_paths import _near
+from tworelay import model, scaling
 from tworelay.achievable import Scheme, best_achievable, best_rate
 from tworelay.bounds import cutset_min_array, cutset_term_arrays, modulo_bound_array
 from tworelay.bounds import modulo_bound_case_c, outer_bounds
@@ -14,10 +16,9 @@ from tworelay.cli import _parse_grid
 from tworelay.model import INFINITE_CAPACITY, ChannelConfig, ScenarioCase, gaussian_mi
 from tworelay.model import make_preset
 from tworelay.scaling import (
-    _BLOCK,
-    _LONG_SUM_BLOCK,
     SweepPoint,
     _first_max,
+    _gap_regimes,
     _regime_blocks,
     certify_gaps,
     cutset_looseness_demo,
@@ -381,12 +382,22 @@ class TestFirstMaxFold:
         assert int(best[1]) == expected == int(np.argmax(np.concatenate(blocks)))
 
 
+#: The block size the tests below patch in (the sweep's and the gap grids'
+#: before they grew), so that their small grids still span several blocks.
+_BLOCK = 2048
+
+
 class TestRegimeBlocks:
     """`certify_gaps` folds each regime's blocks exactly as np.argmax over the
     whole regime in grid order picks its worst point."""
 
     CASE = ScenarioCase.CASE_B
     GRID = (10.0 ** np.linspace(0.5, 9.0, 60)).tolist()  # 3 600 standard points: two blocks
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        assert _BLOCK % 60 != 0  # the first block ends inside a row of the next row chunk
+        monkeypatch.setattr(scaling, "_GAP_BLOCK", _BLOCK)
 
     def regime_points(self):
         points = [list(zip(px.tolist(), pj.tolist()))
@@ -416,6 +427,88 @@ class TestRegimeBlocks:
         concatenated = [gap_at.get(point, 0.0) for point in points]
         assert cert.worst_point == points[int(np.argmax(concatenated))]
         assert cert.grid_points == len(points)
+
+
+def per_row_regimes(case, p_x, p_j):
+    """[(name, mask, c1, c2)] of the gap regimes at the one p_x, formed from Python
+    floats row by row (c2 None: 0.5*log2(p_j))."""
+    h = 0.5 * math.log2(1.0 + p_x)
+    if case is ScenarioCase.CASE_A:
+        high = [q >= p_x for q in p_j]
+        return [("high_interference", high, math.inf, h),
+                ("low_interference", [not a and q >= 1.0 for a, q in zip(high, p_j)],
+                 math.inf, None)]
+    if case is ScenarioCase.CASE_B:
+        return [("standard", [q >= 1.0 and p_x > 1.0 for q in p_j], h, None)]
+    modulo = [1.0 < q < p_x for q in p_j]
+    return [("modulo", modulo, h, None),
+            ("cutset", [not m and q > threshold(p_x) for m, q in zip(modulo, p_j)], h, h)]
+
+
+def threshold(p_x):
+    """(1+p_x)^2/p_x by Python's float **, and its form past the overflow of the square."""
+    if not p_x > 0.0:
+        return math.inf
+    try:
+        return (1.0 + p_x) ** 2 / p_x
+    except OverflowError:
+        return (1.0 + p_x) * ((1.0 + p_x) / p_x)
+
+
+class TestGapRegimeRows:
+    """`_gap_regimes` over a column of p_x rows, and the blocks `_regime_blocks`
+    gathers from it, equal the regimes formed row by row, bit for bit."""
+
+    # the square (1+p_x)^2 overflows from sqrt of the largest float on
+    PX = [0.0, 1.0, 2.0, 1e154, 1.3e154, *_near(math.sqrt(sys.float_info.max), 2), 1e300]
+    PJ = [0.0, 0.5, 1.0, 1.5, 1e154, 1.2e154, 1e300, math.inf,
+          *(q for p_x in PX[1:] for q in (threshold(p_x), math.nextafter(threshold(p_x), 0.0),
+                                          math.nextafter(threshold(p_x), math.inf)))]
+
+    def test_the_edge_rows_take_the_overflow_form(self):
+        overflowing = []
+        for p_x in self.PX:
+            try:
+                (1.0 + p_x) ** 2
+            except OverflowError:
+                overflowing.append(p_x)
+        assert overflowing == self.PX[-3:]
+
+    @pytest.mark.parametrize("ufunc_path", [True, False])
+    @pytest.mark.parametrize("case", list(ScenarioCase))
+    def test_rows_equal_the_per_row_regimes(self, case, ufunc_path, monkeypatch):
+        # libm's pow raises where the square overflows per element: the threshold must not square
+        monkeypatch.setattr(model, "_UFUNC_PATH", ufunc_path and model._UFUNC_PATH)
+        regimes = _gap_regimes(case, np.array(self.PX)[:, None], np.array(self.PJ))
+        for row, p_x in enumerate(self.PX):
+            expected = per_row_regimes(case, p_x, self.PJ)
+            assert [regime.name for regime in regimes] == [name for name, *_ in expected]
+            for regime, (_, mask, c1, c2) in zip(regimes, expected):
+                assert regime.mask[row].tolist() == mask
+                assert bit_patterns(regime.c1[row]) == bit_patterns([c1])
+                assert (regime.c2 is None) == (c2 is None)
+                if c2 is not None:
+                    assert bit_patterns(regime.c2[row]) == bit_patterns([c2])
+
+    @pytest.mark.parametrize("ufunc_path", [True, False])
+    @pytest.mark.parametrize("case", list(ScenarioCase))
+    def test_blocks_carry_the_per_row_pins(self, case, ufunc_path, monkeypatch):
+        monkeypatch.setattr(model, "_UFUNC_PATH", ufunc_path and model._UFUNC_PATH)
+        monkeypatch.setattr(scaling, "_GAP_BLOCK", 7)  # blocks end inside rows and chunks
+        expected = {}
+        for p_x in self.PX:
+            for name, mask, c1, c2 in per_row_regimes(case, p_x, self.PJ):
+                expected.setdefault(name, []).extend(
+                    (p_x, q, c1, 0.5 * math.log2(q) if c2 is None else c2)
+                    for q, inside in zip(self.PJ, mask) if inside)
+        blocks = {}
+        for regime, columns in _regime_blocks(case, self.PX, self.PJ):
+            blocks.setdefault(regime.name, []).append(columns)
+        assert sorted(blocks) == sorted(expected)
+        for name, columns in blocks.items():
+            assert [c.shape[1] for c in columns[:-1]] == [7] * (len(columns) - 1)  # full blocks
+            points = np.concatenate(columns, axis=1).T  # one row per point
+            assert bit_patterns(points.ravel()) == bit_patterns(np.ravel(expected[name]))
 
 
 class TestCutsetLooseness:
@@ -548,14 +641,16 @@ class TestSweepMatchesReference:
 
     @pytest.mark.parametrize("case, p_x, p_j", [(ScenarioCase.CASE_B, 1e8, 1e4),
                                                 (ScenarioCase.CASE_C, 37.5, 2.5e5)])
-    def test_sums_span_blocks(self, case, p_x, p_j):
+    def test_sums_span_blocks(self, case, p_x, p_j, monkeypatch):
         # a block holds two sums of 1 001 splits, so five sums take three blocks
+        monkeypatch.setattr(scaling, "_SWEEP_BLOCK", _BLOCK)
         sums = [0.0, 3.5, 7.0, 10.5, 14.0]
         assert len(sums) * 1001 > 2 * _BLOCK
         assert sweep_sum_capacity(case, p_x, p_j, sums) == reference_sweep(
             case, p_x, p_j, sums, 1001)
 
-    def test_splits_exceed_a_block(self):
+    def test_splits_exceed_a_block(self, monkeypatch):
+        monkeypatch.setattr(scaling, "_SWEEP_BLOCK", _BLOCK)
         sums, splits = [2.0, 9.0], _BLOCK + 52
         assert sweep_sum_capacity(ScenarioCase.CASE_C, 1e8, 1e4, sums, splits) == (
             reference_sweep(ScenarioCase.CASE_C, 1e8, 1e4, sums, splits))
@@ -565,14 +660,14 @@ class TestSweepMatchesReference:
         # chunks of 7 splits put the local-decoding plateau (a tie of every
         # split below the breakpoint) and each best split across chunk boundaries
         sums, splits = [0.0, 1.0, 3.0, 9.0, 20.0], _BLOCK + 52
-        assert splits < _LONG_SUM_BLOCK
+        assert splits < scaling._SWEEP_BLOCK
         whole = sweep_sum_capacity(case, 1e8, 1e4, sums, splits)
-        monkeypatch.setattr(scaling, "_LONG_SUM_BLOCK", 7)
+        monkeypatch.setattr(scaling, "_SWEEP_BLOCK", 7)
         assert sweep_sum_capacity(case, 1e8, 1e4, sums, splits) == whole
 
     @pytest.mark.parametrize("case", [ScenarioCase.CASE_B, ScenarioCase.CASE_C])
     def test_splits_past_a_long_sum_block_equal_the_whole_row(self, case):
-        n, totals = 2 * _LONG_SUM_BLOCK + 37, [0.0, 2.5, 13.0]
+        n, totals = 2 * scaling._SWEEP_BLOCK + 37, [0.0, 2.5, 13.0]
         points = sweep_sum_capacity(case, 1e6, 1e3, totals, n)
         for point, total in zip(points, totals):
             c1 = np.linspace(0.0, total, n)
@@ -587,7 +682,7 @@ class TestSweepMatchesReference:
     def test_memory_does_not_grow_with_the_splits(self, case):
         # one call over the whole row of 98 305 splits peaks at 7.5 (B) and 17 MiB (C)
         peaks = []
-        for n in (2 * _LONG_SUM_BLOCK + 1, 12 * _LONG_SUM_BLOCK + 1):
+        for n in (2 * scaling._SWEEP_BLOCK + 1, 12 * scaling._SWEEP_BLOCK + 1):
             sweep_sum_capacity(case, 1e6, 1e3, [6.0], n)
             tracemalloc.start()
             try:
