@@ -21,7 +21,7 @@ from tworelay import SimConfig, crypto_lemma_check, run_lattice_sim, sw_rate_che
 
 for case in ("b", "c"):
     cfg = SimConfig(case=case, p_x=15, p_j=15, c1=2, c2=1, samples=10**6, seed=1)
-    alpha, p_d1, p_d2 = cfg.scheme_parameters()
+    alpha, p_d1, p_d2, _ = cfg.scheme()
     stats = run_lattice_sim(cfg)
     print(f"=== case {case.upper()}  (alpha={alpha:.4f}, p_d1={p_d1:.4g}, p_d2={p_d2:.4g}) ===")
     print(f"  var(n_eq) empirical / analytic : {stats.empirical_var_neq:.4f} / "

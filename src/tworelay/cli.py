@@ -343,7 +343,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         interferer=args.interferer,
     )
     stats = run_lattice_sim(cfg)
-    alpha, p_d1, p_d2 = cfg.scheme_parameters()
+    alpha, p_d1, p_d2, _ = cfg.scheme()
     document = {
         "config": {k: v for k, v in asdict(cfg).items() if v is not None},
         "scheme": {"alpha": alpha, "p_d1": p_d1, "p_d2": p_d2},
@@ -464,6 +464,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, KeyError) as exc:
         print(f"tworelay: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # numpy's message names its internals, not the flags
+        print(f"tworelay: error: {args.command} does not fit in memory at these parameters",
+              file=sys.stderr)
         return 2
 
 

@@ -48,7 +48,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -157,7 +157,7 @@ class SimConfig:
         if alpha is not None and not math.isfinite(alpha * alpha):
             raise ValueError(f"alpha must be finite with a finite square, got {alpha!r}")
         try:
-            scheme = (*self.scheme_parameters(), self.analytic_var_neq())
+            scheme = self.scheme()
             finite = all(map(math.isfinite, scheme))
         except OverflowError:  # libm's pow of a square past the largest float
             scheme, finite = "a square past the largest float", False
@@ -178,8 +178,8 @@ class SimConfig:
         return math.sqrt(12.0 * self.p_x)
 
     @np.errstate(all="ignore")  # a config with a non-finite result is refused
-    def scheme_parameters(self) -> tuple[float, float, float]:
-        """(alpha, p_d1, p_d2) used by the relays in this run."""
+    def scheme(self) -> tuple[float, float, float, float]:
+        """(alpha, p_d1, p_d2) used by the relays in this run, and their analytic var(n_eq)."""
         delta = self.a - self.b
         alpha = (
             self.alpha_override
@@ -194,14 +194,9 @@ class SimConfig:
                 self.p_x, self.p_j, self.c1, self.c2, alpha,
                 self.p_n1, self.p_n2, gain_sum=self.a + self.b,
             )
-        return float(alpha), float(p_d1), float(p_d2)
-
-    @np.errstate(all="ignore")
-    def analytic_var_neq(self) -> float:
-        alpha, p_d1, p_d2 = self.scheme_parameters()
-        return float(equivalent_noise_power(
-            self.p_x, self.p_n1, self.p_n2, alpha, p_d1, p_d2, self.a - self.b
-        ))
+        alpha, p_d1, p_d2 = float(alpha), float(p_d1), float(p_d2)
+        var_neq = equivalent_noise_power(self.p_x, self.p_n1, self.p_n2, alpha, p_d1, p_d2, delta)
+        return alpha, p_d1, p_d2, float(var_neq)
 
 
 class SimStats(NamedTuple):
@@ -242,15 +237,6 @@ def _reduce(x: np.ndarray, cell: float, scratch: np.ndarray | None = None,
 def _stream(seed: int, batch: int, var: int) -> np.random.Generator:
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(batch, var))
     return np.random.Generator(np.random.Philox(seq))
-
-
-def _batches(samples: int) -> Iterator[tuple[int, int]]:
-    start = 0
-    batch = 0
-    while start < samples:
-        yield batch, min(BATCH_SIZE, samples - start)
-        start += BATCH_SIZE
-        batch += 1
 
 
 def _draw_interferer(rng: np.random.Generator, kind: str, p_j: float,
@@ -337,47 +323,53 @@ def _usable_cpus() -> int:
 
 
 def _run_batches(
-    samples: int, batch_fn: Callable[[int, int], _Batch]
-) -> tuple[float, np.ndarray, dict[str, list[float]]]:
-    """Run `batch_fn(batch, m)` over every batch and reduce in batch order.
+    samples: int, p_x: float, batch_fn: Callable[[np.ndarray, int, int], _Batch]
+) -> tuple[float, dict[str, float], float, float]:
+    """Run `batch_fn(edges, batch, m)` over every batch and reduce in batch order.
 
+    `edges` are the dither histogram's, evenly spaced over the cell of p_x.
     The batches run on min(usable CPUs, batches) threads, at most two per
     worker submitted ahead, so memory does not grow with `samples`.  The
     threads start with the call and have ended when it returns, so what a
     batch keeps per thread (`_worker_buffers`) lasts one call.  The
     reduction takes the results in batch order, as a serial loop would, and
-    returns the largest residual, the summed histogram and, per moment, the
-    list of batch sums.
+    returns the largest residual, the moment totals (`_moment_totals`) and
+    the dither p-value and x-v correlation (`_dither_summary`).
 
     Raises:
-        ValueError: naming the lowest batch with a non-finite sample; the
+        ValueError: naming the lowest batch with a non-finite sample (the
             batches not yet started are cancelled and every worker has
-            stopped when it propagates.
+            stopped when it propagates), or where a moment total overflows.
     """
     from concurrent.futures import ThreadPoolExecutor
     import numpy.random  # here: a worker's first draw would load it in its own malloc arena
 
-    todo = _batches(samples)
-    workers = min(_usable_cpus(), -(-samples // BATCH_SIZE))
+    L = math.sqrt(12.0 * p_x)
+    edges = np.linspace(-L / 2.0, L / 2.0, UNIFORMITY_BINS + 1)
+    batches = -(-samples // BATCH_SIZE)
+    todo = ((b, min(BATCH_SIZE, samples - b * BATCH_SIZE)) for b in range(batches))
+    workers = min(_usable_cpus(), batches)
     max_residual = 0.0
     hist = np.zeros(UNIFORMITY_BINS, dtype=np.int64)
     sums: dict[str, list[float]] = {}
     pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="tworelay-batch")
+    submit = partial(pool.submit, batch_fn, edges)
     try:
-        in_flight = deque((b, pool.submit(batch_fn, b, m)) for b, m in islice(todo, 2 * workers))
+        in_flight = deque((b, submit(b, m)) for b, m in islice(todo, 2 * workers))
         while in_flight:
             batch, future = in_flight.popleft()
             result = future.result()
             if not result.finite:
                 raise ValueError(f"non-finite samples in batch {batch}; aborting")
-            in_flight.extend((b, pool.submit(batch_fn, b, m)) for b, m in islice(todo, 1))
+            in_flight.extend((b, submit(b, m)) for b, m in islice(todo, 1))
             hist += result.hist
             max_residual = max(max_residual, result.max_residual)
             for key, value in result.sums.items():
                 sums.setdefault(key, []).append(value)
     finally:
         pool.shutdown(cancel_futures=True)
-    return max_residual, hist, sums
+    totals = _moment_totals(sums, p_x)
+    return max_residual, totals, *_dither_summary(hist, totals, samples)
 
 
 @np.errstate(over="ignore")  # a sum past the largest float is refused in `_moment_totals`
@@ -648,16 +640,11 @@ def run_lattice_sim(cfg: SimConfig) -> SimStats:
         ValueError: if any simulated sample is non-finite (the run aborts
             rather than report corrupted statistics).
     """
-    scheme = cfg.scheme_parameters()
-    analytic = cfg.analytic_var_neq()
-    L = cfg.cell_length
-    edges = np.linspace(-L / 2.0, L / 2.0, UNIFORMITY_BINS + 1)
-    max_residual, hist, sums = _run_batches(cfg.samples, partial(_sim_batch, cfg, scheme, edges))
-
+    alpha, p_d1, p_d2, analytic = cfg.scheme()
     n = cfg.samples
-    total = _moment_totals(sums, cfg.p_x)
+    max_residual, total, pvalue, corr = _run_batches(
+        n, cfg.p_x, partial(_sim_batch, cfg, (alpha, p_d1, p_d2)))
     var_neq = _centered(total["neq2"], total["neq"], n) / (n - 1)
-    pvalue, corr = _dither_summary(hist, total, n)
     rate = math.inf
     if var_neq > 0.0:
         ratio = cfg.p_x / var_neq
@@ -674,7 +661,7 @@ def run_lattice_sim(cfg: SimConfig) -> SimStats:
         rate_estimate=rate,
         samples=n,
         seed=cfg.seed,
-        cell_length=L,
+        cell_length=cfg.cell_length,
     )
 
 
@@ -712,9 +699,8 @@ def crypto_lemma_check(
     if not 0.0 < 12.0 * p_x < math.inf:
         raise ValueError(f"p_x must be > 0 with a finite cell length sqrt(12*p_x), got {p_x!r}")
     L = math.sqrt(12.0 * p_x)
-    edges = np.linspace(-L / 2.0, L / 2.0, UNIFORMITY_BINS + 1)
 
-    def dither_batch(batch: int, m: int) -> _Batch:
+    def dither_batch(edges: np.ndarray, batch: int, m: int) -> _Batch:
         if hold_message_constant:
             v = np.full(m, L / 4.0)
         else:
@@ -726,8 +712,7 @@ def crypto_lemma_check(
         x = centered_mod(v - u, L)
         return _Batch(True, 0.0, *_dither_moments(x, v, edges, np.empty(m), u.view(np.intp)))
 
-    _, hist, sums = _run_batches(samples, dither_batch)
-    pvalue, corr = _dither_summary(hist, _moment_totals(sums, p_x), samples)
+    _, _, pvalue, corr = _run_batches(samples, p_x, dither_batch)
     return CryptoLemmaStats(
         uniformity_pvalue=pvalue, x_v_correlation=corr, samples=samples, seed=seed
     )
@@ -757,7 +742,7 @@ def sw_rate_check(cfg: SimConfig, p_d2_override: float | None = None) -> Slepian
     """
     if cfg.case != "c":
         raise ValueError("the description-rate check applies to Case C configs")
-    alpha, p_d1, p_d2 = cfg.scheme_parameters()
+    alpha, p_d1, p_d2, _ = cfg.scheme()
     if p_d2_override is not None:
         p_d2 = p_d2_override
     side_power = float(side_information_power(

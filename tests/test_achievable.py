@@ -12,11 +12,12 @@ from tworelay.achievable import (
     best_achievable,
     equivalent_noise_power,
     lattice_cf_report,
+    lattice_rate,
     local_decode_baseline,
     mmse_alpha,
 )
-from tworelay.bounds import cutset_case_c, modulo_bound_case_c, outer_bounds
-from tworelay.model import INFINITE_CAPACITY, ScenarioCase, make_preset
+from tworelay.bounds import cutset_case_c, cutset_term_arrays, modulo_bound_case_c, outer_bounds
+from tworelay.model import INFINITE_CAPACITY, ChannelConfig, ScenarioCase, make_preset
 
 INF = INFINITE_CAPACITY
 
@@ -131,6 +132,13 @@ class TestPointEntriesCheckTheirInput:
         (achievable_case_c, (5, 3, 1, math.nan)),
         (local_decode_baseline, (C, 5, 3, 1, -1)),
         (local_decode_baseline, (C, 5, -0.5, 1, 1)),
+        (local_decode_baseline, (C, 15, 15, 2)),  # Case C without c2
+        # gain 2 at relay 1 is no canonical case, though b = 0 and a finite c1 pick Case B
+        (best_achievable, (ChannelConfig(a=2.0, b=0.0, p_x=15, p_j=15, p_n1=1, p_n2=0,
+                                         c1=2, c2=1),)),
+        # a case letter, not a ScenarioCase
+        (lattice_rate, ("c", 1, 1, 1, 1)),
+        (cutset_term_arrays, ("c", 1, 1, 1, 1)),
     ], ids=lambda v: getattr(v, "__name__", None))
     def test_input_outside_the_model_raises(self, entry, args):
         with pytest.raises(ValueError):

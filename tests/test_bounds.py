@@ -34,6 +34,8 @@ class TestCutsetCaseA:
         assert report.cutset_min == pytest.approx(1.4770981551934377, rel=1e-14)
         assert report.term("c2 + i(x;y1)") == pytest.approx(1.4770981551934377, rel=1e-14)
         assert report.term("i(x;y1|j)") == pytest.approx(2.0, abs=1e-15)
+        with pytest.raises(KeyError, match="nope"):
+            report.term("nope")
 
     def test_zero_signal_power(self):
         assert outer_bounds(cfg_a(0, 3, 2), A).cutset_min == 0.0

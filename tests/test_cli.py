@@ -294,13 +294,14 @@ class TestBounds:
 
 class TestSweep:
     def test_empty_range_keeps_header(self, capsys):
-        code, out = run_cli(
-            ["sweep", "--case", "b", "--px", "10", "--pj", "1", "--sum-range", ""],
-            capsys,
-        )
-        assert code == 0
-        assert out.splitlines()[0].startswith("sum_capacity,")
-        assert len(out.splitlines()) == 1
+        for spec in ("", "5:1:1"):  # no spec, and a stop below the start
+            code, out = run_cli(
+                ["sweep", "--case", "b", "--px", "10", "--pj", "1", "--sum-range", spec],
+                capsys,
+            )
+            assert code == 0
+            assert out.splitlines()[0].startswith("sum_capacity,")
+            assert len(out.splitlines()) == 1
 
     def test_case_c_columns(self, capsys):
         code, out = run_cli(
@@ -442,6 +443,29 @@ class TestSimulateAndCover:
         assert doc["manifest"]["seed"] is not None
         assert doc["stats"]["seed"] == doc["manifest"]["seed"]
 
+    def test_interferer_kind_does_not_matter_without_interference(self, capsys):
+        def stats(kind):
+            code, out = run_cli(["simulate", "--case", "c", "--px", "15", "--pj", "0",
+                                 "--c1", "2", "--c2", "1", "--samples", "70000", "--seed", "3",
+                                 "--interferer", kind], capsys)
+            assert code == 0
+            return json.loads(out)["stats"]
+
+        assert stats("uniform") == stats("bpsk") == stats("gaussian")
+
+    def test_cover_past_memory_exits_2_with_one_error_line(self, capsys, monkeypatch):
+        # as numpy raises it for a block length it cannot allocate (--n 100000000000)
+        def allocate(cfg):
+            raise MemoryError("Unable to allocate 745. GiB for an array with shape "
+                              "(100000000000,) and data type float64")
+
+        monkeypatch.setattr(cli, "coverage_experiment", allocate)
+        code = cli.main(["cover", "--rate", "0", "--n", "100000000000", "--trials", "1",
+                         "--seed", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "tworelay: error: cover does not fit in memory at these parameters\n"
+
     def test_cover_runs(self, capsys):
         code, out = run_cli(
             ["cover", "--rate", "0.5", "--trials", "40", "--seed", "3"], capsys
@@ -522,12 +546,30 @@ def test_unwritable_out_exits_2_with_one_error_line(out, outdir, tmp_path, monke
      "--grid must be exp_lo:exp_hi:points_per_decade"),
     (["scaling", "--case", "b", "--coupling", "pj=abc"],
      "coupling must be 'pj=px', 'pj=sqrt(px)' or 'pj=<value>'"),
+    (["scaling", "--case", "a", "--coupling", "px=3"],
+     "coupling must be 'pj=px', 'pj=sqrt(px)' or 'pj=<value>'"),
+    (["sweep", "--case", "b", "--px", "1e6", "--pj", "1e3", "--sum-range", "0:1.7e308:1e308"],
+     "--sum-range stop + step/2 passes the largest float"),
 ], ids=lambda value: value[-1] if isinstance(value, list) else "form")
 def test_range_spec_with_the_wrong_field_count_names_its_form(argv, form, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err == f"tworelay: error: {form}, got {argv[-1]!r}\n"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["scaling", "--case", "a", "--coupling", "pj=-1"],
+     "constant interferer power must be >= 0, got -1.0"),
+    # refused from the count alone, before any power is computed
+    (["gaps", "--case", "a", "--grid", "0:1e18:1000"],
+     "1000000000000000000000 powers do not fit in memory"),
+], ids=lambda value: value[-1] if isinstance(value, list) else "error")
+def test_refusal_is_one_error_line(argv, error, capsys):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"tworelay: error: {error}\n"
 
 
 @pytest.mark.parametrize(

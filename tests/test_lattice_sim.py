@@ -98,7 +98,7 @@ class TestSimConfig:
 
     def test_largest_finite_scheme_accepted(self):
         cfg = replace(CASE_B, alpha_override=1e150)
-        assert all(math.isfinite(v) for v in (*cfg.scheme_parameters(), cfg.analytic_var_neq()))
+        assert all(map(math.isfinite, cfg.scheme()))
 
 
 class TestRunLatticeSim:
@@ -152,7 +152,7 @@ class TestRunLatticeSim:
     def test_rate_estimate_tracks_lattice_form(self):
         for cfg in (CASE_B, CASE_C):
             stats = run_lattice_sim(cfg)
-            alpha, p_d1, p_d2 = cfg.scheme_parameters()
+            alpha, p_d1, p_d2, _ = cfg.scheme()
             analytic = lattice_cf_report(
                 cfg.p_x, cfg.p_n1, cfg.p_n2, alpha, p_d1, p_d2, cfg.a - cfg.b
             )
@@ -198,7 +198,7 @@ def reference_run_lattice_sim(cfg):
             return rng.uniform(-half_width, half_width, m)
         return (2.0 * rng.integers(0, 2, m) - 1.0) * math.sqrt(p_j)
 
-    alpha, p_d1, p_d2 = cfg.scheme_parameters()
+    alpha, p_d1, p_d2, analytic = cfg.scheme()
     L = cfg.cell_length
     delta = cfg.a - cfg.b
     edges = np.linspace(-L / 2.0, L / 2.0, lattice_sim.UNIFORMITY_BINS + 1)
@@ -206,7 +206,8 @@ def reference_run_lattice_sim(cfg):
     hist = np.zeros(lattice_sim.UNIFORMITY_BINS, dtype=np.int64)
     sums = {k: [] for k in ("neq", "neq2", "x", "v", "xv", "x2", "v2")}
     stream = lattice_sim._stream
-    for batch, m in lattice_sim._batches(cfg.samples):
+    for batch, start in enumerate(range(0, cfg.samples, BATCH_SIZE)):
+        m = min(BATCH_SIZE, cfg.samples - start)
         v = stream(cfg.seed, batch, 0).uniform(-L / 2.0, L / 2.0, m)
         u = stream(cfg.seed, batch, 1).uniform(-L / 2.0, L / 2.0, m)
         x = reference_mod(v - u, L)
@@ -235,7 +236,7 @@ def reference_run_lattice_sim(cfg):
     var_neq = (neq2_sum - neq_sum**2 / n) / max(n - 1, 1)
     pvalue, corr = lattice_sim._dither_summary(hist, {k: math.fsum(v) for k, v in sums.items()}, n)
     rate = 0.5 * math.log2(cfg.p_x / var_neq) if var_neq > 0.0 else math.inf
-    return lattice_sim.SimStats(var_neq, cfg.analytic_var_neq(), max_residual, pvalue, corr,
+    return lattice_sim.SimStats(var_neq, analytic, max_residual, pvalue, corr,
                                 rate, n, cfg.seed, L)
 
 
@@ -552,6 +553,22 @@ class TestCryptoLemma:
         # 1 000 samples of x**2 ~ 1e306 sum past the largest float
         with pytest.raises(ValueError, match=r"p_x = 1e\+306"):
             run_lattice_sim(replace(CASE_B, p_x=1e306, p_j=1.0, c1=1.0, samples=1000))
+
+    def test_exact_total_past_the_largest_float_is_refused(self):
+        # fsum raises OverflowError where the exact total passes the largest float
+        with pytest.raises(ValueError, match=r"p_x = 1\.0 pass the largest float"):
+            lattice_sim._moment_totals({"x": [1.7e308, 1.7e308]}, 1.0)
+
+    @pytest.mark.parametrize("samples", [10**5, 3 * BATCH_SIZE + 17])
+    @pytest.mark.parametrize("interferer", ["gaussian", "bpsk"])
+    @pytest.mark.parametrize("base", [CASE_B, CASE_C], ids=["b", "c"])
+    def test_simulator_and_check_share_the_dither_statistics(self, base, interferer, samples):
+        # both draw v and u from the same streams and reduce them the same way
+        cfg = replace(base, interferer=interferer, samples=samples, seed=7)
+        stats = run_lattice_sim(cfg)
+        check = crypto_lemma_check(cfg.p_x, samples, 7)
+        assert bit_patterns((stats.dither_uniformity_pvalue, stats.x_v_correlation)) == \
+            bit_patterns((check.uniformity_pvalue, check.x_v_correlation))
 
     def test_centered_moments_whose_product_overflows(self):
         # the plain form where the product is finite; a*(b/n) where it is not

@@ -60,6 +60,10 @@ class TestEstimatePrelog:
             estimate_prelog(constant(1.0), [10, 11], method="slope")
         with pytest.raises(ValueError):
             estimate_prelog(constant(1.0), [10])
+        with pytest.raises(ValueError, match="ratio method needs a nonzero top exponent"):
+            estimate_prelog(constant(1.0), [0], method="ratio")
+        with pytest.raises(ValueError, match=r"p_x = 2\*\*1024 overflows a float"):
+            estimate_prelog(constant(1.0), [1023, 1024])
 
     def test_rate_fn_gives_one_rate_per_power(self):
         # the whole ladder goes to rate_fn at once; a scalar is not taken as every rung's rate
@@ -276,6 +280,9 @@ class TestGapCertificates:
             gap_at(ScenarioCase.CASE_C, 100.0, 100.0)
         with pytest.raises(ValueError):
             gap_at(ScenarioCase.CASE_C, 100.0, 1.0)
+        # the per-point path refuses such a point itself
+        with pytest.raises(ValueError, match="lies outside every CASE_C gap regime"):
+            scaling._point_certificate(ScenarioCase.CASE_C, 10.0, 10.0)
 
     def test_grid_certification(self):
         for case in (ScenarioCase.CASE_A, ScenarioCase.CASE_B, ScenarioCase.CASE_C):
