@@ -54,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import ChannelConfig, ScenarioCase, _check_fields, case_constraints_hold
-from .model import _LN2, _expm1, as_arrays, half_log2_ratio, math_map, mutual_info, square
+from .model import _LN2, as_arrays, half_log2_ratio, math_map, mutual_info, square
 
 
 class Scheme(enum.Enum):
@@ -90,8 +90,7 @@ class AchievableReport(NamedTuple):
 
 def _pow2m1(c) -> np.ndarray:
     """2**(2c) - 1, stable for small c: 0.0 at c = 0 and inf from c ~ 512 bits on."""
-    x = 2.0 * c * _LN2
-    return math_map(_expm1 if np.any(x > 709.0) else math.expm1, x)  # guard near overflow only
+    return math_map(math.expm1, 2.0 * c * _LN2)
 
 
 def _pow2neg(c) -> np.ndarray:
@@ -126,7 +125,7 @@ def mmse_alpha(p_x, p_n1, p_n2, gain_difference: float) -> np.ndarray:
     broadcasts over array arguments.
     """
     num = gain_difference * p_x
-    denom = gain_difference**2 * p_x + p_n1 + p_n2
+    denom = square(gain_difference) * p_x + p_n1 + p_n2
     alpha = np.where(denom == 0.0, 0.0, np.divide(num, denom))
     overflowed = np.isinf(denom)
     if overflowed.any():  # there alpha rounds to its limit 1/gain_difference
@@ -184,7 +183,7 @@ def side_information_power(p_x, p_j, alpha, p_d1, p_n1, p_n2, gain_sum: float) -
     (unlimited where p_j is).  Where the bracket overflows or alpha^2 is subnormal
     or 0, alpha scales a quarter of the bracket twice: no 0 * inf, no term lost
     as 0 and no digits lost to a subnormal alpha^2."""
-    bracket = gain_sum**2 * p_x + 4.0 * p_j + p_n1 + p_n2
+    bracket = square(gain_sum) * p_x + 4.0 * p_j + p_n1 + p_n2
     alpha2 = square(alpha)
     s = alpha2 * bracket + p_d1
     lost = (np.isinf(bracket) | (alpha2 < sys.float_info.min)) & np.isfinite(p_j)
@@ -196,7 +195,7 @@ def side_information_power(p_x, p_j, alpha, p_d1, p_n1, p_n2, gain_sum: float) -
 
 def _quarter_bracket(p_x, p_j, p_n1, p_n2, gain_sum: float) -> np.ndarray:
     """A quarter of the side-information bracket, finite wherever p_j is."""
-    return 0.25 * (gain_sum**2 * p_x + p_n1 + p_n2) + p_j
+    return 0.25 * (square(gain_sum) * p_x + p_n1 + p_n2) + p_j
 
 
 def distortion_relay2_case_c(

@@ -60,7 +60,7 @@ from .achievable import (
     mmse_alpha,
     side_information_power,
 )
-from .model import _CASE_FIXED, ScenarioCase, gaussian_mi
+from .model import _CASE_FIXED, ScenarioCase, gaussian_mi, square
 
 #: Fixed batch size; part of the determinism contract (changing it changes
 #: the streams, so it is a module constant rather than a config knob).
@@ -151,17 +151,15 @@ class SimConfig:
                 raise ValueError(f"{name} must be > 0 when its quantizer is active, got {c!r}")
         if self.samples < 2:
             raise ValueError(f"samples must be >= 2, got {self.samples!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.interferer not in _INTERFERERS:
             raise ValueError(f"interferer must be one of {_INTERFERERS}")
         alpha = self.alpha_override
         if alpha is not None and not math.isfinite(alpha * alpha):
             raise ValueError(f"alpha must be finite with a finite square, got {alpha!r}")
-        try:
-            scheme = self.scheme()
-            finite = all(map(math.isfinite, scheme))
-        except OverflowError:  # libm's pow of a square past the largest float
-            scheme, finite = "a square past the largest float", False
-        if not finite:
+        scheme = self.scheme()
+        if not all(map(math.isfinite, scheme)):
             raise ValueError("the scheme's alpha, distortions and var(n_eq) must be finite "
                              f"at this config, got {scheme}")
         alpha, L = abs(scheme[0]), self.cell_length
@@ -499,10 +497,7 @@ def _centered(second: float, a: float, n: int, b: float | None = None) -> float:
     all the same (|a*b|/n is at most the larger sum of squares), and
     a*(b/n) forms it; elsewhere the plain form keeps its bits.
     """
-    try:
-        product = a**2 if b is None else a * b
-    except OverflowError:
-        product = math.inf
+    product = float(square(a)) if b is None else a * b
     if math.isinf(product):
         return second - a * ((a if b is None else b) / n)
     return second - product / n
@@ -696,6 +691,8 @@ def crypto_lemma_check(
     """
     if samples < 10**5:
         raise ValueError("crypto-lemma statistics need at least 1e5 samples")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
     if not 0.0 < 12.0 * p_x < math.inf:
         raise ValueError(f"p_x must be > 0 with a finite cell length sqrt(12*p_x), got {p_x!r}")
     L = math.sqrt(12.0 * p_x)
@@ -790,6 +787,8 @@ class CoverageConfig:
     def __post_init__(self):
         if self.block_length < 1 or self.trials < 1:
             raise ValueError("block_length and trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if not math.isfinite(self.codebook_rate):
             raise ValueError(f"codebook_rate must be finite, got {self.codebook_rate!r}")
         if self.codebook_rate < 0.0:

@@ -25,6 +25,7 @@ checks its input once, a config against its case or raw powers and links
 with `_check_fields`, and raises ValueError on input outside the model.
 Every transcendental goes through `math_map` or `square`, which give libm's
 bits: through numpy's ufuncs where their loops do (`_UFUNC_PATH`), else per element.
+Both give inf where libm overflows, at every size; a domain error raises per element.
 Every closed-form 0.5*log2(a/b) goes through `half_log2_ratio`, finite past the largest float.
 """
 
@@ -188,14 +189,14 @@ def math_map(fn: Callable[[float], float], x) -> np.ndarray:
 
     The CLI prints floats with repr, and numpy's AVX-512 loops differ from
     libm in the last bit.  On the ufunc path numpy's ufunc of `fn` runs, its
-    warnings off (np.expm1 warns where `_expm1` returns inf); else libm reads
-    the elements straight from the flat buffer.
+    warnings off; else libm reads the elements straight from the flat buffer
+    (`_per_element`).  Both give inf where the value passes the largest float.
     """
     x = np.asarray(x, dtype=float)
     if _UFUNC_PATH:
         with np.errstate(all="ignore"):
             return _UFUNCS[fn](x)
-    return np.fromiter(map(fn, memoryview(x.ravel())), float, x.size).reshape(x.shape)
+    return _per_element(fn, x)
 
 
 def square(x) -> np.ndarray:
@@ -207,20 +208,28 @@ def square(x) -> np.ndarray:
     if _UFUNC_PATH and x.size > 1:
         with np.errstate(all="ignore"):
             return np.power(x, np.full(x.shape, 2.0))
-    squares = map(pow, memoryview(x.ravel()), itertools.repeat(2.0))
-    return np.fromiter(squares, float, x.size).reshape(x.shape)
+    return _per_element(pow, x, 2.0)
 
 
-def _expm1(x: float) -> float:
-    """math.expm1, with inf past the largest float in place of OverflowError."""
+def _per_element(fn: Callable[..., float], x: np.ndarray, *args: float) -> np.ndarray:
+    """fn(v, *args) for each element v of x, from its flat buffer; where libm overflows
+    (OverflowError, where numpy's loops give inf), formed again with inf there."""
+    elements = memoryview(x.ravel())
     try:
-        return math.expm1(x)
+        values = np.fromiter(map(fn, elements, *map(itertools.repeat, args)), float, x.size)
     except OverflowError:
+        values = np.fromiter((_or_inf(fn, v, *args) for v in elements), float, x.size)
+    return values.reshape(x.shape)
+
+
+def _or_inf(fn: Callable[..., float], *args: float) -> float:
+    try:
+        return fn(*args)
+    except OverflowError:  # upward: no function mapped here overflows toward -inf
         return math.inf
 
 
-_UFUNCS = {math.log1p: np.log1p, math.log2: np.log2, math.expm1: np.expm1,
-           _expm1: np.expm1, math.exp: np.exp}
+_UFUNCS = {math.log1p: np.log1p, math.log2: np.log2, math.expm1: np.expm1, math.exp: np.exp}
 
 #: (ufunc, loop, targets giving libm's bits: baseline calls libm, exp's X86_V3 matched it)
 _LIBM_TARGETS = (("log1p", "dd", ("baseline",)), ("log2", "dd", ("baseline",)),

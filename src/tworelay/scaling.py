@@ -41,7 +41,7 @@ import numpy as np
 from .achievable import Scheme, achievable_case_c, best_achievable, best_rate, lattice_rate
 from .bounds import cutset_case_c, cutset_min_array, modulo_bound_array
 from .bounds import modulo_bound_case_c, outer_bounds
-from .model import _LN2, ScenarioCase, gaussian_mi, make_preset, math_map, mutual_info
+from .model import _LN2, ScenarioCase, gaussian_mi, make_preset, math_map, mutual_info, square
 
 PRELOG_METHODS = ("finite_difference", "ratio")
 
@@ -79,19 +79,20 @@ def estimate_prelog(
     rate / log2(p_x) at the largest one.
 
     Raises:
-        ValueError: on an empty grid, an exponent past the largest float, not
-            one rate per power, a non-finite rate, or an unknown method
-            (finite differences need at least two points).
+        ValueError: on an empty or not strictly increasing grid, an exponent
+            past the largest float, not one rate per power, a non-finite rate,
+            or an unknown method (finite differences need at least two points).
     """
     if method not in PRELOG_METHODS:
         raise ValueError(f"method must be one of {PRELOG_METHODS}, got {method!r}")
     exponents = tuple(float(k) for k in exponent_range)
     if not exponents:
         raise ValueError("exponent range must be nonempty")
-    try:
-        powers = np.array([2.0**k for k in exponents])
-    except OverflowError:
-        raise ValueError(f"p_x = 2**{max(exponents):g} overflows a float") from None
+    if any(not high > low for low, high in zip(exponents, exponents[1:])):
+        raise ValueError(f"exponents must be strictly increasing, got {exponents}")
+    if exponents[-1] >= 1024.0:  # 2.0**k is finite below
+        raise ValueError(f"p_x = 2**{exponents[-1]:g} overflows a float")
+    powers = np.array([2.0**k for k in exponents])
     rates = np.asarray(rate_fn(powers), dtype=float)
     if rates.shape != powers.shape:
         raise ValueError(f"rate_fn gave {rates.shape} rates for {powers.size} powers")
@@ -341,20 +342,12 @@ def _gap_regimes(case: ScenarioCase, p_x, p_j: np.ndarray) -> tuple[_Regime, ...
     if case is ScenarioCase.CASE_B:
         return (_Regime("standard", "cut-set", 1.29, (p_j >= 1.0) & (p_x > 1.0), h, None),)
     modulo = (1.0 < p_j) & (p_j < p_x)
-    threshold = np.reshape([_cutset_threshold(v) for v in np.ravel(p_x).tolist()], np.shape(p_x))
+    square_sum = square(1.0 + p_x)  # inf from p_x ~ 1.34e154 on: the product form there
+    with np.errstate(divide="ignore", over="ignore"):  # p_x = +-0 is in no cutset regime
+        threshold = np.where(np.isinf(square_sum), (1.0 + p_x) * np.divide(1.0 + p_x, p_x),
+                             square_sum / p_x)
     return (_Regime("modulo", "modulo", 2.816, modulo, h, None),
-            _Regime("cutset", "cut-set", 1.5, ~modulo & (p_j > threshold), h, h))
-
-
-def _cutset_threshold(p_x: float) -> float:
-    """(1+p_x)^2/p_x, the p_j above which Case C's cut-set regime starts, of a
-    Python float p_x: its ** raises on overflow, where a numpy float's gives inf."""
-    if not p_x > 0.0:
-        return math.inf
-    try:
-        return (1.0 + p_x) ** 2 / p_x
-    except OverflowError:  # (1+p_x)^2 passes the largest float from p_x ~ 1.34e154 on
-        return (1.0 + p_x) * ((1.0 + p_x) / p_x)
+            _Regime("cutset", "cut-set", 1.5, ~modulo & (p_x > 0.0) & (p_j > threshold), h, h))
 
 
 def _regime_blocks(case: ScenarioCase, px_grid: Sequence[float], pj_grid: Sequence[float]):
@@ -496,15 +489,14 @@ def cutset_looseness_demo(p_x: float) -> LoosenessPrelogs:
     With the interferer power tied to sqrt(p_x) and both link capacities
     to 0.25*log2(p_x), the cut-set bound keeps pre-log 1/2 while the
     modulo bound's pre-log sits strictly below it, so the cut-set bound
-    cannot be tight.  Evaluated on powers 10, 100, ... up to p_x; the
+    cannot be tight.  Evaluated on the powers 10, 100, ... that lie a decade
+    or more below p_x (10**e where 10**(e+1) <= p_x), then on p_x; the
     returned slopes are finite differences at the top of the ladder
     (plain ratios if p_x < 100 leaves a single rung).
     """
     if not 1.0 < p_x < math.inf:
         raise ValueError(f"looseness demo needs a finite p_x > 1, got {p_x!r}")
-    ladder = [10.0**e for e in range(1, int(math.floor(math.log10(p_x))) + 1)]
-    if not ladder or ladder[-1] != p_x:
-        ladder.append(p_x)
+    ladder = [10.0**e for e in range(1, 308) if 10.0**(e + 1) <= p_x] + [p_x]
     powers = np.array(ladder)
     cap = 0.25 * math_map(math.log2, powers)
     point = (powers, np.sqrt(powers), cap, cap)

@@ -564,7 +564,11 @@ def test_range_spec_with_the_wrong_field_count_names_its_form(argv, form, capsys
     # refused from the count alone, before any power is computed
     (["gaps", "--case", "a", "--grid", "0:1e18:1000"],
      "1000000000000000000000 powers do not fit in memory"),
-], ids=lambda value: value[-1] if isinstance(value, list) else "error")
+    # refused by the config, not by numpy's seeding
+    (["cover", "--rate", "0.5", "--trials", "3", "--seed", "-5"], "seed must be >= 0, got -5"),
+    (["simulate", "--case", "c", "--px", "15", "--pj", "15", "--c1", "2", "--c2", "2",
+      "--seed", "-5"], "seed must be >= 0, got -5"),
+], ids=lambda value: " ".join(value[:1] + value[-2:]) if isinstance(value, list) else "error")
 def test_refusal_is_one_error_line(argv, error, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -685,7 +689,7 @@ def test_simulated_rate_below_the_smallest_normal_ratio_is_a_log_difference(argv
 
 #: Python's and numpy's own messages, which name neither the flag nor its form
 LEAKED = ("math domain error", "invalid literal for int()", "could not convert string to float",
-          "arange:", "Maximum allowed size exceeded")
+          "arange:", "Maximum allowed size exceeded", "expected non-negative integer")
 
 
 def run_extreme(argv):

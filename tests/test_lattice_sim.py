@@ -96,6 +96,31 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="must be finite at this config"):
             replace(base, **changes)
 
+    def test_scheme_with_an_overflowing_square_names_its_values(self):
+        # the derived alpha's square is inf, and var(n_eq) takes inf times the zero noises
+        base = SimConfig(case="general", p_x=1, p_j=1, c1=1, c2=1, samples=10, seed=0,
+                         a=1.0, b=0.0, p_n1=0.0, p_n2=0.0)
+        scheme = r"\(1\.000011132941258e\+160, .*, nan\)$"
+        with pytest.raises(ValueError, match="must be finite at this config, got " + scheme):
+            replace(base, a=1e-160)
+
+    def test_gain_whose_square_overflows_takes_the_limit_alpha(self):
+        # square(a - b) * p_x is inf, where alpha rounds to its limit 1/(a - b)
+        cfg = SimConfig(case="general", p_x=15, p_j=15, c1=2, c2=2, samples=10**5, seed=1,
+                        a=1e200, b=0.0, p_n1=1.0, p_n2=1.0)
+        alpha, *_, var_neq = cfg.scheme()
+        assert alpha == 1e-200 and math.isfinite(var_neq)
+        stats = run_lattice_sim(cfg)
+        assert stats.empirical_var_neq == pytest.approx(stats.analytic_var_neq, rel=0.05)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            replace(CASE_B, seed=-1)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            CoverageConfig(codebook_rate=0.5, seed=-1)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            crypto_lemma_check(15.0, 10**5, -1)
+
     def test_largest_finite_scheme_accepted(self):
         cfg = replace(CASE_B, alpha_override=1e150)
         assert all(map(math.isfinite, cfg.scheme()))

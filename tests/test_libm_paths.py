@@ -6,8 +6,9 @@ and `model` runs the ufuncs (`model._UFUNC_PATH`) only where
 (`model._LIBM_TARGETS`); elsewhere `math_map` and `square` call libm per
 element.  These tests check that a fresh CLI process takes the path the suite
 takes, that each accepted loop equals libm bit for bit at the extremes, for
-an array and for the 0-d and one-element input of a per-point call, and that
-the per-element path writes the golden bytes.
+an array and for the 0-d and one-element input of a per-point call, that
+the per-element path writes the golden bytes, and that both paths give inf
+where libm overflows, at every input size.
 """
 
 import json
@@ -22,6 +23,7 @@ import numpy as np
 import pytest
 
 from tworelay import model
+from tworelay.achievable import lattice_cf_report
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -122,7 +124,7 @@ SQUARES = (_near(1.3407807929942596e154) + _near(-1.3407807929942596e154)
 
 
 def _libm(fn, *args):
-    """fn's value, inf where it overflows (as `model._expm1` gives it), None
+    """fn's value, inf where it overflows (as `model.math_map` gives it), None
     where libm reports a domain error that the closed forms never reach."""
     try:
         return fn(*args)
@@ -134,12 +136,11 @@ def _libm(fn, *args):
 
 def _assert_libm_bits(name, op, inputs, reference):
     """op's values equal the reference bit for bit, on the inputs as one array
-    and on each input alone, as a 0-d and as a one-element array.  Alone, an
-    input can take libm per element, which raises OverflowError where the
-    reference has inf."""
+    and on each input alone, as a 0-d and as a one-element array (which can
+    take libm per element)."""
     for shape, got in (("array", op(inputs).tolist()),
-                       ("0-d", [_libm(lambda v: op(np.float64(v)).item(), x) for x in inputs]),
-                       ("1-element", [_libm(lambda v: op([v])[0].item(), x) for x in inputs])):
+                       ("0-d", [op(np.float64(x)).item() for x in inputs]),
+                       ("1-element", [op([x])[0].item() for x in inputs])):
         mismatches = [(x, g, r) for x, g, r in zip(inputs, got, reference)
                       if r is not None and not (math.isnan(g) and math.isnan(r))
                       and np.float64(g).view(np.uint64) != np.float64(r).view(np.uint64)]
@@ -159,3 +160,41 @@ def test_accepted_loop_equals_libm_at_the_extremes(fn):
 def test_accepted_power_loop_equals_libm_pow_at_the_extremes():
     reference = [_libm(pow, x, 2.0) for x in SQUARES]
     _assert_libm_bits("square", model.square, SQUARES, reference)
+
+
+def test_every_ufunc_of_the_table_is_checked_at_the_extremes():
+    assert set(model._UFUNCS) == set(EXTREMES)
+
+
+OVERFLOWS = {model.square: [1.3407807929942597e154, 1e200, 1.7e308, -1e300],
+             math.expm1: [709.79, 710.0, 1e300], math.exp: [709.79, 710.0, 1e300]}
+
+
+@pytest.mark.parametrize("ufunc_path", [True, False])
+@pytest.mark.parametrize("fn", list(OVERFLOWS), ids=lambda fn: fn.__name__)
+def test_overflow_gives_inf_on_both_paths_at_every_size(fn, ufunc_path, monkeypatch):
+    # libm raises OverflowError per element where numpy's loops give inf
+    monkeypatch.setattr(model, "_UFUNC_PATH", ufunc_path and model._UFUNC_PATH)
+    op = fn if fn is model.square else lambda x: model.math_map(fn, x)
+    for x in OVERFLOWS[fn]:
+        assert op(np.float64(x)).shape == ()
+        assert op(np.float64(x)).item() == math.inf
+        assert op([x]).tolist() == [math.inf]
+        assert op([[2.0, x], [x, 0.5]]).tolist() == [[op(2.0).item(), math.inf],
+                                                     [math.inf, op(0.5).item()]]
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_domain_errors_raise_per_element(size, monkeypatch):
+    # a NaN would hide a defect: the closed forms never hand libm such an input
+    monkeypatch.setattr(model, "_UFUNC_PATH", False)
+    for fn, x in ((math.log2, -1.0), (math.log1p, -2.0)):
+        with pytest.raises(ValueError):
+            model.math_map(fn, [1.0, x][-size:])
+
+
+@pytest.mark.parametrize("ufunc_path", [True, False])
+def test_lattice_report_of_an_overflowing_alpha_has_rate_zero(ufunc_path, monkeypatch):
+    monkeypatch.setattr(model, "_UFUNC_PATH", ufunc_path and model._UFUNC_PATH)
+    report = lattice_cf_report(1.0, 1.0, 1.0, 1e200, 0.0, 0.0, 1.0)
+    assert (report.rate, report.p_neq) == (0.0, math.inf)

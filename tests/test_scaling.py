@@ -65,6 +65,20 @@ class TestEstimatePrelog:
         with pytest.raises(ValueError, match=r"p_x = 2\*\*1024 overflows a float"):
             estimate_prelog(constant(1.0), [1023, 1024])
 
+    @pytest.mark.parametrize("method", ["finite_difference", "ratio"])
+    @pytest.mark.parametrize("ladder", [
+        [40, 10, 39],  # the last two are not the two largest
+        [40, 10],
+        [10, 10],  # a zero-width finite difference
+        [10, math.nan, 11],
+    ])
+    def test_the_ladder_must_increase(self, ladder, method):
+        rate_fn = coupled_capacity_rate_fn(ScenarioCase.CASE_C, "pj=px", 0.8)
+        with pytest.raises(ValueError) as refused:
+            estimate_prelog(rate_fn, ladder, method=method)
+        assert str(refused.value) == (
+            f"exponents must be strictly increasing, got {tuple(map(float, ladder))}")
+
     def test_rate_fn_gives_one_rate_per_power(self):
         # the whole ladder goes to rate_fn at once; a scalar is not taken as every rung's rate
         with pytest.raises(ValueError, match="rates for 2 powers"):
@@ -484,7 +498,8 @@ class TestGapRegimeRows:
     @pytest.mark.parametrize("ufunc_path", [True, False])
     @pytest.mark.parametrize("case", list(ScenarioCase))
     def test_rows_equal_the_per_row_regimes(self, case, ufunc_path, monkeypatch):
-        # libm's pow raises where the square overflows per element: the threshold must not square
+        # `model.square` gives inf on both paths where the square overflows; the
+        # threshold takes its product form there
         monkeypatch.setattr(model, "_UFUNC_PATH", ufunc_path and model._UFUNC_PATH)
         regimes = _gap_regimes(case, np.array(self.PX)[:, None], np.array(self.PJ))
         for row, p_x in enumerate(self.PX):
@@ -496,6 +511,13 @@ class TestGapRegimeRows:
                 assert (regime.c2 is None) == (c2 is None)
                 if c2 is not None:
                     assert bit_patterns(regime.c2[row]) == bit_patterns([c2])
+
+    def test_a_zero_row_of_either_sign_has_no_cutset_regime(self):
+        regimes = _gap_regimes(ScenarioCase.CASE_C, np.array([[-0.0], [0.0]]), np.array(self.PJ))
+        assert regimes[1].name == "cutset" and not regimes[1].mask.any()
+        for p_x in (-0.0, 0.0):  # a Python float, as the per-point path passes it
+            with pytest.raises(ValueError, match="lies outside every CASE_C gap regime"):
+                scaling._point_certificate(ScenarioCase.CASE_C, p_x, 1e300)
 
     @pytest.mark.parametrize("ufunc_path", [True, False])
     @pytest.mark.parametrize("case", list(ScenarioCase))
@@ -528,6 +550,14 @@ class TestCutsetLooseness:
         demo = cutset_looseness_demo(2.0)
         assert math.isfinite(demo.cutset_prelog)
         assert math.isfinite(demo.modulo_prelog)
+
+    def test_every_power_of_ten_and_its_neighbours_give_finite_slopes(self):
+        # the rung below p_x lies a decade under it, also where 10.0**k is not the float 1ek
+        for k in range(1, 309):
+            for x in {float(f"1e{k}"), 10.0**k}:
+                for p_x in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)):
+                    if p_x < math.inf:
+                        assert all(map(math.isfinite, cutset_looseness_demo(p_x))), p_x
 
     @pytest.mark.parametrize("p_x", [math.inf, math.nan, 1.0, -5.0])
     def test_needs_a_finite_power_above_1(self, p_x):
