@@ -28,9 +28,9 @@ the interferer's distribution can be swapped without disturbing any other
 draw.  Batches therefore run concurrently: `run_lattice_sim` and
 `crypto_lemma_check` hand them to a pool of min(usable CPUs, batches)
 threads (numpy's draws and large ufuncs release the interpreter lock) and
-reduce the small per-batch results in batch order.  The output is
-identical for every worker count; the pool size follows the CPUs the
-process may run on and is not a setting.  Each simulator worker computes a
+reduce the per-batch results, or raise a batch's error, in batch order.
+The output is identical for every worker count; the pool size follows the
+CPUs the process may run on, not a setting.  Each simulator worker computes a
 batch in two pieces of half a batch, cut where numpy's pairwise summation
 cuts the batch, so that the pieces' moment sums add up to the batch's bit
 for bit; it draws and reduces them in place in seven half-batch buffers of
@@ -302,11 +302,9 @@ def _worker_buffers(m: int) -> list[np.ndarray]:
 
 
 class _Batch(NamedTuple):
-    """What one batch hands back to the reduction: whether every sample was
-    finite, its largest identity residual, its histogram counts of x and its
-    moment sums (keyed as in `_dither_summary`, plus "neq" and "neq2")."""
+    """What one batch hands back to the reduction: its largest identity residual, its
+    histogram counts of x and its moment sums (as in `_dither_summary`, plus "neq", "neq2")."""
 
-    finite: bool
     max_residual: float
     hist: np.ndarray
     sums: dict[str, float]
@@ -335,9 +333,9 @@ def _run_batches(
     the dither p-value and x-v correlation (`_dither_summary`).
 
     Raises:
-        ValueError: naming the lowest batch with a non-finite sample (the
-            batches not yet started are cancelled and every worker has
-            stopped when it propagates), or where a moment total overflows.
+        ValueError: the lowest raising batch's own, such as a non-finite
+            sample's (once the batches not yet started are cancelled and
+            every worker has stopped), or where a moment total overflows.
     """
     from concurrent.futures import ThreadPoolExecutor
     import numpy.random  # here: a worker's first draw would load it in its own malloc arena
@@ -353,13 +351,10 @@ def _run_batches(
     pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="tworelay-batch")
     submit = partial(pool.submit, batch_fn, edges)
     try:
-        in_flight = deque((b, submit(b, m)) for b, m in islice(todo, 2 * workers))
+        in_flight = deque(submit(b, m) for b, m in islice(todo, 2 * workers))
         while in_flight:
-            batch, future = in_flight.popleft()
-            result = future.result()
-            if not result.finite:
-                raise ValueError(f"non-finite samples in batch {batch}; aborting")
-            in_flight.extend((b, submit(b, m)) for b, m in islice(todo, 1))
+            result = in_flight.popleft().result()
+            in_flight.extend(submit(b, m) for b, m in islice(todo, 1))
             hist += result.hist
             max_residual = max(max_residual, result.max_residual)
             for key, value in result.sums.items():
@@ -534,7 +529,7 @@ def _sim_batch(cfg: SimConfig, scheme: tuple[float, float, float], edges: np.nda
     streams = [_stream(cfg.seed, batch, var) for var in range(_VAR_D2 + 1)]
     buffers = _worker_buffers(min(m, max(_PIECE, _PAIRWISE_BLOCK)))
     return _fold_pairwise(
-        m, lambda k: _sim_piece(cfg, scheme, edges, streams, [b[:k] for b in buffers]))
+        m, lambda k: _sim_piece(cfg, scheme, edges, streams, [b[:k] for b in buffers], batch))
 
 
 def _fold_pairwise(m: int, piece: Callable[[int], _Batch]) -> _Batch:
@@ -545,27 +540,24 @@ def _fold_pairwise(m: int, piece: Callable[[int], _Batch]) -> _Batch:
     n2 and that of the other m - n2, n2 being m//2 less its remainder mod 8.
     The moment sums of the two parts are added back here in that tree, so
     they keep the bits of numpy's sum over all m samples.  Histogram counts
-    add, the residual is the largest of the parts'.  The fold stops at the
-    first piece that is not finite and hands that one back.
+    add, the residual is the largest of the parts'.  A piece that raises
+    ends the fold.
     """
     if m <= max(_PIECE, _PAIRWISE_BLOCK):
         return piece(m)
     n2 = m // 2
     n2 -= n2 % 8
     left = _fold_pairwise(n2, piece)
-    if not left.finite:
-        return left
     right = _fold_pairwise(m - n2, piece)
-    if not right.finite:
-        return right
-    return _Batch(True, max(left.max_residual, right.max_residual), left.hist + right.hist,
+    return _Batch(max(left.max_residual, right.max_residual), left.hist + right.hist,
                   {key: value + right.sums[key] for key, value in left.sums.items()})
 
 
 def _sim_piece(cfg: SimConfig, scheme: tuple[float, float, float], edges: np.ndarray,
-               streams: list[np.random.Generator], buffers: list[np.ndarray]) -> _Batch:
-    """One piece of a batch, computed in place in the order of the formulas
-    (see the module docstring).
+               streams: list[np.random.Generator], buffers: list[np.ndarray],
+               batch: int) -> _Batch:
+    """One piece of `batch`, computed in place in the order of the formulas
+    (see the module docstring); ValueError where a sample is not finite.
 
     Every variable is drawn into, and every step written to, the seven
     piece-sized `buffers`; the last one is the scratch of the cell
@@ -616,7 +608,7 @@ def _sim_piece(cfg: SimConfig, scheme: tuple[float, float, float], edges: np.nda
     predicted = _reduce(v, L, scratch, v)
     flags = u.view(np.bool_)[:u.size]  # u is spent; its bytes hold the finiteness flags
     if not (np.isfinite(combined, out=flags).all() and np.isfinite(neq, out=flags).all()):
-        return _Batch(False, math.nan, hist, sums)
+        raise ValueError(f"non-finite samples in batch {batch}; aborting")
     gap = combined
     gap -= predicted
     np.abs(gap, out=gap)
@@ -625,7 +617,7 @@ def _sim_piece(cfg: SimConfig, scheme: tuple[float, float, float], edges: np.nda
     with np.errstate(over="ignore"):  # a sum past the largest float is refused in `_moment_totals`
         sums["neq"] = float(neq.sum())
         sums["neq2"] = float(np.multiply(neq, neq, out=other).sum())
-    return _Batch(True, float(residual.max()), hist, sums)
+    return _Batch(float(residual.max()), hist, sums)
 
 
 def run_lattice_sim(cfg: SimConfig) -> SimStats:
@@ -707,7 +699,7 @@ def crypto_lemma_check(
         else:
             u = _stream(seed, batch, _VAR_U).uniform(-L / 2.0, L / 2.0, m)
         x = centered_mod(v - u, L)
-        return _Batch(True, 0.0, *_dither_moments(x, v, edges, np.empty(m), u.view(np.intp)))
+        return _Batch(0.0, *_dither_moments(x, v, edges, np.empty(m), u.view(np.intp)))
 
     _, _, pvalue, corr = _run_batches(samples, p_x, dither_batch)
     return CryptoLemmaStats(

@@ -25,7 +25,7 @@ checks its input once, a config against its case or raw powers and links
 with `_check_fields`, and raises ValueError on input outside the model.
 Every transcendental goes through `math_map` or `square`, which give libm's
 bits: through numpy's ufuncs where their loops do (`_UFUNC_PATH`), else per element.
-Both give inf where libm overflows, at every size; a domain error raises per element.
+Both give inf where libm overflows and raise libm's ValueError at a domain error, at every size.
 Every closed-form 0.5*log2(a/b) goes through `half_log2_ratio`, finite past the largest float.
 """
 
@@ -190,25 +190,28 @@ def math_map(fn: Callable[[float], float], x) -> np.ndarray:
     The CLI prints floats with repr, and numpy's AVX-512 loops differ from
     libm in the last bit.  On the ufunc path numpy's ufunc of `fn` runs, its
     warnings off; else libm reads the elements straight from the flat buffer
-    (`_per_element`).  Both give inf where the value passes the largest float.
+    (`_per_element`).  Both give inf where the value passes the largest float,
+    and both raise libm's ValueError at the first element outside `fn`'s domain.
     """
     x = np.asarray(x, dtype=float)
-    if _UFUNC_PATH:
-        with np.errstate(all="ignore"):
-            return _UFUNCS[fn](x)
-    return _per_element(fn, x)
+    if not _UFUNC_PATH:
+        return _per_element(fn, x)
+    if (x <= _DOMAIN_EDGES.get(fn, math.nan)).any():  # no edge: nothing is <= NaN
+        _per_element(fn, x)  # raises libm's ValueError at the first element outside
+    with np.errstate(all="ignore"):
+        return _UFUNCS[fn](x)
 
 
 def square(x) -> np.ndarray:
     """x**2 elementwise as Python's float ** computes it: libm pow, not x*x.
 
-    For two or more elements on the ufunc path, np.power with an exponent array
+    On the ufunc path np.power of the flat x with an exponent array, at every size
     (one of stride 0, as a scalar or 0-d one has, takes x*x); else `pow(v, 2.0)`."""
     x = np.asarray(x, dtype=float)
-    if _UFUNC_PATH and x.size > 1:
-        with np.errstate(all="ignore"):
-            return np.power(x, np.full(x.shape, 2.0))
-    return _per_element(pow, x, 2.0)
+    if not _UFUNC_PATH:
+        return _per_element(pow, x, 2.0)
+    with np.errstate(all="ignore"):
+        return np.power(x.ravel(), np.full(x.size, 2.0)).reshape(x.shape)
 
 
 def _per_element(fn: Callable[..., float], x: np.ndarray, *args: float) -> np.ndarray:
@@ -230,6 +233,9 @@ def _or_inf(fn: Callable[..., float], *args: float) -> float:
 
 
 _UFUNCS = {math.log1p: np.log1p, math.log2: np.log2, math.expm1: np.expm1, math.exp: np.exp}
+
+#: libm raises a domain error at and below each edge; the other functions of `_UFUNCS` have none.
+_DOMAIN_EDGES = {math.log2: 0.0, math.log1p: -1.0}
 
 #: (ufunc, loop, targets giving libm's bits: baseline calls libm, exp's X86_V3 matched it)
 _LIBM_TARGETS = (("log1p", "dd", ("baseline",)), ("log2", "dd", ("baseline",)),

@@ -79,9 +79,9 @@ def estimate_prelog(
     rate / log2(p_x) at the largest one.
 
     Raises:
-        ValueError: on an empty or not strictly increasing grid, an exponent
-            past the largest float, not one rate per power, a non-finite rate,
-            or an unknown method (finite differences need at least two points).
+        ValueError: on an empty, not strictly increasing or not finite grid, a
+            power past the largest float, not one rate per power, a non-finite
+            rate, or an unknown method (finite differences need at least two points).
     """
     if method not in PRELOG_METHODS:
         raise ValueError(f"method must be one of {PRELOG_METHODS}, got {method!r}")
@@ -92,6 +92,8 @@ def estimate_prelog(
         raise ValueError(f"exponents must be strictly increasing, got {exponents}")
     if exponents[-1] >= 1024.0:  # 2.0**k is finite below
         raise ValueError(f"p_x = 2**{exponents[-1]:g} overflows a float")
+    if not all(map(math.isfinite, exponents)):
+        raise ValueError(f"exponents must be finite, got {exponents}")
     powers = np.array([2.0**k for k in exponents])
     rates = np.asarray(rate_fn(powers), dtype=float)
     if rates.shape != powers.shape:

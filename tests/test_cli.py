@@ -715,19 +715,28 @@ EXTREME_FLAGS = ("--px", "--pj", "--c1", "--c2", "--pn1", "--pn2", "--a", "--b",
 EXTREME_VALUES = (None, "0", "-0.0", "5e-324", "1e-320", "1e-300", "1e-200", "1e60", "1e150",
                   "1e154", "5e307", "1e308", "inf", "-inf", "nan", "-1")
 BEYOND_THE_LARGEST_FLOAT = ("inf", "inf", "0", "0", "0", "0")  # --c1 ... --b
+#: A general case inside the model whose gains differ by more than sqrt of the
+#: largest float, so that the square of their difference overflows.
+BIG_GAINS = st.tuples(*[st.sampled_from(["1", "15", "1e6"])] * 2,
+                      *[st.sampled_from(["1", "2", "inf"])] * 2, st.just("1"), st.just("1"),
+                      st.sampled_from(["1e155", "1e200", "1e300"]),
+                      st.sampled_from(["0", "1", "-1e155"]), st.none())
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None,
           phases=(Phase.explicit, Phase.generate))
-@given(case=st.sampled_from(["b", "c", "general"]),
-       values=st.tuples(*[st.sampled_from(EXTREME_VALUES)] * 4,
-                        *[st.one_of(st.none(), st.sampled_from(EXTREME_VALUES))] * 5))
-@example(case="general", values=("1", "1e308", *BEYOND_THE_LARGEST_FLOAT, "1e154"))
-@example(case="general", values=("1e-300", "1e200", *BEYOND_THE_LARGEST_FLOAT, "1e60"))
-@example(case="general", values=("1e300", "1", "inf", "inf", "1e-200", "0", "1", "0", "1"))
-@example(case="general", values=("1e-30", "1", "inf", "inf", "1", "1", "1", "0", "1e150"))
-def test_simulate_at_extreme_inputs_exits_0_or_2(case, values):
+@given(case_values=st.one_of(
+    st.tuples(st.sampled_from(["b", "c", "general"]),
+              st.tuples(*[st.sampled_from(EXTREME_VALUES)] * 4,
+                        *[st.one_of(st.none(), st.sampled_from(EXTREME_VALUES))] * 5)),
+    st.tuples(st.just("general"), BIG_GAINS)))
+@example(case_values=("general", ("1", "1e308", *BEYOND_THE_LARGEST_FLOAT, "1e154")))
+@example(case_values=("general", ("1e-300", "1e200", *BEYOND_THE_LARGEST_FLOAT, "1e60")))
+@example(case_values=("general", ("1e300", "1", "inf", "inf", "1e-200", "0", "1", "0", "1")))
+@example(case_values=("general", ("1e-30", "1", "inf", "inf", "1", "1", "1", "0", "1e150")))
+def test_simulate_at_extreme_inputs_exits_0_or_2(case_values):
     # warnings are errors in the worker threads too: the filters are process-wide
+    case, values = case_values
     argv = ["simulate", "--case", case, "--samples", "100", "--seed", "1"]
     argv += [f"{flag}={value}" for flag, value in zip(EXTREME_FLAGS, values) if value]
     code, out = run_extreme(argv)

@@ -331,7 +331,9 @@ class TestThreadedBatches:
             threads.append(threading.current_thread())
             if batch == 2:
                 time.sleep(0.05)  # batch 4 fails first, batch 2 is still reported
-            return lattice_sim._Batch(batch not in bad, 0.0, hist, {})
+            if batch in bad:
+                raise ValueError(f"non-finite samples in batch {batch}; aborting")
+            return lattice_sim._Batch(0.0, hist, {})
 
         monkeypatch.setattr(lattice_sim, "_sim_batch", fake_batch)
         monkeypatch.setattr(lattice_sim, "_usable_cpus", lambda: 3)
@@ -350,7 +352,7 @@ def fold_pieces(m):
 
     def piece(k):
         pieces.append(k)
-        return lattice_sim._Batch(True, 0.0, np.zeros(1, dtype=np.int64), {})
+        return lattice_sim._Batch(0.0, np.zeros(1, dtype=np.int64), {})
 
     lattice_sim._fold_pairwise(m, piece)
     return pieces
@@ -363,7 +365,7 @@ def sum_over_pieces(x):
     sums = iter(float(x[a:b].sum()) for a, b in zip(starts, starts[1:]))
     zero = np.zeros(1, dtype=np.int64)
     return lattice_sim._fold_pairwise(
-        x.size, lambda k: lattice_sim._Batch(True, 0.0, zero, {"x": next(sums)})).sums["x"]
+        x.size, lambda k: lattice_sim._Batch(0.0, zero, {"x": next(sums)})).sums["x"]
 
 
 PAIRWISE_SIZES = [*range(1, 130), *range(32760, 32777), 65535, 65536,
@@ -434,9 +436,12 @@ class TestPairwiseCut:
 
         def piece(k):
             pieces.append(k)
-            return lattice_sim._Batch(len(pieces) != 2, 0.0, None, {})
+            if len(pieces) == 2:
+                raise ValueError("non-finite samples in batch 0; aborting")
+            return lattice_sim._Batch(0.0, None, {})
 
-        assert not lattice_sim._fold_pairwise(4 * BATCH_SIZE, piece).finite
+        with pytest.raises(ValueError, match="non-finite samples in batch 0;"):
+            lattice_sim._fold_pairwise(4 * BATCH_SIZE, piece)
         assert len(pieces) == 2
 
     @pytest.mark.parametrize("piece", [8192, 1000, 129, 8])

@@ -7,13 +7,16 @@ and `model` runs the ufuncs (`model._UFUNC_PATH`) only where
 element.  These tests check that a fresh CLI process takes the path the suite
 takes, that each accepted loop equals libm bit for bit at the extremes, for
 an array and for the 0-d and one-element input of a per-point call, that
-the per-element path writes the golden bytes, and that both paths give inf
-where libm overflows, at every input size.
+the per-element path writes the golden bytes, that the ufunc path never
+calls libm per element, and that both paths give inf where libm overflows
+and raise libm's ValueError where it reports a domain error, at every input
+size.
 """
 
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import textwrap
@@ -114,9 +117,9 @@ EXTREMES = {
                + SUBNORMAL + SPECIAL + [-v for v in LOG_UNIFORM[:2000]]),
     math.expm1: (_near(709.782712893384) + _near(-745.1332191019411) + _near(-37.42994775023705)
                  + SUBNORMAL + SPECIAL + np.linspace(-1.0, 1.0, 2001).tolist()),
-    math.log1p: (_near(-1.0)[41:] + [-1.0 + 2.0**-k for k in range(1, 53)]
+    math.log1p: (_near(-1.0) + [-1.0 + 2.0**-k for k in range(1, 53)]
                  + SUBNORMAL + SPECIAL + LOG_UNIFORM),
-    math.log2: (_near(1.0) + SUBNORMAL[::2] + SPECIAL[:3] + LOG_UNIFORM),
+    math.log2: (_near(1.0) + SUBNORMAL + SPECIAL + LOG_UNIFORM),
 }
 SQUARES = (_near(1.3407807929942596e154) + _near(-1.3407807929942596e154)
            + _near(1.4916681462400413e-154) + _near(2.2227587494850775e-162)
@@ -124,26 +127,43 @@ SQUARES = (_near(1.3407807929942596e154) + _near(-1.3407807929942596e154)
 
 
 def _libm(fn, *args):
-    """fn's value, inf where it overflows (as `model.math_map` gives it), None
-    where libm reports a domain error that the closed forms never reach."""
+    """fn's value, inf where it overflows (as `model.math_map` gives it), or
+    the text of the ValueError libm raises at a domain error."""
     try:
         return fn(*args)
     except OverflowError:
         return math.inf
-    except ValueError:
-        return None
+    except ValueError as error:
+        return str(error)
+
+
+def _key(value):
+    """A float's 8 bytes, every NaN alike; a domain error's text as it is."""
+    if isinstance(value, str):
+        return value
+    return b"nan" if math.isnan(value) else struct.pack("<d", value)
+
+
+def _outcome(op, x) -> list:
+    """The keys of op(x)'s values in flat order, or [the text of its ValueError]."""
+    try:
+        return [_key(v) for v in np.ravel(op(x)).tolist()]
+    except ValueError as error:
+        return [str(error)]
 
 
 def _assert_libm_bits(name, op, inputs, reference):
-    """op's values equal the reference bit for bit, on the inputs as one array
-    and on each input alone, as a 0-d and as a one-element array (which can
-    take libm per element)."""
-    for shape, got in (("array", op(inputs).tolist()),
-                       ("0-d", [op(np.float64(x)).item() for x in inputs]),
-                       ("1-element", [op([x])[0].item() for x in inputs])):
-        mismatches = [(x, g, r) for x, g, r in zip(inputs, got, reference)
-                      if r is not None and not (math.isnan(g) and math.isnan(r))
-                      and np.float64(g).view(np.uint64) != np.float64(r).view(np.uint64)]
+    """op gives libm's bits where libm gives a value and raises libm's ValueError
+    where libm raises one: on each input alone, as a 0-d and as a one-element
+    array, on the inputs with a value as one array, and on all of them as one
+    array, which raises at the first domain error if there is one."""
+    expected = [_key(r) for r in reference]
+    valued = [(x, e) for x, e in zip(inputs, expected) if not isinstance(e, str)]
+    errors = [e for e in expected if isinstance(e, str)]
+    assert _outcome(op, [x for x, _ in valued]) == [e for _, e in valued], (name, "array")
+    assert _outcome(op, inputs) == (errors[:1] or expected), (name, "array of all")
+    for shape, wrap in (("0-d", np.float64), ("1-element", lambda x: [x])):
+        mismatches = [(x, e) for x, e in zip(inputs, expected) if _outcome(op, wrap(x)) != [e]]
         assert mismatches == [], (name, shape)
 
 
@@ -152,7 +172,6 @@ def _assert_libm_bits(name, op, inputs, reference):
 def test_accepted_loop_equals_libm_at_the_extremes(fn):
     inputs = EXTREMES[fn]
     reference = [_libm(fn, x) for x in inputs]
-    assert sum(r is not None for r in reference) > 0.9 * len(inputs)
     _assert_libm_bits(fn.__name__, lambda x: model.math_map(fn, x), inputs, reference)
 
 
@@ -184,13 +203,35 @@ def test_overflow_gives_inf_on_both_paths_at_every_size(fn, ufunc_path, monkeypa
                                                      [math.inf, op(0.5).item()]]
 
 
-@pytest.mark.parametrize("size", [1, 2])
-def test_domain_errors_raise_per_element(size, monkeypatch):
-    # a NaN would hide a defect: the closed forms never hand libm such an input
-    monkeypatch.setattr(model, "_UFUNC_PATH", False)
-    for fn, x in ((math.log2, -1.0), (math.log1p, -2.0)):
-        with pytest.raises(ValueError):
-            model.math_map(fn, [1.0, x][-size:])
+DOMAIN_ERRORS = {math.log2: [-1.0, -0.0, 0.0, -math.inf, -5e-324],
+                 math.log1p: [-1.0, -2.0, -math.inf, -1.0000000000000002]}
+
+
+@pytest.mark.parametrize("ufunc_path", [True, False])
+@pytest.mark.parametrize("fn", list(DOMAIN_ERRORS), ids=lambda fn: fn.__name__)
+def test_domain_errors_raise_on_both_paths_at_every_size(fn, ufunc_path, monkeypatch):
+    # a NaN or -inf would hide a defect: the closed forms never hand libm such an input
+    monkeypatch.setattr(model, "_UFUNC_PATH", ufunc_path and model._UFUNC_PATH)
+    for x in DOMAIN_ERRORS[fn]:
+        for shaped in (np.float64(x), [x], [[2.0, 0.5], [x, math.nan]]):
+            with pytest.raises(ValueError) as error:
+                model.math_map(fn, shaped)
+            assert str(error.value) == _libm(fn, x)
+    assert math.isnan(model.math_map(fn, np.float64(math.nan)))
+    values = model.math_map(fn, [math.nan, 0.5]).tolist()
+    assert math.isnan(values[0]) and values[1] == fn(0.5)
+
+
+def test_the_ufunc_path_never_calls_libm_per_element(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("libm called per element on the ufunc path")
+
+    monkeypatch.setattr(model, "_UFUNC_PATH", True)
+    monkeypatch.setattr(model, "_per_element", refuse)
+    for x in (np.float64(0.5), [0.5], [[0.5, 2.0], [3.0, 4.0]]):
+        assert np.shape(model.square(x)) == np.shape(x)
+        for fn in model._UFUNCS:
+            assert np.shape(model.math_map(fn, x)) == np.shape(x)
 
 
 @pytest.mark.parametrize("ufunc_path", [True, False])

@@ -64,6 +64,8 @@ class TestEstimatePrelog:
             estimate_prelog(constant(1.0), [0], method="ratio")
         with pytest.raises(ValueError, match=r"p_x = 2\*\*1024 overflows a float"):
             estimate_prelog(constant(1.0), [1023, 1024])
+        with pytest.raises(ValueError, match=r"p_x = 2\*\*inf overflows a float"):
+            estimate_prelog(constant(1.0), [1023, math.inf])
 
     @pytest.mark.parametrize("method", ["finite_difference", "ratio"])
     @pytest.mark.parametrize("ladder", [
@@ -78,6 +80,15 @@ class TestEstimatePrelog:
             estimate_prelog(rate_fn, ladder, method=method)
         assert str(refused.value) == (
             f"exponents must be strictly increasing, got {tuple(map(float, ladder))}")
+
+    @pytest.mark.parametrize("rate_fn, ladder, method", [
+        (np.ones_like, [math.nan], "ratio"),  # gave prelog nan
+        (lambda p: np.log2(1 + p), [-math.inf, 3.0], "finite_difference"),  # gave 0.0
+    ], ids=["nan-ratio", "minus-inf-finite-difference"])
+    def test_an_exponent_that_is_not_finite_is_refused(self, rate_fn, ladder, method):
+        with pytest.raises(ValueError) as refused:
+            estimate_prelog(rate_fn, ladder, method=method)
+        assert str(refused.value) == f"exponents must be finite, got {tuple(ladder)}"
 
     def test_rate_fn_gives_one_rate_per_power(self):
         # the whole ladder goes to rate_fn at once; a scalar is not taken as every rung's rate
