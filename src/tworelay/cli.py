@@ -210,8 +210,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     case = ScenarioCase(args.case)
     sums = _parse_range(args.sum_range)
     points = sweep_sum_capacity(case, args.px, args.pj, sums, split_samples=args.split_samples)
-    rows = [[p.sum_capacity, p.best_rate, p.winning_scheme.value, p.c1, p.c2, p.cutset, p.modulo]
-            for p in points]
+    rows = [list(p._replace(winning_scheme=p.winning_scheme.value)) for p in points]
     header = ["sum_capacity", "best_rate", "winning_scheme", "best_c1", "best_c2",
               "cutset", "modulo"]
     _emit_csv(header, rows, "sweep.v1", args)
@@ -266,16 +265,8 @@ def _parse_grid(spec: str) -> tuple[list[float], list[float]] | tuple[None, None
                                      float, float, int)
     if per_decade < 1 or hi < lo:
         raise ValueError("grid spec must be 'default' or 'exp_lo:exp_hi:points_per_decade'")
-    count = (hi - lo) * per_decade + 1
-    try:  # libm's pow as numpy's 10.0**e, which would warn and give inf on overflow
-        if count > sys.maxsize:  # longer than any numpy array
-            raise MemoryError
-        exps = np.arange(lo, hi + 1e-9, 1.0 / per_decade)
-        values = [10.0**e for e in exps.tolist()]
-    except OverflowError:
-        raise ValueError(f"grid powers up to 10**{exps[-1]:g} overflow a float") from None
-    except MemoryError:
-        raise ValueError(f"{count:.0f} powers do not fit in memory") from None
+    from .scaling import _decade_grid
+    values = _decade_grid(lo, hi, per_decade)
     return values, values
 
 
@@ -286,17 +277,9 @@ def cmd_gaps(args: argparse.Namespace) -> int:
     certificates = certify_gaps(case, px_grid, pj_grid)
     document = {
         "case": args.case,
-        "certificates": [
-            {
-                "regime": cert.regime,
-                "bound_used": cert.bound_used,
-                "claimed_bound": cert.claimed_bound,
-                "max_gap": cert.max_gap,
-                "grid_points": cert.grid_points,
-                "satisfied": cert.satisfied,
-            }
-            for cert in certificates
-        ],
+        "certificates": [{k: v for k, v in cert._asdict().items()
+                          if k not in ("case", "worst_point")} | {"satisfied": cert.satisfied}
+                         for cert in certificates],
     }
     _emit_json(document, args)
     return 0 if all(cert.satisfied for cert in certificates) else 3

@@ -34,6 +34,7 @@ all its powers, checked once over its arrays; neither builds a config.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -41,7 +42,8 @@ import numpy as np
 from .achievable import Scheme, achievable_case_c, best_achievable, best_rate, lattice_rate
 from .bounds import cutset_case_c, cutset_min_array, modulo_bound_array
 from .bounds import modulo_bound_case_c, outer_bounds
-from .model import _LN2, ScenarioCase, gaussian_mi, make_preset, math_map, mutual_info, square
+from .model import _LN2, ScenarioCase, _check_fields, gaussian_mi, make_preset, math_map
+from .model import mutual_info, square
 
 PRELOG_METHODS = ("finite_difference", "ratio")
 
@@ -79,8 +81,8 @@ def estimate_prelog(
     rate / log2(p_x) at the largest one.
 
     Raises:
-        ValueError: on an empty, not strictly increasing or not finite grid, a
-            power past the largest float, not one rate per power, a non-finite
+        ValueError: on an empty, not strictly increasing or not finite grid, a power
+            past the float range (inf or 0.0), not one rate per power, a non-finite
             rate, or an unknown method (finite differences need at least two points).
     """
     if method not in PRELOG_METHODS:
@@ -94,6 +96,8 @@ def estimate_prelog(
         raise ValueError(f"p_x = 2**{exponents[-1]:g} overflows a float")
     if not all(map(math.isfinite, exponents)):
         raise ValueError(f"exponents must be finite, got {exponents}")
+    if exponents[0] < -1074.0:  # 2.0**k is 0.0 below
+        raise ValueError(f"p_x = 2**{exponents[0]:g} underflows to 0.0")
     powers = np.array([2.0**k for k in exponents])
     rates = np.asarray(rate_fn(powers), dtype=float)
     if rates.shape != powers.shape:
@@ -435,7 +439,22 @@ def _point_certificate(case: ScenarioCase, p_x: float, p_j: float) -> GapCertifi
 
 def default_power_grid() -> tuple[float, ...]:
     """Decade-spaced grid, 5 points per decade, over [10, 1e9]."""
-    return tuple(10.0**e for e in np.arange(1.0, 9.0 + 1e-9, 0.2))
+    return tuple(_decade_grid(1.0, 9.0, 5))
+
+
+def _decade_grid(lo: float, hi: float, per_decade: int) -> list[float]:
+    """10**e for e from lo to hi in steps of 1/per_decade, by libm's pow; ValueError where a
+    power passes the largest float (numpy's 10.0**e would give inf) or no array holds them."""
+    count = (hi - lo) * per_decade + 1
+    try:
+        if count > sys.maxsize:  # longer than any numpy array
+            raise MemoryError
+        exps = np.arange(lo, hi + 1e-9, 1.0 / per_decade)
+        return [10.0**e for e in exps.tolist()]
+    except OverflowError:
+        raise ValueError(f"grid powers up to 10**{exps[-1]:g} overflow a float") from None
+    except MemoryError:
+        raise ValueError(f"{count:.0f} powers do not fit in memory") from None
 
 
 def certify_gaps(
@@ -451,9 +470,7 @@ def certify_gaps(
     folded into its point count and first worst point as they come; its
     largest gap is then evaluated again at that point through the
     config-checked per-point functions, so a one-point grid gives the gap of
-    that point.  Points outside every regime of the case are skipped.  A
-    certificate counts its regime's points (`grid_points`) and names the
-    first worst one (`worst_point`).
+    that point.  Points outside every regime of the case are skipped.
 
     Raises:
         ValueError: on a non-finite p_x, a NaN or negative power in either
@@ -544,8 +561,7 @@ def sweep_sum_capacity(
         raise ValueError("the sum-capacity sweep applies to Cases B and C")
     if split_samples < 2:
         raise ValueError("need at least two split samples")
-    cfg = make_preset(case, p_x, p_j, c1=0.0, c2=0.0)  # the links vary per split below
-    p_x, p_j = cfg.p_x, cfg.p_j
+    p_x, p_j = _check_fields(p_x=p_x, p_j=p_j)  # the links vary per split below
     totals = np.array([float(total) for total in sum_capacities])
     for total in totals.tolist():
         if not 0.0 <= total < math.inf:

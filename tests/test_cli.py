@@ -564,6 +564,16 @@ def test_range_spec_with_the_wrong_field_count_names_its_form(argv, form, capsys
     # refused from the count alone, before any power is computed
     (["gaps", "--case", "a", "--grid", "0:1e18:1000"],
      "1000000000000000000000 powers do not fit in memory"),
+    (["gaps", "--case", "a", "--grid", "306:309:3"], "grid powers up to 10**309 overflow a float"),
+    # the sweep's powers, checked as a config checks its fields
+    (["sweep", "--case", "c", "--px", "-1", "--pj", "1", "--sum-range", "0:1:1"],
+     "p_x must be >= 0, got -1.0"),
+    (["sweep", "--case", "c", "--px", "10", "--pj", "nan", "--sum-range", "0:1:1"],
+     "p_j must be >= 0, got nan"),
+    (["sweep", "--case", "c", "--px", "inf", "--pj", "10", "--sum-range", "0:1:1"],
+     "p_x must be finite, got inf"),
+    (["sweep", "--case", "c", "--px", "nan", "--pj", "1", "--sum-range", "0:1:1"],
+     "p_x must be >= 0, got nan"),
     # refused by the config, not by numpy's seeding
     (["cover", "--rate", "0.5", "--trials", "3", "--seed", "-5"], "seed must be >= 0, got -5"),
     (["simulate", "--case", "c", "--px", "15", "--pj", "15", "--c1", "2", "--c2", "2",

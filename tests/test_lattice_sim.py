@@ -321,6 +321,12 @@ class TestThreadedBatches:
             assert 1 <= len(threads) <= most
             assert all(name.startswith("tworelay-batch") for name in threads)
 
+    def test_usable_cpus_fall_back_to_the_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert lattice_sim._usable_cpus() == (os.cpu_count() or 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # the count is unknown
+        assert lattice_sim._usable_cpus() == 1
+
     def test_lowest_non_finite_batch_raises_and_stops_the_workers(self, monkeypatch):
         bad = {2, 4}
         started, threads = [], []

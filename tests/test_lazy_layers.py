@@ -58,6 +58,19 @@ def test_unknown_names_raise_attribute_error():
         exec("from tworelay import no_such_name", {})
 
 
+@pytest.mark.parametrize("layer", tworelay._LAZY)
+def test_a_layer_name_gives_the_layer(layer):
+    # once imported, a layer is an attribute of the package; ask the hook itself
+    assert tworelay.__getattr__(layer) is importlib.import_module(f"tworelay.{layer}")
+
+
+def test_a_lazy_cli_name_is_bound_on_first_access(monkeypatch):
+    monkeypatch.delitem(vars(cli), "certify_gaps", raising=False)
+    value = cli.__getattr__("certify_gaps")
+    assert value is importlib.import_module("tworelay.scaling").certify_gaps
+    assert vars(cli)["certify_gaps"] is value
+
+
 BARE_IMPORT = """
     import json, sys
     import tworelay

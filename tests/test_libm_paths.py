@@ -234,6 +234,11 @@ def test_the_ufunc_path_never_calls_libm_per_element(monkeypatch):
             assert np.shape(model.math_map(fn, x)) == np.shape(x)
 
 
+def test_numpy_without_introspection_takes_the_per_element_path(monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy.lib.introspect", None)  # numpy before 2.0
+    assert model._ufuncs_give_libm_bits() is False
+
+
 @pytest.mark.parametrize("ufunc_path", [True, False])
 def test_lattice_report_of_an_overflowing_alpha_has_rate_zero(ufunc_path, monkeypatch):
     monkeypatch.setattr(model, "_UFUNC_PATH", ufunc_path and model._UFUNC_PATH)

@@ -66,6 +66,10 @@ class TestEstimatePrelog:
             estimate_prelog(constant(1.0), [1023, 1024])
         with pytest.raises(ValueError, match=r"p_x = 2\*\*inf overflows a float"):
             estimate_prelog(constant(1.0), [1023, math.inf])
+        # 2.0**k is 0.0 below -1074, so a rung there would be computed at p_x = 0
+        for ladder in ([-1100.0, 3.0], [-1100.0, -1080.0]):
+            with pytest.raises(ValueError, match=r"^p_x = 2\*\*-1100 underflows to 0.0$"):
+                estimate_prelog(lambda p: np.log2(1 + p), ladder)
 
     @pytest.mark.parametrize("method", ["finite_difference", "ratio"])
     @pytest.mark.parametrize("ladder", [
@@ -89,6 +93,11 @@ class TestEstimatePrelog:
         with pytest.raises(ValueError) as refused:
             estimate_prelog(rate_fn, ladder, method=method)
         assert str(refused.value) == f"exponents must be finite, got {tuple(ladder)}"
+
+    def test_the_smallest_subnormal_power_is_accepted(self):
+        est = estimate_prelog(lambda p: np.log2(1 + p), [-1074.0, 3.0])
+        assert est.rate_samples == (0.0, math.log2(9.0))
+        assert est.prelog == math.log2(9.0) / 1077.0
 
     def test_rate_fn_gives_one_rate_per_power(self):
         # the whole ladder goes to rate_fn at once; a scalar is not taken as every rung's rate
@@ -163,7 +172,7 @@ class TestArrayLadders:
         assert calls == ["cutset_min_array", "modulo_bound_array"]
 
     @pytest.mark.parametrize("coupling, scale, ladder, refused", [
-        ("pj=px", 1.0, [-1100, 10], "every p_x"),  # 2**-1100 underflows to 0
+        ("pj=px", 1.0, [-1100, 10], "underflows to 0.0"),  # refused by the ladder itself
         ("pj=0", 1.0, [10, 11], "every p_j"),
         ("pj=nan", 1.0, [10, 11], "every p_j"),
         ("pj=px", -1.0, [10, 11], "link"),
@@ -174,6 +183,11 @@ class TestArrayLadders:
                                                       refused):
         with pytest.raises(ValueError, match=refused):
             estimate_prelog(coupled_capacity_rate_fn(case, coupling, scale), ladder)
+
+    @pytest.mark.parametrize("case", list(ScenarioCase))
+    def test_the_rate_function_refuses_a_zero_power(self, case):
+        with pytest.raises(ValueError, match="every p_x"):
+            coupled_capacity_rate_fn(case)(np.array([0.0, 1024.0]))
 
     def test_case_b_refuses_an_unlimited_c1(self):
         with pytest.raises(ValueError, match="finite c1"):
@@ -337,6 +351,13 @@ class TestGapCertificates:
         certs = certify_gaps(ScenarioCase.CASE_C, powers, powers)
         assert certify_gaps(ScenarioCase.CASE_C, np.array(powers), np.array(powers)) == certs
         assert {c.regime: c.grid_points for c in certs}["cutset"] == 210
+
+    @pytest.mark.parametrize("ufunc_path", [True, False])
+    def test_the_default_grid_is_the_cli_grid_1_9_5(self, ufunc_path, monkeypatch):
+        monkeypatch.setattr(model, "_UFUNC_PATH", ufunc_path and model._UFUNC_PATH)
+        bits = [float.hex(p) for p in default_power_grid()]
+        assert bits == [float.hex(p) for p in _parse_grid("1:9:5")[0]]
+        assert bits == [float.hex(float(10.0**e)) for e in np.arange(1.0, 9.0 + 1e-9, 0.2)]
 
     def test_unlimited_interferer_stays_on_the_grid(self):
         (cert,) = certify_gaps(ScenarioCase.CASE_B, [10.0, 100.0], [10.0, math.inf])
