@@ -39,29 +39,21 @@ from pathlib import Path
 import numpy as np
 
 from . import _LAZY, __version__
-from .achievable import (
-    achievable_case_a,
-    achievable_case_b,
-    achievable_case_c,
-    best_achievable,
-    local_decode_baseline,
-)
-from .bounds import outer_bounds
-from .model import ScenarioCase, make_preset
 
 
-def _bind(layer: str) -> None:
-    """Import `layer` and bind its exports (the package's `_LAZY`) in this
-    module's namespace, so a process imports only the layers its subcommand runs.
+def _bind(*layers: str) -> None:
+    """Import each of `layers` and bind its exports (the package's `_LAZY`) in
+    this module's namespace, so a process imports only the layers its subcommand runs.
 
     A name already set here (say, a wrapper that replaced it) is kept, and
     each subcommand looks its names up here at call time, so it calls
     whatever the namespace holds.
     """
-    module = import_module(f".{layer}", __package__)
     namespace = globals()
-    for name in _LAZY[layer]:
-        namespace.setdefault(name, getattr(module, name))
+    for layer in layers:
+        module = import_module(f".{layer}", __package__)
+        for name in _LAZY[layer]:
+            namespace.setdefault(name, getattr(module, name))
 
 
 def __getattr__(name: str):
@@ -136,6 +128,7 @@ def _emit_csv(header: list[str], rows: list[list], schema: str,
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    _bind("model", "achievable", "bounds")
     case = ScenarioCase(args.case)
     cfg = make_preset(case, args.px, args.pj, c1=args.c1, c2=args.c2)
     point = (args.px, args.pj, args.c1, args.c2)
@@ -206,7 +199,7 @@ def _parse_range(spec: str) -> list[float]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    _bind("scaling")
+    _bind("model", "scaling")
     case = ScenarioCase(args.case)
     sums = _parse_range(args.sum_range)
     points = sweep_sum_capacity(case, args.px, args.pj, sums, split_samples=args.split_samples)
@@ -271,7 +264,7 @@ def _parse_grid(spec: str) -> tuple[list[float], list[float]] | tuple[None, None
 
 
 def cmd_gaps(args: argparse.Namespace) -> int:
-    _bind("scaling")
+    _bind("model", "scaling")
     case = ScenarioCase(args.case)
     px_grid, pj_grid = _parse_grid(args.grid)
     certificates = certify_gaps(case, px_grid, pj_grid)
@@ -286,7 +279,7 @@ def cmd_gaps(args: argparse.Namespace) -> int:
 
 
 def cmd_scaling(args: argparse.Namespace) -> int:
-    _bind("scaling")
+    _bind("model", "scaling")
     case = ScenarioCase(args.case)
     lo, hi = _split_spec(args.exponents, "--exponents", "lo:hi", int, int)
     if lo < -1074 or hi > 1023:  # p_x = 2**k: 0 below -1074, past the largest float above 1023

@@ -443,13 +443,14 @@ def default_power_grid() -> tuple[float, ...]:
 
 
 def _decade_grid(lo: float, hi: float, per_decade: int) -> list[float]:
-    """10**e for e from lo to hi in steps of 1/per_decade, by libm's pow; ValueError where a
-    power passes the largest float (numpy's 10.0**e would give inf) or no array holds them."""
-    count = (hi - lo) * per_decade + 1
+    """10**e for e = lo + k/per_decade up to hi, by libm's pow, so every whole decade past
+    an integer lo is an exact power of ten; ValueError where a power passes the largest
+    float (numpy's 10.0**e would give inf) or no array holds them."""
+    count = (hi + 1e-9 - lo) / (1.0 / per_decade)  # the length of arange(lo, hi + 1e-9, step)
     try:
         if count > sys.maxsize:  # longer than any numpy array
             raise MemoryError
-        exps = np.arange(lo, hi + 1e-9, 1.0 / per_decade)
+        exps = lo + np.arange(math.ceil(count)) / per_decade
         return [10.0**e for e in exps.tolist()]
     except OverflowError:
         raise ValueError(f"grid powers up to 10**{exps[-1]:g} overflow a float") from None

@@ -6,6 +6,8 @@ the digest of each call's output at the default seed.  Each call runs here in
 a fresh interpreter from a temporary directory, as the benchmark runs it.
 The benchmark's files are read, not changed; `digest` restates the one in
 `perfbench/run.py`, which is not imported because it edits `sys.path`.
+`MOVED` holds the digest of a call whose bytes changed on purpose after
+`golden.json` was written; the next rewrite of `golden.json` takes it over.
 """
 
 import hashlib
@@ -42,6 +44,9 @@ def digest(stdout: bytes, out_bytes: bytes | None, sidecar: bytes | None) -> str
 workloads = _workloads()
 CALLS = workloads.build_calls("grid_sweeps", workloads.DEFAULT_SEED)
 GOLDEN = json.loads((PERFBENCH / "golden.json").read_text())["grid_sweeps"]
+#: `gaps --case c --grid 1:9:20`: its grid lands on the exact decades, and one
+#: `max_gap` moved from 2.5458642421089337 to 2.545864242108932.
+MOVED = {"gaps_c_grid": "425351bc2c75c9102618a0e21270e1dd691159fc7c524e893bba76c239a0ba1f"}
 
 
 def test_every_call_has_a_golden_digest():
@@ -61,4 +66,4 @@ def test_output_bytes_match_the_golden_digest(call, tmp_path):
         path = tmp_path / workloads.OUTDIR / call.out
         out_bytes = path.read_bytes()
         sidecar = path.with_name(path.name + ".manifest.json").read_bytes()
-    assert digest(done.stdout, out_bytes, sidecar) == GOLDEN[call.name]
+    assert digest(done.stdout, out_bytes, sidecar) == MOVED.get(call.name, GOLDEN[call.name])

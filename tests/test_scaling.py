@@ -357,7 +357,14 @@ class TestGapCertificates:
         monkeypatch.setattr(model, "_UFUNC_PATH", ufunc_path and model._UFUNC_PATH)
         bits = [float.hex(p) for p in default_power_grid()]
         assert bits == [float.hex(p) for p in _parse_grid("1:9:5")[0]]
-        assert bits == [float.hex(float(10.0**e)) for e in np.arange(1.0, 9.0 + 1e-9, 0.2)]
+        assert bits == [float.hex(10.0 ** (1.0 + k / 5)) for k in range(41)]
+
+    @pytest.mark.parametrize("per_decade", [3, 5, 20, 150])
+    def test_grid_decades_are_exact_powers_of_ten(self, per_decade):
+        # steps of a rounded 1/per_decade drift off them: 1:9:20 would end at 1000000000.0000163
+        grid = scaling._decade_grid(1.0, 9.0, per_decade)
+        assert len(grid) == 8 * per_decade + 1
+        assert grid[::per_decade] == [10.0 ** (1 + k) for k in range(9)]
 
     def test_unlimited_interferer_stays_on_the_grid(self):
         (cert,) = certify_gaps(ScenarioCase.CASE_B, [10.0, 100.0], [10.0, math.inf])
