@@ -433,9 +433,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_range_values(argv: list[str]) -> list[str]:
+    """argv with a range flag (or its abbreviation) and a value after it that
+    starts with '-' and holds a ':' joined as in `--exponents=-5:3`, which
+    argparse reads as the flag's value; apart, it takes `-5:3` for an option."""
+    joined: list[str] = []
+    for token in argv:
+        if token[:1] == "-" and ":" in token and joined and len(joined[-1]) > 2 and any(
+                flag.startswith(joined[-1]) for flag in ("--sum-range", "--grid", "--exponents")):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_range_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ValueError, KeyError) as exc:

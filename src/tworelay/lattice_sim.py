@@ -31,11 +31,11 @@ threads (numpy's draws and large ufuncs release the interpreter lock) and
 reduce the per-batch results, or raise a batch's error, in batch order.
 The output is identical for every worker count; the pool size follows the
 CPUs the process may run on, not a setting.  Each simulator worker computes a
-batch in two pieces of half a batch, cut where numpy's pairwise summation
-cuts the batch, so that the pieces' moment sums add up to the batch's bit
-for bit; it draws and reduces them in place in seven half-batch buffers of
-its own, so after its first batch a piece allocates no piece-sized array but
-a BPSK interferer's integer draw.
+batch in one piece, or in two cut once where numpy's pairwise summation cuts
+the batch, so that their moment sums add up to the batch's bit for bit; it
+draws and reduces them in place in seven buffers of its own, sized on its
+first batch, so after that a piece allocates no piece-sized array but a BPSK
+interferer's integer draw.
 """
 
 from __future__ import annotations
@@ -276,27 +276,20 @@ def _uniform(rng: np.random.Generator, low: float, high: float, out: np.ndarray)
 #: Piece-sized float64 buffers per pool worker (see `_sim_batch`).
 _BUFFERS = 7
 
-#: The largest piece of a batch that `_sim_batch` computes at once.  The
-#: pieces are cut where numpy's pairwise sum cuts the batch, so no output
-#: bit depends on it.
-_PIECE = BATCH_SIZE // 2
-
-#: numpy's pairwise sum adds a run of up to this many elements uncut.
-_PAIRWISE_BLOCK = 128
+#: The largest piece of a batch that `_sim_batch` computes at once: the larger
+#: part of numpy's top-level pairwise cut of 65 535 samples.
+_PIECE = BATCH_SIZE // 2 + 7
 
 _worker = threading.local()
 
 
 def _worker_buffers(m: int) -> list[np.ndarray]:
-    """The calling thread's `_BUFFERS` buffers, cut to m samples: room for
-    the largest piece of a batch, half a batch at most (see `_sim_batch`).
-
-    A thread allocates them on its first batch (anew only for a larger
-    piece, which no batch of a run has after a full one) and refills them
-    on every later one; a pool worker's go with its thread.
-    """
+    """The calling thread's `_BUFFERS` buffers, cut to m samples: allocated on
+    its first batch, the largest it sees (a pool worker takes the batches in
+    order, all full but a run's last, and ends with the run), and refilled on
+    every later one."""
     arrays = getattr(_worker, "arrays", None)
-    if arrays is None or arrays[0].size < m:
+    if arrays is None:
         arrays = _worker.arrays = [np.empty(m) for _ in range(_BUFFERS)]
     return [a[:m] for a in arrays]
 
@@ -520,35 +513,22 @@ def _dither_summary(hist: np.ndarray, total: dict[str, float], n: int) -> tuple[
 
 def _sim_batch(cfg: SimConfig, scheme: tuple[float, float, float], edges: np.ndarray,
                batch: int, m: int) -> _Batch:
-    """One batch of the scheme, computed piece by piece.
+    """One batch of the scheme, in one piece of up to `_PIECE` samples or in two.
 
-    `_fold_pairwise` cuts the batch into pieces of at most half a batch,
-    which `_sim_piece` computes in turn in the calling worker's buffers, each
-    drawing the next samples of the batch's seven streams.
+    numpy sums m > 128 elements as the sum of the first n2 and that of the
+    rest, n2 being m//2 less its remainder mod 8; a larger batch is cut there
+    once, and `_sim_piece` computes the pieces in turn in the calling
+    worker's buffers, each drawing the next samples of the batch's streams.
+    Their moment sums are added as numpy adds the parts, so they keep the
+    bits of numpy's sum over the batch.  A piece that raises ends the batch.
     """
     streams = [_stream(cfg.seed, batch, var) for var in range(_VAR_D2 + 1)]
-    buffers = _worker_buffers(min(m, max(_PIECE, _PAIRWISE_BLOCK)))
-    return _fold_pairwise(
-        m, lambda k: _sim_piece(cfg, scheme, edges, streams, [b[:k] for b in buffers], batch))
-
-
-def _fold_pairwise(m: int, piece: Callable[[int], _Batch]) -> _Batch:
-    """The result of m samples from `piece(size)` called in sample order on
-    pieces of at most `_PIECE`, cut as numpy's pairwise sum cuts m elements.
-
-    numpy sums more than `_PAIRWISE_BLOCK` elements as the sum of the first
-    n2 and that of the other m - n2, n2 being m//2 less its remainder mod 8.
-    The moment sums of the two parts are added back here in that tree, so
-    they keep the bits of numpy's sum over all m samples.  Histogram counts
-    add, the residual is the largest of the parts'.  A piece that raises
-    ends the fold.
-    """
-    if m <= max(_PIECE, _PAIRWISE_BLOCK):
-        return piece(m)
-    n2 = m // 2
-    n2 -= n2 % 8
-    left = _fold_pairwise(n2, piece)
-    right = _fold_pairwise(m - n2, piece)
+    buffers = _worker_buffers(min(m, _PIECE))
+    n2 = m if m <= _PIECE else m // 2 - m // 2 % 8
+    left = _sim_piece(cfg, scheme, edges, streams, [b[:n2] for b in buffers], batch)
+    if n2 == m:
+        return left
+    right = _sim_piece(cfg, scheme, edges, streams, [b[:m - n2] for b in buffers], batch)
     return _Batch(max(left.max_residual, right.max_residual), left.hist + right.hist,
                   {key: value + right.sums[key] for key, value in left.sums.items()})
 
@@ -798,8 +778,9 @@ class CoverageConfig:
         if not (math.isfinite(largest * max(1.0, s2, 1.0 / d2)) and s2 * d2 >= _SMALLEST_NORMAL):
             raise ValueError(f"the typicality statistics at source variance {s2!r} and "
                              f"distortion {d2!r} leave the range of normal floats")
-        if not self.typicality_epsilon > 0.0:
-            raise ValueError("typicality_epsilon must be > 0")
+        if not 0.0 < self.typicality_epsilon < math.inf:
+            raise ValueError("typicality_epsilon must be finite and > 0, "
+                             f"got {self.typicality_epsilon!r}")
 
     @property
     def mutual_information_bits(self) -> float:

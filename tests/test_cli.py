@@ -558,6 +558,43 @@ def test_range_spec_with_the_wrong_field_count_names_its_form(argv, form, capsys
     assert captured.err == f"tworelay: error: {form}, got {argv[-1]!r}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["scaling", "--case", "a", "--exponents", "-5:3"],
+    ["scaling", "--case", "a", "--exp", "-5:3"],  # an abbreviation of the flag
+    ["scaling", "--case", "b", "--exponents", "-1100:3"],
+    ["scaling", "--case", "a", "--exponents", "-inf:3"],
+    ["gaps", "--case", "a", "--grid", "-3:5:1"],
+    ["gaps", "--case", "c", "--grid", "-3:x:1"],
+    ["sweep", "--case", "b", "--px", "10", "--pj", "10", "--sum-range", "-1:2:1"],
+], ids=" ".join)
+def test_range_with_a_negative_first_field_reads_alike_in_both_forms(argv, capsys):
+    # argparse took a value that starts with '-' for an option: the space form
+    # exited 2 with "expected one argument", the '=' form ran
+    joined = [*argv[:-2], f"{argv[-2]}={argv[-1]}"]
+    runs = []
+    for form in (argv, joined):
+        code = cli.main(form)
+        runs.append((code, *capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert "expected one argument" not in runs[0][2]
+
+
+def test_range_values_are_joined_from_the_process_arguments(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["tworelay", "gaps", "--case", "b", "--grid", "-1:1:1"])
+    assert cli.main() == 0
+    assert json.loads(capsys.readouterr().out)["manifest"]["parameters"]["grid"] == "-1:1:1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--case", "b", "--px", "-1", "--pj", "1", "--sum-range", "0:1:1"],
+    ["sweep", "--case", "b", "--px", "-1:2", "--pj", "1"],
+    ["scaling", "--case", "a", "--exponents", "-5"],
+    ["scaling", "--case", "a", "--exponents=-5:3", "-1:2"],
+], ids=" ".join)
+def test_other_values_are_passed_on_as_given(argv):
+    assert cli._join_range_values(argv) == argv
+
+
 @pytest.mark.parametrize("argv, error", [
     (["scaling", "--case", "a", "--coupling", "pj=-1"],
      "constant interferer power must be >= 0, got -1.0"),
@@ -576,6 +613,8 @@ def test_range_spec_with_the_wrong_field_count_names_its_form(argv, form, capsys
      "p_x must be >= 0, got nan"),
     # refused by the config, not by numpy's seeding
     (["cover", "--rate", "0.5", "--trials", "3", "--seed", "-5"], "seed must be >= 0, got -5"),
+    (["cover", "--rate", "0.5", "--seed", "1", "--eps", "inf"],
+     "typicality_epsilon must be finite and > 0, got inf"),
     (["simulate", "--case", "c", "--px", "15", "--pj", "15", "--c1", "2", "--c2", "2",
       "--seed", "-5"], "seed must be >= 0, got -5"),
 ], ids=lambda value: " ".join(value[:1] + value[-2:]) if isinstance(value, list) else "error")

@@ -11,6 +11,7 @@ import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -273,6 +274,9 @@ def bit_patterns(stats):
 SMALL_C = replace(CASE_C, samples=3 * BATCH_SIZE + 17)
 BIT_IDENTITY_CONFIGS = [
     *(replace(CASE_B, samples=n) for n in (2, BATCH_SIZE, BATCH_SIZE + 1, 3 * BATCH_SIZE + 17)),
+    # a last batch of 65 535 samples, whose two pieces are 32 760 and 32 775 samples
+    replace(CASE_B, samples=2 * BATCH_SIZE - 1),
+    replace(CASE_C, samples=2 * BATCH_SIZE - 1, interferer="bpsk"),
     replace(SMALL_C, interferer="uniform"),
     replace(SMALL_C, interferer="bpsk"),
     replace(SMALL_C, p_j=0.0, seed=4),
@@ -352,47 +356,58 @@ class TestThreadedBatches:
         assert not [t for t in threading.enumerate() if t.name.startswith("tworelay-batch")]
 
 
-def fold_pieces(m):
-    """The piece sizes, in order, in which `_sim_batch` computes m samples."""
-    pieces = []
+def batch_pieces(m, piece):
+    """`_sim_batch` of m samples, each piece computed by `piece(start, size)` in
+    place of `_sim_piece`, on worker buffers of its own; the pieces' results
+    are added back by `_sim_batch`."""
+    start = 0
 
-    def piece(k):
-        pieces.append(k)
+    def sim_piece(cfg, scheme, edges, streams, buffers, batch):
+        nonlocal start
+        size = buffers[0].size
+        start += size
+        return piece(start - size, size)
+
+    with mock.patch.object(lattice_sim, "_sim_piece", sim_piece), \
+            mock.patch.object(lattice_sim, "_worker", threading.local()):
+        return lattice_sim._sim_batch(CASE_B, None, None, 0, m)
+
+
+def cut(m):
+    """The piece sizes, in order, in which `_sim_batch` computes m samples."""
+    sizes = []
+
+    def piece(start, size):
+        sizes.append(size)
         return lattice_sim._Batch(0.0, np.zeros(1, dtype=np.int64), {})
 
-    lattice_sim._fold_pairwise(m, piece)
-    return pieces
+    batch_pieces(m, piece)
+    return sizes
 
 
 def sum_over_pieces(x):
     """x's sum as `_sim_batch` forms a moment sum: numpy's sum of each piece,
-    added back by `_fold_pairwise`."""
-    starts = np.cumsum([0, *fold_pieces(x.size)])
-    sums = iter(float(x[a:b].sum()) for a, b in zip(starts, starts[1:]))
+    added back by `_sim_batch`."""
     zero = np.zeros(1, dtype=np.int64)
-    return lattice_sim._fold_pairwise(
-        x.size, lambda k: lattice_sim._Batch(0.0, zero, {"x": next(sums)})).sums["x"]
+    return batch_pieces(x.size, lambda start, size: lattice_sim._Batch(
+        0.0, zero, {"x": float(x[start:start + size].sum())})).sums["x"]
 
 
-PAIRWISE_SIZES = [*range(1, 130), *range(32760, 32777), 65535, 65536,
+PAIRWISE_SIZES = [*range(1, 130), *range(32760, 32777), *range(65520, 65537),
                   *np.random.default_rng(11).integers(130, BATCH_SIZE, 16).tolist()]
 
 
 def pairwise_mismatches():
-    """The (piece, size, scale) at which a sum over the pieces differs in
-    any bit from numpy's sum of the whole array."""
+    """The (size, scale) at which a sum over the pieces differs in any bit
+    from numpy's sum of the whole array."""
     rng = np.random.default_rng(7)
     mismatches = []
-    for piece in (BATCH_SIZE // 2, 8192, 1000, 129, 8):
-        lattice_sim._PIECE = piece
-        for m in PAIRWISE_SIZES:
-            x = rng.standard_normal(m)
-            for scale in (1.0, 1e-300, 1e300, -0.0):
-                y = x * scale if scale else np.full(m, -0.0)
-                got = sum_over_pieces(y)
-                if struct.pack("<d", got) != struct.pack("<d", float(y.sum())):
-                    mismatches.append((piece, m, scale))
-    lattice_sim._PIECE = BATCH_SIZE // 2
+    for m in PAIRWISE_SIZES:
+        x = rng.standard_normal(m)
+        for scale in (1.0, 1e-300, 1e300, -0.0):
+            y = x * scale if scale else np.full(m, -0.0)
+            if struct.pack("<d", sum_over_pieces(y)) != struct.pack("<d", float(y.sum())):
+                mismatches.append((m, scale))
     return mismatches
 
 
@@ -409,11 +424,11 @@ def reference_bits(cfg):
 
 
 class TestPairwiseCut:
-    """A batch is computed in pieces cut where numpy's pairwise sum cuts it,
-    so its moment sums keep the bits of one sum over the whole batch."""
+    """A batch of more than `_PIECE` samples is computed in two pieces, cut
+    where numpy's pairwise sum makes its top-level cut, so its moment sums
+    keep the bits of one sum over the whole batch."""
 
-    def test_sums_over_the_cut_equal_numpys_sum(self, monkeypatch):
-        monkeypatch.setattr(lattice_sim, "_PIECE", lattice_sim._PIECE)  # restored after
+    def test_sums_over_the_cut_equal_numpys_sum(self):
         assert pairwise_mismatches() == []
 
     def test_sums_over_the_cut_equal_numpys_sum_with_avx512_kept(self):
@@ -427,35 +442,27 @@ class TestPairwiseCut:
                               env=env, capture_output=True, text=True, timeout=300, check=True)
         assert json.loads(proc.stdout.splitlines()[-1]) == []
 
-    def test_a_batch_is_two_halves(self):
-        assert fold_pieces(BATCH_SIZE) == [BATCH_SIZE // 2, BATCH_SIZE // 2]
-        assert fold_pieces(BATCH_SIZE // 2 + 1) == [16384, 16385]
-        assert fold_pieces(BATCH_SIZE // 2) == [BATCH_SIZE // 2]
-        assert fold_pieces(BATCH_SIZE - 1) == [32760, 16384, 16391]
+    def test_a_batch_is_one_piece_or_two(self):
+        assert cut(BATCH_SIZE) == [32768, 32768]
+        assert cut(BATCH_SIZE - 1) == [32760, 32775]
+        assert cut(lattice_sim._PIECE + 1) == [16384, 16392]
+        for m in (1, 129, BATCH_SIZE // 2, lattice_sim._PIECE):
+            assert cut(m) == [m]
         for m in PAIRWISE_SIZES:
-            pieces = fold_pieces(m)
+            pieces = cut(m)
             assert sum(pieces) == m
-            assert max(pieces) <= BATCH_SIZE // 2
+            assert max(pieces) <= lattice_sim._PIECE == BATCH_SIZE // 2 + 7
 
     def test_the_first_non_finite_piece_ends_the_batch(self):
         pieces = []
 
-        def piece(k):
-            pieces.append(k)
-            if len(pieces) == 2:
-                raise ValueError("non-finite samples in batch 0; aborting")
-            return lattice_sim._Batch(0.0, None, {})
+        def piece(start, size):
+            pieces.append(size)
+            raise ValueError("non-finite samples in batch 0; aborting")
 
         with pytest.raises(ValueError, match="non-finite samples in batch 0;"):
-            lattice_sim._fold_pairwise(4 * BATCH_SIZE, piece)
-        assert len(pieces) == 2
-
-    @pytest.mark.parametrize("piece", [8192, 1000, 129, 8])
-    def test_any_piece_size_gives_the_serial_loop(self, piece, monkeypatch):
-        monkeypatch.setattr(lattice_sim, "_PIECE", piece)
-        monkeypatch.setattr(lattice_sim, "_usable_cpus", lambda: 2)
-        for cfg in BIT_IDENTITY_CONFIGS:
-            assert bit_patterns(run_lattice_sim(cfg)) == reference_bits(cfg), cfg
+            batch_pieces(BATCH_SIZE, piece)
+        assert pieces == [BATCH_SIZE // 2]
 
 
 class TestWorkerBuffers:
@@ -689,6 +696,12 @@ class TestCoverage:
         for rate in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
                 CoverageConfig(codebook_rate=rate)
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan])
+    def test_non_finite_epsilon_rejected(self, eps):
+        # an infinite tolerance covered every trial and wrote JSON's non-standard Infinity
+        with pytest.raises(ValueError, match=f"typicality_epsilon must be finite and > 0, got {eps}"):
+            CoverageConfig(codebook_rate=0.5, typicality_epsilon=eps)
 
     def test_rate_offsets_separate(self):
         mutual = CoverageConfig(codebook_rate=0.0).mutual_information_bits
