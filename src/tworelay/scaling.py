@@ -13,19 +13,22 @@ data (best link split per sum) behind the composite rate curves.  The sweep
 checks its powers once; it and the gap certificates call the rates alone of
 the array core (`achievable.best_rate`, `bounds.cutset_min_array`, ...) in
 full blocks: a sweep block holds all splits of as many sums as fit in
-`_SWEEP_BLOCK` (8 192) points, or 8 192 splits of a longer sum; a gap block
-holds `_GAP_BLOCK` (4 096) points of one regime, gathered in grid order from
-as many p_x rows as fill a block (only a regime's last block is shorter).
+`_SWEEP_BLOCK` (8 192) points, or 8 192 splits of a longer sum; a gap tile
+holds as many whole p_x rows of the grid as fit in `_GAP_BLOCK` (4 096)
+points, or, where one row has more p_j, 4 096 p_j of one row.  A tile is one
+rate call for all the regimes of its case, with p_x as a column and p_j as a
+row, so a quantity of p_x alone is formed once per row; each regime masks
+the gaps of the others' points to -inf.
 
 Of each sum's splits and each regime's points only the first argmax in grid
 order is reported (the lowest c1 of a sum, the first worst point of a
-regime).  `_first_max` folds the blocks into it one by one, as np.argmax
-over the whole grid would pick it, and nothing else of a block is kept but
-a regime's point count and a sum's largest cut-set bound, so the memory of
-a grid follows the block, not the grid.  `model.math_map` gives every value
-libm's bits, so the pick is the one a per-point evaluation makes.  A
-certificate carries its regime's point count and that worst point, not the
-points themselves, and reports the largest gap as the config-checked
+regime).  `_first_max` folds the blocks and tiles into it one by one, as
+np.argmax over the whole grid would pick it, and nothing else of them is
+kept but a regime's point count and a sum's largest cut-set bound, so the
+memory of a grid follows the block, not the grid.  `model.math_map` gives
+every value libm's bits, so the pick is the one a per-point evaluation
+makes.  A certificate carries its regime's point count and that worst point,
+not the points themselves, and reports the largest gap as the config-checked
 per-point path (`_point_certificate`) gives it at that point.  A pre-log
 ladder, and each bound of the looseness demo, is one array-core call over
 all its powers, checked once over its arrays; neither builds a config.
@@ -51,7 +54,8 @@ PRELOG_METHODS = ("finite_difference", "ratio")
 #: sum): the core's 0.2 ms a call was about half of a default sweep's time in blocks of 2 048.
 _SWEEP_BLOCK = 8192
 
-#: Points of one regime per array-core call of the gap certificates (8 192 raised peak RSS).
+#: Points per array-core call of the gap certificates: whole p_x rows, or slices of one
+#: row (8 192 raised peak RSS).
 _GAP_BLOCK = 4096
 
 #: Default exponent ladder (log2 of transmit power) for pre-log estimation.
@@ -317,87 +321,77 @@ class GapCertificate(NamedTuple):
 
 class _Regime(NamedTuple):
     """A gap regime over p_x rows: the outer bound it is measured against, the claimed
-    gap, its mask of p_x rows by p_j, and its link pins per row (c2 None: 0.5*log2(p_j))."""
+    gap, its mask of p_x rows by p_j, and its c2 pin per row (None: 0.5*log2(p_j))."""
 
     name: str
     bound: str
     claim: float
     mask: np.ndarray
-    c1: np.ndarray
     c2: np.ndarray | None
 
 
-def _gap_regimes(case: ScenarioCase, p_x, p_j: np.ndarray) -> tuple[_Regime, ...]:
-    """The gap regimes of `case` over a column of p_x rows (or one p_x) and the
-    p_j array, broadcast against each other: a mask has one row per p_x.
+def _gap_regimes(case: ScenarioCase, p_x,
+                 p_j: np.ndarray) -> tuple[float | np.ndarray, tuple[_Regime, ...]]:
+    """The c1 pin of `case` and its gap regimes over a column of p_x rows (or one p_x)
+    and the p_j array, broadcast against each other: a mask has one row per p_x.
 
-    With h = 0.5*log2(1+p_x), each covers some powers and pins the links:
+    With h = 0.5*log2(1+p_x), a case's regimes share one c1 pin (inf in Case A, h in
+    Cases B and C); each covers some powers and pins c2:
         A  high_interference  p_j >= p_x            c2 = h
         A  low_interference   1 <= p_j < p_x        c2 = 0.5*log2(p_j)
-        B  standard           p_x > 1, p_j >= 1     c1 = h, c2 = 0.5*log2(p_j)
-        C  modulo             1 < p_j < p_x         c1 = h, c2 = 0.5*log2(p_j)
-        C  cutset             p_j > (1+p_x)^2/p_x   c1 = c2 = h
+        B  standard           p_x > 1, p_j >= 1     c2 = 0.5*log2(p_j)
+        C  modulo             1 < p_j < p_x         c2 = 0.5*log2(p_j)
+        C  cutset             p_j > (1+p_x)^2/p_x   c2 = h
     Cases A and B measure the best scheme, Case C the lattice scheme alone; the
     narrow band between the Case C regimes belongs to neither.
     """
     h = 0.5 * math_map(math.log2, 1.0 + p_x)
     if case is ScenarioCase.CASE_A:
-        high, inf = p_j >= p_x, np.full(h.shape, math.inf)
-        return (_Regime("high_interference", "cut-set", 0.7925, high, inf, h),
-                _Regime("low_interference", "cut-set", 1.0, ~high & (p_j >= 1.0), inf, None))
+        high = p_j >= p_x
+        return math.inf, (_Regime("high_interference", "cut-set", 0.7925, high, h),
+                          _Regime("low_interference", "cut-set", 1.0, ~high & (p_j >= 1.0), None))
     if case is ScenarioCase.CASE_B:
-        return (_Regime("standard", "cut-set", 1.29, (p_j >= 1.0) & (p_x > 1.0), h, None),)
+        return h, (_Regime("standard", "cut-set", 1.29, (p_j >= 1.0) & (p_x > 1.0), None),)
     modulo = (1.0 < p_j) & (p_j < p_x)
     square_sum = square(1.0 + p_x)  # inf from p_x ~ 1.34e154 on: the product form there
     with np.errstate(divide="ignore", over="ignore"):  # p_x = +-0 is in no cutset regime
         threshold = np.where(np.isinf(square_sum), (1.0 + p_x) * np.divide(1.0 + p_x, p_x),
                              square_sum / p_x)
-    return (_Regime("modulo", "modulo", 2.816, modulo, h, None),
-            _Regime("cutset", "cut-set", 1.5, ~modulo & (p_x > 0.0) & (p_j > threshold), h, h))
+    return h, (_Regime("modulo", "modulo", 2.816, modulo, None),
+               _Regime("cutset", "cut-set", 1.5, ~modulo & (p_x > 0.0) & (p_j > threshold), h))
 
 
-def _regime_blocks(case: ScenarioCase, px_grid: Sequence[float], pj_grid: Sequence[float]):
-    """(regime, columns) per block of `_GAP_BLOCK` points of one regime (its last
-    shorter): the (p_x, p_j, c1, c2) of the points, as `_gaps` takes them.
+def _gap_tiles(case: ScenarioCase, px_grid: Sequence[float], pj_grid: Sequence[float]):
+    """(regimes, (p_x, p_j, c1, c2)) per tile of the grid, in grid order: the tile's
+    p_x column and p_j row, the c1 pin and regimes `_gap_regimes` gives over them, and
+    c2 per point from the regime masks (0.5*log2(p_j) outside a c2 pin, p_j < 1 as 1).
 
-    The p_x rows are taken as many at a time as fill a block.  Each regime gathers
-    its points of them in grid order (p_x rows, then p_j) into the block it carries
-    from the rows before, and hands it on when full (the partly filled ones at the
-    end), so its blocks come in grid order and only a block's worth of rows and a
-    block per regime are held.  A block comes with the regime of its last rows.
+    A tile is as many whole p_x rows as fit in `_GAP_BLOCK` points, or, where one row
+    has more p_j, `_GAP_BLOCK` p_j of one row; its points in row order are in grid order.
     """
     p_x, p_j = np.array(px_grid, dtype=float), np.array(pj_grid, dtype=float)
     half_log_pj = 0.5 * math_map(math.log2, np.maximum(p_j, 1.0))  # no c2 pin reads p_j < 1
-    rows = max(1, _GAP_BLOCK // max(p_j.size, 1))
-    carried = {}  # regime name: (regime, its block being filled, points in it)
+    columns = min(p_j.size, _GAP_BLOCK) or 1
+    rows = _GAP_BLOCK // columns
     for k in range(0, p_x.size, rows):
-        column = p_x[k:k + rows]
-        for regime in _gap_regimes(case, column[:, None], p_j):
-            i, j = np.nonzero(regime.mask)
-            pins = ((column, i), (p_j, j), (regime.c1.ravel(), i),
-                    (half_log_pj, j) if regime.c2 is None else (regime.c2.ravel(), i))
-            start = 0
-            while start < i.size:
-                _, block, n = (carried.pop(regime.name, None)
-                               or (None, np.empty((4, _GAP_BLOCK)), 0))
-                take = min(i.size - start, _GAP_BLOCK - n)
-                for row, (values, at) in zip(block, pins):
-                    np.take(values, at[start:start + take], out=row[n:n + take])
-                start, n = start + take, n + take
-                if n < _GAP_BLOCK:
-                    carried[regime.name] = regime, block, n
-                else:
-                    yield regime, block
-    yield from ((regime, block[:, :n]) for regime, block, n in carried.values())
+        for s in range(0, p_j.size, columns):
+            px, pj, c2 = p_x[k:k + rows, None], p_j[s:s + columns], half_log_pj[s:s + columns]
+            c1, regimes = _gap_regimes(case, px, pj)
+            for regime in regimes:
+                if regime.c2 is not None:
+                    c2 = np.where(regime.mask, regime.c2, c2)
+            yield regimes, (px, pj, c1, c2)
 
 
-def _gaps(case: ScenarioCase, regime: _Regime, px, pj, c1, c2) -> np.ndarray:
-    """Outer bound minus rate of `regime` at the points, in one array-core call."""
+def _gaps(case: ScenarioCase, regimes, px, pj, c1, c2) -> list[np.ndarray]:
+    """Outer bound minus rate of each regime at its points of the tile, -inf at the
+    others: one array-core rate call for the tile, and one call per kind of bound."""
     rate = (lattice_rate(case, px, pj, c1, c2) if case is ScenarioCase.CASE_C
             else best_rate(case, px, pj, c1, c2)[0])
-    bound = (modulo_bound_array(px, pj, c1, c2) if regime.bound == "modulo"
-             else cutset_min_array(case, px, pj, c1, c2))
-    return bound - rate
+    bounds = {"cut-set": cutset_min_array(case, px, pj, c1, c2)}
+    if case is ScenarioCase.CASE_C:
+        bounds["modulo"] = modulo_bound_array(px, pj, c1, c2)
+    return [np.where(regime.mask, bounds[regime.bound] - rate, -math.inf) for regime in regimes]
 
 
 def _first_max(best: list | None, values: np.ndarray, *columns: np.ndarray) -> list:
@@ -422,12 +416,13 @@ def _point_certificate(case: ScenarioCase, p_x: float, p_j: float) -> GapCertifi
     """The gap at the one point (p_x, p_j), in its regime, through the
     config-checked per-point functions (the path of a single `ChannelConfig`)."""
     p_x, p_j = float(p_x), float(p_j)
-    inside = [r for r in _gap_regimes(case, p_x, np.array([p_j])) if r.mask[0]]
+    c1, regimes = _gap_regimes(case, p_x, np.array([p_j]))
+    inside = [r for r in regimes if r.mask[0]]
     if not inside:
         raise ValueError(f"(p_x={p_x}, p_j={p_j}) lies outside every {case.name} gap regime")
     (regime,) = inside
     c2 = 0.5 * math.log2(p_j) if regime.c2 is None else float(regime.c2)
-    cfg = make_preset(case, p_x, p_j, c1=float(regime.c1), c2=c2)
+    cfg = make_preset(case, p_x, p_j, c1=float(c1), c2=c2)
     if case is not ScenarioCase.CASE_C:
         gap = outer_bounds(cfg, case).binding - best_achievable(cfg).rate
     elif regime.bound == "modulo":
@@ -466,12 +461,14 @@ def certify_gaps(
     """Sweep the gap over a power grid, one aggregated certificate per regime.
 
     Each regime of the case pins the link capacities to its prescribed
-    values (see `_gap_regimes`).  Each regime's points, in grid order, go to
-    the array core in blocks of `_GAP_BLOCK` (`_regime_blocks`), which are
-    folded into its point count and first worst point as they come; its
-    largest gap is then evaluated again at that point through the
-    config-checked per-point functions, so a one-point grid gives the gap of
-    that point.  Points outside every regime of the case are skipped.
+    values (see `_gap_regimes`).  The grid goes to the array core in tiles
+    of at most `_GAP_BLOCK` points in grid order (`_gap_tiles`): one rate
+    call per tile for all the regimes, and one call per kind of bound.  Each
+    regime's gaps, -inf at the points of the tile outside it, are folded into
+    its point count and first worst point as they come; its largest gap is
+    then evaluated again at that point through the config-checked per-point
+    functions, so a one-point grid gives the gap of that point.  Points
+    outside every regime of the case are evaluated but reach no certificate.
 
     Raises:
         ValueError: on a non-finite p_x, a NaN or negative power in either
@@ -484,14 +481,16 @@ def certify_gaps(
     if not np.all(np.array(pj_grid, dtype=float) >= 0.0):
         raise ValueError("every p_j of the grid must be >= 0 (inf is accepted)")
     counts, worst = {}, {}  # per regime name: its points, and [gap, p_x, p_j] at the first worst
-    for regime, (px, pj, c1, c2) in _regime_blocks(case, px_grid, pj_grid):
-        counts[regime.name] = counts.get(regime.name, 0) + px.size
-        worst[regime.name] = _first_max(worst.get(regime.name),
-                                        _gaps(case, regime, px, pj, c1, c2), px, pj)
-    if not counts:
+    for regimes, point in _gap_tiles(case, px_grid, pj_grid):
+        px, pj = (v.ravel() for v in np.broadcast_arrays(*point[:2]))
+        for regime, gaps in zip(regimes, _gaps(case, regimes, *point)):
+            counts[regime.name] = counts.get(regime.name, 0) + int(np.count_nonzero(regime.mask))
+            worst[regime.name] = _first_max(worst.get(regime.name), gaps.ravel(), px, pj)
+    names = sorted(name for name, count in counts.items() if count)
+    if not names:
         raise ValueError(f"no grid point lies inside a {case.name} gap regime")
     return tuple(_point_certificate(case, float(worst[name][1]), float(worst[name][2]))
-                 ._replace(grid_points=counts[name]) for name in sorted(counts))
+                 ._replace(grid_points=counts[name]) for name in names)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import scalar_reference as ref
-from tworelay import scaling
+from tworelay import model, scaling
 from tworelay.achievable import (
     Scheme,
     _case_b,
@@ -38,11 +38,12 @@ from tworelay.bounds import (
     outer_bounds,
 )
 from tworelay.model import ScenarioCase, make_preset, math_map
-from tworelay.scaling import _gaps, _regime_blocks, _splits, certify_gaps
+from tworelay.scaling import _gap_tiles, _gaps, _splits, certify_gaps
 
 A, B, C = ScenarioCase.CASE_A, ScenarioCase.CASE_B, ScenarioCase.CASE_C
 N = 10_000
-#: Gap blocks of this size, patched in, end inside a row of the grids below.
+#: Gap tiles of this size, patched in, hold whole rows of the grids below, so each
+#: grid spans several tiles.
 _BLOCK = 2048
 
 
@@ -196,37 +197,60 @@ def test_gaps_equal_reference(case, seed, monkeypatch):
     p_j[:4] = (0.0, 1.0, 4.0, math.inf)  # regime edges
     expected = {(px, pj): ref.GAP_FUNCTIONS[case](px, pj)
                 for px in p_x.tolist() for pj in p_j.tolist()}
-    covered, last_block = [], {}  # per regime, whether its last block was full
-    for regime, columns in _regime_blocks(case, p_x.tolist(), p_j.tolist()):
-        assert last_block.get(regime.name, True)  # only a regime's last block is short
-        assert len(columns[0]) <= _BLOCK
-        last_block[regime.name] = len(columns[0]) == _BLOCK
-        points = list(zip(columns[0].tolist(), columns[1].tolist()))
-        inside = [expected[point] for point in points]
-        assert all(e[0] == regime.name for e in inside)
-        assert_bits_equal(_gaps(case, regime, *columns), [e[1] for e in inside])
-        covered.extend(points)
-    assert len(covered) > _BLOCK  # the regimes' points span blocks
+    covered = []
+    for regimes, point in _gap_tiles(case, p_x.tolist(), p_j.tolist()):
+        px, pj = (v.ravel().tolist() for v in np.broadcast_arrays(*point[:2]))
+        assert len(px) <= _BLOCK
+        for regime, gaps in zip(regimes, _gaps(case, regimes, *point)):
+            inside = regime.mask.ravel()
+            points = [(x, y) for x, y, k in zip(px, pj, inside.tolist()) if k]
+            found = [expected[point] for point in points]
+            assert all(e[0] == regime.name for e in found)
+            assert_bits_equal(gaps.ravel()[inside], [e[1] for e in found])
+            assert (gaps.ravel()[~inside] == -math.inf).all()  # no other point competes
+            covered.extend(points)
+    assert len(covered) > _BLOCK  # the regimes' points span tiles
     assert sorted(covered) == sorted(point for point, e in expected.items() if e is not None)
+
+
+def assert_certificates_equal_reference(case, px_grid, pj_grid):
+    """`certify_gaps` over the grid against `ref.GAP_FUNCTIONS` at every point: a
+    certificate per regime with its point count and first largest gap, bit for bit."""
+    expected = {}
+    for point in ((px, pj) for px in px_grid for pj in pj_grid):
+        found = ref.GAP_FUNCTIONS[case](*point)
+        if found is not None:
+            expected.setdefault(found[0], []).append((point, found[1]))
+    certificates = certify_gaps(case, px_grid, pj_grid)
+    assert [cert.regime for cert in certificates] == sorted(expected)
+    for cert in certificates:
+        points, gaps = zip(*expected[cert.regime])
+        assert cert.grid_points == len(points)
+        assert cert.worst_point == points[int(np.argmax(gaps))]  # the first largest gap
+        assert_bits_equal(cert.max_gap, max(gaps))
+    return expected
 
 
 @pytest.mark.parametrize("case", [A, B, C])
 def test_gap_certificates_equal_reference_across_blocks(case, monkeypatch):
     monkeypatch.setattr(scaling, "_GAP_BLOCK", _BLOCK)
     grid = (10.0 ** np.linspace(-1.0, 9.0, 101)).tolist()
-    expected = {}
-    for point in ((px, pj) for px in grid for pj in grid):
-        found = ref.GAP_FUNCTIONS[case](*point)
-        if found is not None:
-            expected.setdefault(found[0], []).append((point, found[1]))
-    certificates = certify_gaps(case, grid, grid)
-    assert [cert.regime for cert in certificates] == sorted(expected)
-    for cert in certificates:
-        points, gaps = zip(*expected[cert.regime])
-        assert len(points) > _BLOCK and len(points) % _BLOCK != 0
-        assert cert.grid_points == len(points)
-        assert cert.worst_point == points[int(np.argmax(gaps))]  # the first largest gap
-        assert_bits_equal(cert.max_gap, max(gaps))
+    assert len(grid) % (_BLOCK // len(grid)) != 0  # the last tile holds fewer rows
+    expected = assert_certificates_equal_reference(case, grid, grid)
+    assert all(len(points) > _BLOCK for points in expected.values())
+
+
+@pytest.mark.parametrize("ufunc_path", [True, False])
+@pytest.mark.parametrize("case", [A, B, C])
+def test_rows_wider_than_a_tile_equal_reference(case, ufunc_path, monkeypatch):
+    # rows of 20 p_j in tiles of 7: each row is cut into slices of 7, 7 and 6 p_j
+    monkeypatch.setattr(model, "_UFUNC_PATH", ufunc_path and model._UFUNC_PATH)
+    monkeypatch.setattr(scaling, "_GAP_BLOCK", 7)
+    p_x = (10.0 ** np.linspace(-1.0, 9.0, 31)).tolist()
+    p_j = (10.0 ** np.linspace(-1.0, 9.0, 20)).tolist()
+    sizes = [np.broadcast(px, pj).size for _, (px, pj, _, _) in _gap_tiles(case, p_x, p_j)]
+    assert sizes == [7, 7, 6] * len(p_x)
+    assert_certificates_equal_reference(case, p_x, p_j)
 
 
 def test_splits_equal_linspace():

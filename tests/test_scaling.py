@@ -2,6 +2,7 @@ import math
 import struct
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from tworelay.scaling import (
     SweepPoint,
     _first_max,
     _gap_regimes,
-    _regime_blocks,
+    _gap_tiles,
     certify_gaps,
     cutset_looseness_demo,
     default_power_grid,
@@ -366,6 +367,29 @@ class TestGapCertificates:
         assert len(grid) == 8 * per_decade + 1
         assert grid[::per_decade] == [10.0 ** (1 + k) for k in range(9)]
 
+    EXTREME_PX = [-0.0, 0.0, 5e-324, 0.5, 1.0, 2.0, 1.3e154, 1e300, sys.float_info.max]
+    EXTREME_PJ = [0.0, 5e-324, 0.5, 1.0, 1.5, 1e154, 1e300, sys.float_info.max, math.inf]
+    #: (regime, points, worst point, max_gap bits) per certificate of the extreme grid
+    EXTREME_CERTIFICATES = {
+        ScenarioCase.CASE_A: [("high_interference", 51, (1.0, 1e154), "0x1.0000000000000p-1"),
+                              ("low_interference", 12, (1.3e154, 1e154), "0x1.0000000000100p-1")],
+        ScenarioCase.CASE_B: [("standard", 24, (1.3e154, 1e154), "0x1.95c01a39fbe00p-1")],
+        ScenarioCase.CASE_C: [("cutset", 18, (1e300, sys.float_info.max), "0x1.95c01a5c73c00p-1"),
+                              ("modulo", 8, (1.3e154, 1e154), "0x1.42caa83496680p+1")],
+    }
+
+    @pytest.mark.parametrize("ufunc_path", [True, False])
+    @pytest.mark.parametrize("case", list(ScenarioCase))
+    def test_extreme_grid_gives_the_pinned_certificates(self, case, ufunc_path, monkeypatch):
+        # a tile evaluates every point of its rows, zero, subnormal and p_j < 1 powers and
+        # the Case C band included: none of them warns, raises or reaches a certificate
+        monkeypatch.setattr(model, "_UFUNC_PATH", ufunc_path and model._UFUNC_PATH)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            certs = certify_gaps(case, self.EXTREME_PX, self.EXTREME_PJ)
+        assert [(c.regime, c.grid_points, c.worst_point, c.max_gap.hex())
+                for c in certs] == self.EXTREME_CERTIFICATES[case]
+
     def test_unlimited_interferer_stays_on_the_grid(self):
         (cert,) = certify_gaps(ScenarioCase.CASE_B, [10.0, 100.0], [10.0, math.inf])
         assert cert.grid_points == 4 and cert.satisfied
@@ -397,6 +421,24 @@ class TestGapCertificates:
         finally:
             tracemalloc.stop()
         assert peak < 1.8 * 2**20
+
+    @pytest.mark.parametrize("case", list(ScenarioCase))
+    def test_grid_memory_does_not_grow_with_the_columns(self, case, monkeypatch):
+        # rows of 10 and of 100 tiles of 256 p_j: a tile's memory stays that of 256 points,
+        # and the peak grows only by the p_j grid itself (its tuple, its array, 0.5*log2
+        # of it and one temporary: 4 floats a column); whole rows took 12-15 floats a column
+        monkeypatch.setattr(scaling, "_GAP_BLOCK", 256)
+        peaks, sizes = [], (2560, 25600)
+        for columns in sizes:
+            p_j = (10.0 ** np.linspace(-1.0, 9.0, columns)).tolist()
+            certify_gaps(case, [1e3, 1e6], p_j)
+            tracemalloc.start()
+            try:
+                certify_gaps(case, [1e3, 1e6], p_j)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 5 * 8 * (sizes[1] - sizes[0]), peaks
 
 
 def bit_patterns(values):
@@ -442,47 +484,55 @@ class TestFirstMaxFold:
         assert int(best[1]) == expected == int(np.argmax(np.concatenate(blocks)))
 
 
-#: The block size the tests below patch in (the sweep's and the gap grids'
-#: before they grew), so that their small grids still span several blocks.
+#: The block size the sweep tests below patch in (the sweep's before it grew), so
+#: that their small grids still span several blocks.
 _BLOCK = 2048
 
 
-class TestRegimeBlocks:
-    """`certify_gaps` folds each regime's blocks exactly as np.argmax over the
-    whole regime in grid order picks its worst point."""
+class TestTileFold:
+    """`certify_gaps` folds each regime's gaps tile by tile exactly as np.argmax over
+    the whole regime in grid order picks its worst point, with tiles of whole rows
+    (2 048 points: 34 rows of 60) and tiles that cut rows (25 points: 25, 25 and 10)."""
 
     CASE = ScenarioCase.CASE_B
-    GRID = (10.0 ** np.linspace(0.5, 9.0, 60)).tolist()  # 3 600 standard points: two blocks
+    GRID = (10.0 ** np.linspace(0.5, 9.0, 60)).tolist()  # 3 600 standard points
 
-    @pytest.fixture(autouse=True)
-    def small_blocks(self, monkeypatch):
-        assert _BLOCK % 60 != 0  # the first block ends inside a row of the next row chunk
-        monkeypatch.setattr(scaling, "_GAP_BLOCK", _BLOCK)
+    @pytest.fixture(autouse=True, params=[2048, 25])
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(scaling, "_GAP_BLOCK", request.param)
+        return request.param
 
-    def regime_points(self):
-        points = [list(zip(px.tolist(), pj.tolist()))
-                  for _, (px, pj, _, _) in _regime_blocks(self.CASE, self.GRID, self.GRID)]
-        assert [len(block) for block in points] == [_BLOCK, 60 * 60 - _BLOCK]
-        return [point for block in points for point in block]
+    def regime_points(self, block):
+        """The regime's points in grid order, and the points of the first tile."""
+        tiles = []
+        for (regime,), (px, pj, _, _) in _gap_tiles(self.CASE, self.GRID, self.GRID):
+            px, pj = (v[regime.mask].tolist() for v in np.broadcast_arrays(px, pj))
+            tiles.append(list(zip(px, pj)))
+        sizes = [len(tile) for tile in tiles]
+        assert sizes == ([34 * 60, 26 * 60] if block == 2048 else [25, 25, 10] * 60)
+        return [point for tile in tiles for point in tile], sizes[0]
 
     def certify_with_gaps(self, monkeypatch, gap_at):
-        def gaps(case, regime, px, pj, c1, c2):
-            return np.array([gap_at.get(point, 0.0) for point in zip(px.tolist(), pj.tolist())])
+        def gaps(case, regimes, px, pj, c1, c2):
+            marks = [gap_at.get(point, 0.0)
+                     for point in zip(*(v.ravel().tolist() for v in np.broadcast_arrays(px, pj)))]
+            marks = np.reshape(marks, np.broadcast(px, pj).shape)
+            return [np.where(regime.mask, marks, -math.inf) for regime in regimes]
 
         monkeypatch.setattr(scaling, "_gaps", gaps)
         (cert,) = certify_gaps(self.CASE, self.GRID, self.GRID)
         return cert
 
     @pytest.mark.parametrize("marked", [
-        {_BLOCK - 1: 1.0, _BLOCK: 1.0},  # a tie on either side of the block boundary
-        {_BLOCK - 1: 1.0, _BLOCK + 5: math.nan},  # a NaN in the later block wins
-        {_BLOCK + 5: math.nan, _BLOCK + 9: math.nan, 7: 3.0},  # of two NaNs the first
-        {0: math.nan, _BLOCK: math.nan},
-        {},  # every gap ties: the regime's first point
+        lambda edge: {edge - 1: 1.0, edge: 1.0},  # a tie on either side of the tile boundary
+        lambda edge: {edge - 1: 1.0, edge + 5: math.nan},  # a NaN in the later tile wins
+        lambda edge: {edge + 5: math.nan, edge + 9: math.nan, 7: 3.0},  # of two NaNs the first
+        lambda edge: {0: math.nan, edge: math.nan},
+        lambda edge: {},  # every gap ties: the regime's first point
     ])
-    def test_worst_point_is_the_argmax_of_the_concatenation(self, monkeypatch, marked):
-        points = self.regime_points()
-        gap_at = {points[k]: gap for k, gap in marked.items()}
+    def test_worst_point_is_the_argmax_of_the_concatenation(self, monkeypatch, block, marked):
+        points, edge = self.regime_points(block)
+        gap_at = {points[k]: gap for k, gap in marked(edge).items()}
         cert = self.certify_with_gaps(monkeypatch, gap_at)
         concatenated = [gap_at.get(point, 0.0) for point in points]
         assert cert.worst_point == points[int(np.argmax(concatenated))]
@@ -540,43 +590,48 @@ class TestGapRegimeRows:
         # `model.square` gives inf on both paths where the square overflows; the
         # threshold takes its product form there
         monkeypatch.setattr(model, "_UFUNC_PATH", ufunc_path and model._UFUNC_PATH)
-        regimes = _gap_regimes(case, np.array(self.PX)[:, None], np.array(self.PJ))
+        pin, regimes = _gap_regimes(case, np.array(self.PX)[:, None], np.array(self.PJ))
+        pins = np.broadcast_to(pin, (len(self.PX), 1))  # the c1 pin all regimes share
         for row, p_x in enumerate(self.PX):
             expected = per_row_regimes(case, p_x, self.PJ)
             assert [regime.name for regime in regimes] == [name for name, *_ in expected]
             for regime, (_, mask, c1, c2) in zip(regimes, expected):
                 assert regime.mask[row].tolist() == mask
-                assert bit_patterns(regime.c1[row]) == bit_patterns([c1])
+                assert bit_patterns(pins[row]) == bit_patterns([c1])
                 assert (regime.c2 is None) == (c2 is None)
                 if c2 is not None:
                     assert bit_patterns(regime.c2[row]) == bit_patterns([c2])
 
     def test_a_zero_row_of_either_sign_has_no_cutset_regime(self):
-        regimes = _gap_regimes(ScenarioCase.CASE_C, np.array([[-0.0], [0.0]]), np.array(self.PJ))
+        _, regimes = _gap_regimes(ScenarioCase.CASE_C, np.array([[-0.0], [0.0]]),
+                                  np.array(self.PJ))
         assert regimes[1].name == "cutset" and not regimes[1].mask.any()
         for p_x in (-0.0, 0.0):  # a Python float, as the per-point path passes it
             with pytest.raises(ValueError, match="lies outside every CASE_C gap regime"):
                 scaling._point_certificate(ScenarioCase.CASE_C, p_x, 1e300)
 
     @pytest.mark.parametrize("ufunc_path", [True, False])
+    @pytest.mark.parametrize("block", [7, 2 * len(PJ) + 1])  # a slice of a row, two whole rows
     @pytest.mark.parametrize("case", list(ScenarioCase))
-    def test_blocks_carry_the_per_row_pins(self, case, ufunc_path, monkeypatch):
+    def test_tiles_carry_the_per_row_pins(self, case, block, ufunc_path, monkeypatch):
         monkeypatch.setattr(model, "_UFUNC_PATH", ufunc_path and model._UFUNC_PATH)
-        monkeypatch.setattr(scaling, "_GAP_BLOCK", 7)  # blocks end inside rows and chunks
+        monkeypatch.setattr(scaling, "_GAP_BLOCK", block)
         expected = {}
         for p_x in self.PX:
             for name, mask, c1, c2 in per_row_regimes(case, p_x, self.PJ):
                 expected.setdefault(name, []).extend(
                     (p_x, q, c1, 0.5 * math.log2(q) if c2 is None else c2)
                     for q, inside in zip(self.PJ, mask) if inside)
-        blocks = {}
-        for regime, columns in _regime_blocks(case, self.PX, self.PJ):
-            blocks.setdefault(regime.name, []).append(columns)
-        assert sorted(blocks) == sorted(expected)
-        for name, columns in blocks.items():
-            assert [c.shape[1] for c in columns[:-1]] == [7] * (len(columns) - 1)  # full blocks
-            points = np.concatenate(columns, axis=1).T  # one row per point
-            assert bit_patterns(points.ravel()) == bit_patterns(np.ravel(expected[name]))
+        tiles = {}
+        for regimes, point in _gap_tiles(case, self.PX, self.PJ):
+            columns = np.broadcast_arrays(*point)  # (p_x, p_j, c1, c2) at every point
+            assert columns[0].size <= block
+            for regime in regimes:
+                tiles.setdefault(regime.name, []).extend(
+                    zip(*(v[regime.mask].tolist() for v in columns)))
+        assert sorted(tiles) == sorted(expected)
+        for name, points in tiles.items():
+            assert bit_patterns(np.ravel(points)) == bit_patterns(np.ravel(expected[name]))
 
 
 class TestCutsetLooseness:

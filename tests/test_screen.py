@@ -41,7 +41,7 @@ def reference_certificates(case, px_grid, pj_grid):
     by_regime = {}
     for p_x in px_grid:
         for p_j in pj_grid:
-            if any(regime.mask[0] for regime in _gap_regimes(case, p_x, np.array([p_j]))):
+            if any(regime.mask[0] for regime in _gap_regimes(case, p_x, np.array([p_j]))[1]):
                 cert = _point_certificate(case, p_x, p_j)
                 assert (cert.grid_points, cert.worst_point) == (1, (p_x, p_j))
                 by_regime.setdefault(cert.regime, []).append(cert)
