@@ -14,7 +14,6 @@ from tworelay import (
     achievable_case_b,
     achievable_case_c,
     best_achievable,
-    full_cooperation_capacity,
     local_decode_baseline,
     make_preset,
     outer_bounds,
@@ -63,9 +62,10 @@ show(
 # destination subtracts their descriptions to cancel the interferer, and a
 # modulo bound tightens the cut-set bound.
 cfg = make_preset(ScenarioCase.CASE_C, P_X, P_J, c1=C1, c2=C2)
+bounds_c = outer_bounds(cfg, ScenarioCase.CASE_C)
 show(
     "Case C (two interfered receptions)",
-    outer_bounds(cfg, ScenarioCase.CASE_C),
+    bounds_c,
     [
         ("closed form", achievable_case_c(P_X, P_J, C1, C2, "prop")),
         ("derived form", achievable_case_c(P_X, P_J, C1, C2, "derived")),
@@ -74,5 +74,7 @@ show(
     ],
 )
 
+# The joint-processing cut i(x;y1,y2) is what full cooperation (both links
+# unlimited) would reach: subtracting the receptions removes the interferer.
 print("\nFull cooperation (both links unlimited) would reach "
-      f"{full_cooperation_capacity(P_X):.5f} bits per channel use.")
+      f"{bounds_c.term('i(x;y1,y2)'):.5f} bits per channel use.")

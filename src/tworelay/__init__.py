@@ -37,7 +37,6 @@ _LAZY = {
         "MODULO_BOUND_CONSTANT",
         "cutset_case_c",
         "modulo_bound_case_c",
-        "full_cooperation_capacity",
         "outer_bounds",
     ),
     "achievable": (
@@ -47,7 +46,6 @@ _LAZY = {
         "achievable_case_b",
         "achievable_case_c",
         "best_achievable",
-        "lattice_cf_report",
         "local_decode_baseline",
     ),
     "scaling": (
@@ -71,7 +69,6 @@ _LAZY = {
         "coverage_experiment",
         "crypto_lemma_check",
         "run_lattice_sim",
-        "sw_rate_check",
     ),
 }
 

@@ -9,7 +9,8 @@ output equals V plus an equivalent noise
 
     n_eq = alpha*(n1 - n2) + d1 - d2 - (1 - alpha*(a-b))*x
 
-whose power determines the rate 0.5*log2(p_x / p_neq).  Quantization is
+whose power (`equivalent_noise_power`, the simulator's analytic var(n_eq))
+determines the rate max(0.5*log2(p_x / p_neq), 0).  Quantization is
 modeled by its forward test channel: independent Gaussian distortions d1,
 d2 whose variances follow from the link rates c1, c2.
 
@@ -60,7 +61,6 @@ from .model import _LN2, as_arrays, half_log2_ratio, math_map, mutual_info, squa
 class Scheme(enum.Enum):
     """Which transmission/relaying strategy produced a rate."""
 
-    LATTICE_CF = "lattice_cf"
     LOCAL_DECODE = "local_decode"
     CASE_A_EQ = "case_a_eq"
     CASE_B_EQ = "case_b_eq"
@@ -228,20 +228,6 @@ def equivalent_noise_power(p_x, p_n1, p_n2, alpha, p_d1, p_d2, gain_difference: 
     """Power of n_eq = alpha*(n1-n2) + d1 - d2 - (1 - alpha*(a-b))*x."""
     leak = square(1.0 - alpha * gain_difference)
     return square(alpha) * (p_n1 + p_n2) + leak * p_x + p_d1 + p_d2
-
-
-def lattice_cf_report(
-    p_x: float, p_n1: float, p_n2: float, alpha: float, p_d1: float, p_d2: float,
-    gain_difference: float,
-) -> AchievableReport:
-    """Rate of the lattice scheme for explicit combiner/distortion values.
-
-    rate = max(0.5*log2(p_x / p_neq), 0); this is the form the Monte Carlo
-    simulator is compared against.
-    """
-    p_neq = equivalent_noise_power(p_x, p_n1, p_n2, alpha, p_d1, p_d2, gain_difference)
-    rate = _clamped_rate(p_x, p_neq).item()
-    return AchievableReport(rate, Scheme.LATTICE_CF, alpha, p_d1, p_d2, float(p_neq))
 
 
 def _case_b(p_x, p_j, c1, c2) -> tuple[np.ndarray, tuple]:

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import ChannelConfig, ScenarioCase, as_arrays, case_constraints_hold
-from .model import gaussian_mi, mutual_info
+from .model import mutual_info
 
 #: Additive constant of the Case C modulo bound: 0.25 * log2(8*pi*e).
 MODULO_BOUND_CONSTANT = 0.25 * math.log2(8.0 * math.pi * math.e)
@@ -131,15 +131,6 @@ def modulo_bound_case_c(cfg: ChannelConfig) -> float:
     if not cfg.p_j > 0.0:
         raise ValueError("modulo bound requires interferer power p_j > 0")
     return modulo_bound_array(cfg.p_x, cfg.p_j, cfg.c1, cfg.c2).item()
-
-
-def full_cooperation_capacity(p_x: float) -> float:
-    """Capacity with both links unlimited: 0.5*log2(1 + 2*px).
-
-    Joint processing can subtract the two receptions, which removes the
-    interferer entirely and leaves maximal-ratio combining of the signal.
-    """
-    return gaussian_mi(p_x, 0.5)
 
 
 def outer_bounds(cfg: ChannelConfig, case: ScenarioCase) -> BoundReport:

@@ -36,8 +36,6 @@ from dataclasses import asdict
 from importlib import import_module
 from pathlib import Path
 
-import numpy as np
-
 from . import _LAZY, __version__
 
 
@@ -190,6 +188,7 @@ def _parse_range(spec: str) -> list[float]:
     if math.isinf(end):
         raise ValueError(f"--sum-range stop + step/2 passes the largest float, got {spec!r}")
     count = (stop - start) / step + 1
+    import numpy as np  # loaded by the sweep's layers already; a bare CLI import skips it
     try:
         if count > sys.maxsize:  # longer than any numpy array
             raise MemoryError

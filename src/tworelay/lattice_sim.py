@@ -58,9 +58,8 @@ from .achievable import (
     distortion_relay2_case_c,
     equivalent_noise_power,
     mmse_alpha,
-    side_information_power,
 )
-from .model import _CASE_FIXED, ScenarioCase, gaussian_mi, square
+from .model import _CASE_FIXED, ScenarioCase, square
 
 #: Fixed batch size; part of the determinism contract (changing it changes
 #: the streams, so it is a module constant rather than a config knob).
@@ -684,45 +683,6 @@ def crypto_lemma_check(
     _, _, pvalue, corr = _run_batches(samples, p_x, dither_batch)
     return CryptoLemmaStats(
         uniformity_pvalue=pvalue, x_v_correlation=corr, samples=samples, seed=seed
-    )
-
-
-# ---------------------------------------------------------------------------
-# Slepian-Wolf rate accounting
-
-
-class SlepianWolfCheck(NamedTuple):
-    """Self-consistency of the Case C relay-2 description-rate budget."""
-
-    required_rate: float
-    link_capacity: float
-    satisfied: bool
-    p_d2: float
-
-
-def sw_rate_check(cfg: SimConfig, p_d2_override: float | None = None) -> SlepianWolfCheck:
-    """Verify the binned description of relay 2 fits into its link.
-
-    Checks 0.5*log2(1 + min(p_x, s) / p_d2) <= c2 for the allocated (or
-    overridden) p_d2, with s the `side_information_power` that the
-    allocation in `distortion_relay2_case_c` uses.  The allocation itself
-    meets the constraint with equality; halving p_d2 must violate it.
-    Binning codes are not simulated, only their rate budget is checked.
-    """
-    if cfg.case != "c":
-        raise ValueError("the description-rate check applies to Case C configs")
-    alpha, p_d1, p_d2, _ = cfg.scheme()
-    if p_d2_override is not None:
-        p_d2 = p_d2_override
-    side_power = float(side_information_power(
-        cfg.p_x, cfg.p_j, alpha, p_d1, cfg.p_n1, cfg.p_n2, cfg.a + cfg.b
-    ))
-    required = gaussian_mi(min(cfg.p_x, side_power), p_d2)
-    return SlepianWolfCheck(
-        required_rate=required,
-        link_capacity=cfg.c2,
-        satisfied=required <= cfg.c2 + 1e-9,
-        p_d2=p_d2,
     )
 
 

@@ -58,6 +58,9 @@ _SWEEP_BLOCK = 8192
 #: row (8 192 raised peak RSS).
 _GAP_BLOCK = 4096
 
+#: Slack of `RegionPolygon.contains` in bits, so a point on a constraint line counts as inside.
+_REGION_TOL = 1e-12
+
 #: Default exponent ladder (log2 of transmit power) for pre-log estimation.
 DEFAULT_EXPONENTS = tuple(range(10, 41))
 
@@ -242,10 +245,10 @@ class RegionPolygon(NamedTuple):
     p1: tuple[float, float]
     p2: tuple[float, float]
 
-    def contains(self, c1: float, c2: float, tol: float = 1e-12) -> bool:
-        """Whether (c1, c2) satisfies every half-plane constraint."""
+    def contains(self, c1: float, c2: float) -> bool:
+        """Whether (c1, c2) satisfies every half-plane constraint, to within `_REGION_TOL`."""
         return all(
-            coef1 * c1 + coef2 * c2 >= rhs - tol
+            coef1 * c1 + coef2 * c2 >= rhs - _REGION_TOL
             for _, coef1, coef2, rhs in self.constraints
         )
 
@@ -257,9 +260,9 @@ def required_region_case_c(target_rate: float, p_x: float, p_j: float) -> Region
     whole nonnegative quadrant, and a target below 0.5*log2(1 + p_x/p_j)
     leaves only the sum constraint c1 + c2 >= target active.  A target whose
     sum constraint 2*target - 0.5*log2(1 + p_x/p_j) overflows is refused.
+    The powers are checked as `ChannelConfig` checks its fields, and p_j must be > 0.
     """
-    if math.isinf(p_x):
-        raise ValueError("the region needs a finite p_x")
+    p_x, p_j = _check_fields(p_x=p_x, p_j=p_j)
     if not p_j > 0.0:
         raise ValueError("the region needs p_j > 0")
     if not (target_rate >= 0.0 and math.isfinite(target_rate)):
@@ -369,8 +372,9 @@ def _gap_tiles(case: ScenarioCase, px_grid: Sequence[float], pj_grid: Sequence[f
     A tile is as many whole p_x rows as fit in `_GAP_BLOCK` points, or, where one row
     has more p_j, `_GAP_BLOCK` p_j of one row; its points in row order are in grid order.
     """
-    p_x, p_j = np.array(px_grid, dtype=float), np.array(pj_grid, dtype=float)
-    half_log_pj = 0.5 * math_map(math.log2, np.maximum(p_j, 1.0))  # no c2 pin reads p_j < 1
+    p_x, p_j = np.asarray(px_grid, dtype=float), np.asarray(pj_grid, dtype=float)
+    half_log_pj = math_map(math.log2, np.maximum(p_j, 1.0))  # no c2 pin reads p_j < 1
+    half_log_pj *= 0.5
     columns = min(p_j.size, _GAP_BLOCK) or 1
     rows = _GAP_BLOCK // columns
     for k in range(0, p_x.size, rows):
@@ -471,14 +475,16 @@ def certify_gaps(
     outside every regime of the case are evaluated but reach no certificate.
 
     Raises:
-        ValueError: on a non-finite p_x, a NaN or negative power in either
-            grid (p_j = inf is accepted), or if no point lies in a regime.
+        ValueError: on a grid that is not flat, a non-finite p_x, a NaN or negative
+            power in either grid (p_j = inf is accepted), or if no point lies in a regime.
     """
-    px_grid = default_power_grid() if px_grid is None else tuple(px_grid)
-    pj_grid = default_power_grid() if pj_grid is None else tuple(pj_grid)
-    if not all(0.0 <= p_x < math.inf for p_x in px_grid):
+    px_grid, pj_grid = (np.asarray(default_power_grid() if grid is None else grid, dtype=float)
+                        for grid in (px_grid, pj_grid))
+    if px_grid.ndim != 1 or pj_grid.ndim != 1:
+        raise ValueError("each grid must be a flat sequence of powers")
+    if not np.all((px_grid >= 0.0) & (px_grid < math.inf)):
         raise ValueError("every p_x of the grid must be finite and >= 0")
-    if not np.all(np.array(pj_grid, dtype=float) >= 0.0):
+    if not np.all(pj_grid >= 0.0):
         raise ValueError("every p_j of the grid must be >= 0 (inf is accepted)")
     counts, worst = {}, {}  # per regime name: its points, and [gap, p_x, p_j] at the first worst
     for regimes, point in _gap_tiles(case, px_grid, pj_grid):
@@ -489,8 +495,8 @@ def certify_gaps(
     names = sorted(name for name, count in counts.items() if count)
     if not names:
         raise ValueError(f"no grid point lies inside a {case.name} gap regime")
-    return tuple(_point_certificate(case, float(worst[name][1]), float(worst[name][2]))
-                 ._replace(grid_points=counts[name]) for name in names)
+    return tuple(_point_certificate(case, *worst[name][1:])._replace(grid_points=counts[name])
+                 for name in names)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from tworelay.achievable import (
 )
 from tworelay.bounds import (
     cutset_case_c,
-    full_cooperation_capacity,
     modulo_bound_case_c,
     outer_bounds,
 )
@@ -87,7 +86,8 @@ def test_criterion_1_formula_fidelity():
                          oracles.cutset_c(px, pj, c1, c2)),
             "modulo": (modulo_bound_case_c(cfg_c(px, pj, c1, c2)),
                        oracles.modulo_c(px, pj, c1, c2)),
-            "full_coop": (full_cooperation_capacity(px), oracles.full_cooperation(px)),
+            "full_coop": (cutset_case_c(cfg_c(px, pj, c1, c2)).term("i(x;y1,y2)"),
+                          oracles.full_cooperation(px)),
             "ach_a": (achievable_case_a(px, pj, c2).rate, oracles.ach_a(px, pj, c2)),
             "ach_b": (achievable_case_b(px, pj, c1, c2).rate,
                       oracles.ach_b(px, pj, c1, c2)),

@@ -6,12 +6,12 @@ import pytest
 import oracles
 from tworelay.achievable import (
     Scheme,
+    _clamped_rate,
     achievable_case_a,
     achievable_case_b,
     achievable_case_c,
     best_achievable,
     equivalent_noise_power,
-    lattice_cf_report,
     lattice_rate,
     local_decode_baseline,
     mmse_alpha,
@@ -201,13 +201,11 @@ class TestSchemeInternals:
                 reconstructed = max(0.5 * math.log2(p_x / rep.p_neq), 0.0)
                 assert rep.rate == pytest.approx(reconstructed, rel=1e-12, abs=1e-13)
 
-    def test_lattice_cf_report_uses_its_parts(self):
-        rep = lattice_cf_report(15.0, 1.0, 1.0, 0.4, 0.7, 1.3, 2.0)
-        assert rep.scheme is Scheme.LATTICE_CF
-        assert rep.p_neq == pytest.approx(
-            0.4**2 * 2 + (1 - 0.8) ** 2 * 15 + 0.7 + 1.3, rel=1e-15
-        )
-        assert rep.rate == pytest.approx(max(0.5 * math.log2(15 / rep.p_neq), 0.0), rel=1e-14)
+    def test_rate_of_explicit_parts_uses_them(self):
+        p_neq = equivalent_noise_power(15.0, 1.0, 1.0, 0.4, 0.7, 1.3, 2.0)
+        assert p_neq == pytest.approx(0.4**2 * 2 + (1 - 0.8) ** 2 * 15 + 0.7 + 1.3, rel=1e-15)
+        rate = _clamped_rate(15.0, p_neq).item()
+        assert rate == pytest.approx(max(0.5 * math.log2(15 / p_neq), 0.0), rel=1e-14)
 
     def test_derived_rate_never_exceeds_its_lattice_form(self):
         # the derived closed form bounds the combiner leakage and the
@@ -217,8 +215,8 @@ class TestSchemeInternals:
             p_x, p_j = 10.0 ** rng.uniform(-2, 8, 2)
             c1, c2 = 10.0 ** rng.uniform(-1, 2, 2)
             rep = achievable_case_c(p_x, p_j, c1, c2, "derived")
-            exact = lattice_cf_report(p_x, 1.0, 1.0, rep.alpha, rep.p_d1, rep.p_d2, 2.0)
-            assert rep.rate <= exact.rate + 1e-12
+            p_neq = equivalent_noise_power(p_x, 1.0, 1.0, rep.alpha, rep.p_d1, rep.p_d2, 2.0)
+            assert rep.rate <= _clamped_rate(p_x, p_neq).item() + 1e-12
 
     def test_mmse_alpha_in_unit_interval(self):
         rng = np.random.default_rng(41)

@@ -7,7 +7,6 @@ import oracles
 from tworelay.bounds import (
     MODULO_BOUND_CONSTANT,
     cutset_case_c,
-    full_cooperation_capacity,
     modulo_bound_case_c,
     outer_bounds,
 )
@@ -119,31 +118,27 @@ class TestModuloBound:
 
 
 class TestFullCooperation:
-    def test_values(self):
-        assert full_cooperation_capacity(0) == 0.0
-        assert full_cooperation_capacity(1.5) == pytest.approx(1.0, abs=1e-15)
-        assert full_cooperation_capacity(15) == pytest.approx(
-            2.4770981551934375, rel=1e-14
-        )
+    """Case C's joint-processing cut i(x;y1,y2): the capacity with both links unlimited."""
 
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            full_cooperation_capacity(-1)
+    def test_values(self):
+        def full_cooperation(p_x):
+            return cutset_case_c(cfg_c(p_x, 15, 1, 1)).term("i(x;y1,y2)")
+
+        assert full_cooperation(0) == 0.0
+        assert full_cooperation(1.5) == pytest.approx(1.0, abs=1e-15)
+        assert full_cooperation(15) == pytest.approx(2.4770981551934375, rel=1e-14)
 
     @pytest.mark.parametrize("p_x", [9e307, 1e308, 1.7976931348623157e308])
     def test_past_the_doubling_overflow(self, p_x):
         # 2*p_x overflows; the capacity is still about 512 bits
-        expected = oracles.full_cooperation(p_x)
-        assert oracles.within(full_cooperation_capacity(p_x), expected)
         report = outer_bounds(cfg_c(p_x, 15, INFINITE_CAPACITY, INFINITE_CAPACITY), C)
-        assert oracles.within(report.term("i(x;y1,y2)"), expected)
+        assert oracles.within(report.term("i(x;y1,y2)"), oracles.full_cooperation(p_x))
         assert report.cutset_min == report.term("i(x;y1,y2)")
 
     def test_bits_unchanged_where_doubling_is_finite(self):
         largest = 8.988465674311579e307  # 2 * largest is the largest float
         for p_x in (0.0, 1e-300, 1.5, 15.0, 1e154, 1e300, 4.5e307, largest):
             expected = gaussian_mi(2.0 * p_x, 1.0)
-            assert full_cooperation_capacity(p_x) == expected
             assert outer_bounds(cfg_c(p_x, 15, 1, 1), C).term("i(x;y1,y2)") == expected
 
 

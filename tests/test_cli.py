@@ -611,6 +611,10 @@ def test_other_values_are_passed_on_as_given(argv):
      "p_x must be finite, got inf"),
     (["sweep", "--case", "c", "--px", "nan", "--pj", "1", "--sum-range", "0:1:1"],
      "p_x must be >= 0, got nan"),
+    # and the region's
+    (["region", "--rate", "1", "--pj", "1", "--px", "-1"], "p_x must be >= 0, got -1.0"),
+    (["region", "--rate", "1", "--pj", "1", "--px", "nan"], "p_x must be >= 0, got nan"),
+    (["region", "--rate", "1", "--pj", "1", "--px", "inf"], "p_x must be finite, got inf"),
     # refused by the config, not by numpy's seeding
     (["cover", "--rate", "0.5", "--trials", "3", "--seed", "-5"], "seed must be >= 0, got -5"),
     (["cover", "--rate", "0.5", "--seed", "1", "--eps", "inf"],

@@ -1,12 +1,12 @@
 """Every layer loads on first use.
 
-`import tworelay` loads no layer and no numpy; `import tworelay.cli` loads
-numpy but no layer, and each subcommand loads only the layers it runs.  The
-package serves every export, and the CLI binds the names its subcommands
-call, on first access.  Each layer defines as few dataclasses as it can,
-since a process compiles their generated methods on import.  The test
-session itself imports every module, so the module sets and the
-dataclasses are checked in fresh interpreters.
+`import tworelay` and `import tworelay.cli` load no layer and no numpy, nor
+do `--help`, `--version` or a usage error; each subcommand loads numpy and
+only the layers it runs.  The package serves every export, and the CLI
+binds the names its subcommands call, on first access.  Each layer defines
+as few dataclasses as it can, since a process compiles their generated
+methods on import.  The test session itself imports every module, so the
+module sets and the dataclasses are checked in fresh interpreters.
 """
 
 import importlib
@@ -23,8 +23,8 @@ import tworelay
 import tworelay.cli as cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-WATCHED = ("tworelay.model", "tworelay.achievable", "tworelay.bounds", "tworelay.scaling",
-           "tworelay.lattice_sim", "numpy.random")
+WATCHED = ("numpy", "tworelay.model", "tworelay.achievable", "tworelay.bounds",
+           "tworelay.scaling", "tworelay.lattice_sim", "numpy.random")
 
 #: Exports that are neither a class nor a function, by defining module.
 CONSTANTS = {
@@ -94,16 +94,21 @@ FOOTPRINT = """
     listed = set(tworelay.__all__) <= set(dir(tworelay))
     code = 0
     if sys.argv[1:]:
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = tworelay.cli.main(sys.argv[1:])
+        quiet = io.StringIO()
+        with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
+            try:
+                code = tworelay.cli.main(sys.argv[1:])
+            except SystemExit as exc:  # --help, --version and usage errors
+                code = exc.code
     watched = {watched}
     print(json.dumps([listed, code, [m for m in watched if m in sys.modules]]))
 """.format(watched=WATCHED)
 
 NONE = []
-CLOSED_FORMS = ["tworelay.model", "tworelay.achievable", "tworelay.bounds"]
+CLOSED_FORMS = ["numpy", "tworelay.model", "tworelay.achievable", "tworelay.bounds"]
 SCALING = [*CLOSED_FORMS, "tworelay.scaling"]
-SIMULATOR = ["tworelay.model", "tworelay.achievable", "tworelay.lattice_sim", "numpy.random"]
+SIMULATOR = ["numpy", "tworelay.model", "tworelay.achievable", "tworelay.lattice_sim",
+             "numpy.random"]
 
 
 @pytest.mark.parametrize(
@@ -133,6 +138,18 @@ def test_a_process_imports_only_the_layers_its_subcommand_runs(argv, loaded):
     assert listed
     assert code == 0
     assert modules == loaded
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--help"], 0), (["--version"], 0), (["bounds", "--case", "z"], 2)],
+    ids=["help", "version", "usage-error"],
+)
+def test_a_process_that_runs_no_subcommand_loads_no_layer_and_no_numpy(argv, code):
+    listed, exit_code, modules = json.loads(_python(FOOTPRINT, *argv).stdout)
+    assert listed
+    assert exit_code == code
+    assert modules == NONE
 
 
 PATCHED_RUN = """

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from tworelay import model
-from tworelay.achievable import lattice_cf_report
+from tworelay.achievable import _clamped_rate, equivalent_noise_power
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -240,7 +240,7 @@ def test_numpy_without_introspection_takes_the_per_element_path(monkeypatch):
 
 
 @pytest.mark.parametrize("ufunc_path", [True, False])
-def test_lattice_report_of_an_overflowing_alpha_has_rate_zero(ufunc_path, monkeypatch):
+def test_lattice_rate_of_an_overflowing_alpha_is_zero(ufunc_path, monkeypatch):
     monkeypatch.setattr(model, "_UFUNC_PATH", ufunc_path and model._UFUNC_PATH)
-    report = lattice_cf_report(1.0, 1.0, 1.0, 1e200, 0.0, 0.0, 1.0)
-    assert (report.rate, report.p_neq) == (0.0, math.inf)
+    p_neq = equivalent_noise_power(1.0, 1.0, 1.0, 1e200, 0.0, 0.0, 1.0)
+    assert (_clamped_rate(1.0, p_neq).item(), float(p_neq)) == (0.0, math.inf)

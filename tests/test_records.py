@@ -21,7 +21,6 @@ from tworelay.lattice_sim import (
     CryptoLemmaStats,
     SimConfig,
     SimStats,
-    SlepianWolfCheck,
 )
 from tworelay.model import ChannelConfig
 from tworelay.scaling import GapCertificate, RegionPolygon, ScalingEstimate, SweepPoint
@@ -41,7 +40,6 @@ RECORDS = {
                 "dither_uniformity_pvalue", "x_v_correlation", "rate_estimate", "samples",
                 "seed", "cell_length"), {}),
     CryptoLemmaStats: (("uniformity_pvalue", "x_v_correlation", "samples", "seed"), {}),
-    SlepianWolfCheck: (("required_rate", "link_capacity", "satisfied", "p_d2"), {}),
     CoverageResult: (("coverage", "hits", "trials", "codewords", "mutual_information_bits"), {}),
 }
 

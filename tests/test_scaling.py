@@ -338,6 +338,9 @@ class TestGapCertificates:
         ([10.0, math.nan], [10.0]),
         ([10.0, 100.0], [10.0, math.nan]),
         ([10.0, 100.0], [-1.0, 10.0]),
+        ([[10.0, 100.0], [1e3, 1e4]], [10.0, 100.0]),  # a grid is a flat sequence
+        ([10.0, 100.0], [[10.0, 100.0], [1e3, 1e4]]),
+        (10.0, [10.0]),
     ])
     def test_grid_outside_the_model_is_rejected_not_dropped(self, px_grid, pj_grid):
         # a power outside the model is refused, never dropped from the certificate
@@ -425,8 +428,8 @@ class TestGapCertificates:
     @pytest.mark.parametrize("case", list(ScenarioCase))
     def test_grid_memory_does_not_grow_with_the_columns(self, case, monkeypatch):
         # rows of 10 and of 100 tiles of 256 p_j: a tile's memory stays that of 256 points,
-        # and the peak grows only by the p_j grid itself (its tuple, its array, 0.5*log2
-        # of it and one temporary: 4 floats a column); whole rows took 12-15 floats a column
+        # and the peak grows only by the p_j grid itself (its array, 0.5*log2 of it and one
+        # temporary: 3 floats a column); whole rows took 12-15 floats a column
         monkeypatch.setattr(scaling, "_GAP_BLOCK", 256)
         peaks, sizes = [], (2560, 25600)
         for columns in sizes:
@@ -438,7 +441,7 @@ class TestGapCertificates:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] - peaks[0] < 5 * 8 * (sizes[1] - sizes[0]), peaks
+        assert peaks[1] - peaks[0] < 3.5 * 8 * (sizes[1] - sizes[0]), peaks
 
 
 def bit_patterns(values):
