@@ -17,7 +17,7 @@ Equivalent CLI:  tworelay simulate --case b --px 15 --pj 15 --c1 2 --c2 1 \
 import math
 from dataclasses import replace
 
-from tworelay import SimConfig, crypto_lemma_check, gaussian_mi, run_lattice_sim
+from tworelay import SimConfig, gaussian_mi, run_lattice_sim
 from tworelay.achievable import side_information_power
 
 for case in ("b", "c"):
@@ -44,14 +44,13 @@ for kind in ("gaussian", "uniform", "bpsk"):
     )
     print(f"  {kind:9s} var(n_eq) = {stats.empirical_var_neq:.6f}")
 
-print("\ndither statistics on the unit cell (p_x = 1/12):")
-plain = crypto_lemma_check(1 / 12, 2 * 10**5, seed=5)
-frozen = crypto_lemma_check(1 / 12, 2 * 10**5, seed=5, hold_message_constant=True)
-naked = crypto_lemma_check(1 / 12, 2 * 10**5, seed=5, disable_dither=True)
-print(f"  dithered          : p = {plain.uniformity_pvalue:.3f}, "
-      f"corr = {plain.x_v_correlation:+.4f}")
-print(f"  constant message  : p = {frozen.uniformity_pvalue:.3f} (still uniform)")
-print(f"  dither disabled   : corr = {naked.x_v_correlation:+.4f} (input leaks message)")
+# X = (V - U) mod cell is uniform and blind to the message whatever V is (the
+# crypto lemma); simulate reports both statistics from its own draws.
+print("\ndither statistics on the unit cell (p_x = 1/12, case B):")
+unit = run_lattice_sim(SimConfig(case="b", p_x=1 / 12, p_j=15, c1=2, c2=1,
+                                 samples=2 * 10**5, seed=5))
+print(f"  uniformity p = {unit.dither_uniformity_pvalue:.3f}, "
+      f"corr = {unit.x_v_correlation:+.4f}  (3-sigma band {3 / math.sqrt(unit.samples):.4f})")
 
 # Relay 2's binned description is resolved against the sum signal of power s, so
 # it needs 0.5*log2(1 + min(p_x, s)/p_d2) bits; the allocation spends c2 exactly.

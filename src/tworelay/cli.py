@@ -451,7 +451,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_join_range_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"tworelay: error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:  # numpy's message names its internals, not the flags

@@ -17,8 +17,9 @@ that the destination combiner output
 
 holds to floating-point accuracy with n_eq assembled from the latent draws,
 for any alpha.  It records the empirical power of n_eq against the closed
-form, dither statistics (X uniform on the cell and uncorrelated with V),
-and the variance-based rate estimate 0.5*log2(p_x / var(n_eq)).
+form, the dither statistics of the crypto lemma (X uniform on the cell and
+uncorrelated with V; `crypto_lemma_check` computes them alone) and the
+variance-based rate estimate 0.5*log2(p_x / var(n_eq)).
 
 Reproducibility contract: every random variable of every fixed-size batch
 draws from its own counter-based Philox stream keyed by
@@ -89,7 +90,8 @@ class SimConfig:
     """Parameters of one lattice-scheme simulation run.
 
     `case` is "b", "c" or "general"; the canonical cases fix the gains and
-    noise powers, while "general" takes explicit `a` and `b`.  A link with
+    default the noise powers `p_n1` and `p_n2` (a given one is kept), while
+    "general" takes explicit gains and noise powers.  A link with
     INFINITE_CAPACITY disables the corresponding quantizer (zero
     distortion); a finite link must have positive capacity.  `interferer`
     switches the interferer's distribution ("gaussian", "uniform", "bpsk")
@@ -210,13 +212,9 @@ class SimStats(NamedTuple):
     cell_length: float
 
 
-def centered_mod(x: np.ndarray | float, cell: float) -> np.ndarray | float:
-    """Reduce into [-cell/2, cell/2); a tie at +cell/2 maps to -cell/2.
-
-    x - cell*floor(x/cell + 0.5); an array result is built in one new buffer.
-    """
-    if np.ndim(x) == 0:
-        return x - cell * np.floor(x / cell + 0.5)
+def centered_mod(x: np.ndarray, cell: float) -> np.ndarray:
+    """Reduce an array into [-cell/2, cell/2), a tie at +cell/2 to -cell/2:
+    x - cell*floor(x/cell + 0.5), built in one new buffer."""
     return _reduce(x, cell)
 
 
@@ -644,19 +642,13 @@ class CryptoLemmaStats(NamedTuple):
     seed: int
 
 
-def crypto_lemma_check(
-    p_x: float,
-    samples: int,
-    seed: int,
-    hold_message_constant: bool = False,
-    disable_dither: bool = False,
-) -> CryptoLemmaStats:
+def crypto_lemma_check(p_x: float, samples: int, seed: int) -> CryptoLemmaStats:
     """Check that the dither makes the channel input uniform and message-blind.
 
-    X = (V - U) mod cell must be uniform over the cell whatever the
-    message distribution (even a constant V), and uncorrelated with V.
-    Disabling the dither (U = 0) is the negative control: X = V stays
-    uniform for a uniform message but becomes fully correlated with it.
+    X = (V - U) mod cell must be uniform over the cell and uncorrelated with
+    the message V (the crypto lemma).  V and U are drawn from the streams
+    `run_lattice_sim` draws them from, so its dither statistics at the same
+    seed and samples are these.
 
     Requires samples >= 1e5 so the chi-square bins are well populated.
     """
@@ -669,14 +661,7 @@ def crypto_lemma_check(
     L = math.sqrt(12.0 * p_x)
 
     def dither_batch(edges: np.ndarray, batch: int, m: int) -> _Batch:
-        if hold_message_constant:
-            v = np.full(m, L / 4.0)
-        else:
-            v = _stream(seed, batch, _VAR_V).uniform(-L / 2.0, L / 2.0, m)
-        if disable_dither:
-            u = np.zeros(m)
-        else:
-            u = _stream(seed, batch, _VAR_U).uniform(-L / 2.0, L / 2.0, m)
+        v, u = (_stream(seed, batch, var).uniform(-L / 2.0, L / 2.0, m) for var in (_VAR_V, _VAR_U))
         x = centered_mod(v - u, L)
         return _Batch(0.0, *_dither_moments(x, v, edges, np.empty(m), u.view(np.intp)))
 

@@ -142,8 +142,8 @@ def _parse_coupling(coupling: str) -> Callable[[np.ndarray], np.ndarray]:
     except ValueError:
         raise ValueError("coupling must be 'pj=px', 'pj=sqrt(px)' or 'pj=<value>', "
                          f"got {coupling!r}") from None
-    if value < 0.0:
-        raise ValueError(f"constant interferer power must be >= 0, got {value}")
+    if not value > 0.0:
+        raise ValueError(f"constant interferer power must be > 0, got {value}")
     return lambda p_x: np.full(p_x.shape, value)
 
 
@@ -163,17 +163,20 @@ def coupled_capacity_rate_fn(
       R = 0.5*log2(p_x) and g = 0.5*log2(1 + p_x/p_j)
 
     At scale 1.0 the resulting pre-log is 1/2; scaling the capacities down
-    (e.g. by 0.8) drags the pre-log below 1/2, witnessing necessity.  The
-    function maps an array of powers to their `achievable.best_rate` in one
-    call, and raises ValueError where a config of a power would be refused.
+    (e.g. by 0.8) drags the pre-log below 1/2, witnessing necessity.  A
+    coupling constant must be > 0 and the scale finite and >= 0, so that the
+    function maps any array of finite powers > 0 to finite links >= 0 (Case
+    A's c1 is inf) and their `achievable.best_rate`, in one call.
     """
     pj_of = _parse_coupling(coupling)
+    if not 0.0 <= capacity_scale < math.inf:
+        raise ValueError(f"capacity scale must be finite and >= 0, got {capacity_scale!r}")
 
     @np.errstate(all="ignore")
     def rate(p_x: np.ndarray) -> np.ndarray:
+        if not np.all((0.0 < p_x) & (p_x < math.inf)):
+            raise ValueError(f"every p_x must be finite and > 0 ({coupling})")
         p_j = pj_of(p_x)
-        if not (np.all((0.0 < p_x) & (p_x < math.inf)) and np.all(p_j > 0.0)):
-            raise ValueError(f"every p_x must be finite and > 0, and every p_j > 0 ({coupling})")
         target = np.maximum(0.5 * math_map(math.log2, p_x), 0.0)
         if case is ScenarioCase.CASE_C:
             g = mutual_info(p_x, p_j)
@@ -182,10 +185,6 @@ def coupled_capacity_rate_fn(
         else:  # Case A: relay 1 stays unlimited
             c1 = capacity_scale * target if case is ScenarioCase.CASE_B else math.inf
             c2 = capacity_scale * np.maximum(_interference_info(p_x, p_j), 0.0)
-        if not (np.all(np.greater_equal(c1, 0.0)) and np.all(c2 >= 0.0)):
-            raise ValueError(f"capacity scale {capacity_scale!r} gives a link that is not >= 0")
-        if case is ScenarioCase.CASE_B and np.isinf(c1).any():
-            raise ValueError("Case B requires a finite c1")
         return best_rate(case, p_x, p_j, c1, c2)[0]
 
     return rate
@@ -595,10 +594,10 @@ def sweep_sum_capacity(
     return list(map(SweepPoint, totals.tolist(), rate, schemes, c1, c2, cutset, modulo))
 
 
-def _splits(totals: np.ndarray, n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+def _splits(totals: np.ndarray, n: int, start: int, stop: int) -> np.ndarray:
     """Row k is np.linspace(0.0, totals[k], n)[start:stop], bit for bit, subnormal
     steps included."""
-    stop = n if stop is None else min(stop, n)
+    stop = min(stop, n)
     i, step = np.arange(start, stop, dtype=float), totals[:, None] / (n - 1)
     c1 = np.where(step == 0.0, i / (n - 1) * totals[:, None], i * step)
     if stop == n:

@@ -257,7 +257,7 @@ def test_splits_equal_linspace():
     # the subnormal totals take linspace's (i/(n-1))*total form
     totals = np.array([0.0, 5e-324, 1e-320, 2.2e-308, 0.25, 1.75, 27.75, 600.0, 1e300])
     for n in (2, 3, 61, 1001):
-        assert_bits_equal(_splits(totals, n), [np.linspace(0.0, t, n) for t in totals])
+        assert_bits_equal(_splits(totals, n, 0, n), [np.linspace(0.0, t, n) for t in totals])
         for start, stop in ((0, 1), (1, n - 1), (n // 2, n), (n - 1, n + 5)):
             assert_bits_equal(_splits(totals, n, start, stop),
                               [np.linspace(0.0, t, n)[start:stop] for t in totals])

@@ -466,6 +466,17 @@ class TestSimulateAndCover:
         assert (code, captured.out) == (2, "")
         assert captured.err == "tworelay: error: cover does not fit in memory at these parameters\n"
 
+    def test_a_key_error_is_a_fault_not_bad_input(self, capsys, monkeypatch):
+        # no subcommand raises KeyError on bad input, so one from a fault is not
+        # turned into exit 2 and an error line
+        def broken(args):
+            raise KeyError("no such table entry")
+
+        monkeypatch.setattr(cli, "cmd_scaling", broken)
+        with pytest.raises(KeyError, match="no such table entry"):
+            cli.main(["scaling", "--case", "a"])
+        assert capsys.readouterr() == ("", "")
+
     def test_cover_runs(self, capsys):
         code, out = run_cli(
             ["cover", "--rate", "0.5", "--trials", "40", "--seed", "3"], capsys
@@ -597,7 +608,11 @@ def test_other_values_are_passed_on_as_given(argv):
 
 @pytest.mark.parametrize("argv, error", [
     (["scaling", "--case", "a", "--coupling", "pj=-1"],
-     "constant interferer power must be >= 0, got -1.0"),
+     "constant interferer power must be > 0, got -1.0"),
+    (["scaling", "--case", "a", "--coupling", "pj=0"],
+     "constant interferer power must be > 0, got 0.0"),
+    (["scaling", "--case", "c", "--capacity-scale", "inf"],
+     "capacity scale must be finite and >= 0, got inf"),
     # refused from the count alone, before any power is computed
     (["gaps", "--case", "a", "--grid", "0:1e18:1000"],
      "1000000000000000000000 powers do not fit in memory"),
@@ -942,9 +957,10 @@ SCALING_EDGES = {
     "--exponents=-1100:-1070": (2, 2, 2),  # every power underflows to 0
     "--exponents=1020:1023": (0, 0, 0),  # p_x + p_j overflows in Cases A and B
     "--exponents=10:1000": (0, 0, 0),
-    "--capacity-scale=inf": (0, 2, 0),  # Case B needs a finite c1
+    "--capacity-scale=inf": (2, 2, 2),  # Case B's c1 would be unlimited
     "--capacity-scale=inf --exponents=0:12": (2, 2, 2),  # inf * 0 bits at p_x = 1
     "--capacity-scale=-1": (2, 2, 2),
+    "--capacity-scale=-1 --coupling=pj=5e-324": (2, 2, 2),  # every Case A link would be -0.0
     "--capacity-scale=nan": (2, 2, 2),
     "--capacity-scale=0": (0, 0, 0),
     "--coupling=pj=0": (2, 2, 2),

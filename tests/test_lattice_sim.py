@@ -36,10 +36,9 @@ CASE_C = SimConfig(case="c", p_x=15, p_j=15, c1=2, c2=1, samples=10**6, seed=1)
 
 class TestCenteredMod:
     def test_interval_and_tie(self):
-        assert centered_mod(0.5, 1.0) == -0.5
-        assert centered_mod(-0.5, 1.0) == -0.5
-        assert centered_mod(0.49, 1.0) == pytest.approx(0.49)
-        assert centered_mod(1.51, 1.0) == pytest.approx(0.51 - 1.0)
+        x = centered_mod(np.array([0.5, -0.5, 0.49, 1.51]), 1.0)
+        assert x[:2].tolist() == [-0.5, -0.5]
+        assert x[2:].tolist() == pytest.approx([0.49, 0.51 - 1.0])
 
 
 class TestSimConfig:
@@ -268,6 +267,25 @@ def bit_patterns(stats):
     return [struct.pack("<d", v) if isinstance(v, float) else v for v in stats]
 
 
+def dither_control(p_x, samples, seed, hold_message_constant=False, disable_dither=False):
+    """`crypto_lemma_check` with a negative control: the message V held at cell/4 in
+    place of its draw, or the dither U = 0 in place of its; same streams and reduction."""
+    L = math.sqrt(12.0 * p_x)
+
+    def batch(edges, b, m):
+        def draw(var):
+            return lattice_sim._stream(seed, b, var).uniform(-L / 2.0, L / 2.0, m)
+
+        v = np.full(m, L / 4.0) if hold_message_constant else draw(lattice_sim._VAR_V)
+        u = np.zeros(m) if disable_dither else draw(lattice_sim._VAR_U)
+        moments = lattice_sim._dither_moments(centered_mod(v - u, L), v, edges, np.empty(m),
+                                              u.view(np.intp))
+        return lattice_sim._Batch(0.0, *moments)
+
+    _, _, pvalue, corr = lattice_sim._run_batches(samples, p_x, batch)
+    return lattice_sim.CryptoLemmaStats(pvalue, corr, samples, seed)
+
+
 SMALL_C = replace(CASE_C, samples=3 * BATCH_SIZE + 17)
 BIT_IDENTITY_CONFIGS = [
     *(replace(CASE_B, samples=n) for n in (2, BATCH_SIZE, BATCH_SIZE + 1, 3 * BATCH_SIZE + 17)),
@@ -301,9 +319,10 @@ class TestThreadedBatches:
         runs = []
         for workers in (1, 2, 5):
             monkeypatch.setattr(lattice_sim, "_usable_cpus", lambda: workers)
-            runs.append([bit_patterns(crypto_lemma_check(3.0, 200_000, 5, **flags))
-                         for flags in ({}, {"hold_message_constant": True},
-                                       {"disable_dither": True})])
+            runs.append([bit_patterns(crypto_lemma_check(3.0, 200_000, 5)),
+                         *(bit_patterns(dither_control(3.0, 200_000, 5, **flags))
+                           for flags in ({"hold_message_constant": True},
+                                         {"disable_dither": True}))])
         assert runs[0] == runs[1] == runs[2]
 
     def test_pool_size_follows_usable_cpus(self, monkeypatch):
@@ -535,12 +554,12 @@ class TestCryptoLemma:
         assert abs(stats.x_v_correlation) < 3.0 / math.sqrt(stats.samples)
 
     def test_constant_message_still_uniform(self):
-        stats = crypto_lemma_check(1.0 / 12.0, 2 * 10**5, seed=5, hold_message_constant=True)
+        stats = dither_control(1.0 / 12.0, 2 * 10**5, seed=5, hold_message_constant=True)
         assert stats.uniformity_pvalue > 0.001
         assert math.isnan(stats.x_v_correlation)
 
     def test_disabled_dither_breaks_independence(self):
-        stats = crypto_lemma_check(1.0 / 12.0, 2 * 10**5, seed=5, disable_dither=True)
+        stats = dither_control(1.0 / 12.0, 2 * 10**5, seed=5, disable_dither=True)
         assert stats.uniformity_pvalue > 0.001  # message itself is uniform
         assert stats.x_v_correlation == pytest.approx(1.0, abs=1e-12)
 
@@ -549,10 +568,11 @@ class TestCryptoLemma:
         base = crypto_lemma_check(3.0, 200_000, 5)
         assert (base.uniformity_pvalue, base.x_v_correlation) == (
             0.5368814530311797, -0.000936892357877265)
-        const = crypto_lemma_check(3.0, 200_000, 5, hold_message_constant=True)
+        assert bit_patterns(dither_control(3.0, 200_000, 5)) == bit_patterns(base)
+        const = dither_control(3.0, 200_000, 5, hold_message_constant=True)
         assert const.uniformity_pvalue == 0.5051722213362239
         assert math.isnan(const.x_v_correlation)
-        bare = crypto_lemma_check(3.0, 200_000, 5, disable_dither=True)
+        bare = dither_control(3.0, 200_000, 5, disable_dither=True)
         assert (bare.uniformity_pvalue, bare.x_v_correlation) == (0.22668498348408825, 1.0)
         # the same p-values from scipy.stats.chi2.sf, which computed them before
         # the stdlib tail replaced it
@@ -572,15 +592,15 @@ class TestCryptoLemma:
         for p_x in (1e-200, 1e-160, 1e154, 1e160, 1e300):
             assert crypto_lemma_check(p_x, 10**5, 1).x_v_correlation == pytest.approx(
                 reference, rel=1e-12, abs=0.0)
-            constant = crypto_lemma_check(p_x, 10**5, 1, hold_message_constant=True)
+            constant = dither_control(p_x, 10**5, 1, hold_message_constant=True)
             assert math.isnan(constant.x_v_correlation)
 
     def test_constant_message_at_a_huge_cell(self):
         # the message sums to samples * L/4, whose square passes the largest float;
         # its variance is zero up to rounding, so the correlation is undefined
-        stats = crypto_lemma_check(1e300, 10**5, 1, hold_message_constant=True)
+        stats = dither_control(1e300, 10**5, 1, hold_message_constant=True)
         assert math.isnan(stats.x_v_correlation)
-        reference = crypto_lemma_check(1.0, 10**5, 1, hold_message_constant=True)
+        reference = dither_control(1.0, 10**5, 1, hold_message_constant=True)
         assert stats.uniformity_pvalue == pytest.approx(reference.uniformity_pvalue, rel=1e-6)
 
     def test_cell_past_the_largest_float_is_refused(self):

@@ -3,9 +3,9 @@
 Each example is a random grid of up to 6 values per axis of
 (p_x, p_j, c1, c2), with p_x = 0, p_j in {0, inf} and unlimited links among
 the values drawn.  The tolerances are those of the fixed-point tests in
-test_achievable.py.  The last property runs the Monte Carlo simulator on
-random configs instead.  The draws are derandomized, so the suite sees the
-same examples on every run.
+test_achievable.py.  One property draws pre-log ladders instead, and the
+last runs the Monte Carlo simulator on random configs.  The draws are
+derandomized, so the suite sees the same examples on every run.
 """
 
 import math
@@ -16,6 +16,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import tworelay.lattice_sim as lattice_sim
+from tworelay import scaling
 from tworelay.achievable import best_rate, lattice_rate, local_decode_rates
 from tworelay.bounds import cutset_min_array, modulo_bound_array
 from tworelay.model import ScenarioCase
@@ -110,6 +111,33 @@ def test_local_decoding_is_at_most_its_sinr_rate(p_x, p_j, c1, c2):
         local = local_decode_rates(case, p_x, p_j, c1, c2)
         assert np.all(local <= sinr_rate + TOL), case
         assert np.all(local <= links), case
+
+
+couplings = st.one_of(st.sampled_from(("pj=px", "pj=sqrt(px)")),
+                      st.floats(min_value=0.0, exclude_min=True).map(lambda v: f"pj={v!r}"))
+
+
+@GRIDS
+@given(axis(st.integers(-1074, 1023)), couplings, st.floats(0.0, 1e300))
+@example(np.array([-1074, -1060, 1000, 1023]), "pj=5e-324", 1e300)
+@example(np.array([-1074, 0, 1023]), "pj=inf", 0.0)
+def test_a_ladder_builds_finite_links_and_gives_finite_rates(exponents, coupling, scale):
+    # every finite p_x > 0 of the whole float range, any coupling constant in (0, inf] and
+    # any finite scale >= 0: links >= 0 and finite (Case A's c1 is unlimited by definition)
+    p_x = np.ldexp(1.0, exponents)
+    links, core = [], scaling.best_rate
+
+    def recording_core(case, p_x, p_j, c1, c2):
+        links.append((case, c1, c2))
+        return core(case, p_x, p_j, c1, c2)
+
+    with mock.patch.object(scaling, "best_rate", recording_core):
+        for case in (A, B, C):
+            rates = scaling.coupled_capacity_rate_fn(case, coupling, scale)(p_x)
+            assert np.all(np.isfinite(rates)), case
+    for case, c1, c2 in links:
+        assert np.all(c1 >= 0.0) and np.all(c2 >= 0.0) and np.all(np.isfinite(c2)), case
+        assert (c1 == math.inf) if case is A else np.all(np.isfinite(c1)), case
 
 
 @st.composite
