@@ -10,7 +10,9 @@ algebra by Monte Carlo simulation.
 Every layer (`model`, `bounds`, `achievable`, `scaling`, `lattice_sim`)
 loads on first use of one of its names or of the layer by its own name, so
 `import tworelay` alone imports no numpy, and a caller of the closed forms
-pays for neither the grid layer nor the simulator.
+pays for neither the grid layer nor the simulator.  `model` (the channel
+configs, `gaussian_mi` and the Case C link region) imports no numpy either;
+the layers that compute over arrays load it, through `libm`.
 """
 
 __version__ = "0.1.0"
@@ -20,7 +22,8 @@ import sys as _sys
 from importlib import import_module as _import_module
 
 if "numpy" not in _sys.modules and "NPY_ENABLE_CPU_FEATURES" not in _os.environ:
-    # numpy reads it as it loads, and refuses it next to the ENABLE one (see `model`)
+    # numpy reads it as it loads, and refuses it next to the ENABLE one; `libm` runs
+    # numpy's ufuncs only where the loops left are libm's (see `libm._UFUNC_PATH`)
     _os.environ.setdefault("NPY_DISABLE_CPU_FEATURES", "X86_V4")
 
 #: Every export, by defining module; `__all__` lists them in this order.
@@ -28,9 +31,11 @@ _LAZY = {
     "model": (
         "INFINITE_CAPACITY",
         "ChannelConfig",
+        "RegionPolygon",
         "ScenarioCase",
         "gaussian_mi",
         "make_preset",
+        "required_region_case_c",
     ),
     "bounds": (
         "BoundReport",
@@ -50,14 +55,12 @@ _LAZY = {
     ),
     "scaling": (
         "GapCertificate",
-        "RegionPolygon",
         "ScalingEstimate",
         "certify_gaps",
         "cutset_looseness_demo",
         "estimate_prelog",
         "interference_info_lower_bound",
         "coupled_capacity_rate_fn",
-        "required_region_case_c",
         "sweep_sum_capacity",
     ),
     "lattice_sim": (

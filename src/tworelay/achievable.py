@@ -33,7 +33,7 @@ The closed forms are one array core: `lattice_rate`, `local_decode_rates`
 and `best_rate` broadcast the rates over (p_x, p_j, c1, c2) for an
 explicitly given case, so a sweep evaluates all splits of several sums in
 one call.  Arithmetic runs in numpy in the order of the formulas; every
-transcendental goes through `model.math_map` or `model.square` (libm's
+transcendental goes through `libm.math_map` or `libm.square` (libm's
 bits), which keeps each element equal, bit for bit, to a per-point
 evaluation.  The core takes its input as given.  The per-point entries
 build the full report (combiner coefficient, distortions, equivalent-noise
@@ -54,8 +54,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ChannelConfig, ScenarioCase, _check_fields, case_constraints_hold
-from .model import _LN2, as_arrays, half_log2_ratio, math_map, mutual_info, square
+from .libm import as_arrays, half_log2_ratio, math_map, mutual_info, square
+from .model import _LN2, ChannelConfig, ScenarioCase, _check_fields, case_constraints_hold
 
 
 class Scheme(enum.Enum):

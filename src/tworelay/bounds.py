@@ -10,7 +10,7 @@ All bound terms are formed in the log domain, so an unlimited link
 (`INFINITE_CAPACITY`) simply makes its cut term infinite and never binding.
 The array forms (`cutset_term_arrays`, `cutset_min_array`,
 `modulo_bound_array`) take their input as given, broadcast over
-(p_x, p_j, c1, c2) and take every logarithm through `model.mutual_info` (libm's
+(p_x, p_j, c1, c2) and take every logarithm through `libm.mutual_info` (libm's
 bits; finite where a ratio passes the largest float).  The per-point entries
 (`outer_bounds`, `cutset_case_c`, `modulo_bound_case_c`) check a config against its
 case once, which raises ValueError on a mismatch, and evaluate the array forms at its point.
@@ -24,8 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ChannelConfig, ScenarioCase, as_arrays, case_constraints_hold
-from .model import mutual_info
+from .libm import as_arrays, mutual_info
+from .model import ChannelConfig, ScenarioCase, case_constraints_hold
 
 #: Additive constant of the Case C modulo bound: 0.25 * log2(8*pi*e).
 MODULO_BOUND_CONSTANT = 0.25 * math.log2(8.0 * math.pi * math.e)

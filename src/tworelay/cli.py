@@ -13,6 +13,12 @@ Subcommands map one-to-one onto the library:
 Each subcommand checks its input against the chosen case once, through the
 library entry points; input outside the model exits 2.
 
+A process imports only what its subcommand runs (`_bind`): ``region`` the
+numpy-free `model` alone, ``bounds`` the closed forms, the grid commands
+`scaling` as well, ``simulate`` and ``cover`` the simulator.  ``json``,
+``csv`` and ``dataclasses.asdict`` are imported where an output is written
+with them, so a bare import, ``--help`` and ``--version`` load none of them.
+
 Exit codes: 0 success, 2 invalid usage/parameters, 3 certificate violation.
 Deterministic commands are byte-reproducible; stochastic ones are
 byte-reproducible given --seed (one is generated and recorded otherwise).
@@ -25,14 +31,11 @@ gets a ``<name>.manifest.json`` sidecar whose ``outputs`` names the file.
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import io
-import json
 import math
 import os
 import sys
-from dataclasses import asdict
 from importlib import import_module
 from pathlib import Path
 
@@ -91,7 +94,8 @@ def _manifest(args: argparse.Namespace, outputs: list[str]) -> dict:
 
 
 def _emit_text(text: str, args: argparse.Namespace) -> None:
-    if args.out:
+    if args.out is not None:
+        import json  # here, off the start-up path of every call
         try:
             path = _resolve_out(args.out)
             path.write_text(text, encoding="utf-8", newline="")
@@ -107,12 +111,14 @@ def _emit_text(text: str, args: argparse.Namespace) -> None:
 
 
 def _emit_json(document: dict, args: argparse.Namespace) -> None:
+    import json
     document = {"manifest": _manifest(args, []), **document}
     _emit_text(json.dumps(document, indent=2, sort_keys=True) + "\n", args)
 
 
 def _emit_csv(header: list[str], rows: list[list], schema: str,
               args: argparse.Namespace) -> None:
+    import csv
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow([*header, "schema"])
@@ -234,7 +240,7 @@ def _region_svg(region) -> str:
 
 
 def cmd_region(args: argparse.Namespace) -> int:
-    _bind("scaling")
+    _bind("model")
     region = required_region_case_c(args.rate, args.px, args.pj)
     if args.format == "svg":
         _emit_text(_region_svg(region), args)
@@ -319,6 +325,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     stats = run_lattice_sim(cfg)
     alpha, p_d1, p_d2, _ = cfg.scheme()
+    from dataclasses import asdict  # loaded with the simulator's configs already
     document = {
         "config": {k: v for k, v in asdict(cfg).items() if v is not None},
         "scheme": {"alpha": alpha, "p_d1": p_d1, "p_d2": p_d2},
@@ -341,6 +348,7 @@ def cmd_cover(args: argparse.Namespace) -> int:
         seed=seed,
     )
     result = coverage_experiment(cfg)
+    from dataclasses import asdict
     document = {"config": asdict(cfg), "result": result._asdict()}
     _emit_json(document, args)
     return 0
@@ -450,6 +458,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_range_values(sys.argv[1:] if argv is None else argv))
     try:
+        if args.out == "":  # a path of no file; refused before any work
+            raise ValueError("--out must name a file, got ''")
         return args.func(args)
     except ValueError as exc:
         print(f"tworelay: error: {exc}", file=sys.stderr)

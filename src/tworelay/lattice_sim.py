@@ -60,7 +60,8 @@ from .achievable import (
     equivalent_noise_power,
     mmse_alpha,
 )
-from .model import _CASE_FIXED, ScenarioCase, square
+from .libm import square
+from .model import _CASE_FIXED, ScenarioCase
 
 #: Fixed batch size; part of the determinism contract (changing it changes
 #: the streams, so it is a module constant rather than a config knob).

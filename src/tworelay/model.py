@@ -23,21 +23,19 @@ rate and bound stays finite); an unlimited ``p_x`` is rejected.  The array
 core takes the case explicitly and its input as given; each per-point entry
 checks its input once, a config against its case or raw powers and links
 with `_check_fields`, and raises ValueError on input outside the model.
-Every transcendental goes through `math_map` or `square`, which give libm's
-bits: through numpy's ufuncs where their loops do (`_UFUNC_PATH`), else per element.
-Both give inf where libm overflows and raise libm's ValueError at a domain error, at every size.
-Every closed-form 0.5*log2(a/b) goes through `half_log2_ratio`, finite past the largest float.
+
+This module imports no numpy: `gaussian_mi` computes in Python floats, with
+the bits that `libm.mutual_info` (the array form, which the array core
+uses) gives at the same point, and the Case C link region
+(`required_region_case_c`) is scalar geometry on it alone.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import NamedTuple
 
 INFINITE_CAPACITY = math.inf
 
@@ -151,7 +149,8 @@ def gaussian_mi(signal_power: float, noise_plus_interference_power: float) -> fl
     """Gaussian mutual information 0.5*log2(1 + S/N) in bits per channel use.
 
     Stable over S/N from ~1e-12 to ~1e15 (log1p keeps full relative
-    precision when the ratio is tiny), and finite past it (`half_log2_ratio`).
+    precision when the ratio is tiny), and finite past it: where S/N passes
+    the largest float, 0.5*(log2 S - log2 N), as `libm.half_log2_ratio` forms it.
     An unlimited signal power over a finite N yields INFINITE_CAPACITY.
 
     Raises:
@@ -162,104 +161,87 @@ def gaussian_mi(signal_power: float, noise_plus_interference_power: float) -> fl
         raise ValueError(f"signal power must be >= 0, got {s!r}")
     if not n > 0.0 or math.isinf(s) and math.isinf(n):
         raise ValueError(f"noise-plus-interference power must be > 0 (finite over inf), got {n!r}")
-    return float(mutual_info(s, n))
+    if s == 0.0:
+        return 0.0  # +0.0, also for a signal power of -0.0
+    mi = 0.5 * math.log1p(s / n) / _LN2
+    if mi == math.inf:
+        return 0.5 * (math.log2(s) - math.log2(n))
+    return mi
 
 
-@np.errstate(all="ignore")
-def mutual_info(signal_power, noise_power) -> np.ndarray:
-    """`gaussian_mi` as a broadcast over arrays, without its input checks."""
-    ratio = np.divide(signal_power, noise_power)
-    mi = half_log2_ratio(signal_power, noise_power, 0.5 * math_map(math.log1p, ratio) / _LN2)
-    return np.where(signal_power == 0.0, 0.0, mi)  # +0.0, also for a signal power of -0.0
+# ---------------------------------------------------------------------------
+# Case C capacity region
+
+#: Slack of `RegionPolygon.contains` in bits, so a point on a constraint line counts as inside.
+_REGION_TOL = 1e-12
 
 
-def half_log2_ratio(a, b, value) -> np.ndarray:
-    """`value`, 0.5*log2 of a/b or of 1 + a/b formed from the float a/b; where a/b passed the
-    largest float (value inf, b > 0), 0.5*(log2 a - log2 b), within a part in 1e308 of both."""
-    past = value == math.inf
-    if past.any():
-        past &= b > 0.0  # libm's log2 sees a and b only here, never 0; a = inf stays inf
-        log2_a, log2_b = (math_map(math.log2, np.where(past, v, 1.0)) for v in (a, b))
-        value = np.where(past, 0.5 * (log2_a - log2_b), value)
-    return value
+class RegionPolygon(NamedTuple):
+    """The set of (c1, c2) pairs that can sustain `target_rate` in Case C.
 
+    The region is the intersection of three half-planes (closed under
+    componentwise increase, hence convex):
 
-def math_map(fn: Callable[[float], float], x) -> np.ndarray:
-    """The `math` function `fn` applied to each element of x, with libm's bits.
+        c1 + c2 >= max(2R - g, R)      with g = 0.5*log2(1 + p_x/p_j)
+        c1      >= R - g
+        c2      >= R - g
 
-    The CLI prints floats with repr, and numpy's AVX-512 loops differ from
-    libm in the last bit.  On the ufunc path numpy's ufunc of `fn` runs, its
-    warnings off; else libm reads the elements straight from the flat buffer
-    (`_per_element`).  Both give inf where the value passes the largest float,
-    and both raise libm's ValueError at the first element outside `fn`'s domain.
+    `vertices` lists the finite corner points of its boundary; `p1` is the
+    corner with the larger c1 (c1 = max(R, g), c2 = R - g when R >= g) and
+    `p2` its mirror image.
     """
-    x = np.asarray(x, dtype=float)
-    if not _UFUNC_PATH:
-        return _per_element(fn, x)
-    if (x <= _DOMAIN_EDGES.get(fn, math.nan)).any():  # no edge: nothing is <= NaN
-        _per_element(fn, x)  # raises libm's ValueError at the first element outside
-    with np.errstate(all="ignore"):
-        return _UFUNCS[fn](x)
+
+    vertices: tuple[tuple[float, float], ...]
+    target_rate: float
+    constraints: tuple[tuple[str, float, float, float], ...]
+    p1: tuple[float, float]
+    p2: tuple[float, float]
+
+    def contains(self, c1: float, c2: float) -> bool:
+        """Whether (c1, c2) satisfies every half-plane constraint, to within `_REGION_TOL`."""
+        return all(
+            coef1 * c1 + coef2 * c2 >= rhs - _REGION_TOL
+            for _, coef1, coef2, rhs in self.constraints
+        )
 
 
-def square(x) -> np.ndarray:
-    """x**2 elementwise as Python's float ** computes it: libm pow, not x*x.
+def required_region_case_c(target_rate: float, p_x: float, p_j: float) -> RegionPolygon:
+    """Half-plane description and corner points of the Case C region.
 
-    On the ufunc path np.power of the flat x with an exponent array, at every size
-    (one of stride 0, as a scalar or 0-d one has, takes x*x); else `pow(v, 2.0)`."""
-    x = np.asarray(x, dtype=float)
-    if not _UFUNC_PATH:
-        return _per_element(pow, x, 2.0)
-    with np.errstate(all="ignore"):
-        return np.power(x.ravel(), np.full(x.size, 2.0)).reshape(x.shape)
-
-
-def _per_element(fn: Callable[..., float], x: np.ndarray, *args: float) -> np.ndarray:
-    """fn(v, *args) for each element v of x, from its flat buffer; where libm overflows
-    (OverflowError, where numpy's loops give inf), formed again with inf there."""
-    elements = memoryview(x.ravel())
-    try:
-        values = np.fromiter(map(fn, elements, *map(itertools.repeat, args)), float, x.size)
-    except OverflowError:
-        values = np.fromiter((_or_inf(fn, v, *args) for v in elements), float, x.size)
-    return values.reshape(x.shape)
-
-
-def _or_inf(fn: Callable[..., float], *args: float) -> float:
-    try:
-        return fn(*args)
-    except OverflowError:  # upward: no function mapped here overflows toward -inf
-        return math.inf
-
-
-_UFUNCS = {math.log1p: np.log1p, math.log2: np.log2, math.expm1: np.expm1, math.exp: np.exp}
-
-#: libm raises a domain error at and below each edge; the other functions of `_UFUNCS` have none.
-_DOMAIN_EDGES = {math.log2: 0.0, math.log1p: -1.0}
-
-#: (ufunc, loop, targets giving libm's bits: baseline calls libm, exp's X86_V3 matched it)
-_LIBM_TARGETS = (("log1p", "dd", ("baseline",)), ("log2", "dd", ("baseline",)),
-                 ("expm1", "dd", ("baseline",)), ("power", "ddd", ("baseline",)),
-                 ("exp", "dd", ("baseline", "X86_V3")))
-
-
-def _ufuncs_give_libm_bits() -> bool:
-    """Whether numpy, as loaded, runs a loop of `_LIBM_TARGETS` for each ufunc
-    (see `tworelay/__init__.py`); numpy before 2.0 cannot say."""
-    try:
-        from numpy.lib.introspect import opt_func_info
-    except ImportError:
-        return False
-    info = opt_func_info()
-    return all(info.get(name, {}).get(signature, {}).get("current", "").startswith(targets)
-               for name, signature, targets in _LIBM_TARGETS)
-
-
-#: Whether `math_map` and `square` run numpy's ufuncs; else libm per element.
-_UFUNC_PATH = _ufuncs_give_libm_bits()
-
-
-def as_arrays(*values) -> list[np.ndarray]:
-    """The values as float arrays of at least one dimension, each keeping its own
-    shape: a quantity of p_x alone is computed once per p_x, not once per point."""
-    return [np.atleast_1d(np.asarray(v, dtype=float)) for v in values]
+    Negative right-hand sides clamp to zero, so a zero target yields the
+    whole nonnegative quadrant, and a target below 0.5*log2(1 + p_x/p_j)
+    leaves only the sum constraint c1 + c2 >= target active.  A target whose
+    sum constraint 2*target - 0.5*log2(1 + p_x/p_j) overflows is refused.
+    The powers are checked as `ChannelConfig` checks its fields, and p_j must be > 0.
+    """
+    p_x, p_j = _check_fields(p_x=p_x, p_j=p_j)
+    if not p_j > 0.0:
+        raise ValueError("the region needs p_j > 0")
+    if not (target_rate >= 0.0 and math.isfinite(target_rate)):
+        raise ValueError(f"target rate must be finite and >= 0, got {target_rate!r}")
+    g = gaussian_mi(p_x, p_j)
+    sum_rhs = max(2.0 * target_rate - g, target_rate, 0.0)
+    if not math.isfinite(sum_rhs):
+        raise ValueError(f"target rate {target_rate!r} is too large: its sum constraint "
+                         f"2*rate - {g!r} overflows")
+    link_rhs = max(target_rate - g, 0.0)
+    constraints = (
+        ("b1: c1 + c2", 1.0, 1.0, sum_rhs),
+        ("b2: c1", 1.0, 0.0, link_rhs),
+        ("b2: c2", 0.0, 1.0, link_rhs),
+    )
+    if 2.0 * link_rhs >= sum_rhs:
+        corner = (link_rhs, link_rhs)
+        vertices = (corner,)
+        p1 = p2 = corner
+    else:
+        p1 = (sum_rhs - link_rhs, link_rhs)
+        p2 = (link_rhs, sum_rhs - link_rhs)
+        vertices = (p2, p1)
+    return RegionPolygon(
+        vertices=vertices,
+        target_rate=float(target_rate),
+        constraints=constraints,
+        p1=p1,
+        p2=p2,
+    )

@@ -5,11 +5,13 @@ transmit power grows; at desk scale it is estimated from a ladder of
 exponents, by default through successive finite differences, which converge
 much faster than the raw ratio.
 
-This module also builds the (c1, c2) region needed to sustain a target rate
-in Case C, certifies the constant-bit gaps between achievable rates and
-outer bounds over power grids, demonstrates that the cut-set bound is
+This module also certifies the constant-bit gaps between achievable rates
+and outer bounds over power grids, demonstrates that the cut-set bound is
 strictly loose in Case C, and produces the rate-versus-sum-capacity sweep
-data (best link split per sum) behind the composite rate curves.  The sweep
+data (best link split per sum) behind the composite rate curves.  The (c1,
+c2) region needed to sustain a target rate in Case C is scalar geometry
+that `model` builds without numpy (`required_region_case_c`,
+`RegionPolygon`); it is served here under the same names as well.  The sweep
 checks its powers once; it and the gap certificates call the rates alone of
 the array core (`achievable.best_rate`, `bounds.cutset_min_array`, ...) in
 full blocks: a sweep block holds all splits of as many sums as fit in
@@ -25,7 +27,7 @@ order is reported (the lowest c1 of a sum, the first worst point of a
 regime).  `_first_max` folds the blocks and tiles into it one by one, as
 np.argmax over the whole grid would pick it, and nothing else of them is
 kept but a regime's point count and a sum's largest cut-set bound, so the
-memory of a grid follows the block, not the grid.  `model.math_map` gives
+memory of a grid follows the block, not the grid.  `libm.math_map` gives
 every value libm's bits, so the pick is the one a per-point evaluation
 makes.  A certificate carries its regime's point count and that worst point,
 not the points themselves, and reports the largest gap as the config-checked
@@ -45,8 +47,9 @@ import numpy as np
 from .achievable import Scheme, achievable_case_c, best_achievable, best_rate, lattice_rate
 from .bounds import cutset_case_c, cutset_min_array, modulo_bound_array
 from .bounds import modulo_bound_case_c, outer_bounds
-from .model import _LN2, ScenarioCase, _check_fields, gaussian_mi, make_preset, math_map
-from .model import mutual_info, square
+from .libm import math_map, mutual_info, square
+from .model import _LN2, ScenarioCase, _check_fields, make_preset
+from .model import RegionPolygon, required_region_case_c  # served here as well
 
 PRELOG_METHODS = ("finite_difference", "ratio")
 
@@ -57,9 +60,6 @@ _SWEEP_BLOCK = 8192
 #: Points per array-core call of the gap certificates: whole p_x rows, or slices of one
 #: row (8 192 raised peak RSS).
 _GAP_BLOCK = 4096
-
-#: Slack of `RegionPolygon.contains` in bits, so a point on a constraint line counts as inside.
-_REGION_TOL = 1e-12
 
 #: Default exponent ladder (log2 of transmit power) for pre-log estimation.
 DEFAULT_EXPONENTS = tuple(range(10, 41))
@@ -217,81 +217,6 @@ def _interference_info(p_x, p_j) -> np.ndarray:
                        math_map(math.log2, total))
     info = 0.5 * (log_px + math_map(math.log2, p_j) - log_sum)
     return np.where(np.isinf(p_j), 0.5 * log_px, info)
-
-
-# ---------------------------------------------------------------------------
-# Case C capacity region
-
-
-class RegionPolygon(NamedTuple):
-    """The set of (c1, c2) pairs that can sustain `target_rate` in Case C.
-
-    The region is the intersection of three half-planes (closed under
-    componentwise increase, hence convex):
-
-        c1 + c2 >= max(2R - g, R)      with g = 0.5*log2(1 + p_x/p_j)
-        c1      >= R - g
-        c2      >= R - g
-
-    `vertices` lists the finite corner points of its boundary; `p1` is the
-    corner with the larger c1 (c1 = max(R, g), c2 = R - g when R >= g) and
-    `p2` its mirror image.
-    """
-
-    vertices: tuple[tuple[float, float], ...]
-    target_rate: float
-    constraints: tuple[tuple[str, float, float, float], ...]
-    p1: tuple[float, float]
-    p2: tuple[float, float]
-
-    def contains(self, c1: float, c2: float) -> bool:
-        """Whether (c1, c2) satisfies every half-plane constraint, to within `_REGION_TOL`."""
-        return all(
-            coef1 * c1 + coef2 * c2 >= rhs - _REGION_TOL
-            for _, coef1, coef2, rhs in self.constraints
-        )
-
-
-def required_region_case_c(target_rate: float, p_x: float, p_j: float) -> RegionPolygon:
-    """Half-plane description and corner points of the Case C region.
-
-    Negative right-hand sides clamp to zero, so a zero target yields the
-    whole nonnegative quadrant, and a target below 0.5*log2(1 + p_x/p_j)
-    leaves only the sum constraint c1 + c2 >= target active.  A target whose
-    sum constraint 2*target - 0.5*log2(1 + p_x/p_j) overflows is refused.
-    The powers are checked as `ChannelConfig` checks its fields, and p_j must be > 0.
-    """
-    p_x, p_j = _check_fields(p_x=p_x, p_j=p_j)
-    if not p_j > 0.0:
-        raise ValueError("the region needs p_j > 0")
-    if not (target_rate >= 0.0 and math.isfinite(target_rate)):
-        raise ValueError(f"target rate must be finite and >= 0, got {target_rate!r}")
-    g = gaussian_mi(p_x, p_j)
-    sum_rhs = max(2.0 * target_rate - g, target_rate, 0.0)
-    if not math.isfinite(sum_rhs):
-        raise ValueError(f"target rate {target_rate!r} is too large: its sum constraint "
-                         f"2*rate - {g!r} overflows")
-    link_rhs = max(target_rate - g, 0.0)
-    constraints = (
-        ("b1: c1 + c2", 1.0, 1.0, sum_rhs),
-        ("b2: c1", 1.0, 0.0, link_rhs),
-        ("b2: c2", 0.0, 1.0, link_rhs),
-    )
-    if 2.0 * link_rhs >= sum_rhs:
-        corner = (link_rhs, link_rhs)
-        vertices = (corner,)
-        p1 = p2 = corner
-    else:
-        p1 = (sum_rhs - link_rhs, link_rhs)
-        p2 = (link_rhs, sum_rhs - link_rhs)
-        vertices = (p2, p1)
-    return RegionPolygon(
-        vertices=vertices,
-        target_rate=float(target_rate),
-        constraints=constraints,
-        p1=p1,
-        p2=p2,
-    )
 
 
 # ---------------------------------------------------------------------------

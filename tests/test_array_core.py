@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import scalar_reference as ref
-from tworelay import model, scaling
+from tworelay import libm, scaling
 from tworelay.achievable import (
     Scheme,
     _case_b,
@@ -37,7 +37,8 @@ from tworelay.bounds import (
     modulo_bound_case_c,
     outer_bounds,
 )
-from tworelay.model import ScenarioCase, make_preset, math_map
+from tworelay.libm import math_map
+from tworelay.model import ScenarioCase, make_preset
 from tworelay.scaling import _gap_tiles, _gaps, _splits, certify_gaps
 
 A, B, C = ScenarioCase.CASE_A, ScenarioCase.CASE_B, ScenarioCase.CASE_C
@@ -244,7 +245,7 @@ def test_gap_certificates_equal_reference_across_blocks(case, monkeypatch):
 @pytest.mark.parametrize("case", [A, B, C])
 def test_rows_wider_than_a_tile_equal_reference(case, ufunc_path, monkeypatch):
     # rows of 20 p_j in tiles of 7: each row is cut into slices of 7, 7 and 6 p_j
-    monkeypatch.setattr(model, "_UFUNC_PATH", ufunc_path and model._UFUNC_PATH)
+    monkeypatch.setattr(libm, "_UFUNC_PATH", ufunc_path and libm._UFUNC_PATH)
     monkeypatch.setattr(scaling, "_GAP_BLOCK", 7)
     p_x = (10.0 ** np.linspace(-1.0, 9.0, 31)).tolist()
     p_j = (10.0 ** np.linspace(-1.0, 9.0, 20)).tolist()

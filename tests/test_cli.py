@@ -632,6 +632,9 @@ def test_other_values_are_passed_on_as_given(argv):
     (["region", "--rate", "1", "--pj", "1", "--px", "inf"], "p_x must be finite, got inf"),
     # refused by the config, not by numpy's seeding
     (["cover", "--rate", "0.5", "--trials", "3", "--seed", "-5"], "seed must be >= 0, got -5"),
+    # a path of no file, refused before any work (it wrote to stdout)
+    (["bounds", "--case", "a", "--px", "1", "--pj", "1", "--c2", "1", "--out", ""],
+     "--out must name a file, got ''"),
     (["cover", "--rate", "0.5", "--seed", "1", "--eps", "inf"],
      "typicality_epsilon must be finite and > 0, got inf"),
     (["simulate", "--case", "c", "--px", "15", "--pj", "15", "--c1", "2", "--c2", "2",

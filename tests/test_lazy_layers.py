@@ -1,11 +1,13 @@
 """Every layer loads on first use.
 
 `import tworelay` and `import tworelay.cli` load no layer and no numpy, nor
-do `--help`, `--version` or a usage error; each subcommand loads numpy and
-only the layers it runs.  The package serves every export, and the CLI
-binds the names its subcommands call, on first access.  Each layer defines
-as few dataclasses as it can, since a process compiles their generated
-methods on import.  The test session itself imports every module, so the
+do `--help`, `--version` or a usage error; each subcommand loads only the
+layers it runs, and `model` (the channel model and the Case C region, all
+that `region` runs) loads no numpy.  The CLI imports `json`, `csv` and
+`dataclasses` only for an output it writes with them.  The package serves
+every export, and the CLI binds the names its subcommands call, on first
+access.  Each layer defines as few dataclasses as it can, since a process
+compiles their generated methods on import.  The test session itself imports every module, so the
 module sets and the dataclasses are checked in fresh interpreters.
 """
 
@@ -23,8 +25,9 @@ import tworelay
 import tworelay.cli as cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-WATCHED = ("numpy", "tworelay.model", "tworelay.achievable", "tworelay.bounds",
-           "tworelay.scaling", "tworelay.lattice_sim", "numpy.random")
+WATCHED = ("numpy", "tworelay.model", "tworelay.libm", "tworelay.achievable", "tworelay.bounds",
+           "tworelay.scaling", "tworelay.lattice_sim", "numpy.random", "json", "csv",
+           "dataclasses")
 
 #: Exports that are neither a class nor a function, by defining module.
 CONSTANTS = {
@@ -34,10 +37,11 @@ CONSTANTS = {
 }
 
 
-def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+def _python(code: str, *args: str, cwd=None) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("TWORELAY_OUTDIR", None)
     return subprocess.run([sys.executable, "-c", textwrap.dedent(code), *args], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
+                          cwd=cwd, capture_output=True, text=True, timeout=120, check=True)
 
 
 @pytest.mark.parametrize("name", tworelay.__all__)
@@ -88,8 +92,9 @@ def test_a_bare_import_loads_no_layer_and_no_numpy():
     assert layers == [True, True, True]
 
 
+#: `json` is imported only once the watched modules are listed.
 FOOTPRINT = """
-    import contextlib, io, json, sys
+    import contextlib, io, sys
     import tworelay, tworelay.cli
     listed = set(tworelay.__all__) <= set(dir(tworelay))
     code = 0
@@ -100,15 +105,20 @@ FOOTPRINT = """
                 code = tworelay.cli.main(sys.argv[1:])
             except SystemExit as exc:  # --help, --version and usage errors
                 code = exc.code
-    watched = {watched}
-    print(json.dumps([listed, code, [m for m in watched if m in sys.modules]]))
+    loaded = [m for m in {watched} if m in sys.modules]
+    import json
+    print(json.dumps([listed, code, loaded]))
 """.format(watched=WATCHED)
 
 NONE = []
-CLOSED_FORMS = ["numpy", "tworelay.model", "tworelay.achievable", "tworelay.bounds"]
+MODEL = ["tworelay.model"]
+CLOSED_FORMS = ["numpy", *MODEL, "tworelay.libm", "tworelay.achievable", "tworelay.bounds"]
 SCALING = [*CLOSED_FORMS, "tworelay.scaling"]
-SIMULATOR = ["numpy", "tworelay.model", "tworelay.achievable", "tworelay.lattice_sim",
+SIMULATOR = ["numpy", *MODEL, "tworelay.libm", "tworelay.achievable", "tworelay.lattice_sim",
              "numpy.random"]
+#: What an output is written with (a file's sidecar is JSON), and the dataclasses
+#: of `model`'s config.
+JSON, CSV = ["json", "dataclasses"], ["csv", "dataclasses"]
 
 
 @pytest.mark.parametrize(
@@ -116,28 +126,48 @@ SIMULATOR = ["numpy", "tworelay.model", "tworelay.achievable", "tworelay.lattice
     [
         pytest.param([], NONE, id="import"),
         pytest.param(["bounds", "--case", "c", "--px", "15", "--pj", "15", "--c1", "1",
-                      "--c2", "1"], CLOSED_FORMS, id="bounds"),
+                      "--c2", "1"], CLOSED_FORMS + CSV, id="bounds"),
         pytest.param(["bounds", "--case", "a", "--px", "15", "--pj", "15", "--c2", "1",
-                      "--format", "json"], CLOSED_FORMS, id="bounds-json"),
-        pytest.param(["gaps", "--case", "c", "--grid", "1:2:1"], SCALING, id="gaps"),
+                      "--format", "json"], CLOSED_FORMS + JSON, id="bounds-json"),
+        pytest.param(["gaps", "--case", "c", "--grid", "1:2:1"], SCALING + JSON, id="gaps"),
         pytest.param(["sweep", "--case", "b", "--px", "10", "--pj", "1",
-                      "--sum-range", "0:2:1"], SCALING, id="sweep"),
-        pytest.param(["region", "--rate", "1", "--px", "4", "--pj", "2"], SCALING,
+                      "--sum-range", "0:2:1"], SCALING + CSV, id="sweep"),
+        pytest.param(["region", "--rate", "1", "--px", "4", "--pj", "2"], MODEL + CSV,
                      id="region"),
-        pytest.param(["scaling", "--case", "a", "--exponents", "10:12"], SCALING,
+        pytest.param(["region", "--rate", "1", "--px", "4", "--pj", "2", "--format", "svg",
+                      "--out", "region.svg"], MODEL + JSON, id="region-svg-out"),
+        pytest.param(["scaling", "--case", "a", "--exponents", "10:12"], SCALING + JSON,
                      id="scaling"),
         pytest.param(["simulate", "--case", "c", "--px", "15", "--pj", "15", "--c1", "2",
-                      "--c2", "1", "--samples", "1000", "--seed", "3"], SIMULATOR,
+                      "--c2", "1", "--samples", "1000", "--seed", "3"], SIMULATOR + JSON,
                      id="simulate"),
-        pytest.param(["cover", "--rate", "0.5", "--trials", "4", "--seed", "3"], SIMULATOR,
-                     id="cover"),
+        pytest.param(["cover", "--rate", "0.5", "--trials", "4", "--seed", "3"],
+                     SIMULATOR + JSON, id="cover"),
     ],
 )
-def test_a_process_imports_only_the_layers_its_subcommand_runs(argv, loaded):
-    listed, code, modules = json.loads(_python(FOOTPRINT, *argv).stdout)
+def test_a_process_imports_only_the_layers_its_subcommand_runs(argv, loaded, tmp_path):
+    listed, code, modules = json.loads(_python(FOOTPRINT, *argv, cwd=tmp_path).stdout)
     assert listed
     assert code == 0
     assert modules == loaded
+
+
+MODEL_ALONE = """
+    import sys
+    {statement}
+    loaded = [m for m in {watched} if m in sys.modules]
+    import json
+    print(json.dumps(loaded))
+"""
+
+
+@pytest.mark.parametrize("statement", [
+    "import tworelay.model",
+    "from tworelay import gaussian_mi, make_preset, required_region_case_c",
+])
+def test_the_channel_model_and_its_region_load_no_numpy(statement):
+    code = MODEL_ALONE.format(statement=statement, watched=WATCHED)
+    assert json.loads(_python(code).stdout) == ["tworelay.model", "dataclasses"]
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,9 @@
 """numpy's ufuncs stand in for libm only where their loops give libm's bits.
 
 `tworelay` asks numpy, before numpy loads, to leave out its AVX-512 loops,
-and `model` runs the ufuncs (`model._UFUNC_PATH`) only where
+and `libm` runs the ufuncs (`libm._UFUNC_PATH`) only where
 `numpy.lib.introspect.opt_func_info` reports loops whose bits are libm's
-(`model._LIBM_TARGETS`); elsewhere `math_map` and `square` call libm per
+(`libm._LIBM_TARGETS`); elsewhere `math_map` and `square` call libm per
 element.  These tests check that a fresh CLI process takes the path the suite
 takes, that each accepted loop equals libm bit for bit at the extremes, for
 an array and for the 0-d and one-element input of a per-point call, that
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tworelay import model
+from tworelay import libm
 from tworelay.achievable import _clamped_rate, equivalent_noise_power
 
 TESTS = Path(__file__).resolve().parent
@@ -54,10 +54,10 @@ FRESH_CLI = """
         code = exit.code
     import os
     from numpy.lib.introspect import opt_func_info
-    from tworelay import model
-    current = {name: opt_func_info()[name][sig]["current"] for name, sig, _ in model._LIBM_TARGETS}
+    from tworelay import libm
+    current = {name: opt_func_info()[name][sig]["current"] for name, sig, _ in libm._LIBM_TARGETS}
     print(json.dumps([code, os.environ.get("NPY_DISABLE_CPU_FEATURES"), current,
-                      model._UFUNC_PATH]))
+                      libm._UFUNC_PATH]))
 """
 
 
@@ -66,7 +66,7 @@ def test_fresh_cli_takes_the_path_the_suite_takes():
     code, disabled, current, ufunc_path = json.loads(_python(FRESH_CLI, _without_cpu_features()))
     assert code == 0
     assert disabled == "X86_V4"  # set before the CLI's numpy loaded
-    assert model._UFUNC_PATH == ufunc_path
+    assert libm._UFUNC_PATH == ufunc_path
     if not ufunc_path:
         pytest.skip(f"numpy dispatches to loops not verified against libm: {current}")
 
@@ -75,11 +75,11 @@ PER_ELEMENT_GOLDEN = """
     import json
     {preamble}
     import test_golden
-    from tworelay import model
+    from tworelay import libm
     calls, golden = test_golden.CALLS, test_golden.GOLDEN_DIR
     differ = [name for name in sorted(calls)
               if test_golden.stdout_bytes(calls[name]) != (golden / name).read_bytes()]
-    print(json.dumps([model._UFUNC_PATH, differ]))
+    print(json.dumps([libm._UFUNC_PATH, differ]))
 """
 
 
@@ -127,7 +127,7 @@ SQUARES = (_near(1.3407807929942596e154) + _near(-1.3407807929942596e154)
 
 
 def _libm(fn, *args):
-    """fn's value, inf where it overflows (as `model.math_map` gives it), or
+    """fn's value, inf where it overflows (as `libm.math_map` gives it), or
     the text of the ValueError libm raises at a domain error."""
     try:
         return fn(*args)
@@ -167,25 +167,25 @@ def _assert_libm_bits(name, op, inputs, reference):
         assert mismatches == [], (name, shape)
 
 
-@pytest.mark.skipif(not model._UFUNC_PATH, reason="the per-element path calls libm itself")
+@pytest.mark.skipif(not libm._UFUNC_PATH, reason="the per-element path calls libm itself")
 @pytest.mark.parametrize("fn", list(EXTREMES), ids=lambda fn: fn.__name__)
 def test_accepted_loop_equals_libm_at_the_extremes(fn):
     inputs = EXTREMES[fn]
     reference = [_libm(fn, x) for x in inputs]
-    _assert_libm_bits(fn.__name__, lambda x: model.math_map(fn, x), inputs, reference)
+    _assert_libm_bits(fn.__name__, lambda x: libm.math_map(fn, x), inputs, reference)
 
 
-@pytest.mark.skipif(not model._UFUNC_PATH, reason="the per-element path calls libm itself")
+@pytest.mark.skipif(not libm._UFUNC_PATH, reason="the per-element path calls libm itself")
 def test_accepted_power_loop_equals_libm_pow_at_the_extremes():
     reference = [_libm(pow, x, 2.0) for x in SQUARES]
-    _assert_libm_bits("square", model.square, SQUARES, reference)
+    _assert_libm_bits("square", libm.square, SQUARES, reference)
 
 
 def test_every_ufunc_of_the_table_is_checked_at_the_extremes():
-    assert set(model._UFUNCS) == set(EXTREMES)
+    assert set(libm._UFUNCS) == set(EXTREMES)
 
 
-OVERFLOWS = {model.square: [1.3407807929942597e154, 1e200, 1.7e308, -1e300],
+OVERFLOWS = {libm.square: [1.3407807929942597e154, 1e200, 1.7e308, -1e300],
              math.expm1: [709.79, 710.0, 1e300], math.exp: [709.79, 710.0, 1e300]}
 
 
@@ -193,8 +193,8 @@ OVERFLOWS = {model.square: [1.3407807929942597e154, 1e200, 1.7e308, -1e300],
 @pytest.mark.parametrize("fn", list(OVERFLOWS), ids=lambda fn: fn.__name__)
 def test_overflow_gives_inf_on_both_paths_at_every_size(fn, ufunc_path, monkeypatch):
     # libm raises OverflowError per element where numpy's loops give inf
-    monkeypatch.setattr(model, "_UFUNC_PATH", ufunc_path and model._UFUNC_PATH)
-    op = fn if fn is model.square else lambda x: model.math_map(fn, x)
+    monkeypatch.setattr(libm, "_UFUNC_PATH", ufunc_path and libm._UFUNC_PATH)
+    op = fn if fn is libm.square else lambda x: libm.math_map(fn, x)
     for x in OVERFLOWS[fn]:
         assert op(np.float64(x)).shape == ()
         assert op(np.float64(x)).item() == math.inf
@@ -211,14 +211,14 @@ DOMAIN_ERRORS = {math.log2: [-1.0, -0.0, 0.0, -math.inf, -5e-324],
 @pytest.mark.parametrize("fn", list(DOMAIN_ERRORS), ids=lambda fn: fn.__name__)
 def test_domain_errors_raise_on_both_paths_at_every_size(fn, ufunc_path, monkeypatch):
     # a NaN or -inf would hide a defect: the closed forms never hand libm such an input
-    monkeypatch.setattr(model, "_UFUNC_PATH", ufunc_path and model._UFUNC_PATH)
+    monkeypatch.setattr(libm, "_UFUNC_PATH", ufunc_path and libm._UFUNC_PATH)
     for x in DOMAIN_ERRORS[fn]:
         for shaped in (np.float64(x), [x], [[2.0, 0.5], [x, math.nan]]):
             with pytest.raises(ValueError) as error:
-                model.math_map(fn, shaped)
+                libm.math_map(fn, shaped)
             assert str(error.value) == _libm(fn, x)
-    assert math.isnan(model.math_map(fn, np.float64(math.nan)))
-    values = model.math_map(fn, [math.nan, 0.5]).tolist()
+    assert math.isnan(libm.math_map(fn, np.float64(math.nan)))
+    values = libm.math_map(fn, [math.nan, 0.5]).tolist()
     assert math.isnan(values[0]) and values[1] == fn(0.5)
 
 
@@ -226,21 +226,21 @@ def test_the_ufunc_path_never_calls_libm_per_element(monkeypatch):
     def refuse(*args):
         raise AssertionError("libm called per element on the ufunc path")
 
-    monkeypatch.setattr(model, "_UFUNC_PATH", True)
-    monkeypatch.setattr(model, "_per_element", refuse)
+    monkeypatch.setattr(libm, "_UFUNC_PATH", True)
+    monkeypatch.setattr(libm, "_per_element", refuse)
     for x in (np.float64(0.5), [0.5], [[0.5, 2.0], [3.0, 4.0]]):
-        assert np.shape(model.square(x)) == np.shape(x)
-        for fn in model._UFUNCS:
-            assert np.shape(model.math_map(fn, x)) == np.shape(x)
+        assert np.shape(libm.square(x)) == np.shape(x)
+        for fn in libm._UFUNCS:
+            assert np.shape(libm.math_map(fn, x)) == np.shape(x)
 
 
 def test_numpy_without_introspection_takes_the_per_element_path(monkeypatch):
     monkeypatch.setitem(sys.modules, "numpy.lib.introspect", None)  # numpy before 2.0
-    assert model._ufuncs_give_libm_bits() is False
+    assert libm._ufuncs_give_libm_bits() is False
 
 
 @pytest.mark.parametrize("ufunc_path", [True, False])
 def test_lattice_rate_of_an_overflowing_alpha_is_zero(ufunc_path, monkeypatch):
-    monkeypatch.setattr(model, "_UFUNC_PATH", ufunc_path and model._UFUNC_PATH)
+    monkeypatch.setattr(libm, "_UFUNC_PATH", ufunc_path and libm._UFUNC_PATH)
     p_neq = equivalent_noise_power(1.0, 1.0, 1.0, 1e200, 0.0, 0.0, 1.0)
     assert (_clamped_rate(1.0, p_neq).item(), float(p_neq)) == (0.0, math.inf)

@@ -1,10 +1,15 @@
 import math
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import Phase, assume, example, given, settings
+from hypothesis import strategies as st
 
 import oracles
-from tworelay import model
+from tworelay import libm
+from tworelay.libm import mutual_info
 from tworelay.model import (
     INFINITE_CAPACITY,
     ChannelConfig,
@@ -12,8 +17,13 @@ from tworelay.model import (
     case_constraints_hold,
     gaussian_mi,
     make_preset,
-    mutual_info,
 )
+
+
+#: Powers log-uniform over every float exponent, subnormal and past the square root
+#: of the largest float included, so that s/n often passes the largest float.
+POWERS = st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1073, 1024))
+EDGES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, math.inf]
 
 
 class TestGaussianMi:
@@ -46,13 +56,34 @@ class TestGaussianMi:
     @pytest.mark.parametrize("ufunc_path", [True, False])
     def test_array_form_on_both_libm_paths(self, ufunc_path, monkeypatch):
         # libm's log2 raises on 0 per element: the log-domain form must not hand it one
-        monkeypatch.setattr(model, "_UFUNC_PATH", ufunc_path and model._UFUNC_PATH)
+        monkeypatch.setattr(libm, "_UFUNC_PATH", ufunc_path and libm._UFUNC_PATH)
         s = np.array([[1e308], [1.0], [0.0], [math.inf], [15.0]])
         n = np.array([1e-300, 0.0, 5e-324, 1.0])
         mi = mutual_info(s, n)
         expected = [[0.0 if a == 0.0 else gaussian_mi(a, b) if b > 0.0 else math.inf for b in n]
                     for a in s[:, 0]]
         np.testing.assert_array_equal(mi, expected)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              phases=(Phase.explicit, Phase.generate))
+    @given(st.one_of(POWERS, st.sampled_from(EDGES)), st.one_of(POWERS, st.just(math.inf)))
+    @example(0.0, 1.0)
+    @example(-0.0, 1.0)
+    @example(5e-324, 3.0)
+    @example(1e-310, 5e-324)
+    @example(1e308, 1e-300)  # s/n past the largest float
+    @example(1.7976931348623157e308, 5e-324)
+    @example(math.inf, 1.0)
+    @example(math.inf, 5e-324)
+    @example(1.0, math.inf)
+    def test_scalar_form_gives_the_bits_of_the_array_form(self, s, n):
+        # gaussian_mi computes in Python floats, without numpy; mutual_info is the
+        # array core's form, on either libm path
+        assume(not (math.isinf(s) and math.isinf(n)))
+        expected = struct.pack("<d", gaussian_mi(s, n))
+        for ufunc_path in (libm._UFUNC_PATH, False):
+            with mock.patch.object(libm, "_UFUNC_PATH", ufunc_path):
+                assert struct.pack("<d", float(mutual_info(s, n))) == expected, ufunc_path
 
     def test_rejects_bad_noise(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ import pytest
 
 import scalar_reference as ref
 from test_libm_paths import _near
-from tworelay import model, scaling
+from tworelay import libm, scaling
 from tworelay.achievable import Scheme, best_achievable, best_rate
 from tworelay.bounds import cutset_min_array, cutset_term_arrays, modulo_bound_array
 from tworelay.bounds import modulo_bound_case_c, outer_bounds
@@ -356,7 +356,7 @@ class TestGapCertificates:
 
     @pytest.mark.parametrize("ufunc_path", [True, False])
     def test_the_default_grid_is_the_cli_grid_1_9_5(self, ufunc_path, monkeypatch):
-        monkeypatch.setattr(model, "_UFUNC_PATH", ufunc_path and model._UFUNC_PATH)
+        monkeypatch.setattr(libm, "_UFUNC_PATH", ufunc_path and libm._UFUNC_PATH)
         bits = [float.hex(p) for p in default_power_grid()]
         assert bits == [float.hex(p) for p in _parse_grid("1:9:5")[0]]
         assert bits == [float.hex(10.0 ** (1.0 + k / 5)) for k in range(41)]
@@ -384,7 +384,7 @@ class TestGapCertificates:
     def test_extreme_grid_gives_the_pinned_certificates(self, case, ufunc_path, monkeypatch):
         # a tile evaluates every point of its rows, zero, subnormal and p_j < 1 powers and
         # the Case C band included: none of them warns, raises or reaches a certificate
-        monkeypatch.setattr(model, "_UFUNC_PATH", ufunc_path and model._UFUNC_PATH)
+        monkeypatch.setattr(libm, "_UFUNC_PATH", ufunc_path and libm._UFUNC_PATH)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             certs = certify_gaps(case, self.EXTREME_PX, self.EXTREME_PJ)
@@ -588,9 +588,9 @@ class TestGapRegimeRows:
     @pytest.mark.parametrize("ufunc_path", [True, False])
     @pytest.mark.parametrize("case", list(ScenarioCase))
     def test_rows_equal_the_per_row_regimes(self, case, ufunc_path, monkeypatch):
-        # `model.square` gives inf on both paths where the square overflows; the
+        # `libm.square` gives inf on both paths where the square overflows; the
         # threshold takes its product form there
-        monkeypatch.setattr(model, "_UFUNC_PATH", ufunc_path and model._UFUNC_PATH)
+        monkeypatch.setattr(libm, "_UFUNC_PATH", ufunc_path and libm._UFUNC_PATH)
         pin, regimes = _gap_regimes(case, np.array(self.PX)[:, None], np.array(self.PJ))
         pins = np.broadcast_to(pin, (len(self.PX), 1))  # the c1 pin all regimes share
         for row, p_x in enumerate(self.PX):
@@ -615,7 +615,7 @@ class TestGapRegimeRows:
     @pytest.mark.parametrize("block", [7, 2 * len(PJ) + 1])  # a slice of a row, two whole rows
     @pytest.mark.parametrize("case", list(ScenarioCase))
     def test_tiles_carry_the_per_row_pins(self, case, block, ufunc_path, monkeypatch):
-        monkeypatch.setattr(model, "_UFUNC_PATH", ufunc_path and model._UFUNC_PATH)
+        monkeypatch.setattr(libm, "_UFUNC_PATH", ufunc_path and libm._UFUNC_PATH)
         monkeypatch.setattr(scaling, "_GAP_BLOCK", block)
         expected = {}
         for p_x in self.PX:

@@ -1,7 +1,7 @@
 """The grids pick the exact argmax: the first best split, the first worst point.
 
 `sweep_sum_capacity` and `certify_gaps` evaluate every point once, on the
-path `model.math_map` takes (numpy's ufuncs where they give libm's bits,
+path `libm.math_map` takes (numpy's ufuncs where they give libm's bits,
 else libm per element), and take each row's first maximum.  These tests
 check the picks against the per-point references, on plateaus, and on
 inputs where numpy's AVX-512 ufuncs, which differ from libm in the last bit,
