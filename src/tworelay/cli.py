@@ -10,8 +10,11 @@ Subcommands map one-to-one onto the library:
 * ``simulate``  Monte Carlo run of the lattice scheme (JSON)
 * ``cover``     random-codebook coverage experiment (JSON)
 
-Each subcommand checks its input against the chosen case once, through the
-library entry points; input outside the model exits 2.
+Input is checked by the library entry points, and input outside the model
+exits 2.  The grid commands check each input once; ``bounds`` checks its
+point in `make_preset`, again in each `achievable_case_*` and
+`local_decode_baseline`, in `outer_bounds` and in `best_achievable`, which
+infers the case once more (ROADMAP item 2 makes these one check).
 
 A process imports only what its subcommand runs (`_bind`): ``region`` the
 numpy-free `model` alone, ``bounds`` the closed forms, the grid commands

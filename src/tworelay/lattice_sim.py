@@ -61,7 +61,7 @@ from .achievable import (
     mmse_alpha,
 )
 from .libm import square
-from .model import _CASE_FIXED, ScenarioCase
+from .model import _CASE_FIXED, _LN2, ScenarioCase
 
 #: Fixed batch size; part of the determinism contract (changing it changes
 #: the streams, so it is a module constant rather than a config knob).
@@ -69,10 +69,6 @@ BATCH_SIZE = 1 << 16
 
 #: Number of histogram bins for the dither-uniformity test.
 UNIFORMITY_BINS = 64
-
-#: The smallest positive normal float, and the spacing of floats at 1.
-_SMALLEST_NORMAL = 2.0**-1022
-_EPSILON = 2.0**-52
 
 _INTERFERERS = ("gaussian", "uniform", "bpsk")
 
@@ -86,6 +82,14 @@ _OBSERVATION_HEADROOM = 2.0**5
 _VAR_V, _VAR_U, _VAR_J, _VAR_N1, _VAR_N2, _VAR_D1, _VAR_D2 = range(7)
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Refuse a count or seed that is a bool, neither an int nor a numpy integer, or < `least`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Parameters of one lattice-scheme simulation run.
@@ -97,9 +101,9 @@ class SimConfig:
     distortion); a finite link must have positive capacity.  `interferer`
     switches the interferer's distribution ("gaussian", "uniform", "bpsk")
     at fixed power, leaving all other draws untouched.  A config is refused
-    with fewer than two samples (the unbiased variance of n_eq needs two),
-    where `alpha_override` or its square is not finite, where the scheme's
-    alpha, distortions or analytic var(n_eq) is not, and where a relay's
+    with a count or seed that is not an integer, with fewer than two samples
+    (the unbiased variance of n_eq needs two), where the scheme's alpha,
+    distortions or analytic var(n_eq) is not finite, and where a relay's
     observation y_i, alpha*y_i or alpha*y_i over the cell length could pass
     the largest float.
     """
@@ -151,15 +155,10 @@ class SimConfig:
                 continue  # quantizer disabled
             if not c > 0.0:
                 raise ValueError(f"{name} must be > 0 when its quantizer is active, got {c!r}")
-        if self.samples < 2:
-            raise ValueError(f"samples must be >= 2, got {self.samples!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
+        _check_count("samples", self.samples, 2)
+        _check_count("seed", self.seed, 0)
         if self.interferer not in _INTERFERERS:
             raise ValueError(f"interferer must be one of {_INTERFERERS}")
-        alpha = self.alpha_override
-        if alpha is not None and not math.isfinite(alpha * alpha):
-            raise ValueError(f"alpha must be finite with a finite square, got {alpha!r}")
         scheme = self.scheme()
         if not all(map(math.isfinite, scheme)):
             raise ValueError("the scheme's alpha, distortions and var(n_eq) must be finite "
@@ -452,7 +451,7 @@ def _root_product(a: float, b: float) -> float:
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         return math.nan
     product = a * b
-    if _SMALLEST_NORMAL <= product < math.inf:
+    if sys.float_info.min <= product < math.inf:
         return math.sqrt(product)
     return math.sqrt(a) * math.sqrt(b)
 
@@ -494,7 +493,7 @@ def _variance(second: float, a: float, n: int) -> float:
     the rounding of summing n terms (n * eps of the raw moment `second`): the n
     samples are constant, and what is left of their variance is rounding."""
     var = _centered(second, a, n)
-    return 0.0 if var <= n * _EPSILON * second else var
+    return 0.0 if var <= n * sys.float_info.epsilon * second else var
 
 
 def _dither_summary(hist: np.ndarray, total: dict[str, float], n: int) -> tuple[float, float]:
@@ -653,10 +652,8 @@ def crypto_lemma_check(p_x: float, samples: int, seed: int) -> CryptoLemmaStats:
 
     Requires samples >= 1e5 so the chi-square bins are well populated.
     """
-    if samples < 10**5:
-        raise ValueError("crypto-lemma statistics need at least 1e5 samples")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed!r}")
+    _check_count("samples", samples, 10**5)
+    _check_count("seed", seed, 0)
     if not 0.0 < 12.0 * p_x < math.inf:
         raise ValueError(f"p_x must be > 0 with a finite cell length sqrt(12*p_x), got {p_x!r}")
     L = math.sqrt(12.0 * p_x)
@@ -703,10 +700,9 @@ class CoverageConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.block_length < 1 or self.trials < 1:
-            raise ValueError("block_length and trials must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
+        _check_count("block_length", self.block_length, 1)
+        _check_count("trials", self.trials, 1)
+        _check_count("seed", self.seed, 0)
         if not math.isfinite(self.codebook_rate):
             raise ValueError(f"codebook_rate must be finite, got {self.codebook_rate!r}")
         if self.codebook_rate < 0.0:
@@ -717,11 +713,9 @@ class CoverageConfig:
         if not (0.0 < s2 < math.inf and 0.0 < d2 < math.inf):
             raise ValueError(f"source variance and distortion must be finite and > 0, "
                              f"got {s2!r} and {d2!r}")
-        if math.isinf(self.mutual_information_bits):
-            raise ValueError(f"source variance {s2!r} over distortion {d2!r} passes the "
-                             "largest float: the mutual information is infinite")
         largest = _COVERAGE_HEADROOM * self.block_length * (s2 + d2)
-        if not (math.isfinite(largest * max(1.0, s2, 1.0 / d2)) and s2 * d2 >= _SMALLEST_NORMAL):
+        if not (math.isfinite(largest * max(1.0, s2, 1.0 / d2))
+                and s2 * d2 >= sys.float_info.min):
             raise ValueError(f"the typicality statistics at source variance {s2!r} and "
                              f"distortion {d2!r} leave the range of normal floats")
         if not 0.0 < self.typicality_epsilon < math.inf:
@@ -769,14 +763,13 @@ def coverage_experiment(cfg: CoverageConfig) -> CoverageResult:
     u_var = s2 + d2
     det = s2 * d2
     eps = cfg.typicality_epsilon
-    ln2 = math.log(2.0)
     M = cfg.codewords
 
     hits = 0
     for trial in range(cfg.trials):
         y = _stream(cfg.seed, trial, 0).standard_normal(n) * math.sqrt(s2)
         sy2 = float(y @ y)
-        dev_y = (sy2 / n - s2) / (2.0 * s2 * ln2)
+        dev_y = (sy2 / n - s2) / (2.0 * s2 * _LN2)
         if abs(dev_y) >= eps:
             continue
         code_rng = _stream(cfg.seed, trial, 1)
@@ -789,9 +782,9 @@ def coverage_experiment(cfg: CoverageConfig) -> CoverageResult:
             chunk = min(2 * chunk, _CODEBOOK_CHUNK)
             U = code_rng.standard_normal((m, n)) * math.sqrt(u_var)
             su2 = np.einsum("ij,ij->i", U, U)
-            dev_u = (su2 / n - u_var) / (2.0 * u_var * ln2)
+            dev_u = (su2 / n - u_var) / (2.0 * u_var * _LN2)
             quad = ((s2 + d2) * sy2 - 2.0 * s2 * (U @ y) + s2 * su2) / det
-            dev_joint = (quad / n - 2.0) / (2.0 * ln2)
+            dev_joint = (quad / n - 2.0) / (2.0 * _LN2)
             found = bool(np.any((np.abs(dev_u) < eps) & (np.abs(dev_joint) < eps)))
         if found:
             hits += 1

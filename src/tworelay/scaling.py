@@ -32,8 +32,8 @@ every value libm's bits, so the pick is the one a per-point evaluation
 makes.  A certificate carries its regime's point count and that worst point,
 not the points themselves, and reports the largest gap as the config-checked
 per-point path (`_point_certificate`) gives it at that point.  A pre-log
-ladder, and each bound of the looseness demo, is one array-core call over
-all its powers, checked once over its arrays; neither builds a config.
+ladder is one array-core call over all its powers, checked once over its
+arrays, with no config built; the looseness demo is a ladder per bound.
 """
 
 from __future__ import annotations
@@ -117,15 +117,9 @@ def estimate_prelog(
         raise ValueError("finite differences need at least two exponents")
     if method == "ratio" and exponents[-1] == 0.0:
         raise ValueError("ratio method needs a nonzero top exponent")
-    return ScalingEstimate(_slope(exponents, rates, method), exponents, tuple(rates), method)
-
-
-def _slope(exponents: Sequence[float], rates: Sequence[float], method: str) -> float:
-    """Pre-log of `rates` over log2 powers `exponents`: the finite difference
-    between the two largest, or the ratio rate / exponent at the largest."""
-    if method == "finite_difference":
-        return (rates[-1] - rates[-2]) / (exponents[-1] - exponents[-2])
-    return rates[-1] / exponents[-1]
+    prelog = ((rates[-1] - rates[-2]) / (exponents[-1] - exponents[-2])
+              if method == "finite_difference" else rates[-1] / exponents[-1])
+    return ScalingEstimate(prelog, exponents, tuple(rates), method)
 
 
 def _parse_coupling(coupling: str) -> Callable[[np.ndarray], np.ndarray]:
@@ -427,32 +421,27 @@ def certify_gaps(
 # Cut-set looseness demonstration
 
 
-class LoosenessPrelogs(NamedTuple):
-    cutset_prelog: float
-    modulo_prelog: float
+def cutset_looseness_demo(
+    exponent_range: Sequence[float] = DEFAULT_EXPONENTS,
+) -> tuple[ScalingEstimate, ScalingEstimate]:
+    """Pre-logs of the two Case C outer bounds: the cut-set estimate, then the modulo one.
 
-
-def cutset_looseness_demo(p_x: float) -> LoosenessPrelogs:
-    """Pre-logs of the two Case C outer bounds along a decade ladder.
-
-    With the interferer power tied to sqrt(p_x) and both link capacities
-    to 0.25*log2(p_x), the cut-set bound keeps pre-log 1/2 while the
-    modulo bound's pre-log sits strictly below it, so the cut-set bound
-    cannot be tight.  Evaluated on the powers 10, 100, ... that lie a decade
-    or more below p_x (10**e where 10**(e+1) <= p_x), then on p_x; the
-    returned slopes are finite differences at the top of the ladder
-    (plain ratios if p_x < 100 leaves a single rung).
+    With p_j = sqrt(p_x) and both link capacities 0.25*log2(p_x), the cut-set bound keeps
+    pre-log 1/2 while the modulo bound's tends to 3/8, so the cut-set bound cannot be
+    tight.  Each bound is one `estimate_prelog` ladder over p_x = 2**k, k in
+    `exponent_range`, which must hold no k < 0 (the links would be negative).
     """
-    if not 1.0 < p_x < math.inf:
-        raise ValueError(f"looseness demo needs a finite p_x > 1, got {p_x!r}")
-    ladder = [10.0**e for e in range(1, 308) if 10.0**(e + 1) <= p_x] + [p_x]
-    powers = np.array(ladder)
-    cap = 0.25 * math_map(math.log2, powers)
-    point = (powers, np.sqrt(powers), cap, cap)
-    bounds = cutset_min_array(ScenarioCase.CASE_C, *point), modulo_bound_array(*point)
-    exponents = [math.log2(p) for p in ladder]
-    method = "finite_difference" if len(ladder) >= 2 else "ratio"
-    return LoosenessPrelogs(*(_slope(exponents, bound.tolist(), method) for bound in bounds))
+    exponents = tuple(float(k) for k in exponent_range)
+    if any(k < 0.0 for k in exponents):
+        raise ValueError(f"looseness demo needs exponents >= 0, got {exponents}")
+
+    def point(p_x: np.ndarray):
+        cap = 0.25 * math_map(math.log2, p_x)
+        return p_x, np.sqrt(p_x), cap, cap
+
+    return (estimate_prelog(lambda p_x: cutset_min_array(ScenarioCase.CASE_C, *point(p_x)),
+                            exponents),
+            estimate_prelog(lambda p_x: modulo_bound_array(*point(p_x)), exponents))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -80,7 +81,8 @@ class TestSimConfig:
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, 1e308, -5e307, 1.4e154])
     def test_alpha_with_no_finite_square_rejected(self, alpha):
-        with pytest.raises(ValueError, match="alpha must be finite"):
+        # alpha or alpha**2 * p_n1 in var(n_eq) is not finite
+        with pytest.raises(ValueError, match="must be finite at this config"):
             replace(CASE_B, alpha_override=alpha)
 
     @pytest.mark.parametrize("base, changes", [
@@ -120,6 +122,20 @@ class TestSimConfig:
             CoverageConfig(codebook_rate=0.5, seed=-1)
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             crypto_lemma_check(15.0, 10**5, -1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("samples", 1e5), ("samples", 10.0), ("samples", True), ("samples", np.True_),
+        ("seed", 1.5), ("seed", 1.0), ("seed", True), ("seed", "1"),
+    ])
+    def test_count_or_seed_that_is_not_an_integer_rejected(self, field, value):
+        # a float count failed inside range(), and seed=True ran as seed 1
+        refused = re.escape(f"{field} must be an integer, got {value!r}")
+        with pytest.raises(ValueError, match=refused):
+            replace(CASE_B, **{field: value})
+
+    def test_numpy_integer_count_and_seed_accepted(self):
+        cfg = replace(CASE_B, samples=np.int64(1000), seed=np.uint32(1))
+        assert run_lattice_sim(cfg) == run_lattice_sim(replace(CASE_B, samples=1000, seed=1))
 
     def test_largest_finite_scheme_accepted(self):
         cfg = replace(CASE_B, alpha_override=1e150)
@@ -548,6 +564,13 @@ class TestWorkerBuffers:
 
 
 class TestCryptoLemma:
+    @pytest.mark.parametrize("samples, seed, field", [
+        (1e5, 1, "samples"), (10**5, 1.0, "seed"), (10**5, True, "seed"),
+    ])
+    def test_count_or_seed_that_is_not_an_integer_rejected(self, samples, seed, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            crypto_lemma_check(15.0, samples, seed)
+
     def test_unit_cell_uniformity(self):
         stats = crypto_lemma_check(1.0 / 12.0, 2 * 10**5, seed=5)
         assert stats.uniformity_pvalue > 0.001
@@ -728,6 +751,28 @@ class TestCoverage:
         # an infinite tolerance covered every trial and wrote JSON's non-standard Infinity
         with pytest.raises(ValueError, match=f"typicality_epsilon must be finite and > 0, got {eps}"):
             CoverageConfig(codebook_rate=0.5, typicality_epsilon=eps)
+
+    @pytest.mark.parametrize("field, value", [
+        ("trials", 5.0), ("trials", True), ("block_length", 16.0), ("block_length", True),
+        ("seed", 1.5), ("seed", False),
+    ])
+    def test_count_or_seed_that_is_not_an_integer_rejected(self, field, value):
+        refused = re.escape(f"{field} must be an integer, got {value!r}")
+        with pytest.raises(ValueError, match=refused):
+            CoverageConfig(codebook_rate=0.5, **{field: value})
+
+    def test_numpy_integer_counts_and_seed_accepted(self):
+        counts = {"block_length": np.int64(8), "trials": np.int32(20), "seed": np.uint64(3)}
+        assert coverage_experiment(CoverageConfig(codebook_rate=0.5, **counts)) == (
+            coverage_experiment(CoverageConfig(codebook_rate=0.5, block_length=8, trials=20,
+                                               seed=3)))
+
+    @pytest.mark.parametrize("s2, d2", [(1e150, 1e-160), (1.0, 5e-324), (1e300, 1e-10)])
+    def test_infinite_mutual_information_leaves_the_normal_floats(self, s2, d2):
+        # s2/d2 passes the largest float, and with it the headroom of the statistics
+        assert math.isinf(s2 / d2)
+        with pytest.raises(ValueError, match="leave the range of normal floats"):
+            CoverageConfig(codebook_rate=0.5, source_variance=s2, test_channel_distortion=d2)
 
     def test_rate_offsets_separate(self):
         mutual = CoverageConfig(codebook_rate=0.0).mutual_information_bits

@@ -169,7 +169,7 @@ class TestArrayLadders:
             bound = getattr(scaling, name)
             monkeypatch.setattr(scaling, name,
                                 lambda *a, _n=name, _f=bound: calls.append(_n) or _f(*a))
-        cutset_looseness_demo(1e9)
+        cutset_looseness_demo()
         assert calls == ["cutset_min_array", "modulo_bound_array"]
 
     @pytest.mark.parametrize("coupling, scale, ladder, refused", [
@@ -636,37 +636,42 @@ class TestGapRegimeRows:
 
 
 class TestCutsetLooseness:
-    def test_separation_at_1e9(self):
-        demo = cutset_looseness_demo(1e9)
-        assert demo.cutset_prelog == pytest.approx(0.5, abs=0.02)
-        assert demo.modulo_prelog < demo.cutset_prelog - 0.05
+    def test_separation_at_the_default_ladder(self):
+        cutset, modulo = cutset_looseness_demo()
+        assert cutset.prelog == pytest.approx(0.5, abs=0.02)
+        assert modulo.prelog < cutset.prelog - 0.05
 
-    def test_smoke_at_small_power(self):
-        demo = cutset_looseness_demo(2.0)
-        assert math.isfinite(demo.cutset_prelog)
-        assert math.isfinite(demo.modulo_prelog)
+    def test_one_prelog_ladder_per_bound(self):
+        cutset, modulo = cutset_looseness_demo(range(0, 11))
+        assert cutset.exponent_grid == modulo.exponent_grid == tuple(map(float, range(11)))
+        assert cutset.method == modulo.method == "finite_difference"
+        p_x = np.array([2.0**k for k in range(11)])  # p_j = sqrt(p_x), c1 = c2 = k/4
+        point, cap = (p_x, np.sqrt(p_x)), np.arange(11) / 4.0
+        assert cutset.rate_samples == tuple(
+            cutset_min_array(ScenarioCase.CASE_C, *point, cap, cap).tolist())
+        assert modulo.rate_samples == tuple(modulo_bound_array(*point, cap, cap).tolist())
 
-    def test_every_power_of_ten_and_its_neighbours_give_finite_slopes(self):
-        # the rung below p_x lies a decade under it, also where 10.0**k is not the float 1ek
-        for k in range(1, 309):
-            for x in {float(f"1e{k}"), 10.0**k}:
-                for p_x in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)):
-                    if p_x < math.inf:
-                        assert all(map(math.isfinite, cutset_looseness_demo(p_x))), p_x
-
-    @pytest.mark.parametrize("p_x", [math.inf, math.nan, 1.0, -5.0])
-    def test_needs_a_finite_power_above_1(self, p_x):
-        with pytest.raises(ValueError, match="finite p_x > 1"):
-            cutset_looseness_demo(p_x)
-
-    @pytest.mark.parametrize("p_x, cutset, modulo", [
-        (2.0, "0x1.0000000000000p-1", "0x1.0bb42dc10f6ddp+1"),  # one rung: plain ratios
-        (10.0, "0x1.0000000000000p-1", "0x1.ba1842d6ad9cap-1"),
-        (1e9, "0x1.0000000000000p-1", "0x1.7ffe0dd1af632p-2"),
+    @pytest.mark.parametrize("ladder, refused", [
+        ([-1, 2], r"needs exponents >= 0, got \(-1\.0, 2\.0\)"),  # the links would be < 0
+        ([-1e-300, 3], "needs exponents >= 0"),
+        ([-math.inf, 3], "needs exponents >= 0"),
+        ([], "exponent range must be nonempty"),  # refused by the ladders themselves
+        ([0], "at least two exponents"),
+        ([3, 2], "strictly increasing"),
+        ([0, 1024], "overflows a float"),
     ])
-    def test_slopes_keep_their_bits(self, p_x, cutset, modulo):
-        demo = cutset_looseness_demo(p_x)
-        assert (demo.cutset_prelog, demo.modulo_prelog) == (
+    def test_refuses_a_ladder(self, ladder, refused):
+        with pytest.raises(ValueError, match=refused):
+            cutset_looseness_demo(ladder)
+
+    @pytest.mark.parametrize("ladder, cutset, modulo", [
+        (scaling.DEFAULT_EXPONENTS, "0x1.0000000000000p-1", "0x1.7ffff6704ca40p-2"),
+        (range(0, 2), "0x1.0000000000000p-1", "0x1.4584846c355f4p-2"),
+        (range(1000, 1024), "0x1.0000000000000p-1", "0x1.8000000000000p-2"),
+    ])
+    def test_slopes_keep_their_bits(self, ladder, cutset, modulo):
+        estimates = cutset_looseness_demo(ladder)
+        assert tuple(estimate.prelog for estimate in estimates) == (
             float.fromhex(cutset), float.fromhex(modulo))
 
 
