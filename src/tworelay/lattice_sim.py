@@ -34,9 +34,9 @@ The output is identical for every worker count; the pool size follows the
 CPUs the process may run on, not a setting.  Each simulator worker computes a
 batch in one piece, or in two cut once where numpy's pairwise summation cuts
 the batch, so that their moment sums add up to the batch's bit for bit; it
-draws and reduces them in place in seven buffers of its own, sized on its
-first batch, so after that a piece allocates no piece-sized array but a BPSK
-interferer's integer draw.
+draws and reduces both in place in seven buffers that the batch allocates and
+frees, so a piece allocates no piece-sized array but a BPSK interferer's
+integer draw, and nothing of a batch outlives it.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-import threading
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -61,7 +60,7 @@ from .achievable import (
     mmse_alpha,
 )
 from .libm import square
-from .model import _CASE_FIXED, _LN2, ScenarioCase
+from .model import _CASE_FIXED, _LN2, ScenarioCase, _check_count
 
 #: Fixed batch size; part of the determinism contract (changing it changes
 #: the streams, so it is a module constant rather than a config knob).
@@ -80,14 +79,6 @@ _OBSERVATION_HEADROOM = 2.0**5
 
 # stream indices per random variable
 _VAR_V, _VAR_U, _VAR_J, _VAR_N1, _VAR_N2, _VAR_D1, _VAR_D2 = range(7)
-
-
-def _check_count(name: str, value, least: int) -> None:
-    """Refuse a count or seed that is a bool, neither an int nor a numpy integer, or < `least`."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -270,26 +261,9 @@ def _uniform(rng: np.random.Generator, low: float, high: float, out: np.ndarray)
     return out
 
 
-#: Piece-sized float64 buffers per pool worker (see `_sim_batch`).
-_BUFFERS = 7
-
 #: The largest piece of a batch that `_sim_batch` computes at once: the larger
 #: part of numpy's top-level pairwise cut of 65 535 samples.
 _PIECE = BATCH_SIZE // 2 + 7
-
-_worker = threading.local()
-
-
-def _worker_buffers(m: int) -> list[np.ndarray]:
-    """The calling thread's `_BUFFERS` buffers, cut to m samples: allocated on
-    its first batch, the largest it sees (a pool worker takes the batches in
-    order, all full but a run's last, and ends with the run), and refilled on
-    every later one."""
-    arrays = getattr(_worker, "arrays", None)
-    if arrays is None:
-        arrays = _worker.arrays = [np.empty(m) for _ in range(_BUFFERS)]
-    return [a[:m] for a in arrays]
-
 
 class _Batch(NamedTuple):
     """What one batch hands back to the reduction: its largest identity residual, its
@@ -316,8 +290,6 @@ def _run_batches(
     `edges` are the dither histogram's, evenly spaced over the cell of p_x.
     The batches run on min(usable CPUs, batches) threads, at most two per
     worker submitted ahead, so memory does not grow with `samples`.  The
-    threads start with the call and have ended when it returns, so what a
-    batch keeps per thread (`_worker_buffers`) lasts one call.  The
     reduction takes the results in batch order, as a serial loop would, and
     returns the largest residual, the moment totals (`_moment_totals`) and
     the dither p-value and x-v correlation (`_dither_summary`).
@@ -514,13 +486,14 @@ def _sim_batch(cfg: SimConfig, scheme: tuple[float, float, float], edges: np.nda
 
     numpy sums m > 128 elements as the sum of the first n2 and that of the
     rest, n2 being m//2 less its remainder mod 8; a larger batch is cut there
-    once, and `_sim_piece` computes the pieces in turn in the calling
-    worker's buffers, each drawing the next samples of the batch's streams.
-    Their moment sums are added as numpy adds the parts, so they keep the
-    bits of numpy's sum over the batch.  A piece that raises ends the batch.
+    once.  `_sim_piece` computes the pieces in turn, each drawing the next
+    samples of the batch's streams, in seven buffers the size of the larger
+    one that the batch allocates and frees on return.  Their moment sums are
+    added as numpy adds the parts, so they keep the bits of numpy's sum over
+    the batch.  A piece that raises ends the batch.
     """
     streams = [_stream(cfg.seed, batch, var) for var in range(_VAR_D2 + 1)]
-    buffers = _worker_buffers(min(m, _PIECE))
+    buffers = [np.empty(min(m, _PIECE)) for _ in range(7)]
     n2 = m if m <= _PIECE else m // 2 - m // 2 % 8
     left = _sim_piece(cfg, scheme, edges, streams, [b[:n2] for b in buffers], batch)
     if n2 == m:
@@ -537,10 +510,10 @@ def _sim_piece(cfg: SimConfig, scheme: tuple[float, float, float], edges: np.nda
     (see the module docstring); ValueError where a sample is not finite.
 
     Every variable is drawn into, and every step written to, the seven
-    piece-sized `buffers`; the last one is the scratch of the cell
-    reductions and holds the draws used once (n2, d1, d2), and j's holds the
-    histogram's bin indices before the interferer is drawn.  Only a BPSK
-    interferer's integer draw allocates a piece-sized array.
+    `buffers` of the batch, cut to the piece; the last one is the scratch of
+    the cell reductions and holds the draws used once (n2, d1, d2), and j's
+    holds the histogram's bin indices before the interferer is drawn.  Only a
+    BPSK interferer's integer draw allocates a piece-sized array.
     """
     alpha, p_d1, p_d2 = scheme
     L = cfg.cell_length

@@ -102,11 +102,8 @@ _LIBM_TARGETS = (("log1p", "dd", ("baseline",)), ("log2", "dd", ("baseline",)),
 
 def _ufuncs_give_libm_bits() -> bool:
     """Whether numpy, as loaded, runs a loop of `_LIBM_TARGETS` for each ufunc
-    (see `tworelay/__init__.py`); numpy before 2.0 cannot say."""
-    try:
-        from numpy.lib.introspect import opt_func_info
-    except ImportError:
-        return False
+    (see `tworelay/__init__.py`)."""
+    from numpy.lib.introspect import opt_func_info
     info = opt_func_info()
     return all(info.get(name, {}).get(signature, {}).get("current", "").startswith(targets)
                for name, signature, targets in _LIBM_TARGETS)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -60,6 +61,19 @@ def _check_fields(**fields: float) -> list[float]:
     if math.isinf(checked.get("p_x", 0.0)):
         raise ValueError("p_x must be finite, got inf")
     return list(checked.values())
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Refuse a count or seed that is a bool, not an integer (an int or numpy
+    integer: anything `operator.index` takes), or < `least`."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)

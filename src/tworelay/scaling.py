@@ -48,7 +48,7 @@ from .achievable import Scheme, achievable_case_c, best_achievable, best_rate, l
 from .bounds import cutset_case_c, cutset_min_array, modulo_bound_array
 from .bounds import modulo_bound_case_c, outer_bounds
 from .libm import math_map, mutual_info, square
-from .model import _LN2, ScenarioCase, _check_fields, make_preset
+from .model import _LN2, ScenarioCase, _check_count, _check_fields, make_preset
 from .model import RegionPolygon, required_region_case_c  # served here as well
 
 PRELOG_METHODS = ("finite_difference", "ratio")
@@ -478,8 +478,7 @@ def sweep_sum_capacity(
     """
     if case not in (ScenarioCase.CASE_B, ScenarioCase.CASE_C):
         raise ValueError("the sum-capacity sweep applies to Cases B and C")
-    if split_samples < 2:
-        raise ValueError("need at least two split samples")
+    _check_count("split_samples", split_samples, 2)
     p_x, p_j = _check_fields(p_x=p_x, p_j=p_j)  # the links vary per split below
     totals = np.array([float(total) for total in sum_capacities])
     for total in totals.tolist():

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tomllib
 import warnings
 from pathlib import Path
 
@@ -639,6 +640,8 @@ def test_other_values_are_passed_on_as_given(argv):
      "typicality_epsilon must be finite and > 0, got inf"),
     (["simulate", "--case", "c", "--px", "15", "--pj", "15", "--c1", "2", "--c2", "2",
       "--seed", "-5"], "seed must be >= 0, got -5"),
+    (["sweep", "--case", "c", "--px", "10", "--pj", "1", "--split-samples", "1"],
+     "split_samples must be >= 2, got 1"),
 ], ids=lambda value: " ".join(value[:1] + value[-2:]) if isinstance(value, list) else "error")
 def test_refusal_is_one_error_line(argv, error, capsys):
     code = cli.main(argv)
@@ -1165,8 +1168,23 @@ def test_only_run_freezes_the_heap(capsys, monkeypatch):
         gc.unfreeze()
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _project() -> dict:
+    return tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+
+
 def test_installed_script_is_run():
-    tomllib = pytest.importorskip("tomllib")
-    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
-    assert scripts == {"tworelay": "tworelay.cli:run"}
+    assert _project()["scripts"] == {"tworelay": "tworelay.cli:run"}
+
+
+def test_declared_floors_are_what_ci_installs():
+    # a floor that CI never installs is never tested
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    (python,) = re.findall(r'python-version:\s*"(\d+\.\d+)"', workflow)
+    (numpy,) = re.findall(r"\bnumpy==(\d+\.\d+)\.", workflow)
+    project = _project()
+    assert project["requires-python"] == f">={python}"
+    assert [dep for dep in project["dependencies"] if dep.startswith("numpy")] == [
+        f"numpy>={numpy}"]

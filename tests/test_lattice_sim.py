@@ -390,8 +390,7 @@ class TestThreadedBatches:
 
 def batch_pieces(m, piece):
     """`_sim_batch` of m samples, each piece computed by `piece(start, size)` in
-    place of `_sim_piece`, on worker buffers of its own; the pieces' results
-    are added back by `_sim_batch`."""
+    place of `_sim_piece`; the pieces' results are added back by `_sim_batch`."""
     start = 0
 
     def sim_piece(cfg, scheme, edges, streams, buffers, batch):
@@ -400,8 +399,7 @@ def batch_pieces(m, piece):
         start += size
         return piece(start - size, size)
 
-    with mock.patch.object(lattice_sim, "_sim_piece", sim_piece), \
-            mock.patch.object(lattice_sim, "_worker", threading.local()):
+    with mock.patch.object(lattice_sim, "_sim_piece", sim_piece):
         return lattice_sim._sim_batch(CASE_B, None, None, 0, m)
 
 
@@ -498,8 +496,8 @@ class TestPairwiseCut:
 
 
 class TestWorkerBuffers:
-    """Each pool worker draws and reduces its batches in one reused set of
-    buffers; nothing of one run may reach the next."""
+    """Each batch draws and reduces its samples in buffers of its own; nothing
+    of one run may reach the next."""
 
     def test_back_to_back_runs_equal_the_serial_loop(self, monkeypatch):
         monkeypatch.setattr(lattice_sim, "_usable_cpus", lambda: 2)
@@ -540,6 +538,26 @@ class TestWorkerBuffers:
             assert current < BATCH_SIZE
             peaks.append(peak)
         assert abs(peaks[1] - peaks[0]) < BATCH_SIZE
+
+    def test_a_batch_leaves_nothing_on_its_thread(self):
+        half = CASE_C.cell_length / 2.0
+        edges = np.linspace(-half, half, lattice_sim.UNIFORMITY_BINS + 1)
+        scheme, traced = CASE_C.scheme()[:3], []
+        lattice_sim._sim_batch(CASE_C, scheme, edges, 0, 2)  # first-call allocations
+
+        def one_batch():
+            tracemalloc.start()
+            try:
+                lattice_sim._sim_batch(CASE_C, scheme, edges, 0, BATCH_SIZE)
+                traced.append(tracemalloc.get_traced_memory()[0])
+            finally:
+                tracemalloc.stop()
+
+        thread = threading.Thread(target=one_batch)
+        thread.start()
+        thread.join(timeout=60.0)
+        assert not thread.is_alive()
+        assert traced[0] < BATCH_SIZE // 2 * 8  # 262 144 bytes, less than one piece
 
     def test_histogram_counts_equal_numpys(self):
         # values on every edge, one ulp either side of each, outside the cell and

@@ -62,7 +62,6 @@ FRESH_CLI = """
 
 
 def test_fresh_cli_takes_the_path_the_suite_takes():
-    pytest.importorskip("numpy.lib.introspect")
     code, disabled, current, ufunc_path = json.loads(_python(FRESH_CLI, _without_cpu_features()))
     assert code == 0
     assert disabled == "X86_V4"  # set before the CLI's numpy loaded
@@ -232,11 +231,6 @@ def test_the_ufunc_path_never_calls_libm_per_element(monkeypatch):
         assert np.shape(libm.square(x)) == np.shape(x)
         for fn in libm._UFUNCS:
             assert np.shape(libm.math_map(fn, x)) == np.shape(x)
-
-
-def test_numpy_without_introspection_takes_the_per_element_path(monkeypatch):
-    monkeypatch.setitem(sys.modules, "numpy.lib.introspect", None)  # numpy before 2.0
-    assert libm._ufuncs_give_libm_bits() is False
 
 
 @pytest.mark.parametrize("ufunc_path", [True, False])

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import sys
 import tracemalloc
@@ -567,8 +568,8 @@ def threshold(p_x):
 
 
 class TestGapRegimeRows:
-    """`_gap_regimes` over a column of p_x rows, and the blocks `_regime_blocks`
-    gathers from it, equal the regimes formed row by row, bit for bit."""
+    """`_gap_regimes` over a column of p_x rows, and the tiles `_gap_tiles`
+    cuts from it, equal the regimes formed row by row, bit for bit."""
 
     # the square (1+p_x)^2 overflows from sqrt of the largest float on
     PX = [0.0, 1.0, 2.0, 1e154, 1.3e154, *_near(math.sqrt(sys.float_info.max), 2), 1e300]
@@ -738,6 +739,17 @@ class TestSweep:
         for pt in points:
             assert pt.best_rate <= pt.cutset + 1e-9
         assert points[-1].winning_scheme in (Scheme.CASE_C_PROP,)
+
+    @pytest.mark.parametrize("splits", [11.0, 2.5, "11", True])
+    def test_split_count_that_is_not_an_integer_rejected(self, splits):
+        # a float count failed inside range(), and a string in `<`
+        refused = re.escape(f"split_samples must be an integer, got {splits!r}")
+        with pytest.raises(ValueError, match=refused):
+            sweep_sum_capacity(ScenarioCase.CASE_C, 1e8, 1e4, [3.0], split_samples=splits)
+
+    def test_numpy_integer_split_count_accepted(self):
+        assert sweep_sum_capacity(ScenarioCase.CASE_C, 1e8, 1e4, [3.0], np.int64(11)) == (
+            sweep_sum_capacity(ScenarioCase.CASE_C, 1e8, 1e4, [3.0], 11))
 
     def test_rejects_case_a_and_bad_sums(self):
         with pytest.raises(ValueError):
