@@ -10,9 +10,10 @@ algebra by Monte Carlo simulation.
 Every layer (`model`, `bounds`, `achievable`, `scaling`, `lattice_sim`)
 loads on first use of one of its names or of the layer by its own name, so
 `import tworelay` alone imports no numpy, and a caller of the closed forms
-pays for neither the grid layer nor the simulator.  `model` (the channel
-configs, `gaussian_mi` and the Case C link region) imports no numpy either;
-the layers that compute over arrays load it, through `libm`.
+pays for neither the grid layer nor the simulator.  Only `lattice_sim`
+imports numpy as it loads: the closed forms evaluate a single point on
+Python floats, and numpy loads, through `libm`, with the first array of a
+grid, an array entry or the simulator.
 """
 
 __version__ = "0.1.0"

@@ -29,20 +29,21 @@ A local-decoding baseline (a relay decodes the message treating the
 interferer as noise and forwards information bits) complements the lattice
 scheme at small link capacities.
 
-The closed forms are one array core: `lattice_rate`, `local_decode_rates`
-and `best_rate` broadcast the rates over (p_x, p_j, c1, c2) for an
-explicitly given case, so a sweep evaluates all splits of several sums in
-one call.  Arithmetic runs in numpy in the order of the formulas; every
-transcendental goes through `libm.math_map` or `libm.square` (libm's
-bits), which keeps each element equal, bit for bit, to a per-point
-evaluation.  The core takes its input as given.  The per-point entries
-build the full report (combiner coefficient, distortions, equivalent-noise
-power, active branch of the relay-2 min) from the same closed forms after
-one input check: `achievable_case_*` and `local_decode_baseline` check
-their powers and links as `ChannelConfig` checks its fields
-(`model._check_fields`), and `best_achievable` infers a config's case once
-and checks the config against it.  Input outside the model raises
-ValueError.
+The closed forms are one core, written once on `libm`'s helpers: at a point
+of Python floats it computes with the `math` module and loads no numpy, and
+over arrays with numpy.  `lattice_rate`, `local_decode_rates` and
+`best_rate` broadcast the rates over (p_x, p_j, c1, c2) for an explicitly
+given case, so a sweep evaluates all splits of several sums in one call.
+Arithmetic runs in the order of the formulas; every transcendental goes
+through `libm.apply` or `libm.square` (libm's bits), which keeps each
+element equal, bit for bit, to the evaluation at its point.  The core takes
+its input as given.  The per-point entries build the full report (combiner
+coefficient, distortions, equivalent-noise power, active branch of the
+relay-2 min) on floats after one input check: `achievable_case_*` and
+`local_decode_baseline` check their powers and links as `ChannelConfig`
+checks its fields (`model._check_fields`), and `best_achievable` infers a
+config's case once and checks the config against it.  Input outside the
+model raises ValueError.
 """
 
 from __future__ import annotations
@@ -52,9 +53,8 @@ import math
 import sys
 from typing import NamedTuple
 
-import numpy as np
-
-from .libm import as_arrays, half_log2_ratio, math_map, mutual_info, square
+from .libm import any_true, apply, array_entry, as_arrays, divide, half_log2_ratio, isfinite
+from .libm import isinf, logical_not, mutual_info, square, where
 from .model import _LN2, ChannelConfig, ScenarioCase, _check_fields, case_constraints_hold
 
 
@@ -88,33 +88,30 @@ class AchievableReport(NamedTuple):
     min_branch: str | None = None
 
 
-def _pow2m1(c) -> np.ndarray:
+def _pow2m1(c):
     """2**(2c) - 1, stable for small c: 0.0 at c = 0 and inf from c ~ 512 bits on."""
-    return math_map(math.expm1, 2.0 * c * _LN2)
+    return apply(math.expm1, 2.0 * c * _LN2)
 
 
-def _pow2neg(c) -> np.ndarray:
+def _pow2neg(c):
     """2**(-2c); 0.0 at c = inf."""
-    return math_map(math.exp, -2.0 * c * _LN2)
+    return apply(math.exp, -2.0 * c * _LN2)
 
 
-def _clamped_rate(p_x, p_neq) -> np.ndarray:
+def _clamped_rate(p_x, p_neq):
     """max(0.5*log2(p_x/p_neq), 0); 0 where p_x <= 0, p_neq = inf or p_x/p_neq
-    underflows to 0, and finite where the ratio overflows (see `half_log2_ratio`)."""
-    p_x, p_neq = np.broadcast_arrays(*as_arrays(p_x, p_neq))
-    ratio = p_x / p_neq
-    rate = np.zeros(ratio.shape)
-    live = ~(p_x <= 0.0) & ~np.isinf(p_neq) & ~(ratio == 0.0)
-    # near the clamp boundary log1p of the excess keeps full precision
+    underflows to 0, and finite where the ratio overflows (see `half_log2_ratio`).
+    Near the clamp boundary log1p of the excess keeps full precision."""
+    ratio = divide(p_x, p_neq)
+    live = logical_not((p_x <= 0.0) | isinf(p_neq) | (ratio == 0.0))
     near = live & (0.5 < ratio) & (ratio < 2.0)
-    far = live & ~near
-    excess = (p_x[near] - p_neq[near]) / p_neq[near]
-    rate[near] = 0.5 * math_map(math.log1p, excess) / _LN2
-    rate[far] = 0.5 * math_map(math.log2, ratio[far])
-    return np.where(rate < 0.0, 0.0, half_log2_ratio(p_x, p_neq, rate))
+    far = live & logical_not(near)
+    rate = where(near, 0.5 * apply(math.log1p, divide(p_x - p_neq, p_neq), near) / _LN2,
+                 0.5 * apply(math.log2, ratio, far))
+    return where(rate < 0.0, 0.0, half_log2_ratio(p_x, p_neq, rate))
 
 
-def mmse_alpha(p_x, p_n1, p_n2, gain_difference: float) -> np.ndarray:
+def mmse_alpha(p_x, p_n1, p_n2, gain_difference: float):
     """Combiner coefficient minimizing the equivalent-noise power.
 
     For the destination combiner with signal coefficient
@@ -122,18 +119,18 @@ def mmse_alpha(p_x, p_n1, p_n2, gain_difference: float) -> np.ndarray:
     alpha = gd*p_x / (gd^2*p_x + p_n1 + p_n2): p_x/(p_x+1) in Case B
     (gd=1, unit noise at relay 1 only) and 2*p_x/(4*p_x+2) in Case C
     (gd=2, unit noise at both relays).  Like the other helpers below, it
-    broadcasts over array arguments.
+    takes a point of floats or broadcasts over arrays.
     """
     num = gain_difference * p_x
     denom = square(gain_difference) * p_x + p_n1 + p_n2
-    alpha = np.where(denom == 0.0, 0.0, np.divide(num, denom))
-    overflowed = np.isinf(denom)
-    if overflowed.any():  # there alpha rounds to its limit 1/gain_difference
-        alpha = np.where(overflowed, 1.0 / gain_difference, alpha)
+    alpha = where(denom == 0.0, 0.0, divide(num, denom))
+    overflowed = isinf(denom)
+    if any_true(overflowed):  # there alpha rounds to its limit 1/gain_difference
+        alpha = where(overflowed, divide(1.0, gain_difference), alpha)
     return alpha
 
 
-def distortion_relay1(p_x, c1) -> np.ndarray:
+def distortion_relay1(p_x, c1):
     """Distortion of describing a power-p_x signal at rate c1 bits.
 
     From 0.5*log2((p_x + d)/d) = c1, i.e. d = p_x / (2**(2*c1) - 1).
@@ -143,15 +140,15 @@ def distortion_relay1(p_x, c1) -> np.ndarray:
     return _distortion(p_x, _pow2m1(c1))
 
 
-def _distortion(p_x, den, signal=None) -> np.ndarray:
+def _distortion(p_x, den, signal=None):
     """signal / den with den = 2**(2c) - 1, the signal power p_x unless given (see
     `distortion_relay1`).  A zero-rate link takes its limit inf wherever p_x > 0,
     also where a given signal power, positive for p_x > 0, has underflowed to 0."""
     signal = p_x if signal is None else signal
-    return np.where(den == 0.0, np.where(p_x > 0.0, math.inf, 0.0), np.divide(signal, den))
+    return where(den == 0.0, where(p_x > 0.0, math.inf, 0.0), divide(signal, den))
 
 
-def distortion_relay2_case_b(p_x, p_j, c2, alpha) -> tuple[np.ndarray, np.ndarray]:
+def distortion_relay2_case_b(p_x, p_j, c2, alpha):
     """Relay-2 distortion for Case B, and where the signal ceiling is active.
 
     The scaled, cell-reduced relay-2 signal has power at most
@@ -164,21 +161,21 @@ def distortion_relay2_case_b(p_x, p_j, c2, alpha) -> tuple[np.ndarray, np.ndarra
     """
     alpha2 = square(alpha)
     interference = alpha2 * p_j
-    lost = (alpha2 < sys.float_info.min) & np.isfinite(p_j)
-    if lost.any():
-        interference = np.where(lost, alpha * (alpha * p_j), interference)
+    lost = (alpha2 < sys.float_info.min) & isfinite(p_j)
+    if any_true(lost):
+        interference = where(lost, alpha * (alpha * p_j), interference)
     interference = _unless_unlimited(p_j, interference)
     at_ceiling = p_x <= interference
-    return np.where(at_ceiling, p_x, interference) * _pow2neg(c2), at_ceiling
+    return where(at_ceiling, p_x, interference) * _pow2neg(c2), at_ceiling
 
 
-def _unless_unlimited(p_j, power) -> np.ndarray:
+def _unless_unlimited(p_j, power):
     """`power`, or its p_j -> inf limit inf where p_j is unlimited (so an
     alpha^2 that underflowed to 0 does not meet p_j as 0 * inf = NaN)."""
-    return np.where(np.isinf(p_j), math.inf, power)
+    return where(isinf(p_j), math.inf, power)
 
 
-def side_information_power(p_x, p_j, alpha, p_d1, p_n1, p_n2, gain_sum: float) -> np.ndarray:
+def side_information_power(p_x, p_j, alpha, p_d1, p_n1, p_n2, gain_sum: float):
     """Power s of the sum signal relay 2's binned description is resolved against
     (unlimited where p_j is).  Where the bracket overflows or alpha^2 is subnormal
     or 0, alpha scales a quarter of the bracket twice: no 0 * inf, no term lost
@@ -186,21 +183,19 @@ def side_information_power(p_x, p_j, alpha, p_d1, p_n1, p_n2, gain_sum: float) -
     bracket = square(gain_sum) * p_x + 4.0 * p_j + p_n1 + p_n2
     alpha2 = square(alpha)
     s = alpha2 * bracket + p_d1
-    lost = (np.isinf(bracket) | (alpha2 < sys.float_info.min)) & np.isfinite(p_j)
-    if lost.any():
+    lost = (isinf(bracket) | (alpha2 < sys.float_info.min)) & isfinite(p_j)
+    if any_true(lost):
         quarter = _quarter_bracket(p_x, p_j, p_n1, p_n2, gain_sum)
-        s = np.where(lost, 4.0 * (alpha * (alpha * quarter)) + p_d1, s)
+        s = where(lost, 4.0 * (alpha * (alpha * quarter)) + p_d1, s)
     return _unless_unlimited(p_j, s)
 
 
-def _quarter_bracket(p_x, p_j, p_n1, p_n2, gain_sum: float) -> np.ndarray:
+def _quarter_bracket(p_x, p_j, p_n1, p_n2, gain_sum: float):
     """A quarter of the side-information bracket, finite wherever p_j is."""
     return 0.25 * (square(gain_sum) * p_x + p_n1 + p_n2) + p_j
 
 
-def distortion_relay2_case_c(
-    p_x, p_j, c1, c2, alpha, p_n1=1.0, p_n2=1.0, gain_sum: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
+def distortion_relay2_case_c(p_x, p_j, c1, c2, alpha, p_n1=1.0, p_n2=1.0, gain_sum: float = 0.0):
     """Relay-2 distortion for Case C via binned (side-information) coding.
 
     Relay 2's description is recovered from relay 1's, so its rate
@@ -213,14 +208,14 @@ def distortion_relay2_case_c(
     m1, m2 = _pow2m1(c1), _pow2m1(c2)
     s = side_information_power(p_x, p_j, alpha, _distortion(p_x, m1), p_n1, p_n2, gain_sum)
     at_ceiling = p_x <= s
-    p_d2 = _distortion(p_x, m2, np.where(at_ceiling, p_x, s))
+    p_d2 = _distortion(p_x, m2, where(at_ceiling, p_x, s))
     # a subnormal s kept only a few digits, which an m2 below 1 would carry into a larger
     # value; there s/m2 is alpha*(4*(alpha*quarter)/m2) + p_x/(m1*m2), subnormal only in
     # its last product
-    tiny = (s < sys.float_info.min) & ~at_ceiling & (m2 > 0.0)
-    if tiny.any():
+    tiny = (s < sys.float_info.min) & logical_not(at_ceiling) & (m2 > 0.0)
+    if any_true(tiny):
         scaled = alpha * _quarter_bracket(p_x, p_j, p_n1, p_n2, gain_sum)
-        p_d2 = np.where(tiny, alpha * (4.0 * scaled / m2) + p_x / (m1 * m2), p_d2)
+        p_d2 = where(tiny, alpha * divide(4.0 * scaled, m2) + divide(p_x, m1 * m2), p_d2)
     return p_d2, at_ceiling
 
 
@@ -230,7 +225,7 @@ def equivalent_noise_power(p_x, p_n1, p_n2, alpha, p_d1, p_d2, gain_difference: 
     return square(alpha) * (p_n1 + p_n2) + leak * p_x + p_d1 + p_d2
 
 
-def _case_b(p_x, p_j, c1, c2) -> tuple[np.ndarray, tuple]:
+def _case_b(p_x, p_j, c1, c2) -> tuple:
     """Case B rate of the lattice scheme, and the (alpha, p_d1, p_d2, p_neq,
     at_ceiling) it is formed from.
 
@@ -246,11 +241,11 @@ def _case_b(p_x, p_j, c1, c2) -> tuple[np.ndarray, tuple]:
     alpha = mmse_alpha(p_x, 1.0, 0.0, 1.0)
     p_d1 = distortion_relay1(p_x, c1)
     p_d2, at_ceiling = distortion_relay2_case_b(p_x, p_j, c2, alpha)
-    p_neq = p_x / (p_x + 1.0) + p_d1 + p_d2
+    p_neq = divide(p_x, p_x + 1.0) + p_d1 + p_d2
     return _clamped_rate(p_x, p_neq), (alpha, p_d1, p_d2, p_neq, at_ceiling)
 
 
-def _case_c_derived_rate(p_x, p_j, p_d1, binned_pow2m1) -> np.ndarray:
+def _case_c_derived_rate(p_x, p_j, p_d1, binned_pow2m1):
     """One orientation of the Case C 'derived' closed form, given p_d1 and 2**(2*c2)-1.
 
     rate = max(0.5*log2(p_x / (1/2 + p_x/(2**(2*c1)-1)
@@ -260,11 +255,11 @@ def _case_c_derived_rate(p_x, p_j, p_d1, binned_pow2m1) -> np.ndarray:
     makes the denominator infinite, hence the rate 0.
     """
     m = 4.0 * p_j + 2.0 + p_d1
-    den = 0.5 + p_d1 + np.where(m < p_x, m, p_x) / binned_pow2m1
+    den = 0.5 + p_d1 + divide(where(m < p_x, m, p_x), binned_pow2m1)
     return _clamped_rate(p_x, den)
 
 
-def _case_c(p_x, p_j, c1, c2, variant: str) -> tuple[np.ndarray, tuple]:
+def _case_c(p_x, p_j, c1, c2, variant: str) -> tuple:
     """Case C rate of the lattice scheme, better relay orientation taken, and
     the two orientation rates `_case_c_fields` takes.
 
@@ -281,7 +276,7 @@ def _case_c(p_x, p_j, c1, c2, variant: str) -> tuple[np.ndarray, tuple]:
         m1, m2 = _pow2m1(c1), _pow2m1(c2)  # each link's libm values serve both orientations
         forward = _case_c_derived_rate(p_x, p_j, _distortion(p_x, m1), m2)
         swapped = _case_c_derived_rate(p_x, p_j, _distortion(p_x, m2), m1)
-    return np.where(swapped > forward, swapped, forward), (forward, swapped)
+    return where(swapped > forward, swapped, forward), (forward, swapped)
 
 
 def _case_c_fields(p_x, p_j, c1, c2, forward, swapped) -> tuple:
@@ -291,39 +286,43 @@ def _case_c_fields(p_x, p_j, c1, c2, forward, swapped) -> tuple:
     "prop" variant the rate is the Case B closed form (see `_case_c`), which
     is not the same expression as 0.5*log2(p_x/p_neq).
     """
-    swap = ~(forward >= swapped)
-    primary, binned = np.where(swap, c2, c1), np.where(swap, c1, c2)
+    swap = logical_not(forward >= swapped)
+    primary, binned = where(swap, c2, c1), where(swap, c1, c2)
     alpha = mmse_alpha(p_x, 1.0, 1.0, 2.0)
     pd_primary = distortion_relay1(p_x, primary)
     pd_binned, at_ceiling = distortion_relay2_case_c(p_x, p_j, primary, binned, alpha)
-    p_d1, p_d2 = np.where(swap, pd_binned, pd_primary), np.where(swap, pd_primary, pd_binned)
+    p_d1, p_d2 = where(swap, pd_binned, pd_primary), where(swap, pd_primary, pd_binned)
     p_neq = equivalent_noise_power(p_x, 1.0, 1.0, alpha, p_d1, p_d2, 2.0)
     return alpha, p_d1, p_d2, p_neq, at_ceiling
 
 
-def _case_point(case: ScenarioCase, p_x, p_j, c1, c2) -> list[np.ndarray]:
-    """The point as arrays; Case A is Case B with an unlimited relay-1 link."""
+def _case_point(case: ScenarioCase, p_x, p_j, c1, c2) -> tuple:
+    """The point; Case A is Case B with an unlimited relay-1 link."""
     if case not in (ScenarioCase.CASE_A, ScenarioCase.CASE_B, ScenarioCase.CASE_C):
         raise ValueError(f"no achievable-rate schemes for {case!r}")
-    return as_arrays(p_x, p_j, math.inf if case is ScenarioCase.CASE_A else c1, c2)
+    return p_x, p_j, math.inf if case is ScenarioCase.CASE_A else c1, c2
 
 
-@np.errstate(all="ignore")
-def lattice_rate(case: ScenarioCase, p_x, p_j, c1, c2, variant: str = "prop") -> np.ndarray:
+def _lattice_rate(case: ScenarioCase, p_x, p_j, c1, c2, variant: str = "prop"):
+    """`lattice_rate` at a point of floats, or over arrays as given."""
+    point = _case_point(case, p_x, p_j, c1, c2)
+    return (_case_c(*point, variant) if case is ScenarioCase.CASE_C else _case_b(*point))[0]
+
+
+@array_entry
+def lattice_rate(case: ScenarioCase, p_x, p_j, c1, c2, variant: str = "prop"):
     """Rate of the lattice scheme of `case` over the broadcast of (p_x, p_j, c1, c2).
 
     Case A is Case B with an unlimited relay-1 link (its c1 is ignored);
     Case C takes the closed form `variant`.  The case is taken as given.
     """
-    point = _case_point(case, p_x, p_j, c1, c2)
-    return (_case_c(*point, variant) if case is ScenarioCase.CASE_C else _case_b(*point))[0]
+    return _lattice_rate(case, *as_arrays(*_case_point(case, p_x, p_j, c1, c2)), variant)
 
 
-@np.errstate(all="ignore")
 def _lattice_report(case: ScenarioCase, p_x: float, p_j: float, c1: float, c2: float,
                     variant: str = "prop") -> AchievableReport:
-    """The lattice scheme of `case` at one point with its internals; every field
-    is 0 (and there is no min branch) at p_x = 0."""
+    """The lattice scheme of `case` at one point of floats with its internals; every
+    field is 0 (and there is no min branch) at p_x = 0."""
     point = _case_point(case, p_x, p_j, c1, c2)
     if case is ScenarioCase.CASE_C:
         rate, values = _case_c(*point, variant)
@@ -334,38 +333,49 @@ def _lattice_report(case: ScenarioCase, p_x: float, p_j: float, c1: float, c2: f
         scheme = Scheme.CASE_A_EQ if case is ScenarioCase.CASE_A else Scheme.CASE_B_EQ
     if p_x == 0.0:
         return AchievableReport(0.0, scheme, 0.0, 0.0, 0.0, 0.0)
-    rate, alpha, p_d1, p_d2, p_neq, at_ceiling = (v.item() for v in (rate, *fields))
+    alpha, p_d1, p_d2, p_neq, at_ceiling = fields
     return AchievableReport(rate, scheme, alpha, p_d1, p_d2, p_neq,
                             "signal_ceiling" if at_ceiling else "interference")
 
 
-def local_decode_rates(case: ScenarioCase, p_x, p_j, c1, c2) -> np.ndarray:
-    """Rates of plain local decoding over the broadcast grid (see `local_decode_baseline`)."""
+def _local_decode(case: ScenarioCase, p_x, p_j, c1, c2):
+    """`local_decode_rates` at a point of floats, or over arrays as given."""
     if case not in (ScenarioCase.CASE_B, ScenarioCase.CASE_C):
         raise ValueError("local decoding baseline applies to Cases B and C only")
-    with np.errstate(over="ignore"):  # two links past the largest float sum to inf
-        links = c1 if case is ScenarioCase.CASE_B else np.add(c1, c2)
-    sinr_rate = mutual_info(p_x, np.add(p_j, 1.0))
-    return np.where(sinr_rate < links, sinr_rate, links)
+    links = c1 if case is ScenarioCase.CASE_B else c1 + c2
+    sinr_rate = mutual_info(p_x, p_j + 1.0)
+    return where(sinr_rate < links, sinr_rate, links)
 
 
-def best_rate(case: ScenarioCase, p_x, p_j, c1, c2) -> tuple[np.ndarray, np.ndarray]:
+@array_entry
+def local_decode_rates(case: ScenarioCase, p_x, p_j, c1, c2):
+    """Rates of plain local decoding over the broadcast grid (see `local_decode_baseline`)."""
+    return _local_decode(case, *as_arrays(p_x, p_j, c1, c2))
+
+
+@array_entry
+def best_rate(case: ScenarioCase, p_x, p_j, c1, c2):
     """The best rate of `case` over the broadcast grid, and where local decoding wins.
 
     The lattice rate (Case C's "prop" form) is compared with local decoding;
     the mask marks the points where local decoding is strictly better, so a
     tie goes to the lattice scheme.  Case A has the lattice scheme alone.
     """
-    return _with_local_decoding(case, lattice_rate(case, p_x, p_j, c1, c2), p_x, p_j, c1, c2)
-
-
-def _with_local_decoding(case: ScenarioCase, rate, p_x, p_j, c1, c2):
-    """The better of the lattice `rate` and local decoding, and where local decoding wins."""
+    rate = lattice_rate(case, p_x, p_j, c1, c2)
     if case is ScenarioCase.CASE_A:
+        import numpy as np  # loaded with the rate array above
         return rate, np.zeros(rate.shape, dtype=bool)
-    local = local_decode_rates(case, p_x, p_j, c1, c2)
+    return _with_local_decoding(case, rate, *as_arrays(p_x, p_j, c1, c2))
+
+
+def _with_local_decoding(case: ScenarioCase, rate, p_x, p_j, c1, c2) -> tuple:
+    """The better of the lattice `rate` and local decoding, and where local decoding
+    wins: at a point of floats, or over arrays in Cases B and C."""
+    if case is ScenarioCase.CASE_A:
+        return rate, False
+    local = _local_decode(case, p_x, p_j, c1, c2)
     wins = local > rate
-    return np.where(wins, local, rate), wins
+    return where(wins, local, rate), wins
 
 
 def achievable_case_a(p_x: float, p_j: float, c2: float) -> AchievableReport:
@@ -409,7 +419,7 @@ def local_decode_baseline(
     if case is ScenarioCase.CASE_C and c2 is None:
         raise ValueError("Case C local decoding needs c2")
     point = _check_fields(p_x=p_x, p_j=p_j, c1=c1, c2=math.inf if c2 is None else c2)
-    return AchievableReport(local_decode_rates(case, *point).item(), Scheme.LOCAL_DECODE)
+    return AchievableReport(_local_decode(case, *point), Scheme.LOCAL_DECODE)
 
 
 def best_achievable(cfg: ChannelConfig) -> AchievableReport:
@@ -429,5 +439,5 @@ def best_achievable(cfg: ChannelConfig) -> AchievableReport:
         raise ValueError("config does not match any canonical case preset")
     point = (cfg.p_x, cfg.p_j, cfg.c1, cfg.c2)
     lattice = _lattice_report(case, *point)
-    rate, local = _with_local_decoding(case, np.asarray(lattice.rate), *point)
-    return AchievableReport(rate.item(), Scheme.LOCAL_DECODE) if local.item() else lattice
+    rate, local = _with_local_decoding(case, lattice.rate, *point)
+    return AchievableReport(rate, Scheme.LOCAL_DECODE) if local else lattice

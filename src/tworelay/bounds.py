@@ -8,12 +8,13 @@ which is evaluated exactly here (~1.5235 bits), never as a rounded figure.
 
 All bound terms are formed in the log domain, so an unlimited link
 (`INFINITE_CAPACITY`) simply makes its cut term infinite and never binding.
-The array forms (`cutset_term_arrays`, `cutset_min_array`,
-`modulo_bound_array`) take their input as given, broadcast over
-(p_x, p_j, c1, c2) and take every logarithm through `libm.mutual_info` (libm's
-bits; finite where a ratio passes the largest float).  The per-point entries
-(`outer_bounds`, `cutset_case_c`, `modulo_bound_case_c`) check a config against its
-case once, which raises ValueError on a mismatch, and evaluate the array forms at its point.
+Each term is written once, on `libm`'s helpers, and takes every logarithm
+through `libm.mutual_info` (libm's bits; finite where a ratio passes the
+largest float).  The array forms (`cutset_term_arrays`, `cutset_min_array`,
+`modulo_bound_array`) take their input as given and broadcast over
+(p_x, p_j, c1, c2).  The per-point entries (`outer_bounds`, `cutset_case_c`,
+`modulo_bound_case_c`) check a config against its case once, which raises
+ValueError on a mismatch, and evaluate the same terms on its floats, with no numpy.
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ import functools
 import math
 from typing import NamedTuple
 
-import numpy as np
-
-from .libm import as_arrays, mutual_info
+from .libm import array_entry, as_arrays, mutual_info, where
 from .model import ChannelConfig, ScenarioCase, case_constraints_hold
 
 #: Additive constant of the Case C modulo bound: 0.25 * log2(8*pi*e).
@@ -59,11 +58,15 @@ def _report(terms: list[tuple[str, float]], modulo: float | None = None) -> Boun
     return BoundReport(tuple(terms), cutset, modulo, binding)
 
 
-@np.errstate(all="ignore")
-def cutset_term_arrays(case: ScenarioCase, p_x, p_j, c1, c2) -> list[tuple[str, np.ndarray]]:
+@array_entry
+def cutset_term_arrays(case: ScenarioCase, p_x, p_j, c1, c2) -> list[tuple[str, object]]:
     """Labelled cut-set terms of `case` as arrays that broadcast over (p_x, p_j, c1, c2);
     the case is taken as given (callers check their inputs against it once)."""
-    p_x, p_j, c1, c2 = as_arrays(p_x, p_j, c1, c2)
+    return _cutset_terms(case, *as_arrays(p_x, p_j, c1, c2))
+
+
+def _cutset_terms(case: ScenarioCase, p_x, p_j, c1, c2) -> list[tuple[str, object]]:
+    """The labelled cut-set terms of `case` at a point of floats, or over arrays as given."""
     interfered = mutual_info(p_x, p_j + 1.0)
     if case is ScenarioCase.CASE_A:
         return [("c2 + i(x;y1)", c2 + interfered), ("i(x;y1|j)", mutual_info(p_x, 1.0))]
@@ -83,15 +86,20 @@ def cutset_term_arrays(case: ScenarioCase, p_x, p_j, c1, c2) -> list[tuple[str, 
     raise ValueError(f"unknown case {case!r}")
 
 
-def cutset_min_array(case: ScenarioCase, p_x, p_j, c1, c2) -> np.ndarray:
+def cutset_min_array(case: ScenarioCase, p_x, p_j, c1, c2):
     """The cut-set bound over the broadcast grid: the first smallest term, as min() takes it."""
     terms = (value for _, value in cutset_term_arrays(case, p_x, p_j, c1, c2))
-    return functools.reduce(lambda low, v: np.where(v < low, v, low), terms)
+    return functools.reduce(lambda low, v: where(v < low, v, low), terms)
 
 
-@np.errstate(all="ignore")
-def modulo_bound_array(p_x, p_j, c1, c2) -> np.ndarray:
-    """The Case C modulo bound over the broadcast grid; it needs p_j > 0.  Each term
+@array_entry
+def modulo_bound_array(p_x, p_j, c1, c2):
+    """The Case C modulo bound over the broadcast grid; it needs p_j > 0."""
+    return _modulo_bound(*as_arrays(p_x, p_j, c1, c2))
+
+
+def _modulo_bound(p_x, p_j, c1, c2):
+    """The Case C modulo bound at a point of floats, or over arrays as given.  Each term
     is halved before the sum (exact for normal floats), so c1 + c2 may overflow."""
     return 0.5 * c1 + 0.5 * c2 + 0.5 * mutual_info(p_x, p_j) + MODULO_BOUND_CONSTANT
 
@@ -106,8 +114,7 @@ def _validate(cfg: ChannelConfig, case: ScenarioCase) -> None:
 def _point_terms(cfg: ChannelConfig, case: ScenarioCase) -> list[tuple[str, float]]:
     """The cut-set terms of `case` at cfg's point, cfg checked against `case` once."""
     _validate(cfg, case)
-    return [(label, value.item())
-            for label, value in cutset_term_arrays(case, cfg.p_x, cfg.p_j, cfg.c1, cfg.c2)]
+    return _cutset_terms(case, cfg.p_x, cfg.p_j, cfg.c1, cfg.c2)
 
 
 def cutset_case_c(cfg: ChannelConfig) -> BoundReport:
@@ -130,7 +137,7 @@ def modulo_bound_case_c(cfg: ChannelConfig) -> float:
     _validate(cfg, ScenarioCase.CASE_C)
     if not cfg.p_j > 0.0:
         raise ValueError("modulo bound requires interferer power p_j > 0")
-    return modulo_bound_array(cfg.p_x, cfg.p_j, cfg.c1, cfg.c2).item()
+    return _modulo_bound(cfg.p_x, cfg.p_j, cfg.c1, cfg.c2)
 
 
 def outer_bounds(cfg: ChannelConfig, case: ScenarioCase) -> BoundReport:
@@ -144,5 +151,5 @@ def outer_bounds(cfg: ChannelConfig, case: ScenarioCase) -> BoundReport:
     """
     terms = _point_terms(cfg, case)
     positive = case is ScenarioCase.CASE_C and cfg.p_j > 0.0
-    modulo = modulo_bound_array(cfg.p_x, cfg.p_j, cfg.c1, cfg.c2).item() if positive else None
+    modulo = _modulo_bound(cfg.p_x, cfg.p_j, cfg.c1, cfg.c2) if positive else None
     return _report(terms, modulo)

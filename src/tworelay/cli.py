@@ -17,8 +17,11 @@ point in `make_preset`, again in each `achievable_case_*` and
 infers the case once more (ROADMAP item 2 makes these one check).
 
 A process imports only what its subcommand runs (`_bind`): ``region`` the
-numpy-free `model` alone, ``bounds`` the closed forms, the grid commands
-`scaling` as well, ``simulate`` and ``cover`` the simulator.  ``json``,
+channel model alone, ``bounds`` the closed forms, ``scaling`` and the grid
+commands `scaling` as well, ``simulate`` and ``cover`` the simulator.  A
+single point is evaluated on Python floats, so ``region``, ``bounds`` and
+``scaling`` (a pre-log ladder, rung by rung) load no numpy; ``sweep``,
+``gaps``, ``simulate`` and ``cover`` load it with their first array.  ``json``,
 ``csv`` and ``dataclasses.asdict`` are imported where an output is written
 with them, so a bare import, ``--help`` and ``--version`` load none of them.
 

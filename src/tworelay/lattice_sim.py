@@ -167,9 +167,9 @@ class SimConfig:
     def cell_length(self) -> float:
         return math.sqrt(12.0 * self.p_x)
 
-    @np.errstate(all="ignore")  # a config with a non-finite result is refused
     def scheme(self) -> tuple[float, float, float, float]:
-        """(alpha, p_d1, p_d2) used by the relays in this run, and their analytic var(n_eq)."""
+        """(alpha, p_d1, p_d2) used by the relays in this run, and their analytic var(n_eq),
+        on the closed forms' float path (a config with a non-finite result is refused)."""
         delta = self.a - self.b
         alpha = (
             self.alpha_override
@@ -184,9 +184,8 @@ class SimConfig:
                 self.p_x, self.p_j, self.c1, self.c2, alpha,
                 self.p_n1, self.p_n2, gain_sum=self.a + self.b,
             )
-        alpha, p_d1, p_d2 = float(alpha), float(p_d1), float(p_d2)
         var_neq = equivalent_noise_power(self.p_x, self.p_n1, self.p_n2, alpha, p_d1, p_d2, delta)
-        return alpha, p_d1, p_d2, float(var_neq)
+        return alpha, p_d1, p_d2, var_neq
 
 
 class SimStats(NamedTuple):

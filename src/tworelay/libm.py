@@ -1,47 +1,123 @@
-"""libm's bits over numpy arrays: the numpy half of the channel model.
+"""libm's bits at a point of Python floats and over numpy arrays.
 
-The array core (`achievable`, `bounds`, `scaling`) and the simulator
-(`lattice_sim`) take every transcendental through `math_map` or `square`,
-which give libm's bits: through numpy's ufuncs where their loops do
+The closed forms are written once, on helpers that take a point of Python
+floats or numpy arrays alike (`where`, `isinf`, `isfinite`, `logical_not`,
+`any_true`, `divide`, `square`, `apply`).  At a point they run the `math`
+module and give IEEE results where Python raises: inf or NaN at a zero
+divisor, inf where libm overflows.  Both operands of a point's `where` are
+formed before the call, so neither may raise; `apply` takes a mask of the
+points where libm is to run, at a point and over arrays.  Over arrays the helpers run numpy, imported with
+the first array (`_numpy`), and `array_entry` runs an entry of the array core
+with numpy's warnings off.  numpy's float64 takes the array path, so a 0-d
+input stays 0-d.
+
+Over arrays every transcendental goes through `math_map` or `square`, which
+give libm's bits: through numpy's ufuncs where their loops do
 (`_UFUNC_PATH`), else per element.  Both give inf where libm overflows and
 raise libm's ValueError at a domain error, at every size.  Every closed-form
 0.5*log2(a/b) goes through `half_log2_ratio`, finite past the largest float,
-and every Gaussian mutual information of arrays through `mutual_info`, which
-gives `model.gaussian_mi`'s bits without its checks.  `model` itself imports
-no numpy, so the channel model and the Case C region load without it.
+and every Gaussian mutual information through `mutual_info`, which gives
+`model.gaussian_mi`'s bits without its checks.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from typing import Callable
-
-import numpy as np
 
 from .model import _LN2
 
+#: numpy, once `_numpy` has imported it.
+np = None
 
-@np.errstate(all="ignore")
-def mutual_info(signal_power, noise_power) -> np.ndarray:
-    """`model.gaussian_mi` as a broadcast over arrays, without its input checks."""
-    ratio = np.divide(signal_power, noise_power)
-    mi = half_log2_ratio(signal_power, noise_power, 0.5 * math_map(math.log1p, ratio) / _LN2)
-    return np.where(signal_power == 0.0, 0.0, mi)  # +0.0, also for a signal power of -0.0
+#: The exact types of a point's values: numpy's float64 subclasses float but takes the array path.
+_POINT = (float, int, bool)
 
 
-def half_log2_ratio(a, b, value) -> np.ndarray:
+def _numpy():
+    """numpy, imported with the first array; the import settles `_UFUNC_PATH`."""
+    global np, _UFUNC_PATH
+    if np is None:
+        import numpy
+        _UFUNC_PATH = _ufuncs_give_libm_bits()
+        np = numpy
+    return np
+
+
+def __getattr__(name: str):
+    if name == "_UFUNC_PATH":  # settled with numpy's import
+        _numpy()
+        return _UFUNC_PATH
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def array_entry(fn: Callable) -> Callable:
+    """`fn`, an entry of the array core, run with numpy loaded and its warnings off."""
+    @functools.wraps(fn)
+    def entry(*args, **kwargs):
+        with _numpy().errstate(all="ignore"):
+            return fn(*args, **kwargs)
+    return entry
+
+
+def where(cond, a, b):
+    """a where cond holds, else b: at a point (cond a bool) the operand picked, as it is."""
+    return (a if cond else b) if type(cond) is bool else _numpy().where(cond, a, b)
+
+
+def _pointwise(at_point: Callable, name: str) -> Callable:
+    """`at_point` at a point, numpy's function `name` over arrays."""
+    return lambda x: at_point(x) if type(x) in _POINT else getattr(_numpy(), name)(x)
+
+
+isinf, isfinite = _pointwise(math.isinf, "isinf"), _pointwise(math.isfinite, "isfinite")
+logical_not, any_true = _pointwise(operator.not_, "logical_not"), _pointwise(bool, "any")
+
+
+def divide(a, b):
+    """a / b, IEEE at b = 0 as well (inf of the quotient's sign, NaN for a = 0 or NaN),
+    with numpy's warnings off."""
+    if type(a) in _POINT and type(b) in _POINT:
+        return a / b if b else a * math.copysign(math.inf, b)
+    with _numpy().errstate(all="ignore"):
+        return np.divide(a, b)
+
+
+def apply(fn: Callable[[float], float], x, mask=True):
+    """The `math` function `fn` at a point, inf where it overflows, or `math_map` over
+    arrays, evaluated only where `mask` holds (0.0 elsewhere)."""
+    if type(x) in _POINT and type(mask) is bool:
+        return _or_inf(fn, x) if mask else 0.0
+    if mask is True:
+        return math_map(fn, x)
+    x, mask = _numpy().broadcast_arrays(x, mask)
+    values = np.zeros(x.shape)
+    values[mask] = math_map(fn, x[mask])
+    return values
+
+
+def mutual_info(signal_power, noise_power):
+    """`model.gaussian_mi` at a point or broadcast over arrays, without its input checks."""
+    ratio = divide(signal_power, noise_power)
+    mi = half_log2_ratio(signal_power, noise_power, 0.5 * apply(math.log1p, ratio) / _LN2)
+    return where(signal_power == 0.0, 0.0, mi)  # +0.0, also for a signal power of -0.0
+
+
+def half_log2_ratio(a, b, value):
     """`value`, 0.5*log2 of a/b or of 1 + a/b formed from the float a/b; where a/b passed the
     largest float (value inf, b > 0), 0.5*(log2 a - log2 b), within a part in 1e308 of both."""
     past = value == math.inf
-    if past.any():
-        past &= b > 0.0  # libm's log2 sees a and b only here, never 0; a = inf stays inf
-        log2_a, log2_b = (math_map(math.log2, np.where(past, v, 1.0)) for v in (a, b))
-        value = np.where(past, 0.5 * (log2_a - log2_b), value)
+    if any_true(past):
+        past = past & (b > 0.0)  # libm's log2 sees a and b only here, never 0; a = inf stays inf
+        log2_a, log2_b = (apply(math.log2, v, past) for v in (a, b))
+        value = where(past, 0.5 * (log2_a - log2_b), value)
     return value
 
 
-def math_map(fn: Callable[[float], float], x) -> np.ndarray:
+def math_map(fn: Callable[[float], float], x):
     """The `math` function `fn` applied to each element of x, with libm's bits.
 
     The CLI prints floats with repr, and numpy's AVX-512 loops differ from
@@ -50,28 +126,31 @@ def math_map(fn: Callable[[float], float], x) -> np.ndarray:
     (`_per_element`).  Both give inf where the value passes the largest float,
     and both raise libm's ValueError at the first element outside `fn`'s domain.
     """
-    x = np.asarray(x, dtype=float)
+    x = _numpy().asarray(x, dtype=float)
     if not _UFUNC_PATH:
         return _per_element(fn, x)
     if (x <= _DOMAIN_EDGES.get(fn, math.nan)).any():  # no edge: nothing is <= NaN
         _per_element(fn, x)  # raises libm's ValueError at the first element outside
     with np.errstate(all="ignore"):
-        return _UFUNCS[fn](x)
+        return getattr(np, _UFUNCS[fn])(x)
 
 
-def square(x) -> np.ndarray:
-    """x**2 elementwise as Python's float ** computes it: libm pow, not x*x.
+def square(x):
+    """x**2 as Python's float ** computes it: libm pow, not x*x, and inf where it overflows.
 
-    On the ufunc path np.power of the flat x with an exponent array, at every size
-    (one of stride 0, as a scalar or 0-d one has, takes x*x); else `pow(v, 2.0)`."""
-    x = np.asarray(x, dtype=float)
+    At a point `pow(x, 2.0)`; over arrays, on the ufunc path, np.power of the flat x with an
+    exponent array, at every size (one of stride 0, as a scalar or 0-d one has, takes x*x);
+    else `pow(v, 2.0)` per element."""
+    if type(x) in _POINT:
+        return _or_inf(pow, x, 2.0)
+    x = _numpy().asarray(x, dtype=float)
     if not _UFUNC_PATH:
         return _per_element(pow, x, 2.0)
     with np.errstate(all="ignore"):
         return np.power(x.ravel(), np.full(x.size, 2.0)).reshape(x.shape)
 
 
-def _per_element(fn: Callable[..., float], x: np.ndarray, *args: float) -> np.ndarray:
+def _per_element(fn: Callable[..., float], x, *args: float):
     """fn(v, *args) for each element v of x, from its flat buffer; where libm overflows
     (OverflowError, where numpy's loops give inf), formed again with inf there."""
     elements = memoryview(x.ravel())
@@ -89,7 +168,8 @@ def _or_inf(fn: Callable[..., float], *args: float) -> float:
         return math.inf
 
 
-_UFUNCS = {math.log1p: np.log1p, math.log2: np.log2, math.expm1: np.expm1, math.exp: np.exp}
+#: numpy's ufunc, by name, of each `math` function `math_map` takes.
+_UFUNCS = {math.log1p: "log1p", math.log2: "log2", math.expm1: "expm1", math.exp: "exp"}
 
 #: libm raises a domain error at and below each edge; the other functions of `_UFUNCS` have none.
 _DOMAIN_EDGES = {math.log2: 0.0, math.log1p: -1.0}
@@ -109,11 +189,8 @@ def _ufuncs_give_libm_bits() -> bool:
                for name, signature, targets in _LIBM_TARGETS)
 
 
-#: Whether `math_map` and `square` run numpy's ufuncs; else libm per element.
-_UFUNC_PATH = _ufuncs_give_libm_bits()
-
-
-def as_arrays(*values) -> list[np.ndarray]:
+def as_arrays(*values) -> list:
     """The values as float arrays of at least one dimension, each keeping its own
     shape: a quantity of p_x alone is computed once per p_x, not once per point."""
+    _numpy()
     return [np.atleast_1d(np.asarray(v, dtype=float)) for v in values]

@@ -31,9 +31,11 @@ memory of a grid follows the block, not the grid.  `libm.math_map` gives
 every value libm's bits, so the pick is the one a per-point evaluation
 makes.  A certificate carries its regime's point count and that worst point,
 not the points themselves, and reports the largest gap as the config-checked
-per-point path (`_point_certificate`) gives it at that point.  A pre-log
-ladder is one array-core call over all its powers, checked once over its
-arrays, with no config built; the looseness demo is a ladder per bound.
+per-point path (`_point_certificate`) gives it at that point.  The grid
+functions import numpy with their first array.  A pre-log ladder is one
+`rate_fn` call with all its powers as Python floats; the coupled rate
+function evaluates each rung on floats, with no config built and no numpy,
+and the looseness demo is one array ladder per bound.
 """
 
 from __future__ import annotations
@@ -42,12 +44,11 @@ import math
 import sys
 from typing import Callable, NamedTuple, Sequence
 
-import numpy as np
-
-from .achievable import Scheme, achievable_case_c, best_achievable, best_rate, lattice_rate
+from .achievable import Scheme, _lattice_rate, _with_local_decoding, achievable_case_c
+from .achievable import best_achievable, best_rate, lattice_rate
 from .bounds import cutset_case_c, cutset_min_array, modulo_bound_array
 from .bounds import modulo_bound_case_c, outer_bounds
-from .libm import math_map, mutual_info, square
+from .libm import as_arrays, divide, isinf, math_map, mutual_info, square, where
 from .model import _LN2, ScenarioCase, _check_count, _check_fields, make_preset
 from .model import RegionPolygon, required_region_case_c  # served here as well
 
@@ -75,17 +76,18 @@ class ScalingEstimate(NamedTuple):
 
 
 def estimate_prelog(
-    rate_fn: Callable[[np.ndarray], np.ndarray],
+    rate_fn: Callable[[tuple[float, ...]], Sequence[float]],
     exponent_range: Sequence[float] = DEFAULT_EXPONENTS,
     method: str = "finite_difference",
 ) -> ScalingEstimate:
     """Estimate the pre-log of rate_fn over p_x = 2**k, k in the grid.
 
-    `rate_fn` is called once, with the array of all the powers, and must
-    give the array of their rates under whatever coupling of the remaining
-    parameters to p_x the caller wants.  The finite-difference estimate is
-    the slope between the two largest exponents; the ratio estimate is
-    rate / log2(p_x) at the largest one.
+    `rate_fn` is called once, with the tuple of all the powers (Python
+    floats, which numpy's functions take as an array), and must give a
+    sequence of their rates, one per power, under whatever coupling of the
+    remaining parameters to p_x the caller wants.  The finite-difference
+    estimate is the slope between the two largest exponents; the ratio
+    estimate is rate / log2(p_x) at the largest one.
 
     Raises:
         ValueError: on an empty, not strictly increasing or not finite grid, a power
@@ -105,11 +107,14 @@ def estimate_prelog(
         raise ValueError(f"exponents must be finite, got {exponents}")
     if exponents[0] < -1074.0:  # 2.0**k is 0.0 below
         raise ValueError(f"p_x = 2**{exponents[0]:g} underflows to 0.0")
-    powers = np.array([2.0**k for k in exponents])
-    rates = np.asarray(rate_fn(powers), dtype=float)
-    if rates.shape != powers.shape:
-        raise ValueError(f"rate_fn gave {rates.shape} rates for {powers.size} powers")
-    rates = rates.tolist()
+    powers = tuple(2.0**k for k in exponents)
+    rates = rate_fn(powers)
+    try:
+        rates = [float(r) for r in rates]
+    except TypeError:  # not a sequence of numbers
+        raise ValueError(f"rate_fn gave {rates!r}, not rates for {len(powers)} powers") from None
+    if len(rates) != len(powers):
+        raise ValueError(f"rate_fn gave {len(rates)} rates for {len(powers)} powers")
     for k, r in zip(exponents, rates):
         if not math.isfinite(r):
             raise ValueError(f"rate_fn(2**{k}) = {r!r} is not finite")
@@ -122,13 +127,13 @@ def estimate_prelog(
     return ScalingEstimate(prelog, exponents, tuple(rates), method)
 
 
-def _parse_coupling(coupling: str) -> Callable[[np.ndarray], np.ndarray]:
-    """Interferer power of an array of p_x: 'pj=px', 'pj=sqrt(px)' or 'pj=<value>'."""
+def _parse_coupling(coupling: str) -> Callable[[float], float]:
+    """Interferer power of a p_x: 'pj=px', 'pj=sqrt(px)' or 'pj=<value>'."""
     key = coupling.replace(" ", "").lower()
     if key == "pj=px":
         return lambda p_x: p_x
     if key == "pj=sqrt(px)":
-        return np.sqrt
+        return math.sqrt
     try:
         if not key.startswith("pj="):
             raise ValueError
@@ -138,14 +143,14 @@ def _parse_coupling(coupling: str) -> Callable[[np.ndarray], np.ndarray]:
                          f"got {coupling!r}") from None
     if not value > 0.0:
         raise ValueError(f"constant interferer power must be > 0, got {value}")
-    return lambda p_x: np.full(p_x.shape, value)
+    return lambda p_x: value
 
 
 def coupled_capacity_rate_fn(
     case: ScenarioCase,
     coupling: str = "pj=px",
     capacity_scale: float = 1.0,
-) -> Callable[[np.ndarray], np.ndarray]:
+) -> Callable[[Sequence[float]], list[float]]:
     """Rate-vs-power function with link capacities tied to the power.
 
     Capacities grow with p_x exactly as the sufficiency side of each
@@ -159,29 +164,30 @@ def coupled_capacity_rate_fn(
     At scale 1.0 the resulting pre-log is 1/2; scaling the capacities down
     (e.g. by 0.8) drags the pre-log below 1/2, witnessing necessity.  A
     coupling constant must be > 0 and the scale finite and >= 0, so that the
-    function maps any array of finite powers > 0 to finite links >= 0 (Case
-    A's c1 is inf) and their `achievable.best_rate`, in one call.
+    function maps a sequence of finite powers > 0 to finite links >= 0 (Case
+    A's c1 is inf) and to the list of their best rates (`achievable.best_rate`),
+    each evaluated on Python floats, with no numpy.
     """
     pj_of = _parse_coupling(coupling)
     if not 0.0 <= capacity_scale < math.inf:
         raise ValueError(f"capacity scale must be finite and >= 0, got {capacity_scale!r}")
 
-    @np.errstate(all="ignore")
-    def rate(p_x: np.ndarray) -> np.ndarray:
-        if not np.all((0.0 < p_x) & (p_x < math.inf)):
+    def rung(p_x: float) -> float:
+        if not 0.0 < p_x < math.inf:
             raise ValueError(f"every p_x must be finite and > 0 ({coupling})")
         p_j = pj_of(p_x)
-        target = np.maximum(0.5 * math_map(math.log2, p_x), 0.0)
+        target = max(0.5 * math.log2(p_x), 0.0)
         if case is ScenarioCase.CASE_C:
             g = mutual_info(p_x, p_j)
-            c1 = capacity_scale * np.maximum(target, g)
-            c2 = capacity_scale * np.maximum(target - g, 0.0)
+            c1 = capacity_scale * max(target, g)
+            c2 = capacity_scale * max(target - g, 0.0)
         else:  # Case A: relay 1 stays unlimited
             c1 = capacity_scale * target if case is ScenarioCase.CASE_B else math.inf
-            c2 = capacity_scale * np.maximum(_interference_info(p_x, p_j), 0.0)
-        return best_rate(case, p_x, p_j, c1, c2)[0]
+            c2 = capacity_scale * max(interference_info_lower_bound(p_x, p_j), 0.0)
+        return _with_local_decoding(case, _lattice_rate(case, p_x, p_j, c1, c2),
+                                    p_x, p_j, c1, c2)[0]
 
-    return rate
+    return lambda p_x: [rung(float(p)) for p in p_x]
 
 
 def interference_info_lower_bound(p_x: float, p_j: float) -> float:
@@ -190,27 +196,21 @@ def interference_info_lower_bound(p_x: float, p_j: float) -> float:
     0.5*log2(p_x*p_j/(p_x+p_j)) bits per channel use, the floor on the
     rate of relay 2's description when the overall rate scales like
     0.5*log2(p_x); behaves like 0.5*log2(min(p_x, p_j)) for unbalanced
-    powers, and takes its limit 0.5*log2(p_x) at p_j = inf.
+    powers, and takes its limit 0.5*log2(p_x) at p_j = inf.  Where p_x + p_j
+    passes the largest float, log2 of the sum is log2(larger) + log1p(smaller/larger)/ln 2.
     """
     if not (0.0 < p_x < math.inf and p_j > 0.0):
         raise ValueError("interference information bound needs 0 < p_x < inf and p_j > 0")
-    return float(_interference_info(p_x, p_j))
-
-
-@np.errstate(all="ignore")
-def _interference_info(p_x, p_j) -> np.ndarray:
-    """`interference_info_lower_bound` as a broadcast over arrays, without its checks.
-
-    Where p_x + p_j passes the largest float, log2 of the sum is formed as
-    log2(larger) + log1p(smaller/larger)/ln 2."""
-    log_px = math_map(math.log2, p_x)
-    total = np.add(p_x, p_j)
-    larger, smaller = np.maximum(p_x, p_j), np.minimum(p_x, p_j)
-    log_sum = np.where(np.isinf(total) & np.isfinite(p_j),
-                       math_map(math.log2, larger) + math_map(math.log1p, smaller / larger) / _LN2,
-                       math_map(math.log2, total))
-    info = 0.5 * (log_px + math_map(math.log2, p_j) - log_sum)
-    return np.where(np.isinf(p_j), 0.5 * log_px, info)
+    p_x, p_j = float(p_x), float(p_j)
+    if math.isinf(p_j):
+        return 0.5 * math.log2(p_x)
+    total = p_x + p_j
+    if math.isinf(total):
+        larger, smaller = max(p_x, p_j), min(p_x, p_j)
+        log_sum = math.log2(larger) + math.log1p(smaller / larger) / _LN2
+    else:
+        log_sum = math.log2(total)
+    return 0.5 * (math.log2(p_x) + math.log2(p_j) - log_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +247,12 @@ class _Regime(NamedTuple):
     name: str
     bound: str
     claim: float
-    mask: np.ndarray
-    c2: np.ndarray | None
+    mask: object
+    c2: object
 
 
 def _gap_regimes(case: ScenarioCase, p_x,
-                 p_j: np.ndarray) -> tuple[float | np.ndarray, tuple[_Regime, ...]]:
+                 p_j) -> tuple[object, tuple[_Regime, ...]]:
     """The c1 pin of `case` and its gap regimes over a column of p_x rows (or one p_x)
     and the p_j array, broadcast against each other: a mask has one row per p_x.
 
@@ -275,9 +275,8 @@ def _gap_regimes(case: ScenarioCase, p_x,
         return h, (_Regime("standard", "cut-set", 1.29, (p_j >= 1.0) & (p_x > 1.0), None),)
     modulo = (1.0 < p_j) & (p_j < p_x)
     square_sum = square(1.0 + p_x)  # inf from p_x ~ 1.34e154 on: the product form there
-    with np.errstate(divide="ignore", over="ignore"):  # p_x = +-0 is in no cutset regime
-        threshold = np.where(np.isinf(square_sum), (1.0 + p_x) * np.divide(1.0 + p_x, p_x),
-                             square_sum / p_x)
+    threshold = where(isinf(square_sum), (1.0 + p_x) * divide(1.0 + p_x, p_x),
+                      divide(square_sum, p_x))  # p_x = +-0 is in no cutset regime
     return h, (_Regime("modulo", "modulo", 2.816, modulo, None),
                _Regime("cutset", "cut-set", 1.5, ~modulo & (p_x > 0.0) & (p_j > threshold), h))
 
@@ -290,6 +289,7 @@ def _gap_tiles(case: ScenarioCase, px_grid: Sequence[float], pj_grid: Sequence[f
     A tile is as many whole p_x rows as fit in `_GAP_BLOCK` points, or, where one row
     has more p_j, `_GAP_BLOCK` p_j of one row; its points in row order are in grid order.
     """
+    import numpy as np
     p_x, p_j = np.asarray(px_grid, dtype=float), np.asarray(pj_grid, dtype=float)
     half_log_pj = math_map(math.log2, np.maximum(p_j, 1.0))  # no c2 pin reads p_j < 1
     half_log_pj *= 0.5
@@ -305,7 +305,7 @@ def _gap_tiles(case: ScenarioCase, px_grid: Sequence[float], pj_grid: Sequence[f
             yield regimes, (px, pj, c1, c2)
 
 
-def _gaps(case: ScenarioCase, regimes, px, pj, c1, c2) -> list[np.ndarray]:
+def _gaps(case: ScenarioCase, regimes, px, pj, c1, c2) -> list:
     """Outer bound minus rate of each regime at its points of the tile, -inf at the
     others: one array-core rate call for the tile, and one call per kind of bound."""
     rate = (lattice_rate(case, px, pj, c1, c2) if case is ScenarioCase.CASE_C
@@ -313,10 +313,10 @@ def _gaps(case: ScenarioCase, regimes, px, pj, c1, c2) -> list[np.ndarray]:
     bounds = {"cut-set": cutset_min_array(case, px, pj, c1, c2)}
     if case is ScenarioCase.CASE_C:
         bounds["modulo"] = modulo_bound_array(px, pj, c1, c2)
-    return [np.where(regime.mask, bounds[regime.bound] - rate, -math.inf) for regime in regimes]
+    return [where(regime.mask, bounds[regime.bound] - rate, -math.inf) for regime in regimes]
 
 
-def _first_max(best: list | None, values: np.ndarray, *columns: np.ndarray) -> list:
+def _first_max(best: list | None, values, *columns) -> list:
     """Fold the next block into a running first maximum along the last axis.
 
     `best` is [value, *columns at it] of the blocks before, or None for the
@@ -325,6 +325,7 @@ def _first_max(best: list | None, values: np.ndarray, *columns: np.ndarray) -> l
     so far picks: a NaN beats every number and of equal values the earlier
     wins, across block boundaries too.
     """
+    import numpy as np
     at = np.argmax(values, axis=-1)
     first = (*np.indices(at.shape, sparse=True), at)  # per row, the index of its first maximum
     picked = [v[first] for v in (values, *columns)]
@@ -338,7 +339,7 @@ def _point_certificate(case: ScenarioCase, p_x: float, p_j: float) -> GapCertifi
     """The gap at the one point (p_x, p_j), in its regime, through the
     config-checked per-point functions (the path of a single `ChannelConfig`)."""
     p_x, p_j = float(p_x), float(p_j)
-    c1, regimes = _gap_regimes(case, p_x, np.array([p_j]))
+    c1, regimes = _gap_regimes(case, p_x, *as_arrays(p_j))
     inside = [r for r in regimes if r.mask[0]]
     if not inside:
         raise ValueError(f"(p_x={p_x}, p_j={p_j}) lies outside every {case.name} gap regime")
@@ -363,6 +364,7 @@ def _decade_grid(lo: float, hi: float, per_decade: int) -> list[float]:
     """10**e for e = lo + k/per_decade up to hi, by libm's pow, so every whole decade past
     an integer lo is an exact power of ten; ValueError where a power passes the largest
     float (numpy's 10.0**e would give inf) or no array holds them."""
+    import numpy as np
     count = (hi + 1e-9 - lo) / (1.0 / per_decade)  # the length of arange(lo, hi + 1e-9, step)
     try:
         if count > sys.maxsize:  # longer than any numpy array
@@ -396,6 +398,7 @@ def certify_gaps(
         ValueError: on a grid that is not flat, a non-finite p_x, a NaN or negative
             power in either grid (p_j = inf is accepted), or if no point lies in a regime.
     """
+    import numpy as np
     px_grid, pj_grid = (np.asarray(default_power_grid() if grid is None else grid, dtype=float)
                         for grid in (px_grid, pj_grid))
     if px_grid.ndim != 1 or pj_grid.ndim != 1:
@@ -435,9 +438,9 @@ def cutset_looseness_demo(
     if any(k < 0.0 for k in exponents):
         raise ValueError(f"looseness demo needs exponents >= 0, got {exponents}")
 
-    def point(p_x: np.ndarray):
+    def point(p_x: tuple[float, ...]):
         cap = 0.25 * math_map(math.log2, p_x)
-        return p_x, np.sqrt(p_x), cap, cap
+        return p_x, [math.sqrt(p) for p in p_x], cap, cap
 
     return (estimate_prelog(lambda p_x: cutset_min_array(ScenarioCase.CASE_C, *point(p_x)),
                             exponents),
@@ -469,13 +472,16 @@ def sweep_sum_capacity(
 ) -> list[SweepPoint]:
     """Best achievable rate per total link budget, optimizing the split.
 
-    For every sum c1 + c2 in `sum_capacities` the split is chosen by a
-    uniform search with `split_samples` points (the objective is unimodal
-    on the grids of interest); the reported cut-set value is likewise the
-    best (largest) cut-set bound over splits, i.e. the outer envelope a
-    genie split could reach.  Applies to Cases B and C; Case C points also
-    carry the (split-independent) modulo bound.  The powers are checked once.
+    For every sum c1 + c2 in `sum_capacities` the reported rate is the best
+    over `split_samples` evenly spaced splits c1 = 0 ... sum, the lowest c1 on
+    a tie.  It is the best over these samples alone: the rate need not be
+    unimodal in the split (Case C can have two interior maxima), and a split
+    between the samples may do better.  The cut-set column is likewise the
+    largest cut-set bound over the same sampled splits, which can fall short
+    of its supremum over all splits.  Applies to Cases B and C; Case C points
+    also carry the (split-independent) modulo bound.  The powers are checked once.
     """
+    import numpy as np
     if case not in (ScenarioCase.CASE_B, ScenarioCase.CASE_C):
         raise ValueError("the sum-capacity sweep applies to Cases B and C")
     _check_count("split_samples", split_samples, 2)
@@ -507,9 +513,10 @@ def sweep_sum_capacity(
     return list(map(SweepPoint, totals.tolist(), rate, schemes, c1, c2, cutset, modulo))
 
 
-def _splits(totals: np.ndarray, n: int, start: int, stop: int) -> np.ndarray:
+def _splits(totals, n: int, start: int, stop: int):
     """Row k is np.linspace(0.0, totals[k], n)[start:stop], bit for bit, subnormal
     steps included."""
+    import numpy as np
     stop = min(stop, n)
     i, step = np.arange(start, stop, dtype=float), totals[:, None] / (n - 1)
     c1 = np.where(step == 0.0, i / (n - 1) * totals[:, None], i * step)

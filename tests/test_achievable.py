@@ -204,7 +204,7 @@ class TestSchemeInternals:
     def test_rate_of_explicit_parts_uses_them(self):
         p_neq = equivalent_noise_power(15.0, 1.0, 1.0, 0.4, 0.7, 1.3, 2.0)
         assert p_neq == pytest.approx(0.4**2 * 2 + (1 - 0.8) ** 2 * 15 + 0.7 + 1.3, rel=1e-15)
-        rate = _clamped_rate(15.0, p_neq).item()
+        rate = _clamped_rate(15.0, p_neq)
         assert rate == pytest.approx(max(0.5 * math.log2(15 / p_neq), 0.0), rel=1e-14)
 
     def test_derived_rate_never_exceeds_its_lattice_form(self):
@@ -216,7 +216,7 @@ class TestSchemeInternals:
             c1, c2 = 10.0 ** rng.uniform(-1, 2, 2)
             rep = achievable_case_c(p_x, p_j, c1, c2, "derived")
             p_neq = equivalent_noise_power(p_x, 1.0, 1.0, rep.alpha, rep.p_d1, rep.p_d2, 2.0)
-            assert rep.rate <= _clamped_rate(p_x, p_neq).item() + 1e-12
+            assert rep.rate <= float(_clamped_rate(p_x, p_neq)) + 1e-12
 
     def test_mmse_alpha_in_unit_interval(self):
         rng = np.random.default_rng(41)

@@ -1,6 +1,8 @@
-"""The array core equals the frozen scalar closed forms, bit for bit.
+"""The closed forms equal the frozen scalar closed forms, bit for bit.
 
 `scalar_reference` keeps the per-point implementations the core replaced.
+The core is one copy of each formula: the array entries run it over numpy
+arrays, on either libm path, and the per-point entries on Python floats.
 Every test draws at least 10**4 random points per case, with the edge
 values mixed in: links of 0 and inf bits, p_j of 0 and inf, p_x = 0, and
 small links that put p_x/p_neq inside (0.5, 2), where the rate is taken
@@ -9,6 +11,7 @@ zero or a last-bit difference fails.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -77,6 +80,18 @@ def as_lists(*arrays):
     return [a.tolist() for a in arrays]
 
 
+def point_bits(values) -> list:
+    """Floats by their bit patterns, anything else (a scheme, a branch, None) as it is."""
+    return [struct.pack("<d", v) if isinstance(v, float) else v for v in values]
+
+
+@pytest.fixture(params=[True, False], ids=["ufunc-path", "per-element-path"])
+def libm_path(request, monkeypatch):
+    """Each libm path of the array core in turn (the ufunc path only where numpy's loops
+    give libm's bits)."""
+    monkeypatch.setattr(libm, "_UFUNC_PATH", request.param and libm._UFUNC_PATH)
+
+
 POINT_ENTRIES = {
     A: lambda p_x, p_j, c1, c2, variant: achievable_case_a(p_x, p_j, c2),
     B: lambda p_x, p_j, c1, c2, variant: achievable_case_b(p_x, p_j, c1, c2),
@@ -118,6 +133,7 @@ def assert_reports_equal(case, variant, points, reports):
 @pytest.mark.parametrize("case, variant, seed", [
     (A, "prop", 1), (B, "prop", 2), (C, "prop", 3), (C, "derived", 4),
 ])
+@pytest.mark.usefixtures("libm_path")
 def test_lattice_rates_equal_reference(case, variant, seed):
     p_x, p_j, c1, c2 = random_points(seed)
     if case is A:
@@ -136,6 +152,7 @@ def test_lattice_rates_equal_reference(case, variant, seed):
 
 
 @pytest.mark.parametrize("case, seed", [(B, 5), (C, 6)])
+@pytest.mark.usefixtures("libm_path")
 def test_local_decoding_and_best_scheme_equal_reference(case, seed):
     p_x, p_j, c1, c2 = random_points(seed)
     points = list(zip(*as_lists(p_x, p_j, c1, c2)))
@@ -149,6 +166,7 @@ def test_local_decoding_and_best_scheme_equal_reference(case, seed):
 
 
 @pytest.mark.parametrize("case, seed", [(A, 14), (B, 15), (C, 16)])
+@pytest.mark.usefixtures("libm_path")
 def test_rates_on_broadcasts_equal_reference(case, seed):
     # the grids take the rates alone; p_x = 0 is mixed in
     p_x, p_j, c1, c2 = random_points(seed)
@@ -168,6 +186,7 @@ def test_rates_on_broadcasts_equal_reference(case, seed):
 
 
 @pytest.mark.parametrize("case, seed", [(A, 7), (B, 8), (C, 9)])
+@pytest.mark.usefixtures("libm_path")
 def test_bounds_equal_reference(case, seed):
     p_x, p_j, c1, c2 = random_points(seed)
     if case is A:
@@ -276,6 +295,34 @@ def test_math_map_keeps_shape_and_bits(x):
     values = np.asarray(x, dtype=float)
     assert out.shape == values.shape
     assert_bits_equal(out.ravel(), [math.expm1(v) for v in values.ravel().tolist()])
+
+
+@pytest.mark.parametrize("case, seed", [(A, 17), (B, 18), (C, 19)])
+def test_point_entries_equal_reference(case, seed):
+    # the per-point entries evaluate on Python floats, with no array
+    for point in zip(*as_lists(*random_points(seed))):
+        p_x, p_j, c1, c2 = point
+        if case is A:
+            point = (p_x, p_j, math.inf, c2)
+            entries = [(achievable_case_a(p_x, p_j, c2), ref.achievable_case_a(p_x, p_j, c2))]
+        elif case is B:
+            entries = [(achievable_case_b(*point), ref.achievable_case_b(*point))]
+        else:
+            entries = [(achievable_case_c(*point, v), ref.achievable_case_c(*point, v))
+                       for v in ("prop", "derived")]
+        if case is not A:
+            entries.append((local_decode_baseline(case, *point),
+                            ref.local_decode_baseline(case, *point)))
+        if case is not B or math.isfinite(c1):  # a config with c1 = inf is Case A
+            cfg = make_preset(case, p_x, p_j, c1=None if case is A else c1, c2=c2)
+            entries.append((best_achievable(cfg), ref.best_report(case, *point)))
+            bound = outer_bounds(cfg, case)
+            entries.append(([v for term in bound.terms for v in term],
+                            [v for term in ref.cutset_terms(case, *point) for v in term]))
+            if case is C:
+                entries.append(([bound.modulo_bound], [ref.modulo_bound(*point)]))
+        for entry, expected in entries:
+            assert point_bits(entry) == point_bits(expected), (point, expected)
 
 
 def test_point_wrappers_equal_reference():

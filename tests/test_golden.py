@@ -4,7 +4,9 @@ Each call's stdout is compared byte for byte with `tests/golden/<name>`,
 and each `--out` call's file and its `.manifest.json` sidecar with
 `tests/golden/out/<name>` and `tests/golden/out/<name>.manifest.json`.
 The `--out` calls run in an empty directory with `TWORELAY_OUTDIR=out`,
-so the sidecar names its file by the relative path `out/<name>`.
+so the sidecar names its file by the relative path `out/<name>`.  The
+`bounds` and `scaling` calls also run as fresh CLI processes in which
+`import numpy` fails: their points are evaluated on Python floats.
 A change that alters an output on purpose regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -15,6 +17,7 @@ and says so (with the bumped schema tag) in CHANGES.md.
 import contextlib
 import io
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -88,6 +91,14 @@ OUT_CALLS = {
 
 OUT_DIR = GOLDEN_DIR / "out"
 
+#: A CLI process, its arguments after the script's, in which `import numpy` fails.
+WITHOUT_NUMPY = """
+import runpy, sys
+sys.modules["numpy"] = None
+sys.argv = ["tworelay", *sys.argv[1:]]
+runpy.run_module("tworelay.cli", run_name="__main__", alter_sys=True)
+"""
+
 
 def stdout_bytes(argv: list[str]) -> bytes:
     """Exit code 0 and the stdout of one in-process CLI call, as UTF-8 bytes."""
@@ -122,6 +133,16 @@ def test_golden_out_file_and_sidecar(name, monkeypatch, tmp_path):
     written, sidecar = out_bytes(name)
     assert written == (OUT_DIR / name).read_bytes()
     assert sidecar == (OUT_DIR / (name + ".manifest.json")).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CALLS if n.startswith(("bounds_", "scaling_"))))
+def test_point_calls_write_the_golden_bytes_without_numpy(name):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("TWORELAY_OUTDIR", None)
+    proc = subprocess.run([sys.executable, "-c", WITHOUT_NUMPY, *CALLS[name]], env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (GOLDEN_DIR / name).read_bytes()
 
 
 def write_golden() -> None:

@@ -93,6 +93,9 @@ class TestSimConfig:
         # the derived alpha = 1/(a - b) = 1e160 where the noises vanish
         (SimConfig(case="general", p_x=1, p_j=1, c1=1, c2=1, samples=10, seed=0,
                    a=1.0, b=0.0, p_n1=0.0, p_n2=0.0), {"a": 1e-160}),
+        # equal gains where the noise sum overflows: the limit 1/(a - b) of alpha is 1/0
+        (SimConfig(case="general", p_x=15, p_j=2, c1=2, c2=1, samples=10, seed=0,
+                   a=1.0, b=1.0, p_n1=1.0, p_n2=1.0), {"p_n1": 1e308, "p_n2": 1e308}),
     ], ids=lambda v: getattr(v, "case", v))
     def test_scheme_that_is_not_finite_rejected(self, base, changes):
         with pytest.raises(ValueError, match="must be finite at this config"):

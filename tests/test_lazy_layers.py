@@ -2,8 +2,10 @@
 
 `import tworelay` and `import tworelay.cli` load no layer and no numpy, nor
 do `--help`, `--version` or a usage error; each subcommand loads only the
-layers it runs, and `model` (the channel model and the Case C region, all
-that `region` runs) loads no numpy.  The CLI imports `json`, `csv` and
+layers it runs.  `model` (the channel model and the Case C region, all that
+`region` runs), `libm`, `achievable`, `bounds` and `scaling` load no numpy:
+`bounds` and `scaling` evaluate their points on Python floats, and only the
+grid commands and the simulator load numpy.  The CLI imports `json`, `csv` and
 `dataclasses` only for an output it writes with them.  The package serves
 every export, and the CLI binds the names its subcommands call, on first
 access.  Each layer defines as few dataclasses as it can, since a process
@@ -59,6 +61,8 @@ def test_unknown_names_raise_attribute_error():
         tworelay.no_such_name
     with pytest.raises(AttributeError, match="no_such_name"):
         cli.no_such_name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        importlib.import_module("tworelay.libm").no_such_name
     with pytest.raises(ImportError):
         exec("from tworelay import no_such_name", {})
 
@@ -112,8 +116,9 @@ FOOTPRINT = """
 
 NONE = []
 MODEL = ["tworelay.model"]
-CLOSED_FORMS = ["numpy", *MODEL, "tworelay.libm", "tworelay.achievable", "tworelay.bounds"]
+CLOSED_FORMS = [*MODEL, "tworelay.libm", "tworelay.achievable", "tworelay.bounds"]
 SCALING = [*CLOSED_FORMS, "tworelay.scaling"]
+GRIDS = ["numpy", *SCALING]
 SIMULATOR = ["numpy", *MODEL, "tworelay.libm", "tworelay.achievable", "tworelay.lattice_sim",
              "numpy.random"]
 #: What an output is written with (a file's sidecar is JSON), and the dataclasses
@@ -129,9 +134,9 @@ JSON, CSV = ["json", "dataclasses"], ["csv", "dataclasses"]
                       "--c2", "1"], CLOSED_FORMS + CSV, id="bounds"),
         pytest.param(["bounds", "--case", "a", "--px", "15", "--pj", "15", "--c2", "1",
                       "--format", "json"], CLOSED_FORMS + JSON, id="bounds-json"),
-        pytest.param(["gaps", "--case", "c", "--grid", "1:2:1"], SCALING + JSON, id="gaps"),
+        pytest.param(["gaps", "--case", "c", "--grid", "1:2:1"], GRIDS + JSON, id="gaps"),
         pytest.param(["sweep", "--case", "b", "--px", "10", "--pj", "1",
-                      "--sum-range", "0:2:1"], SCALING + CSV, id="sweep"),
+                      "--sum-range", "0:2:1"], GRIDS + CSV, id="sweep"),
         pytest.param(["region", "--rate", "1", "--px", "4", "--pj", "2"], MODEL + CSV,
                      id="region"),
         pytest.param(["region", "--rate", "1", "--px", "4", "--pj", "2", "--format", "svg",
@@ -168,6 +173,28 @@ MODEL_ALONE = """
 def test_the_channel_model_and_its_region_load_no_numpy(statement):
     code = MODEL_ALONE.format(statement=statement, watched=WATCHED)
     assert json.loads(_python(code).stdout) == ["tworelay.model", "dataclasses"]
+
+
+CORE_ALONE = """
+    import sys
+    import tworelay.achievable, tworelay.bounds, tworelay.scaling
+    loaded = [m for m in {watched} if m in sys.modules]
+    import json
+    import numpy as np
+    from tworelay.achievable import best_rate
+    from tworelay.model import ScenarioCase
+    rate, wins = best_rate(ScenarioCase.CASE_C, np.array([15.0, 1e8]), np.array([15.0, 1e4]),
+                           np.array([1.0, 3.0]), np.array([1.0, 2.0]))
+    print(json.dumps([loaded, rate.tolist(), wins.tolist()]))
+"""
+
+
+def test_the_closed_forms_load_no_numpy_and_their_array_entries_load_it():
+    loaded, rate, wins = json.loads(_python(CORE_ALONE.format(watched=WATCHED)).stdout)
+    assert loaded == SCALING + ["dataclasses"]
+    # the `best` rows of tests/golden/bounds_c.json and bounds_c.csv: local decoding
+    assert rate == [0.4770981551934376, 5.0]
+    assert wins == [True, True]
 
 
 @pytest.mark.parametrize(

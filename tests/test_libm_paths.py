@@ -4,9 +4,9 @@
 and `libm` runs the ufuncs (`libm._UFUNC_PATH`) only where
 `numpy.lib.introspect.opt_func_info` reports loops whose bits are libm's
 (`libm._LIBM_TARGETS`); elsewhere `math_map` and `square` call libm per
-element.  These tests check that a fresh CLI process takes the path the suite
-takes, that each accepted loop equals libm bit for bit at the extremes, for
-an array and for the 0-d and one-element input of a per-point call, that
+element.  These tests check that a fresh CLI process that loads numpy takes
+the path the suite takes, that each accepted loop equals libm bit for bit at
+the extremes, for an array and for 0-d and one-element inputs, that
 the per-element path writes the golden bytes, that the ufunc path never
 calls libm per element, and that both paths give inf where libm overflows
 and raise libm's ValueError where it reports a domain error, at every input
@@ -47,7 +47,7 @@ def _without_cpu_features() -> dict:
 
 FRESH_CLI = """
     import json, runpy, sys
-    sys.argv = ["tworelay", "bounds", "--case", "a", "--px", "15", "--pj", "15", "--c2", "1"]
+    sys.argv = ["tworelay", "gaps", "--case", "a", "--grid", "1:2:1"]
     try:
         runpy.run_module("tworelay.cli", run_name="__main__", alter_sys=True)
     except SystemExit as exit:
@@ -198,8 +198,10 @@ def test_overflow_gives_inf_on_both_paths_at_every_size(fn, ufunc_path, monkeypa
         assert op(np.float64(x)).shape == ()
         assert op(np.float64(x)).item() == math.inf
         assert op([x]).tolist() == [math.inf]
-        assert op([[2.0, x], [x, 0.5]]).tolist() == [[op(2.0).item(), math.inf],
-                                                     [math.inf, op(0.5).item()]]
+        assert op([[2.0, x], [x, 0.5]]).tolist() == [[float(op(2.0)), math.inf],
+                                                     [math.inf, float(op(0.5))]]
+        if fn is libm.square:  # a point's square: pow(x, 2.0), inf where it raises
+            assert op(x) == math.inf
 
 
 DOMAIN_ERRORS = {math.log2: [-1.0, -0.0, 0.0, -math.inf, -5e-324],
@@ -235,6 +237,11 @@ def test_the_ufunc_path_never_calls_libm_per_element(monkeypatch):
 
 @pytest.mark.parametrize("ufunc_path", [True, False])
 def test_lattice_rate_of_an_overflowing_alpha_is_zero(ufunc_path, monkeypatch):
+    # at a point of floats, and over one-element arrays as the array entries run them
     monkeypatch.setattr(libm, "_UFUNC_PATH", ufunc_path and libm._UFUNC_PATH)
     p_neq = equivalent_noise_power(1.0, 1.0, 1.0, 1e200, 0.0, 0.0, 1.0)
-    assert (_clamped_rate(1.0, p_neq).item(), float(p_neq)) == (0.0, math.inf)
+    assert (_clamped_rate(1.0, p_neq), p_neq) == (0.0, math.inf)
+    with np.errstate(all="ignore"):
+        point = [np.array([v]) for v in (1.0, 1.0, 1.0, 1e200, 0.0, 0.0)]
+        p_neq = equivalent_noise_power(*point, 1.0)
+        assert (_clamped_rate(point[0], p_neq).tolist(), p_neq.tolist()) == ([0.0], [math.inf])

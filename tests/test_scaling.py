@@ -34,8 +34,8 @@ from tworelay.scaling import (
 
 
 def constant(value):
-    """An array rate_fn that gives `value` at every power."""
-    return lambda p: np.full(p.shape, value)
+    """A numpy rate_fn that gives `value` at every power."""
+    return lambda p: np.full(len(p), value)
 
 
 class TestEstimatePrelog:
@@ -71,7 +71,7 @@ class TestEstimatePrelog:
         # 2.0**k is 0.0 below -1074, so a rung there would be computed at p_x = 0
         for ladder in ([-1100.0, 3.0], [-1100.0, -1080.0]):
             with pytest.raises(ValueError, match=r"^p_x = 2\*\*-1100 underflows to 0.0$"):
-                estimate_prelog(lambda p: np.log2(1 + p), ladder)
+                estimate_prelog(lambda p: np.log2(1 + np.asarray(p)), ladder)
 
     @pytest.mark.parametrize("method", ["finite_difference", "ratio"])
     @pytest.mark.parametrize("ladder", [
@@ -89,7 +89,7 @@ class TestEstimatePrelog:
 
     @pytest.mark.parametrize("rate_fn, ladder, method", [
         (np.ones_like, [math.nan], "ratio"),  # gave prelog nan
-        (lambda p: np.log2(1 + p), [-math.inf, 3.0], "finite_difference"),  # gave 0.0
+        (lambda p: np.log2(1 + np.asarray(p)), [-math.inf, 3.0], "finite_difference"),  # gave 0.0
     ], ids=["nan-ratio", "minus-inf-finite-difference"])
     def test_an_exponent_that_is_not_finite_is_refused(self, rate_fn, ladder, method):
         with pytest.raises(ValueError) as refused:
@@ -97,7 +97,7 @@ class TestEstimatePrelog:
         assert str(refused.value) == f"exponents must be finite, got {tuple(ladder)}"
 
     def test_the_smallest_subnormal_power_is_accepted(self):
-        est = estimate_prelog(lambda p: np.log2(1 + p), [-1074.0, 3.0])
+        est = estimate_prelog(lambda p: np.log2(1 + np.asarray(p)), [-1074.0, 3.0])
         assert est.rate_samples == (0.0, math.log2(9.0))
         assert est.prelog == math.log2(9.0) / 1077.0
 
@@ -105,6 +105,10 @@ class TestEstimatePrelog:
         # the whole ladder goes to rate_fn at once; a scalar is not taken as every rung's rate
         with pytest.raises(ValueError, match="rates for 2 powers"):
             estimate_prelog(lambda p: 1.0, [10, 11])
+        with pytest.raises(ValueError, match="^rate_fn gave 1 rates for 2 powers$"):
+            estimate_prelog(lambda p: [1.0], [10, 11])
+        with pytest.raises(ValueError, match="^rate_fn gave 3 rates for 2 powers$"):
+            estimate_prelog(lambda p: np.ones(3), [10, 11])
 
     def test_case_a_coupling_reaches_half(self):
         est = estimate_prelog(coupled_capacity_rate_fn(ScenarioCase.CASE_A))
@@ -156,11 +160,14 @@ class TestArrayLadders:
     @pytest.mark.usefixtures("no_config")
     @pytest.mark.parametrize("case", list(ScenarioCase))
     def test_a_ladder_is_one_call_and_builds_no_config(self, case, monkeypatch):
+        # one rate_fn call with every power as a Python float; each rung runs on
+        # floats, through no array entry
         calls = []
-        core, rate_fn = scaling.best_rate, coupled_capacity_rate_fn(case, "pj=sqrt(px)", 0.8)
-        monkeypatch.setattr(scaling, "best_rate", lambda *a: calls.append("core") or core(*a))
-        est = estimate_prelog(lambda p: calls.append(p.size) or rate_fn(p), range(10, 1001))
-        assert calls == [991, "core"]
+        rate_fn = coupled_capacity_rate_fn(case, "pj=sqrt(px)", 0.8)
+        monkeypatch.setattr(scaling, "best_rate", lambda *a: calls.append("core"))
+        est = estimate_prelog(lambda p: calls.append((type(p), len(p), {type(v) for v in p}))
+                              or rate_fn(p), range(10, 1001))
+        assert calls == [(tuple, 991, {float})]
         assert len(est.rate_samples) == 991
 
     @pytest.mark.usefixtures("no_config")
@@ -192,6 +199,51 @@ class TestArrayLadders:
     def test_the_rate_function_refuses_a_zero_power(self, case):
         with pytest.raises(ValueError, match="every p_x"):
             coupled_capacity_rate_fn(case)(np.array([0.0, 1024.0]))
+
+
+def array_ladder(case, coupling, scale):
+    """The coupled rate function as numpy ran it over a whole ladder before its rungs
+    ran on floats: the couplings over the power array, then one `best_rate` call."""
+    def interference_info(p_x, p_j):
+        log_px = libm.math_map(math.log2, p_x)
+        total = np.add(p_x, p_j)
+        larger, smaller = np.maximum(p_x, p_j), np.minimum(p_x, p_j)
+        log_sum = np.where(np.isinf(total) & np.isfinite(p_j),
+                           libm.math_map(math.log2, larger)
+                           + libm.math_map(math.log1p, smaller / larger) / math.log(2.0),
+                           libm.math_map(math.log2, total))
+        info = 0.5 * (log_px + libm.math_map(math.log2, p_j) - log_sum)
+        return np.where(np.isinf(p_j), 0.5 * log_px, info)
+
+    def rate(p_x):
+        p_x = np.asarray(p_x, dtype=float)
+        p_j = (p_x if coupling == "pj=px" else np.sqrt(p_x) if coupling == "pj=sqrt(px)"
+               else np.full(p_x.shape, float(coupling[3:])))
+        with np.errstate(all="ignore"):
+            target = np.maximum(0.5 * libm.math_map(math.log2, p_x), 0.0)
+            if case is ScenarioCase.CASE_C:
+                g = libm.mutual_info(p_x, p_j)
+                c1 = scale * np.maximum(target, g)
+                c2 = scale * np.maximum(target - g, 0.0)
+            else:
+                c1 = scale * target if case is ScenarioCase.CASE_B else math.inf
+                c2 = scale * np.maximum(interference_info(p_x, p_j), 0.0)
+            return best_rate(case, p_x, p_j, c1, c2)[0]
+
+    return rate
+
+
+class TestFloatLadders:
+    @pytest.mark.parametrize("ladder", [range(10, 41), range(10, 1001), range(-1074, 1024)],
+                             ids=["default", "10:1000", "widest"])
+    @pytest.mark.parametrize("scale", [1.0, 0.8])
+    @pytest.mark.parametrize("coupling", ["pj=px", "pj=sqrt(px)", "pj=37252.9"])
+    @pytest.mark.parametrize("case", list(ScenarioCase))
+    def test_float_ladder_equals_the_array_ladder(self, case, coupling, scale, ladder):
+        floats = estimate_prelog(coupled_capacity_rate_fn(case, coupling, scale), ladder)
+        arrays = estimate_prelog(array_ladder(case, coupling, scale), ladder)
+        assert bit_patterns(floats.rate_samples) == bit_patterns(arrays.rate_samples)
+        assert bit_patterns([floats.prelog]) == bit_patterns([arrays.prelog])
 
 
 class TestRegion:
@@ -699,8 +751,8 @@ class TestInterferenceInformationBound:
 
     def test_unlimited_interferer_takes_the_limit(self):
         assert interference_info_lower_bound(15, math.inf) == 0.5 * math.log2(15.0)
-        info = scaling._interference_info(np.array([15.0, 1e300]), math.inf)
-        assert info.tolist() == [0.5 * math.log2(15.0), 0.5 * math.log2(1e300)]
+        info = [interference_info_lower_bound(p_x, math.inf) for p_x in (15.0, 1e300)]
+        assert info == [0.5 * math.log2(15.0), 0.5 * math.log2(1e300)]
 
     def test_rejects_unlimited_transmit_power(self):
         with pytest.raises(ValueError):
@@ -713,8 +765,8 @@ class TestInterferenceInformationBound:
         assert interference_info_lower_bound(top, 1.0) == 0.0
         assert interference_info_lower_bound(1e308, 1e308) == pytest.approx(
             0.5 * math.log2(1e308 / 2.0), rel=1e-15)
-        info = scaling._interference_info(np.array([2.0**1022, top]), np.array([2.0**1022, top]))
-        assert info.tolist() == [510.5, 511.0]
+        info = [interference_info_lower_bound(p, p) for p in (2.0**1022, top)]
+        assert info == [510.5, 511.0]
 
 
 class TestSweep:
