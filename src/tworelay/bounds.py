@@ -87,9 +87,13 @@ def _cutset_terms(case: ScenarioCase, p_x, p_j, c1, c2) -> list[tuple[str, objec
 
 
 def cutset_min_array(case: ScenarioCase, p_x, p_j, c1, c2):
-    """The cut-set bound over the broadcast grid: the first smallest term, as min() takes it."""
-    terms = (value for _, value in cutset_term_arrays(case, p_x, p_j, c1, c2))
-    return functools.reduce(lambda low, v: where(v < low, v, low), terms)
+    """The cut-set bound over the broadcast grid (see `_cutset_min`)."""
+    return _cutset_min(cutset_term_arrays(case, p_x, p_j, c1, c2))
+
+
+def _cutset_min(terms: list[tuple[str, object]]):
+    """The first smallest of labelled terms, as min() takes it, at a point or over arrays."""
+    return functools.reduce(lambda low, v: where(v < low, v, low), (v for _, v in terms))
 
 
 @array_entry

@@ -19,11 +19,13 @@ infers the case once more (ROADMAP item 2 makes these one check).
 A process imports only what its subcommand runs (`_bind`): ``region`` the
 channel model alone, ``bounds`` the closed forms, ``scaling`` and the grid
 commands `scaling` as well, ``simulate`` and ``cover`` the simulator.  A
-single point is evaluated on Python floats, so ``region``, ``bounds`` and
-``scaling`` (a pre-log ladder, rung by rung) load no numpy; ``sweep``,
-``gaps``, ``simulate`` and ``cover`` load it with their first array.  ``json``,
-``csv`` and ``dataclasses.asdict`` are imported where an output is written
-with them, so a bare import, ``--help`` and ``--version`` load none of them.
+single point is evaluated on Python floats, so ``region``, ``bounds``,
+``scaling`` (a pre-log ladder, rung by rung) and ``gaps`` on a grid of at
+most 4 096 points (the default 41 x 41 among them, point by point) load no
+numpy; ``sweep``, ``simulate``, ``cover`` and larger gap grids load it with
+their first array.  ``json``, ``csv`` and ``dataclasses.asdict`` are imported
+where an output is written with them, so a bare import, ``--help`` and
+``--version`` load none of them.
 
 Exit codes: 0 success, 2 invalid usage/parameters, 3 certificate violation.
 Deterministic commands are byte-reproducible; stochastic ones are
@@ -403,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gaps", help="certify achievable-vs-bound gaps over a power grid")
     p.add_argument("--case", choices=("a", "b", "c"), required=True)
     p.add_argument("--grid", default="default",
-                   help="'default' or exp_lo:exp_hi:points_per_decade (powers of ten)")
+                   help="'default' (1:9:5: 41 powers of ten per axis over [10, 1e9]) or "
+                        "exp_lo:exp_hi:points_per_decade (powers of ten)")
     p.set_defaults(func=cmd_gaps)
 
     p = sub.add_parser("scaling", help="pre-log estimate under a capacity coupling")

@@ -2,14 +2,14 @@
 
 The closed forms are written once, on helpers that take a point of Python
 floats or numpy arrays alike (`where`, `isinf`, `isfinite`, `logical_not`,
-`any_true`, `divide`, `square`, `apply`).  At a point they run the `math`
-module and give IEEE results where Python raises: inf or NaN at a zero
-divisor, inf where libm overflows.  Both operands of a point's `where` are
-formed before the call, so neither may raise; `apply` takes a mask of the
-points where libm is to run, at a point and over arrays.  Over arrays the helpers run numpy, imported with
-the first array (`_numpy`), and `array_entry` runs an entry of the array core
-with numpy's warnings off.  numpy's float64 takes the array path, so a 0-d
-input stays 0-d.
+`any_true`, `count_true`, `divide`, `square`, `apply`, `flat`, `quiet`).  At
+a point they run the `math` module and give IEEE results where Python
+raises: inf or NaN at a zero divisor, inf where libm overflows.  Both
+operands of a point's `where` are formed before the call, so neither may
+raise; `apply` takes a mask of the points where libm is to run.  Over arrays
+the helpers run numpy, imported with the first array (`_numpy`), and
+`array_entry` and `quiet` switch numpy's warnings off.  numpy's float64
+takes the array path, so a 0-d input stays 0-d.
 
 Over arrays every transcendental goes through `math_map` or `square`, which
 give libm's bits: through numpy's ufuncs where their loops do
@@ -22,8 +22,8 @@ and every Gaussian mutual information through `mutual_info`, which gives
 
 from __future__ import annotations
 
+import contextlib
 import functools
-import itertools
 import math
 import operator
 from typing import Callable
@@ -77,6 +77,23 @@ isinf, isfinite = _pointwise(math.isinf, "isinf"), _pointwise(math.isfinite, "is
 logical_not, any_true = _pointwise(operator.not_, "logical_not"), _pointwise(bool, "any")
 
 
+def count_true(x) -> int:
+    """The number of points where x holds: 0 or 1 at a point."""
+    return int(x if type(x) in _POINT else _numpy().count_nonzero(x))
+
+
+def flat(*values) -> tuple:
+    """The values broadcast and raveled, or as they are at a point of floats (the first's)."""
+    if type(values[0]) in _POINT:
+        return values
+    return tuple(v.ravel() for v in _numpy().broadcast_arrays(*values))
+
+
+def quiet(x):
+    """A context with numpy's warnings off over arrays; a point of floats raises none."""
+    return contextlib.nullcontext() if type(x) in _POINT else _numpy().errstate(all="ignore")
+
+
 def divide(a, b):
     """a / b, IEEE at b = 0 as well (inf of the quotient's sign, NaN for a = 0 or NaN),
     with numpy's warnings off."""
@@ -90,7 +107,10 @@ def apply(fn: Callable[[float], float], x, mask=True):
     """The `math` function `fn` at a point, inf where it overflows, or `math_map` over
     arrays, evaluated only where `mask` holds (0.0 elsewhere)."""
     if type(x) in _POINT and type(mask) is bool:
-        return _or_inf(fn, x) if mask else 0.0
+        try:
+            return fn(x) if mask else 0.0
+        except OverflowError:  # upward: no function mapped here overflows toward -inf
+            return math.inf
     if mask is True:
         return math_map(fn, x)
     x, mask = _numpy().broadcast_arrays(x, mask)
@@ -138,34 +158,30 @@ def math_map(fn: Callable[[float], float], x):
 def square(x):
     """x**2 as Python's float ** computes it: libm pow, not x*x, and inf where it overflows.
 
-    At a point `pow(x, 2.0)`; over arrays, on the ufunc path, np.power of the flat x with an
+    At a point `x**2.0`; over arrays, on the ufunc path, np.power of the flat x with an
     exponent array, at every size (one of stride 0, as a scalar or 0-d one has, takes x*x);
     else `pow(v, 2.0)` per element."""
     if type(x) in _POINT:
-        return _or_inf(pow, x, 2.0)
+        try:
+            return x**2.0
+        except OverflowError:
+            return math.inf
     x = _numpy().asarray(x, dtype=float)
     if not _UFUNC_PATH:
-        return _per_element(pow, x, 2.0)
+        return _per_element(functools.partial(pow, exp=2.0), x)
     with np.errstate(all="ignore"):
         return np.power(x.ravel(), np.full(x.size, 2.0)).reshape(x.shape)
 
 
-def _per_element(fn: Callable[..., float], x, *args: float):
-    """fn(v, *args) for each element v of x, from its flat buffer; where libm overflows
+def _per_element(fn: Callable[[float], float], x):
+    """fn(v) for each element v of x, from its flat buffer; where libm overflows
     (OverflowError, where numpy's loops give inf), formed again with inf there."""
     elements = memoryview(x.ravel())
     try:
-        values = np.fromiter(map(fn, elements, *map(itertools.repeat, args)), float, x.size)
+        values = np.fromiter(map(fn, elements), float, x.size)
     except OverflowError:
-        values = np.fromiter((_or_inf(fn, v, *args) for v in elements), float, x.size)
+        values = np.fromiter((apply(fn, v) for v in elements), float, x.size)
     return values.reshape(x.shape)
-
-
-def _or_inf(fn: Callable[..., float], *args: float) -> float:
-    try:
-        return fn(*args)
-    except OverflowError:  # upward: no function mapped here overflows toward -inf
-        return math.inf
 
 
 #: numpy's ufunc, by name, of each `math` function `math_map` takes.

@@ -12,14 +12,17 @@ data (best link split per sum) behind the composite rate curves.  The (c1,
 c2) region needed to sustain a target rate in Case C is scalar geometry
 that `model` builds without numpy (`required_region_case_c`,
 `RegionPolygon`); it is served here under the same names as well.  The sweep
-checks its powers once; it and the gap certificates call the rates alone of
-the array core (`achievable.best_rate`, `bounds.cutset_min_array`, ...) in
-full blocks: a sweep block holds all splits of as many sums as fit in
-`_SWEEP_BLOCK` (8 192) points, or 8 192 splits of a longer sum; a gap tile
-holds as many whole p_x rows of the grid as fit in `_GAP_BLOCK` (4 096)
-points, or, where one row has more p_j, 4 096 p_j of one row.  A tile is one
-rate call for all the regimes of its case, with p_x as a column and p_j as a
-row, so a quantity of p_x alone is formed once per row; each regime masks
+checks its powers once and calls the rates alone of the array core
+(`achievable.best_rate`, `bounds.cutset_min_array`, ...) in blocks of all
+splits of as many sums as fit in `_SWEEP_BLOCK` (8 192) points, or 8 192
+splits of a longer sum.  The gap certificates call the closed-form core
+(`achievable._lattice_rate`, `bounds._cutset_terms`, ...) in tiles: a grid
+of at most `_GAP_BLOCK` (4 096) points, the default 41 x 41 among them, is
+one tile of Python floats, taken point by point, and loads no numpy; a
+larger grid's tile holds as many whole p_x rows as fit in 4 096 points, or,
+where one row has more p_j, 4 096 p_j of one row.  A tile is one rate
+evaluation for all the regimes of its case, with p_x as a column and p_j as
+a row, so a quantity of p_x alone is formed once per row; each regime masks
 the gaps of the others' points to -inf.
 
 Of each sum's splits and each regime's points only the first argmax in grid
@@ -27,12 +30,12 @@ order is reported (the lowest c1 of a sum, the first worst point of a
 regime).  `_first_max` folds the blocks and tiles into it one by one, as
 np.argmax over the whole grid would pick it, and nothing else of them is
 kept but a regime's point count and a sum's largest cut-set bound, so the
-memory of a grid follows the block, not the grid.  `libm.math_map` gives
-every value libm's bits, so the pick is the one a per-point evaluation
-makes.  A certificate carries its regime's point count and that worst point,
-not the points themselves, and reports the largest gap as the config-checked
-per-point path (`_point_certificate`) gives it at that point.  The grid
-functions import numpy with their first array.  A pre-log ladder is one
+memory of a grid follows the block, not the grid.  `libm` gives every value
+libm's bits, on floats and on arrays, so the pick is the one a per-point
+evaluation makes.  A certificate carries its regime's point count and that
+worst point, not the points themselves, and reports the largest gap as the
+config-checked per-point path (`_point_certificate`) gives it at that point.
+The sweep imports numpy with its first array.  A pre-log ladder is one
 `rate_fn` call with all its powers as Python floats; the coupled rate
 function evaluates each rung on floats, with no config built and no numpy,
 and the looseness demo is one array ladder per bound.
@@ -45,10 +48,11 @@ import sys
 from typing import Callable, NamedTuple, Sequence
 
 from .achievable import Scheme, _lattice_rate, _with_local_decoding, achievable_case_c
-from .achievable import best_achievable, best_rate, lattice_rate
-from .bounds import cutset_case_c, cutset_min_array, modulo_bound_array
-from .bounds import modulo_bound_case_c, outer_bounds
-from .libm import as_arrays, divide, isinf, math_map, mutual_info, square, where
+from .achievable import best_achievable, best_rate
+from .bounds import _cutset_min, _cutset_terms, _modulo_bound, cutset_case_c, cutset_min_array
+from .bounds import modulo_bound_array, modulo_bound_case_c, outer_bounds
+from .libm import any_true, apply, count_true, divide, flat, isinf, logical_not, math_map
+from .libm import mutual_info, quiet, square, where
 from .model import _LN2, ScenarioCase, _check_count, _check_fields, make_preset
 from .model import RegionPolygon, required_region_case_c  # served here as well
 
@@ -251,10 +255,9 @@ class _Regime(NamedTuple):
     c2: object
 
 
-def _gap_regimes(case: ScenarioCase, p_x,
-                 p_j) -> tuple[object, tuple[_Regime, ...]]:
-    """The c1 pin of `case` and its gap regimes over a column of p_x rows (or one p_x)
-    and the p_j array, broadcast against each other: a mask has one row per p_x.
+def _gap_regimes(case: ScenarioCase, p_x, p_j) -> tuple[object, tuple[_Regime, ...]]:
+    """The c1 pin of `case` and its gap regimes at a point of floats, or over a column of
+    p_x rows and a row of p_j, broadcast against each other: a mask has one row per p_x.
 
     With h = 0.5*log2(1+p_x), a case's regimes share one c1 pin (inf in Case A, h in
     Cases B and C); each covers some powers and pins c2:
@@ -266,11 +269,12 @@ def _gap_regimes(case: ScenarioCase, p_x,
     Cases A and B measure the best scheme, Case C the lattice scheme alone; the
     narrow band between the Case C regimes belongs to neither.
     """
-    h = 0.5 * math_map(math.log2, 1.0 + p_x)
+    h = 0.5 * apply(math.log2, 1.0 + p_x)
     if case is ScenarioCase.CASE_A:
         high = p_j >= p_x
+        low = logical_not(high) & (p_j >= 1.0)
         return math.inf, (_Regime("high_interference", "cut-set", 0.7925, high, h),
-                          _Regime("low_interference", "cut-set", 1.0, ~high & (p_j >= 1.0), None))
+                          _Regime("low_interference", "cut-set", 1.0, low, None))
     if case is ScenarioCase.CASE_B:
         return h, (_Regime("standard", "cut-set", 1.29, (p_j >= 1.0) & (p_x > 1.0), None),)
     modulo = (1.0 < p_j) & (p_j < p_x)
@@ -278,42 +282,55 @@ def _gap_regimes(case: ScenarioCase, p_x,
     threshold = where(isinf(square_sum), (1.0 + p_x) * divide(1.0 + p_x, p_x),
                       divide(square_sum, p_x))  # p_x = +-0 is in no cutset regime
     return h, (_Regime("modulo", "modulo", 2.816, modulo, None),
-               _Regime("cutset", "cut-set", 1.5, ~modulo & (p_x > 0.0) & (p_j > threshold), h))
+               _Regime("cutset", "cut-set", 1.5,
+                       logical_not(modulo) & (p_x > 0.0) & (p_j > threshold), h))
 
 
 def _gap_tiles(case: ScenarioCase, px_grid: Sequence[float], pj_grid: Sequence[float]):
     """(regimes, (p_x, p_j, c1, c2)) per tile of the grid, in grid order: the tile's
-    p_x column and p_j row, the c1 pin and regimes `_gap_regimes` gives over them, and
-    c2 per point from the regime masks (0.5*log2(p_j) outside a c2 pin, p_j < 1 as 1).
+    p_x and p_j, the c1 pin and regimes `_gap_regimes` gives over them, and c2 per
+    point from the regime masks (0.5*log2(p_j) outside a c2 pin, p_j < 1 as 1); a p_j of
+    -0.0 is taken as 0.0, whose p_x/p_j in the modulo bound is inf, not -inf.
 
-    A tile is as many whole p_x rows as fit in `_GAP_BLOCK` points, or, where one row
-    has more p_j, `_GAP_BLOCK` p_j of one row; its points in row order are in grid order.
+    A grid of at most `_GAP_BLOCK` points is one tile of Python floats, taken point by
+    point (no numpy); a larger grid's tile is as many whole p_x rows as fit in `_GAP_BLOCK`
+    points, or `_GAP_BLOCK` p_j of a longer row; its points in row order are in grid order.
     """
-    import numpy as np
-    p_x, p_j = np.asarray(px_grid, dtype=float), np.asarray(pj_grid, dtype=float)
-    half_log_pj = math_map(math.log2, np.maximum(p_j, 1.0))  # no c2 pin reads p_j < 1
-    half_log_pj *= 0.5
-    columns = min(p_j.size, _GAP_BLOCK) or 1
-    rows = _GAP_BLOCK // columns
-    for k in range(0, p_x.size, rows):
-        for s in range(0, p_j.size, columns):
-            px, pj, c2 = p_x[k:k + rows, None], p_j[s:s + columns], half_log_pj[s:s + columns]
-            c1, regimes = _gap_regimes(case, px, pj)
-            for regime in regimes:
-                if regime.c2 is not None:
-                    c2 = np.where(regime.mask, regime.c2, c2)
-            yield regimes, (px, pj, c1, c2)
+    if len(px_grid) * len(pj_grid) <= _GAP_BLOCK:
+        row = [(p_j + 0.0, 0.5 * math.log2(max(p_j, 1.0))) for p_j in map(float, pj_grid)]
+        tiles = ((p_x, p_j, c2) for p_x in map(float, px_grid) for p_j, c2 in row)
+    else:
+        import numpy as np
+        p_x, p_j = np.asarray(px_grid, dtype=float), np.asarray(pj_grid, dtype=float) + 0.0
+        half_log_pj = math_map(math.log2, np.maximum(p_j, 1.0))  # no c2 pin reads p_j < 1
+        half_log_pj *= 0.5
+        columns = min(p_j.size, _GAP_BLOCK) or 1
+        rows = _GAP_BLOCK // columns
+        tiles = ((p_x[k:k + rows, None], p_j[s:s + columns], half_log_pj[s:s + columns])
+                 for k in range(0, p_x.size, rows) for s in range(0, p_j.size, columns))
+    for px, pj, c2 in tiles:
+        c1, regimes = _gap_regimes(case, px, pj)
+        for regime in regimes:
+            if regime.c2 is not None:
+                c2 = where(regime.mask, regime.c2, c2)
+        yield regimes, (px, pj, c1, c2)
 
 
 def _gaps(case: ScenarioCase, regimes, px, pj, c1, c2) -> list:
-    """Outer bound minus rate of each regime at its points of the tile, -inf at the
-    others: one array-core rate call for the tile, and one call per kind of bound."""
-    rate = (lattice_rate(case, px, pj, c1, c2) if case is ScenarioCase.CASE_C
-            else best_rate(case, px, pj, c1, c2)[0])
-    bounds = {"cut-set": cutset_min_array(case, px, pj, c1, c2)}
-    if case is ScenarioCase.CASE_C:
-        bounds["modulo"] = modulo_bound_array(px, pj, c1, c2)
-    return [where(regime.mask, bounds[regime.bound] - rate, -math.inf) for regime in regimes]
+    """Outer bound minus rate of each regime at a point of floats or at its points of a tile,
+    -inf at the others: one rate evaluation for all the regimes (the lattice scheme's in Case
+    C, the best in A and B), and one per kind of bound that a regime with points there needs."""
+    with quiet(px):
+        rate = _lattice_rate(case, px, pj, c1, c2)
+        if case is not ScenarioCase.CASE_C:
+            rate = _with_local_decoding(case, rate, px, pj, c1, c2)[0]
+        bounds = {}
+        for regime in regimes:
+            if regime.bound not in bounds and any_true(regime.mask):
+                bounds[regime.bound] = (_modulo_bound(px, pj, c1, c2) if regime.bound == "modulo"
+                                        else _cutset_min(_cutset_terms(case, px, pj, c1, c2)))
+        return [where(regime.mask, bounds.get(regime.bound, rate) - rate, -math.inf)
+                for regime in regimes]  # a regime with no point here: -inf throughout
 
 
 def _first_max(best: list | None, values, *columns) -> list:
@@ -321,31 +338,35 @@ def _first_max(best: list | None, values, *columns) -> list:
 
     `best` is [value, *columns at it] of the blocks before, or None for the
     first block; `values` and `columns` hold the block, one row per running
-    maximum.  The result is what np.argmax over the rows of all the blocks
-    so far picks: a NaN beats every number and of equal values the earlier
-    wins, across block boundaries too.
+    maximum, or the Python floats of one point.  The result is what np.argmax
+    over the rows of all the blocks so far picks: a NaN beats every number and
+    of equal values the earlier wins, across block boundaries too.
     """
-    import numpy as np
-    at = np.argmax(values, axis=-1)
-    first = (*np.indices(at.shape, sparse=True), at)  # per row, the index of its first maximum
-    picked = [v[first] for v in (values, *columns)]
+    picked, point = [values, *columns], isinstance(values, float)
+    if not point:
+        import numpy as np
+        at = np.argmax(values, axis=-1)
+        first = (*np.indices(at.shape, sparse=True), at)  # per row, the index of its first maximum
+        picked = [v[first] for v in picked]
     if best is None:
         return picked
-    later = ((picked[0] > best[0]) | np.isnan(picked[0])) & ~np.isnan(best[0])
-    return [np.where(later, new, old) for new, old in zip(picked, best)]
+    later = ((picked[0] > best[0]) | (picked[0] != picked[0])) & (best[0] == best[0])  # NaN: x != x
+    if point:
+        return picked if later else best
+    return [where(later, new, old) for new, old in zip(picked, best)]
 
 
 def _point_certificate(case: ScenarioCase, p_x: float, p_j: float) -> GapCertificate:
     """The gap at the one point (p_x, p_j), in its regime, through the
     config-checked per-point functions (the path of a single `ChannelConfig`)."""
     p_x, p_j = float(p_x), float(p_j)
-    c1, regimes = _gap_regimes(case, p_x, *as_arrays(p_j))
-    inside = [r for r in regimes if r.mask[0]]
+    c1, regimes = _gap_regimes(case, p_x, p_j)
+    inside = [r for r in regimes if r.mask]
     if not inside:
         raise ValueError(f"(p_x={p_x}, p_j={p_j}) lies outside every {case.name} gap regime")
     (regime,) = inside
-    c2 = 0.5 * math.log2(p_j) if regime.c2 is None else float(regime.c2)
-    cfg = make_preset(case, p_x, p_j, c1=float(c1), c2=c2)
+    c2 = 0.5 * math.log2(p_j) if regime.c2 is None else regime.c2
+    cfg = make_preset(case, p_x, p_j, c1=c1, c2=c2)
     if case is not ScenarioCase.CASE_C:
         gap = outer_bounds(cfg, case).binding - best_achievable(cfg).rate
     elif regime.bound == "modulo":
@@ -363,14 +384,18 @@ def default_power_grid() -> tuple[float, ...]:
 def _decade_grid(lo: float, hi: float, per_decade: int) -> list[float]:
     """10**e for e = lo + k/per_decade up to hi, by libm's pow, so every whole decade past
     an integer lo is an exact power of ten; ValueError where a power passes the largest
-    float (numpy's 10.0**e would give inf) or no array holds them."""
-    import numpy as np
+    float (numpy's 10.0**e would give inf) or no array holds them.  Up to `_GAP_BLOCK`
+    exponents are formed on Python floats, with np.arange's bits, and more with numpy."""
     count = (hi + 1e-9 - lo) / (1.0 / per_decade)  # the length of arange(lo, hi + 1e-9, step)
     try:
         if count > sys.maxsize:  # longer than any numpy array
             raise MemoryError
-        exps = lo + np.arange(math.ceil(count)) / per_decade
-        return [10.0**e for e in exps.tolist()]
+        if count <= _GAP_BLOCK:
+            exps = [lo + k / per_decade for k in range(math.ceil(count))]
+        else:
+            import numpy as np
+            exps = (lo + np.arange(math.ceil(count)) / per_decade).tolist()
+        return [10.0**e for e in exps]
     except OverflowError:
         raise ValueError(f"grid powers up to 10**{exps[-1]:g} overflow a float") from None
     except MemoryError:
@@ -385,34 +410,39 @@ def certify_gaps(
     """Sweep the gap over a power grid, one aggregated certificate per regime.
 
     Each regime of the case pins the link capacities to its prescribed
-    values (see `_gap_regimes`).  The grid goes to the array core in tiles
-    of at most `_GAP_BLOCK` points in grid order (`_gap_tiles`): one rate
-    call per tile for all the regimes, and one call per kind of bound.  Each
-    regime's gaps, -inf at the points of the tile outside it, are folded into
-    its point count and first worst point as they come; its largest gap is
-    then evaluated again at that point through the config-checked per-point
-    functions, so a one-point grid gives the gap of that point.  Points
-    outside every regime of the case are evaluated but reach no certificate.
+    values (see `_gap_regimes`).  A grid of at most `_GAP_BLOCK` (4 096)
+    points, the default 41 x 41 among them, is evaluated point by point on
+    Python floats and loads no numpy, a larger one in tiles of numpy arrays
+    (`_gap_tiles`), with the same bits.  Each regime's gaps, -inf at the
+    points outside it, are folded into its point count and first worst point
+    as they come; its largest gap is then evaluated again at that point
+    through the config-checked per-point functions, so a one-point grid gives
+    the gap of that point.  Points outside every regime of the case are
+    evaluated but reach no certificate.
 
     Raises:
         ValueError: on a grid that is not flat, a non-finite p_x, a NaN or negative
             power in either grid (p_j = inf is accepted), or if no point lies in a regime.
     """
-    import numpy as np
-    px_grid, pj_grid = (np.asarray(default_power_grid() if grid is None else grid, dtype=float)
-                        for grid in (px_grid, pj_grid))
-    if px_grid.ndim != 1 or pj_grid.ndim != 1:
-        raise ValueError("each grid must be a flat sequence of powers")
-    if not np.all((px_grid >= 0.0) & (px_grid < math.inf)):
+    px_grid, pj_grid = grids = [default_power_grid() if grid is None else grid
+                                for grid in (px_grid, pj_grid)]
+    try:  # a number, a string, an array of another rank or a sequence of sequences fails
+        if any(isinstance(g, (str, bytes)) or getattr(g, "ndim", 1) != 1 for g in grids):
+            raise TypeError
+        finite = all([0.0 <= float(p) < math.inf for p in px_grid])  # every power is read
+        signed = all([float(p) >= 0.0 for p in pj_grid])
+    except TypeError:
+        raise ValueError("each grid must be a flat sequence of powers") from None
+    if not finite:
         raise ValueError("every p_x of the grid must be finite and >= 0")
-    if not np.all(pj_grid >= 0.0):
+    if not signed:
         raise ValueError("every p_j of the grid must be >= 0 (inf is accepted)")
     counts, worst = {}, {}  # per regime name: its points, and [gap, p_x, p_j] at the first worst
     for regimes, point in _gap_tiles(case, px_grid, pj_grid):
-        px, pj = (v.ravel() for v in np.broadcast_arrays(*point[:2]))
+        px, pj = flat(*point[:2])
         for regime, gaps in zip(regimes, _gaps(case, regimes, *point)):
-            counts[regime.name] = counts.get(regime.name, 0) + int(np.count_nonzero(regime.mask))
-            worst[regime.name] = _first_max(worst.get(regime.name), gaps.ravel(), px, pj)
+            counts[regime.name] = counts.get(regime.name, 0) + count_true(regime.mask)
+            worst[regime.name] = _first_max(worst.get(regime.name), *flat(gaps), px, pj)
     names = sorted(name for name, count in counts.items() if count)
     if not names:
         raise ValueError(f"no grid point lies inside a {case.name} gap regime")

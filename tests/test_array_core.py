@@ -252,10 +252,13 @@ def assert_certificates_equal_reference(case, px_grid, pj_grid):
 
 
 @pytest.mark.parametrize("case", [A, B, C])
-def test_gap_certificates_equal_reference_across_blocks(case, monkeypatch):
-    monkeypatch.setattr(scaling, "_GAP_BLOCK", _BLOCK)
+def test_gap_certificates_equal_reference_across_blocks(case, gap_driver, monkeypatch):
+    # on tiles of 2 048 points, or on Python floats point by point
+    if gap_driver == "tiles":
+        monkeypatch.setattr(scaling, "_GAP_BLOCK", _BLOCK)
     grid = (10.0 ** np.linspace(-1.0, 9.0, 101)).tolist()
     assert len(grid) % (_BLOCK // len(grid)) != 0  # the last tile holds fewer rows
+    assert (len(grid) ** 2 <= scaling._GAP_BLOCK) == (gap_driver == "floats")
     expected = assert_certificates_equal_reference(case, grid, grid)
     assert all(len(points) > _BLOCK for points in expected.values())
 

@@ -5,8 +5,9 @@ and each `--out` call's file and its `.manifest.json` sidecar with
 `tests/golden/out/<name>` and `tests/golden/out/<name>.manifest.json`.
 The `--out` calls run in an empty directory with `TWORELAY_OUTDIR=out`,
 so the sidecar names its file by the relative path `out/<name>`.  The
-`bounds` and `scaling` calls also run as fresh CLI processes in which
-`import numpy` fails: their points are evaluated on Python floats.
+`bounds`, `scaling` and `gaps` calls also run as fresh CLI processes in
+which `import numpy` fails: their points, and gap grids of at most 4 096
+points, are evaluated on Python floats.
 A change that alters an output on purpose regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -59,6 +60,7 @@ CALLS = {
     "gaps_a.json": ["gaps", "--case", "a", "--grid", "1:9:2"],
     "gaps_b.json": ["gaps", "--case", "b", "--grid", "1:9:2"],
     "gaps_c.json": ["gaps", "--case", "c", "--grid", "1:9:2"],
+    "gaps_c_default.json": ["gaps", "--case", "c"],  # the default grid: 41 x 41 powers
     "scaling_a.json": ["scaling", "--case", "a"],
     "scaling_b.json": ["scaling", "--case", "b", "--coupling", "pj=sqrt(px)",
                        "--method", "ratio"],
@@ -135,7 +137,8 @@ def test_golden_out_file_and_sidecar(name, monkeypatch, tmp_path):
     assert sidecar == (OUT_DIR / (name + ".manifest.json")).read_bytes()
 
 
-@pytest.mark.parametrize("name", sorted(n for n in CALLS if n.startswith(("bounds_", "scaling_"))))
+@pytest.mark.parametrize("name", sorted(n for n in CALLS
+                                         if n.startswith(("bounds_", "scaling_", "gaps_"))))
 def test_point_calls_write_the_golden_bytes_without_numpy(name):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     env.pop("TWORELAY_OUTDIR", None)

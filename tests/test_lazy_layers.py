@@ -134,7 +134,9 @@ JSON, CSV = ["json", "dataclasses"], ["csv", "dataclasses"]
                       "--c2", "1"], CLOSED_FORMS + CSV, id="bounds"),
         pytest.param(["bounds", "--case", "a", "--px", "15", "--pj", "15", "--c2", "1",
                       "--format", "json"], CLOSED_FORMS + JSON, id="bounds-json"),
-        pytest.param(["gaps", "--case", "c", "--grid", "1:2:1"], GRIDS + JSON, id="gaps"),
+        pytest.param(["gaps", "--case", "c", "--grid", "1:2:1"], SCALING + JSON, id="gaps"),
+        pytest.param(["gaps", "--case", "a", "--grid", "1:9:20"], GRIDS + JSON,
+                     id="gaps-tiles"),
         pytest.param(["sweep", "--case", "b", "--px", "10", "--pj", "1",
                       "--sum-range", "0:2:1"], GRIDS + CSV, id="sweep"),
         pytest.param(["region", "--rate", "1", "--px", "4", "--pj", "2"], MODEL + CSV,

@@ -4,11 +4,15 @@ import struct
 import sys
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scalar_reference as ref
+from conftest import GAP_DRIVERS
 from test_libm_paths import _near
 from tworelay import libm, scaling
 from tworelay.achievable import Scheme, best_achievable, best_rate
@@ -375,6 +379,7 @@ class TestGapCertificates:
         with pytest.raises(ValueError, match="lies outside every CASE_C gap regime"):
             scaling._point_certificate(ScenarioCase.CASE_C, 10.0, 10.0)
 
+    @pytest.mark.usefixtures("gap_driver")
     def test_grid_certification(self):
         for case in (ScenarioCase.CASE_A, ScenarioCase.CASE_B, ScenarioCase.CASE_C):
             certs = certify_gaps(case)
@@ -399,6 +404,7 @@ class TestGapCertificates:
             with pytest.raises(ValueError):
                 certify_gaps(case, px_grid, pj_grid)
 
+    @pytest.mark.usefixtures("gap_driver")
     def test_numpy_powers_certify_as_python_floats(self):
         # (1 + p_x)**2 of a numpy float warns and gives inf past p_x ~ 1.3e154,
         # which would empty the cut-set regime of those rows
@@ -432,11 +438,12 @@ class TestGapCertificates:
                               ("modulo", 8, (1.3e154, 1e154), "0x1.42caa83496680p+1")],
     }
 
+    @pytest.mark.usefixtures("gap_driver")
     @pytest.mark.parametrize("ufunc_path", [True, False])
     @pytest.mark.parametrize("case", list(ScenarioCase))
     def test_extreme_grid_gives_the_pinned_certificates(self, case, ufunc_path, monkeypatch):
-        # a tile evaluates every point of its rows, zero, subnormal and p_j < 1 powers and
-        # the Case C band included: none of them warns, raises or reaches a certificate
+        # both drivers evaluate every point, zero, subnormal and p_j < 1 powers and the
+        # Case C band included: none of them warns, raises or reaches a certificate
         monkeypatch.setattr(libm, "_UFUNC_PATH", ufunc_path and libm._UFUNC_PATH)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -542,6 +549,16 @@ class TestFirstMaxFold:
 #: that their small grids still span several blocks.
 _BLOCK = 2048
 
+#: Gaps marked at points of a regime, by index in grid order around an `edge`; every
+#: other point of the regime has gap 0.0.
+FOLD_MARKS = [
+    lambda edge: {edge - 1: 1.0, edge: 1.0},  # a tie on either side of the edge
+    lambda edge: {edge - 1: 1.0, edge + 5: math.nan},  # a NaN after the edge wins
+    lambda edge: {edge + 5: math.nan, edge + 9: math.nan, 7: 3.0},  # of two NaNs the first
+    lambda edge: {0: math.nan, edge: math.nan},
+    lambda edge: {},  # every gap ties: the regime's first point
+]
+
 
 class TestTileFold:
     """`certify_gaps` folds each regime's gaps tile by tile exactly as np.argmax over
@@ -577,13 +594,7 @@ class TestTileFold:
         (cert,) = certify_gaps(self.CASE, self.GRID, self.GRID)
         return cert
 
-    @pytest.mark.parametrize("marked", [
-        lambda edge: {edge - 1: 1.0, edge: 1.0},  # a tie on either side of the tile boundary
-        lambda edge: {edge - 1: 1.0, edge + 5: math.nan},  # a NaN in the later tile wins
-        lambda edge: {edge + 5: math.nan, edge + 9: math.nan, 7: 3.0},  # of two NaNs the first
-        lambda edge: {0: math.nan, edge: math.nan},
-        lambda edge: {},  # every gap ties: the regime's first point
-    ])
+    @pytest.mark.parametrize("marked", FOLD_MARKS)  # the edge is the first tile's end
     def test_worst_point_is_the_argmax_of_the_concatenation(self, monkeypatch, block, marked):
         points, edge = self.regime_points(block)
         gap_at = {points[k]: gap for k, gap in marked(edge).items()}
@@ -591,6 +602,133 @@ class TestTileFold:
         concatenated = [gap_at.get(point, 0.0) for point in points]
         assert cert.worst_point == points[int(np.argmax(concatenated))]
         assert cert.grid_points == len(points)
+
+
+class TestPointFold:
+    """A grid of one tile is folded point by point on Python floats exactly as np.argmax
+    over the whole regime in grid order picks its worst point (`TestTileFold`'s grid and
+    marks, with the edge in the middle of the regime)."""
+
+    CASE, GRID = TestTileFold.CASE, TestTileFold.GRID
+
+    @pytest.mark.parametrize("marked", FOLD_MARKS)
+    def test_worst_point_is_the_argmax_of_the_regime(self, monkeypatch, marked):
+        assert len(self.GRID) ** 2 <= scaling._GAP_BLOCK  # one tile: the float driver
+        points = [(px, pj) for (regime,), (px, pj, _, _) in _gap_tiles(self.CASE, self.GRID,
+                                                                       self.GRID) if regime.mask]
+        gap_at = {points[k]: gap for k, gap in marked(len(points) // 2).items()}
+
+        def gaps(case, regimes, px, pj, c1, c2):
+            assert type(px) is float and type(pj) is float
+            return [libm.where(regime.mask, gap_at.get((px, pj), 0.0), -math.inf)
+                    for regime in regimes]
+
+        monkeypatch.setattr(scaling, "_gaps", gaps)
+        (cert,) = certify_gaps(self.CASE, self.GRID, self.GRID)
+        concatenated = [gap_at.get(point, 0.0) for point in points]
+        assert cert.worst_point == points[int(np.argmax(concatenated))]
+        assert cert.grid_points == len(points) == len(self.GRID) ** 2
+
+
+def certify_outcome(case, px_grid, pj_grid) -> str:
+    """The repr of the certificates of the grid (every bit of every float), or the refusal."""
+    try:
+        return repr(certify_gaps(case, px_grid, pj_grid))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def grid_axes(*specials):
+    """An axis of 1 to 64 powers: log-uniform over [0.1, 1e12], or one of `specials`."""
+    powers = st.floats(-1.0, 12.0).map(lambda e: 10.0**e)
+    return st.lists(st.one_of(powers, st.sampled_from(specials)), min_size=1, max_size=64)
+
+
+#: p_x at the edges of the model (p_j takes these and inf as well).
+EDGE_POWERS = (0.0, -0.0, 5e-324, 1.0, 1.3e154, sys.float_info.max)
+
+#: A grid axis of 8 powers: 64 points, so "tiles" cuts its rows.
+AXIS8 = [10.0**k for k in range(1, 9)]
+
+
+class TestGapDrivers:
+    """The float driver (a grid of at most `_GAP_BLOCK` points) and the tile driver give
+    the same certificates and refusals, and the float driver loads no numpy."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(list(ScenarioCase)), grid_axes(*EDGE_POWERS),
+           grid_axes(*EDGE_POWERS, math.inf))
+    def test_both_drivers_give_the_same_certificates(self, case, px_grid, pj_grid):
+        outcomes = set()
+        for block in GAP_DRIVERS.values():
+            with mock.patch.object(scaling, "_GAP_BLOCK", block):
+                outcomes.add(certify_outcome(case, px_grid, pj_grid))
+        assert len(outcomes) == 1, outcomes
+
+    @pytest.mark.usefixtures("gap_driver")
+    @pytest.mark.parametrize("px_grid, pj_grid, refusal", [
+        ([AXIS8, AXIS8], AXIS8, "each grid must be a flat sequence of powers"),
+        (AXIS8, [[10.0], [100.0]], "each grid must be a flat sequence of powers"),
+        (np.array([AXIS8]).T, AXIS8, "each grid must be a flat sequence of powers"),
+        (10.0, AXIS8, "each grid must be a flat sequence of powers"),
+        ("12345678", AXIS8, "each grid must be a flat sequence of powers"),
+        (AXIS8 + [math.nan], AXIS8, "every p_x of the grid must be finite and >= 0"),
+        (AXIS8 + [-1.0], AXIS8, "every p_x of the grid must be finite and >= 0"),
+        (AXIS8 + [math.inf], AXIS8, "every p_x of the grid must be finite and >= 0"),
+        (AXIS8, AXIS8 + [math.nan], "every p_j of the grid must be >= 0 (inf is accepted)"),
+        (AXIS8, AXIS8 + [-0.5], "every p_j of the grid must be >= 0 (inf is accepted)"),
+        ([], AXIS8, "no grid point lies inside a CASE_B gap regime"),
+        ([k / 10.0 for k in range(8)], AXIS8, "no grid point lies inside a CASE_B gap regime"),
+    ])
+    def test_both_drivers_refuse_with_the_same_message(self, px_grid, pj_grid, refusal):
+        with pytest.raises(ValueError) as refused:
+            certify_gaps(ScenarioCase.CASE_B, px_grid, pj_grid)
+        assert str(refused.value) == refusal
+
+    @pytest.mark.usefixtures("gap_driver")
+    def test_the_fold_reads_the_points_outside_a_regime(self, monkeypatch):
+        # every gap -inf: as np.argmax over the grid, the fold picks the grid's first point,
+        # outside the regime, where the per-point path refuses
+        monkeypatch.setattr(scaling, "_gaps", lambda case, regimes, *point: [
+            libm.where(regime.mask, -math.inf, -math.inf) for regime in regimes])
+        with pytest.raises(ValueError, match=r"\(p_x=0.5, p_j=10.0\) lies outside every CASE_B"):
+            certify_gaps(ScenarioCase.CASE_B, [0.5, *AXIS8], AXIS8)
+
+    @pytest.mark.usefixtures("gap_driver")
+    def test_an_interferer_power_of_minus_zero_is_zero(self):
+        # the modulo bound's p_x/p_j met -0.0 as -inf, and log1p refused it
+        certs = certify_gaps(ScenarioCase.CASE_C, AXIS8, [0.0, *AXIS8])
+        assert certify_gaps(ScenarioCase.CASE_C, AXIS8, [-0.0, *AXIS8]) == certs
+
+    def test_a_grid_of_one_tile_loads_no_numpy(self, monkeypatch):
+        with mock.patch.object(scaling, "_GAP_BLOCK", GAP_DRIVERS["tiles"]):
+            expected = [certify_outcome(case, None, None) for case in ScenarioCase]
+
+        def refuse():
+            raise AssertionError("numpy was asked for")
+
+        monkeypatch.setitem(sys.modules, "numpy", None)  # `import numpy` raises
+        monkeypatch.setattr(libm, "_numpy", refuse)
+        assert [certify_outcome(case, None, None) for case in ScenarioCase] == expected
+        assert len(default_power_grid()) ** 2 <= scaling._GAP_BLOCK
+
+    @pytest.mark.parametrize("lo, hi, per_decade", [
+        (1.0, 9.0, 5), (1.0, 9.0, 20), (-3.5, 4.0, 7), (0.25, 2.0, 150), (-300.0, 300.0, 3)])
+    def test_decade_grid_on_floats_has_the_bits_of_np_arange(self, lo, hi, per_decade,
+                                                           monkeypatch):
+        on_floats = scaling._decade_grid(lo, hi, per_decade)
+        assert len(on_floats) <= scaling._GAP_BLOCK
+        monkeypatch.setattr(scaling, "_GAP_BLOCK", 0)  # every count on numpy's arange
+        assert [p.hex() for p in scaling._decade_grid(lo, hi, per_decade)] == [
+            p.hex() for p in on_floats]
+
+    @pytest.mark.parametrize("block", [4096, 0])  # the powers on floats, then on numpy
+    def test_decade_grid_refuses_an_overflow_on_either_path(self, block, monkeypatch):
+        monkeypatch.setattr(scaling, "_GAP_BLOCK", block)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^grid powers up to 10\*\*310 overflow a float$"):
+                scaling._decade_grid(306.0, 310.0, 1)
 
 
 def per_row_regimes(case, p_x, p_j):

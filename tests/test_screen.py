@@ -2,18 +2,19 @@
 
 `sweep_sum_capacity` and `certify_gaps` evaluate every point once, on the
 path `libm.math_map` takes (numpy's ufuncs where they give libm's bits,
-else libm per element), and take each row's first maximum.  These tests
-check the picks against the per-point references, on plateaus, and on
-inputs where numpy's AVX-512 ufuncs, which differ from libm in the last bit,
-would rank another point first.  The draws are derandomized, as in
-test_properties.py.
+else libm per element) or, for a gap grid of one tile, on Python floats,
+and take each row's first maximum.  These tests check the picks against the
+per-point references, on plateaus, and on inputs where numpy's AVX-512
+ufuncs, which differ from libm in the last bit, would rank another point
+first; the gap tests run on both drivers (`gap_driver`).  The draws are
+derandomized, as in test_properties.py.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from test_scaling import reference_sweep
@@ -60,7 +61,8 @@ def test_sweep_picks_the_exact_best_split(case, p_x, p_j, totals):
         case, p_x, p_j, totals, 41)
 
 
-@FEW
+@pytest.mark.usefixtures("gap_driver")  # the same driver for every example
+@settings(FEW, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from([A, B, C]), axis(log_uniform(0.0, 9.0)), axis(log_uniform(0.0, 9.0)))
 def test_gap_grid_picks_the_exact_worst_point(case, p_x, p_j):
     expected = reference_certificates(case, p_x.tolist(), p_j.tolist())
@@ -86,6 +88,7 @@ def test_local_decoding_plateau_takes_its_first_split():
     assert points == reference_sweep(C, 1e8, 1e4, [1.0, 3.0], 1001)
 
 
+@pytest.mark.usefixtures("gap_driver")
 def test_case_a_high_interference_plateau():
     # the gap sits near 0.5 bit across the regime, so most of its points are candidates
     grid = [10.0 ** (k / 4.0) for k in range(4, 37)]
@@ -107,6 +110,7 @@ def test_sweep_where_the_numpy_argmax_is_not_exact():
     assert [point] == reference_sweep(C, 10.0, 100.0, [2.0], 41)
 
 
+@pytest.mark.usefixtures("gap_driver")
 def test_gap_grid_where_the_numpy_argmax_is_not_exact():
     # Case A on --grid 2:4:2: AVX-512 loops put the worst high-interference gap
     # at (100, 10**2.5), the exact one, larger by an ulp, at (10**3.5, 10**4)
