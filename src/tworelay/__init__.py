@@ -13,7 +13,7 @@ loads on first use of one of its names or of the layer by its own name, so
 pays for neither the grid layer nor the simulator.  Only `lattice_sim`
 imports numpy as it loads: the closed forms evaluate a single point on
 Python floats, and numpy loads, through `libm`, with the first array of a
-grid, an array entry or the simulator.
+grid, of a closed form's caller or of the simulator.
 """
 
 __version__ = "0.1.0"

@@ -30,16 +30,17 @@ interferer as noise and forwards information bits) complements the lattice
 scheme at small link capacities.
 
 The closed forms are one core, written once on `libm`'s helpers: at a point
-of Python floats it computes with the `math` module and loads no numpy, and
-over arrays with numpy.  `lattice_rate`, `local_decode_rates` and
-`best_rate` broadcast the rates over (p_x, p_j, c1, c2) for an explicitly
-given case, so a sweep evaluates all splits of several sums in one call.
-Arithmetic runs in the order of the formulas; every transcendental goes
-through `libm.apply` or `libm.square` (libm's bits), which keeps each
-element equal, bit for bit, to the evaluation at its point.  The core takes
-its input as given.  The per-point entries build the full report (combiner
-coefficient, distortions, equivalent-noise power, active branch of the
-relay-2 min) on floats after one input check: `achievable_case_*` and
+of Python floats it computes with the `math` module, gives floats and loads
+no numpy, and over numpy arrays it broadcasts with numpy, whose warnings
+belong to the caller (`libm.quiet`).  `lattice_rate`, `local_decode_rates`
+and `best_rate` give the rates alone for an explicitly given case, so a
+sweep evaluates all splits of several sums in one call.  Arithmetic runs in
+the order of the formulas; every transcendental goes through `libm.apply`
+or `libm.square` (libm's bits), which keeps each element equal, bit for
+bit, to the evaluation at its point.  The core takes its input as given.
+The per-point entries build the full report (combiner coefficient,
+distortions, equivalent-noise power, active branch of the relay-2 min) on
+floats after one input check: `achievable_case_*` and
 `local_decode_baseline` check their powers and links as `ChannelConfig`
 checks its fields (`model._check_fields`), and `best_achievable` infers a
 config's case once and checks the config against it.  Input outside the
@@ -53,9 +54,9 @@ import math
 import sys
 from typing import NamedTuple
 
-from .libm import any_true, apply, array_entry, as_arrays, divide, half_log2_ratio, isfinite
-from .libm import isinf, logical_not, mutual_info, square, where
-from .model import _LN2, ChannelConfig, ScenarioCase, _check_fields, case_constraints_hold
+from .libm import _LN2, any_true, apply, divide, half_log2_ratio, isfinite, isinf, logical_not
+from .libm import mutual_info, square, where
+from .model import ChannelConfig, ScenarioCase, _check_fields, case_constraints_hold
 
 
 class Scheme(enum.Enum):
@@ -303,20 +304,15 @@ def _case_point(case: ScenarioCase, p_x, p_j, c1, c2) -> tuple:
     return p_x, p_j, math.inf if case is ScenarioCase.CASE_A else c1, c2
 
 
-def _lattice_rate(case: ScenarioCase, p_x, p_j, c1, c2, variant: str = "prop"):
-    """`lattice_rate` at a point of floats, or over arrays as given."""
-    point = _case_point(case, p_x, p_j, c1, c2)
-    return (_case_c(*point, variant) if case is ScenarioCase.CASE_C else _case_b(*point))[0]
-
-
-@array_entry
 def lattice_rate(case: ScenarioCase, p_x, p_j, c1, c2, variant: str = "prop"):
-    """Rate of the lattice scheme of `case` over the broadcast of (p_x, p_j, c1, c2).
+    """Rate of the lattice scheme of `case` at a point of floats, or over numpy arrays
+    that broadcast, as given.
 
     Case A is Case B with an unlimited relay-1 link (its c1 is ignored);
     Case C takes the closed form `variant`.  The case is taken as given.
     """
-    return _lattice_rate(case, *as_arrays(*_case_point(case, p_x, p_j, c1, c2)), variant)
+    point = _case_point(case, p_x, p_j, c1, c2)
+    return (_case_c(*point, variant) if case is ScenarioCase.CASE_C else _case_b(*point))[0]
 
 
 def _lattice_report(case: ScenarioCase, p_x: float, p_j: float, c1: float, c2: float,
@@ -338,8 +334,9 @@ def _lattice_report(case: ScenarioCase, p_x: float, p_j: float, c1: float, c2: f
                             "signal_ceiling" if at_ceiling else "interference")
 
 
-def _local_decode(case: ScenarioCase, p_x, p_j, c1, c2):
-    """`local_decode_rates` at a point of floats, or over arrays as given."""
+def local_decode_rates(case: ScenarioCase, p_x, p_j, c1, c2):
+    """Rates of plain local decoding at a point of floats, or over numpy arrays that
+    broadcast, as given (see `local_decode_baseline`)."""
     if case not in (ScenarioCase.CASE_B, ScenarioCase.CASE_C):
         raise ValueError("local decoding baseline applies to Cases B and C only")
     links = c1 if case is ScenarioCase.CASE_B else c1 + c2
@@ -347,33 +344,18 @@ def _local_decode(case: ScenarioCase, p_x, p_j, c1, c2):
     return where(sinr_rate < links, sinr_rate, links)
 
 
-@array_entry
-def local_decode_rates(case: ScenarioCase, p_x, p_j, c1, c2):
-    """Rates of plain local decoding over the broadcast grid (see `local_decode_baseline`)."""
-    return _local_decode(case, *as_arrays(p_x, p_j, c1, c2))
-
-
-@array_entry
-def best_rate(case: ScenarioCase, p_x, p_j, c1, c2):
-    """The best rate of `case` over the broadcast grid, and where local decoding wins.
+def best_rate(case: ScenarioCase, p_x, p_j, c1, c2) -> tuple:
+    """The best rate of `case` at a point of floats, or over numpy arrays that broadcast,
+    and where local decoding wins.
 
     The lattice rate (Case C's "prop" form) is compared with local decoding;
     the mask marks the points where local decoding is strictly better, so a
-    tie goes to the lattice scheme.  Case A has the lattice scheme alone.
+    tie goes to the lattice scheme.  Case A has the lattice scheme alone (mask False).
     """
     rate = lattice_rate(case, p_x, p_j, c1, c2)
     if case is ScenarioCase.CASE_A:
-        import numpy as np  # loaded with the rate array above
-        return rate, np.zeros(rate.shape, dtype=bool)
-    return _with_local_decoding(case, rate, *as_arrays(p_x, p_j, c1, c2))
-
-
-def _with_local_decoding(case: ScenarioCase, rate, p_x, p_j, c1, c2) -> tuple:
-    """The better of the lattice `rate` and local decoding, and where local decoding
-    wins: at a point of floats, or over arrays in Cases B and C."""
-    if case is ScenarioCase.CASE_A:
         return rate, False
-    local = _local_decode(case, p_x, p_j, c1, c2)
+    local = local_decode_rates(case, p_x, p_j, c1, c2)
     wins = local > rate
     return where(wins, local, rate), wins
 
@@ -419,7 +401,7 @@ def local_decode_baseline(
     if case is ScenarioCase.CASE_C and c2 is None:
         raise ValueError("Case C local decoding needs c2")
     point = _check_fields(p_x=p_x, p_j=p_j, c1=c1, c2=math.inf if c2 is None else c2)
-    return AchievableReport(_local_decode(case, *point), Scheme.LOCAL_DECODE)
+    return AchievableReport(local_decode_rates(case, *point), Scheme.LOCAL_DECODE)
 
 
 def best_achievable(cfg: ChannelConfig) -> AchievableReport:
@@ -439,5 +421,8 @@ def best_achievable(cfg: ChannelConfig) -> AchievableReport:
         raise ValueError("config does not match any canonical case preset")
     point = (cfg.p_x, cfg.p_j, cfg.c1, cfg.c2)
     lattice = _lattice_report(case, *point)
-    rate, local = _with_local_decoding(case, lattice.rate, *point)
-    return AchievableReport(rate, Scheme.LOCAL_DECODE) if local else lattice
+    if case is not ScenarioCase.CASE_A:
+        local = local_decode_rates(case, *point)
+        if local > lattice.rate:
+            return AchievableReport(local, Scheme.LOCAL_DECODE)
+    return lattice

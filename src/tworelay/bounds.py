@@ -10,11 +10,12 @@ All bound terms are formed in the log domain, so an unlimited link
 (`INFINITE_CAPACITY`) simply makes its cut term infinite and never binding.
 Each term is written once, on `libm`'s helpers, and takes every logarithm
 through `libm.mutual_info` (libm's bits; finite where a ratio passes the
-largest float).  The array forms (`cutset_term_arrays`, `cutset_min_array`,
-`modulo_bound_array`) take their input as given and broadcast over
-(p_x, p_j, c1, c2).  The per-point entries (`outer_bounds`, `cutset_case_c`,
-`modulo_bound_case_c`) check a config against its case once, which raises
-ValueError on a mismatch, and evaluate the same terms on its floats, with no numpy.
+largest float).  `cutset_terms`, `cutset_min` and `modulo_bound` take their
+input as given: a point of Python floats gives floats, and numpy arrays
+broadcast over (p_x, p_j, c1, c2), their warnings the caller's.  The
+per-point entries (`outer_bounds`, `cutset_case_c`, `modulo_bound_case_c`)
+check a config against its case once, which raises ValueError on a
+mismatch, and evaluate the same terms on its floats, with no numpy.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import functools
 import math
 from typing import NamedTuple
 
-from .libm import array_entry, as_arrays, mutual_info, where
+from .libm import mutual_info, where
 from .model import ChannelConfig, ScenarioCase, case_constraints_hold
 
 #: Additive constant of the Case C modulo bound: 0.25 * log2(8*pi*e).
@@ -58,15 +59,9 @@ def _report(terms: list[tuple[str, float]], modulo: float | None = None) -> Boun
     return BoundReport(tuple(terms), cutset, modulo, binding)
 
 
-@array_entry
-def cutset_term_arrays(case: ScenarioCase, p_x, p_j, c1, c2) -> list[tuple[str, object]]:
-    """Labelled cut-set terms of `case` as arrays that broadcast over (p_x, p_j, c1, c2);
-    the case is taken as given (callers check their inputs against it once)."""
-    return _cutset_terms(case, *as_arrays(p_x, p_j, c1, c2))
-
-
-def _cutset_terms(case: ScenarioCase, p_x, p_j, c1, c2) -> list[tuple[str, object]]:
-    """The labelled cut-set terms of `case` at a point of floats, or over arrays as given."""
+def cutset_terms(case: ScenarioCase, p_x, p_j, c1, c2) -> list[tuple[str, object]]:
+    """The labelled cut-set terms of `case` at a point of floats, or over numpy arrays that
+    broadcast, as given (callers check their inputs against the case once)."""
     interfered = mutual_info(p_x, p_j + 1.0)
     if case is ScenarioCase.CASE_A:
         return [("c2 + i(x;y1)", c2 + interfered), ("i(x;y1|j)", mutual_info(p_x, 1.0))]
@@ -86,25 +81,16 @@ def _cutset_terms(case: ScenarioCase, p_x, p_j, c1, c2) -> list[tuple[str, objec
     raise ValueError(f"unknown case {case!r}")
 
 
-def cutset_min_array(case: ScenarioCase, p_x, p_j, c1, c2):
-    """The cut-set bound over the broadcast grid (see `_cutset_min`)."""
-    return _cutset_min(cutset_term_arrays(case, p_x, p_j, c1, c2))
+def cutset_min(case: ScenarioCase, p_x, p_j, c1, c2):
+    """The cut-set bound of `case`, the first smallest of its terms as min() takes it."""
+    terms = (v for _, v in cutset_terms(case, p_x, p_j, c1, c2))
+    return functools.reduce(lambda low, v: where(v < low, v, low), terms)
 
 
-def _cutset_min(terms: list[tuple[str, object]]):
-    """The first smallest of labelled terms, as min() takes it, at a point or over arrays."""
-    return functools.reduce(lambda low, v: where(v < low, v, low), (v for _, v in terms))
-
-
-@array_entry
-def modulo_bound_array(p_x, p_j, c1, c2):
-    """The Case C modulo bound over the broadcast grid; it needs p_j > 0."""
-    return _modulo_bound(*as_arrays(p_x, p_j, c1, c2))
-
-
-def _modulo_bound(p_x, p_j, c1, c2):
-    """The Case C modulo bound at a point of floats, or over arrays as given.  Each term
-    is halved before the sum (exact for normal floats), so c1 + c2 may overflow."""
+def modulo_bound(p_x, p_j, c1, c2):
+    """The Case C modulo bound at a point of floats, or over numpy arrays that broadcast, as
+    given; it needs p_j > 0.  Each term is halved before the sum (exact for normal floats),
+    so c1 + c2 may overflow."""
     return 0.5 * c1 + 0.5 * c2 + 0.5 * mutual_info(p_x, p_j) + MODULO_BOUND_CONSTANT
 
 
@@ -118,7 +104,7 @@ def _validate(cfg: ChannelConfig, case: ScenarioCase) -> None:
 def _point_terms(cfg: ChannelConfig, case: ScenarioCase) -> list[tuple[str, float]]:
     """The cut-set terms of `case` at cfg's point, cfg checked against `case` once."""
     _validate(cfg, case)
-    return _cutset_terms(case, cfg.p_x, cfg.p_j, cfg.c1, cfg.c2)
+    return cutset_terms(case, cfg.p_x, cfg.p_j, cfg.c1, cfg.c2)
 
 
 def cutset_case_c(cfg: ChannelConfig) -> BoundReport:
@@ -141,7 +127,7 @@ def modulo_bound_case_c(cfg: ChannelConfig) -> float:
     _validate(cfg, ScenarioCase.CASE_C)
     if not cfg.p_j > 0.0:
         raise ValueError("modulo bound requires interferer power p_j > 0")
-    return _modulo_bound(cfg.p_x, cfg.p_j, cfg.c1, cfg.c2)
+    return modulo_bound(cfg.p_x, cfg.p_j, cfg.c1, cfg.c2)
 
 
 def outer_bounds(cfg: ChannelConfig, case: ScenarioCase) -> BoundReport:
@@ -155,5 +141,5 @@ def outer_bounds(cfg: ChannelConfig, case: ScenarioCase) -> BoundReport:
     """
     terms = _point_terms(cfg, case)
     positive = case is ScenarioCase.CASE_C and cfg.p_j > 0.0
-    modulo = _modulo_bound(cfg.p_x, cfg.p_j, cfg.c1, cfg.c2) if positive else None
+    modulo = modulo_bound(cfg.p_x, cfg.p_j, cfg.c1, cfg.c2) if positive else None
     return _report(terms, modulo)

@@ -7,9 +7,9 @@ a point they run the `math` module and give IEEE results where Python
 raises: inf or NaN at a zero divisor, inf where libm overflows.  Both
 operands of a point's `where` are formed before the call, so neither may
 raise; `apply` takes a mask of the points where libm is to run.  Over arrays
-the helpers run numpy, imported with the first array (`_numpy`), and
-`array_entry` and `quiet` switch numpy's warnings off.  numpy's float64
-takes the array path, so a 0-d input stays 0-d.
+the helpers run numpy, imported with the first array (`_numpy`); numpy's
+warnings belong to the caller, which switches them off with `quiet`.
+numpy's float64 takes the array path, so a 0-d input stays 0-d.
 
 Over arrays every transcendental goes through `math_map` or `square`, which
 give libm's bits: through numpy's ufuncs where their loops do
@@ -28,7 +28,7 @@ import math
 import operator
 from typing import Callable
 
-from .model import _LN2
+_LN2 = math.log(2.0)
 
 #: numpy, once `_numpy` has imported it.
 np = None
@@ -52,15 +52,6 @@ def __getattr__(name: str):
         _numpy()
         return _UFUNC_PATH
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def array_entry(fn: Callable) -> Callable:
-    """`fn`, an entry of the array core, run with numpy loaded and its warnings off."""
-    @functools.wraps(fn)
-    def entry(*args, **kwargs):
-        with _numpy().errstate(all="ignore"):
-            return fn(*args, **kwargs)
-    return entry
 
 
 def where(cond, a, b):
@@ -204,9 +195,3 @@ def _ufuncs_give_libm_bits() -> bool:
     return all(info.get(name, {}).get(signature, {}).get("current", "").startswith(targets)
                for name, signature, targets in _LIBM_TARGETS)
 
-
-def as_arrays(*values) -> list:
-    """The values as float arrays of at least one dimension, each keeping its own
-    shape: a quantity of p_x alone is computed once per p_x, not once per point."""
-    _numpy()
-    return [np.atleast_1d(np.asarray(v, dtype=float)) for v in values]

@@ -24,9 +24,8 @@ core takes the case explicitly and its input as given; each per-point entry
 checks its input once, a config against its case or raw powers and links
 with `_check_fields`, and raises ValueError on input outside the model.
 
-This module imports no numpy: `gaussian_mi` computes in Python floats, with
-the bits that `libm.mutual_info` (the array form, which the array core
-uses) gives at the same point, and the Case C link region
+This module imports no numpy: `gaussian_mi` checks its powers and returns
+`libm.mutual_info` at them, on Python floats, and the Case C link region
 (`required_region_case_c`) is scalar geometry on it alone.
 """
 
@@ -38,9 +37,9 @@ import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
-INFINITE_CAPACITY = math.inf
+from .libm import _LN2, mutual_info  # noqa: F401 (`lattice_sim` takes _LN2 from here)
 
-_LN2 = math.log(2.0)
+INFINITE_CAPACITY = math.inf
 
 
 class ScenarioCase(enum.Enum):
@@ -175,12 +174,7 @@ def gaussian_mi(signal_power: float, noise_plus_interference_power: float) -> fl
         raise ValueError(f"signal power must be >= 0, got {s!r}")
     if not n > 0.0 or math.isinf(s) and math.isinf(n):
         raise ValueError(f"noise-plus-interference power must be > 0 (finite over inf), got {n!r}")
-    if s == 0.0:
-        return 0.0  # +0.0, also for a signal power of -0.0
-    mi = 0.5 * math.log1p(s / n) / _LN2
-    if mi == math.inf:
-        return 0.5 * (math.log2(s) - math.log2(n))
-    return mi
+    return mutual_info(s, n)
 
 
 # ---------------------------------------------------------------------------

@@ -12,18 +12,17 @@ data (best link split per sum) behind the composite rate curves.  The (c1,
 c2) region needed to sustain a target rate in Case C is scalar geometry
 that `model` builds without numpy (`required_region_case_c`,
 `RegionPolygon`); it is served here under the same names as well.  The sweep
-checks its powers once and calls the rates alone of the array core
-(`achievable.best_rate`, `bounds.cutset_min_array`, ...) in blocks of all
-splits of as many sums as fit in `_SWEEP_BLOCK` (8 192) points, or 8 192
-splits of a longer sum.  The gap certificates call the closed-form core
-(`achievable._lattice_rate`, `bounds._cutset_terms`, ...) in tiles: a grid
-of at most `_GAP_BLOCK` (4 096) points, the default 41 x 41 among them, is
-one tile of Python floats, taken point by point, and loads no numpy; a
-larger grid's tile holds as many whole p_x rows as fit in 4 096 points, or,
-where one row has more p_j, 4 096 p_j of one row.  A tile is one rate
-evaluation for all the regimes of its case, with p_x as a column and p_j as
-a row, so a quantity of p_x alone is formed once per row; each regime masks
-the gaps of the others' points to -inf.
+checks its powers once and calls the rates alone of the closed-form core
+(`achievable.best_rate`, `bounds.cutset_min`, ...) with the powers as floats,
+in blocks of all splits of as many sums as fit in `_SWEEP_BLOCK` (8 192)
+points, or 8 192 splits of a longer sum.  The gap certificates call the same
+functions in tiles: a grid of at most `_GAP_BLOCK` (4 096) points, the
+default 41 x 41 among them, is one tile of Python floats, taken point by
+point, and loads no numpy; a larger grid's tile holds as many whole p_x rows
+as fit in 4 096 points, or, where one row has more p_j, 4 096 p_j of one
+row.  A tile is one rate evaluation for all the regimes of its case, with
+p_x as a column and p_j as a row, so a quantity of p_x alone is formed once
+per row; each regime masks the gaps of the others' points to -inf.
 
 Of each sum's splits and each regime's points only the first argmax in grid
 order is reported (the lowest c1 of a sum, the first worst point of a
@@ -35,10 +34,11 @@ libm's bits, on floats and on arrays, so the pick is the one a per-point
 evaluation makes.  A certificate carries its regime's point count and that
 worst point, not the points themselves, and reports the largest gap as the
 config-checked per-point path (`_point_certificate`) gives it at that point.
-The sweep imports numpy with its first array.  A pre-log ladder is one
-`rate_fn` call with all its powers as Python floats; the coupled rate
-function evaluates each rung on floats, with no config built and no numpy,
-and the looseness demo is one array ladder per bound.
+The sweep imports numpy with its first array, and the sweep and the tiles
+switch numpy's warnings off around their array calls (`libm.quiet`).  A
+pre-log ladder is one `rate_fn` call with all its powers as Python floats;
+the coupled rate function and the looseness demo's two ladders evaluate each
+rung on floats, with no config built and no numpy.
 """
 
 from __future__ import annotations
@@ -47,13 +47,11 @@ import math
 import sys
 from typing import Callable, NamedTuple, Sequence
 
-from .achievable import Scheme, _lattice_rate, _with_local_decoding, achievable_case_c
-from .achievable import best_achievable, best_rate
-from .bounds import _cutset_min, _cutset_terms, _modulo_bound, cutset_case_c, cutset_min_array
-from .bounds import modulo_bound_array, modulo_bound_case_c, outer_bounds
-from .libm import any_true, apply, count_true, divide, flat, isinf, logical_not, math_map
+from .achievable import Scheme, achievable_case_c, best_achievable, best_rate, lattice_rate
+from .bounds import cutset_case_c, cutset_min, modulo_bound, modulo_bound_case_c, outer_bounds
+from .libm import _LN2, any_true, apply, count_true, divide, flat, isinf, logical_not, math_map
 from .libm import mutual_info, quiet, square, where
-from .model import _LN2, ScenarioCase, _check_count, _check_fields, make_preset
+from .model import ScenarioCase, _check_count, _check_fields, make_preset
 from .model import RegionPolygon, required_region_case_c  # served here as well
 
 PRELOG_METHODS = ("finite_difference", "ratio")
@@ -188,8 +186,7 @@ def coupled_capacity_rate_fn(
         else:  # Case A: relay 1 stays unlimited
             c1 = capacity_scale * target if case is ScenarioCase.CASE_B else math.inf
             c2 = capacity_scale * max(interference_info_lower_bound(p_x, p_j), 0.0)
-        return _with_local_decoding(case, _lattice_rate(case, p_x, p_j, c1, c2),
-                                    p_x, p_j, c1, c2)[0]
+        return best_rate(case, p_x, p_j, c1, c2)[0]
 
     return lambda p_x: [rung(float(p)) for p in p_x]
 
@@ -321,14 +318,13 @@ def _gaps(case: ScenarioCase, regimes, px, pj, c1, c2) -> list:
     -inf at the others: one rate evaluation for all the regimes (the lattice scheme's in Case
     C, the best in A and B), and one per kind of bound that a regime with points there needs."""
     with quiet(px):
-        rate = _lattice_rate(case, px, pj, c1, c2)
-        if case is not ScenarioCase.CASE_C:
-            rate = _with_local_decoding(case, rate, px, pj, c1, c2)[0]
+        rate = (lattice_rate(case, px, pj, c1, c2) if case is ScenarioCase.CASE_C
+                else best_rate(case, px, pj, c1, c2)[0])
         bounds = {}
         for regime in regimes:
             if regime.bound not in bounds and any_true(regime.mask):
-                bounds[regime.bound] = (_modulo_bound(px, pj, c1, c2) if regime.bound == "modulo"
-                                        else _cutset_min(_cutset_terms(case, px, pj, c1, c2)))
+                bounds[regime.bound] = (modulo_bound(px, pj, c1, c2) if regime.bound == "modulo"
+                                        else cutset_min(case, px, pj, c1, c2))
         return [where(regime.mask, bounds.get(regime.bound, rate) - rate, -math.inf)
                 for regime in regimes]  # a regime with no point here: -inf throughout
 
@@ -468,13 +464,14 @@ def cutset_looseness_demo(
     if any(k < 0.0 for k in exponents):
         raise ValueError(f"looseness demo needs exponents >= 0, got {exponents}")
 
-    def point(p_x: tuple[float, ...]):
-        cap = 0.25 * math_map(math.log2, p_x)
-        return p_x, [math.sqrt(p) for p in p_x], cap, cap
+    def point(p_x: float) -> tuple[float, float, float, float]:
+        cap = 0.25 * math.log2(p_x)
+        return p_x, math.sqrt(p_x), cap, cap
 
-    return (estimate_prelog(lambda p_x: cutset_min_array(ScenarioCase.CASE_C, *point(p_x)),
-                            exponents),
-            estimate_prelog(lambda p_x: modulo_bound_array(*point(p_x)), exponents))
+    return (estimate_prelog(lambda powers: [cutset_min(ScenarioCase.CASE_C, *point(p_x))
+                                            for p_x in powers], exponents),
+            estimate_prelog(lambda powers: [modulo_bound(*point(p_x)) for p_x in powers],
+                            exponents))
 
 
 # ---------------------------------------------------------------------------
@@ -523,23 +520,24 @@ def sweep_sum_capacity(
     columns = []  # per block of sums: rate, c1, c2, local-decoding win at the best split; cut-set
     per_block = max(1, _SWEEP_BLOCK // split_samples)  # sums per call
     chunk = min(split_samples, _SWEEP_BLOCK)  # splits per call
-    for k in range(0, totals.size, per_block):
-        block = totals[k:k + per_block]
-        best, cutset = None, np.full(block.size, -math.inf)
-        for start in range(0, split_samples, chunk):
-            c1 = _splits(block, split_samples, start, start + chunk)
-            c2 = block[:, None] - c1
-            rate, wins = best_rate(case, p_x, p_j, c1, c2)
-            best = _first_max(best, rate, c1, c2, wins)  # the lowest c1 wins a tie
-            cutset = np.maximum(cutset, cutset_min_array(case, p_x, p_j, c1, c2).max(axis=1))
-        columns.append(best + [cutset])
-    if not columns:
-        return []
+    with quiet(totals):
+        for k in range(0, totals.size, per_block):
+            block = totals[k:k + per_block]
+            best, cutset = None, np.full(block.size, -math.inf)
+            for start in range(0, split_samples, chunk):
+                c1 = _splits(block, split_samples, start, start + chunk)
+                c2 = block[:, None] - c1
+                rate, wins = best_rate(case, p_x, p_j, c1, c2)
+                best = _first_max(best, rate, c1, c2, wins)  # the lowest c1 wins a tie
+                cutset = np.maximum(cutset, cutset_min(case, p_x, p_j, c1, c2).max(axis=1))
+            columns.append(best + [cutset])
+        if not columns:
+            return []
+        modulo = (modulo_bound(p_x, p_j, totals / 2.0, totals / 2.0).tolist()  # half splits
+                  if case is ScenarioCase.CASE_C and p_j > 0.0 else [None] * totals.size)
     rate, c1, c2, local, cutset = (np.concatenate(column).tolist() for column in zip(*columns))
     lattice = Scheme.CASE_C_PROP if case is ScenarioCase.CASE_C else Scheme.CASE_B_EQ
     schemes = [Scheme.LOCAL_DECODE if won else lattice for won in local]
-    modulo = (modulo_bound_array(p_x, p_j, totals / 2.0, totals / 2.0).tolist()  # half splits
-              if case is ScenarioCase.CASE_C and p_j > 0.0 else [None] * totals.size)
     return list(map(SweepPoint, totals.tolist(), rate, schemes, c1, c2, cutset, modulo))
 
 

@@ -16,7 +16,7 @@ from tworelay.achievable import (
     local_decode_baseline,
     mmse_alpha,
 )
-from tworelay.bounds import cutset_case_c, cutset_term_arrays, modulo_bound_case_c, outer_bounds
+from tworelay.bounds import cutset_case_c, cutset_terms, modulo_bound_case_c, outer_bounds
 from tworelay.model import INFINITE_CAPACITY, ChannelConfig, ScenarioCase, make_preset
 
 INF = INFINITE_CAPACITY
@@ -138,7 +138,7 @@ class TestPointEntriesCheckTheirInput:
                                          c1=2, c2=1),)),
         # a case letter, not a ScenarioCase
         (lattice_rate, ("c", 1, 1, 1, 1)),
-        (cutset_term_arrays, ("c", 1, 1, 1, 1)),
+        (cutset_terms, ("c", 1, 1, 1, 1)),
     ], ids=lambda v: getattr(v, "__name__", None))
     def test_input_outside_the_model_raises(self, entry, args):
         with pytest.raises(ValueError):

@@ -1,8 +1,9 @@
 """The closed forms equal the frozen scalar closed forms, bit for bit.
 
 `scalar_reference` keeps the per-point implementations the core replaced.
-The core is one copy of each formula: the array entries run it over numpy
-arrays, on either libm path, and the per-point entries on Python floats.
+The core is one function per closed form: it runs over numpy arrays, on
+either libm path, with numpy's warnings switched off by its caller, and at a
+point of Python floats, as the per-point entries run it.
 Every test draws at least 10**4 random points per case, with the edge
 values mixed in: links of 0 and inf bits, p_j of 0 and inf, p_x = 0, and
 small links that put p_x/p_neq inside (0.5, 2), where the rate is taken
@@ -33,13 +34,8 @@ from tworelay.achievable import (
     local_decode_baseline,
     local_decode_rates,
 )
-from tworelay.bounds import (
-    cutset_min_array,
-    cutset_term_arrays,
-    modulo_bound_array,
-    modulo_bound_case_c,
-    outer_bounds,
-)
+from tworelay.bounds import cutset_min, cutset_terms, modulo_bound, modulo_bound_case_c
+from tworelay.bounds import outer_bounds
 from tworelay.libm import math_map
 from tworelay.model import ScenarioCase, make_preset
 from tworelay.scaling import _gap_tiles, _gaps, _splits, certify_gaps
@@ -115,7 +111,9 @@ def assert_reports_equal(case, variant, points, reports):
     """The core's rates and fields against the reference reports; the zero
     fields at p_x = 0 through the per-point entries."""
     p_x, p_j, c1, c2 = points
-    assert_bits_equal(lattice_rate(case, p_x, p_j, c1, c2, variant), [r.rate for r in reports])
+    with np.errstate(all="ignore"):
+        rates = lattice_rate(case, p_x, p_j, c1, c2, variant)
+    assert_bits_equal(rates, [r.rate for r in reports])
     live = p_x > 0.0
     kept = [r for r, on in zip(reports, live.tolist()) if on]
     *values, at_ceiling = lattice_fields(case, variant, *points)
@@ -157,9 +155,10 @@ def test_local_decoding_and_best_scheme_equal_reference(case, seed):
     p_x, p_j, c1, c2 = random_points(seed)
     points = list(zip(*as_lists(p_x, p_j, c1, c2)))
     local = [ref.local_decode_baseline(case, *point).rate for point in points]
-    assert_bits_equal(local_decode_rates(case, p_x, p_j, c1, c2), local)
     best = [ref.best_report(case, *point) for point in points]
-    rate, local_wins = best_rate(case, p_x, p_j, c1, c2)
+    with np.errstate(all="ignore"):
+        assert_bits_equal(local_decode_rates(case, p_x, p_j, c1, c2), local)
+        rate, local_wins = best_rate(case, p_x, p_j, c1, c2)
     assert_bits_equal(rate, [r.rate for r in best])
     assert local_wins.tolist() == [r.scheme is Scheme.LOCAL_DECODE for r in best]
     assert 0 < local_wins.sum() < N
@@ -174,15 +173,48 @@ def test_rates_on_broadcasts_equal_reference(case, seed):
     lattice = best if case is A else [
         ref.achievable_case_b(*point) if case is B else ref.achievable_case_c(*point)
         for point in zip(*as_lists(p_x, p_j, c1, c2))]
-    assert_bits_equal(lattice_rate(case, p_x, p_j, c1, c2), [r.rate for r in lattice])
-    rate, local_wins = best_rate(case, p_x, p_j, c1, c2)
+    with np.errstate(all="ignore"):
+        assert_bits_equal(lattice_rate(case, p_x, p_j, c1, c2), [r.rate for r in lattice])
+        rate, local_wins = best_rate(case, p_x, p_j, c1, c2)
     assert_bits_equal(rate, [r.rate for r in best])
-    assert local_wins.tolist() == [r.scheme is Scheme.LOCAL_DECODE for r in best]
+    # Case A's mask is False: it has the lattice scheme alone
+    assert np.broadcast_to(local_wins, rate.shape).tolist() == [
+        r.scheme is Scheme.LOCAL_DECODE for r in best]
     # a sweep's broadcast: scalar powers against rows of splits
     c1 = np.linspace(0.0, 9.0, 41)[None, :] * np.array([[0.5], [1.0]])
-    rows = best_rate(case, 1e6, 1e3, c1, 9.0 - c1)[0]
+    with np.errstate(all="ignore"):
+        rows = best_rate(case, 1e6, 1e3, c1, 9.0 - c1)[0]
     assert_bits_equal(rows.ravel(), [ref.best_report(case, 1e6, 1e3, l1, 9.0 - l1).rate
                                      for l1 in c1.ravel().tolist()])
+
+
+def closed_forms(case, p_x, p_j, c1, c2) -> list:
+    """Every value the six closed forms give for `case`, at a point or over the arrays:
+    the lattice rate (both Case C forms), the best rate and its mask, local decoding,
+    the cut-set terms and bound, and the modulo bound."""
+    values = [lattice_rate(case, p_x, p_j, c1, c2), *best_rate(case, p_x, p_j, c1, c2),
+              *(v for _, v in cutset_terms(case, p_x, p_j, c1, c2)),
+              cutset_min(case, p_x, p_j, c1, c2)]
+    if case is not A:
+        values.append(local_decode_rates(case, p_x, p_j, c1, c2))
+    if case is C:
+        values += [lattice_rate(case, p_x, p_j, c1, c2, "derived"), modulo_bound(p_x, p_j, c1, c2)]
+    return values
+
+
+@pytest.mark.parametrize("case, seed", [(A, 20), (B, 21), (C, 22)])
+@pytest.mark.usefixtures("libm_path")
+def test_a_point_of_floats_gives_python_floats_equal_to_the_array_call(case, seed):
+    # each closed form at a point gives Python floats (and a bool mask), bit for bit the
+    # point's element of the same call over arrays
+    points = random_points(seed, n=600)
+    with np.errstate(all="ignore"):
+        arrays = [np.broadcast_to(v, points[0].shape) for v in closed_forms(case, *points)]
+    for k, point in enumerate(zip(*as_lists(*points))):
+        values = closed_forms(case, *point)
+        elements = [a[k].item() for a in arrays]
+        assert [type(v) for v in values] == [type(e) for e in elements], point
+        assert point_bits(values) == point_bits(elements), point
 
 
 @pytest.mark.parametrize("case, seed", [(A, 7), (B, 8), (C, 9)])
@@ -193,18 +225,19 @@ def test_bounds_equal_reference(case, seed):
         c1 = np.full(N, math.inf)
     points = list(zip(*as_lists(p_x, p_j, c1, c2)))
     terms = [ref.cutset_terms(case, *point) for point in points]
-    arrays = cutset_term_arrays(case, p_x, p_j, c1, c2)
+    with np.errstate(all="ignore"):
+        arrays = cutset_terms(case, p_x, p_j, c1, c2)
+        bound = cutset_min(case, p_x, p_j, c1, c2)
     assert [label for label, _ in arrays] == [label for label, _ in terms[0]]
     for k, (_, values) in enumerate(arrays):
         assert_bits_equal(values, [t[k][1] for t in terms])
-    assert_bits_equal(cutset_min_array(case, p_x, p_j, c1, c2),
-                      [ref.cutset_min(case, *point) for point in points])
+    assert_bits_equal(bound, [ref.cutset_min(case, *point) for point in points])
     if case is C:
         positive = p_j > 0.0
         modulo = [ref.modulo_bound(*point) for point in points]
         assert [m is None for m in modulo] == (~positive).tolist()
         inside = (v[positive] for v in (p_x, p_j, c1, c2))
-        assert_bits_equal(modulo_bound_array(*inside), [m for m in modulo if m is not None])
+        assert_bits_equal(modulo_bound(*inside), [m for m in modulo if m is not None])
 
 
 @pytest.mark.parametrize("case, seed", [(A, 10), (B, 11), (C, 12)])
@@ -341,8 +374,7 @@ def test_point_wrappers_equal_reference():
             expected = ref.best_report(case, *point)
             if case is B and math.isinf(l1):
                 # a config with c1 = inf is Case A and labels its rate case_a_eq
-                rate, local_wins = best_rate(case, *point)
-                assert (rate.item(), local_wins.item()) == (
+                assert best_rate(case, *point) == (
                     expected.rate, expected.scheme is Scheme.LOCAL_DECODE)
                 cfg = make_preset(A, px, pj, c2=l2)
             else:

@@ -844,7 +844,8 @@ TOKENS = (None, "0", "-0.0", "5e-324", "1e-320", "1e-200", "1e154", "5e307", "1e
 @st.composite
 def extreme_argv(draw):
     """An argv of bounds, sweep, region, gaps, scaling or cover over `TOKENS`,
-    with ranges, grids and trials of a few points each.  A flag with a default
+    with ranges, grids and trials of a few points each, or a gap grid of 65 x 65
+    points, past one tile of floats (`scaling._GAP_BLOCK`).  A flag with a default
     is left out half the time, so that more argv pass the boundary.  A range
     spec may also have a malformed or non-finite field, or a count of 1e18 or
     more, which no host can allocate, so that no draw allocates."""
@@ -872,7 +873,7 @@ def extreme_argv(draw):
                                f"{per_decade}",
                                st.sampled_from(("-330", "-320", "-300", "0", "154", "300",
                                                 "307", "308", "309", "inf", "nan")),
-                               st.sampled_from((0, 1)), st.sampled_from(("0", "1", "2"))),
+                               st.sampled_from((0, 1)), st.sampled_from(("0", "1", "2", "64"))),
                      spec(("0", "nan", "-inf", "x"), ("0", "1", "inf", "1e18"),
                           ("1", "2", "x", "1.5", "1000000000000000000", "1e400")))},
         "scaling": {"--case": cases,
@@ -915,6 +916,8 @@ def json_numbers(value):
 @example(["bounds", "--case=c", "--px=15", "--pj=15", "--c1=1e308", "--c2=1e308"])
 @example(["sweep", "--case=c", "--px=1", "--pj=5e-324", "--sum-range=0:1e308:1e308"])
 @example(["region", "--rate=2000", "--px=1e308", "--pj=1e-300"])
+@example(["gaps", "--case=c", "--grid=307:308:64"])  # numpy tiles up to the largest decade
+@example(["gaps", "--case=a", "--grid=-330:-329:64"])  # and in the subnormal range
 def test_other_subcommands_at_extreme_inputs_exit_0_or_2(argv):
     code, out = run_extreme(argv)
     assert code in (0, 2)

@@ -2,10 +2,10 @@
 
 `import tworelay` and `import tworelay.cli` load no layer and no numpy, nor
 do `--help`, `--version` or a usage error; each subcommand loads only the
-layers it runs.  `model` (the channel model and the Case C region, all that
-`region` runs), `libm`, `achievable`, `bounds` and `scaling` load no numpy:
-`bounds` and `scaling` evaluate their points on Python floats, and only the
-grid commands and the simulator load numpy.  The CLI imports `json`, `csv` and
+layers it runs.  `model` and `libm` (the channel model and the Case C
+region, all that `region` runs), `achievable`, `bounds` and `scaling` load no
+numpy: `bounds` and `scaling` evaluate their points on Python floats, and only
+the grid commands and the simulator load numpy.  The CLI imports `json`, `csv` and
 `dataclasses` only for an output it writes with them.  The package serves
 every export, and the CLI binds the names its subcommands call, on first
 access.  Each layer defines as few dataclasses as it can, since a process
@@ -115,12 +115,11 @@ FOOTPRINT = """
 """.format(watched=WATCHED)
 
 NONE = []
-MODEL = ["tworelay.model"]
-CLOSED_FORMS = [*MODEL, "tworelay.libm", "tworelay.achievable", "tworelay.bounds"]
+MODEL = ["tworelay.model", "tworelay.libm"]
+CLOSED_FORMS = [*MODEL, "tworelay.achievable", "tworelay.bounds"]
 SCALING = [*CLOSED_FORMS, "tworelay.scaling"]
 GRIDS = ["numpy", *SCALING]
-SIMULATOR = ["numpy", *MODEL, "tworelay.libm", "tworelay.achievable", "tworelay.lattice_sim",
-             "numpy.random"]
+SIMULATOR = ["numpy", *MODEL, "tworelay.achievable", "tworelay.lattice_sim", "numpy.random"]
 #: What an output is written with (a file's sidecar is JSON), and the dataclasses
 #: of `model`'s config.
 JSON, CSV = ["json", "dataclasses"], ["csv", "dataclasses"]
@@ -174,7 +173,7 @@ MODEL_ALONE = """
 ])
 def test_the_channel_model_and_its_region_load_no_numpy(statement):
     code = MODEL_ALONE.format(statement=statement, watched=WATCHED)
-    assert json.loads(_python(code).stdout) == ["tworelay.model", "dataclasses"]
+    assert json.loads(_python(code).stdout) == [*MODEL, "dataclasses"]
 
 
 CORE_ALONE = """
@@ -185,8 +184,9 @@ CORE_ALONE = """
     import numpy as np
     from tworelay.achievable import best_rate
     from tworelay.model import ScenarioCase
-    rate, wins = best_rate(ScenarioCase.CASE_C, np.array([15.0, 1e8]), np.array([15.0, 1e4]),
-                           np.array([1.0, 3.0]), np.array([1.0, 2.0]))
+    with np.errstate(all="ignore"):
+        rate, wins = best_rate(ScenarioCase.CASE_C, np.array([15.0, 1e8]),
+                               np.array([15.0, 1e4]), np.array([1.0, 3.0]), np.array([1.0, 2.0]))
     print(json.dumps([loaded, rate.tolist(), wins.tolist()]))
 """
 
@@ -197,6 +197,20 @@ def test_the_closed_forms_load_no_numpy_and_their_array_entries_load_it():
     # the `best` rows of tests/golden/bounds_c.json and bounds_c.csv: local decoding
     assert rate == [0.4770981551934376, 5.0]
     assert wins == [True, True]
+
+
+DEMO_WITHOUT_NUMPY = """
+    import sys
+    sys.modules["numpy"] = None  # `import numpy` raises ImportError
+    from tworelay.scaling import cutset_looseness_demo
+    print(*(estimate.prelog.hex() for estimate in cutset_looseness_demo()))
+"""
+
+
+def test_the_looseness_demo_runs_without_numpy():
+    # its ladders run rung by rung on Python floats: the cut-set pre-log, then the modulo one
+    prelogs = _python(DEMO_WITHOUT_NUMPY).stdout.split()
+    assert prelogs == ["0x1.0000000000000p-1", "0x1.7ffff6704ca40p-2"]
 
 
 @pytest.mark.parametrize(

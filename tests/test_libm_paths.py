@@ -237,7 +237,7 @@ def test_the_ufunc_path_never_calls_libm_per_element(monkeypatch):
 
 @pytest.mark.parametrize("ufunc_path", [True, False])
 def test_lattice_rate_of_an_overflowing_alpha_is_zero(ufunc_path, monkeypatch):
-    # at a point of floats, and over one-element arrays as the array entries run them
+    # at a point of floats, and over one-element arrays
     monkeypatch.setattr(libm, "_UFUNC_PATH", ufunc_path and libm._UFUNC_PATH)
     p_neq = equivalent_noise_power(1.0, 1.0, 1.0, 1e200, 0.0, 0.0, 1.0)
     assert (_clamped_rate(1.0, p_neq), p_neq) == (0.0, math.inf)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import tworelay.lattice_sim as lattice_sim
 from tworelay import scaling
 from tworelay.achievable import best_rate, lattice_rate, local_decode_rates
-from tworelay.bounds import cutset_min_array, modulo_bound_array
+from tworelay.bounds import cutset_min, modulo_bound
 from tworelay.model import ScenarioCase
 
 A, B, C = ScenarioCase.CASE_A, ScenarioCase.CASE_B, ScenarioCase.CASE_C
@@ -41,13 +41,14 @@ def axis(values, min_size=1):
 def rates_on(grid):
     """The rates that carry each invariant: every case's best scheme, and
     Case C's lattice scheme in both closed forms."""
-    return {
-        "a": best_rate(A, *grid)[0],
-        "b": best_rate(B, *grid)[0],
-        "c": best_rate(C, *grid)[0],
-        "c prop": lattice_rate(C, *grid, "prop"),
-        "c derived": lattice_rate(C, *grid, "derived"),
-    }
+    with np.errstate(all="ignore"):
+        return {
+            "a": best_rate(A, *grid)[0],
+            "b": best_rate(B, *grid)[0],
+            "c": best_rate(C, *grid)[0],
+            "c prop": lattice_rate(C, *grid, "prop"),
+            "c derived": lattice_rate(C, *grid, "derived"),
+        }
 
 
 @GRIDS
@@ -58,13 +59,13 @@ def test_best_rate_is_at_most_the_binding_bound(p_x, p_j, c1, c2):
     # every rate of `rates_on`: the best of each case and both Case C closed forms
     grid = np.ix_(p_x, p_j, c1, c2)
     binding = {}
-    for case in (A, B, C):
-        bound = cutset_min_array(case, *grid)
-        if case is C:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                modulo = modulo_bound_array(*grid)
-            bound = np.where((grid[1] > 0.0) & (modulo < bound), modulo, bound)
-        binding[case.value] = bound
+    with np.errstate(all="ignore"):
+        for case in (A, B, C):
+            bound = cutset_min(case, *grid)
+            if case is C:
+                modulo = modulo_bound(*grid)
+                bound = np.where((grid[1] > 0.0) & (modulo < bound), modulo, bound)
+            binding[case.value] = bound
     for name, rate in rates_on(grid).items():
         assert np.all(rate <= binding[name[0]] + TOL), name
 
@@ -89,14 +90,15 @@ def test_case_c_is_symmetric_under_swapping_the_links(p_x, p_j, c):
 @given(axis(powers), axis(interferers), axis(links), st.floats(0.0, 60.0))
 def test_case_b_tends_to_case_a_as_c1_grows(p_x, p_j, c2, excess):
     p_x, p_j, c2 = np.ix_(p_x, p_j, c2)
-    case_a = lattice_rate(A, p_x, p_j, math.inf, c2)
-    assert np.array_equal(lattice_rate(B, p_x, p_j, math.inf, c2), case_a)
     # c1 = 0.5*log2(1+p_x) + excess leaves a relay-1 distortion of about
     # 2**(-2*excess), so Case B approaches Case A from below as excess grows
     c1 = 0.5 * np.log2(1.0 + p_x) + excess
-    case_b = lattice_rate(B, p_x, p_j, c1, c2)
+    with np.errstate(all="ignore"):
+        case_a = lattice_rate(A, p_x, p_j, math.inf, c2)
+        assert np.array_equal(lattice_rate(B, p_x, p_j, math.inf, c2), case_a)
+        case_b = lattice_rate(B, p_x, p_j, c1, c2)
+        far = lattice_rate(B, p_x, p_j, c1 + 40.0, c2)
     assert np.all(case_b <= case_a + TOL)
-    far = lattice_rate(B, p_x, p_j, c1 + 40.0, c2)
     assert np.all(case_a - far <= 1e-9)
     assert np.all(far >= case_b - TOL)
 
@@ -108,7 +110,8 @@ def test_local_decoding_is_at_most_its_sinr_rate(p_x, p_j, c1, c2):
     # 0.5*log2(1 + p_x/(p_j+1)), here through numpy's log1p, not the core's libm path
     sinr_rate = 0.5 * np.log1p(p_x / (p_j + 1.0)) / math.log(2.0)
     for case, links in ((B, c1), (C, c1 + c2)):
-        local = local_decode_rates(case, p_x, p_j, c1, c2)
+        with np.errstate(all="ignore"):
+            local = local_decode_rates(case, p_x, p_j, c1, c2)
         assert np.all(local <= sinr_rate + TOL), case
         assert np.all(local <= links), case
 
@@ -135,6 +138,7 @@ def test_a_ladder_builds_finite_links_and_gives_finite_rates(exponents, coupling
         for case in (A, B, C):
             rates = scaling.coupled_capacity_rate_fn(case, coupling, scale)(p_x)
             assert np.all(np.isfinite(rates)), case
+    assert len(links) == 3 * len(p_x)  # one call per rung
     for case, c1, c2 in links:
         assert np.all(c1 >= 0.0) and np.all(c2 >= 0.0) and np.all(np.isfinite(c2)), case
         assert (c1 == math.inf) if case is A else np.all(np.isfinite(c1)), case

@@ -16,7 +16,7 @@ from conftest import GAP_DRIVERS
 from test_libm_paths import _near
 from tworelay import libm, scaling
 from tworelay.achievable import Scheme, best_achievable, best_rate
-from tworelay.bounds import cutset_min_array, cutset_term_arrays, modulo_bound_array
+from tworelay.bounds import cutset_min, cutset_terms, modulo_bound
 from tworelay.bounds import modulo_bound_case_c, outer_bounds
 from tworelay.cli import _parse_grid
 from tworelay.model import INFINITE_CAPACITY, ChannelConfig, ScenarioCase, gaussian_mi
@@ -164,25 +164,28 @@ class TestArrayLadders:
     @pytest.mark.usefixtures("no_config")
     @pytest.mark.parametrize("case", list(ScenarioCase))
     def test_a_ladder_is_one_call_and_builds_no_config(self, case, monkeypatch):
-        # one rate_fn call with every power as a Python float; each rung runs on
-        # floats, through no array entry
-        calls = []
+        # one rate_fn call with every power as a Python float; each rung is one
+        # `best_rate` call on Python floats
+        calls, core = [], scaling.best_rate
         rate_fn = coupled_capacity_rate_fn(case, "pj=sqrt(px)", 0.8)
-        monkeypatch.setattr(scaling, "best_rate", lambda *a: calls.append("core"))
+        monkeypatch.setattr(scaling, "best_rate",
+                            lambda *a: calls.append({type(v) for v in a[1:]}) or core(*a))
         est = estimate_prelog(lambda p: calls.append((type(p), len(p), {type(v) for v in p}))
                               or rate_fn(p), range(10, 1001))
-        assert calls == [(tuple, 991, {float})]
+        assert calls == [(tuple, 991, {float})] + [{float}] * 991
         assert len(est.rate_samples) == 991
 
     @pytest.mark.usefixtures("no_config")
     def test_the_looseness_demo_is_one_call_per_bound(self, monkeypatch):
+        # one ladder per bound, the cut-set one first: a call per rung, on Python floats
         calls = []
-        for name in ("cutset_min_array", "modulo_bound_array"):
+        for name in ("cutset_min", "modulo_bound"):
             bound = getattr(scaling, name)
-            monkeypatch.setattr(scaling, name,
-                                lambda *a, _n=name, _f=bound: calls.append(_n) or _f(*a))
+            monkeypatch.setattr(scaling, name, lambda *a, _n=name, _f=bound:
+                                calls.append((_n, {type(v) for v in a[-4:]})) or _f(*a))
         cutset_looseness_demo()
-        assert calls == ["cutset_min_array", "modulo_bound_array"]
+        rungs = len(scaling.DEFAULT_EXPONENTS)
+        assert calls == [("cutset_min", {float})] * rungs + [("modulo_bound", {float})] * rungs
 
     @pytest.mark.parametrize("coupling, scale, ladder, refused", [
         ("pj=px", 1.0, [-1100, 10], "underflows to 0.0"),  # refused by the ladder itself
@@ -308,12 +311,14 @@ class TestCornerPointAchievability:
     def test_prelog_at_both_corners(self):
         # capacities pinned to the region corners sustain the target pre-log
         def corner_rate(p_x, swap):
+            p_x = np.array(p_x)
             target = 0.5 * np.log2(p_x)
             g = 0.5 * math.log2(1.0 + 1.0)  # pj = px coupling
             c1, c2 = np.maximum(target, g), np.maximum(target - g, 0.0)
             if swap:
                 c1, c2 = c2, c1
-            return best_rate(ScenarioCase.CASE_C, p_x, p_x, c1, c2)[0]
+            with np.errstate(all="ignore"):
+                return best_rate(ScenarioCase.CASE_C, p_x, p_x, c1, c2)[0]
 
         for swap in (False, True):
             est = estimate_prelog(lambda p: corner_rate(p, swap), range(10, 41))
@@ -838,9 +843,10 @@ class TestCutsetLooseness:
         assert cutset.method == modulo.method == "finite_difference"
         p_x = np.array([2.0**k for k in range(11)])  # p_j = sqrt(p_x), c1 = c2 = k/4
         point, cap = (p_x, np.sqrt(p_x)), np.arange(11) / 4.0
-        assert cutset.rate_samples == tuple(
-            cutset_min_array(ScenarioCase.CASE_C, *point, cap, cap).tolist())
-        assert modulo.rate_samples == tuple(modulo_bound_array(*point, cap, cap).tolist())
+        with np.errstate(all="ignore"):
+            assert cutset.rate_samples == tuple(
+                cutset_min(ScenarioCase.CASE_C, *point, cap, cap).tolist())
+            assert modulo.rate_samples == tuple(modulo_bound(*point, cap, cap).tolist())
 
     @pytest.mark.parametrize("ladder, refused", [
         ([-1, 2], r"needs exponents >= 0, got \(-1\.0, 2\.0\)"),  # the links would be < 0
@@ -988,6 +994,20 @@ class TestSweepMatchesReference:
         assert sweep_sum_capacity(case, p_x, p_j, sums) == reference_sweep(
             case, p_x, p_j, sums, 1001)
 
+    def test_a_block_is_one_call_per_closed_form(self, monkeypatch):
+        # five sums of 1 001 splits take three blocks: each is one `best_rate` and one
+        # `cutset_min` call, and the modulo column one call over every sum, each with the
+        # checked powers as Python floats
+        monkeypatch.setattr(scaling, "_SWEEP_BLOCK", _BLOCK)
+        calls = []
+        for name in ("best_rate", "cutset_min", "modulo_bound"):
+            core = getattr(scaling, name)
+            monkeypatch.setattr(scaling, name, lambda *a, _n=name, _f=core:
+                                calls.append((_n, *map(type, a[-4:-2]))) or _f(*a))
+        sweep_sum_capacity(ScenarioCase.CASE_C, 10**8, 10**4, [0.0, 3.5, 7.0, 10.5, 14.0])
+        assert calls == [("best_rate", float, float), ("cutset_min", float, float)] * 3 + [
+            ("modulo_bound", float, float)]
+
     def test_splits_exceed_a_block(self, monkeypatch):
         monkeypatch.setattr(scaling, "_SWEEP_BLOCK", _BLOCK)
         sums, splits = [2.0, 9.0], _BLOCK + 52
@@ -1011,11 +1031,13 @@ class TestSweepMatchesReference:
         for point, total in zip(points, totals):
             c1 = np.linspace(0.0, total, n)
             c2 = total - c1
-            rate, wins = best_rate(case, 1e6, 1e3, c1, c2)
+            with np.errstate(all="ignore"):
+                rate, wins = best_rate(case, 1e6, 1e3, c1, c2)
+                cutset = cutset_min(case, 1e6, 1e3, c1, c2)
             k = int(np.argmax(rate))
             assert (point.best_rate, point.c1, point.c2) == (rate[k], c1[k], c2[k])
             assert (point.winning_scheme is Scheme.LOCAL_DECODE) == wins[k]
-            assert point.cutset == cutset_min_array(case, 1e6, 1e3, c1, c2).max()
+            assert point.cutset == cutset.max()
 
     @pytest.mark.parametrize("case", [ScenarioCase.CASE_B, ScenarioCase.CASE_C])
     def test_memory_does_not_grow_with_the_splits(self, case):
@@ -1056,14 +1078,12 @@ class TestCaseExplicitCore:
                 cfg = make_preset(case, p_x, p_j, c1=None if case is ScenarioCase.CASE_A else c1,
                                   c2=c2)
                 point = (cfg.p_x, cfg.p_j, cfg.c1, cfg.c2)
-                rate, local_wins = best_rate(case, *point)
                 report = best_achievable(cfg)
-                assert (report.rate, report.scheme is Scheme.LOCAL_DECODE) == (
-                    rate.item(), local_wins.item())
+                assert (report.rate, report.scheme is Scheme.LOCAL_DECODE) == best_rate(
+                    case, *point)
                 assert report == ref.best_report(case, *point)
                 bound = outer_bounds(cfg, case)
-                terms = cutset_term_arrays(case, *point)
-                assert tuple((label, value.item()) for label, value in terms) == bound.terms
+                assert tuple(cutset_terms(case, *point)) == bound.terms
                 if case is ScenarioCase.CASE_C:
-                    modulo = modulo_bound_array(*point).item() if p_j > 0.0 else None
+                    modulo = modulo_bound(*point) if p_j > 0.0 else None
                     assert modulo == bound.modulo_bound
